@@ -1,37 +1,15 @@
 #!/usr/bin/env python3
-"""Compare the compiled and pure-Python checker kernels on a synthetic
-constraint grid.
+"""Checker throughput on a synthetic constraint grid.
 
 Run from a shell where zkgrid is installed:
 
     python benchmarks/checker_bench.py --rows 1000000 --shards 1
-
-The pure-Python result comes from a subprocess with ZKGRID_PURE_PYTHON=1
-because the kernel is chosen once at import time.
 """
 
 import argparse
-import json
-import os
-import subprocess
 import sys
 
-
-def _run_one(rows: int, shards: int, pure: bool) -> dict:
-    env = dict(os.environ)
-    if pure:
-        env["ZKGRID_PURE_PYTHON"] = "1"
-    else:
-        env.pop("ZKGRID_PURE_PYTHON", None)
-    code = (
-        "import json\n"
-        "from zkgrid.bench import run_benchmark\n"
-        f"print(json.dumps(run_benchmark(n_rows={rows}, shards={shards})))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+from zkgrid.bench import run_benchmark
 
 
 def main() -> int:
@@ -40,20 +18,12 @@ def main() -> int:
     ap.add_argument("--shards", type=int, default=1)
     args = ap.parse_args()
 
-    results = []
-    for pure in (False, True):
-        r = _run_one(args.rows, args.shards, pure)
-        results.append(r)
-        print(
-            f"kernel={r['kernel']:<9} rows={r['n_rows']:>9,} "
-            f"constraint-rows={r['constraint_rows']:>9,} shards={r['shards']} "
-            f"time={r['seconds']:.3f}s rate={r['rows_per_second']:,.0f} rows/s"
-        )
-    if results[0]["kernel"] == "compiled":
-        speedup = results[0]["rows_per_second"] / results[1]["rows_per_second"]
-        print(f"compiled/python speedup: {speedup:.1f}x")
-    else:
-        print("compiled kernel unavailable; both runs used the Python kernel")
+    r = run_benchmark(n_rows=args.rows, shards=args.shards)
+    print(
+        f"rows={r['n_rows']:,} constraint-rows={r['constraint_rows']:,} "
+        f"shards={r['shards']} time={r['seconds']:.3f}s "
+        f"rate={r['rows_per_second']:,.0f} rows/s violations={r['violations']}"
+    )
     return 0
 
 

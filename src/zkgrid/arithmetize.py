@@ -52,7 +52,6 @@ from .commit import (
     SpongeParams,
     VisibilityMode,
     round_function,
-    sponge_hash,
     weight_elements,
 )
 from .field import Field
@@ -988,6 +987,8 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
             elements = list(plan.weight_field_values)
         _fill_sponge(advice, sp, elements, plan.sponge, p)
 
+    # The filled sponge rows already end in each digest.
+    digests = {sp.label: advice[sp.digest_cell[0]][sp.digest_cell[1]] for sp in plan.sponges}
     instance: list[int] = []
     for sec in plan.instance_sections:
         if sec[0] == "logits":
@@ -995,9 +996,9 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
         elif sec[0] == "raw_input":
             instance.extend(codes)
         elif sec[0] == "input_digest":
-            instance.append(sponge_hash([c % p for c in codes], plan.sponge))
+            instance.append(digests["input"])
         else:  # weight_digest
-            instance.append(sponge_hash(plan.weight_field_values, plan.sponge))
+            instance.append(digests["weights"])
 
     return Assignment(advice=advice, instance=instance)
 

@@ -5,32 +5,31 @@ for table membership, every copy constraint and instance binding is
 compared directly.  This is exact verification of the arithmetization;
 there is no succinctness and no randomization.
 
-The row loops run in a compiled Cython kernel when available, with a
-pure-Python fallback selected at import time (set ZKGRID_PURE_PYTHON=1 to
-force the fallback).  Results are identical either way.
+Gates are evaluated column-wise.  For each selector the enabled rows are
+listed once, and each node of a gate polynomial becomes one pass over
+those rows (constants stay scalars).  Node results are memoised per
+selector on the hashable expression subtree, so gates that share a
+sub-expression, such as the S-box terms of the sponge round gates,
+compute it once per row.  Values are reduced mod p only by pow5 and
+once before the zero test; sums, differences and products are left
+unreduced, which is exact because reduction mod p is a ring homomorphism
+and Python ints do not overflow.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, mod, mul, sub
 
-from .circuit import Assignment, CircuitLayout, GateDef, compile_expr
+from .circuit import Assignment, CircuitLayout, Expr
 
-if os.environ.get("ZKGRID_PURE_PYTHON"):
-    from . import _kernel_py as _kernel
-else:
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _kernel
-
-KERNEL = _kernel.IMPL
+KERNEL = "python"
 
 DEFAULT_VIOLATION_CAP = 1000
 
 _KIND_ORDER = {"gate": 0, "lookup": 1, "copy": 2, "instance": 3}
+_FOLD = {"add": add, "sub": sub, "mul": mul}
 
 
 class CheckError(ValueError):
@@ -51,22 +50,48 @@ class Violation:
         return {"kind": self.kind, "id": self.id, "row": self.row, "detail": self.detail}
 
 
-def _prep_gate(layout: CircuitLayout, gate: GateDef, assignment: Assignment):
-    slots: dict[str, int] = {}
-    cols = []
-    for col_id in sorted(gate.poly.columns()):
-        slots[col_id] = len(cols)
-        cols.append(layout.resolve_column(col_id, assignment))
-    ops, args, consts, max_stack = compile_expr(gate.poly, slots)
-    p = layout.field.modulus
-    consts = [c % p for c in consts]
-    sel = layout.fixed[gate.selector]
-    return ops, args, consts, cols, sel, max_stack
+def _binop(fn, x, y):
+    """fn over two operands, each a per-row list or a scalar."""
+    if isinstance(x, list):
+        if isinstance(y, list):
+            return list(map(fn, x, y))
+        return list(map(fn, x, repeat(y)))
+    if isinstance(y, list):
+        return list(map(fn, repeat(x), y))
+    return fn(x, y)
+
+
+def _eval(e: Expr, rows: list, cols: dict, memo: dict, p: int):
+    """e over `rows`: a list with one value per row, or a scalar for
+    constant subtrees.  Values are congruent to the field result mod p."""
+    if e.op == "const":
+        return e.value
+    got = memo.get(e)
+    if got is not None:
+        return got
+    if e.op == "cell":
+        out = list(map(cols[e.col].__getitem__, rows))
+    elif e.op == "pow5":
+        x = _eval(e.args[0], rows, cols, memo, p)
+        out = list(map(pow, x, repeat(5), repeat(p))) if isinstance(x, list) else pow(x, 5, p)
+    else:
+        fn = _FOLD[e.op]
+        out = _eval(e.args[0], rows, cols, memo, p)
+        for a in e.args[1:]:
+            out = _binop(fn, out, _eval(a, rows, cols, memo, p))
+    memo[e] = out
+    return out
+
+
+def _first_unassigned(cols: dict, col_ids, rows: list) -> int | None:
+    vals = [cols[c] for c in sorted(col_ids)]
+    return next((r for r in rows if any(v[r] is None for v in vals)), None)
 
 
 def _check_range(
     layout: CircuitLayout,
-    assignment: Assignment,
+    cols: dict,
+    instance: list,
     start: int,
     stop: int,
     cap: int,
@@ -80,56 +105,91 @@ def _check_range(
     """
     out: list[Violation] = []
     p = layout.field.modulus
+    enabled: dict[str, list] = {}
 
-    for gate in sorted(layout.gates, key=lambda g: g.id):
+    def rows_of(selector: str) -> list:
+        rows = enabled.get(selector)
+        if rows is None:
+            sel = layout.fixed[selector]
+            rows = enabled[selector] = list(compress(range(start, stop), sel[start:stop]))
+        return rows
+
+    gates = sorted(layout.gates, key=lambda g: g.id)
+    last_gate = {g.selector: i for i, g in enumerate(gates)}
+    memos: dict[str, dict] = {}
+    for i, gate in enumerate(gates):
         if len(out) >= cap:
             return out
-        ops, args, consts, cols, sel, max_stack = _prep_gate(layout, gate, assignment)
-        try:
-            hits = _kernel.gate_scan(
-                ops, args, consts, cols, sel, p, start, stop, cap - len(out), max_stack
-            )
-        except ValueError as e:
-            raise CheckError(f"gate {gate.id}: {e}") from e
-        for row, value in hits:
-            out.append(Violation("gate", gate.id, row, f"{gate.name} evaluates to {value}"))
+        rows = rows_of(gate.selector)
+        if rows:
+            try:
+                vals = _eval(gate.poly, rows, cols, memos.setdefault(gate.selector, {}), p)
+                if not isinstance(vals, list):
+                    vals = [vals] * len(rows)
+                bad = any(map(mod, vals, repeat(p)))
+            except TypeError:
+                row = _first_unassigned(cols, gate.poly.columns(), rows)
+                if row is None:
+                    raise
+                raise CheckError(f"gate {gate.id}: unassigned cell in enabled row {row}") from None
+            if bad:
+                sel = layout.fixed[gate.selector]
+                for row, v in zip(rows, vals):
+                    v %= p
+                    if v:
+                        out.append(
+                            Violation("gate", gate.id, row, f"{gate.name} evaluates to {sel[row] * v % p}")
+                        )
+                        if len(out) >= cap:
+                            return out
+        if last_gate[gate.selector] == i:
+            memos.pop(gate.selector, None)
 
     for lk in sorted(layout.lookups, key=lambda l: l.id):
         if len(out) >= cap:
             return out
-        cols = [layout.resolve_column(c, assignment) for c in lk.columns]
-        sel = layout.fixed[lk.selector]
+        rows = rows_of(lk.selector)
         table = table_sets[lk.table]
-        try:
-            rows = _kernel.lookup_scan(cols, sel, table, start, stop, cap - len(out))
-        except ValueError as e:
-            raise CheckError(f"lookup {lk.id}: {e}") from e
-        for row in rows:
+        if len(lk.columns) == 1:
+            keys = map(cols[lk.columns[0]].__getitem__, rows)
+        else:
+            keys = zip(*(map(cols[c].__getitem__, rows) for c in lk.columns))
+        missing = [row for row, key in zip(rows, keys) if key not in table]
+        row = _first_unassigned(cols, lk.columns, missing)
+        if row is not None:
+            raise CheckError(f"lookup {lk.id}: unassigned cell in enabled row {row}")
+        for row in missing[: cap - len(out)]:
             out.append(Violation("lookup", lk.id, row, f"tuple not in table {lk.table}"))
 
+    if len(out) >= cap:
+        return out
     for idx, cp in enumerate(layout.copies):
-        if len(out) >= cap:
-            return out
-        if not start <= cp.a[1] < stop:
+        col_a, row_a = cp.a
+        if not start <= row_a < stop:
             continue
-        va = layout.resolve_column(cp.a[0], assignment)[cp.a[1]]
-        vb = layout.resolve_column(cp.b[0], assignment)[cp.b[1]]
+        va = cols[col_a][row_a]
+        col_b, row_b = cp.b
+        vb = cols[col_b][row_b]
+        if va == vb and va is not None:
+            continue
         if va is None or vb is None:
             raise CheckError(f"copy {idx}: unassigned cell")
         if va % p != vb % p:
             out.append(
-                Violation("copy", f"{idx:09d}", cp.a[1], f"{cp.a} = {va} but {cp.b} = {vb}")
+                Violation("copy", f"{idx:09d}", row_a, f"{cp.a} = {va} but {cp.b} = {vb}")
             )
+            if len(out) >= cap:
+                return out
 
     for idx, (cell_ref, inst_idx) in enumerate(layout.instance_map):
         if len(out) >= cap:
             return out
         if not start <= cell_ref[1] < stop:
             continue
-        v = layout.resolve_column(cell_ref[0], assignment)[cell_ref[1]]
+        v = cols[cell_ref[0]][cell_ref[1]]
         if v is None:
             raise CheckError(f"instance binding {idx}: unassigned cell {cell_ref}")
-        declared = assignment.instance[inst_idx]
+        declared = instance[inst_idx]
         if v % p != declared % p:
             out.append(
                 Violation(
@@ -150,6 +210,8 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> None:
         if len(vals) != layout.n_rows:
             raise CheckError(f"column {col_id} has {len(vals)} rows, grid has {layout.n_rows}")
     for _, inst_idx in layout.instance_map:
+        if inst_idx < 0:
+            raise CheckError(f"negative instance binding index {inst_idx}")
         if inst_idx >= len(assignment.instance):
             raise CheckError(f"instance vector too short for binding index {inst_idx}")
 
@@ -174,28 +236,25 @@ def check_parallel(
 ) -> list[Violation]:
     """Same result set as check() for any shard count.
 
-    Rows are partitioned into contiguous ranges checked independently and
-    merged; each shard over-collects up to the cap so the globally first
-    `cap` violations in canonical order are always reported.
+    Rows are partitioned into contiguous ranges checked one after another
+    and merged; each shard over-collects up to the cap so the globally
+    first `cap` violations in canonical order are always reported.
     """
     if shards < 1:
         raise CheckError("shards must be >= 1")
     _validate_dimensions(layout, assignment)
-    table_sets = {tid: set(t.rows) for tid, t in layout.tables.items()}
+    table_sets = {
+        tid: {r[0] for r in t.rows} if t.arity == 1 else t.rows
+        for tid, t in layout.tables.items()
+    }
+    cols = {col_id: layout.resolve_column(col_id, assignment) for col_id in layout.columns}
     n = layout.n_rows
-    if shards == 1 or n == 0:
-        results = _check_range(layout, assignment, 0, n, cap, table_sets)
-    else:
-        shards = min(shards, max(n, 1))
-        step = -(-n // shards)
-        ranges = [(i, min(i + step, n)) for i in range(0, n, step)]
-        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-            parts = list(
-                pool.map(
-                    lambda r: _check_range(layout, assignment, r[0], r[1], cap, table_sets),
-                    ranges,
-                )
-            )
-        results = [v for part in parts for v in part]
+    shards = min(shards, max(n, 1))
+    step = max(-(-n // shards), 1)
+    results = []
+    for start in range(0, max(n, 1), step):
+        results += _check_range(
+            layout, cols, assignment.instance, start, min(start + step, n), cap, table_sets
+        )
     results.sort(key=Violation.sort_key)
     return results[:cap]

@@ -2,8 +2,7 @@
 gated by selectors, lookup arguments, and copy (equality) constraints.
 
 Gate polynomials are expression trees over same-row cells and constants.
-A gate is satisfied on a row when selector * polynomial == 0 there.  The
-trees compile to small postfix programs the checker kernels execute.
+A gate is satisfied on a row when selector * polynomial == 0 there.
 """
 
 from __future__ import annotations
@@ -15,14 +14,6 @@ from .field import Field, FieldElement
 ADVICE = "advice"
 FIXED = "fixed"
 INSTANCE = "instance"
-
-# Postfix opcodes shared with the checker kernels.
-OP_CONST = 0
-OP_CELL = 1
-OP_ADD = 2
-OP_SUB = 3
-OP_MUL = 4
-OP_POW5 = 5
 
 
 class CircuitError(ValueError):
@@ -144,48 +135,6 @@ def parse_sexpr(text: str) -> Expr:
     return out
 
 
-def compile_expr(expr: Expr, col_slots: dict[str, int]) -> tuple[list[int], list[int], list[int], int]:
-    """Flatten to postfix (ops, args, consts, max_stack) for the kernels.
-
-    n-ary add/mul are emitted as left folds so the stack stays shallow.
-    """
-    ops: list[int] = []
-    args: list[int] = []
-    consts: list[int] = []
-
-    def emit(e: Expr) -> None:
-        if e.op == "const":
-            ops.append(OP_CONST)
-            args.append(len(consts))
-            consts.append(e.value)
-        elif e.op == "cell":
-            ops.append(OP_CELL)
-            args.append(col_slots[e.col])
-        elif e.op in ("add", "sub", "mul"):
-            opcode = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL}[e.op]
-            emit(e.args[0])
-            for a in e.args[1:]:
-                emit(a)
-                ops.append(opcode)
-                args.append(0)
-        elif e.op == "pow5":
-            emit(e.args[0])
-            ops.append(OP_POW5)
-            args.append(0)
-        else:
-            raise CircuitError(f"bad expr op {e.op!r}")
-
-    emit(expr)
-    depth = max_depth = 0
-    for op in ops:
-        if op in (OP_CONST, OP_CELL):
-            depth += 1
-            max_depth = max(max_depth, depth)
-        elif op in (OP_ADD, OP_SUB, OP_MUL):
-            depth -= 1
-    return ops, args, consts, max_depth
-
-
 # --- constraints ------------------------------------------------------------
 
 CellRef = tuple[str, int]  # (column id, row)
@@ -290,6 +239,14 @@ class CircuitLayout:
                     raise CircuitError(f"copy references unknown column {col_id}")
                 if not 0 <= row < self.n_rows:
                     raise CircuitError(f"copy references row {row} outside grid")
+        bindable = {col_id for col_id, col in self.columns.items() if col.kind != INSTANCE}
+        for (col_id, row), idx in self.instance_map:
+            if col_id not in bindable:
+                raise CircuitError(f"instance binding to {col_id!r}: not an advice or fixed column")
+            if not 0 <= row < self.n_rows:
+                raise CircuitError(f"instance binding references row {row} outside grid")
+            if idx < 0:
+                raise CircuitError(f"instance binding has negative index {idx}")
 
     def max_gate_degree(self) -> int:
         # Selector contributes one to every gate's total degree.

@@ -1,11 +1,11 @@
-"""Shared test machinery: the independent convolution oracle and the
-single-cell tamper harness."""
+"""Shared test machinery: the independent convolution oracle, the
+row-by-row constraint oracle and the single-cell tamper harness."""
 
 from __future__ import annotations
 
 import random
 
-from zkgrid.checker import check
+from zkgrid.checker import Violation, check
 from zkgrid.circuit import ADVICE
 from zkgrid.model import INPUT_REF
 
@@ -151,3 +151,41 @@ def tamper_trials(layout, assignment, rng: random.Random, n_trials: int) -> tupl
             caught += 1
         assignment.advice[col][row] = old
     return caught, n_trials
+
+
+def row_oracle_check(layout, assignment, cap=1000):
+    """The checker's violation list, recomputed one (constraint, row) at a
+    time: gates through CircuitLayout.eval_gate, lookups by set membership
+    of the raw cell tuple, copies and instance bindings compared mod p.
+    Shares no evaluation code with zkgrid.checker."""
+    p = layout.field.modulus
+
+    def value(col, row):
+        return layout.resolve_column(col, assignment)[row]
+
+    out = []
+    for g in layout.gates:
+        for row in range(layout.n_rows):
+            v = layout.eval_gate(g, assignment, row).value
+            if v:
+                out.append(Violation("gate", g.id, row, f"{g.name} evaluates to {v}"))
+    for lk in layout.lookups:
+        sel = layout.fixed[lk.selector]
+        for row in range(layout.n_rows):
+            if sel[row] and tuple(value(c, row) for c in lk.columns) not in layout.tables[lk.table].rows:
+                out.append(Violation("lookup", lk.id, row, f"tuple not in table {lk.table}"))
+    for idx, cp in enumerate(layout.copies):
+        va, vb = value(*cp.a), value(*cp.b)
+        if va % p != vb % p:
+            out.append(Violation("copy", f"{idx:09d}", cp.a[1], f"{cp.a} = {va} but {cp.b} = {vb}"))
+    for idx, (ref, inst_idx) in enumerate(layout.instance_map):
+        v, declared = value(*ref), assignment.instance[inst_idx]
+        if v % p != declared % p:
+            out.append(
+                Violation(
+                    "instance", f"{idx:09d}", ref[1],
+                    f"cell {ref} = {v} but instance[{inst_idx}] = {declared}",
+                )
+            )
+    out.sort(key=Violation.sort_key)
+    return out[:cap]

@@ -1,19 +1,16 @@
+import copy
 import random
 
 import pytest
 
-import zkgrid._kernel_py as kernel_py
+from helpers import row_oracle_check
 from zkgrid.bench import make_synthetic_grid
 from zkgrid.checker import KERNEL, CheckError, check, check_parallel
 from zkgrid.circuit import Assignment, CircuitLayout
-from zkgrid.arithmetize import assign_witness, compile
+from zkgrid.arithmetize import CompileConfig, assign_witness, compile
+from zkgrid.commit import VisibilityMode
 from zkgrid.field import Field
 from zkgrid.modelgen import random_input, random_model
-
-try:
-    import zkgrid._kernel as kernel_c
-except ImportError:
-    kernel_c = None
 
 
 def test_honest_witness_accepts():
@@ -114,28 +111,117 @@ def test_instance_binding_checked():
     assert any(v.kind == "instance" for v in vs)
 
 
-@pytest.mark.skipif(kernel_c is None, reason="compiled kernel unavailable")
-def test_kernels_agree():
-    """The compiled and pure-Python kernels produce identical scans."""
-    rng = random.Random(11)
+def test_checker_agrees_with_row_oracle():
+    """Column-wise checking and the row-by-row oracle report the same
+    violations on the synthetic grid, at every shard count."""
     layout, asg = make_synthetic_grid(2000, violations=13)
-    from zkgrid.checker import _prep_gate
-
-    gate = layout.gates[0]
-    ops, args, consts, cols, sel, depth = _prep_gate(layout, gate, asg)
-    p = layout.field.modulus
-    got_c = kernel_c.gate_scan(ops, args, consts, cols, sel, p, 0, 2000, 1000, depth)
-    got_py = kernel_py.gate_scan(ops, args, consts, cols, sel, p, 0, 2000, 1000, depth)
-    assert got_c == got_py and len(got_c) == 13
-
-    lk = layout.lookups[0]
-    cols_l = [layout.resolve_column(c, asg) for c in lk.columns]
-    table = set(layout.tables[lk.table].rows)
     asg.advice["d"][77] = 1 << 20
-    r_c = kernel_c.lookup_scan(cols_l, layout.fixed[lk.selector], table, 0, 2000, 1000)
-    r_py = kernel_py.lookup_scan(cols_l, layout.fixed[lk.selector], table, 0, 2000, 1000)
-    assert r_c == r_py == [77]
+    expect = row_oracle_check(layout, asg)
+    assert [v.kind for v in expect].count("gate") == 13
+    assert [v.row for v in expect if v.kind == "lookup"] == [77]
+    for shards in (1, 3, 8):
+        assert check_parallel(layout, asg, shards=shards) == expect
 
 
-def test_kernel_name_exported():
-    assert KERNEL in ("compiled", "python")
+@pytest.fixture(scope="module")
+def hidden_layout():
+    """A small both-hidden layout: sponge rounds share their S-box terms."""
+    rng = random.Random(21)
+    g = random_model(rng, max_hw=4, max_c=2, max_layers=2)
+    inp = random_input(rng, g)
+    layout, _ = compile(g, CompileConfig(mode=VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS))
+    asg = assign_witness(layout, g, inp)
+    assert any(gd.name.startswith("POSE_FULL_") for gd in layout.gates)
+    return layout, asg
+
+
+def test_tampered_hidden_witness_matches_row_oracle(hidden_layout):
+    layout, honest = hidden_layout
+    p = layout.field.modulus
+    rng = random.Random(5)
+    sponge_cells = [(c, r) for c in sorted(honest.advice) if c.startswith("sp:") for r in range(layout.n_rows)]
+    all_cells = [(c, r) for c in sorted(honest.advice) for r in range(layout.n_rows)]
+    full_rows = [r for r, q in enumerate(layout.fixed["sp:q_full"]) if q]
+    caught = 0
+    hit_gates = set()
+    for trial in range(12):
+        asg = copy.deepcopy(honest)
+        for _ in range(rng.choice([1, 3, 10])):
+            col, row = rng.choice(sponge_cells if trial % 2 else all_cells)
+            if asg.advice[col][row] is not None:
+                asg.advice[col][row] = rng.randrange(p)
+        if trial % 4 == 1:
+            asg.advice["sp:in1"][rng.choice(full_rows)] += 1
+        cap = rng.choice([1000, 7])
+        expect = row_oracle_check(layout, asg, cap=cap)
+        caught += bool(expect)
+        hit_gates |= {v.id for v in expect if v.kind == "gate"}
+        for shards in (1, 4):
+            assert check_parallel(layout, asg, shards=shards, cap=cap) == expect
+    assert caught >= 6
+    assert {g[:7] for g in hit_gates} >= {"sp:full", "sp:part"}
+
+
+def test_non_canonical_cells_reduce_exactly(hidden_layout):
+    """Cells >= p and cells equal to p - 1: gates and copies compare mod p,
+    lookups by raw table membership, exactly as the oracle does."""
+    layout, honest = hidden_layout
+    p = layout.field.modulus
+    asg = copy.deepcopy(honest)
+    for col in sorted(asg.advice):
+        vals = asg.advice[col]
+        for row in range(0, layout.n_rows, 3):
+            if vals[row] is not None:
+                vals[row] += p * (1 + row % 4)
+    assert check(layout, asg, cap=10_000) == row_oracle_check(layout, asg, cap=10_000)
+    sponge_asg = copy.deepcopy(honest)
+    for col in sorted(sponge_asg.advice):
+        if col.startswith("sp:"):
+            sponge_asg.advice[col] = [None if v is None else v + p for v in sponge_asg.advice[col]]
+    assert check(layout, sponge_asg) == []
+    edge = copy.deepcopy(honest)
+    col = sorted(c for c in edge.advice if c.startswith("sp:in"))[0]
+    for row in range(0, layout.n_rows, 5):
+        edge.advice[col][row] = p - 1
+    got = check(layout, edge, cap=10_000)
+    assert got and got == row_oracle_check(layout, edge, cap=10_000)
+
+
+@pytest.mark.parametrize("col", ["sp:in0", "sp:out1", "sp:rc0"])
+def test_unassigned_sponge_cell_is_error(hidden_layout, col):
+    layout, honest = hidden_layout
+    asg = copy.deepcopy(honest)
+    row = layout.plan.sponges[0].round_rows[0][1]
+    if col in asg.advice:
+        asg.advice[col][row] = None
+    else:
+        layout = copy.deepcopy(layout)
+        layout.fixed[col][row] = None
+    with pytest.raises(CheckError, match=f"unassigned cell in enabled row {row}"):
+        check(layout, asg)
+
+
+def test_unassigned_lookup_and_copy_cells_are_errors():
+    layout, asg = make_synthetic_grid(64)
+    asg.advice["d"][9] = None
+    with pytest.raises(CheckError, match="lookup lk_byte: unassigned cell in enabled row 9"):
+        check(layout, asg)
+    layout, asg = make_synthetic_grid(64)
+    layout.fixed["q"] = [0] * 64   # only the copies still read column a
+    asg.advice["a"][1] = None
+    with pytest.raises(CheckError, match="copy 0: unassigned"):
+        check(layout, asg)
+
+
+def test_negative_instance_index_rejected():
+    rng = random.Random(3)
+    g = random_model(rng, max_hw=4, max_c=2)
+    layout, _ = compile(g)
+    asg = assign_witness(layout, g, random_input(rng, g))
+    layout.instance_map[0] = (layout.instance_map[0][0], -1)
+    with pytest.raises(CheckError, match="negative instance binding index"):
+        check(layout, asg)
+
+
+def test_checker_name_exported():
+    assert KERNEL == "python"

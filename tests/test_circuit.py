@@ -11,7 +11,6 @@ from zkgrid.circuit import (
     GateDef,
     builtin_gates,
     cell,
-    compile_expr,
     mul,
     parse_sexpr,
     pow5,
@@ -218,22 +217,34 @@ def test_degree_accounting():
     assert by_name["DIV"].poly.degree() == 2
 
 
-def test_compile_expr_matches_tree_eval():
+def test_column_eval_matches_tree_eval():
+    """The checker's column-wise evaluation agrees with eval_gate on every
+    row, for canonical cells, cells >= p and cells equal to p - 1."""
     import random
 
-    rng = random.Random(8)
-    from zkgrid._kernel_py import gate_scan
+    from zkgrid.checker import check
 
-    e = sub(mul(cell("a"), pow5(cell("b"))), cell("c"))
-    slots = {"a": 0, "b": 1, "c": 2}
-    ops, args, consts, depth = compile_expr(e, slots)
+    rng = random.Random(8)
     p = F.modulus
-    for _ in range(200):
-        a, b, c = (rng.randrange(p) for _ in range(3))
-        expected = (a * pow(b, 5, p) - c) % p
-        hits = gate_scan(ops, args, consts, [[a], [b], [c]], [1], p, 0, 1, 10, depth)
-        got = hits[0][1] if hits else 0
-        assert got == expected
+    n = 256
+    e = sub(mul(cell("a"), pow5(cell("b"))), cell("c"))
+    layout = CircuitLayout(
+        field=F,
+        columns={c: Column(c, ADVICE) for c in "abc"} | {"q": Column("q", FIXED)},
+        n_rows=n, n_rows_logical=n,
+        gates=[GateDef(id="g", name="G", selector="q", poly=e)],
+        tables={}, lookups=[], copies=[],
+        fixed={"q": [rng.choice([0, 1, 2, p - 1]) for _ in range(n)]},
+        instance_map=[],
+    )
+    pick = lambda: rng.choice([rng.randrange(p), p - 1, p + rng.randrange(p), 3 * p])
+    asg = Assignment(advice={c: [pick() for _ in range(n)] for c in "abc"}, instance=[])
+    got = {v.row: v.detail for v in check(layout, asg, cap=n)}
+    for row in range(n):
+        a, b, c = (asg.advice[k][row] for k in "abc")
+        expected = layout.fixed["q"][row] * (a * pow(b, 5, p) - c) % p
+        assert layout.eval_gate(layout.gates[0], asg, row).value == expected
+        assert got.get(row) == (f"G evaluates to {expected}" if expected else None)
 
 
 def test_debug_dump_shape():

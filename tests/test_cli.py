@@ -4,6 +4,7 @@ import random
 import pytest
 
 from zkgrid import serialize
+from zkgrid.circuit import CircuitError
 from zkgrid.cli import main
 from zkgrid.model import save_model, save_tensor
 from zkgrid.modelgen import random_input, two_tap_fc_model
@@ -189,3 +190,29 @@ def test_config_with_sponge_params_and_mode(workspace):
     assert main(["compile", model, "--config", str(cfg), "--layout", str(layout)]) == 0
     assert main(["witness", model, inp, "--config", str(cfg), "-o", str(wit)]) == 0
     assert main(["check", str(layout), str(wit)]) == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(1, -1), (1, "n_rows"), (2, -1), (0, "inst"), (0, "no_such_column")],
+)
+def test_bad_instance_binding_refused(workspace, field, value):
+    """Bindings outside the grid, to the instance column, or with a
+    negative index would let a forged instance through; the layout
+    loader refuses them and `check` exits 2."""
+    tmp, model, inp = workspace
+    layout, wit = tmp / "layout.json", tmp / "w.bin"
+    assert main(["compile", model, "--layout", str(layout)]) == 0
+    assert main(["witness", model, inp, "-o", str(wit)]) == 0
+    doc = json.loads(layout.read_text())
+    for binding in doc["instance_map"]:
+        binding[field] = doc["n_rows"] if value == "n_rows" else value
+    bad_layout = tmp / "bad_layout.json"
+    bad_layout.write_text(json.dumps(doc))
+    asg = serialize.load_witness(wit.read_bytes())
+    asg.instance = [v + 1 for v in asg.instance]
+    bad_wit = tmp / "bad.bin"
+    bad_wit.write_bytes(serialize.dump_witness(asg))
+    with pytest.raises(CircuitError, match="instance binding"):
+        serialize.load_layout(bad_layout.read_bytes())
+    assert main(["check", str(bad_layout), str(bad_wit)]) == 2
