@@ -88,20 +88,23 @@ def _first_unassigned(cols: dict, col_ids, rows: list) -> int | None:
     return next((r for r in rows if any(v[r] is None for v in vals)), None)
 
 
-def _check_range(
+def _residue_key(cols: dict, col_ids: tuple, row: int, p: int):
+    if len(col_ids) == 1:
+        return cols[col_ids[0]][row] % p
+    return tuple(cols[c][row] % p for c in col_ids)
+
+
+def _check_all(
     layout: CircuitLayout,
     cols: dict,
     instance: list,
-    start: int,
-    stop: int,
     cap: int,
     table_sets: dict,
 ) -> list[Violation]:
-    """All violations whose natural row lies in [start, stop), capped.
+    """The first `cap` violations in canonical (kind, id, row) order.
 
-    Constraints are scanned in canonical (kind, id, row) order so that
-    capped truncation keeps the canonically-first violations; that makes
-    the merged result independent of the shard count.
+    Constraints are scanned in that order, so stopping at the cap keeps
+    the canonically-first violations.
     """
     out: list[Violation] = []
     p = layout.field.modulus
@@ -110,8 +113,7 @@ def _check_range(
     def rows_of(selector: str) -> list:
         rows = enabled.get(selector)
         if rows is None:
-            sel = layout.fixed[selector]
-            rows = enabled[selector] = list(compress(range(start, stop), sel[start:stop]))
+            rows = enabled[selector] = list(compress(range(layout.n_rows), layout.fixed[selector]))
         return rows
 
     gates = sorted(layout.gates, key=lambda g: g.id)
@@ -158,6 +160,9 @@ def _check_range(
         row = _first_unassigned(cols, lk.columns, missing)
         if row is not None:
             raise CheckError(f"lookup {lk.id}: unassigned cell in enabled row {row}")
+        # Tables hold canonical residues, so a raw key found in one is
+        # its own residue; only the misses are looked up again reduced.
+        missing = [row for row in missing if _residue_key(cols, lk.columns, row, p) not in table]
         for row in missing[: cap - len(out)]:
             out.append(Violation("lookup", lk.id, row, f"tuple not in table {lk.table}"))
 
@@ -165,8 +170,6 @@ def _check_range(
         return out
     for idx, cp in enumerate(layout.copies):
         col_a, row_a = cp.a
-        if not start <= row_a < stop:
-            continue
         va = cols[col_a][row_a]
         col_b, row_b = cp.b
         vb = cols[col_b][row_b]
@@ -184,8 +187,6 @@ def _check_range(
     for idx, (cell_ref, inst_idx) in enumerate(layout.instance_map):
         if len(out) >= cap:
             return out
-        if not start <= cell_ref[1] < stop:
-            continue
         v = cols[cell_ref[0]][cell_ref[1]]
         if v is None:
             raise CheckError(f"instance binding {idx}: unassigned cell {cell_ref}")
@@ -234,11 +235,11 @@ def check_parallel(
     shards: int,
     cap: int = DEFAULT_VIOLATION_CAP,
 ) -> list[Violation]:
-    """Same result set as check() for any shard count.
+    """Same result as check() for any shard count >= 1.
 
-    Rows are partitioned into contiguous ranges checked one after another
-    and merged; each shard over-collects up to the cap so the globally
-    first `cap` violations in canonical order are always reported.
+    The grid is checked in one pass whatever the shard count: checking
+    row ranges one after another would rescan every copy and instance
+    binding once per range and gain nothing.
     """
     if shards < 1:
         raise CheckError("shards must be >= 1")
@@ -248,13 +249,4 @@ def check_parallel(
         for tid, t in layout.tables.items()
     }
     cols = {col_id: layout.resolve_column(col_id, assignment) for col_id in layout.columns}
-    n = layout.n_rows
-    shards = min(shards, max(n, 1))
-    step = max(-(-n // shards), 1)
-    results = []
-    for start in range(0, max(n, 1), step):
-        results += _check_range(
-            layout, cols, assignment.instance, start, min(start + step, n), cap, table_sets
-        )
-    results.sort(key=Violation.sort_key)
-    return results[:cap]
+    return _check_all(layout, cols, assignment.instance, cap, table_sets)

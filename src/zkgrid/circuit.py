@@ -8,6 +8,7 @@ A gate is satisfied on a row when selector * polynomial == 0 there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from .field import Field, FieldElement
 
@@ -100,36 +101,53 @@ def pow5(a: Expr) -> Expr:
     return Expr("pow5", args=(a,))
 
 
+MAX_EXPR_DEPTH = 64  # compiled gates nest at most 6 deep
+
+
 def parse_sexpr(text: str) -> Expr:
-    """Inverse of Expr.to_sexpr, used by the layout file loader."""
+    """Inverse of Expr.to_sexpr, used by the layout file loader.  Any
+    malformed text raises CircuitError, as does nesting deeper than
+    MAX_EXPR_DEPTH, which every later recursive walk of the tree could
+    not handle."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
 
-    def parse() -> Expr:
+    def peek() -> str:
+        if pos == len(tokens):
+            raise CircuitError("malformed s-expression: unexpected end")
+        return tokens[pos]
+
+    def take() -> str:
         nonlocal pos
-        tok = tokens[pos]
+        tok = peek()
         pos += 1
+        return tok
+
+    def parse(depth: int) -> Expr:
+        if depth > MAX_EXPR_DEPTH:
+            raise CircuitError("s-expression nests too deeply")
+        tok = take()
         if tok != "(":
-            return const(int(tok))
-        head = tokens[pos]
-        pos += 1
+            try:
+                return const(int(tok))
+            except ValueError:
+                raise CircuitError(f"malformed s-expression: bad constant {tok!r}") from None
+        head = take()
         if head == "col":
-            col_id = tokens[pos]
-            pos += 1
-            if tokens[pos] != ")":
+            col_id = take()
+            if take() != ")":
                 raise CircuitError("malformed s-expression: unterminated col")
-            pos += 1
             return cell(col_id)
-        args = []
-        while tokens[pos] != ")":
-            args.append(parse())
-        pos += 1
         op = {"+": "add", "-": "sub", "*": "mul", "pow5": "pow5"}.get(head)
         if op is None:
             raise CircuitError(f"unknown s-expression head {head!r}")
+        args = []
+        while peek() != ")":
+            args.append(parse(depth + 1))
+        take()
         return Expr(op, args=tuple(args))
 
-    out = parse()
+    out = parse(0)
     if pos != len(tokens):
         raise CircuitError("trailing tokens in s-expression")
     return out
@@ -207,12 +225,16 @@ class CircuitLayout:
     # of the serialized layout or of layout equality.
     plan: object = field(default=None, compare=False, repr=False)
 
+    def _is_fixed(self, col_id: str) -> bool:
+        col = self.columns.get(col_id)
+        return col is not None and col.kind == FIXED
+
     def validate(self) -> None:
         for col_id, col in self.columns.items():
             if col_id != col.id:
                 raise CircuitError("column key/id mismatch")
         for col_id, vals in self.fixed.items():
-            if self.columns[col_id].kind != FIXED:
+            if not self._is_fixed(col_id):
                 raise CircuitError(f"fixed values for non-fixed column {col_id}")
             if len(vals) != self.n_rows:
                 raise CircuitError(f"fixed column {col_id} not fully populated")
@@ -220,7 +242,7 @@ class CircuitLayout:
             if col.kind == FIXED and col_id not in self.fixed:
                 raise CircuitError(f"fixed column {col_id} has no values")
         for g in self.gates:
-            if self.columns.get(g.selector, None) is None or self.columns[g.selector].kind != FIXED:
+            if not self._is_fixed(g.selector):
                 raise CircuitError(f"gate {g.id}: selector must be a fixed column")
             for c in g.poly.columns():
                 if c not in self.columns:
@@ -230,15 +252,19 @@ class CircuitLayout:
                 raise CircuitError(f"lookup {lk.id}: unknown table {lk.table}")
             if len(lk.columns) != self.tables[lk.table].arity:
                 raise CircuitError(f"lookup {lk.id}: arity mismatch")
-            for c in lk.columns + (lk.selector,):
+            for c in lk.columns:
                 if c not in self.columns:
                     raise CircuitError(f"lookup {lk.id}: unknown column {c}")
-        for cp in self.copies:
-            for col_id, row in (cp.a, cp.b):
-                if col_id not in self.columns:
-                    raise CircuitError(f"copy references unknown column {col_id}")
-                if not 0 <= row < self.n_rows:
-                    raise CircuitError(f"copy references row {row} outside grid")
+            if not self._is_fixed(lk.selector):
+                raise CircuitError(f"lookup {lk.id}: selector must be a fixed column")
+        refs = [*map(attrgetter("a"), self.copies), *map(attrgetter("b"), self.copies)]
+        unknown = set(map(itemgetter(0), refs)) - self.columns.keys()
+        if unknown:
+            raise CircuitError(f"copy references unknown column {min(unknown)}")
+        rows = list(map(itemgetter(1), refs))
+        if rows and not (0 <= min(rows) and max(rows) < self.n_rows):
+            bad = min(rows) if min(rows) < 0 else max(rows)
+            raise CircuitError(f"copy references row {bad} outside grid")
         bindable = {col_id for col_id, col in self.columns.items() if col.kind != INSTANCE}
         for (col_id, row), idx in self.instance_map:
             if col_id not in bindable:

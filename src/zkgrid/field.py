@@ -58,7 +58,9 @@ class Field:
         modulus = int(modulus)
         if modulus < MIN_MODULUS:
             raise ValueError(f"modulus {modulus} below minimum {MIN_MODULUS}")
-        if modulus % 2 == 0 or not _is_probable_prime(modulus):
+        # The default modulus is a known prime; every layout file and
+        # config that uses it would otherwise rerun the 40-round test.
+        if modulus != DEFAULT_MODULUS and (modulus % 2 == 0 or not _is_probable_prime(modulus)):
             raise ValueError(f"modulus {modulus} is not an odd prime")
         self.modulus = modulus
 

@@ -156,7 +156,8 @@ def tamper_trials(layout, assignment, rng: random.Random, n_trials: int) -> tupl
 def row_oracle_check(layout, assignment, cap=1000):
     """The checker's violation list, recomputed one (constraint, row) at a
     time: gates through CircuitLayout.eval_gate, lookups by set membership
-    of the raw cell tuple, copies and instance bindings compared mod p.
+    of the cell tuple reduced mod p, copies and instance bindings compared
+    mod p.
     Shares no evaluation code with zkgrid.checker."""
     p = layout.field.modulus
 
@@ -172,7 +173,7 @@ def row_oracle_check(layout, assignment, cap=1000):
     for lk in layout.lookups:
         sel = layout.fixed[lk.selector]
         for row in range(layout.n_rows):
-            if sel[row] and tuple(value(c, row) for c in lk.columns) not in layout.tables[lk.table].rows:
+            if sel[row] and tuple(value(c, row) % p for c in lk.columns) not in layout.tables[lk.table].rows:
                 out.append(Violation("lookup", lk.id, row, f"tuple not in table {lk.table}"))
     for idx, cp in enumerate(layout.copies):
         va, vb = value(*cp.a), value(*cp.b)

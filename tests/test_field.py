@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from zkgrid.field import DEFAULT_MODULUS, Field, decode_signed, encode_signed
+from zkgrid.field import DEFAULT_MODULUS, Field, _is_probable_prime, decode_signed, encode_signed
 
 P = 65537  # smallest permitted field in the tests
 
@@ -12,6 +12,7 @@ def test_default_modulus_is_254_bit_prime():
     f = Field()
     assert f.modulus == DEFAULT_MODULUS
     assert f.modulus.bit_length() == 254
+    assert _is_probable_prime(DEFAULT_MODULUS)  # Field() takes it on trust
 
 
 def test_small_or_composite_modulus_rejected():
