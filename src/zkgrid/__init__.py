@@ -15,6 +15,7 @@ from .circuit import (
     Assignment,
     CircuitLayout,
     Column,
+    Copies,
     CopyConstraint,
     GateDef,
     LookupArg,
@@ -47,6 +48,7 @@ __all__ = [
     "Column",
     "CompileConfig",
     "CompileError",
+    "Copies",
     "CopyConstraint",
     "DEFAULT_MODULUS",
     "Field",

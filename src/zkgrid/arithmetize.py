@@ -35,7 +35,7 @@ from .circuit import (
     Assignment,
     CircuitLayout,
     Column,
-    CopyConstraint,
+    Copies,
     GateColumns,
     GateDef,
     LookupArg,
@@ -216,11 +216,12 @@ class _Builder:
         self.cfg = cfg
         self.p = cfg.field.modulus
         self.columns: dict[str, Column] = {}
+        self.col_number: dict[str, int] = {}
         self.fixed: dict[str, dict[int, int]] = {}
         self.gates: list[GateDef] = []
         self.tables: dict[str, LookupTable] = {}
         self.lookups: list[LookupArg] = []
-        self.copies: list[CopyConstraint] = []
+        self.copies: list[int] = []  # packed, as in circuit.Copies
         self.instance_map: list[tuple[tuple, int]] = []
         self.groups: list[_Group] = []
         self.io_cursor = 0
@@ -234,6 +235,7 @@ class _Builder:
         self.zero_col = self.new_column("zero", FIXED)
 
     def new_column(self, col_id: str, kind: str) -> str:
+        self.col_number.setdefault(col_id, len(self.col_number))
         self.columns[col_id] = Column(col_id, kind)
         if kind == FIXED:
             self.fixed[col_id] = {}
@@ -248,7 +250,8 @@ class _Builder:
         return self.groups[-1]
 
     def copy(self, a: tuple, b: tuple) -> None:
-        self.copies.append(CopyConstraint(a=a, b=b))
+        num = self.col_number
+        self.copies += (num[a[0]], a[1], num[b[0]], b[1])
 
     def io_columns(self) -> tuple:
         if self.io_cols is None:
@@ -345,12 +348,15 @@ def build_clip_table(
     size = d_hi - d_lo + 1
     if size > cap:
         raise CompileError(f"clip table size {size} exceeds cap {cap}")
+    return _clip_table(s.a, s.b, z_out, d_lo, d_hi, fld.modulus)[0]
+
+
+def _clip_table(a: int, b: int, z_out: int, d_lo: int, d_hi: int, p: int) -> tuple[LookupTable, int]:
+    """The clip table for scale a/b and output zero point z_out over the
+    quotients [d_lo, d_hi], and its key offset off = max(0, -d_lo)."""
     off = max(0, -d_lo)
-    rows = frozenset(
-        ((d + off) % fld.modulus, min(255, max(0, d + z_out)))
-        for d in range(d_lo, d_hi + 1)
-    )
-    return LookupTable(id=f"clip:a{s.a}:b{s.b}:z{z_out}", arity=2, rows=rows)
+    rows = frozenset(((d + off) % p, min(255, max(0, d + z_out))) for d in range(d_lo, d_hi + 1))
+    return LookupTable(id=f"clip:a{a}:b{b}:z{z_out}", arity=2, rows=rows), off
 
 
 # --- pass one: scale renormalization and table domains ----------------------
@@ -514,17 +520,8 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
 
     offsets: dict[tuple, int] = {}
     for key, (d_lo, d_hi) in domains.items():
-        a, b, z_out = key
-        off = max(0, -d_lo)
-        offsets[key] = off
-        tid = f"clip:a{a}:b{b}:z{z_out}"
-        bld.tables[tid] = LookupTable(
-            id=tid,
-            arity=2,
-            rows=frozenset(
-                ((d + off) % p, min(255, max(0, d + z_out))) for d in range(d_lo, d_hi + 1)
-            ),
-        )
+        table, offsets[key] = _clip_table(*key, d_lo, d_hi, p)
+        bld.tables[table.id] = table
 
     # Input staging (always present; instance-bound or sponge-bound).
     n_inputs = 1
@@ -862,7 +859,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         gates=bld.gates,
         tables=bld.tables,
         lookups=bld.lookups,
-        copies=bld.copies,
+        copies=Copies(bld.copies, list(bld.columns)),
         fixed=fixed,
         instance_map=bld.instance_map,
     )
@@ -875,7 +872,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         n_lookup_tables=len(bld.tables),
         n_clip_tables=sum(1 for t in bld.tables if t.startswith("clip:")),
         n_lookup_args=len(bld.lookups),
-        n_copy_constraints=len(bld.copies),
+        n_copy_constraints=len(layout.copies),
         max_gate_degree=layout.max_gate_degree(),
     )
     return layout, stats

@@ -17,7 +17,7 @@ from .circuit import (
     Assignment,
     CircuitLayout,
     Column,
-    CopyConstraint,
+    Copies,
     GateDef,
     LookupArg,
     LookupTable,
@@ -46,22 +46,24 @@ def make_synthetic_grid(
     d = [rng.randrange(0, 256) for _ in range(n_rows)]
     if n_copies is None:
         n_copies = n_rows // 10
+    columns = {
+        "q": Column("q", FIXED),
+        "a": Column("a", ADVICE),
+        "b": Column("b", ADVICE),
+        "c": Column("c", ADVICE),
+        "d": Column("d", ADVICE),
+        "q_byte": Column("q_byte", FIXED),
+    }
+    col_a = list(columns).index("a")
     copies = []
     for k in range(min(n_copies, n_rows // 2)):
         i, j = 2 * k, 2 * k + 1
         a[j] = a[i]
-        copies.append(CopyConstraint(a=("a", i), b=("a", j)))
+        copies += (col_a, i, col_a, j)
     c = [x * y % p for x, y in zip(a, b)]
     layout = CircuitLayout(
         field=fld,
-        columns={
-            "q": Column("q", FIXED),
-            "a": Column("a", ADVICE),
-            "b": Column("b", ADVICE),
-            "c": Column("c", ADVICE),
-            "d": Column("d", ADVICE),
-            "q_byte": Column("q_byte", FIXED),
-        },
+        columns=columns,
         n_rows=n_rows,
         n_rows_logical=n_rows,
         gates=[
@@ -72,7 +74,7 @@ def make_synthetic_grid(
         ],
         tables={"byte": LookupTable(id="byte", arity=1, rows=frozenset((v,) for v in range(256)))},
         lookups=[LookupArg(id="lk_byte", table="byte", columns=("d",), selector="q_byte")],
-        copies=copies,
+        copies=Copies(copies, list(columns)),
         fixed={"q": [1] * n_rows, "q_byte": [1] * n_rows},
         instance_map=[],
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, mod, mul, sub
+from operator import add, length_hint, mod, mul, sub
 
 from .circuit import Assignment, CircuitLayout, Expr
 
@@ -168,19 +168,22 @@ def _check_all(
 
     if len(out) >= cap:
         return out
-    for idx, cp in enumerate(layout.copies):
-        col_a, row_a = cp.a
-        va = cols[col_a][row_a]
-        col_b, row_b = cp.b
-        vb = cols[col_b][row_b]
+    copies = layout.copies
+    numbered = [cols[col_id] for col_id in copies.names]
+    it = iter(copies.flat)
+    for ca, ra, cb, rb in zip(it, it, it, it):
+        va = numbered[ca][ra]
+        vb = numbered[cb][rb]
         if va == vb and va is not None:
             continue
+        # A list iterator knows how many items it has left; counting the
+        # copy index that way keeps it out of the loop over equal copies.
+        idx = (len(copies.flat) - length_hint(it)) // 4 - 1
         if va is None or vb is None:
             raise CheckError(f"copy {idx}: unassigned cell")
         if va % p != vb % p:
-            out.append(
-                Violation("copy", f"{idx:09d}", row_a, f"{cp.a} = {va} but {cp.b} = {vb}")
-            )
+            cp = copies[idx]
+            out.append(Violation("copy", f"{idx:09d}", ra, f"{cp.a} = {va} but {cp.b} = {vb}"))
             if len(out) >= cap:
                 return out
 
@@ -191,7 +194,7 @@ def _check_all(
         if v is None:
             raise CheckError(f"instance binding {idx}: unassigned cell {cell_ref}")
         declared = instance[inst_idx]
-        if v % p != declared % p:
+        if v % p != declared:
             out.append(
                 Violation(
                     "instance", f"{idx:09d}", cell_ref[1],
@@ -210,6 +213,12 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> None:
     for col_id, vals in assignment.advice.items():
         if len(vals) != layout.n_rows:
             raise CheckError(f"column {col_id} has {len(vals)} rows, grid has {layout.n_rows}")
+    instance = assignment.instance
+    if None in instance:
+        raise CheckError("instance vector has an unassigned value")
+    if instance and not (min(instance) >= 0 and max(instance) < layout.field.modulus):
+        bad = min(instance) if min(instance) < 0 else max(instance)
+        raise CheckError(f"instance value {bad} is not a canonical residue in [0, p)")
     for _, inst_idx in layout.instance_map:
         if inst_idx < 0:
             raise CheckError(f"negative instance binding index {inst_idx}")

@@ -3,12 +3,20 @@ gated by selectors, lookup arguments, and copy (equality) constraints.
 
 Gate polynomials are expression trees over same-row cells and constants.
 A gate is satisfied on a row when selector * polynomial == 0 there.
+
+Copies are held packed: one flat integer list `[a_col, a_row, b_col,
+b_row, ...]` whose column numbers index the layout's columns in
+insertion order, which is also how the layout file writes them.  The
+compiler appends to that list, the file loader hands it over once its
+types are checked, and the checker walks it directly; `CopyConstraint`
+objects are built only when a caller indexes or iterates the `Copies`
+sequence.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
 
 from .field import Field, FieldElement
 
@@ -194,6 +202,66 @@ class CopyConstraint:
     b: CellRef
 
 
+class Copies(Sequence):
+    """Read-only sequence of CopyConstraint over a packed store.
+
+    `flat` is `[a_col, a_row, b_col, b_row, ...]` and its column numbers
+    index `names`.  Indexing and iteration build CopyConstraint objects
+    on demand; equality compares the resolved (column id, row) pairs.
+    """
+
+    __slots__ = ("flat", "names")
+    __hash__ = None
+
+    def __init__(self, flat: list[int], names: list[str]):
+        self.flat = flat
+        self.names = names
+
+    @classmethod
+    def pack(cls, copies, names: list[str]) -> "Copies":
+        """Pack an iterable of CopyConstraint.  A column id missing from
+        `names` is numbered after them, so validate() can name it."""
+        names = list(names)
+        number = {col_id: k for k, col_id in enumerate(names)}
+        flat = []
+        for cp in copies:
+            for col_id, row in (cp.a, cp.b):
+                k = number.get(col_id)
+                if k is None:
+                    k = number[col_id] = len(names)
+                    names.append(col_id)
+                flat += (k, row)
+        return cls(flat, names)
+
+    def __len__(self) -> int:
+        return len(self.flat) // 4
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        k = i + len(self) if i < 0 else i
+        if not 0 <= k < len(self):
+            raise IndexError("copy index out of range")
+        ca, ra, cb, rb = self.flat[4 * k : 4 * k + 4]
+        return CopyConstraint((self.names[ca], ra), (self.names[cb], rb))
+
+    def __iter__(self):
+        names = self.names
+        it = iter(self.flat)
+        for ca, ra, cb, rb in zip(it, it, it, it):
+            yield CopyConstraint((names[ca], ra), (names[cb], rb))
+
+    def __eq__(self, other):
+        if not isinstance(other, Copies):
+            return NotImplemented
+        if self.names == other.names:
+            return self.flat == other.flat
+        return len(self) == len(other) and all(map(CopyConstraint.__eq__, self, other))
+
+    def __repr__(self) -> str:
+        return f"Copies({len(self)} copies over {len(self.names)} columns)"
+
+
 @dataclass
 class Assignment:
     """Witness: advice column values plus the public instance vector.
@@ -218,12 +286,17 @@ class CircuitLayout:
     gates: list[GateDef]
     tables: dict[str, LookupTable]
     lookups: list[LookupArg]
-    copies: list[CopyConstraint]
+    copies: Copies  # any iterable of CopyConstraint is packed on construction
     fixed: dict[str, list[int]]  # fully populated, length n_rows
     instance_map: list[tuple[CellRef, int]]
     # Opaque witness-construction plan attached by the compiler; not part
     # of the serialized layout or of layout equality.
     plan: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        names = list(self.columns)
+        if not (isinstance(self.copies, Copies) and self.copies.names == names):
+            self.copies = Copies.pack(self.copies, names)
 
     def _is_fixed(self, col_id: str) -> bool:
         col = self.columns.get(col_id)
@@ -257,11 +330,14 @@ class CircuitLayout:
                     raise CircuitError(f"lookup {lk.id}: unknown column {c}")
             if not self._is_fixed(lk.selector):
                 raise CircuitError(f"lookup {lk.id}: selector must be a fixed column")
-        refs = [*map(attrgetter("a"), self.copies), *map(attrgetter("b"), self.copies)]
-        unknown = set(map(itemgetter(0), refs)) - self.columns.keys()
+        names = self.copies.names
+        unknown = set(names) - self.columns.keys()
         if unknown:
             raise CircuitError(f"copy references unknown column {min(unknown)}")
-        rows = list(map(itemgetter(1), refs))
+        cols, rows = self.copies.flat[0::2], self.copies.flat[1::2]
+        if cols and not (0 <= min(cols) and max(cols) < len(names)):
+            bad = min(cols) if min(cols) < 0 else max(cols)
+            raise CircuitError(f"copy references column number {bad} outside the {len(names)} columns")
         if rows and not (0 <= min(rows) and max(rows) < self.n_rows):
             bad = min(rows) if min(rows) < 0 else max(rows)
             raise CircuitError(f"copy references row {bad} outside grid")

@@ -218,11 +218,10 @@ def cmd_selftest(args) -> int:
         ok = not violations
         # single tamper must be caught
         tampered = False
+        bound = {ref for c in layout.copies for ref in (c.a, c.b)}
         for col_id, vals in sorted(assignment.advice.items()):
             for row, v in enumerate(vals):
-                if v is not None and any(
-                    c.a == (col_id, row) or c.b == (col_id, row) for c in layout.copies
-                ):
+                if v is not None and (col_id, row) in bound:
                     vals[row] = (v + 1) % layout.field.modulus
                     tampered = bool(checker.check(layout, assignment))
                     vals[row] = v

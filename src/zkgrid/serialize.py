@@ -6,9 +6,11 @@ map) so a layout written by `compile` can be checked in a separate
 process.  The witness plan is deliberately not serialized; witnesses are
 regenerated by recompiling, which is deterministic.  Copies are one flat
 list `[a_col, a_row, b_col, b_row, ...]` whose column numbers index
-`columns`.  Each fixed column is a flat `[row, value, ...]` list of its
-nonzero cells, rows strictly increasing, values the signed representative
-in (-p/2, p/2] of the canonical residue.
+`columns`; it is the in-memory `circuit.Copies` store itself, written as
+it is and read back once its types are checked.  Each fixed column is a
+flat `[row, value, ...]` list of its nonzero cells, rows strictly
+increasing, values the signed representative in (-p/2, p/2] of the
+canonical residue.
 
 Witness: binary.  `ZKWT`, then version, row, column and instance counts
 (`<IIII`), then the advice column ids (`<H` length + UTF-8) in sorted
@@ -32,13 +34,13 @@ import struct
 import sys
 from array import array
 from itertools import compress, repeat
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .circuit import (
     Assignment,
     CircuitLayout,
     Column,
-    CopyConstraint,
+    Copies,
     LookupArg,
     LookupTable,
     GateDef,
@@ -82,12 +84,9 @@ def _fixed_to_json(col_id: str, vals: list, p: int) -> list[int]:
 
 
 def _copies_to_json(layout: CircuitLayout) -> list[int]:
-    index = {col_id: i for i, col_id in enumerate(layout.columns)}
-    parts = []
-    for end in (attrgetter("a"), attrgetter("b")):
-        refs = list(map(end, layout.copies))
-        parts += [list(map(index.__getitem__, map(itemgetter(0), refs))), list(map(itemgetter(1), refs))]
-    return _interleave(*parts)
+    if layout.copies.names != list(layout.columns):
+        raise FormatError("copies do not number the layout's columns")
+    return layout.copies.flat
 
 
 def layout_to_json(layout: CircuitLayout) -> dict:
@@ -127,12 +126,10 @@ def _typed(xs, t: type) -> bool:
     return type(xs) is list and set(map(type, xs)) <= {t}
 
 
-def _copies_from_json(flat, names: list) -> list[CopyConstraint]:
-    """Copies from the flat list; validate() checks their rows."""
+def _copies_from_json(flat, names: list) -> Copies:
+    """Copies over the flat list; validate() range-checks its columns and rows."""
     _need(_typed(flat, int) and len(flat) % 4 == 0, "copies must be a flat list of 4-tuples of integers")
-    cols = flat[0::2]
-    _need(not cols or (min(cols) >= 0 and max(cols) < len(names)), "copy column index out of range")
-    return [CopyConstraint((names[ca], ra), (names[cb], rb)) for ca, ra, cb, rb in zip(*[iter(flat)] * 4)]
+    return Copies(flat, names)
 
 
 def _fixed_from_json(col_id: str, flat, n_rows: int, p: int) -> list[int]:

@@ -111,6 +111,24 @@ def test_instance_binding_checked():
     assert any(v.kind == "instance" for v in vs)
 
 
+@pytest.mark.parametrize("shift", ["+p", "p", "negative", "2**255-1"])
+def test_non_canonical_instance_value_refused(shift):
+    """The instance vector is public input, compared as given: a value
+    outside [0, p) is refused outright, never reduced to a residue that
+    happens to match."""
+    rng = random.Random(3)
+    g = random_model(rng, max_hw=4, max_c=2)
+    inp = random_input(rng, g)
+    layout, _ = compile(g)
+    asg = assign_witness(layout, g, inp)
+    p = layout.field.modulus
+    assert check(layout, asg) == []
+    v = asg.instance[0]
+    asg.instance[0] = {"+p": v + p, "p": p, "negative": v - p, "2**255-1": (1 << 255) - 1}[shift]
+    with pytest.raises(CheckError, match="not a canonical residue"):
+        check(layout, asg)
+
+
 def test_checker_agrees_with_row_oracle():
     """Column-wise checking and the row-by-row oracle report the same
     violations on the synthetic grid, at every shard count."""

@@ -216,3 +216,20 @@ def test_bad_instance_binding_refused(workspace, field, value):
     with pytest.raises(CircuitError, match="instance binding"):
         serialize.load_layout(bad_layout.read_bytes())
     assert main(["check", str(bad_layout), str(bad_wit)]) == 2
+
+
+def test_non_canonical_instance_value_exits_2(workspace, capsys):
+    """An honest witness whose instance value v is written as v + p
+    would have verified clean by residue; `check` now refuses it."""
+    tmp, model, inp = workspace
+    layout, wit = tmp / "layout.json", tmp / "w.bin"
+    assert main(["compile", model, "--layout", str(layout)]) == 0
+    assert main(["witness", model, inp, "-o", str(wit)]) == 0
+    assert main(["check", str(layout), str(wit)]) == 0
+    asg = serialize.load_witness(wit.read_bytes())
+    asg.instance[0] += serialize.load_layout(layout.read_bytes()).field.modulus
+    shifted = tmp / "shifted.bin"
+    shifted.write_bytes(serialize.dump_witness(asg))
+    capsys.readouterr()
+    assert main(["check", str(layout), str(shifted)]) == 2
+    assert "not a canonical residue" in capsys.readouterr().err
