@@ -20,7 +20,21 @@ are exhausted, and clip tables are shared whenever the scale key matches,
 widening the key's domain to the union of the requesting layers' ranges.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
-rows binding them to a public digest in the instance vector.
+rows binding them to a public digest in the instance vector.  Hidden
+inputs are absorbed one code per element.  Hidden weights are packed
+first by a PACK gate on the staging rows,
+
+    pk_out = pk_in + pk_scale * sum_j 256^j * io_j + pk_off,
+
+chained through pk_in within a chunk (the first row's pk_in is pinned to
+zero).  A chunk of k = commit.pack_width(p) int8 weights spans fresh
+rows under the int8 lookup, with pk_scale = 256^(N*r) on its r-th row
+and pk_off adding 128 per live cell, so its last pk_out is
+sum_i (w_i + 128) * 256^i.  Each hidden bias is the four bytes of
+b + 2^31 on rows under the byte lookup with pk_off = -2^31, so its last
+pk_out is b itself, range-checked to int32; that cell is both the bias
+term of the site's ADD row and one absorbed element.  The absorbed
+sequence is exactly `commit.weight_elements`.
 """
 
 from __future__ import annotations
@@ -32,6 +46,7 @@ import numpy as np
 from .circuit import (
     ADVICE,
     FIXED,
+    MAX_ROWS,
     Assignment,
     CircuitLayout,
     Column,
@@ -51,8 +66,8 @@ from .circuit import (
 from .commit import (
     SpongeParams,
     VisibilityMode,
+    pack_width,
     round_function,
-    weight_elements,
 )
 from .field import Field
 from .interpreter import run_inference
@@ -157,6 +172,7 @@ class SitePlan:
 @dataclass(frozen=True)
 class SpongePlan:
     label: str            # "input" | "weights"
+    message_cells: tuple  # the absorbed cells, in order
     absorb_rows: tuple    # one row per rate-sized chunk
     round_rows: tuple     # per chunk: tuple of round row indices
     n_elements: int
@@ -171,8 +187,10 @@ class WitnessPlan:
     n_inputs: int
     input_cells: list
     io_pad_cells: list
+    # Every cell the weight staging assigns (int8 weights, bias bytes and
+    # PACK chains) with its value; none of it depends on the input.
     weight_cells: list | None
-    weight_field_values: list | None
+    weight_values: list | None
     site_plans: list
     sponges: list
     instance_sections: list
@@ -231,7 +249,10 @@ class _Builder:
         self.sponge_cols: dict | None = None
         self.weights_advice = cfg.mode is not None and cfg.mode.weights_hidden
         self.weight_cells: list[tuple] = []
-        self.weight_offsets: dict[int, int] = {}
+        self.weight_values: list[int] = []
+        # layer index -> (staged int8 weight cells, bias cells)
+        self.param_cells: dict[int, tuple[list, list]] = {}
+        self.pack_cols: tuple | None = None
         self.zero_col = self.new_column("zero", FIXED)
 
     def new_column(self, col_id: str, kind: str) -> str:
@@ -282,6 +303,61 @@ class _Builder:
                     self.copy(pad, (self.zero_col, row))
                     self.io_pad_cells.append(pad)
         return cells
+
+    def io_lookup(self, name: str, table_id: str) -> str:
+        """A selector applying `table_id` to every staging column."""
+        sel = self.new_column(f"io:q_{name}", FIXED)
+        for j, col in enumerate(self.io_columns()):
+            self.lookups.append(
+                LookupArg(id=f"io:lk:{name}:{j}", table=table_id, columns=(col,), selector=sel)
+            )
+        return sel
+
+    def pack_columns(self) -> tuple:
+        if self.pack_cols is None:
+            pk_in = self.new_column("io:pk_in", ADVICE)
+            pk_out = self.new_column("io:pk_out", ADVICE)
+            scale = self.new_column("io:pk_scale", FIXED)
+            off = self.new_column("io:pk_off", FIXED)
+            q_pack = self.new_column("io:q_pack", FIXED)
+            weighted = [
+                cell(col) if j == 0 else mul(const(256**j), cell(col))
+                for j, col in enumerate(self.io_columns())
+            ]
+            poly = sub(cell(pk_out), add(cell(pk_in), mul(cell(scale), add(*weighted)), cell(off)))
+            self.gates.append(GateDef(id="io:pack", name="ABSORB_PACK", selector=q_pack, poly=poly))
+            self.pack_cols = (pk_in, pk_out, scale, off, q_pack)
+        return self.pack_cols
+
+    def pack(self, values: list[int], range_selector: str, shift: int, const_term: int) -> tuple[list, tuple]:
+        """Stage `values` on fresh rows under `range_selector` and chain
+        PACK rows over them.  Returns the staged cells and the last row's
+        pk_out cell, which holds sum_i 256^i * (v_i + shift) + const_term.
+        Every assigned cell and value is recorded as weight staging."""
+        pk_in, pk_out, scale_col, off_col, q_pack = self.pack_columns()
+        n = self.cfg.gate_width
+        p = self.p
+        cells = self.stage(len(values), range_selector)
+        prev = None
+        acc = 0
+        for r, lo in enumerate(range(0, len(values), n)):
+            live = values[lo : lo + n]
+            row = cells[lo][1]
+            scale = 256 ** (n * r)
+            ones = (256 ** len(live) - 1) // 255    # sum_j 256^j over the live cells
+            off = scale * shift * ones + (const_term if r == 0 else 0)
+            self.set_fixed(q_pack, row, 1)
+            self.set_fixed(scale_col, row, scale)
+            self.set_fixed(off_col, row, off)
+            self.copy((pk_in, row), prev or (self.zero_col, row))
+            out = acc + scale * sum(v << (8 * j) for j, v in enumerate(live)) + off
+            self.weight_cells += [(pk_in, row), (pk_out, row)]
+            self.weight_values += [acc % p, out % p]
+            acc = out
+            prev = (pk_out, row)
+        self.weight_cells += cells
+        self.weight_values += [v % p for v in values]
+        return cells, prev
 
     def range_table(self, lo: int, hi: int) -> str:
         tid = f"range:{lo}:{hi}"
@@ -527,33 +603,38 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     n_inputs = 1
     for d in graph.input_shape:
         n_inputs *= d
-    q_in_range = None
-    if mode is not None and mode.input_hidden:
-        bld.range_table(0, 255)
-        q_in_range = bld.new_column("io:q_in", FIXED)
-        for j, col in enumerate(bld.io_columns()):
-            bld.lookups.append(
-                LookupArg(id=f"io:lk:in:{j}", table="range:0:255", columns=(col,), selector=q_in_range)
-            )
-    input_cells = bld.stage(n_inputs, q_in_range)
+    # Hidden inputs and hidden biases are range-checked bytes.
+    input_hidden = mode is not None and mode.input_hidden
+    q_byte = None
+    if input_hidden or bld.weights_advice:
+        q_byte = bld.io_lookup("byte", bld.range_table(0, 255))
+    input_cells = bld.stage(n_inputs, q_byte if input_hidden else None)
 
-    # Weight and bias staging when hidden.
-    weight_field_values = None
+    # Weight chunks and biases, staged and packed, when hidden.
+    absorbed_cells: list[tuple] = []
     if bld.weights_advice:
-        weight_field_values = weight_elements(graph, p)
-        if not weight_field_values:
+        if not any(layer.weights is not None for layer in graph.layers):
             raise CompileError("hidden-weights mode needs at least one parameterized layer")
-        bld.i8_table()
-        q_w_range = bld.new_column("io:q_w", FIXED)
-        for j, col in enumerate(bld.io_columns()):
-            bld.lookups.append(
-                LookupArg(id=f"io:lk:w:{j}", table="range:i8", columns=(col,), selector=q_w_range)
-            )
+        q_i8 = bld.io_lookup("w", bld.i8_table())
+        k = pack_width(p)
         for i, layer in enumerate(graph.layers):
-            if layer.weights is not None:
-                bld.weight_offsets[i] = len(bld.weight_cells)
-                bld.weight_cells.extend(bld.stage(layer.weights.num_elements(), q_w_range))
-                bld.weight_cells.extend(bld.stage(len(layer.bias), None))
+            if layer.weights is None:
+                continue
+            ws = layer.weights.signed_values()
+            w_cells: list[tuple] = []
+            for lo in range(0, len(ws), k):
+                cells, packed = bld.pack(ws[lo : lo + k], q_i8, 128, 0)
+                w_cells += cells
+                absorbed_cells.append(packed)
+            b_cells = []
+            for b in layer.bias:
+                u = b + (1 << 31)
+                # The top byte takes any excess, so only the lookup
+                # objects to a bias outside int32.
+                u_bytes = [u & 0xFF, (u >> 8) & 0xFF, (u >> 16) & 0xFF, u >> 24]
+                b_cells.append(bld.pack(u_bytes, q_byte, 0, -(1 << 31))[1])
+            absorbed_cells += b_cells
+            bld.param_cells[i] = (w_cells, b_cells)
 
     # Per-layer lowering into rows.
     site_plans: list[SitePlan] = []
@@ -598,7 +679,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         idx += 1
 
     sponge_plans: list[SpongePlan] = []
-    if mode is None or not mode.input_hidden:
+    if not input_hidden:
         instance_sections.append(("raw_input", n_inputs))
         for c in input_cells:
             bld.instance_map.append((c, idx))
@@ -610,7 +691,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         instance_sections.append(("input_digest",))
         idx += 1
     if bld.weights_advice:
-        sp = _build_sponge(bld, sponge, "weights", bld.weight_cells)
+        sp = _build_sponge(bld, sponge, "weights", absorbed_cells)
         sponge_plans.append(sp)
         bld.instance_map.append((sp.digest_cell, idx))
         instance_sections.append(("weight_digest",))
@@ -625,7 +706,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         input_cells=input_cells,
         io_pad_cells=bld.io_pad_cells,
         weight_cells=bld.weight_cells if bld.weights_advice else None,
-        weight_field_values=weight_field_values,
+        weight_values=bld.weight_values if bld.weights_advice else None,
         site_plans=site_plans,
         sponges=sponge_plans,
         instance_sections=instance_sections,
@@ -636,7 +717,6 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
 def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_cell):
     n = bld.cfg.gate_width
     p = bld.p
-    layer = bld.graph.layers[layer_idx]
 
     dot_specs = []
     for lo in range(0, max(len(taps), 1), n):
@@ -652,8 +732,7 @@ def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_c
                 bld.copy((g.xs[j], row), src_cell(src))
                 if bld.weights_advice:
                     if widx is not None:
-                        base = bld.weight_offsets[layer_idx]
-                        bld.copy((g.ws[j], row), bld.weight_cells[base + widx])
+                        bld.copy((g.ws[j], row), bld.param_cells[layer_idx][0][widx])
                     else:
                         # structural unit weight (residual / pooling)
                         bld.set_fixed(g.const, row, 1)
@@ -678,9 +757,8 @@ def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_c
     term_cells = [(bld.groups[d.group].out, d.row) for d in dot_specs]
     if bias is not None:
         if bld.weights_advice:
-            base = bld.weight_offsets[layer_idx]
-            n_w = layer.weights.num_elements()
-            term_cells.append(bld.weight_cells[base + n_w + flat % len(layer.bias)])
+            b_cells = bld.param_cells[layer_idx][1]
+            term_cells.append(b_cells[flat % len(b_cells)])
         else:
             term_cells.append(None)  # pinned to an add-row const cell below
 
@@ -725,8 +803,6 @@ def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_c
     ctab = f"clip:a{a}:b{b}:z{z_out}"
     csel = bld.group_lookup_selector(g, ctab, (g.out, g.act))
     bld.set_fixed(csel, row, 1)
-    for j in range(2, n):
-        bld.copy((g.xs[j], row), (bld.zero_col, row))
 
     div = DivRowSpec(group=g.index, row=row, a=lw.scale_a, b=lw.divisor, off=off, z_out=z_out)
     return SitePlan(
@@ -833,6 +909,7 @@ def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells
 
     return SpongePlan(
         label=label,
+        message_cells=tuple(message_cells),
         absorb_rows=tuple(absorb_rows),
         round_rows=tuple(round_rows),
         n_elements=n_elems,
@@ -845,12 +922,15 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         [g.cursor for g in bld.groups] + [bld.io_cursor, bld.sponge_cursor] + [1]
     )
     padded = _next_pow2(logical)
+    if padded > MAX_ROWS:
+        raise CompileError(f"the grid needs {padded} rows, over the limit of {MAX_ROWS}")
     if bld.instance_map:
         bld.new_column("inst", "instance")
-    fixed = {
-        col_id: [vals.get(r, 0) for r in range(padded)]
-        for col_id, vals in bld.fixed.items()
-    }
+    fixed = {}
+    for col_id, vals in bld.fixed.items():
+        fixed[col_id] = col = [0] * padded
+        for r, v in vals.items():
+            col[r] = v
     layout = CircuitLayout(
         field=bld.cfg.field,
         columns=bld.columns,
@@ -912,8 +992,8 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     for cell_ref in plan.io_pad_cells:
         put(cell_ref, 0)
     if plan.weight_cells is not None:
-        for cell_ref, v in zip(plan.weight_cells, plan.weight_field_values):
-            put(cell_ref, v)
+        for (col, row), v in zip(plan.weight_cells, plan.weight_values):
+            advice[col][row] = v
 
     def src_value(src: Source) -> int:
         if src[0] == "in":
@@ -967,8 +1047,6 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
         r = num - d_q * dv.b
         advice[f"g{dv.group}:x0"][dv.row] = acc % p
         advice[f"g{dv.group}:x1"][dv.row] = r % p
-        for j in range(2, n):
-            advice[f"g{dv.group}:x{j}"][dv.row] = 0
         advice[f"g{dv.group}:out"][dv.row] = (d_q + dv.off) % p
         act = int(flat_acts[site.layer][site.flat])
         if act != min(255, max(0, d_q + dv.z_out)):
@@ -978,10 +1056,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
         advice[f"g{dv.group}:act"][dv.row] = act
 
     for sp in plan.sponges:
-        if sp.label == "input":
-            elements = [c % p for c in codes]
-        else:
-            elements = list(plan.weight_field_values)
+        elements = [advice[col][row] for col, row in sp.message_cells]
         _fill_sponge(advice, sp, elements, plan.sponge, p)
 
     # The filled sponge rows already end in each digest.

@@ -24,6 +24,10 @@ ADVICE = "advice"
 FIXED = "fixed"
 INSTANCE = "instance"
 
+# The tallest grid compile builds and the file loaders accept, so a file
+# header cannot ask for more memory than such a grid takes.
+MAX_ROWS = 1 << 20
+
 
 class CircuitError(ValueError):
     pass

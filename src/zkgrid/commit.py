@@ -14,6 +14,12 @@ Constant derivation: rc[i] = SHA256("%s|rc|%d" % (seed, i)) read as a
 big-endian integer reduced mod p, consumed in round-major, lane-minor
 order.  The mixing matrix is M[r][c] = 1 / (x_r + y_c) with x_r = r,
 y_c = t + c.
+
+Digest definitions.  The input digest absorbs `input_elements`, one
+element per input code.  The weight digest absorbs `weight_elements`,
+definition v2, which packs 31 int8 weights to an element on the default
+field; definition v1 absorbed one element per weight, so the two give
+different digests for the same model.
 """
 
 from __future__ import annotations
@@ -199,13 +205,27 @@ def input_elements(inp: QuantTensor) -> list[int]:
     return [int(b) for b in inp.data]
 
 
+def pack_width(modulus: int) -> int:
+    """Int8 weights packed into one field element: k bytes give values
+    below 2**(8k) <= 2**(bits(p) - 1) < p, so packing is injective."""
+    return min(31, (modulus.bit_length() - 1) // 8)
+
+
 def weight_elements(graph: ModelGraph, modulus: int) -> list[int]:
-    """All model parameters in layer order: weights (signed, embedded as
-    p - |w| for negatives) then biases, per parameterized layer."""
+    """The weight digest's absorb sequence (definition v2).
+
+    For each parameterized layer in order: its weights w, row-major, as
+    the bytes w + 128 packed little-endian, k = pack_width(p) to an
+    element (the last element of a layer may hold fewer), then each of
+    its biases as b mod p.  The circuit absorbs exactly these elements,
+    each the output of a PACK chain over range-checked staging cells.
+    """
+    k = pack_width(modulus)
     out: list[int] = []
     for layer in graph.layers:
         if layer.weights is not None:
-            out.extend(v % modulus for v in layer.weights.signed_values())
+            data = bytes(v + 128 for v in layer.weights.signed_values())
+            out.extend(int.from_bytes(data[lo : lo + k], "little") for lo in range(0, len(data), k))
         if layer.bias is not None:
             out.extend(v % modulus for v in layer.bias)
     return out

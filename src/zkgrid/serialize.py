@@ -1,4 +1,4 @@
-"""On-disk formats for layouts and witnesses (version 2).
+"""On-disk formats for layouts (version 2) and witnesses (version 3).
 
 Layout: a complete JSON description (columns, gate polynomials as
 s-expressions, full table contents, fixed column values, copies, instance
@@ -15,8 +15,10 @@ canonical residue.
 Witness: binary.  `ZKWT`, then version, row, column and instance counts
 (`<IIII`), then the advice column ids (`<H` length + UTF-8) in sorted
 order.  Each advice column in that order, then the instance vector, is
-written as a width byte w in {1, 2, 4, 8, 32}, a 32-byte little-endian
-base B and one w-byte cell per row.  For w <= 8 a cell is a
+written as its assigned length L (`<I`: one past its last assigned row;
+the instance vector's own length), a width byte w in {1, 2, 4, 8, 32},
+a 32-byte little-endian base B and L w-byte cells.  The rows from L on
+are unassigned; a column's cell L - 1 never is.  For w <= 8 a cell is a
 little-endian signed integer d: the value is d when d >= 0 and B + d
 otherwise, and the most negative w-byte integer marks an unassigned
 cell.  For w = 32 (B = 0) a cell is the value as a 32-byte unsigned
@@ -24,7 +26,8 @@ integer and 32 bytes of 0xFF mark an unassigned cell.  The writer picks
 the narrowest w, with B one above the column's largest value >= 2**63
 (or 0 when there is none), so residues p - x of small negatives x take a
 few bytes without the file knowing p.  Every cell in [0, 2**255) round
-trips exactly.
+trips exactly.  Both loaders refuse a grid taller than
+`circuit.MAX_ROWS`, and the witness loader refuses versions 1 and 2.
 """
 
 from __future__ import annotations
@@ -33,10 +36,12 @@ import json
 import struct
 import sys
 from array import array
-from itertools import compress, repeat
-from operator import itemgetter
+from functools import partial
+from itertools import compress, repeat, takewhile
+from operator import is_, itemgetter
 
 from .circuit import (
+    MAX_ROWS,
     Assignment,
     CircuitLayout,
     Column,
@@ -48,10 +53,12 @@ from .circuit import (
 )
 from .field import Field
 
-_VERSION = 2
+_LAYOUT_VERSION = 2
+_WITNESS_VERSION = 3
 
 _MAGIC = b"ZKWT"
 _HEADER = struct.Struct("<IIII")
+_LENGTH = struct.Struct("<I")
 _UNASSIGNED = b"\xff" * 32
 _ALL_ONES = int.from_bytes(_UNASSIGNED, "little")
 _LOW_BYTES = bytes(range(0x80))
@@ -93,7 +100,7 @@ def layout_to_json(layout: CircuitLayout) -> dict:
     p = layout.field.modulus
     return {
         "format": "zkgrid-layout",
-        "version": _VERSION,
+        "version": _LAYOUT_VERSION,
         "modulus": str(p),
         "n_rows": layout.n_rows,
         "n_rows_logical": layout.n_rows_logical,
@@ -164,12 +171,12 @@ def layout_from_json(doc: dict) -> CircuitLayout:
     layout and CircuitError for one that describes an inconsistent
     circuit.
     """
-    if type(doc) is not dict or doc.get("format") != "zkgrid-layout" or doc.get("version") != _VERSION:
-        raise FormatError(f"not a v{_VERSION} layout document")
+    if type(doc) is not dict or doc.get("format") != "zkgrid-layout" or doc.get("version") != _LAYOUT_VERSION:
+        raise FormatError(f"not a v{_LAYOUT_VERSION} layout document")
     try:
         modulus, n_rows, n_logical = doc["modulus"], doc["n_rows"], doc["n_rows_logical"]
         _need(type(modulus) is str and modulus.isdigit(), "modulus must be a decimal string")
-        _need(type(n_rows) is int and n_rows >= 0, "n_rows must be a non-negative integer")
+        _need(type(n_rows) is int and 0 <= n_rows <= MAX_ROWS, f"n_rows must be an integer in [0, {MAX_ROWS}]")
         _need(type(n_logical) is int and 0 <= n_logical <= n_rows, "n_rows_logical must lie in [0, n_rows]")
         try:
             fld = Field(int(modulus))
@@ -237,7 +244,11 @@ def load_layout(raw: bytes | str) -> CircuitLayout:
 # --- witness -----------------------------------------------------------------
 
 def _encode_column(vals: list) -> bytes:
-    """Width byte, base and cells of one column (see the module docstring)."""
+    """Assigned length, width byte, base and cells of one column (see the
+    module docstring)."""
+    unassigned_tail = len(list(takewhile(partial(is_, None), reversed(vals))))
+    vals = vals[: len(vals) - unassigned_tail]
+    head = _LENGTH.pack(len(vals))
     present = [v for v in vals if v is not None]
     lo, hi = min(present, default=0), max(present, default=0)
     if lo < 0 or hi >= _LIMIT:
@@ -255,8 +266,8 @@ def _encode_column(vals: list) -> bytes:
             cells = array(_TYPECODE[w], [none if v is None else v if v < _BIG else v - base for v in vals])
             if _SWAP:
                 cells.byteswap()
-            return bytes((w,)) + base.to_bytes(32, "little") + cells.tobytes()
-    return bytes((32,)) + bytes(32) + b"".join(
+            return head + bytes((w,)) + base.to_bytes(32, "little") + cells.tobytes()
+    return head + bytes((32,)) + bytes(32) + b"".join(
         _UNASSIGNED if v is None else v.to_bytes(32, "little") for v in vals
     )
 
@@ -267,7 +278,9 @@ def dump_witness(assignment: Assignment) -> bytes:
     for col in cols:
         if len(assignment.advice[col]) != n_rows:
             raise FormatError("ragged advice columns")
-    out = [_MAGIC, _HEADER.pack(_VERSION, n_rows, len(cols), len(assignment.instance))]
+    if None in assignment.instance:
+        raise FormatError("instance values cannot be unassigned")
+    out = [_MAGIC, _HEADER.pack(_WITNESS_VERSION, n_rows, len(cols), len(assignment.instance))]
     for col in cols:
         cid = col.encode("utf-8")
         out.append(struct.pack("<H", len(cid)))
@@ -281,13 +294,17 @@ def _refuse(what: str) -> None:
     raise FormatError(f"witness cell {what}")
 
 
-def _decode_column(raw: bytes, pos: int, n: int) -> tuple[list, int]:
-    """The n cells of the column at raw[pos:], and the position after it."""
-    if pos + 33 > len(raw):
+def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
+    """The assigned cells of the column at raw[pos:], at most `limit` of
+    them, and the position after it."""
+    if pos + 37 > len(raw):
         raise FormatError("truncated witness column header")
-    w = raw[pos]
-    base = int.from_bytes(raw[pos + 1 : pos + 33], "little")
-    pos += 33
+    (n,) = _LENGTH.unpack_from(raw, pos)
+    w = raw[pos + 4]
+    base = int.from_bytes(raw[pos + 5 : pos + 37], "little")
+    pos += 37
+    if n > limit:
+        raise FormatError(f"column of {n} cells in a witness of {limit} rows")
     end = pos + n * w
     if w not in (1, 2, 4, 8, 32):
         raise FormatError(f"bad cell width {w}")
@@ -301,15 +318,18 @@ def _decode_column(raw: bytes, pos: int, n: int) -> tuple[list, int]:
         # Every cell with its top bit set must be the unassigned mark.
         if len(raw[pos + 31 : end : 32].translate(None, _LOW_BYTES)) != ints.count(_ALL_ONES):
             raise FormatError("witness cell >= 2**255")
-        return [None if v == _ALL_ONES else v for v in ints], end
-    if base and not _BIG < base <= _LIMIT:
-        raise FormatError(f"column base {base} outside (2**63, 2**255]")
-    cells = array(_TYPECODE[w])
-    cells.frombytes(raw[pos:end])
-    if _SWAP:
-        cells.byteswap()
-    none = -1 << (8 * w - 1)
-    vals = [d if d >= 0 else None if d == none else base + d if base else _refuse(f"{d} < 0") for d in cells]
+        vals = [None if v == _ALL_ONES else v for v in ints]
+    else:
+        if base and not _BIG < base <= _LIMIT:
+            raise FormatError(f"column base {base} outside (2**63, 2**255]")
+        cells = array(_TYPECODE[w])
+        cells.frombytes(raw[pos:end])
+        if _SWAP:
+            cells.byteswap()
+        none = -1 << (8 * w - 1)
+        vals = [d if d >= 0 else None if d == none else base + d if base else _refuse(f"{d} < 0") for d in cells]
+    if vals and vals[-1] is None:
+        raise FormatError("a column's last written cell is unassigned")
     return vals, end
 
 
@@ -317,8 +337,10 @@ def load_witness(raw: bytes) -> Assignment:
     if len(raw) < 4 + _HEADER.size or raw[:4] != _MAGIC:
         raise FormatError("not a witness file")
     version, n_rows, n_cols, n_inst = _HEADER.unpack_from(raw, 4)
-    if version != _VERSION:
+    if version != _WITNESS_VERSION:
         raise FormatError(f"unsupported witness version {version}")
+    if n_rows > MAX_ROWS:
+        raise FormatError(f"witness of {n_rows} rows, over the limit of {MAX_ROWS}")
     pos = 4 + _HEADER.size
     cols = []
     for _ in range(n_cols):
@@ -337,10 +359,14 @@ def load_witness(raw: bytes) -> Assignment:
         raise FormatError("duplicate advice column id")
     advice = {}
     for col in cols:
-        advice[col], pos = _decode_column(raw, pos, n_rows)
+        vals, pos = _decode_column(raw, pos, n_rows)
+        vals += repeat(None, n_rows - len(vals))
+        advice[col] = vals
     instance, pos = _decode_column(raw, pos, n_inst)
-    if pos != len(raw):
-        raise FormatError(f"{len(raw) - pos} trailing bytes after the witness")
+    if len(instance) != n_inst:
+        raise FormatError(f"instance vector of {len(instance)} values, header says {n_inst}")
     if None in instance:
         raise FormatError("instance values cannot be unassigned")
+    if pos != len(raw):
+        raise FormatError(f"{len(raw) - pos} trailing bytes after the witness")
     return Assignment(advice=advice, instance=instance)

@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from helpers import tamper_trials
+from zkgrid import arithmetize
 from zkgrid.arithmetize import (
     CompileConfig,
     CompileError,
@@ -11,7 +13,7 @@ from zkgrid.arithmetize import (
     compile,
 )
 from zkgrid.checker import check
-from zkgrid.commit import VisibilityMode, commit_model_io
+from zkgrid.commit import VisibilityMode, commit_model_io, weight_elements
 from zkgrid.field import Field
 from zkgrid.interpreter import run_inference
 from zkgrid.model import (
@@ -26,14 +28,15 @@ from zkgrid.model import (
 from zkgrid.modelgen import identity_model, random_input, random_model, random_parameterized_model
 
 
-def _fc_model(units=1, feat=10, b=2):
-    w = bytes([1] * (units * feat))
+def _fc_model(units=1, feat=10, b=2, weights=None, bias=None):
+    """fc over `feat` inputs; weights default to all 1 and biases to 0."""
+    w = bytes(v % 256 for v in weights) if weights is not None else bytes([1] * (units * feat))
     fc = Layer(
         kind="fully_connected",
         input_refs=(INPUT_REF,),
         out_quant=QuantParams(zero_point=0, scale=ScaleFactor(1, b)),
         weights=QuantTensor(shape=(units, feat), data=w, quant=QuantParams(0, ScaleFactor(1, 1))),
-        bias=tuple([0] * units),
+        bias=tuple(bias) if bias is not None else tuple([0] * units),
     )
     out = Layer(kind="output", input_refs=(0,), out_quant=fc.out_quant)
     return validate(
@@ -301,3 +304,110 @@ def test_weight_columns_fixed_when_public_advice_when_hidden():
     hid, _ = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
     assert pub.columns["g0:w0"].kind == "fixed"
     assert hid.columns["g0:w0"].kind == "advice"
+
+
+# --- hidden weights: PACK chains and bias range checks ------------------------
+
+HIDDEN_W = CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS)
+
+
+def _pack_rows(layout) -> list[int]:
+    return [r for r, q in enumerate(layout.fixed["io:q_pack"]) if q]
+
+
+def _fc_input(g, rng):
+    return QuantTensor(shape=g.input_shape, data=bytes(rng.randrange(256) for _ in range(g.input_shape[2])), quant=g.input_quant)
+
+
+@pytest.mark.parametrize(
+    "gate_width, fld, rows_per_chunk, rows_per_bias",
+    [(8, Field(), 4, 1), (4, Field(), 8, 1), (3, Field(), 11, 2), (4, Field(65537), 1, 1)],
+)
+def test_hidden_weights_pack_chunks(gate_width, fld, rows_per_chunk, rows_per_bias):
+    """Weight chunks of k = pack_width(p) int8 values (31 on the default
+    field, 2 on p = 65537) span ceil(k / N) PACK rows, each bias
+    ceil(4 / N); the absorbed cells hold `weight_elements` and the
+    instance equals `commit_model_io`."""
+    rng = random.Random(gate_width)
+    units, feat = 2, 31
+    weights = [rng.randint(-3, 3) for _ in range(units * feat)]
+    weights[:2] = [-128, 127] if fld.modulus.bit_length() > 64 else [-3, 3]
+    g = _fc_model(units=units, feat=feat, weights=weights, bias=(-5, 7))
+    cfg = CompileConfig(gate_width=gate_width, field=fld, mode=HIDDEN_W.mode)
+    layout, _ = compile(g, cfg)
+    inp = _fc_input(g, rng)
+    asg = assign_witness(layout, g, inp)
+    assert check(layout, asg) == []
+    assert asg.instance == commit_model_io(g, inp, cfg.mode, cfg.sponge_params(), fld)
+    elements = weight_elements(g, fld.modulus)
+    n_chunks = len(elements) - units
+    assert len(_pack_rows(layout)) == n_chunks * rows_per_chunk + units * rows_per_bias
+    sp = next(s for s in layout.plan.sponges if s.label == "weights")
+    assert [asg.advice[c][r] for c, r in sp.message_cells] == elements
+
+
+@pytest.mark.parametrize("bias", [1 << 31, -(1 << 31) - 1])
+def test_bias_outside_int32_rejected(bias):
+    """A bias just outside int32 in an otherwise consistent witness: the
+    ADD rows, PACK chain, digest and instance all agree with it, and only
+    the byte lookup on its staging row objects."""
+    base = _fc_model(units=2, feat=3, weights=[1, -2, 3, 4, 5, -6])
+    fc = dataclasses.replace(base.layers[0], bias=(bias, bias))   # past validate()
+    g = dataclasses.replace(base, layers=(fc, base.layers[1]))
+    layout, _ = compile(g, HIDDEN_W)
+    inp = _fc_input(g, random.Random(1))
+    asg = assign_witness(layout, g, inp)
+    assert asg.instance == commit_model_io(g, inp, HIDDEN_W.mode, HIDDEN_W.sponge_params())
+    violations = check(layout, asg)
+    assert violations and {(v.kind, v.id.split(":")[2]) for v in violations} == {("lookup", "byte")}
+
+
+@pytest.mark.parametrize("bias", [-(1 << 31), (1 << 31) - 1])
+def test_int32_bias_extremes_accepted(bias):
+    g = _fc_model(units=2, feat=3, weights=[1, -2, 3, 4, 5, -6], bias=(bias, bias))
+    layout, _ = compile(g, HIDDEN_W)
+    assert check(layout, assign_witness(layout, g, _fc_input(g, random.Random(2)))) == []
+
+
+def test_every_pack_row_cell_tamper_caught():
+    """Each advice cell a PACK row reads (staged int8 weights and bias
+    bytes, pk_in, pk_out), moved by +1, gives a violation."""
+    rng = random.Random(31)
+    g = _fc_model(units=3, feat=31, weights=[rng.randint(-128, 127) for _ in range(93)], bias=(-9, 0, 9))
+    layout, _ = compile(g, HIDDEN_W)
+    asg = assign_witness(layout, g, _fc_input(g, rng))
+    assert check(layout, asg) == []
+    pack = next(gd for gd in layout.gates if gd.name == "ABSORB_PACK")
+    cols = sorted(pack.poly.columns() & set(asg.advice))
+    p = layout.field.modulus
+    cells = [(c, r) for r in _pack_rows(layout) for c in cols]
+    assert len(cells) >= 100
+    for col, row in cells:
+        old = asg.advice[col][row]
+        asg.advice[col][row] = (old + 1) % p
+        assert check(layout, asg, cap=1), (col, row)
+        asg.advice[col][row] = old
+
+
+def test_div_rows_leave_unread_cells_free():
+    """DIV rows pin nothing beyond what the DIV polynomial and its
+    lookups read: no copy touches x2..x(N-1) on a DIV row."""
+    rng = random.Random(4)
+    g = random_model(rng, max_hw=5, max_c=3, max_layers=3)
+    layout, _ = compile(g)
+    div_cells = {
+        (f"g{site.div.group}:x{j}", site.div.row)
+        for site in layout.plan.site_plans
+        for j in range(2, 8)
+    }
+    touched = {ref for cp in layout.copies for ref in (cp.a, cp.b)}
+    assert not div_cells & touched
+    assert check(layout, assign_witness(layout, g, random_input(rng, g))) == []
+
+
+def test_grid_over_max_rows_rejected(monkeypatch):
+    g = _fc_model(units=3, feat=10)
+    rows = compile(g)[1].n_rows_padded
+    monkeypatch.setattr(arithmetize, "MAX_ROWS", rows // 2)
+    with pytest.raises(CompileError, match="over the limit"):
+        compile(g)

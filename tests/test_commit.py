@@ -9,6 +9,7 @@ from zkgrid.commit import (
     SpongeParams,
     VisibilityMode,
     commit_model_io,
+    pack_width,
     permute,
     sponge_hash,
     weight_elements,
@@ -192,3 +193,78 @@ def test_wider_sponge_state_compiles_and_binds():
     plans = {p.label: p for p in layout.plan.sponges}
     got = asg.advice[plans["input"].digest_cell[0]][plans["input"].digest_cell[1]]
     assert got == sponge_hash(list(inp.data), sp)
+
+
+# --- the weight digest's absorb sequence (definition v2) -----------------------
+
+def _unpack(elements, graph, modulus):
+    """Weights and biases back from weight_elements, layer by layer."""
+    k = pack_width(modulus)
+    it = iter(elements)
+    out = []
+    for layer in graph.layers:
+        if layer.weights is None:
+            continue
+        n = layer.weights.num_elements()
+        data = b"".join(
+            next(it).to_bytes(min(k, n - lo), "little") for lo in range(0, n, k)
+        )
+        out.append(([b - 128 for b in data], [next(it) for _ in layer.bias]))
+    assert next(it, None) is None
+    return out
+
+
+@pytest.mark.parametrize("modulus, k", [(DEFAULT_MODULUS, 31), (65537, 2), ((1 << 61) - 1, 7), ((1 << 127) - 1, 15)])
+def test_pack_width(modulus, k):
+    assert pack_width(modulus) == k
+    assert 256**k <= 2 ** (modulus.bit_length() - 1) < modulus
+
+
+def test_weight_elements_chunks_and_stay_below_p():
+    """One element per k weights of a layer (its last may hold fewer),
+    then one per bias; every element a canonical residue, even when
+    every byte is 255 (w = 127)."""
+    rng = random.Random(12)
+    for _ in range(20):
+        g = random_parameterized_model(rng, max_hw=5, max_c=3, max_layers=3)
+        for modulus in (DEFAULT_MODULUS, 65537):
+            k = pack_width(modulus)
+            elements = weight_elements(g, modulus)
+            expect = sum(
+                -(-layer.weights.num_elements() // k) + len(layer.bias)
+                for layer in g.layers
+                if layer.weights is not None
+            )
+            assert len(elements) == expect
+            assert all(0 <= e < modulus for e in elements)
+            layers = _unpack(elements, g, modulus)
+            params = [l for l in g.layers if l.weights is not None]
+            for (ws, bs), layer in zip(layers, params):
+                assert ws == list(layer.weights.signed_values())
+                assert bs == [b % modulus for b in layer.bias]
+    assert int.from_bytes(bytes([255] * 31), "little") < DEFAULT_MODULUS
+
+
+def test_weight_elements_injective():
+    """Distinct weights give distinct sequences: each single-weight change,
+    including -128 <-> 127 at a chunk edge, moves exactly one element."""
+    import dataclasses
+
+    rng = random.Random(4)
+    g = random_parameterized_model(rng, max_hw=4, max_c=3, max_layers=2)
+    li = next(i for i, l in enumerate(g.layers) if l.weights is not None)
+    base = weight_elements(g, DEFAULT_MODULUS)
+    seen = {tuple(base)}
+    wt = g.layers[li].weights
+    for idx in {0, 30, 31, wt.num_elements() - 1} & set(range(wt.num_elements())):
+        for new in (0x80, 0x7F, 0x00, 0xFF):   # int8 -128, 127, 0, -1
+            data = bytearray(wt.data)
+            if data[idx] == new:
+                continue
+            data[idx] = new
+            layers = list(g.layers)
+            layers[li] = dataclasses.replace(layers[li], weights=dataclasses.replace(wt, data=bytes(data)))
+            got = weight_elements(dataclasses.replace(g, layers=tuple(layers)), DEFAULT_MODULUS)
+            assert sum(a != b for a, b in zip(got, base)) == 1
+            assert tuple(got) not in seen
+            seen.add(tuple(got))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from zkgrid import serialize
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
-from zkgrid.circuit import Assignment, CircuitError
+from zkgrid.circuit import MAX_ROWS, Assignment, CircuitError
 from zkgrid.cli import main
 from zkgrid.commit import VisibilityMode
 from zkgrid.field import DEFAULT_MODULUS
@@ -25,30 +25,49 @@ TOP = (1 << 255) - 1
 EDGES = [0, 1, P - 1, P, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, TOP]
 # A version-1 witness: one advice column "a" of one 32-byte cell.
 V1_WITNESS = b"ZKWT" + struct.pack("<IIII", 1, 1, 1, 0) + b"\x01\x00a" + (5).to_bytes(32, "little")
+# A version-2 witness: column "a" and the instance vector, each one 1-byte cell 5.
+V2_WITNESS = b"ZKWT" + struct.pack("<IIII", 2, 1, 1, 1) + b"\x01\x00a" + (b"\x01" + bytes(32) + b"\x05") * 2
 
 
-def column_widths(raw: bytes) -> list[int]:
-    """The width byte of each advice column, then of the instance vector."""
+def column_heads(raw: bytes) -> list[tuple[int, int, int]]:
+    """(offset, assigned length, width) of each advice column, then of the
+    instance vector."""
     _, n_rows, n_cols, n_inst = struct.unpack_from("<IIII", raw, 4)
     pos = 20
     for _ in range(n_cols):
         pos += 2 + struct.unpack_from("<H", raw, pos)[0]
-    widths = []
-    for n in [n_rows] * n_cols + [n_inst]:
-        widths.append(raw[pos])
-        pos += 33 + n * raw[pos]
+    heads = []
+    for _ in range(n_cols + 1):
+        (n,) = struct.unpack_from("<I", raw, pos)
+        heads.append((pos, n, raw[pos + 4]))
+        pos += 37 + n * raw[pos + 4]
     assert pos == len(raw)
-    return widths
+    return heads
 
 
-def witness_bytes(n_rows, columns, instance=(1, 0, b"\x05")) -> bytes:
-    """A version-2 witness file from raw parts: columns maps id -> (width,
-    base, cells), and instance is one more such triple."""
-    out = [b"ZKWT", struct.pack("<IIII", 2, n_rows, len(columns), len(instance[2]) // instance[0])]
-    for cid in columns:
-        out += [struct.pack("<H", len(cid.encode())), cid.encode()]
-    for w, base, cells in [*columns.values(), instance]:
-        out += [bytes((w,)), base.to_bytes(32, "little"), cells]
+def column_widths(raw: bytes) -> list[int]:
+    """The width byte of each advice column, then of the instance vector."""
+    return [w for _, _, w in column_heads(raw)]
+
+
+def assigned_length(vals) -> int:
+    return max((i + 1 for i, v in enumerate(vals) if v is not None), default=0)
+
+
+def witness_bytes(n_rows, columns, instance=(1, 0, b"\x05"), n_inst=None) -> bytes:
+    """A version-3 witness file from raw parts: columns maps id -> (width,
+    base, cells) or (width, base, cells, assigned length), or lists such
+    (id, tuple) pairs; instance is one more such tuple.  The length
+    defaults to the number of cells, ids are str or raw bytes."""
+    items = list(columns.items() if isinstance(columns, dict) else columns)
+    parts = [(*t, len(t[2]) // t[0])[:4] for t in [*(t for _, t in items), instance]]
+    n_inst = parts[-1][3] if n_inst is None else n_inst
+    out = [b"ZKWT", struct.pack("<IIII", 3, n_rows, len(items), n_inst)]
+    for cid, _ in items:
+        cid = cid if isinstance(cid, bytes) else cid.encode()
+        out += [struct.pack("<H", len(cid)), cid]
+    for w, base, cells, n in parts:
+        out += [struct.pack("<I", n), bytes((w,)), base.to_bytes(32, "little"), cells]
     return b"".join(out)
 
 
@@ -91,8 +110,9 @@ def narrowest_width(vals) -> int:
 
 @st.composite
 def columns(draw, n_rows):
-    """Cells up to `bits` wide or that far below `top`, plus edge values;
-    the bit choices make every width common."""
+    """Cells up to `bits` wide or that far below `top`, plus edge values,
+    often with an unassigned tail; the bit choices make every width
+    common."""
     bits = draw(st.sampled_from([7, 15, 31, 63, 255]))
     top = draw(st.sampled_from([P, P + 1, 1 << 63, 1 << 255]))
     cell = st.one_of(
@@ -101,7 +121,9 @@ def columns(draw, n_rows):
         st.integers(1, 1 << bits).map(lambda d: top - d).filter(lambda v: v >= 0),
         st.sampled_from(EDGES),
     )
-    return draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+    cells = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
+    cut = draw(st.integers(0, n_rows))
+    return cells[:cut] + [None] * (n_rows - cut)
 
 
 @settings(max_examples=200, deadline=None)
@@ -112,7 +134,9 @@ def test_witness_round_trip(n_rows, data):
     instance = [v for v in data.draw(columns(6)) if v is not None]
     asg = Assignment(advice=advice, instance=instance)
     raw = serialize.dump_witness(asg)
-    assert column_widths(raw) == [narrowest_width(advice[c]) for c in sorted(advice)] + [narrowest_width(instance)]
+    heads = column_heads(raw)
+    assert [w for _, _, w in heads] == [narrowest_width(advice[c]) for c in sorted(advice)] + [narrowest_width(instance)]
+    assert [n for _, n, _ in heads] == [assigned_length(advice[c]) for c in sorted(advice)] + [len(instance)]
     assert serialize.load_witness(raw) == asg
     assert serialize.dump_witness(serialize.load_witness(raw)) == raw
 
@@ -129,6 +153,10 @@ def test_witness_refuses_cells_outside_255_bits(bad):
     "raw, match",
     [
         (V1_WITNESS, "unsupported witness version 1"),
+        (V2_WITNESS, "unsupported witness version 2"),
+        (witness_bytes(1, {"a": (1, 0, b"\x01\x02", 2)}), "column of 2 cells in a witness of 1 rows"),
+        (witness_bytes(2, {"a": (1, 0, b"\x01\x80")}), "last written cell is unassigned"),
+        (witness_bytes(1, {"a": (1, 0, b"\x01")}, n_inst=2), "header says 2"),
         (witness_bytes(1, {"a": (3, 0, b"\x00\x00\x00")}), "bad cell width 3"),
         (witness_bytes(1, {"a": (32, 1, bytes(32))}), "32-byte cells take no base"),
         (witness_bytes(1, {"a": (1, 1 << 63, b"\x01")}), "base"),
@@ -137,11 +165,9 @@ def test_witness_refuses_cells_outside_255_bits(bad):
         (witness_bytes(1, {"a": (32, 0, (1 << 255).to_bytes(32, "little"))}), ">= 2\\*\\*255"),
         (witness_bytes(1, {"a": (1, 0, b"\x01"), "b": (1, 0, b"\x01")})[:-1], "truncated"),
         (witness_bytes(1, {"a": (1, 0, b"\x01")}) + b"\x00", "trailing"),
-        (b"ZKWT" + struct.pack("<IIII", 2, 0, 1, 0) + b"\x01\x00\xff" + b"\x01" + bytes(32),
-         "UTF-8"),
-        (witness_bytes(1, {"a": (1, 0, b"\x01")}, instance=(1, 0, b"\x80")), "instance values"),
-        (b"ZKWT" + struct.pack("<IIII", 2, 0, 2, 0) + b"\x01\x00a\x01\x00a" + (b"\x01" + bytes(32)) * 3,
-         "duplicate"),
+        (witness_bytes(0, {b"\xff": (1, 0, b"")}, instance=(1, 0, b"")), "UTF-8"),
+        (witness_bytes(1, {"a": (1, 0, b"\x01")}, instance=(1, 0, b"\x80\x05")), "instance values"),
+        (witness_bytes(0, [("a", (1, 0, b"")), ("a", (1, 0, b""))], instance=(1, 0, b"")), "duplicate"),
         (b"not a witness", "not a witness"),
     ],
 )
@@ -197,21 +223,23 @@ def test_truncated_or_extended_files_exit_2(files):
 
 
 def test_flipped_witness_header_refused(files):
+    """A flipped header byte, assigned-length byte or width byte is
+    refused by the loader.  The row count is the one header field no
+    cell bytes back: a larger one can load, as a witness with more
+    unassigned rows, and `check` then refuses it against the layout."""
     tmp, lay, wit = files
-    column_starts = []
-    _, n_rows, n_cols, n_inst = struct.unpack_from("<IIII", wit, 4)
-    pos = 20
-    for _ in range(n_cols):
-        pos += 2 + struct.unpack_from("<H", wit, pos)[0]
-    for n in [n_rows] * n_cols + [n_inst]:
-        column_starts.append(pos)
-        pos += 33 + n * wit[pos]
-    for pos in [*range(20), *column_starts]:
+    column_starts = [pos for pos, _, _ in column_heads(wit)]
+    for pos in [*range(8), *range(12, 20), *column_starts, *(pos + 4 for pos in column_starts)]:
         for mask in (0x01, 0x06, 0x80, 0xFF):
             bad = bytearray(wit)
             bad[pos] ^= mask
             with pytest.raises(FormatError):
                 serialize.load_witness(bytes(bad))
+    for pos in range(8, 12):
+        for mask in (0x01, 0x06, 0x80, 0xFF):
+            bad = bytearray(wit)
+            bad[pos] ^= mask
+            assert _check(tmp, lay, bytes(bad)) == 2
     bad = bytearray(wit)
     bad[0] ^= 1
     assert _check(tmp, lay, bytes(bad)) == 2
@@ -326,6 +354,31 @@ def test_malformed_layout_exit_2(files, name):
 def test_v1_witness_refused_by_cli(files):
     tmp, lay, _ = files
     assert _check(tmp, lay, V1_WITNESS) == 2
+
+
+def test_v2_witness_refused_by_cli(files):
+    tmp, lay, _ = files
+    assert _check(tmp, lay, V2_WITNESS) == 2
+
+
+def test_layout_taller_than_max_rows_exits_2(files, capsys):
+    """A layout's n_rows is refused before any column is sized by it."""
+    tmp, lay, wit = files
+    for n_rows in (MAX_ROWS + 1, 10**15):
+        doc = json.loads(lay)
+        doc["n_rows"] = n_rows
+        assert _check(tmp, json.dumps(doc).encode(), wit) == 2
+        assert "n_rows must be an integer in" in capsys.readouterr().err
+
+
+def test_witness_taller_than_max_rows_exits_2(files, capsys):
+    """A witness header's row count is not backed by cell bytes, so the
+    loader bounds it before padding columns to it."""
+    tmp, lay, wit = files
+    for n_rows in (MAX_ROWS + 1, (1 << 32) - 1):
+        bad = wit[:8] + struct.pack("<I", n_rows) + wit[12:]
+        assert _check(tmp, lay, bad) == 2
+        assert "over the limit" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
