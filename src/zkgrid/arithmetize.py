@@ -46,6 +46,7 @@ import numpy as np
 from .circuit import (
     ADVICE,
     FIXED,
+    MAX_CELLS,
     MAX_ROWS,
     Assignment,
     CircuitLayout,
@@ -175,7 +176,6 @@ class SpongePlan:
     message_cells: tuple  # the absorbed cells, in order
     absorb_rows: tuple    # one row per rate-sized chunk
     round_rows: tuple     # per chunk: tuple of round row indices
-    n_elements: int
     digest_cell: tuple
 
 
@@ -912,7 +912,6 @@ def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells
         message_cells=tuple(message_cells),
         absorb_rows=tuple(absorb_rows),
         round_rows=tuple(round_rows),
-        n_elements=n_elems,
         digest_cell=tuple(prev_out_cells[0]),
     )
 
@@ -924,6 +923,12 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
     padded = _next_pow2(logical)
     if padded > MAX_ROWS:
         raise CompileError(f"the grid needs {padded} rows, over the limit of {MAX_ROWS}")
+    n_advice = sum(col.kind == ADVICE for col in bld.columns.values())
+    if padded * max(n_advice, len(bld.fixed)) > MAX_CELLS:
+        raise CompileError(
+            f"the grid needs {padded} rows of {n_advice} advice and {len(bld.fixed)} fixed"
+            f" columns, over the limit of {MAX_CELLS} cells"
+        )
     if bld.instance_map:
         bld.new_column("inst", "instance")
     fixed = {}

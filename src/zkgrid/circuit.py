@@ -24,9 +24,11 @@ ADVICE = "advice"
 FIXED = "fixed"
 INSTANCE = "instance"
 
-# The tallest grid compile builds and the file loaders accept, so a file
-# header cannot ask for more memory than such a grid takes.
+# The tallest grid compile builds and the file loaders accept, and the most
+# cells its advice columns, or its fixed columns, may hold: a file header
+# cannot ask for more memory than such a grid takes.
 MAX_ROWS = 1 << 20
+MAX_CELLS = 1 << 25
 
 
 class CircuitError(ValueError):

@@ -27,7 +27,9 @@ the narrowest w, with B one above the column's largest value >= 2**63
 (or 0 when there is none), so residues p - x of small negatives x take a
 few bytes without the file knowing p.  Every cell in [0, 2**255) round
 trips exactly.  Both loaders refuse a grid taller than
-`circuit.MAX_ROWS`, and the witness loader refuses versions 1 and 2.
+`circuit.MAX_ROWS` or whose columns of the file's kind (fixed in a
+layout, advice in a witness) hold more than `circuit.MAX_CELLS` cells,
+and the witness loader refuses versions 1 and 2.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import json
 import struct
 import sys
 from array import array
-from functools import partial
-from itertools import compress, repeat, takewhile
-from operator import is_, itemgetter
+from itertools import compress, repeat
+from operator import itemgetter
 
 from .circuit import (
+    MAX_CELLS,
     MAX_ROWS,
     Assignment,
     CircuitLayout,
@@ -204,6 +206,7 @@ def layout_from_json(doc: dict) -> CircuitLayout:
 
         fixed = doc["fixed"]
         _need(type(fixed) is dict, "fixed must be an object")
+        _need(len(fixed) * n_rows <= MAX_CELLS, f"fixed columns of over {MAX_CELLS} cells")
         bindings = doc["instance_map"]
         _need(_typed(bindings, list) and set(map(len, bindings)) <= {3},
               "instance bindings must be [column, row, index] triples")
@@ -246,8 +249,10 @@ def load_layout(raw: bytes | str) -> CircuitLayout:
 def _encode_column(vals: list) -> bytes:
     """Assigned length, width byte, base and cells of one column (see the
     module docstring)."""
-    unassigned_tail = len(list(takewhile(partial(is_, None), reversed(vals))))
-    vals = vals[: len(vals) - unassigned_tail]
+    n = len(vals)
+    while n and vals[n - 1] is None:
+        n -= 1
+    vals = vals[:n]
     head = _LENGTH.pack(len(vals))
     present = [v for v in vals if v is not None]
     lo, hi = min(present, default=0), max(present, default=0)
@@ -341,6 +346,8 @@ def load_witness(raw: bytes) -> Assignment:
         raise FormatError(f"unsupported witness version {version}")
     if n_rows > MAX_ROWS:
         raise FormatError(f"witness of {n_rows} rows, over the limit of {MAX_ROWS}")
+    if n_cols * n_rows > MAX_CELLS:
+        raise FormatError(f"witness of {n_cols} columns of {n_rows} rows, over the limit of {MAX_CELLS} cells")
     pos = 4 + _HEADER.size
     cols = []
     for _ in range(n_cols):
@@ -359,9 +366,7 @@ def load_witness(raw: bytes) -> Assignment:
         raise FormatError("duplicate advice column id")
     advice = {}
     for col in cols:
-        vals, pos = _decode_column(raw, pos, n_rows)
-        vals += repeat(None, n_rows - len(vals))
-        advice[col] = vals
+        advice[col], pos = _decode_column(raw, pos, n_rows)
     instance, pos = _decode_column(raw, pos, n_inst)
     if len(instance) != n_inst:
         raise FormatError(f"instance vector of {len(instance)} values, header says {n_inst}")
@@ -369,4 +374,7 @@ def load_witness(raw: bytes) -> Assignment:
         raise FormatError("instance values cannot be unassigned")
     if pos != len(raw):
         raise FormatError(f"{len(raw) - pos} trailing bytes after the witness")
+    # The whole file is read and checked; only now pad the unassigned tails.
+    for vals in advice.values():
+        vals += repeat(None, n_rows - len(vals))
     return Assignment(advice=advice, instance=instance)

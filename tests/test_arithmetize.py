@@ -411,3 +411,15 @@ def test_grid_over_max_rows_rejected(monkeypatch):
     monkeypatch.setattr(arithmetize, "MAX_ROWS", rows // 2)
     with pytest.raises(CompileError, match="over the limit"):
         compile(g)
+
+
+def test_grid_over_max_cells_rejected(monkeypatch):
+    g = _fc_model(units=3, feat=10)
+    layout, stats = compile(g)
+    n_advice = sum(col.kind == "advice" for col in layout.columns.values())
+    cells = stats.n_rows_padded * max(n_advice, len(layout.fixed))
+    monkeypatch.setattr(arithmetize, "MAX_CELLS", cells)
+    compile(g)
+    monkeypatch.setattr(arithmetize, "MAX_CELLS", cells - 1)
+    with pytest.raises(CompileError, match="cells"):
+        compile(g)

@@ -6,6 +6,7 @@ code 2 from `zkgrid check`, never a traceback."""
 import json
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from zkgrid import serialize
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
-from zkgrid.circuit import MAX_ROWS, Assignment, CircuitError
+from zkgrid.circuit import MAX_CELLS, MAX_ROWS, Assignment, CircuitError
 from zkgrid.cli import main
 from zkgrid.commit import VisibilityMode
 from zkgrid.field import DEFAULT_MODULUS
@@ -379,6 +380,40 @@ def test_witness_taller_than_max_rows_exits_2(files, capsys):
         bad = wit[:8] + struct.pack("<I", n_rows) + wit[12:]
         assert _check(tmp, lay, bad) == 2
         assert "over the limit" in capsys.readouterr().err
+
+
+def test_witness_of_many_empty_columns_exits_2(files, capsys):
+    """Empty columns cost a few bytes each but would be padded to n_rows
+    cells: 10,000 of them at MAX_ROWS rows are refused before padding."""
+    tmp, lay, _ = files
+    bad = witness_bytes(MAX_ROWS, [(f"c{i}", (1, 0, b"")) for i in range(10_000)])
+    assert len(bad) < 500_000
+    assert _check(tmp, lay, bad) == 2
+    assert f"over the limit of {MAX_CELLS} cells" in capsys.readouterr().err
+
+
+def test_layout_of_many_empty_fixed_columns_exits_2(files, capsys):
+    """Likewise each `[]` fixed column would become n_rows zeros."""
+    tmp, lay, wit = files
+    doc = json.loads(lay)
+    doc["n_rows"] = MAX_ROWS
+    doc["fixed"].update({f"f{i}": [] for i in range(10_000)})
+    assert _check(tmp, json.dumps(doc).encode(), wit) == 2
+    assert f"fixed columns of over {MAX_CELLS} cells" in capsys.readouterr().err
+
+
+def test_witness_is_read_whole_before_padding():
+    """A file with trailing bytes is refused before its one column is
+    padded to the MAX_ROWS rows its header claims (8 MB of list slots)."""
+    raw = witness_bytes(MAX_ROWS, [("a", (1, 0, b"\x01"))]) + b"\x00"
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="trailing bytes"):
+            serialize.load_witness(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
