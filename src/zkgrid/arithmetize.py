@@ -3,14 +3,21 @@ witnesses for it.
 
 Lowering scheme, per activation site (one output element of one layer):
 
-  * the dot product is split into ceil(k/N) DOT rows of gate width N;
-    short rows pad with weight 0 and pin padded cells to a zero column
-  * partial sums plus the bias are reduced by a tree of ADD rows, chained
-    through copy constraints
-  * one DIV row computes the shifted quotient out = floor(acc*a/b) + off
-    with the remainder range-checked against {0..b-1}
-  * a clip lookup (out, act) against a table shared by every layer with
+  * the dot product is split into ceil(k/N) rows of one carry-chained DOT
+    gate of width N, out = carry + sum_j (x_j - z) * w_j; short rows pad
+    with weight 0 and pin padded cells to a zero column
+  * the first row's carry is the bias: a copy of the zero column, of a
+    const cell holding a public bias, or of the staged hidden bias; each
+    later row's carry is a copy of the previous row's out, so the last
+    out is the accumulator
+  * the last row also carries DIV, out * a = (q - off) * b + r, with the
+    remainder r range-checked against {0..b-1}
+  * a clip lookup (q, act) against a table shared by every layer with
     the same (a, b, z_out) pins the quotient range and the activation
+
+The paper lowers a site to DOT rows, an ADD reduction tree and a DIV row;
+folding the sum into the carry and the division into the last row spends
+one row per N taps instead.
 
 Residual adds lower to a two-tap DOT with unit weights; global average
 pooling lowers to unit-weight DOT rows with zero z and divisor equal to
@@ -32,14 +39,16 @@ rows under the int8 lookup, with pk_scale = 256^(N*r) on its r-th row
 and pk_off adding 128 per live cell, so its last pk_out is
 sum_i (w_i + 128) * 256^i.  Each hidden bias is the four bytes of
 b + 2^31 on rows under the byte lookup with pk_off = -2^31, so its last
-pk_out is b itself, range-checked to int32; that cell is both the bias
-term of the site's ADD row and one absorbed element.  The absorbed
-sequence is exactly `commit.weight_elements`.
+pk_out is b itself, range-checked to int32; that cell is both the first
+carry of the site's DOT chain and one absorbed element.  The absorbed
+sequence is exactly `commit.weight_elements`, so the weight digest's
+sponge rows are filled once, at compile.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import defaultdict
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -143,16 +152,9 @@ class DotRowSpec:
 
 
 @dataclass(frozen=True)
-class AddRowSpec:
-    group: int
-    row: int
-    term_ids: tuple
+class DivRowSpec(DotRowSpec):
+    """The chain's last row: its DOT chunk plus the DIV relation."""
 
-
-@dataclass(frozen=True)
-class DivRowSpec:
-    group: int
-    row: int
     a: int
     b: int
     off: int
@@ -164,10 +166,16 @@ class SitePlan:
     layer: int
     flat: int
     z_in: int
-    bias: int | None
-    dot_rows: tuple
-    add_rows: tuple
-    div: DivRowSpec
+    bias: int             # 0 for residual adds and pooling
+    dot_rows: tuple       # the chain's rows before the last
+    div: DivRowSpec       # the chain's last row
+    # Always empty: the chain needs no reduction rows.  Kept because the
+    # benchmark's row attribution reads the old row roles.
+    add_rows = ()
+
+    @property
+    def rows(self) -> tuple:
+        return (*self.dot_rows, self.div)
 
 
 @dataclass(frozen=True)
@@ -177,6 +185,9 @@ class SpongePlan:
     absorb_rows: tuple    # one row per rate-sized chunk
     round_rows: tuple     # per chunk: tuple of round row indices
     digest_cell: tuple
+    # {column: {row: value}} when the message is fixed by the model and
+    # the rows were filled at compile; None when they depend on the input.
+    filled: dict | None = None
 
 
 @dataclass
@@ -199,7 +210,7 @@ class WitnessPlan:
 # --- grid builder -----------------------------------------------------------
 
 class _Group:
-    """One gate-column group; its rows are shared by ADD/DOT/DIV gates."""
+    """One gate-column group; its rows hold DOT chains, DIV on each last row."""
 
     def __init__(self, builder: "_Builder", index: int):
         self.index = index
@@ -209,20 +220,22 @@ class _Group:
         self.xs = tuple(builder.new_column(f"{g}:x{j}", ADVICE) for j in range(n))
         wkind = ADVICE if builder.weights_advice else FIXED
         self.ws = tuple(builder.new_column(f"{g}:w{j}", wkind) for j in range(n))
+        self.carry = builder.new_column(f"{g}:carry", ADVICE)
         self.out = builder.new_column(f"{g}:out", ADVICE)
+        self.r = builder.new_column(f"{g}:r", ADVICE)
+        self.q = builder.new_column(f"{g}:q", ADVICE)
         self.act = builder.new_column(f"{g}:act", ADVICE)
         self.z = builder.new_column(f"{g}:z", FIXED)
         self.div_a = builder.new_column(f"{g}:da", FIXED)
         self.div_b = builder.new_column(f"{g}:db", FIXED)
         self.div_off = builder.new_column(f"{g}:off", FIXED)
         self.const = builder.new_column(f"{g}:const", FIXED)
-        self.q_add = builder.new_column(f"{g}:q_add", FIXED)
         self.q_dot = builder.new_column(f"{g}:q_dot", FIXED)
         self.q_div = builder.new_column(f"{g}:q_div", FIXED)
         cols = GateColumns(
-            xs=self.xs, ws=self.ws, out=self.out, act=self.act, z=self.z,
-            div_a=self.div_a, div_b=self.div_b, div_off=self.div_off,
-            q_add=self.q_add, q_dot=self.q_dot, q_div=self.q_div,
+            xs=self.xs, ws=self.ws, carry=self.carry, out=self.out, r=self.r, q=self.q,
+            act=self.act, z=self.z, div_a=self.div_a, div_b=self.div_b, div_off=self.div_off,
+            q_dot=self.q_dot, q_div=self.q_div,
         )
         builder.gates.extend(builtin_gates(n, cols, prefix=f"{g}:"))
         self.lookup_selectors: dict[str, str] = {}
@@ -364,14 +377,6 @@ class _Builder:
         if tid not in self.tables:
             self.tables[tid] = LookupTable(
                 id=tid, arity=1, rows=frozenset((v % self.p,) for v in range(lo, hi + 1))
-            )
-        return tid
-
-    def i8_table(self) -> str:
-        tid = "range:i8"
-        if tid not in self.tables:
-            self.tables[tid] = LookupTable(
-                id=tid, arity=1, rows=frozenset((v % self.p,) for v in range(-128, 128))
             )
         return tid
 
@@ -542,7 +547,7 @@ def _site_taps(graph, layer, out_shape, flat):
     if layer.kind == "residual_add":
         ra, rb = layer.input_refs
         taps = [(_src_of(ra, flat), 1, None), (_src_of(rb, flat), 1, None)]
-        return taps, layer.out_quant.zero_point, None
+        return taps, layer.out_quant.zero_point, 0
     # average_pool (global): sum over H x W at this channel, unit weights.
     ref = layer.input_refs[0]
     h, w, c = graph.shape_of_ref(ref)
@@ -551,7 +556,7 @@ def _site_taps(graph, layer, out_shape, flat):
         for r in range(h)
         for s in range(w)
     ]
-    return taps, 0, None
+    return taps, 0, 0
 
 
 # --- compile ----------------------------------------------------------------
@@ -615,7 +620,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     if bld.weights_advice:
         if not any(layer.weights is not None for layer in graph.layers):
             raise CompileError("hidden-weights mode needs at least one parameterized layer")
-        q_i8 = bld.io_lookup("w", bld.i8_table())
+        q_i8 = bld.io_lookup("w", bld.range_table(-128, 127))
         k = pack_width(p)
         for i, layer in enumerate(graph.layers):
             if layer.weights is None:
@@ -639,7 +644,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     # Per-layer lowering into rows.
     site_plans: list[SitePlan] = []
     act_cells: dict[int, list] = {}
-    acc_cells: dict[int, list] = {}
+    acc_cells: dict[int, list] = {}   # each site's last out: its accumulator
 
     def src_cell(src: Source) -> tuple:
         if src[0] == "in":
@@ -662,8 +667,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
             site_plans.append(plan)
             g = bld.groups[plan.div.group]
             layer_acts.append((g.act, plan.div.row))
-            root = plan.add_rows[-1] if plan.add_rows else plan.dot_rows[-1]
-            layer_accs.append((bld.groups[root.group].out, root.row))
+            layer_accs.append((g.out, plan.div.row))
         act_cells[i] = layer_acts
         acc_cells[i] = layer_accs
 
@@ -692,6 +696,11 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         idx += 1
     if bld.weights_advice:
         sp = _build_sponge(bld, sponge, "weights", absorbed_cells)
+        # The weight digest depends only on the model: fill its rows once.
+        staged = dict(zip(bld.weight_cells, bld.weight_values))
+        filled = defaultdict(dict)
+        _fill_sponge(filled, sp, [staged[c] for c in absorbed_cells], sponge, p)
+        sp = replace(sp, filled=dict(filled))
         sponge_plans.append(sp)
         bld.instance_map.append((sp.digest_cell, idx))
         instance_sections.append(("weight_digest",))
@@ -717,10 +726,13 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
 def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_cell):
     n = bld.cfg.gate_width
     p = bld.p
+    a, b, z_out = lw.table_key
 
-    dot_specs = []
-    for lo in range(0, max(len(taps), 1), n):
-        chunk = taps[lo : lo + n]
+    specs = []
+    carry_src = None
+    n_rows = -(-max(len(taps), 1) // n)
+    for r in range(n_rows):
+        chunk = taps[r * n : (r + 1) * n]
         g = bld.gate_row()
         row = g.cursor
         g.cursor += 1
@@ -744,76 +756,39 @@ def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_c
                 if bld.weights_advice:
                     bld.copy((g.ws[j], row), (bld.zero_col, row))
                 # fixed weight columns default to zero: w_{k+1..N} = 0
-        dot_specs.append(
-            DotRowSpec(
-                group=g.index,
-                row=row,
-                x_srcs=tuple(c[0] for c in chunk),
-                w_ints=tuple(c[1] for c in chunk),
-            )
-        )
-
-    # Reduce partials (plus the bias for weighted layers) with ADD rows.
-    term_cells = [(bld.groups[d.group].out, d.row) for d in dot_specs]
-    if bias is not None:
-        if bld.weights_advice:
-            b_cells = bld.param_cells[layer_idx][1]
-            term_cells.append(b_cells[flat % len(b_cells)])
-        else:
-            term_cells.append(None)  # pinned to an add-row const cell below
-
-    add_specs = []
-    pending = list(range(len(term_cells)))
-    while len(pending) > 1 or (bias is not None and not add_specs):
-        g = bld.gate_row()
-        row = g.cursor
-        g.cursor += 1
-        bld.set_fixed(g.q_add, row, 1)
-        take = pending[:n]
-        pending = pending[n:]
-        for j in range(n):
-            if j < len(take):
-                tc = term_cells[take[j]]
-                if tc is None:
-                    bld.set_fixed(g.const, row, bias % p)
-                    tc = (g.const, row)
-                    term_cells[take[j]] = tc
-                bld.copy((g.xs[j], row), tc)
+        if carry_src is None:
+            # The bias enters through the first carry, not through const:
+            # in hidden-weights mode const already holds unit weights.
+            if layer_idx in bld.param_cells:
+                b_cells = bld.param_cells[layer_idx][1]
+                carry_src = b_cells[flat % len(b_cells)]
+            elif bias:
+                bld.set_fixed(g.const, row, bias % p)
+                carry_src = (g.const, row)
             else:
-                bld.copy((g.xs[j], row), (bld.zero_col, row))
-        add_specs.append(AddRowSpec(group=g.index, row=row, term_ids=tuple(take)))
-        term_cells.append((g.out, row))
-        pending.append(len(term_cells) - 1)
+                carry_src = (bld.zero_col, row)
+        bld.copy((g.carry, row), carry_src)
+        carry_src = (g.out, row)
+        x_srcs = tuple(c[0] for c in chunk)
+        w_ints = tuple(c[1] for c in chunk)
+        if r < n_rows - 1:
+            specs.append(DotRowSpec(group=g.index, row=row, x_srcs=x_srcs, w_ints=w_ints))
 
-    root_cell = term_cells[pending[0]]
-
-    # DIV row with its remainder range check and the clip lookup.
-    g = bld.gate_row()
-    row = g.cursor
-    g.cursor += 1
+    # The last row carries DIV, its remainder range check and the clip lookup.
     bld.set_fixed(g.q_div, row, 1)
     bld.set_fixed(g.div_a, row, lw.scale_a)
     bld.set_fixed(g.div_b, row, lw.divisor)
     bld.set_fixed(g.div_off, row, off)
-    bld.copy((g.xs[0], row), root_cell)
     rtab = bld.range_table(0, lw.divisor - 1)
-    rsel = bld.group_lookup_selector(g, rtab, (g.xs[1],))
-    bld.set_fixed(rsel, row, 1)
-    a, b, z_out = lw.table_key
+    bld.set_fixed(bld.group_lookup_selector(g, rtab, (g.r,)), row, 1)
     ctab = f"clip:a{a}:b{b}:z{z_out}"
-    csel = bld.group_lookup_selector(g, ctab, (g.out, g.act))
-    bld.set_fixed(csel, row, 1)
+    bld.set_fixed(bld.group_lookup_selector(g, ctab, (g.q, g.act)), row, 1)
 
-    div = DivRowSpec(group=g.index, row=row, a=lw.scale_a, b=lw.divisor, off=off, z_out=z_out)
-    return SitePlan(
-        layer=layer_idx,
-        flat=flat,
-        z_in=z_in,
-        bias=bias,
-        dot_rows=tuple(dot_specs),
-        add_rows=tuple(add_specs),
-        div=div,
+    div = DivRowSpec(
+        group=g.index, row=row, x_srcs=x_srcs, w_ints=w_ints,
+        a=lw.scale_a, b=lw.divisor, off=off, z_out=z_out,
     )
+    return SitePlan(layer=layer_idx, flat=flat, z_in=z_in, bias=bias, dot_rows=tuple(specs), div=div)
 
 
 def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells: list) -> SpongePlan:
@@ -1005,42 +980,37 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
             return codes[src[1]]
         return int(flat_acts[src[1]][src[2]])
 
+    hidden_w = plan.weight_cells is not None
+    group_cols: dict[int, tuple] = {}
     for site in plan.site_plans:
         z = site.z_in
-        values: list[int] = []
-        for d in site.dot_rows:
-            gx = [f"g{d.group}:x{j}" for j in range(n)]
-            gw = [f"g{d.group}:w{j}" for j in range(n)]
-            partial = 0
+        acc = site.bias
+        for d in site.rows:
+            cols = group_cols.get(d.group)
+            if cols is None:
+                g = f"g{d.group}:"
+                cols = group_cols[d.group] = (
+                    [advice[f"{g}x{j}"] for j in range(n)],
+                    [advice[f"{g}w{j}"] for j in range(n)] if hidden_w else None,
+                    advice[f"{g}carry"], advice[f"{g}out"],
+                    advice[f"{g}r"], advice[f"{g}q"], advice[f"{g}act"],
+                )
+            xs, ws, carry, out = cols[:4]
+            row = d.row
+            carry[row] = acc % p
             for j in range(n):
                 if j < len(d.x_srcs):
                     x = src_value(d.x_srcs[j])
                     w = d.w_ints[j]
-                    advice[gx[j]][d.row] = x % p
-                    if plan.weight_cells is not None:
-                        advice[gw[j]][d.row] = w % p
-                    partial += (x - z) * w
+                    xs[j][row] = x % p
+                    if hidden_w:
+                        ws[j][row] = w % p
+                    acc += (x - z) * w
                 else:
-                    advice[gx[j]][d.row] = 0
-                    if plan.weight_cells is not None:
-                        advice[gw[j]][d.row] = 0
-            advice[f"g{d.group}:out"][d.row] = partial % p
-            values.append(partial)
-        if site.bias is not None:
-            values.append(site.bias)
-        for a in site.add_rows:
-            gx = [f"g{a.group}:x{j}" for j in range(n)]
-            s = 0
-            for j in range(n):
-                if j < len(a.term_ids):
-                    term = values[a.term_ids[j]]
-                    advice[gx[j]][a.row] = term % p
-                    s += term
-                else:
-                    advice[gx[j]][a.row] = 0
-            advice[f"g{a.group}:out"][a.row] = s % p
-            values.append(s)
-        acc = values[-1]
+                    xs[j][row] = 0
+                    if hidden_w:
+                        ws[j][row] = 0
+            out[row] = acc % p
         if acc != int(flat_accs[site.layer][site.flat]):
             raise WitnessError(
                 f"internal mismatch at layer {site.layer} site {site.flat}: "
@@ -1049,20 +1019,25 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
         dv = site.div
         num = acc * dv.a
         d_q = num // dv.b
-        r = num - d_q * dv.b
-        advice[f"g{dv.group}:x0"][dv.row] = acc % p
-        advice[f"g{dv.group}:x1"][dv.row] = r % p
-        advice[f"g{dv.group}:out"][dv.row] = (d_q + dv.off) % p
+        r_col, q_col, act_col = group_cols[dv.group][4:]
+        r_col[dv.row] = (num - d_q * dv.b) % p
+        q_col[dv.row] = (d_q + dv.off) % p
         act = int(flat_acts[site.layer][site.flat])
         if act != min(255, max(0, d_q + dv.z_out)):
             raise WitnessError(
                 f"internal activation mismatch at layer {site.layer} site {site.flat}"
             )
-        advice[f"g{dv.group}:act"][dv.row] = act
+        act_col[dv.row] = act
 
     for sp in plan.sponges:
-        elements = [advice[col][row] for col, row in sp.message_cells]
-        _fill_sponge(advice, sp, elements, plan.sponge, p)
+        if sp.filled is None:
+            elements = [advice[col][row] for col, row in sp.message_cells]
+            _fill_sponge(advice, sp, elements, plan.sponge, p)
+            continue
+        for col, cells in sp.filled.items():
+            column = advice[col]
+            for row, v in cells.items():
+                column[row] = v
 
     # The filled sponge rows already end in each digest.
     digests = {sp.label: advice[sp.digest_cell[0]][sp.digest_cell[1]] for sp in plan.sponges}

@@ -9,7 +9,6 @@ prime so kernel timing reflects dispatch cost rather than bignum width.
 from __future__ import annotations
 
 import random
-import time
 
 from .circuit import (
     ADVICE,
@@ -93,22 +92,3 @@ def constraint_rows(layout: CircuitLayout) -> int:
         total += sum(1 for v in layout.fixed[lk.selector] if v != 0)
     return total
 
-
-def run_benchmark(n_rows: int = 1_000_000, shards: int = 1) -> dict:
-    """Check an honest synthetic grid once; returns timing and rate."""
-    from . import checker
-
-    layout, assignment = make_synthetic_grid(n_rows)
-    t0 = time.perf_counter()
-    violations = checker.check_parallel(layout, assignment, shards=shards)
-    dt = time.perf_counter() - t0
-    rows = constraint_rows(layout)
-    return {
-        "kernel": checker.KERNEL,
-        "n_rows": n_rows,
-        "constraint_rows": rows,
-        "shards": shards,
-        "seconds": dt,
-        "rows_per_second": rows / dt,
-        "violations": len(violations),
-    }

@@ -437,40 +437,46 @@ def _eval_expr(e: Expr, layout: CircuitLayout, assignment: Assignment, row: int)
 class GateColumns:
     """Column ids one gate group operates on."""
 
-    xs: tuple[str, ...]       # advice: dot inputs / addends / div operands
+    xs: tuple[str, ...]       # advice: dot inputs
     ws: tuple[str, ...]       # dot weights (advice or fixed, mode dependent)
-    out: str                  # advice: gate output
+    carry: str                # advice: running sum carried into the row
+    out: str                  # advice: running sum after the row
+    r: str                    # advice: division remainder
+    q: str                    # advice: shifted quotient, the clip-table key
     act: str                  # advice: post-lookup activation
     z: str                    # fixed: dot zero point
     div_a: str                # fixed: numerator
     div_b: str                # fixed: divisor
     div_off: str              # fixed: table offset for negative domains
-    q_add: str
     q_dot: str
     q_div: str
 
 
 def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[GateDef]:
-    """The three row-local gate families for linear layers.
+    """The two row-local gate families for linear layers.
 
-    ADD_N:  out = sum(xs)
-    DOT_N:  out = sum((x_j - z) * w_j), z from a fixed cell so one gate
-            serves every layer; short dot products pad with w_j = 0
-    DIV:    xs[0] * a = (out - off) * b + xs[1], pairing with the range
-            lookup 0 <= xs[1] < b; out then holds floor(x*a/b) + off,
-            which is exactly the shifted key of the clip table
+    DOT_N:  out = carry + sum((x_j - z) * w_j), z from a fixed cell so one
+            gate serves every layer; short dot products pad with w_j = 0.
+            Rows chain by copying one row's out into the next row's carry,
+            so a k-tap sum takes ceil(k/N) rows and no reduction tree
+    DIV:    out * a = (q - off) * b + r, on the chain's last row, pairing
+            with the range lookup 0 <= r < b; q then holds
+            floor(out*a/b) + off, which is exactly the shifted key of the
+            clip table
+
+    This departs from the paper's scheme of DOT rows, an ADD tree and a
+    separate DIV row: the sum and the division share rows, and the grid
+    spends one row per N taps.
     """
     if n_width < 2:
         raise CircuitError("gate width must be >= 2")
-    add_poly = sub(add(*[cell(x) for x in cols.xs]), cell(cols.out))
     dot_terms = [mul(sub(cell(x), cell(cols.z)), cell(w)) for x, w in zip(cols.xs, cols.ws)]
-    dot_poly = sub(add(*dot_terms), cell(cols.out))
+    dot_poly = sub(add(cell(cols.carry), *dot_terms), cell(cols.out))
     div_poly = sub(
-        mul(cell(cols.xs[0]), cell(cols.div_a)),
-        add(mul(sub(cell(cols.out), cell(cols.div_off)), cell(cols.div_b)), cell(cols.xs[1])),
+        mul(cell(cols.out), cell(cols.div_a)),
+        add(mul(sub(cell(cols.q), cell(cols.div_off)), cell(cols.div_b)), cell(cols.r)),
     )
     return [
-        GateDef(id=f"{prefix}add{n_width}", name=f"ADD_{n_width}", selector=cols.q_add, poly=add_poly),
         GateDef(id=f"{prefix}dot{n_width}", name=f"DOT_{n_width}", selector=cols.q_dot, poly=dot_poly),
         GateDef(id=f"{prefix}div", name="DIV", selector=cols.q_div, poly=div_poly),
     ]

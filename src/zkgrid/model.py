@@ -28,8 +28,6 @@ LAYER_KINDS = (
     "output",
 )
 
-ACTIVATIONS = ("clip_relu", "none")
-
 MAX_SCALE_DENOM = 1 << 24
 
 
@@ -98,13 +96,10 @@ class Layer:
     bias: tuple[int, ...] | None = None
     stride: int = 1
     padding: str = "valid"
-    activation: str = "clip_relu"
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ModelFormatError(f"unknown layer kind {self.kind!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ModelFormatError(f"unknown activation {self.activation!r}")
         if self.padding not in ("same", "valid"):
             raise ModelFormatError(f"unknown padding {self.padding!r}")
         if self.stride < 1:
@@ -338,7 +333,7 @@ def accumulator_bounds(graph: ModelGraph) -> list[tuple[int, int]]:
 # JSON serialization
 
 _LAYER_KEYS = {
-    "kind", "weights", "bias", "stride", "padding", "inputs", "out_quant", "activation",
+    "kind", "weights", "bias", "stride", "padding", "inputs", "out_quant",
 }
 
 
@@ -406,7 +401,6 @@ def load_model(raw: bytes | str) -> ModelGraph:
                 bias=bias,
                 stride=int(lobj.get("stride", 1)),
                 padding=lobj.get("padding", "valid"),
-                activation=lobj.get("activation", "clip_relu"),
             )
         )
     graph = ModelGraph(
@@ -433,7 +427,6 @@ def save_model(graph: ModelGraph) -> bytes:
             lobj["stride"] = layer.stride
             lobj["padding"] = layer.padding
         lobj["out_quant"] = _quant_to_json(layer.out_quant)
-        lobj["activation"] = layer.activation
         layers.append(lobj)
     doc = {
         "version": 1,

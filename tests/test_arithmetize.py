@@ -49,17 +49,51 @@ def _fc_model(units=1, feat=10, b=2, weights=None, bias=None):
 
 
 def test_fc_k10_n4_row_counts():
-    """k=10 with gate width 4: 3 DOT rows (last padded) plus one ADD row
-    that folds the partials and the bias, per output neuron."""
-    g = _fc_model(units=3, feat=10)
+    """k=10 with gate width 4: a chain of 3 DOT rows per output neuron,
+    the last padded and carrying DIV.  The bias is the first row's carry,
+    a copy of a const cell; each later carry copies the previous out."""
+    biases = [5, -6, 7]
+    g = _fc_model(units=3, feat=10, bias=biases)
     layout, stats = compile(g, CompileConfig(gate_width=4))
+    copies = {cp.a: cp.b for cp in layout.copies}
+    p = layout.field.modulus
     plan = layout.plan
     assert len(plan.site_plans) == 3
-    for site in plan.site_plans:
-        assert len(site.dot_rows) == 3
-        assert len(site.dot_rows[-1].x_srcs) == 2  # 10 = 4 + 4 + 2
-        assert len(site.add_rows) == 1
-        assert site.add_rows[0].term_ids == (0, 1, 2, 3)  # 3 partials + bias
+    for site, bias in zip(plan.site_plans, biases):
+        rows = site.rows
+        assert [len(r.x_srcs) for r in rows] == [4, 4, 2]  # 10 = 4 + 4 + 2
+        assert rows[-1] is site.div and site.add_rows == ()
+        first = rows[0]
+        const = copies[(f"g{first.group}:carry", first.row)]
+        assert const == (f"g{first.group}:const", first.row)
+        assert layout.fixed[const[0]][const[1]] == bias % p
+        for prev, cur in zip(rows, rows[1:]):
+            assert copies[(f"g{cur.group}:carry", cur.row)] == (f"g{prev.group}:out", prev.row)
+    assert stats.n_rows == 9
+    inp = random_input(random.Random(1), g)
+    assert check(layout, assign_witness(layout, g, inp)) == []
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS, VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS],
+)
+def test_one_row_per_dot_chunk(mode):
+    """Every site takes ceil(max(k, 1) / N) rows of the DOT chain, the
+    layout has no ADD gate, and the honest witness checks clean."""
+    rng = random.Random(21)
+    cfg = CompileConfig(gate_width=4, mode=mode)
+    for _ in range(4):
+        g = random_parameterized_model(rng, max_hw=5, max_c=3, max_layers=3)
+        layout, stats = compile(g, cfg)
+        for site in layout.plan.site_plans:
+            layer = g.layers[site.layer]
+            taps = arithmetize._site_taps(g, layer, g.output_shapes[site.layer], site.flat)[0]
+            assert len(site.rows) == -(-max(len(taps), 1) // 4)
+        assert sorted({gd.name for gd in layout.gates if gd.id.startswith("g")}) == ["DIV", "DOT_4"]
+        assert not any(gd.name.startswith("ADD_") for gd in layout.gates)
+        assert not any(col.endswith("q_add") for col in layout.columns)
+        assert check(layout, assign_witness(layout, g, random_input(rng, g))) == []
 
 
 def test_row_padding_to_power_of_two():
@@ -390,19 +424,40 @@ def test_every_pack_row_cell_tamper_caught():
 
 
 def test_div_rows_leave_unread_cells_free():
-    """DIV rows pin nothing beyond what the DIV polynomial and its
-    lookups read: no copy touches x2..x(N-1) on a DIV row."""
+    """The remainder and quotient cells of each site are pinned by the
+    DIV polynomial and its lookups alone: no copy touches them."""
     rng = random.Random(4)
     g = random_model(rng, max_hw=5, max_c=3, max_layers=3)
     layout, _ = compile(g)
     div_cells = {
-        (f"g{site.div.group}:x{j}", site.div.row)
+        (f"g{site.div.group}:{col}", site.div.row)
         for site in layout.plan.site_plans
-        for j in range(2, 8)
+        for col in ("r", "q")
     }
     touched = {ref for cp in layout.copies for ref in (cp.a, cp.b)}
     assert not div_cells & touched
     assert check(layout, assign_witness(layout, g, random_input(rng, g))) == []
+
+
+def test_weight_sponge_filled_once_at_compile(monkeypatch):
+    """The weight digest depends only on the model: witnesses fill no
+    sponge rows in hidden-weights mode, and every witness carries the
+    same sponge cells."""
+    rng = random.Random(8)
+    g = random_parameterized_model(rng, max_hw=5, max_c=3, max_layers=3)
+    layout, _ = compile(g, HIDDEN_W)
+    calls = []
+    fill = arithmetize._fill_sponge
+    monkeypatch.setattr(arithmetize, "_fill_sponge", lambda *a: calls.append(a) or fill(*a))
+    inputs = [random_input(rng, g) for _ in range(2)]
+    asgs = [assign_witness(layout, g, inp) for inp in inputs]
+    assert calls == []
+    sponge_cols = [c for c in asgs[0].advice if c.startswith("sp:")]
+    assert sponge_cols
+    assert all(asgs[0].advice[c] == asgs[1].advice[c] for c in sponge_cols)
+    for asg, inp in zip(asgs, inputs):
+        assert check(layout, asg) == []
+        assert asg.instance == commit_model_io(g, inp, HIDDEN_W.mode, HIDDEN_W.sponge_params())
 
 
 def test_grid_over_max_rows_rejected(monkeypatch):

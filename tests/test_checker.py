@@ -30,8 +30,9 @@ def test_single_tamper_names_constraint_and_row():
     asg = assign_witness(layout, g, inp)
     plan = layout.plan
     site = plan.site_plans[0]
-    col = f"g{site.dot_rows[0].group}:out"
-    row = site.dot_rows[0].row
+    first = site.rows[0]  # a single-row site has no dot_rows before its div
+    col = f"g{first.group}:out"
+    row = first.row
     asg.advice[col][row] = (asg.advice[col][row] + 1) % layout.field.modulus
     vs = check(layout, asg)
     assert vs

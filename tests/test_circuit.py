@@ -86,13 +86,15 @@ def _gate_cols(n):
     return GateColumns(
         xs=tuple(f"x{j}" for j in range(n)),
         ws=tuple(f"w{j}" for j in range(n)),
+        carry="carry",
         out="out",
+        r="r",
+        q="q",
         act="act",
         z="z",
         div_a="da",
         div_b="db",
         div_off="off",
-        q_add="q_add",
         q_dot="q_dot",
         q_div="q_div",
     )
@@ -103,78 +105,59 @@ def _family_layout(n):
     for j in range(n):
         cols[f"x{j}"] = Column(f"x{j}", ADVICE)
         cols[f"w{j}"] = Column(f"w{j}", FIXED)
-    for cid in ("out", "act"):
+    for cid in ("carry", "out", "r", "q", "act"):
         cols[cid] = Column(cid, ADVICE)
-    for cid in ("z", "da", "db", "off", "q_add", "q_dot", "q_div"):
+    for cid in ("z", "da", "db", "off", "q_dot", "q_div"):
         cols[cid] = Column(cid, FIXED)
     gates = builtin_gates(n, _gate_cols(n))
     return cols, gates
 
 
+def _family_row(n, fixed):
+    """A one-row layout over the gate families of width n."""
+    cols, gates = _family_layout(n)
+    base = {c: [0] for c, col in cols.items() if col.kind == FIXED}
+    layout = CircuitLayout(
+        field=F, columns=cols, n_rows=1, n_rows_logical=1,
+        gates=gates, tables={}, lookups=[], copies=[], fixed=base | fixed, instance_map=[],
+    )
+    return layout, {g.name: g for g in gates}
+
+
+def _row(**advice):
+    return Assignment(advice={c: [v] for c, v in advice.items()}, instance=[])
+
+
 def test_dot4_gate_row():
-    """x=[2,3,0,0], w=[4,5,0,0], z=1: the output must be 14; padded
-    weights are zero so the padded inputs cannot matter."""
-    cols, gates = _family_layout(4)
-    fixed = {
-        "w0": [4], "w1": [5], "w2": [0], "w3": [0],
-        "z": [1], "da": [0], "db": [0], "off": [0],
-        "q_add": [0], "q_dot": [1], "q_div": [0],
-    }
-    layout = CircuitLayout(
-        field=F, columns=cols, n_rows=1, n_rows_logical=1,
-        gates=gates, tables={}, lookups=[], copies=[], fixed=fixed, instance_map=[],
-    )
-    dot = next(g for g in gates if g.name == "DOT_4")
-    good = Assignment(
-        advice={"x0": [2], "x1": [3], "x2": [9], "x3": [1], "out": [14], "act": [0]},
-        instance=[],
-    )
-    assert layout.eval_gate(dot, good, 0).value == 0
-    bad = Assignment(
-        advice={"x0": [2], "x1": [3], "x2": [9], "x3": [1], "out": [15], "act": [0]},
-        instance=[],
-    )
-    assert layout.eval_gate(dot, bad, 0).value != 0
+    """x=[2,3,9,1], w=[4,5,0,0], z=1, carry 0: the output must be 14;
+    padded weights are zero so the padded inputs cannot matter."""
+    layout, by_name = _family_row(4, {"w0": [4], "w1": [5], "z": [1], "q_dot": [1]})
+    dot = by_name["DOT_4"]
+    xs = {"x0": 2, "x1": 3, "x2": 9, "x3": 1}
+    assert layout.eval_gate(dot, _row(**xs, carry=0, out=14), 0).value == 0
+    assert layout.eval_gate(dot, _row(**xs, carry=0, out=15), 0).value != 0
 
 
-def test_add3_gate_row():
-    cols, gates = _family_layout(3)
-    fixed = {
-        "w0": [0], "w1": [0], "w2": [0],
-        "z": [0], "da": [0], "db": [0], "off": [0],
-        "q_add": [1], "q_dot": [0], "q_div": [0],
-    }
-    layout = CircuitLayout(
-        field=F, columns=cols, n_rows=1, n_rows_logical=1,
-        gates=gates, tables={}, lookups=[], copies=[], fixed=fixed, instance_map=[],
-    )
-    add_gate = next(g for g in gates if g.name == "ADD_3")
-    good = Assignment(advice={"x0": [14], "x1": [9], "x2": [2], "out": [25], "act": [0]}, instance=[])
-    assert layout.eval_gate(add_gate, good, 0).value == 0
-    bad = Assignment(advice={"x0": [14], "x1": [9], "x2": [2], "out": [26], "act": [0]}, instance=[])
-    assert layout.eval_gate(add_gate, bad, 0).value != 0
+def test_dot3_gate_adds_its_carry():
+    """The carry is added to the row's dot product: a chain of rows sums
+    a long dot product, and the first carry holds the bias."""
+    layout, by_name = _family_row(3, {"w0": [1], "w1": [2], "w2": [3], "q_dot": [1]})
+    dot = by_name["DOT_3"]
+    xs = {"x0": 14, "x1": 9, "x2": 2}  # 14 + 18 + 6 = 38
+    assert layout.eval_gate(dot, _row(**xs, carry=-7 % F.modulus, out=31), 0).value == 0
+    assert layout.eval_gate(dot, _row(**xs, carry=0, out=31), 0).value != 0
+    assert layout.eval_gate(dot, _row(**xs, carry=-7 % F.modulus, out=32), 0).value != 0
 
 
 def test_div_gate_row():
-    """c=7, a=3, b=4: 21 = 5*4 + 1, so (d, r) = (5, 1)."""
-    cols, gates = _family_layout(2)
-    fixed = {
-        "w0": [0], "w1": [0],
-        "z": [0], "da": [3], "db": [4], "off": [0],
-        "q_add": [0], "q_dot": [0], "q_div": [1],
-    }
-    layout = CircuitLayout(
-        field=F, columns=cols, n_rows=1, n_rows_logical=1,
-        gates=gates, tables={}, lookups=[], copies=[], fixed=fixed, instance_map=[],
-    )
-    div = next(g for g in gates if g.name == "DIV")
-    good = Assignment(advice={"x0": [7], "x1": [1], "out": [5], "act": [0]}, instance=[])
-    assert layout.eval_gate(div, good, 0).value == 0
+    """out=7, a=3, b=4: 21 = 5*4 + 1, so (q, r) = (5, 1)."""
+    layout, by_name = _family_row(2, {"da": [3], "db": [4], "q_div": [1]})
+    div = by_name["DIV"]
+    assert layout.eval_gate(div, _row(out=7, q=5, r=1), 0).value == 0
     # (4, 5) also satisfies the raw equation 21 = 4*4 + 5; rejecting it is
     # the remainder range lookup's job, covered by the uniqueness test.
-    for d, r in [(5, 2), (6, 1), (4, 0)]:
-        bad = Assignment(advice={"x0": [7], "x1": [r], "out": [d], "act": [0]}, instance=[])
-        assert layout.eval_gate(div, bad, 0).value != 0
+    for q, r in [(5, 2), (6, 1), (4, 0)]:
+        assert layout.eval_gate(div, _row(out=7, q=q, r=r), 0).value != 0
 
 
 def test_builtin_gates_require_width_two():
@@ -212,7 +195,7 @@ def test_sexpr_round_trip():
 def test_degree_accounting():
     cols, gates = _family_layout(4)
     by_name = {g.name: g for g in gates}
-    assert by_name["ADD_4"].poly.degree() == 1
+    assert sorted(by_name) == ["DIV", "DOT_4"]
     assert by_name["DOT_4"].poly.degree() == 2
     assert by_name["DIV"].poly.degree() == 2
 

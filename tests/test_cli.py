@@ -35,7 +35,7 @@ def test_compile_stats_and_layout(workspace):
     layout = tmp / "layout.json"
     assert main(["compile", model, "--stats", str(stats), "--layout", str(layout)]) == 0
     doc = json.loads(stats.read_text())
-    assert doc["n_gates"] == 3
+    assert doc["n_gates"] == 2  # DOT_8 and DIV
     lay = serialize.load_layout(layout.read_bytes())
     assert lay.n_rows >= 1
 
@@ -80,6 +80,16 @@ def test_check_malformed_witness_exit_2(workspace, capsys):
     bad = tmp / "junk.bin"
     bad.write_bytes(b"not a witness")
     assert main(["check", str(layout), str(bad)]) == 2
+
+
+def test_model_with_activation_field_exit_2(workspace, capsys):
+    tmp, model, inp = workspace
+    doc = json.loads(open(model).read())
+    doc["layers"][0]["activation"] = "none"
+    bad = tmp / "old_model.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["compile", str(bad)]) == 2
+    assert "activation" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_2():

@@ -34,7 +34,6 @@ def _minimal_fc_doc():
                 "weights": {"shape": [1, 2], "data_b64": _b64(bytes([1, 2]))},
                 "bias": [0],
                 "out_quant": {"zero_point": 0, "scale": {"a": 1, "b": 1}},
-                "activation": "clip_relu",
             },
             {
                 "kind": "output",
@@ -90,6 +89,16 @@ def test_unknown_fields_rejected():
     doc["layers"][0]["extra"] = True
     with pytest.raises(ModelFormatError, match="unknown fields"):
         load_model(json.dumps(doc))
+
+
+def test_activation_field_rejected():
+    """Layers have no activation tag: the clip to [0, 255] is part of
+    every requantizing layer, so the key is refused like any other."""
+    doc = _minimal_fc_doc()
+    doc["layers"][0]["activation"] = "clip_relu"
+    with pytest.raises(ModelFormatError, match="activation"):
+        load_model(json.dumps(doc))
+    assert b"activation" not in save_model(load_model(json.dumps(_minimal_fc_doc())))
 
 
 def test_dangling_ref_rejected():

@@ -442,6 +442,7 @@ def test_dump_layout_refuses_non_canonical_fixed_cell():
 def test_fixed_values_at_the_signed_bounds_load(files):
     _, lay, _ = files
     doc = json.loads(lay)
-    doc["fixed"]["g0:w0"] = [0, P // 2, 1, -(P // 2)]
+    doc["fixed"]["g0:w0"] = [0, P // 2]
+    doc["fixed"]["g0:w1"] = [0, -(P // 2)]
     layout = serialize.load_layout(json.dumps(doc))
-    assert layout.fixed["g0:w0"][:2] == [P // 2, P // 2 + 1]
+    assert (layout.fixed["g0:w0"][0], layout.fixed["g0:w1"][0]) == (P // 2, P // 2 + 1)
