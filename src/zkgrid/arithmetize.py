@@ -12,6 +12,8 @@ Lowering scheme, per activation site (one output element of one layer):
     out is the accumulator
   * the last row also carries DIV, out * a = (q - off) * b + r, with the
     remainder r range-checked against {0..b-1}
+  * a and b are the layer's own scale a/b and z_out its output zero
+    point; average pooling divides by the pool area, (1, h*w, 0)
   * a clip lookup (q, act) against a table shared by every layer with
     the same (a, b, z_out) pins the quotient range and the activation
 
@@ -20,11 +22,18 @@ folding the sum into the carry and the division into the last row spends
 one row per N taps instead.
 
 Residual adds lower to a two-tap DOT with unit weights; global average
-pooling lowers to unit-weight DOT rows with zero z and divisor equal to
-the pool area.  Two packing rules keep layouts small: a new gate group
-(fresh columns and gates) is opened only when the current group's rows
-are exhausted, and clip tables are shared whenever the scale key matches,
-widening the key's domain to the union of the requesting layers' ranges.
+pooling lowers to unit-weight DOT rows with zero z.  Each DIV row carries
+its own divisor, so layers with unrelated denominators (1/3 next to 1/4)
+compile as they are.  Two packing rules keep layouts small: a new gate
+group (fresh columns and gates) is opened only when the current group's
+rows are exhausted, and clip tables are shared whenever the scale key
+matches, widening the key's domain to the union of the requesting
+layers' ranges.  No lookup table may exceed LOOKUP_CAP entries.
+
+Each DOT lane's x is a copy of a source cell, an input code or an earlier
+layer's act; the witness reads x from that cell.  The instance vector is
+the compiled instance map: logits, then raw input codes or the input
+digest, then the weight digest; the witness fills it from the bound cells.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
 rows binding them to a public digest in the instance vector.  Hidden
@@ -50,11 +59,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field, replace
 
-import numpy as np
-
 from .circuit import (
     ADVICE,
     FIXED,
+    LOOKUP_CAP,
     MAX_CELLS,
     MAX_ROWS,
     Assignment,
@@ -77,7 +85,7 @@ from .commit import (
     SpongeParams,
     VisibilityMode,
     pack_width,
-    round_function,
+    sponge_states,
 )
 from .field import Field
 from .interpreter import run_inference
@@ -102,7 +110,6 @@ class WitnessError(ValueError):
 class CompileConfig:
     gate_width: int = 8
     max_rows: int = 1 << 20
-    lookup_cap: int = 1 << 20
     field: Field = dc_field(default_factory=Field)
     mode: VisibilityMode | None = None
     sponge: SpongeParams | None = None
@@ -110,8 +117,8 @@ class CompileConfig:
     def __post_init__(self):
         if self.gate_width < 2:
             raise CompileError("gate width must be >= 2")
-        if self.max_rows < 4 or self.lookup_cap < 1:
-            raise CompileError("max_rows and lookup_cap must be positive (max_rows >= 4)")
+        if self.max_rows < 4:
+            raise CompileError("max_rows must be >= 4")
 
     def sponge_params(self) -> SpongeParams:
         if self.sponge is not None:
@@ -139,15 +146,11 @@ class CircuitStats:
 
 # --- witness plan -----------------------------------------------------------
 
-# Value sources: ("in", flat) input code | ("act", layer, flat) activation.
-Source = tuple
-
-
 @dataclass(frozen=True)
 class DotRowSpec:
     group: int
     row: int
-    x_srcs: tuple
+    x_srcs: tuple     # the cells the live x lanes are copied from
     w_ints: tuple
 
 
@@ -204,7 +207,6 @@ class WitnessPlan:
     weight_values: list | None
     site_plans: list
     sponges: list
-    instance_sections: list
 
 
 # --- grid builder -----------------------------------------------------------
@@ -375,6 +377,8 @@ class _Builder:
     def range_table(self, lo: int, hi: int) -> str:
         tid = f"range:{lo}:{hi}"
         if tid not in self.tables:
+            if hi - lo + 1 > LOOKUP_CAP:
+                raise CompileError(f"range table {tid} exceeds the cap {LOOKUP_CAP}")
             self.tables[tid] = LookupTable(
                 id=tid, arity=1, rows=frozenset((v % self.p,) for v in range(lo, hi + 1))
             )
@@ -415,7 +419,6 @@ def build_clip_table(
     s: ScaleFactor,
     z_out: int,
     fld: Field | None = None,
-    cap: int = 1 << 20,
 ) -> LookupTable:
     """Clip table over the quotient domain implied by accumulator bounds.
 
@@ -424,71 +427,34 @@ def build_clip_table(
     """
     fld = fld or Field()
     lo_c, hi_c = bounds
-    d_lo = (lo_c * s.a) // s.b
-    d_hi = (hi_c * s.a) // s.b
-    size = d_hi - d_lo + 1
-    if size > cap:
-        raise CompileError(f"clip table size {size} exceeds cap {cap}")
-    return _clip_table(s.a, s.b, z_out, d_lo, d_hi, fld.modulus)[0]
+    return _clip_table(s.a, s.b, z_out, (lo_c * s.a) // s.b, (hi_c * s.a) // s.b, fld.modulus)[0]
 
 
 def _clip_table(a: int, b: int, z_out: int, d_lo: int, d_hi: int, p: int) -> tuple[LookupTable, int]:
     """The clip table for scale a/b and output zero point z_out over the
     quotients [d_lo, d_hi], and its key offset off = max(0, -d_lo)."""
+    if d_hi - d_lo + 1 > LOOKUP_CAP:
+        raise CompileError(
+            f"clip table (a={a}, b={b}, z={z_out}) needs {d_hi - d_lo + 1} entries, "
+            f"over the cap {LOOKUP_CAP}"
+        )
     off = max(0, -d_lo)
     rows = frozenset(((d + off) % p, min(255, max(0, d + z_out))) for d in range(d_lo, d_hi + 1))
     return LookupTable(id=f"clip:a{a}:b{b}:z{z_out}", arity=2, rows=rows), off
 
 
-# --- pass one: scale renormalization and table domains ----------------------
-
-@dataclass
-class _LayerLower:
-    scale_a: int      # renormalized numerator
-    divisor: int      # renormalized denominator (global b, or pool area)
-    z_out: int
-    table_key: tuple
-    bounds: tuple
-
-
-def _renormalize_scales(graph: ModelGraph, bounds: list) -> dict[int, _LayerLower]:
-    """Bring every requantizing layer onto one scale divisor.
-
-    Mixed denominators are accepted only when the largest is an exact
-    common multiple of the rest (a/b becomes (a*B/b)/B, exactly); other
-    mixes are rejected so producers renormalize up front.  Average
-    pooling divides by the pool area instead and is exempt.
-    """
-    lowers: dict[int, _LayerLower] = {}
-    denoms = set()
-    for layer in graph.layers:
-        if layer.kind in ("conv2d", "depthwise_conv2d", "fully_connected", "residual_add"):
-            denoms.add(layer.out_quant.scale.b)
-    b_global = max(denoms) if denoms else 1
-    for b in denoms:
-        if b_global % b != 0:
-            raise CompileError(
-                f"mixed scale divisors {sorted(denoms)}: no exact common denominator; "
-                f"renormalize the model first"
-            )
-    for i, layer in enumerate(graph.layers):
-        if layer.kind in ("conv2d", "depthwise_conv2d", "fully_connected", "residual_add"):
-            s = layer.out_quant.scale
-            a = s.a * (b_global // s.b)
-            z = layer.out_quant.zero_point
-            lowers[i] = _LayerLower(a, b_global, z, (a, b_global, z), bounds[i])
-        elif layer.kind == "average_pool":
-            h, w, _ = graph.shape_of_ref(layer.input_refs[0])
-            lowers[i] = _LayerLower(1, h * w, 0, (1, h * w, 0), bounds[i])
-    return lowers
+def _scale_key(graph: ModelGraph, layer) -> tuple[int, int, int]:
+    """The (a, b, z_out) a layer's DIV rows divide by and its clip table
+    is keyed by: the layer's own scale, or (1, h*w, 0) for pooling."""
+    if layer.kind == "average_pool":
+        h, w, _ = graph.shape_of_ref(layer.input_refs[0])
+        return 1, h * w, 0
+    q = layer.out_quant
+    return q.scale.a, q.scale.b, q.zero_point
 
 
-def _src_of(ref: int, flat: int) -> Source:
-    return ("in", flat) if ref == INPUT_REF else ("act", ref, flat)
-
-
-def _conv_taps(graph, layer, out_shape, flat, kind):
-    """Tap list (source, weight, weight-index) for one output element.
+def _conv_taps(graph, layer, out_shape, flat, kind, src):
+    """Tap list (source cell, weight, weight-index) for one output element.
 
     Padded window positions are omitted entirely: padding with the input
     zero point makes their contribution exactly zero.
@@ -520,42 +486,35 @@ def _conv_taps(graph, layer, out_shape, flat, kind):
             if kind == "conv2d":
                 for ci in range(ic):
                     widx = ((o_c * kh + r) * kw + s_) * ic + ci
-                    src = _src_of(ref, _flatten_index(in_shape, (ih, iw, ci)))
-                    taps.append((src, wvals[widx], widx))
+                    taps.append((src[_flatten_index(in_shape, (ih, iw, ci))], wvals[widx], widx))
             else:
                 widx = (r * kw + s_) * oc + o_c
-                src = _src_of(ref, _flatten_index(in_shape, (ih, iw, o_c)))
-                taps.append((src, wvals[widx], widx))
+                taps.append((src[_flatten_index(in_shape, (ih, iw, o_c))], wvals[widx], widx))
     return taps
 
 
-def _site_taps(graph, layer, out_shape, flat):
-    """(taps, z_in, bias) for one site; taps are (source, w, widx|None)."""
+def _site_taps(graph, layer, out_shape, flat, act_cells):
+    """(taps, z_in, bias) for one site; taps are (source cell, w, widx|None)
+    and act_cells maps each input ref to its tensor's cells."""
     if layer.kind in ("conv2d", "depthwise_conv2d"):
-        taps = _conv_taps(graph, layer, out_shape, flat, layer.kind)
+        taps = _conv_taps(graph, layer, out_shape, flat, layer.kind, act_cells[layer.input_refs[0]])
         z = graph.quant_of_ref(layer.input_refs[0]).zero_point
         return taps, z, layer.bias[flat % out_shape[2]]
     if layer.kind == "fully_connected":
         ref = layer.input_refs[0]
+        src = act_cells[ref]
         _, feat = layer.weights.shape
         wvals = layer.weights.signed_values()
-        taps = [
-            (_src_of(ref, j), wvals[flat * feat + j], flat * feat + j)
-            for j in range(feat)
-        ]
+        taps = [(src[j], wvals[flat * feat + j], flat * feat + j) for j in range(feat)]
         return taps, graph.quant_of_ref(ref).zero_point, layer.bias[flat]
     if layer.kind == "residual_add":
         ra, rb = layer.input_refs
-        taps = [(_src_of(ra, flat), 1, None), (_src_of(rb, flat), 1, None)]
+        taps = [(act_cells[ra][flat], 1, None), (act_cells[rb][flat], 1, None)]
         return taps, layer.out_quant.zero_point, 0
     # average_pool (global): sum over H x W at this channel, unit weights.
-    ref = layer.input_refs[0]
-    h, w, c = graph.shape_of_ref(ref)
-    taps = [
-        (_src_of(ref, (r * w + s) * c + flat), 1, None)
-        for r in range(h)
-        for s in range(w)
-    ]
+    src = act_cells[layer.input_refs[0]]
+    h, w, c = graph.shape_of_ref(layer.input_refs[0])
+    taps = [(src[(r * w + s) * c + flat], 1, None) for r in range(h) for s in range(w)]
     return taps, 0, 0
 
 
@@ -567,35 +526,28 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     fld = cfg.field
     p = fld.modulus
     bounds = accumulator_bounds(graph)
-    lowers = _renormalize_scales(graph, bounds)
     mode = cfg.mode
     sponge = cfg.sponge_params() if mode is not None else None
 
     # Clip-table domains, unioned per (a, b, z_out) key.
+    keys: dict[int, tuple] = {}
     domains: dict[tuple, tuple[int, int]] = {}
-    for i, lw in lowers.items():
-        lo_c, hi_c = lw.bounds
-        if max(abs(lo_c), abs(hi_c)) * lw.scale_a * 4 >= p:
+    for i, layer in enumerate(graph.layers):
+        if layer.kind == "output":
+            continue
+        keys[i] = key = _scale_key(graph, layer)
+        a, b, _ = key
+        lo_c, hi_c = bounds[i]
+        if max(abs(lo_c), abs(hi_c)) * a * 4 >= p:
             raise CompileError(
                 f"layer {i}: accumulator range times scale exceeds modulus/4; "
                 f"use a larger field"
             )
-        d_lo = (lo_c * lw.scale_a) // lw.divisor
-        d_hi = (hi_c * lw.scale_a) // lw.divisor
-        if lw.table_key in domains:
-            a, b = domains[lw.table_key]
-            domains[lw.table_key] = (min(a, d_lo), max(b, d_hi))
-        else:
-            domains[lw.table_key] = (d_lo, d_hi)
-    for key, (d_lo, d_hi) in domains.items():
-        if d_hi - d_lo + 1 > cfg.lookup_cap:
-            raise CompileError(
-                f"clip table (a={key[0]}, b={key[1]}, z={key[2]}) needs "
-                f"{d_hi - d_lo + 1} entries, over the cap {cfg.lookup_cap}"
-            )
-    for b in {lw.divisor for lw in lowers.values()}:
-        if b > cfg.lookup_cap:
-            raise CompileError(f"remainder range table of size {b} exceeds the cap")
+        d_lo, d_hi = (lo_c * a) // b, (hi_c * a) // b
+        if key in domains:
+            lo, hi = domains[key]
+            d_lo, d_hi = min(lo, d_lo), max(hi, d_hi)
+        domains[key] = (d_lo, d_hi)
 
     bld = _Builder(graph, cfg)
 
@@ -641,29 +593,23 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
             absorbed_cells += b_cells
             bld.param_cells[i] = (w_cells, b_cells)
 
-    # Per-layer lowering into rows.
+    # Per-layer lowering into rows, in layer order: each x source is
+    # assigned before the site that reads it.
     site_plans: list[SitePlan] = []
-    act_cells: dict[int, list] = {}
+    act_cells: dict[int, list] = {INPUT_REF: input_cells}
     acc_cells: dict[int, list] = {}   # each site's last out: its accumulator
 
-    def src_cell(src: Source) -> tuple:
-        if src[0] == "in":
-            return input_cells[src[1]]
-        return act_cells[src[1]][src[2]]
-
-    for i, layer in enumerate(graph.layers):
-        if layer.kind == "output":
-            continue
+    for i, key in keys.items():
+        layer = graph.layers[i]
         out_shape = graph.output_shapes[i]
-        lw = lowers[i]
         n_sites = 1
         for d in out_shape:
             n_sites *= d
         layer_acts: list[tuple] = []
         layer_accs: list[tuple] = []
         for flat in range(n_sites):
-            taps, z_in, bias = _site_taps(graph, layer, out_shape, flat)
-            plan = _lower_site(bld, i, flat, taps, z_in, bias, lw, offsets[lw.table_key], src_cell)
+            taps, z_in, bias = _site_taps(graph, layer, out_shape, flat, act_cells)
+            plan = _lower_site(bld, i, flat, taps, z_in, bias, key, offsets[key])
             site_plans.append(plan)
             g = bld.groups[plan.div.group]
             layer_acts.append((g.act, plan.div.row))
@@ -674,37 +620,28 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     # Output wiring: logits are the referenced layer's accumulators.
     out_layer = graph.layers[graph.output_layer_index]
     ref = out_layer.input_refs[0]
-    logit_cells = list(input_cells) if ref == INPUT_REF else list(acc_cells[ref])
+    logit_cells = input_cells if ref == INPUT_REF else acc_cells[ref]
 
-    instance_sections: list[tuple] = [("logits", len(logit_cells))]
-    idx = 0
-    for c in logit_cells:
-        bld.instance_map.append((c, idx))
-        idx += 1
-
+    # The instance order: logits, then the raw input codes or the input
+    # digest, then the weight digest when weights are hidden.
+    bound = list(logit_cells)
     sponge_plans: list[SpongePlan] = []
     if not input_hidden:
-        instance_sections.append(("raw_input", n_inputs))
-        for c in input_cells:
-            bld.instance_map.append((c, idx))
-            idx += 1
+        bound += input_cells
     else:
         sp = _build_sponge(bld, sponge, "input", input_cells)
         sponge_plans.append(sp)
-        bld.instance_map.append((sp.digest_cell, idx))
-        instance_sections.append(("input_digest",))
-        idx += 1
+        bound.append(sp.digest_cell)
     if bld.weights_advice:
         sp = _build_sponge(bld, sponge, "weights", absorbed_cells)
         # The weight digest depends only on the model: fill its rows once.
         staged = dict(zip(bld.weight_cells, bld.weight_values))
         filled = defaultdict(dict)
-        _fill_sponge(filled, sp, [staged[c] for c in absorbed_cells], sponge, p)
+        _fill_sponge(filled, sp, [staged[c] for c in absorbed_cells], sponge)
         sp = replace(sp, filled=dict(filled))
         sponge_plans.append(sp)
-        bld.instance_map.append((sp.digest_cell, idx))
-        instance_sections.append(("weight_digest",))
-        idx += 1
+        bound.append(sp.digest_cell)
+    bld.instance_map = [(c, idx) for idx, c in enumerate(bound)]
 
     layout, stats = _finalize(bld)
     layout.plan = WitnessPlan(
@@ -718,15 +655,14 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         weight_values=bld.weight_values if bld.weights_advice else None,
         site_plans=site_plans,
         sponges=sponge_plans,
-        instance_sections=instance_sections,
     )
     return layout, stats
 
 
-def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_cell):
+def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, key, off):
     n = bld.cfg.gate_width
     p = bld.p
-    a, b, z_out = lw.table_key
+    a, b, z_out = key
 
     specs = []
     carry_src = None
@@ -741,7 +677,7 @@ def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_c
         for j in range(n):
             if j < len(chunk):
                 src, w, widx = chunk[j]
-                bld.copy((g.xs[j], row), src_cell(src))
+                bld.copy((g.xs[j], row), src)
                 if bld.weights_advice:
                     if widx is not None:
                         bld.copy((g.ws[j], row), bld.param_cells[layer_idx][0][widx])
@@ -776,17 +712,17 @@ def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, lw, off, src_c
 
     # The last row carries DIV, its remainder range check and the clip lookup.
     bld.set_fixed(g.q_div, row, 1)
-    bld.set_fixed(g.div_a, row, lw.scale_a)
-    bld.set_fixed(g.div_b, row, lw.divisor)
+    bld.set_fixed(g.div_a, row, a)
+    bld.set_fixed(g.div_b, row, b)
     bld.set_fixed(g.div_off, row, off)
-    rtab = bld.range_table(0, lw.divisor - 1)
+    rtab = bld.range_table(0, b - 1)
     bld.set_fixed(bld.group_lookup_selector(g, rtab, (g.r,)), row, 1)
     ctab = f"clip:a{a}:b{b}:z{z_out}"
     bld.set_fixed(bld.group_lookup_selector(g, ctab, (g.q, g.act)), row, 1)
 
     div = DivRowSpec(
         group=g.index, row=row, x_srcs=x_srcs, w_ints=w_ints,
-        a=lw.scale_a, b=lw.divisor, off=off, z_out=z_out,
+        a=a, b=b, off=off, z_out=z_out,
     )
     return SitePlan(layer=layer_idx, flat=flat, z_in=z_in, bias=bias, dot_rows=tuple(specs), div=div)
 
@@ -941,10 +877,12 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
 # --- witness assignment ------------------------------------------------------
 
 def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -> Assignment:
-    """Fill the honest witness for one input, using the interpreter trace.
+    """Fill the honest witness for one input.
 
     The layout must come from compile() for the same graph; the attached
-    plan drives the fill.
+    plan drives the fill.  Each x lane is read from the cell it copies,
+    each site's accumulator and activation are checked against the
+    interpreter trace, and the instance is the bound cells' values.
     """
     plan: WitnessPlan = layout.plan
     if plan is None:
@@ -964,21 +902,13 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
         if c.kind == ADVICE
     }
 
-    def put(cell_ref: tuple, value: int) -> None:
-        advice[cell_ref[0]][cell_ref[1]] = value % p
-
-    for cell_ref, v in zip(plan.input_cells, codes):
-        put(cell_ref, v)
-    for cell_ref in plan.io_pad_cells:
-        put(cell_ref, 0)
+    for (col, row), v in zip(plan.input_cells, codes):
+        advice[col][row] = v
+    for col, row in plan.io_pad_cells:
+        advice[col][row] = 0
     if plan.weight_cells is not None:
         for (col, row), v in zip(plan.weight_cells, plan.weight_values):
             advice[col][row] = v
-
-    def src_value(src: Source) -> int:
-        if src[0] == "in":
-            return codes[src[1]]
-        return int(flat_acts[src[1]][src[2]])
 
     hidden_w = plan.weight_cells is not None
     group_cols: dict[int, tuple] = {}
@@ -1000,9 +930,10 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
             carry[row] = acc % p
             for j in range(n):
                 if j < len(d.x_srcs):
-                    x = src_value(d.x_srcs[j])
+                    col, src_row = d.x_srcs[j]
+                    x = advice[col][src_row]
                     w = d.w_ints[j]
-                    xs[j][row] = x % p
+                    xs[j][row] = x
                     if hidden_w:
                         ws[j][row] = w % p
                     acc += (x - z) * w
@@ -1032,46 +963,29 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     for sp in plan.sponges:
         if sp.filled is None:
             elements = [advice[col][row] for col, row in sp.message_cells]
-            _fill_sponge(advice, sp, elements, plan.sponge, p)
+            _fill_sponge(advice, sp, elements, plan.sponge)
             continue
         for col, cells in sp.filled.items():
             column = advice[col]
             for row, v in cells.items():
                 column[row] = v
 
-    # The filled sponge rows already end in each digest.
-    digests = {sp.label: advice[sp.digest_cell[0]][sp.digest_cell[1]] for sp in plan.sponges}
-    instance: list[int] = []
-    for sec in plan.instance_sections:
-        if sec[0] == "logits":
-            instance.extend(int(v) % p for v in np.asarray(trace.logits))
-        elif sec[0] == "raw_input":
-            instance.extend(codes)
-        elif sec[0] == "input_digest":
-            instance.append(digests["input"])
-        else:  # weight_digest
-            instance.append(digests["weights"])
-
+    instance = [0] * len(layout.instance_map)
+    for (col, row), idx in layout.instance_map:
+        instance[idx] = advice[col][row]
     return Assignment(advice=advice, instance=instance)
 
 
-def _fill_sponge(advice, sp: SpongePlan, elements: list[int], params: SpongeParams, p: int) -> None:
+def _fill_sponge(advice, sp: SpongePlan, elements: list[int], params: SpongeParams) -> None:
+    """Write `commit.sponge_states` for `elements` to the sponge's rows:
+    each chunk's absorb row, then its round rows, state in to state out."""
     t = params.t
-    rate = params.rate
-    state = [0] * (t - 1) + [len(elements) % p]
-    for ci, absorb_row in enumerate(sp.absorb_rows):
-        chunk = elements[ci * rate : (ci + 1) * rate]
-        chunk = chunk + [0] * (rate - len(chunk))
-        for j in range(t):
-            advice[f"sp:in{j}"][absorb_row] = state[j]
-        for j in range(rate):
-            advice[f"sp:m{j}"][absorb_row] = chunk[j]
-        state = [(state[j] + chunk[j]) % p if j < rate else state[j] for j in range(t)]
-        for j in range(t):
-            advice[f"sp:out{j}"][absorb_row] = state[j]
-        for r, row in enumerate(sp.round_rows[ci]):
+    for (chunk, states), absorb_row, round_rows in zip(
+        sponge_states(elements, params), sp.absorb_rows, sp.round_rows
+    ):
+        for j, m in enumerate(chunk):
+            advice[f"sp:m{j}"][absorb_row] = m
+        for row, s_in, s_out in zip((absorb_row, *round_rows), states, states[1:]):
             for j in range(t):
-                advice[f"sp:in{j}"][row] = state[j]
-            state = round_function(state, r, params)
-            for j in range(t):
-                advice[f"sp:out{j}"][row] = state[j]
+                advice[f"sp:in{j}"][row] = s_in[j]
+                advice[f"sp:out{j}"][row] = s_out[j]

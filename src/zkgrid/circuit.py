@@ -29,6 +29,8 @@ INSTANCE = "instance"
 # cannot ask for more memory than such a grid takes.
 MAX_ROWS = 1 << 20
 MAX_CELLS = 1 << 25
+# The most entries compile puts in one lookup table.
+LOOKUP_CAP = 1 << 20
 
 
 class CircuitError(ValueError):

@@ -53,7 +53,7 @@ def load_config(path: str | None) -> arithmetize.CompileConfig:
     if path is None:
         return arithmetize.CompileConfig()
     doc = json.loads(_read(path))
-    known = {"modulus", "gate_width", "max_rows", "lookup_cap", "mode", "sponge_params"}
+    known = {"modulus", "gate_width", "max_rows", "mode", "sponge_params"}
     extra = set(doc) - known
     if extra:
         raise CliError(f"unknown config fields: {sorted(extra)}")
@@ -65,7 +65,6 @@ def load_config(path: str | None) -> arithmetize.CompileConfig:
     return arithmetize.CompileConfig(
         gate_width=int(doc.get("gate_width", 8)),
         max_rows=int(doc.get("max_rows", 1 << 20)),
-        lookup_cap=int(doc.get("lookup_cap", 1 << 20)),
         field=fld,
         mode=mode,
         sponge=sponge,

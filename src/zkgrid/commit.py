@@ -15,6 +15,11 @@ big-endian integer reduced mod p, consumed in round-major, lane-minor
 order.  The mixing matrix is M[r][c] = 1 / (x_r + y_c) with x_r = r,
 y_c = t + c.
 
+Absorb schedule.  The state starts as (0, ..., 0, length); each
+rate-sized chunk, zero-padded, is added to the rate lanes and the state
+is permuted.  `sponge_states` yields every intermediate state, so
+`sponge_hash` and the grid's sponge rows are filled from one schedule.
+
 Digest definitions.  The input digest absorbs `input_elements`, one
 element per input code.  The weight digest absorbs `weight_elements`,
 definition v2, which packs 31 int8 weights to an element on the default
@@ -176,25 +181,38 @@ def _pow5(v: int, p: int) -> int:
     return v2 * v2 % p * v % p
 
 
-def sponge_hash(elements, params: SpongeParams) -> int:
-    """Absorb field elements at rate t-1 and squeeze one digest element.
+def sponge_states(elements, params: SpongeParams):
+    """The sponge's absorb schedule, one chunk at a time.
 
-    The initial capacity lane carries the input length, so inputs of
-    different lengths are domain separated even after zero padding.
+    The state starts as (0, ..., 0, len(elements)): the capacity lane
+    carries the input length, so inputs of different lengths are domain
+    separated even after zero padding.  For each rate-sized chunk of the
+    elements, zero-padded, yields (chunk, states): the state before
+    absorbing, after adding the chunk to the rate lanes, and after each
+    permutation round.  The next chunk starts from the last state.
     """
-    elements = [int(e) % params.modulus for e in elements]
+    p = params.modulus
+    rate = params.rate
+    state = [0] * rate + [len(elements) % p]
+    for lo in range(0, len(elements), rate):
+        chunk = [int(e) % p for e in elements[lo : lo + rate]]
+        chunk += [0] * (rate - len(chunk))
+        states = [state, [(s + m) % p for s, m in zip(state, chunk)] + state[rate:]]
+        for r in range(params.n_rounds):
+            states.append(round_function(states[-1], r, params))
+        state = states[-1]
+        yield chunk, states
+
+
+def sponge_hash(elements, params: SpongeParams) -> int:
+    """Absorb field elements at rate t-1 and squeeze one digest element:
+    lane 0 of the last state of `sponge_states`."""
+    elements = list(elements)
     if not elements:
         raise ValueError("sponge input must be nonempty")
-    state = [0] * params.t
-    state[params.t - 1] = len(elements) % params.modulus
-    rate = params.rate
-    for i in range(0, len(elements), rate):
-        chunk = elements[i : i + rate]
-        chunk = chunk + [0] * (rate - len(chunk))
-        for j in range(rate):
-            state[j] = (state[j] + chunk[j]) % params.modulus
-        state = permute(state, params)
-    return state[0]
+    for _, states in sponge_states(elements, params):
+        pass
+    return states[-1][0]
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,16 @@ def shape_inference(graph: ModelGraph) -> tuple[tuple[int, ...], ...]:
             layer.weights is None or layer.bias is None
         ):
             raise ModelFormatError(f"layer {i}: {layer.kind} requires weights and bias")
+        if layer.kind in ("residual_add", "average_pool", "output") and (
+            layer.weights is not None or layer.bias is not None
+        ):
+            raise ModelFormatError(f"layer {i}: {layer.kind} takes no weights or bias")
+        if layer.kind not in ("conv2d", "depthwise_conv2d") and (
+            layer.stride != 1 or layer.padding != "valid"
+        ):
+            raise ModelFormatError(
+                f"layer {i}: {layer.kind} takes no stride or padding (only convolutions do)"
+            )
         if layer.kind != "residual_add" and len(layer.input_refs) != 1:
             raise ModelFormatError(f"layer {i}: {layer.kind} takes exactly one input")
 
@@ -372,7 +382,7 @@ def load_model(raw: bytes | str) -> ModelGraph:
     extra = set(doc) - {"version", "input_shape", "input_quant", "layers"}
     if extra:
         raise ModelFormatError(f"unknown top-level fields: {sorted(extra)}")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:
         raise ModelFormatError(f"unsupported version {doc.get('version')!r}")
     input_quant = _quant_from_json(doc["input_quant"], "input_quant")
     layers = []

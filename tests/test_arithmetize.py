@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -86,9 +87,11 @@ def test_one_row_per_dot_chunk(mode):
     for _ in range(4):
         g = random_parameterized_model(rng, max_hw=5, max_c=3, max_layers=3)
         layout, stats = compile(g, cfg)
+        # Each tensor's elements stand in for its cells.
+        cells = {ref: range(math.prod(g.shape_of_ref(ref))) for ref in range(INPUT_REF, len(g.layers))}
         for site in layout.plan.site_plans:
             layer = g.layers[site.layer]
-            taps = arithmetize._site_taps(g, layer, g.output_shapes[site.layer], site.flat)[0]
+            taps = arithmetize._site_taps(g, layer, g.output_shapes[site.layer], site.flat, cells)[0]
             assert len(site.rows) == -(-max(len(taps), 1) // 4)
         assert sorted({gd.name for gd in layout.gates if gd.id.startswith("g")}) == ["DIV", "DOT_4"]
         assert not any(gd.name.startswith("ADD_") for gd in layout.gates)
@@ -141,9 +144,10 @@ def test_build_clip_table_saturates_at_255():
     assert as_map[254] == 254
 
 
-def test_build_clip_table_cap():
+def test_build_clip_table_cap(monkeypatch):
+    monkeypatch.setattr(arithmetize, "LOOKUP_CAP", 1 << 20)
     with pytest.raises(CompileError, match="cap"):
-        build_clip_table((0, 1 << 22), ScaleFactor(1, 1), 0, cap=1 << 20)
+        build_clip_table((0, 1 << 22), ScaleFactor(1, 1), 0)
 
 
 def _three_layer_same_scale(b2=None):
@@ -174,7 +178,7 @@ def test_clip_table_shared_across_identical_scales():
 
 
 def test_clip_table_split_when_one_scale_differs():
-    g = _three_layer_same_scale(b2=2)  # exact renormalization: 1/2 -> 2/4
+    g = _three_layer_same_scale(b2=2)  # 1/4, 1/2, 1/4
     _, stats = compile(g)
     assert stats.n_clip_tables == 2
 
@@ -194,21 +198,36 @@ def test_table_sharing_bound():
         assert stats.n_clip_tables == len(keys) <= len(distinct)
 
 
-def test_mixed_divisors_renormalized_exactly():
-    # denominators 2 and 4: 1/2 becomes 2/4; compiles to one divisor
+def test_mixed_divisors_kept_per_layer():
+    # denominators 2 and 4: each layer's DIV rows divide by its own b
     g = _three_layer_same_scale(b2=2)
     layout, _ = compile(g)
     divisors = {site.div.b for site in layout.plan.site_plans}
-    assert divisors == {4}
+    assert divisors == {2, 4}
+    assert {site.div.b for site in layout.plan.site_plans if site.layer == 1} == {2}
 
 
-def test_mixed_divisors_without_common_form_rejected():
-    g = _three_layer_same_scale(b2=3)  # 3 does not divide 4
-    with pytest.raises(CompileError, match="mixed scale divisors"):
-        compile(g)
+def test_coprime_divisors_compile_and_match_interpreter():
+    """1/4, 1/3, 1/4: no common denominator is needed.  The grid checks
+    clean and its logits are the interpreter's on every input."""
+    g = _three_layer_same_scale(b2=3)
+    layout, stats = compile(g)
+    assert {(s.layer, s.div.a, s.div.b) for s in layout.plan.site_plans} == {
+        (0, 1, 4), (1, 1, 3), (2, 1, 4)
+    }
+    assert stats.n_clip_tables == 2
+    assert {"range:0:2", "range:0:3"} <= set(layout.tables)
+    rng = random.Random(13)
+    p = layout.field.modulus
+    n_logits = math.prod(g.output_shapes[-1])
+    for _ in range(20):
+        inp = random_input(rng, g)
+        asg = assign_witness(layout, g, inp)
+        assert check(layout, asg) == []
+        assert asg.instance[:n_logits] == [int(v) % p for v in run_inference(g, inp).logits]
 
 
-def test_modulus_too_small_rejected():
+def test_modulus_too_small_rejected(monkeypatch):
     g = _fc_model(units=1, feat=10, b=2)
     small = Field(65537)
     # bounds: 10 taps * 255 = 2550; 2550 * a * 4 < p fails for a large enough
@@ -223,14 +242,24 @@ def test_modulus_too_small_rejected():
     g2 = validate(
         ModelGraph(layers=(big_a, out), input_shape=(1, 1, 10), input_quant=QuantParams(0, ScaleFactor(1, 1 << 14)))
     )
+    monkeypatch.setattr(arithmetize, "LOOKUP_CAP", 1 << 24)
     with pytest.raises(CompileError, match="modulus"):
-        compile(g2, CompileConfig(field=small, lookup_cap=1 << 24))
+        compile(g2, CompileConfig(field=small))
 
 
-def test_lookup_cap_exceeded_rejected():
+def test_lookup_cap_exceeded_rejected(monkeypatch):
     g = _fc_model(units=1, feat=10, b=2)
+    monkeypatch.setattr(arithmetize, "LOOKUP_CAP", 64)
     with pytest.raises(CompileError, match="cap"):
-        compile(g, CompileConfig(lookup_cap=64))
+        compile(g)
+
+
+def test_remainder_range_table_capped():
+    """A divisor b needs the remainder table {0..b-1}: over LOOKUP_CAP
+    entries it is refused before it is built."""
+    g = _fc_model(units=1, feat=10, b=arithmetize.LOOKUP_CAP + 1)
+    with pytest.raises(CompileError, match="range:0:.* exceeds the cap"):
+        compile(g)
 
 
 # --- witness / oracle equivalence --------------------------------------------

@@ -10,7 +10,7 @@ from zkgrid.circuit import Assignment, CircuitLayout
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
 from zkgrid.commit import VisibilityMode
 from zkgrid.field import Field
-from zkgrid.modelgen import random_input, random_model
+from zkgrid.modelgen import random_input, random_model, random_parameterized_model
 
 
 def test_honest_witness_accepts():
@@ -110,6 +110,28 @@ def test_instance_binding_checked():
     asg.instance[0] = (asg.instance[0] + 1) % layout.field.modulus
     vs = check(layout, asg)
     assert any(v.kind == "instance" for v in vs)
+
+
+@pytest.mark.parametrize(
+    "mode",
+    [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS, VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS],
+)
+def test_every_instance_binding_compared(mode):
+    """Tampering each instance value in turn gives exactly one violation,
+    the instance binding of that index: no binding goes unchecked."""
+    rng = random.Random(6)
+    g = random_parameterized_model(rng, max_hw=3, max_c=2, max_layers=2)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    asg = assign_witness(layout, g, random_input(rng, g))
+    p = layout.field.modulus
+    assert check(layout, asg) == []
+    assert sorted(i for _, i in layout.instance_map) == list(range(len(asg.instance)))
+    for idx, (cell_ref, inst_idx) in enumerate(layout.instance_map):
+        honest = asg.instance[inst_idx]
+        asg.instance[inst_idx] = (honest + 1) % p
+        vs = check(layout, asg)
+        assert [(v.kind, v.id, v.row) for v in vs] == [("instance", f"{idx:09d}", cell_ref[1])]
+        asg.instance[inst_idx] = honest
 
 
 @pytest.mark.parametrize("shift", ["+p", "p", "negative", "2**255-1"])

@@ -143,6 +143,40 @@ def test_config_with_custom_modulus(workspace, tmp_path):
     assert main(["compile", model, "--config", str(cfg), "--stats", str(stats)]) == 0
 
 
+def test_config_lookup_cap_refused(workspace, capsys):
+    """The lookup-table cap is a fixed limit of the compiler, not an option."""
+    tmp, model, inp = workspace
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"lookup_cap": 1 << 20}))
+    assert main(["compile", model, "--config", str(cfg)]) == 2
+    assert "lookup_cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["compile", "commit"])
+@pytest.mark.parametrize("key, value", [("bias", [0]), ("weights", {"shape": [1], "data_b64": "AQ=="})])
+def test_parameters_on_residual_layer_exit_2(workspace, capsys, cmd, key, value):
+    """A residual layer's weights or bias are refused before any compile
+    or digest reads them: no traceback, and no weight digest that an
+    honest proof cannot match."""
+    tmp, model, inp = workspace
+    doc = json.loads(open(model).read())
+    q = {"zero_point": doc["layers"][0]["out_quant"]["zero_point"], "scale": {"a": 1, "b": 1}}
+    doc["layers"][1:] = [
+        {"kind": "residual_add", "inputs": [0, 0], "out_quant": q},
+        {"kind": "output", "inputs": [1], "out_quant": q},
+    ]
+    good = tmp / "residual_ok.json"
+    good.write_text(json.dumps(doc))
+    assert main(["compile", str(good)]) == 0
+    doc["layers"][1][key] = value
+    bad = tmp / "residual.json"
+    bad.write_text(json.dumps(doc))
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "public_input_hidden_weights"}))
+    assert main([cmd, str(bad), "--config", str(cfg)]) == 2
+    assert "takes no weights or bias" in capsys.readouterr().err
+
+
 def test_protocol_sample_size_and_cost(capsys):
     assert main(["protocol", "sample-size", "--method", "hoeffding", "--epsilon", "0.05", "--delta", "0.05"]) == 0
     assert capsys.readouterr().out.strip() == "600"

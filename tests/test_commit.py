@@ -12,6 +12,7 @@ from zkgrid.commit import (
     pack_width,
     permute,
     sponge_hash,
+    sponge_states,
     weight_elements,
 )
 from zkgrid.field import DEFAULT_MODULUS
@@ -61,6 +62,29 @@ def test_length_domain_separation():
 def test_empty_input_rejected():
     with pytest.raises(ValueError, match="nonempty"):
         sponge_hash([], PARAMS)
+
+
+def _reference_hash(elements, params):
+    """Absorb-then-permute, written out with `permute` alone."""
+    p, rate = params.modulus, params.rate
+    state = [0] * rate + [len(elements) % p]
+    for lo in range(0, len(elements), rate):
+        chunk = elements[lo : lo + rate]
+        chunk = chunk + [0] * (rate - len(chunk))
+        state = [(v + m) % p for v, m in zip(state, chunk)] + state[rate:]
+        state = permute(state, params)
+    return state[0]
+
+
+@pytest.mark.parametrize("params", [PARAMS, SpongeParams(t=4)], ids=["t3", "t4"])
+def test_sponge_hash_matches_permute_reference(params):
+    rng = random.Random(12)
+    for n in range(1, 8):
+        xs = [rng.randrange(params.modulus) for _ in range(n)]
+        assert sponge_hash(xs, params) == _reference_hash(xs, params)
+        chunks = list(sponge_states(xs, params))
+        assert len(chunks) == -(-n // params.rate)
+        assert all(len(states) == params.n_rounds + 2 for _, states in chunks)
 
 
 def test_perturbation_changes_digest():
@@ -150,6 +174,29 @@ def test_in_circuit_sponge_matches_out_of_circuit():
         got_w = asg.advice[plans["weights"].digest_cell[0]][plans["weights"].digest_cell[1]]
         assert got_in == expect_in
         assert got_w == expect_w
+
+
+def test_sponge_rows_are_sponge_states():
+    """Both sponges' rows, the input's filled per witness and the
+    weights' filled at compile, hold exactly `sponge_states`: each chunk
+    on its absorb row, and each state in and out along the chunk's rows."""
+    rng = random.Random(31)
+    g = random_parameterized_model(rng, max_hw=3, max_c=2, max_layers=2)
+    cfg = CompileConfig(mode=VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS)
+    layout, _ = compile(g, cfg)
+    adv = assign_witness(layout, g, random_input(rng, g)).advice
+    params = cfg.sponge_params()
+    assert {sp.label for sp in layout.plan.sponges} == {"input", "weights"}
+    for sp in layout.plan.sponges:
+        elements = [adv[c][r] for c, r in sp.message_cells]
+        chunks = list(sponge_states(elements, params))
+        assert len(chunks) == len(sp.absorb_rows) == len(sp.round_rows)
+        for (chunk, states), absorb_row, round_rows in zip(chunks, sp.absorb_rows, sp.round_rows):
+            assert [adv[f"sp:m{j}"][absorb_row] for j in range(params.rate)] == chunk
+            rows = (absorb_row, *round_rows)
+            assert [[adv[f"sp:in{j}"][r] for j in range(params.t)] for r in rows] == states[:-1]
+            assert [[adv[f"sp:out{j}"][r] for j in range(params.t)] for r in rows] == states[1:]
+        assert adv[sp.digest_cell[0]][sp.digest_cell[1]] == sponge_hash(elements, params)
 
 
 def test_weight_perturbation_breaks_binding():

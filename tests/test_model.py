@@ -101,6 +101,56 @@ def test_activation_field_rejected():
     assert b"activation" not in save_model(load_model(json.dumps(_minimal_fc_doc())))
 
 
+def _residual_pool_doc():
+    """fc -> residual_add(fc, fc) -> output, beside an average_pool of
+    the input, so every layer kind without parameters appears."""
+    doc = _minimal_fc_doc()
+    q = doc["layers"][0]["out_quant"]
+    doc["layers"][1:] = [
+        {"kind": "residual_add", "inputs": [0, 0], "out_quant": q},
+        {"kind": "average_pool", "inputs": [-1], "out_quant": doc["input_quant"]},
+        {"kind": "output", "inputs": [1], "out_quant": q},
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("layer", [1, 2, 3], ids=["residual_add", "average_pool", "output"])
+@pytest.mark.parametrize(
+    "key, value",
+    [("bias", [3]), ("weights", {"shape": [1, 1], "data_b64": _b64(bytes([1]))})],
+)
+def test_parameters_on_unparameterized_layer_rejected(layer, key, value):
+    """The interpreter and the grid never read them, but the weight digest
+    would absorb them, so a digest published for the model could match no
+    honest proof."""
+    doc = _residual_pool_doc()
+    doc["layers"][layer][key] = value
+    with pytest.raises(ModelFormatError, match="takes no weights or bias"):
+        load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2, 3], ids=["fully_connected", "residual_add", "average_pool", "output"])
+@pytest.mark.parametrize("key, value", [("stride", 2), ("padding", "same")])
+def test_stride_and_padding_only_on_convolutions(layer, key, value):
+    """save_model writes them for convolutions only, so anywhere else they
+    would be lost in a round trip."""
+    doc = _residual_pool_doc()
+    doc["layers"][layer][key] = value
+    with pytest.raises(ModelFormatError, match="takes no stride or padding"):
+        load_model(json.dumps(doc))
+    doc["layers"][layer][key] = {"stride": 1, "padding": "valid"}[key]
+    g = load_model(json.dumps(doc))
+    assert load_model(save_model(g)) == g
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None])
+def test_version_must_be_the_integer_1(version):
+    doc = _minimal_fc_doc()
+    doc["version"] = version
+    with pytest.raises(ModelFormatError, match="unsupported version"):
+        load_model(json.dumps(doc))
+
+
 def test_dangling_ref_rejected():
     doc = _minimal_fc_doc()
     doc["layers"][0]["inputs"] = [5]
