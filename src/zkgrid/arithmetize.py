@@ -3,15 +3,16 @@ witnesses for it.
 
 Lowering scheme, per activation site (one output element of one layer):
 
-  * the dot product is split into ceil(k/N) rows of one carry-chained DOT
-    gate of width N, out = carry + sum_j (x_j - z) * w_j; short rows pad
-    with weight 0 and pin padded cells to a zero column
+  * the dot product is split into ceil(k/N) carry-chained rows; a row
+    holding k' <= N taps enables the DOT gate of its own width,
+    out = carry + sum_{j<k'} (x_j - z) * w_j, so no lane is padded
   * the first row's carry is the bias: a copy of the zero column, of a
     const cell holding a public bias, or of the staged hidden bias; each
     later row's carry is a copy of the previous row's out, so the last
     out is the accumulator
   * the last row also carries DIV, out * a = (q - off) * b + r, with the
-    remainder r range-checked against {0..b-1}
+    remainder r range-checked against {0..b-1}; the quotient domain
+    times b may not exceed p, so no second (q, r) matches mod p
   * a and b are the layer's own scale a/b and z_out its output zero
     point; average pooling divides by the pool area, (1, h*w, 0)
   * a clip lookup (q, act) against a table shared by every layer with
@@ -150,7 +151,7 @@ class CircuitStats:
 class DotRowSpec:
     group: int
     row: int
-    x_srcs: tuple     # the cells the live x lanes are copied from
+    x_srcs: tuple     # the cells the row's x lanes are copied from
     w_ints: tuple
 
 
@@ -232,12 +233,12 @@ class _Group:
         self.div_b = builder.new_column(f"{g}:db", FIXED)
         self.div_off = builder.new_column(f"{g}:off", FIXED)
         self.const = builder.new_column(f"{g}:const", FIXED)
-        self.q_dot = builder.new_column(f"{g}:q_dot", FIXED)
+        self.q_dots = tuple(builder.new_column(f"{g}:q_dot{k}", FIXED) for k in range(1, n + 1))
         self.q_div = builder.new_column(f"{g}:q_div", FIXED)
         cols = GateColumns(
             xs=self.xs, ws=self.ws, carry=self.carry, out=self.out, r=self.r, q=self.q,
             act=self.act, z=self.z, div_a=self.div_a, div_b=self.div_b, div_off=self.div_off,
-            q_dot=self.q_dot, q_div=self.q_div,
+            q_dots=self.q_dots, q_div=self.q_div,
         )
         builder.gates.extend(builtin_gates(n, cols, prefix=f"{g}:"))
         self.lookup_selectors: dict[str, str] = {}
@@ -437,6 +438,13 @@ def _clip_table(a: int, b: int, z_out: int, d_lo: int, d_hi: int, p: int) -> tup
         raise CompileError(
             f"clip table (a={a}, b={b}, z={z_out}) needs {d_hi - d_lo + 1} entries, "
             f"over the cap {LOOKUP_CAP}"
+        )
+    # DIV pins (q, r) only if every pair the lookups admit, (q - off) * b + r
+    # over the quotients and 0 <= r < b, is a distinct residue.
+    if (d_hi - d_lo + 1) * b > p:
+        raise CompileError(
+            f"scale a={a}, b={b}, z={z_out}: {d_hi - d_lo + 1} quotients times the divisor"
+            f" exceed the modulus {p}; use a larger field"
         )
     off = max(0, -d_lo)
     rows = frozenset(((d + off) % p, min(255, max(0, d + z_out))) for d in range(d_lo, d_hi + 1))
@@ -666,32 +674,24 @@ def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, key, off):
 
     specs = []
     carry_src = None
-    n_rows = -(-max(len(taps), 1) // n)
+    n_rows = -(-len(taps) // n)
     for r in range(n_rows):
         chunk = taps[r * n : (r + 1) * n]
         g = bld.gate_row()
         row = g.cursor
         g.cursor += 1
-        bld.set_fixed(g.q_dot, row, 1)
+        bld.set_fixed(g.q_dots[len(chunk) - 1], row, 1)
         bld.set_fixed(g.z, row, z_in)
-        for j in range(n):
-            if j < len(chunk):
-                src, w, widx = chunk[j]
-                bld.copy((g.xs[j], row), src)
-                if bld.weights_advice:
-                    if widx is not None:
-                        bld.copy((g.ws[j], row), bld.param_cells[layer_idx][0][widx])
-                    else:
-                        # structural unit weight (residual / pooling)
-                        bld.set_fixed(g.const, row, 1)
-                        bld.copy((g.ws[j], row), (g.const, row))
-                else:
-                    bld.set_fixed(g.ws[j], row, w % p)
+        for j, (src, w, widx) in enumerate(chunk):
+            bld.copy((g.xs[j], row), src)
+            if not bld.weights_advice:
+                bld.set_fixed(g.ws[j], row, w % p)
+            elif widx is not None:
+                bld.copy((g.ws[j], row), bld.param_cells[layer_idx][0][widx])
             else:
-                bld.copy((g.xs[j], row), (bld.zero_col, row))
-                if bld.weights_advice:
-                    bld.copy((g.ws[j], row), (bld.zero_col, row))
-                # fixed weight columns default to zero: w_{k+1..N} = 0
+                # structural unit weight (residual / pooling)
+                bld.set_fixed(g.const, row, 1)
+                bld.copy((g.ws[j], row), (g.const, row))
         if carry_src is None:
             # The bias enters through the first carry, not through const:
             # in hidden-weights mode const already holds unit weights.
@@ -928,19 +928,12 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
             xs, ws, carry, out = cols[:4]
             row = d.row
             carry[row] = acc % p
-            for j in range(n):
-                if j < len(d.x_srcs):
-                    col, src_row = d.x_srcs[j]
-                    x = advice[col][src_row]
-                    w = d.w_ints[j]
-                    xs[j][row] = x
-                    if hidden_w:
-                        ws[j][row] = w % p
-                    acc += (x - z) * w
-                else:
-                    xs[j][row] = 0
-                    if hidden_w:
-                        ws[j][row] = 0
+            for j, ((col, src_row), w) in enumerate(zip(d.x_srcs, d.w_ints)):
+                x = advice[col][src_row]
+                xs[j][row] = x
+                if hidden_w:
+                    ws[j][row] = w % p
+                acc += (x - z) * w
             out[row] = acc % p
         if acc != int(flat_accs[site.layer][site.flat]):
             raise WitnessError(

@@ -450,15 +450,17 @@ class GateColumns:
     div_a: str                # fixed: numerator
     div_b: str                # fixed: divisor
     div_off: str              # fixed: table offset for negative domains
-    q_dot: str
+    q_dots: tuple[str, ...]   # fixed: q_dots[k-1] enables DOT_k
     q_div: str
 
 
 def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[GateDef]:
-    """The two row-local gate families for linear layers.
+    """The row-local gate families for linear layers: DOT_1 .. DOT_N over
+    the same columns, then DIV.
 
-    DOT_N:  out = carry + sum((x_j - z) * w_j), z from a fixed cell so one
-            gate serves every layer; short dot products pad with w_j = 0.
+    DOT_k:  out = carry + sum_{j<k} (x_j - z) * w_j, z from a fixed cell so
+            one gate serves every layer.  A row with k taps enables DOT_k,
+            so no gate reads its lanes k..N-1 and they need no value.
             Rows chain by copying one row's out into the next row's carry,
             so a k-tap sum takes ceil(k/N) rows and no reduction tree
     DIV:    out * a = (q - off) * b + r, on the chain's last row, pairing
@@ -472,13 +474,16 @@ def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[Gat
     """
     if n_width < 2:
         raise CircuitError("gate width must be >= 2")
-    dot_terms = [mul(sub(cell(x), cell(cols.z)), cell(w)) for x, w in zip(cols.xs, cols.ws)]
-    dot_poly = sub(add(cell(cols.carry), *dot_terms), cell(cols.out))
+    terms = [mul(sub(cell(x), cell(cols.z)), cell(w)) for x, w in zip(cols.xs, cols.ws)]
+    gates = [
+        GateDef(
+            id=f"{prefix}dot{k}", name=f"DOT_{k}", selector=cols.q_dots[k - 1],
+            poly=sub(add(cell(cols.carry), *terms[:k]), cell(cols.out)),
+        )
+        for k in range(1, n_width + 1)
+    ]
     div_poly = sub(
         mul(cell(cols.out), cell(cols.div_a)),
         add(mul(sub(cell(cols.q), cell(cols.div_off)), cell(cols.div_b)), cell(cols.r)),
     )
-    return [
-        GateDef(id=f"{prefix}dot{n_width}", name=f"DOT_{n_width}", selector=cols.q_dot, poly=dot_poly),
-        GateDef(id=f"{prefix}div", name="DIV", selector=cols.q_div, poly=div_poly),
-    ]
+    return gates + [GateDef(id=f"{prefix}div", name="DIV", selector=cols.q_div, poly=div_poly)]

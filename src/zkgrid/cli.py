@@ -137,7 +137,7 @@ def cmd_check(args) -> int:
 def cmd_commit(args) -> int:
     cfg = load_config(args.config)
     graph = _load_model(args.model)
-    params = cfg.sponge or SpongeParams(modulus=cfg.field.modulus)
+    params = cfg.sponge_params()
     lines = []
     if args.input:
         inp = _load_input(args.input, graph)
@@ -150,6 +150,19 @@ def cmd_commit(args) -> int:
         lines.append(f"weight_digest {sponge_hash(weights, params)}")
     _write("-", "\n".join(lines))
     return 0
+
+
+def _transition(doc, n: int) -> Transition:
+    """Log line `n` as a transition: an object with string actor and
+    action and an optional object payload."""
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("actor"), str)
+        and isinstance(doc.get("action"), str)
+        and isinstance(doc.get("payload", {}), dict)
+    ):
+        raise CliError(f"log line {n}: need an object with string actor and action and an object payload")
+    return Transition(actor=doc["actor"], action=doc["action"], payload=doc.get("payload", {}))
 
 
 def cmd_protocol(args) -> int:
@@ -168,13 +181,11 @@ def cmd_protocol(args) -> int:
     params = EconParams.from_json(json.loads(_read(args.params)))
     state = new_session(args.kind, params)
     trace_lines = [json.dumps({"stage": state.stage, "balances": {k: str(v) for k, v in state.balances.items()}})]
-    for line in _read(args.log).decode("utf-8").splitlines():
+    for n, line in enumerate(_read(args.log).decode("utf-8").splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        doc = json.loads(line)
-        t = Transition(actor=doc["actor"], action=doc["action"], payload=doc.get("payload", {}))
-        state = step(state, t)
+        state = step(state, _transition(json.loads(line), n))
         trace_lines.append(
             json.dumps(
                 {

@@ -85,13 +85,14 @@ def _depthwise(x: np.ndarray, w: np.ndarray, bias: np.ndarray, z: int, stride: i
     return acc
 
 
-def run_inference(graph: ModelGraph, inp: QuantTensor, check_bounds: bool = True) -> InferenceTrace:
-    """Run the graph and return the full per-layer trace plus logits."""
+def run_inference(graph: ModelGraph, inp: QuantTensor) -> InferenceTrace:
+    """Run the graph and return the full per-layer trace plus logits.
+    Every accumulator is checked against its layer's worst-case bounds."""
     if tuple(inp.shape) != tuple(graph.input_shape):
         raise InferenceError(f"input shape {inp.shape} != graph input {graph.input_shape}")
     if inp.quant != graph.input_quant:
         raise InferenceError("input quant params do not match the graph")
-    bounds = accumulator_bounds(graph) if check_bounds else None
+    bounds = accumulator_bounds(graph)
 
     x_in = np.frombuffer(inp.data, dtype=np.uint8).reshape(inp.shape)
     traces: list[LayerTrace] = []
@@ -137,7 +138,7 @@ def run_inference(graph: ModelGraph, inp: QuantTensor, check_bounds: bool = True
                 acc = traces[ref].acc
             act = act_of_ref(ref)
             logits = acc.reshape(-1).copy()
-        if check_bounds and layer.kind != "output":
+        if layer.kind != "output":
             lo, hi = bounds[i]
             if acc.size and (acc.min() < lo or acc.max() > hi):
                 raise InferenceError(

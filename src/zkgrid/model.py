@@ -265,6 +265,8 @@ def validate(graph: ModelGraph) -> ModelGraph:
     """Run all structural checks and attach inferred shapes."""
     if len(graph.input_shape) != 3:
         raise ModelFormatError("input shape must be (H, W, C)")
+    if any(type(d) is not int or d < 1 for d in graph.input_shape):
+        raise ModelFormatError(f"input shape {list(graph.input_shape)} must hold positive integers")
     n_output = sum(1 for l in graph.layers if l.kind == "output")
     if n_output != 1:
         raise ModelFormatError(f"graph must have exactly one output layer, found {n_output}")
@@ -384,6 +386,9 @@ def load_model(raw: bytes | str) -> ModelGraph:
         raise ModelFormatError(f"unknown top-level fields: {sorted(extra)}")
     if type(doc.get("version")) is not int or doc["version"] != 1:
         raise ModelFormatError(f"unsupported version {doc.get('version')!r}")
+    input_shape = doc.get("input_shape")
+    if not isinstance(input_shape, list):
+        raise ModelFormatError("input_shape must be a list")
     input_quant = _quant_from_json(doc["input_quant"], "input_quant")
     layers = []
     for i, lobj in enumerate(doc.get("layers", [])):
@@ -415,7 +420,7 @@ def load_model(raw: bytes | str) -> ModelGraph:
         )
     graph = ModelGraph(
         layers=tuple(layers),
-        input_shape=tuple(int(d) for d in doc["input_shape"]),
+        input_shape=tuple(input_shape),
         input_quant=input_quant,
     )
     return validate(graph)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
@@ -93,10 +94,49 @@ def test_one_row_per_dot_chunk(mode):
             layer = g.layers[site.layer]
             taps = arithmetize._site_taps(g, layer, g.output_shapes[site.layer], site.flat, cells)[0]
             assert len(site.rows) == -(-max(len(taps), 1) // 4)
-        assert sorted({gd.name for gd in layout.gates if gd.id.startswith("g")}) == ["DIV", "DOT_4"]
+        assert sorted({gd.name for gd in layout.gates if gd.id.startswith("g")}) == ["DIV", "DOT_1", "DOT_2", "DOT_3", "DOT_4"]
         assert not any(gd.name.startswith("ADD_") for gd in layout.gates)
         assert not any(col.endswith("q_add") for col in layout.columns)
         assert check(layout, assign_witness(layout, g, random_input(rng, g))) == []
+
+
+@pytest.mark.parametrize("seed, mode", [(110, None), (111, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS)])
+def test_dot_rows_hold_only_their_taps(seed, mode):
+    """On the benchmark models each DOT row enables exactly DOT_k for its k
+    taps, no copy pins an x or w lane to the zero column, the honest
+    witness leaves lanes k..N-1 unassigned, and tampering a live lane
+    cell is caught."""
+    g = random_model(random.Random(seed), max_hw=32, max_c=16, max_layers=5)
+    cfg = CompileConfig(mode=mode)
+    n = cfg.gate_width
+    layout, _ = compile(g, cfg)
+    lanes = {c for c in layout.columns if re.fullmatch(r"g\d+:[xw]\d+", c)}
+    assert not [cp for cp in layout.copies if cp.a[0] in lanes and cp.b[0] == "zero"]
+    assert not [cp for cp in layout.copies if cp.b[0] in lanes and cp.a[0] == "zero"]
+
+    asg = assign_witness(layout, g, random_input(random.Random(1), g))
+    assert check(layout, asg) == []
+    lane_kinds = "xw" if mode is not None else "x"
+    live = []
+    n_dot_rows = 0
+    for site in layout.plan.site_plans:
+        for d in site.rows:
+            n_dot_rows += 1
+            k = len(d.x_srcs)
+            g_ = f"g{d.group}:"
+            assert [j for j in range(1, n + 1) if layout.fixed[f"{g_}q_dot{j}"][d.row]] == [k]
+            for kind in lane_kinds:
+                cells = [(f"{g_}{kind}{j}", d.row) for j in range(n)]
+                assert [asg.advice[c][r] is None for c, r in cells] == [j >= k for j in range(n)]
+                live += cells[:k]
+    assert sum(sum(map(bool, layout.fixed[c])) for c in layout.columns if ":q_dot" in c) == n_dot_rows
+
+    p = layout.field.modulus
+    for col, row in random.Random(seed).sample(live, 64):
+        v = asg.advice[col][row]
+        asg.advice[col][row] = (v + 1) % p
+        assert check(layout, asg), (col, row)
+        asg.advice[col][row] = v
 
 
 def test_row_padding_to_power_of_two():
@@ -260,6 +300,25 @@ def test_remainder_range_table_capped():
     g = _fc_model(units=1, feat=10, b=arithmetize.LOOKUP_CAP + 1)
     with pytest.raises(CompileError, match="range:0:.* exceeds the cap"):
         compile(g)
+
+
+def test_divisor_times_quotient_domain_over_modulus_rejected():
+    """On p = 65537 a divisor of 70000 makes the remainder table wrap: the
+    honest (q, r) = (0, 10) for input (10, 0) and a forged (-1, 70010 mod p)
+    would both satisfy DIV, and the forgery clips to act 0 instead of 1.
+    Compile refuses any key whose quotients times b exceed p."""
+    fc = Layer(
+        kind="fully_connected",
+        input_refs=(INPUT_REF,),
+        out_quant=QuantParams(zero_point=1, scale=ScaleFactor(1, 70000)),
+        weights=QuantTensor(shape=(1, 2), data=bytes([1, 255]), quant=QuantParams(0, ScaleFactor(1, 1))),
+        bias=(0,),
+    )
+    out = Layer(kind="output", input_refs=(0,), out_quant=fc.out_quant)
+    g = validate(ModelGraph(layers=(fc, out), input_shape=(1, 1, 2), input_quant=QuantParams(0, ScaleFactor(1, 1))))
+    with pytest.raises(CompileError, match="modulus 65537"):
+        compile(g, CompileConfig(field=Field(65537)))
+    compile(g)   # the default field is wide enough
 
 
 # --- witness / oracle equivalence --------------------------------------------

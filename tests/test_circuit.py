@@ -95,7 +95,7 @@ def _gate_cols(n):
         div_a="da",
         div_b="db",
         div_off="off",
-        q_dot="q_dot",
+        q_dots=tuple(f"q_dot{k}" for k in range(1, n + 1)),
         q_div="q_div",
     )
 
@@ -107,7 +107,7 @@ def _family_layout(n):
         cols[f"w{j}"] = Column(f"w{j}", FIXED)
     for cid in ("carry", "out", "r", "q", "act"):
         cols[cid] = Column(cid, ADVICE)
-    for cid in ("z", "da", "db", "off", "q_dot", "q_div"):
+    for cid in ("z", "da", "db", "off", "q_div", *(f"q_dot{k}" for k in range(1, n + 1))):
         cols[cid] = Column(cid, FIXED)
     gates = builtin_gates(n, _gate_cols(n))
     return cols, gates
@@ -131,7 +131,7 @@ def _row(**advice):
 def test_dot4_gate_row():
     """x=[2,3,9,1], w=[4,5,0,0], z=1, carry 0: the output must be 14;
     padded weights are zero so the padded inputs cannot matter."""
-    layout, by_name = _family_row(4, {"w0": [4], "w1": [5], "z": [1], "q_dot": [1]})
+    layout, by_name = _family_row(4, {"w0": [4], "w1": [5], "z": [1], "q_dot4": [1]})
     dot = by_name["DOT_4"]
     xs = {"x0": 2, "x1": 3, "x2": 9, "x3": 1}
     assert layout.eval_gate(dot, _row(**xs, carry=0, out=14), 0).value == 0
@@ -141,7 +141,7 @@ def test_dot4_gate_row():
 def test_dot3_gate_adds_its_carry():
     """The carry is added to the row's dot product: a chain of rows sums
     a long dot product, and the first carry holds the bias."""
-    layout, by_name = _family_row(3, {"w0": [1], "w1": [2], "w2": [3], "q_dot": [1]})
+    layout, by_name = _family_row(3, {"w0": [1], "w1": [2], "w2": [3], "q_dot3": [1]})
     dot = by_name["DOT_3"]
     xs = {"x0": 14, "x1": 9, "x2": 2}  # 14 + 18 + 6 = 38
     assert layout.eval_gate(dot, _row(**xs, carry=-7 % F.modulus, out=31), 0).value == 0
@@ -195,7 +195,7 @@ def test_sexpr_round_trip():
 def test_degree_accounting():
     cols, gates = _family_layout(4)
     by_name = {g.name: g for g in gates}
-    assert sorted(by_name) == ["DIV", "DOT_4"]
+    assert sorted(by_name) == ["DIV", "DOT_1", "DOT_2", "DOT_3", "DOT_4"]
     assert by_name["DOT_4"].poly.degree() == 2
     assert by_name["DIV"].poly.degree() == 2
 

@@ -6,7 +6,17 @@ import pytest
 from zkgrid import serialize
 from zkgrid.circuit import CircuitError
 from zkgrid.cli import main
-from zkgrid.model import save_model, save_tensor
+from zkgrid.model import (
+    INPUT_REF,
+    Layer,
+    ModelGraph,
+    QuantParams,
+    QuantTensor,
+    ScaleFactor,
+    save_model,
+    save_tensor,
+    validate,
+)
 from zkgrid.modelgen import random_input, two_tap_fc_model
 
 
@@ -35,7 +45,7 @@ def test_compile_stats_and_layout(workspace):
     layout = tmp / "layout.json"
     assert main(["compile", model, "--stats", str(stats), "--layout", str(layout)]) == 0
     doc = json.loads(stats.read_text())
-    assert doc["n_gates"] == 2  # DOT_8 and DIV
+    assert doc["n_gates"] == 9  # DOT_1 .. DOT_8 and DIV
     lay = serialize.load_layout(layout.read_bytes())
     assert lay.n_rows >= 1
 
@@ -175,6 +185,55 @@ def test_parameters_on_residual_layer_exit_2(workspace, capsys, cmd, key, value)
     cfg.write_text(json.dumps({"mode": "public_input_hidden_weights"}))
     assert main([cmd, str(bad), "--config", str(cfg)]) == 2
     assert "takes no weights or bias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [[0, 4, 2], [1.5, 2, 2], [True, 2, 2]])
+def test_input_shape_entries_must_be_positive_integers(tmp_path, capsys, shape):
+    """A zero dimension once loaded and crashed the compiler; 1.5 and true
+    were read as 1."""
+    q = QuantParams(0, ScaleFactor(1, 1))
+    conv = Layer(
+        kind="conv2d", input_refs=(INPUT_REF,), out_quant=q, padding="same",
+        weights=QuantTensor(shape=(1, 1, 1, 2), data=bytes([1, 1]), quant=q), bias=(0,),
+    )
+    pool = Layer(kind="average_pool", input_refs=(0,), out_quant=q)
+    out = Layer(kind="output", input_refs=(1,), out_quant=q)
+    doc = json.loads(save_model(validate(ModelGraph(layers=(conv, pool, out), input_shape=(1, 2, 2), input_quant=q))))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compile", str(path)]) == 0
+    doc["input_shape"] = shape
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["compile", str(path)]) == 2
+    assert "input shape" in capsys.readouterr().err
+
+
+def test_commit_config_sponge_modulus_mismatch_exit_2(workspace, capsys):
+    """commit refuses sponge params on another field, as compile does."""
+    tmp, model, inp = workspace
+    sponge = tmp / "sponge.json"
+    sponge.write_text(json.dumps({"modulus": "65537"}))
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "public_input_hidden_weights", "sponge_params": str(sponge)}))
+    assert main(["compile", model, "--config", str(cfg)]) == 2
+    assert main(["commit", model, "--config", str(cfg)]) == 2
+    assert "modulus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [{"action": "commit"}, ["MP", "commit"], {"actor": "MP", "action": "commit", "payload": 3}],
+    ids=["no actor", "not an object", "payload not an object"],
+)
+def test_protocol_run_malformed_log_line_exit_2(tmp_path, capsys, line):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"E": 1, "Z": "0.5", "P": "0.1", "N1": 10, "N2": 10}))
+    log = tmp_path / "log.jsonl"
+    good = {"actor": "MP", "action": "commit", "payload": {"hash": "w"}}
+    log.write_text(json.dumps(good) + "\n\n" + json.dumps(line) + "\n")
+    assert main(["protocol", "run", str(log), "--kind", "accuracy_full", "--params", str(params)]) == 2
+    assert "log line 3" in capsys.readouterr().err
 
 
 def test_protocol_sample_size_and_cost(capsys):

@@ -92,7 +92,7 @@ def test_accumulators_within_bounds_property():
     bounds = accumulator_bounds(g)
     for _ in range(100):
         inp = random_input(rng, g)
-        tr = run_inference(g, inp, check_bounds=False)
+        tr = run_inference(g, inp)
         for li, layer in enumerate(g.layers):
             if layer.kind == "output":
                 continue

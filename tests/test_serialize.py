@@ -319,14 +319,14 @@ BAD_LAYOUTS = {
     "deep s-expression": _edit(["gates", 0, "poly"], lambda s: "(+ " * 500 + s + ")" * 500),
     "unclosed s-expression": _edit(["gates", 0, "poly"], lambda s: "(+ " * 5000),
     "lookup selector is advice": _edit(["lookups", 0, "selector"], "g0:x0"),
-    "fixed rows unsorted": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [1, 1, 0, 1]),
-    "fixed row repeated": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [0, 1, 0, 1]),
-    "fixed row outside grid": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [0, 1, 4, 1]),
-    "fixed negative row": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [-1, 1]),
-    "fixed value above p/2": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [0, P // 2 + 1]),
-    "fixed value at -p/2": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [0, -(P // 2) - 1]),
-    "fixed zero listed": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [0, 0]),
-    "fixed odd length": lambda doc: doc["fixed"].__setitem__("g0:q_dot", [0, 1, 2]),
+    "fixed rows unsorted": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [1, 1, 0, 1]),
+    "fixed row repeated": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 1, 0, 1]),
+    "fixed row outside grid": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 1, 4, 1]),
+    "fixed negative row": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [-1, 1]),
+    "fixed value above p/2": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, P // 2 + 1]),
+    "fixed value at -p/2": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, -(P // 2) - 1]),
+    "fixed zero listed": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 0]),
+    "fixed odd length": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 1, 2]),
     "fixed for unknown column": lambda doc: doc["fixed"].__setitem__("nope", []),
     "table value p": lambda doc: _add_table_row(doc, P),
     "table value string": lambda doc: _add_table_row(doc, "1"),
@@ -434,7 +434,7 @@ def test_round_trips_are_exact_and_deterministic(mode):
 def test_dump_layout_refuses_non_canonical_fixed_cell():
     g = two_tap_fc_model()
     layout, _ = compile(g)
-    layout.fixed["g0:q_dot"][0] = layout.field.modulus
+    layout.fixed["g0:q_dot2"][0] = layout.field.modulus
     with pytest.raises(FormatError, match="canonical"):
         serialize.dump_layout(layout)
 
