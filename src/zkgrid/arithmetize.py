@@ -70,6 +70,7 @@ from .circuit import (
     CircuitLayout,
     Column,
     Copies,
+    FixedColumn,
     GateColumns,
     GateDef,
     LookupArg,
@@ -251,6 +252,7 @@ class _Builder:
         self.p = cfg.field.modulus
         self.columns: dict[str, Column] = {}
         self.col_number: dict[str, int] = {}
+        # Each fixed column's nonzero cells, set in increasing row order.
         self.fixed: dict[str, dict[int, int]] = {}
         self.gates: list[GateDef] = []
         self.tables: dict[str, LookupTable] = {}
@@ -279,7 +281,11 @@ class _Builder:
         return col_id
 
     def set_fixed(self, col_id: str, row: int, value: int) -> None:
-        self.fixed[col_id][row] = value % self.p
+        value %= self.p
+        if value:
+            self.fixed[col_id][row] = value
+        else:
+            self.fixed[col_id].pop(row, None)
 
     def gate_row(self) -> _Group:
         if not self.groups or self.groups[-1].cursor >= self.cfg.max_rows:
@@ -842,11 +848,9 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         )
     if bld.instance_map:
         bld.new_column("inst", "instance")
-    fixed = {}
-    for col_id, vals in bld.fixed.items():
-        fixed[col_id] = col = [0] * padded
-        for r, v in vals.items():
-            col[r] = v
+    # validate() below refuses a column whose cells were not set in
+    # increasing row order.
+    fixed = {col_id: FixedColumn(cells, padded) for col_id, cells in bld.fixed.items()}
     layout = CircuitLayout(
         field=bld.cfg.field,
         columns=bld.columns,

@@ -85,10 +85,6 @@ def make_synthetic_grid(
 
 def constraint_rows(layout: CircuitLayout) -> int:
     """Enabled (constraint, row) pairs: the unit of checker throughput."""
-    total = 0
-    for g in layout.gates:
-        total += sum(1 for v in layout.fixed[g.selector] if v != 0)
-    for lk in layout.lookups:
-        total += sum(1 for v in layout.fixed[lk.selector] if v != 0)
-    return total
+    selectors = [g.selector for g in layout.gates] + [lk.selector for lk in layout.lookups]
+    return sum(len(layout.fixed[sel].nonzero_rows()) for sel in selectors)
 

@@ -5,24 +5,29 @@ for table membership, every copy constraint and instance binding is
 compared directly.  This is exact verification of the arithmetization;
 there is no succinctness and no randomization.
 
-Gates are evaluated column-wise.  For each selector the enabled rows are
-listed once, and each node of a gate polynomial becomes one pass over
-those rows (constants stay scalars).  Node results are memoised per
-selector on the hashable expression subtree, so gates that share a
-sub-expression, such as the S-box terms of the sponge round gates,
-compute it once per row.  Values are reduced mod p only by pow5 and
+Gates are evaluated column-wise.  For each selector the enabled rows,
+its nonzero cells, are listed once, and each node of a gate polynomial
+becomes one pass over those rows (constants stay scalars).  Node
+results are memoised per selector on the hashable expression subtree,
+so gates that share a sub-expression, such as the S-box terms of the
+sponge round gates, compute it once per row.  Values are reduced mod p only by pow5 and
 once before the zero test; sums, differences and products are left
 unreduced, which is exact because reduction mod p is a ring homomorphism
 and Python ints do not overflow.
+
+Fixed columns stay sparse: a gate or lookup reads a fixed operand from
+the column's cell dict on its enabled rows only.  The few fixed columns
+that copies or instance bindings index, such as the zero column, are
+made dense once per check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, length_hint, mod, mul, sub
 
-from .circuit import Assignment, CircuitLayout, Expr
+from .circuit import Assignment, CircuitLayout, Expr, FixedColumn
 
 KERNEL = "python"
 
@@ -61,6 +66,13 @@ def _binop(fn, x, y):
     return fn(x, y)
 
 
+def _cells(col, rows):
+    """An iterator over col's cells on `rows`."""
+    if isinstance(col, FixedColumn):
+        return map(col.cells.get, rows, repeat(0))
+    return map(col.__getitem__, rows)
+
+
 def _eval(e: Expr, rows: list, cols: dict, memo: dict, p: int):
     """e over `rows`: a list with one value per row, or a scalar for
     constant subtrees.  Values are congruent to the field result mod p."""
@@ -70,7 +82,7 @@ def _eval(e: Expr, rows: list, cols: dict, memo: dict, p: int):
     if got is not None:
         return got
     if e.op == "cell":
-        out = list(map(cols[e.col].__getitem__, rows))
+        out = list(_cells(cols[e.col], rows))
     elif e.op == "pow5":
         x = _eval(e.args[0], rows, cols, memo, p)
         out = list(map(pow, x, repeat(5), repeat(p))) if isinstance(x, list) else pow(x, 5, p)
@@ -113,7 +125,7 @@ def _check_all(
     def rows_of(selector: str) -> list:
         rows = enabled.get(selector)
         if rows is None:
-            rows = enabled[selector] = list(compress(range(layout.n_rows), layout.fixed[selector]))
+            rows = enabled[selector] = layout.fixed[selector].nonzero_rows()
         return rows
 
     gates = sorted(layout.gates, key=lambda g: g.id)
@@ -153,9 +165,9 @@ def _check_all(
         rows = rows_of(lk.selector)
         table = table_sets[lk.table]
         if len(lk.columns) == 1:
-            keys = map(cols[lk.columns[0]].__getitem__, rows)
+            keys = _cells(cols[lk.columns[0]], rows)
         else:
-            keys = zip(*(map(cols[c].__getitem__, rows) for c in lk.columns))
+            keys = zip(*(_cells(cols[c], rows) for c in lk.columns))
         missing = [row for row, key in zip(rows, keys) if key not in table]
         row = _first_unassigned(cols, lk.columns, missing)
         if row is not None:
@@ -258,4 +270,10 @@ def check_parallel(
         for tid, t in layout.tables.items()
     }
     cols = {col_id: layout.resolve_column(col_id, assignment) for col_id in layout.columns}
+    flat, names = layout.copies.flat, layout.copies.names
+    indexed = {names[k] for k in {*flat[0::4], *flat[2::4]}}
+    indexed.update(col_id for (col_id, _), _ in layout.instance_map)
+    for col_id in indexed:
+        if isinstance(cols[col_id], FixedColumn):
+            cols[col_id] = cols[col_id].tolist()
     return _check_all(layout, cols, assignment.instance, cap, table_sets)

@@ -11,12 +11,17 @@ compiler appends to that list, the file loader hands it over once its
 types are checked, and the checker walks it directly; `CopyConstraint`
 objects are built only when a caller indexes or iterates the `Copies`
 sequence.
+
+Fixed columns are held sparse in the same way: each is a read-only
+`FixedColumn` over its nonzero cells, in increasing row order, which is
+also how the layout file writes them.  Every other row reads 0.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 from .field import Field, FieldElement
 
@@ -270,6 +275,63 @@ class Copies(Sequence):
         return f"Copies({len(self)} copies over {len(self.names)} columns)"
 
 
+class FixedColumn(Sequence):
+    """Read-only fixed column of `n_rows` cells held as its nonzero cells.
+
+    `cells` maps row to value in increasing row order and lists no zero
+    cell; every other row reads 0.  A cell is None (unassigned) only when
+    a caller packs a list holding None; the layout file cannot say so.
+    """
+
+    __slots__ = ("cells", "n_rows")
+    __hash__ = None
+
+    def __init__(self, cells: dict[int, int], n_rows: int):
+        self.cells = cells
+        self.n_rows = n_rows
+
+    @classmethod
+    def pack(cls, vals) -> "FixedColumn":
+        """The view of a full column: every cell that is not 0 is kept."""
+        vals = list(vals)
+        return cls({row: v for row, v in enumerate(vals) if v != 0}, len(vals))
+
+    def nonzero_rows(self) -> list[int]:
+        """The rows whose cell is truthy, in increasing order: for a
+        selector, the rows it enables."""
+        return list(compress(self.cells, self.cells.values()))
+
+    def tolist(self) -> list:
+        out = [0] * self.n_rows
+        for row, v in self.cells.items():
+            out[row] = v
+        return out
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, row: int):
+        r = row + self.n_rows if row < 0 else row
+        if not 0 <= r < self.n_rows:
+            raise IndexError("fixed row out of range")
+        return self.cells.get(r, 0)
+
+    def __iter__(self):
+        return map(self.cells.get, range(self.n_rows), repeat(0))
+
+    def count(self, value) -> int:
+        zeros = self.n_rows - len(self.cells) if value == 0 else 0
+        return zeros + list(self.cells.values()).count(value)
+
+    def __eq__(self, other):
+        if not isinstance(other, FixedColumn):
+            return NotImplemented
+        return self.n_rows == other.n_rows and self.cells == other.cells
+
+    def __repr__(self) -> str:
+        return f"FixedColumn({len(self.cells)} nonzero of {self.n_rows} rows)"
+
+
 @dataclass
 class Assignment:
     """Witness: advice column values plus the public instance vector.
@@ -295,7 +357,7 @@ class CircuitLayout:
     tables: dict[str, LookupTable]
     lookups: list[LookupArg]
     copies: Copies  # any iterable of CopyConstraint is packed on construction
-    fixed: dict[str, list[int]]  # fully populated, length n_rows
+    fixed: dict[str, FixedColumn]  # a full list of n_rows values is packed on construction
     instance_map: list[tuple[CellRef, int]]
     # Opaque witness-construction plan attached by the compiler; not part
     # of the serialized layout or of layout equality.
@@ -305,6 +367,10 @@ class CircuitLayout:
         names = list(self.columns)
         if not (isinstance(self.copies, Copies) and self.copies.names == names):
             self.copies = Copies.pack(self.copies, names)
+        self.fixed = {
+            col_id: vals if isinstance(vals, FixedColumn) else FixedColumn.pack(vals)
+            for col_id, vals in self.fixed.items()
+        }
 
     def _is_fixed(self, col_id: str) -> bool:
         col = self.columns.get(col_id)
@@ -317,8 +383,11 @@ class CircuitLayout:
         for col_id, vals in self.fixed.items():
             if not self._is_fixed(col_id):
                 raise CircuitError(f"fixed values for non-fixed column {col_id}")
-            if len(vals) != self.n_rows:
-                raise CircuitError(f"fixed column {col_id} not fully populated")
+            if vals.n_rows != self.n_rows:
+                raise CircuitError(f"fixed column {col_id} has {vals.n_rows} rows, the grid {self.n_rows}")
+            rows = list(vals.cells)   # distinct, as dict keys
+            if rows and not (0 <= rows[0] and rows[-1] < self.n_rows and rows == sorted(rows)):
+                raise CircuitError(f"fixed column {col_id}: cells not in increasing rows inside the grid")
         for col_id, col in self.columns.items():
             if col.kind == FIXED and col_id not in self.fixed:
                 raise CircuitError(f"fixed column {col_id} has no values")

@@ -15,7 +15,7 @@ import sys
 
 from . import arithmetize, checker, interpreter, model, serialize
 from .commit import SpongeParams, VisibilityMode, commit_model_io, input_elements, sponge_hash, weight_elements
-from .field import Field
+from .field import DEFAULT_MODULUS, Field
 from .protocol import (
     EconParams,
     Transition,
@@ -49,26 +49,39 @@ def _write(path: str, data: bytes | str) -> None:
             fh.write(data)
 
 
+def _config_field(doc: dict, key: str, types: tuple, default):
+    v = doc.get(key, default)
+    if type(v) not in types:
+        raise CliError(f"config field {key} must be {' or '.join(t.__name__ for t in types)}, not {type(v).__name__}")
+    return v
+
+
 def load_config(path: str | None) -> arithmetize.CompileConfig:
+    """The compile config at `path`, its sponge params checked against
+    its field, so that every command refuses the same bad config."""
     if path is None:
         return arithmetize.CompileConfig()
     doc = json.loads(_read(path))
+    if type(doc) is not dict:
+        raise CliError("config must be a JSON object")
     known = {"modulus", "gate_width", "max_rows", "mode", "sponge_params"}
     extra = set(doc) - known
     if extra:
         raise CliError(f"unknown config fields: {sorted(extra)}")
-    fld = Field(int(doc["modulus"])) if "modulus" in doc else Field()
-    mode = VisibilityMode(doc["mode"]) if doc.get("mode") else None
-    sponge = None
-    if "sponge_params" in doc:
-        sponge = SpongeParams.load(doc["sponge_params"])
-    return arithmetize.CompileConfig(
-        gate_width=int(doc.get("gate_width", 8)),
-        max_rows=int(doc.get("max_rows", 1 << 20)),
-        field=fld,
-        mode=mode,
-        sponge=sponge,
+    modulus = _config_field(doc, "modulus", (str, int), DEFAULT_MODULUS)
+    if type(modulus) is str and not modulus.isdigit():
+        raise CliError("config field modulus must be a decimal string")
+    mode = _config_field(doc, "mode", (str, type(None)), None)
+    sponge = _config_field(doc, "sponge_params", (str, type(None)), None)
+    cfg = arithmetize.CompileConfig(
+        gate_width=_config_field(doc, "gate_width", (int,), 8),
+        max_rows=_config_field(doc, "max_rows", (int,), 1 << 20),
+        field=Field(int(modulus)),
+        mode=VisibilityMode(mode) if mode else None,
+        sponge=SpongeParams.load(sponge) if sponge is not None else None,
     )
+    cfg.sponge_params()
+    return cfg
 
 
 def _load_model(path: str) -> model.ModelGraph:

@@ -138,16 +138,18 @@ class SpongeParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SpongeParams":
+        if type(doc) is not dict:
+            raise ValueError("sponge params must be a JSON object")
         extra = set(doc) - {"modulus", "t", "full_rounds", "partial_rounds", "seed"}
         if extra:
             raise ValueError(f"unknown sponge param fields: {sorted(extra)}")
-        return cls(
-            modulus=int(doc.get("modulus", DEFAULT_MODULUS)),
-            t=int(doc.get("t", 3)),
-            full_rounds=int(doc.get("full_rounds", 8)),
-            partial_rounds=int(doc.get("partial_rounds", 57)),
-            seed=doc.get("seed", DEFAULT_SEED),
-        )
+        modulus = doc.get("modulus", str(DEFAULT_MODULUS))
+        counts = [doc.get("t", 3), doc.get("full_rounds", 8), doc.get("partial_rounds", 57)]
+        seed = doc.get("seed", DEFAULT_SEED)
+        if not (type(modulus) is str and modulus.isdigit() and {type(n) for n in counts} == {int} and type(seed) is str):
+            raise ValueError("sponge params: modulus must be a decimal string, t and the round counts integers, seed a string")
+        t, full_rounds, partial_rounds = counts
+        return cls(modulus=int(modulus), t=t, full_rounds=full_rounds, partial_rounds=partial_rounds, seed=seed)
 
     @classmethod
     def load(cls, path: str) -> "SpongeParams":

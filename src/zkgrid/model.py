@@ -353,20 +353,38 @@ def _quant_to_json(q: QuantParams) -> dict:
     return {"zero_point": q.zero_point, "scale": {"a": q.scale.a, "b": q.scale.b}}
 
 
-def _quant_from_json(obj: dict, where: str) -> QuantParams:
-    try:
-        scale = obj["scale"]
-        return QuantParams(
-            zero_point=int(obj["zero_point"]),
-            scale=ScaleFactor(a=int(scale["a"]), b=int(scale["b"])),
-        )
-    except (KeyError, TypeError) as e:
-        raise ModelFormatError(f"{where}: malformed quant params ({e})") from e
+def _int(v, where: str) -> int:
+    """v itself when it is an integer: no bool, float or string."""
+    if type(v) is not int:
+        raise ModelFormatError(f"{where} must be an integer, not {type(v).__name__}")
+    return v
 
 
-def _tensor_from_json(obj: dict, quant: QuantParams, where: str) -> QuantTensor:
+def _ints(v, where: str) -> tuple[int, ...]:
+    if type(v) is not list:
+        raise ModelFormatError(f"{where} must be a list of integers, not {type(v).__name__}")
+    return tuple(_int(x, where) for x in v)
+
+
+def _object(v, where: str) -> dict:
+    if type(v) is not dict:
+        raise ModelFormatError(f"{where} must be an object, not {type(v).__name__}")
+    return v
+
+
+def _quant_from_json(obj, where: str) -> QuantParams:
+    obj = _object(obj, f"{where} quant params")
+    scale = _object(obj.get("scale"), f"{where} scale")
+    return QuantParams(
+        zero_point=_int(obj.get("zero_point"), f"{where} zero point"),
+        scale=ScaleFactor(a=_int(scale.get("a"), f"{where} scale a"), b=_int(scale.get("b"), f"{where} scale b")),
+    )
+
+
+def _tensor_from_json(obj, quant: QuantParams, where: str) -> QuantTensor:
+    obj = _object(obj, where)
+    shape = _ints(obj.get("shape"), f"{where} shape")
     try:
-        shape = tuple(int(d) for d in obj["shape"])
         data = base64.b64decode(obj["data_b64"], validate=True)
     except (KeyError, TypeError, ValueError) as e:
         raise ModelFormatError(f"{where}: malformed tensor ({e})") from e
@@ -389,9 +407,14 @@ def load_model(raw: bytes | str) -> ModelGraph:
     input_shape = doc.get("input_shape")
     if not isinstance(input_shape, list):
         raise ModelFormatError("input_shape must be a list")
+    if "input_quant" not in doc:
+        raise ModelFormatError("missing input_quant")
     input_quant = _quant_from_json(doc["input_quant"], "input_quant")
+    layer_objs = doc.get("layers", [])
+    if type(layer_objs) is not list:
+        raise ModelFormatError(f"layers must be a list, not {type(layer_objs).__name__}")
     layers = []
-    for i, lobj in enumerate(doc.get("layers", [])):
+    for i, lobj in enumerate(layer_objs):
         if not isinstance(lobj, dict):
             raise ModelFormatError(f"layer {i}: must be an object")
         extra = set(lobj) - _LAYER_KEYS
@@ -406,15 +429,15 @@ def load_model(raw: bytes | str) -> ModelGraph:
             # Weights are symmetric: zero point 0, unit scale on disk.
             wq = QuantParams(zero_point=0, scale=ScaleFactor(1, 1))
             weights = _tensor_from_json(lobj["weights"], wq, f"layer {i} weights")
-        bias = tuple(int(b) for b in lobj["bias"]) if "bias" in lobj else None
+        bias = _ints(lobj["bias"], f"layer {i} bias") if "bias" in lobj else None
         layers.append(
             Layer(
                 kind=kind,
-                input_refs=tuple(int(r) for r in lobj.get("inputs", [])),
+                input_refs=_ints(lobj.get("inputs", []), f"layer {i} inputs"),
                 out_quant=out_quant,
                 weights=weights,
                 bias=bias,
-                stride=int(lobj.get("stride", 1)),
+                stride=_int(lobj.get("stride", 1), f"layer {i} stride"),
                 padding=lobj.get("padding", "valid"),
             )
         )
@@ -458,7 +481,7 @@ def load_tensor(raw: bytes | str, quant: QuantParams) -> QuantTensor:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ModelFormatError(f"not valid JSON: {e}") from e
-    extra = set(doc) - {"shape", "data_b64"}
+    extra = set(_object(doc, "input tensor")) - {"shape", "data_b64"}
     if extra:
         raise ModelFormatError(f"unknown tensor fields: {sorted(extra)}")
     return _tensor_from_json(doc, quant, "input tensor")

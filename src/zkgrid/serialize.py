@@ -1,35 +1,49 @@
-"""On-disk formats for layouts (version 2) and witnesses (version 3).
+"""On-disk formats for layouts and witnesses, both binary and version 3.
 
-Layout: a complete JSON description (columns, gate polynomials as
-s-expressions, full table contents, fixed column values, copies, instance
-map) so a layout written by `compile` can be checked in a separate
-process.  The witness plan is deliberately not serialized; witnesses are
-regenerated by recompiling, which is deterministic.  Copies are one flat
-list `[a_col, a_row, b_col, b_row, ...]` whose column numbers index
-`columns`; it is the in-memory `circuit.Copies` store itself, written as
-it is and read back once its types are checked.  Each fixed column is a
-flat `[row, value, ...]` list of its nonzero cells, rows strictly
-increasing, values the signed representative in (-p/2, p/2] of the
-canonical residue.
+Both formats write integers little-endian and share one cell codec (a
+"cell column"): an assigned length L (`<I`), a width byte w in
+{1, 2, 4, 8, 32}, a 32-byte little-endian base B and L w-byte cells.
+For w <= 8 a cell is a little-endian signed integer d: the value is d
+when d >= 0 and B + d otherwise, and the most negative w-byte integer
+marks an unassigned cell.  For w = 32 (B = 0) a cell is the value as a
+32-byte unsigned integer and 32 bytes of 0xFF mark an unassigned cell.
+The writer picks the narrowest w, with B one above the column's largest
+value >= 2**63 (or 0 when there is none), so residues p - x of small
+negatives x take a few bytes without the codec knowing p.  Every cell in
+[0, 2**255) round trips exactly.  A column's cell L - 1 is never
+unassigned.
 
-Witness: binary.  `ZKWT`, then version, row, column and instance counts
+Layout: `ZKLY`, then version and header length (`<II`), then the header,
+a JSON object: modulus (a decimal string), n_rows, n_rows_logical,
+columns, gates (polynomials as s-expressions), lookups, tables as
+[id, arity, entries] triples, fixed as [column id, cells] pairs and the
+copies and bindings counts.  The sections follow in this order:
+
+* copies: 4 * copies integers `[a_col, a_row, b_col, b_row, ...]` whose
+  column numbers index `columns`; it is the in-memory `circuit.Copies`
+  store itself;
+* each fixed column in header order: its `cells` rows, strictly
+  increasing, then a cell column of their values, each a nonzero
+  canonical residue: the `circuit.FixedColumn` cells themselves;
+* each table in header order: a cell column of its entries * arity
+  values, canonical residues, the entries in sorted order;
+* instance bindings: 3 * bindings integers `[column number, row, index]`.
+
+Copies, rows and bindings are unsigned sections: a width byte w in
+{1, 2, 4}, then w-byte unsigned integers, as many as the header says.
+The witness plan is deliberately not serialized; witnesses are
+regenerated by recompiling, which is deterministic.
+
+Witness: `ZKWT`, then version, row, column and instance counts
 (`<IIII`), then the advice column ids (`<H` length + UTF-8) in sorted
 order.  Each advice column in that order, then the instance vector, is
-written as its assigned length L (`<I`: one past its last assigned row;
-the instance vector's own length), a width byte w in {1, 2, 4, 8, 32},
-a 32-byte little-endian base B and L w-byte cells.  The rows from L on
-are unassigned; a column's cell L - 1 never is.  For w <= 8 a cell is a
-little-endian signed integer d: the value is d when d >= 0 and B + d
-otherwise, and the most negative w-byte integer marks an unassigned
-cell.  For w = 32 (B = 0) a cell is the value as a 32-byte unsigned
-integer and 32 bytes of 0xFF mark an unassigned cell.  The writer picks
-the narrowest w, with B one above the column's largest value >= 2**63
-(or 0 when there is none), so residues p - x of small negatives x take a
-few bytes without the file knowing p.  Every cell in [0, 2**255) round
-trips exactly.  Both loaders refuse a grid taller than
-`circuit.MAX_ROWS` or whose columns of the file's kind (fixed in a
-layout, advice in a witness) hold more than `circuit.MAX_CELLS` cells,
-and the witness loader refuses versions 1 and 2.
+written as a cell column whose length is one past its last assigned row
+(the instance vector's own length); the rows from L on are unassigned.
+
+Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
+columns of the file's kind (fixed in a layout, advice in a witness) hold
+more than `circuit.MAX_CELLS` cells, and refuse older versions: JSON
+layouts (versions 1 and 2) and witness versions 1 and 2.
 """
 
 from __future__ import annotations
@@ -38,16 +52,18 @@ import json
 import struct
 import sys
 from array import array
-from itertools import compress, repeat
+from itertools import repeat
 from operator import itemgetter
 
 from .circuit import (
     MAX_CELLS,
     MAX_ROWS,
     Assignment,
+    CircuitError,
     CircuitLayout,
     Column,
     Copies,
+    FixedColumn,
     LookupArg,
     LookupTable,
     GateDef,
@@ -55,10 +71,12 @@ from .circuit import (
 )
 from .field import Field
 
-_LAYOUT_VERSION = 2
+_LAYOUT_VERSION = 3
 _WITNESS_VERSION = 3
 
-_MAGIC = b"ZKWT"
+_LAYOUT_MAGIC = b"ZKLY"
+_LAYOUT_PREFIX = struct.Struct("<4sII")
+_WITNESS_MAGIC = b"ZKWT"
 _HEADER = struct.Struct("<IIII")
 _LENGTH = struct.Struct("<I")
 _UNASSIGNED = b"\xff" * 32
@@ -67,6 +85,7 @@ _LOW_BYTES = bytes(range(0x80))
 _BIG = 1 << 63             # cells at or above this are stored relative to the base
 _LIMIT = 1 << 255          # cells must lie in [0, _LIMIT)
 _TYPECODE = {array(c).itemsize: c for c in "bhiq"}
+_UINT_TYPECODE = {array(c).itemsize: c for c in "BHI"}
 _SWAP = sys.byteorder == "big"
 
 
@@ -74,177 +93,7 @@ class FormatError(ValueError):
     pass
 
 
-# --- layout ------------------------------------------------------------------
-
-def _interleave(*parts: list) -> list:
-    out = [0] * sum(map(len, parts))
-    for k, part in enumerate(parts):
-        out[k :: len(parts)] = part
-    return out
-
-
-def _fixed_to_json(col_id: str, vals: list, p: int) -> list[int]:
-    rows = list(compress(range(len(vals)), vals))
-    nonzero = [vals[r] for r in rows]
-    if len(rows) + vals.count(0) != len(vals) or (nonzero and not (min(nonzero) > 0 and max(nonzero) < p)):
-        raise FormatError(f"fixed column {col_id} holds a value that is not a canonical residue")
-    half = p // 2
-    return _interleave(rows, [v - p if v > half else v for v in nonzero])
-
-
-def _copies_to_json(layout: CircuitLayout) -> list[int]:
-    if layout.copies.names != list(layout.columns):
-        raise FormatError("copies do not number the layout's columns")
-    return layout.copies.flat
-
-
-def layout_to_json(layout: CircuitLayout) -> dict:
-    p = layout.field.modulus
-    return {
-        "format": "zkgrid-layout",
-        "version": _LAYOUT_VERSION,
-        "modulus": str(p),
-        "n_rows": layout.n_rows,
-        "n_rows_logical": layout.n_rows_logical,
-        "columns": [{"id": c.id, "kind": c.kind} for c in layout.columns.values()],
-        "gates": [
-            {"id": g.id, "name": g.name, "selector": g.selector, "poly": g.poly.to_sexpr()}
-            for g in layout.gates
-        ],
-        "tables": {
-            t.id: {"arity": t.arity, "rows": sorted(list(r) for r in t.rows)}
-            for t in layout.tables.values()
-        },
-        "lookups": [
-            {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
-            for l in layout.lookups
-        ],
-        "copies": _copies_to_json(layout),
-        "fixed": {col: _fixed_to_json(col, vals, p) for col, vals in layout.fixed.items()},
-        "instance_map": [[cell[0], cell[1], idx] for cell, idx in layout.instance_map],
-    }
-
-
-def _need(ok: bool, what: str) -> None:
-    if not ok:
-        raise FormatError(f"malformed layout document: {what}")
-
-
-def _typed(xs, t: type) -> bool:
-    """xs is a list of items of exactly type t (for int: no bools or floats)."""
-    return type(xs) is list and set(map(type, xs)) <= {t}
-
-
-def _copies_from_json(flat, names: list) -> Copies:
-    """Copies over the flat list; validate() range-checks its columns and rows."""
-    _need(_typed(flat, int) and len(flat) % 4 == 0, "copies must be a flat list of 4-tuples of integers")
-    return Copies(flat, names)
-
-
-def _fixed_from_json(col_id: str, flat, n_rows: int, p: int) -> list[int]:
-    what = f"fixed column {col_id}"
-    _need(_typed(flat, int) and len(flat) % 2 == 0, f"{what} must be a flat [row, value, ...] integer list")
-    vals = [0] * n_rows
-    if flat:
-        rows, signed = flat[0::2], flat[1::2]
-        _need(rows[0] >= 0 and rows[-1] < n_rows, f"{what}: row outside the grid")
-        _need(all(map(int.__lt__, rows, rows[1:])), f"{what}: rows not strictly increasing")
-        _need(-p < 2 * min(signed) and 2 * max(signed) <= p, f"{what}: value outside (-p/2, p/2]")
-        _need(0 not in signed, f"{what}: zero cell listed")
-        for row, v in zip(rows, signed):
-            vals[row] = v % p
-    return vals
-
-
-def _table_from_json(tid: str, t, p: int) -> LookupTable:
-    _need(type(t) is dict and type(t.get("arity")) is int, f"table {tid} needs an integer arity")
-    rows = t.get("rows")
-    _need(_typed(rows, list), f"table {tid} rows must be lists")
-    cells = [v for r in rows for v in r]
-    _need(_typed(cells, int), f"table {tid} values must be integers")
-    _need(not cells or (min(cells) >= 0 and max(cells) < p), f"table {tid}: value not a canonical residue")
-    return LookupTable(id=tid, arity=t["arity"], rows=frozenset(map(tuple, rows)))
-
-
-def layout_from_json(doc: dict) -> CircuitLayout:
-    """A validated layout from a version-2 document.
-
-    Raises FormatError for a document that is not a well-formed v2
-    layout and CircuitError for one that describes an inconsistent
-    circuit.
-    """
-    if type(doc) is not dict or doc.get("format") != "zkgrid-layout" or doc.get("version") != _LAYOUT_VERSION:
-        raise FormatError(f"not a v{_LAYOUT_VERSION} layout document")
-    try:
-        modulus, n_rows, n_logical = doc["modulus"], doc["n_rows"], doc["n_rows_logical"]
-        _need(type(modulus) is str and modulus.isdigit(), "modulus must be a decimal string")
-        _need(type(n_rows) is int and 0 <= n_rows <= MAX_ROWS, f"n_rows must be an integer in [0, {MAX_ROWS}]")
-        _need(type(n_logical) is int and 0 <= n_logical <= n_rows, "n_rows_logical must lie in [0, n_rows]")
-        try:
-            fld = Field(int(modulus))
-        except ValueError as e:
-            raise FormatError(f"malformed layout document: {e}") from e
-        p = fld.modulus
-
-        columns = {}
-        for c in doc["columns"]:
-            _need(_typed([c["id"], c["kind"]], str), "column id and kind must be strings")
-            columns[c["id"]] = Column(c["id"], c["kind"])
-        names = list(columns)
-        _need(len(names) == len(doc["columns"]), "duplicate column id")
-
-        gates = []
-        for g in doc["gates"]:
-            _need(_typed([g["id"], g["name"], g["selector"], g["poly"]], str), "gate fields must be strings")
-            gates.append(GateDef(id=g["id"], name=g["name"], selector=g["selector"], poly=parse_sexpr(g["poly"])))
-
-        lookups = []
-        for l in doc["lookups"]:
-            _need(_typed(l["columns"], str) and _typed([l["id"], l["table"], l["selector"]], str),
-                  "lookup fields must be strings")
-            lookups.append(LookupArg(id=l["id"], table=l["table"], columns=tuple(l["columns"]), selector=l["selector"]))
-
-        fixed = doc["fixed"]
-        _need(type(fixed) is dict, "fixed must be an object")
-        _need(len(fixed) * n_rows <= MAX_CELLS, f"fixed columns of over {MAX_CELLS} cells")
-        bindings = doc["instance_map"]
-        _need(_typed(bindings, list) and set(map(len, bindings)) <= {3},
-              "instance bindings must be [column, row, index] triples")
-        cols, rows, idxs = [m[0] for m in bindings], [m[1] for m in bindings], [m[2] for m in bindings]
-        _need(_typed(cols, str) and _typed(rows, int) and _typed(idxs, int), "instance binding of the wrong type")
-        layout = CircuitLayout(
-            field=fld,
-            columns=columns,
-            n_rows=n_rows,
-            n_rows_logical=n_logical,
-            gates=gates,
-            tables={tid: _table_from_json(tid, t, p) for tid, t in doc["tables"].items()},
-            lookups=lookups,
-            copies=_copies_from_json(doc["copies"], names),
-            fixed={col: _fixed_from_json(col, flat, n_rows, p) for col, flat in fixed.items()},
-            instance_map=list(zip(zip(cols, rows), idxs)),
-        )
-    except (KeyError, TypeError, AttributeError) as e:
-        raise FormatError(f"malformed layout document: {e!r}") from e
-    layout.validate()
-    return layout
-
-
-def dump_layout(layout: CircuitLayout) -> bytes:
-    return json.dumps(layout_to_json(layout), sort_keys=True, separators=(",", ":")).encode("ascii")
-
-
-def load_layout(raw: bytes | str) -> CircuitLayout:
-    try:
-        doc = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise FormatError(f"layout is not valid JSON: {e}") from e
-    except RecursionError as e:
-        raise FormatError("layout JSON nests too deeply") from e
-    return layout_from_json(doc)
-
-
-# --- witness -----------------------------------------------------------------
+# --- cell columns ------------------------------------------------------------
 
 def _encode_column(vals: list) -> bytes:
     """Assigned length, width byte, base and cells of one column (see the
@@ -268,7 +117,9 @@ def _encode_column(vals: list) -> bytes:
     for w in (1, 2, 4, 8):
         if span < 1 << (8 * w - 1):
             none = -1 << (8 * w - 1)
-            cells = array(_TYPECODE[w], [none if v is None else v if v < _BIG else v - base for v in vals])
+            if base or len(present) != len(vals):
+                vals = [none if v is None else v if v < _BIG else v - base for v in vals]
+            cells = array(_TYPECODE[w], vals)
             if _SWAP:
                 cells.byteswap()
             return head + bytes((w,)) + base.to_bytes(32, "little") + cells.tobytes()
@@ -277,44 +128,26 @@ def _encode_column(vals: list) -> bytes:
     )
 
 
-def dump_witness(assignment: Assignment) -> bytes:
-    cols = sorted(assignment.advice)
-    n_rows = assignment.n_rows()
-    for col in cols:
-        if len(assignment.advice[col]) != n_rows:
-            raise FormatError("ragged advice columns")
-    if None in assignment.instance:
-        raise FormatError("instance values cannot be unassigned")
-    out = [_MAGIC, _HEADER.pack(_WITNESS_VERSION, n_rows, len(cols), len(assignment.instance))]
-    for col in cols:
-        cid = col.encode("utf-8")
-        out.append(struct.pack("<H", len(cid)))
-        out.append(cid)
-    out.extend(_encode_column(assignment.advice[col]) for col in cols)
-    out.append(_encode_column(assignment.instance))
-    return b"".join(out)
-
-
 def _refuse(what: str) -> None:
-    raise FormatError(f"witness cell {what}")
+    raise FormatError(f"cell {what}")
 
 
 def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
     """The assigned cells of the column at raw[pos:], at most `limit` of
     them, and the position after it."""
     if pos + 37 > len(raw):
-        raise FormatError("truncated witness column header")
+        raise FormatError("truncated cell column header")
     (n,) = _LENGTH.unpack_from(raw, pos)
     w = raw[pos + 4]
     base = int.from_bytes(raw[pos + 5 : pos + 37], "little")
     pos += 37
     if n > limit:
-        raise FormatError(f"column of {n} cells in a witness of {limit} rows")
+        raise FormatError(f"column of {n} cells where at most {limit} fit")
     end = pos + n * w
     if w not in (1, 2, 4, 8, 32):
         raise FormatError(f"bad cell width {w}")
     if end > len(raw):
-        raise FormatError("truncated witness column")
+        raise FormatError("truncated cell column")
     if w == 32:
         if base:
             raise FormatError("32-byte cells take no base")
@@ -322,7 +155,7 @@ def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
         ints = list(map(int.from_bytes, cells, repeat("little")))
         # Every cell with its top bit set must be the unassigned mark.
         if len(raw[pos + 31 : end : 32].translate(None, _LOW_BYTES)) != ints.count(_ALL_ONES):
-            raise FormatError("witness cell >= 2**255")
+            raise FormatError("cell >= 2**255")
         vals = [None if v == _ALL_ONES else v for v in ints]
     else:
         if base and not _BIG < base <= _LIMIT:
@@ -332,14 +165,259 @@ def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
         if _SWAP:
             cells.byteswap()
         none = -1 << (8 * w - 1)
-        vals = [d if d >= 0 else None if d == none else base + d if base else _refuse(f"{d} < 0") for d in cells]
+        if not raw[pos + w - 1 : end : w].translate(None, _LOW_BYTES):   # no cell's sign bit is set
+            vals = cells.tolist()
+        else:
+            vals = [d if d >= 0 else None if d == none else base + d if base else _refuse(f"{d} < 0") for d in cells]
     if vals and vals[-1] is None:
         raise FormatError("a column's last written cell is unassigned")
     return vals, end
 
 
+# --- layout ------------------------------------------------------------------
+
+def _need(ok: bool, what: str) -> None:
+    if not ok:
+        raise FormatError(f"malformed layout: {what}")
+
+
+def _typed(xs, t: type) -> bool:
+    """xs is a list of items of exactly type t (for int: no bools or floats)."""
+    return type(xs) is list and set(map(type, xs)) <= {t}
+
+
+def _encode_uints(xs: list, what: str) -> bytes:
+    """Width byte w, then xs as w-byte little-endian unsigned integers."""
+    top = max(xs, default=0)
+    w = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+    try:
+        cells = array(_UINT_TYPECODE[w], xs)
+    except OverflowError:
+        raise FormatError(f"{what}: integer outside [0, 2**32)") from None
+    if _SWAP:
+        cells.byteswap()
+    return bytes((w,)) + cells.tobytes()
+
+
+def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[list[int], int]:
+    """The `count` integers of the unsigned section at raw[pos:], and the
+    position after it."""
+    _need(pos < len(raw), f"{what}: truncated")
+    w = raw[pos]
+    _need(w in (1, 2, 4), f"{what}: bad integer width {w}")
+    end = pos + 1 + count * w
+    _need(end <= len(raw), f"{what}: truncated")
+    cells = array(_UINT_TYPECODE[w])
+    cells.frombytes(raw[pos + 1 : end])
+    if _SWAP:
+        cells.byteswap()
+    return cells.tolist(), end
+
+
+def _encode_residues(vals: list, p: int, what: str, low: int = 0) -> bytes:
+    """A cell column of vals, each in [low, p)."""
+    try:
+        ok = not vals or (min(vals) >= low and max(vals) < p)
+    except TypeError:   # an unassigned value
+        ok = False
+    if not ok:
+        raise FormatError(f"{what} holds a value outside [{low}, p): not a canonical residue")
+    return _encode_column(vals)
+
+
+def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str, low: int = 0) -> tuple[list[int], int]:
+    """The `count` values, each in [low, p), of the cell column at raw[pos:]."""
+    try:
+        vals, pos = _decode_column(raw, pos, count)
+    except FormatError as e:
+        raise FormatError(f"malformed layout: {what}: {e}") from None
+    _need(len(vals) == count, f"{what}: {len(vals)} values, the header says {count}")
+    try:
+        ok = not vals or (min(vals) >= low and max(vals) < p)
+    except TypeError:
+        ok = False
+    if not ok:
+        _need(None not in vals, f"{what}: unassigned value")
+        _need(not low or 0 not in vals, f"{what}: zero cell listed")
+        _need(False, f"{what}: value not a canonical residue")
+    return vals, pos
+
+
+def _layout_header(layout: CircuitLayout) -> dict:
+    return {
+        "modulus": str(layout.field.modulus),
+        "n_rows": layout.n_rows,
+        "n_rows_logical": layout.n_rows_logical,
+        "columns": [{"id": c.id, "kind": c.kind} for c in layout.columns.values()],
+        "gates": [
+            {"id": g.id, "name": g.name, "selector": g.selector, "poly": g.poly.to_sexpr()}
+            for g in layout.gates
+        ],
+        "lookups": [
+            {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
+            for l in layout.lookups
+        ],
+        "tables": [[t.id, t.arity, len(t.rows)] for t in layout.tables.values()],
+        "fixed": [[col_id, len(vals.cells)] for col_id, vals in layout.fixed.items()],
+        "copies": len(layout.copies),
+        "bindings": len(layout.instance_map),
+    }
+
+
+def dump_layout(layout: CircuitLayout) -> bytes:
+    p = layout.field.modulus
+    names = list(layout.columns)
+    if layout.copies.names != names:
+        raise FormatError("copies do not number the layout's columns")
+    number = {col_id: k for k, col_id in enumerate(names)}
+    bindings = []
+    for (col_id, row), idx in layout.instance_map:
+        if col_id not in number:
+            raise FormatError(f"instance binding to unknown column {col_id!r}")
+        bindings += (number[col_id], row, idx)
+    head = json.dumps(_layout_header(layout), sort_keys=True, separators=(",", ":")).encode("ascii")
+    out = [_LAYOUT_PREFIX.pack(_LAYOUT_MAGIC, _LAYOUT_VERSION, len(head)), head]
+    out.append(_encode_uints(layout.copies.flat, "copies"))
+    for col_id, vals in layout.fixed.items():
+        what = f"fixed column {col_id}"
+        out.append(_encode_uints(list(vals.cells), what))
+        out.append(_encode_residues(list(vals.cells.values()), p, what, low=1))
+    for t in layout.tables.values():
+        out.append(_encode_residues([v for r in sorted(t.rows) for v in r], p, f"table {t.id}"))
+    out.append(_encode_uints(bindings, "instance bindings"))
+    return b"".join(out)
+
+
+def _read_header(raw: bytes) -> tuple[dict, int]:
+    """The header object of a version-3 layout and the position after it."""
+    if raw[:4] != _LAYOUT_MAGIC:
+        if raw.lstrip()[:1] == b"{":
+            raise FormatError("a JSON layout of version 1 or 2; compile the model again to get a version-3 file")
+        raise FormatError("not a layout file")
+    _need(len(raw) >= _LAYOUT_PREFIX.size, "truncated header")
+    _, version, n_head = _LAYOUT_PREFIX.unpack_from(raw)
+    if version != _LAYOUT_VERSION:
+        raise FormatError(f"unsupported layout version {version}")
+    pos = _LAYOUT_PREFIX.size + n_head
+    _need(pos <= len(raw), "truncated header")
+    try:
+        doc = json.loads(raw[_LAYOUT_PREFIX.size : pos])
+    except ValueError as e:
+        raise FormatError(f"layout header is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise FormatError("layout header nests too deeply") from e
+    _need(type(doc) is dict, "the header must be an object")
+    return doc, pos
+
+
+def load_layout(raw: bytes) -> CircuitLayout:
+    """A validated layout from a version-3 file.
+
+    Raises FormatError for bytes that are not a well-formed v3 layout
+    and CircuitError for a file that describes an inconsistent circuit.
+    """
+    doc, pos = _read_header(raw)
+    try:
+        modulus, n_rows, n_logical = doc["modulus"], doc["n_rows"], doc["n_rows_logical"]
+        _need(type(modulus) is str and modulus.isdigit(), "modulus must be a decimal string")
+        _need(type(n_rows) is int and 0 <= n_rows <= MAX_ROWS, f"n_rows must be an integer in [0, {MAX_ROWS}]")
+        _need(type(n_logical) is int and 0 <= n_logical <= n_rows, "n_rows_logical must lie in [0, n_rows]")
+        try:
+            fld = Field(int(modulus))
+        except ValueError as e:
+            raise FormatError(f"malformed layout: {e}") from e
+        p = fld.modulus
+
+        columns = {}
+        for c in doc["columns"]:
+            _need(_typed([c["id"], c["kind"]], str), "column id and kind must be strings")
+            columns[c["id"]] = Column(c["id"], c["kind"])
+        names = list(columns)
+        _need(len(names) == len(doc["columns"]), "duplicate column id")
+
+        gates = []
+        for g in doc["gates"]:
+            _need(_typed([g["id"], g["name"], g["selector"], g["poly"]], str), "gate fields must be strings")
+            gates.append(GateDef(id=g["id"], name=g["name"], selector=g["selector"], poly=parse_sexpr(g["poly"])))
+
+        lookups = []
+        for l in doc["lookups"]:
+            _need(_typed(l["columns"], str) and _typed([l["id"], l["table"], l["selector"]], str),
+                  "lookup fields must be strings")
+            lookups.append(LookupArg(id=l["id"], table=l["table"], columns=tuple(l["columns"]), selector=l["selector"]))
+
+        fixed_counts, table_counts = doc["fixed"], doc["tables"]
+        n_copies, n_bindings = doc["copies"], doc["bindings"]
+        _need(_typed(fixed_counts, list) and all(
+            len(f) == 2 and type(f[0]) is str and type(f[1]) is int and f[1] >= 0 for f in fixed_counts
+        ), "fixed must list [column id, cell count] pairs")
+        _need(len({f[0] for f in fixed_counts}) == len(fixed_counts), "duplicate fixed column")
+        _need(len(fixed_counts) * n_rows <= MAX_CELLS, f"fixed columns of over {MAX_CELLS} cells")
+        _need(_typed(table_counts, list) and all(
+            len(t) == 3 and type(t[0]) is str and type(t[1]) is int and t[1] >= 1 and type(t[2]) is int and t[2] >= 0
+            for t in table_counts
+        ), "tables must list [id, arity >= 1, entry count] triples")
+        _need(len({t[0] for t in table_counts}) == len(table_counts), "duplicate table id")
+        _need(_typed([n_copies, n_bindings], int) and min(n_copies, n_bindings) >= 0,
+              "copy and binding counts must be integers >= 0")
+    except (KeyError, TypeError, AttributeError) as e:
+        raise FormatError(f"malformed layout: {e!r}") from e
+
+    flat, pos = _decode_uints(raw, pos, 4 * n_copies, "copies")
+    fixed = {}
+    for col_id, n in fixed_counts:
+        what = f"fixed column {col_id}"
+        rows, pos = _decode_uints(raw, pos, n, what)
+        vals, pos = _decode_residues(raw, pos, n, p, what, low=1)
+        fixed[col_id] = FixedColumn(dict(zip(rows, vals)), n_rows)
+        _need(len(fixed[col_id].cells) == n, f"{what}: row listed twice")
+    tables = {}
+    for tid, arity, n in table_counts:
+        vals, pos = _decode_residues(raw, pos, n * arity, p, f"table {tid}")
+        tables[tid] = LookupTable(id=tid, arity=arity, rows=frozenset(zip(*[iter(vals)] * arity)))
+    bound, pos = _decode_uints(raw, pos, 3 * n_bindings, "instance bindings")
+    _need(pos == len(raw), f"{len(raw) - pos} trailing bytes after the layout")
+    cols = bound[0::3]
+    if cols and max(cols) >= len(names):
+        raise CircuitError(f"instance binding references column number {max(cols)} outside the {len(names)} columns")
+    layout = CircuitLayout(
+        field=fld,
+        columns=columns,
+        n_rows=n_rows,
+        n_rows_logical=n_logical,
+        gates=gates,
+        tables=tables,
+        lookups=lookups,
+        copies=Copies(flat, names),
+        fixed=fixed,
+        instance_map=list(zip(zip(map(names.__getitem__, cols), bound[1::3]), bound[2::3])),
+    )
+    layout.validate()
+    return layout
+
+
+# --- witness -----------------------------------------------------------------
+
+def dump_witness(assignment: Assignment) -> bytes:
+    cols = sorted(assignment.advice)
+    n_rows = assignment.n_rows()
+    for col in cols:
+        if len(assignment.advice[col]) != n_rows:
+            raise FormatError("ragged advice columns")
+    if None in assignment.instance:
+        raise FormatError("instance values cannot be unassigned")
+    out = [_WITNESS_MAGIC, _HEADER.pack(_WITNESS_VERSION, n_rows, len(cols), len(assignment.instance))]
+    for col in cols:
+        cid = col.encode("utf-8")
+        out.append(struct.pack("<H", len(cid)))
+        out.append(cid)
+    out.extend(_encode_column(assignment.advice[col]) for col in cols)
+    out.append(_encode_column(assignment.instance))
+    return b"".join(out)
+
+
 def load_witness(raw: bytes) -> Assignment:
-    if len(raw) < 4 + _HEADER.size or raw[:4] != _MAGIC:
+    if len(raw) < 4 + _HEADER.size or raw[:4] != _WITNESS_MAGIC:
         raise FormatError("not a witness file")
     version, n_rows, n_cols, n_inst = _HEADER.unpack_from(raw, 4)
     if version != _WITNESS_VERSION:

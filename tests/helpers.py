@@ -1,9 +1,12 @@
 """Shared test machinery: the independent convolution oracle, the
-row-by-row constraint oracle and the single-cell tamper harness."""
+row-by-row constraint oracle, the single-cell tamper harness and a
+reference writer of version-3 layout files."""
 
 from __future__ import annotations
 
+import json
 import random
+import struct
 
 from zkgrid.checker import Violation, check
 from zkgrid.circuit import ADVICE
@@ -190,3 +193,70 @@ def row_oracle_check(layout, assignment, cap=1000):
             )
     out.sort(key=Violation.sort_key)
     return out[:cap]
+
+
+def layout_doc(layout) -> dict:
+    """The parts of a version-3 layout file, restated from the layout
+    without zkgrid.serialize: the header object without its counts, then
+    each section's integers.  `widths` maps a section to the width byte
+    layout_file writes for it: "copies", "bindings", "rows:<column>",
+    "values:<column>" or "table:<id>"."""
+    names = list(layout.columns)
+    return {
+        "header": {
+            "modulus": str(layout.field.modulus),
+            "n_rows": layout.n_rows,
+            "n_rows_logical": layout.n_rows_logical,
+            "columns": [{"id": c.id, "kind": c.kind} for c in layout.columns.values()],
+            "gates": [
+                {"id": g.id, "name": g.name, "selector": g.selector, "poly": g.poly.to_sexpr()}
+                for g in layout.gates
+            ],
+            "lookups": [
+                {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
+                for l in layout.lookups
+            ],
+        },
+        "copies": list(layout.copies.flat),
+        "fixed": [[col, list(vals.cells), list(vals.cells.values())] for col, vals in layout.fixed.items()],
+        "tables": [[t.id, t.arity, [v for row in sorted(t.rows) for v in row]] for t in layout.tables.values()],
+        "bindings": [v for (col, row), idx in layout.instance_map for v in (names.index(col), row, idx)],
+        "widths": {},
+    }
+
+
+def layout_sections(doc) -> list[bytes]:
+    """The byte strings of a layout file: magic, version and header, then
+    each section in file order.  Unsigned sections are written 4 bytes
+    wide and cell columns 32 bytes wide unless `widths` says otherwise;
+    a None cell is written as the unassigned mark.  Header counts the
+    document does not set are the sections' own."""
+    widths = doc["widths"]
+
+    def uints(key, xs):
+        w = widths.get(key, 4)
+        return bytes((w,)) + b"".join(x.to_bytes(w, "little") for x in xs)
+
+    def cells(key, xs):
+        w = widths.get(key, 32)
+        body = b"".join(b"\xff" * w if x is None else x.to_bytes(w, "little") for x in xs)
+        return struct.pack("<I", len(xs)) + bytes((w,)) + bytes(32) + body
+
+    header = {
+        "copies": len(doc["copies"]) // 4,
+        "bindings": len(doc["bindings"]) // 3,
+        "fixed": [[col, len(rows)] for col, rows, _ in doc["fixed"]],
+        "tables": [[tid, arity, len(entries) // arity] for tid, arity, entries in doc["tables"]],
+        **doc["header"],
+    }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    out = [b"ZKLY" + struct.pack("<II", 3, len(head)) + head, uints("copies", doc["copies"])]
+    for col, rows, vals in doc["fixed"]:
+        out += [uints(f"rows:{col}", rows), cells(f"values:{col}", vals)]
+    out += [cells(f"table:{tid}", entries) for tid, _, entries in doc["tables"]]
+    out.append(uints("bindings", doc["bindings"]))
+    return out
+
+
+def layout_file(doc) -> bytes:
+    return b"".join(layout_sections(doc))

@@ -1,5 +1,6 @@
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -237,8 +238,9 @@ def test_unassigned_sponge_cell_is_error(hidden_layout, col):
     if col in asg.advice:
         asg.advice[col][row] = None
     else:
-        layout = copy.deepcopy(layout)
-        layout.fixed[col][row] = None
+        vals = list(layout.fixed[col])
+        vals[row] = None
+        layout = replace(layout, fixed={**layout.fixed, col: vals})
     with pytest.raises(CheckError, match=f"unassigned cell in enabled row {row}"):
         check(layout, asg)
 
@@ -249,7 +251,7 @@ def test_unassigned_lookup_and_copy_cells_are_errors():
     with pytest.raises(CheckError, match="lookup lk_byte: unassigned cell in enabled row 9"):
         check(layout, asg)
     layout, asg = make_synthetic_grid(64)
-    layout.fixed["q"] = [0] * 64   # only the copies still read column a
+    layout = replace(layout, fixed={**layout.fixed, "q": [0] * 64})   # only the copies still read column a
     asg.advice["a"][1] = None
     with pytest.raises(CheckError, match="copy 0: unassigned"):
         check(layout, asg)

@@ -2,7 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import layout_doc, layout_file
 from zkgrid import serialize
 from zkgrid.circuit import CircuitError
 from zkgrid.cli import main
@@ -17,7 +20,8 @@ from zkgrid.model import (
     save_tensor,
     validate,
 )
-from zkgrid.modelgen import random_input, two_tap_fc_model
+from zkgrid.field import DEFAULT_MODULUS
+from zkgrid.modelgen import random_input, random_model, two_tap_fc_model
 
 
 @pytest.fixture()
@@ -42,7 +46,7 @@ def test_infer_writes_trace(workspace, capsys):
 def test_compile_stats_and_layout(workspace):
     tmp, model, inp = workspace
     stats = tmp / "stats.json"
-    layout = tmp / "layout.json"
+    layout = tmp / "layout.bin"
     assert main(["compile", model, "--stats", str(stats), "--layout", str(layout)]) == 0
     doc = json.loads(stats.read_text())
     assert doc["n_gates"] == 9  # DOT_1 .. DOT_8 and DIV
@@ -52,7 +56,7 @@ def test_compile_stats_and_layout(workspace):
 
 def test_full_pipeline_accepts(workspace):
     tmp, model, inp = workspace
-    layout = tmp / "layout.json"
+    layout = tmp / "layout.bin"
     wit = tmp / "w.bin"
     assert main(["compile", model, "--layout", str(layout)]) == 0
     assert main(["witness", model, inp, "-o", str(wit), "--layout", str(layout)]) == 0
@@ -61,7 +65,7 @@ def test_full_pipeline_accepts(workspace):
 
 def test_check_reports_violations_with_exit_1(workspace):
     tmp, model, inp = workspace
-    layout = tmp / "layout.json"
+    layout = tmp / "layout.bin"
     wit = tmp / "w.bin"
     main(["compile", model, "--layout", str(layout)])
     main(["witness", model, inp, "-o", str(wit)])
@@ -85,7 +89,7 @@ def test_check_reports_violations_with_exit_1(workspace):
 
 def test_check_malformed_witness_exit_2(workspace, capsys):
     tmp, model, inp = workspace
-    layout = tmp / "layout.json"
+    layout = tmp / "layout.bin"
     main(["compile", model, "--layout", str(layout)])
     bad = tmp / "junk.bin"
     bad.write_bytes(b"not a witness")
@@ -111,7 +115,7 @@ def test_witness_layout_cross_check_mismatch(workspace):
     # layout compiled with a different gate width must be rejected
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({"gate_width": 4}))
-    lay4 = tmp / "lay4.json"
+    lay4 = tmp / "lay4.bin"
     assert main(["compile", model, "--config", str(cfg), "--layout", str(lay4)]) == 0
     wit = tmp / "w.bin"
     assert main(["witness", model, inp, "-o", str(wit), "--layout", str(lay4)]) == 2
@@ -119,7 +123,7 @@ def test_witness_layout_cross_check_mismatch(workspace):
 
 def test_byte_identical_outputs_across_runs(workspace):
     tmp, model, inp = workspace
-    a, b = tmp / "a.json", tmp / "b.json"
+    a, b = tmp / "a.bin", tmp / "b.bin"
     main(["compile", model, "--layout", str(a)])
     main(["compile", model, "--layout", str(b)])
     assert a.read_bytes() == b.read_bytes()
@@ -221,6 +225,135 @@ def test_commit_config_sponge_modulus_mismatch_exit_2(workspace, capsys):
     assert "modulus" in capsys.readouterr().err
 
 
+def test_config_sponge_modulus_mismatch_without_mode_exit_2(workspace, capsys):
+    """Sponge params on another field are refused by every command that
+    reads the config, with or without a mode."""
+    tmp, model, inp = workspace
+    sponge = tmp / "sponge.json"
+    sponge.write_text(json.dumps({"modulus": "65537"}))
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"sponge_params": str(sponge)}))
+    for argv in (["compile", model], ["witness", model, inp, "-o", str(tmp / "w.bin")], ["commit", model]):
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert "sponge params disagree with field modulus" in capsys.readouterr().err
+
+
+def test_model_without_input_quant_exit_2(tmp_path, capsys):
+    doc = json.loads(save_model(two_tap_fc_model()))
+    del doc["input_quant"]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compile", str(path)]) == 2
+    assert "missing input_quant" in capsys.readouterr().err
+
+
+def _set_layer(key, value):
+    return lambda doc: doc["layers"][0].__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.__setitem__("layers", 3), "layers must be a list"),
+    (_set_layer("inputs", 5), "layer 0 inputs must be a list of integers"),
+    (_set_layer("bias", [None]), "layer 0 bias must be an integer"),
+    (_set_layer("bias", [1.0]), "layer 0 bias must be an integer"),
+    (_set_layer("stride", True), "layer 0 stride must be an integer"),
+    (lambda doc: doc["input_quant"].__setitem__("zero_point", "0"), "zero point must be an integer"),
+    (lambda doc: doc["layers"][0]["weights"].__setitem__("shape", [1, 2.0]), "shape must be an integer"),
+])
+def test_mistyped_model_field_exit_2(tmp_path, capsys, edit, message):
+    doc = json.loads(save_model(two_tap_fc_model()))
+    edit(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compile", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tensor, message", [
+    (5, "input tensor must be an object"),
+    ({"shape": 2, "data_b64": "AAA="}, "input tensor shape must be a list of integers"),
+])
+def test_mistyped_input_tensor_exit_2(workspace, capsys, tensor, message):
+    tmp, model, _ = workspace
+    bad = tmp / "bad_input.json"
+    bad.write_text(json.dumps(tensor))
+    assert main(["infer", model, str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"sponge_params": {"t": 3}}, "sponge_params must be str"),
+    ({"gate_width": None}, "gate_width must be int"),
+    ({"gate_width": 4.0}, "gate_width must be int"),
+    ({"max_rows": True}, "max_rows must be int"),
+    ({"mode": 3}, "mode must be str"),
+    ({"modulus": "0x11"}, "modulus must be a decimal string"),
+    ([], "config must be a JSON object"),
+])
+def test_mistyped_config_field_exit_2(workspace, capsys, config, message):
+    tmp, model, _ = workspace
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["compile", model, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+# Values a mutation writes into a model or config field: every JSON type,
+# and small integers only, so a mutated shape or width stays cheap.
+MUTANTS = [None, True, False, 1.5, -1, 0, 1, 2, 3, "", "x", [], [None], [1], {}, {"a": 1}]
+
+
+def _paths(node, path=()):
+    """The key and index paths of every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield (*path, k)
+        yield from _paths(v, (*path, k))
+
+
+def _mutate(doc, data):
+    """doc with one value replaced by a mutant, or one object key deleted."""
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    if isinstance(node, dict) and data.draw(st.booleans()):
+        del node[path[-1]]
+    else:
+        node[path[-1]] = data.draw(st.sampled_from(MUTANTS))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("mutants")
+    g = random_model(random.Random(3), max_hw=4, max_c=2, max_layers=3)
+    (tmp / "model.json").write_bytes(save_model(g))
+    (tmp / "sponge.json").write_text(json.dumps({"modulus": str(DEFAULT_MODULUS), "t": 3}))
+    return tmp
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_model_exits_0_or_2(mutation_dir, data):
+    doc = _mutate(json.loads((mutation_dir / "model.json").read_text()), data)
+    path = mutation_dir / "mutant.json"
+    path.write_text(json.dumps(doc))
+    assert main(["compile", str(path)]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_config_exits_0_or_2(mutation_dir, data):
+    doc = {
+        "modulus": str(DEFAULT_MODULUS), "gate_width": 4, "max_rows": 64,
+        "mode": "public_input_hidden_weights", "sponge_params": str(mutation_dir / "sponge.json"),
+    }
+    path = mutation_dir / "cfg.json"
+    path.write_text(json.dumps(_mutate(doc, data)))
+    assert main(["compile", str(mutation_dir / "model.json"), "--config", str(path)]) in (0, 2)
+
+
 @pytest.mark.parametrize(
     "line",
     [{"action": "commit"}, ["MP", "commit"], {"actor": "MP", "action": "commit", "payload": 3}],
@@ -288,36 +421,52 @@ def test_config_with_sponge_params_and_mode(workspace):
     sponge.write_text(json.dumps({"seed": "cli-test", "t": 3, "full_rounds": 8, "partial_rounds": 57}))
     cfg = tmp / "cfg.json"
     cfg.write_text(json.dumps({"mode": "hidden_input_hidden_weights", "sponge_params": str(sponge)}))
-    layout = tmp / "lay.json"
+    layout = tmp / "lay.bin"
     wit = tmp / "w.bin"
     assert main(["compile", model, "--config", str(cfg), "--layout", str(layout)]) == 0
     assert main(["witness", model, inp, "--config", str(cfg), "-o", str(wit)]) == 0
     assert main(["check", str(layout), str(wit)]) == 0
 
 
+U32_MAX = (1 << 32) - 1
+
+
 @pytest.mark.parametrize(
-    "field, value",
-    [(1, -1), (1, "n_rows"), (2, -1), (0, "inst"), (0, "no_such_column")],
+    "field, value, message",
+    [
+        (1, U32_MAX, "instance binding references row"),
+        (1, "n_rows", "instance binding references row"),
+        (0, "inst", "instance binding to 'inst'"),
+        (0, "columns", "instance binding references column number"),
+        (2, U32_MAX, None),
+    ],
 )
-def test_bad_instance_binding_refused(workspace, field, value):
-    """Bindings outside the grid, to the instance column, or with a
-    negative index would let a forged instance through; the layout
-    loader refuses them and `check` exits 2."""
+def test_bad_instance_binding_refused(workspace, field, value, message):
+    """Bindings outside the grid, to the instance column or to a column
+    number past the last would let a forged instance through; the layout
+    loader refuses them and `check` exits 2.  A file cannot hold a
+    negative index: the largest one loads, and `check` refuses it as
+    past the end of the instance vector."""
     tmp, model, inp = workspace
-    layout, wit = tmp / "layout.json", tmp / "w.bin"
+    layout, wit = tmp / "layout.bin", tmp / "w.bin"
     assert main(["compile", model, "--layout", str(layout)]) == 0
     assert main(["witness", model, inp, "-o", str(wit)]) == 0
-    doc = json.loads(layout.read_text())
-    for binding in doc["instance_map"]:
-        binding[field] = doc["n_rows"] if value == "n_rows" else value
-    bad_layout = tmp / "bad_layout.json"
-    bad_layout.write_text(json.dumps(doc))
+    doc = layout_doc(serialize.load_layout(layout.read_bytes()))
+    names = [c["id"] for c in doc["header"]["columns"]]
+    bound = doc["bindings"]
+    for k in range(field, len(bound), 3):
+        bound[k] = {"n_rows": doc["header"]["n_rows"], "inst": names.index("inst"), "columns": len(names)}.get(value, value)
+    bad_layout = tmp / "bad_layout.bin"
+    bad_layout.write_bytes(layout_file(doc))
     asg = serialize.load_witness(wit.read_bytes())
     asg.instance = [v + 1 for v in asg.instance]
     bad_wit = tmp / "bad.bin"
     bad_wit.write_bytes(serialize.dump_witness(asg))
-    with pytest.raises(CircuitError, match="instance binding"):
+    if message is None:
         serialize.load_layout(bad_layout.read_bytes())
+    else:
+        with pytest.raises(CircuitError, match=message):
+            serialize.load_layout(bad_layout.read_bytes())
     assert main(["check", str(bad_layout), str(bad_wit)]) == 2
 
 
@@ -325,7 +474,7 @@ def test_non_canonical_instance_value_exits_2(workspace, capsys):
     """An honest witness whose instance value v is written as v + p
     would have verified clean by residue; `check` now refuses it."""
     tmp, model, inp = workspace
-    layout, wit = tmp / "layout.json", tmp / "w.bin"
+    layout, wit = tmp / "layout.bin", tmp / "w.bin"
     assert main(["compile", model, "--layout", str(layout)]) == 0
     assert main(["witness", model, inp, "-o", str(wit)]) == 0
     assert main(["check", str(layout), str(wit)]) == 0

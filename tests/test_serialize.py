@@ -1,5 +1,5 @@
 """Layout and witness files: exact round trips, the cell widths the
-witness writer picks, and refusal of every malformed file with
+writers pick, and refusal of every malformed file with
 FormatError (or CircuitError for an inconsistent circuit) and exit
 code 2 from `zkgrid check`, never a traceback."""
 
@@ -7,11 +7,13 @@ import json
 import random
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import layout_doc, layout_file, layout_sections
 from zkgrid import serialize
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
 from zkgrid.circuit import MAX_CELLS, MAX_ROWS, Assignment, CircuitError
@@ -155,7 +157,7 @@ def test_witness_refuses_cells_outside_255_bits(bad):
     [
         (V1_WITNESS, "unsupported witness version 1"),
         (V2_WITNESS, "unsupported witness version 2"),
-        (witness_bytes(1, {"a": (1, 0, b"\x01\x02", 2)}), "column of 2 cells in a witness of 1 rows"),
+        (witness_bytes(1, {"a": (1, 0, b"\x01\x02", 2)}), "column of 2 cells where at most 1 fit"),
         (witness_bytes(2, {"a": (1, 0, b"\x01\x80")}), "last written cell is unassigned"),
         (witness_bytes(1, {"a": (1, 0, b"\x01")}, n_inst=2), "header says 2"),
         (witness_bytes(1, {"a": (3, 0, b"\x00\x00\x00")}), "bad cell width 3"),
@@ -186,16 +188,16 @@ def files(tmp_path_factory):
     layout, _ = compile(g)
     asg = assign_witness(layout, g, random_input(random.Random(3), g))
     lay_raw, wit_raw = serialize.dump_layout(layout), serialize.dump_witness(asg)
-    (tmp / "layout.json").write_bytes(lay_raw)
+    (tmp / "layout.bin").write_bytes(lay_raw)
     (tmp / "w.bin").write_bytes(wit_raw)
-    assert main(["check", str(tmp / "layout.json"), str(tmp / "w.bin")]) == 0
+    assert main(["check", str(tmp / "layout.bin"), str(tmp / "w.bin")]) == 0
     return tmp, lay_raw, wit_raw
 
 
 def _check(tmp, layout_raw: bytes, witness_raw: bytes) -> int:
-    (tmp / "l.json").write_bytes(layout_raw)
+    (tmp / "l.bin").write_bytes(layout_raw)
     (tmp / "x.bin").write_bytes(witness_raw)
-    return main(["check", str(tmp / "l.json"), str(tmp / "x.bin")])
+    return main(["check", str(tmp / "l.bin"), str(tmp / "x.bin")])
 
 
 def test_truncated_or_extended_files_exit_2(files):
@@ -215,12 +217,29 @@ def test_truncated_or_extended_files_exit_2(files):
             serialize.load_witness(wit + tail)
         assert _check(tmp, lay, wit + tail) == 2
     for tail in (b"0", b"{}", b"\xff"):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="trailing"):
             serialize.load_layout(lay + tail)
         assert _check(tmp, lay + tail, wit) == 2
-    for doc in (b"[]", b"{}", b"null", b"[" * 100_000):
+    for doc in (b"[]", b"{}", b"null", b"[" * 100_000, b"ZKLY"):
         with pytest.raises(FormatError):
             serialize.load_layout(doc)
+
+
+def test_layout_truncated_at_each_section_boundary_exits_2(files, capsys):
+    """A file cut at, just before or just after the end of its header or
+    of any section is refused; the reference file's sections mark the
+    cuts."""
+    tmp, lay, wit = files
+    sections = layout_sections(layout_doc(serialize.load_layout(lay)))
+    raw = b"".join(sections)
+    ends = [sum(map(len, sections[: k + 1])) for k in range(len(sections))]
+    assert ends[-1] == len(raw)
+    for end in ends:
+        for cut in sorted({end - 1, end, end + 1} & set(range(len(raw)))):
+            with pytest.raises(FormatError, match="truncated|trailing"):
+                serialize.load_layout(raw[:cut])
+            assert _check(tmp, raw[:cut], wit) == 2
+    assert "error: malformed layout" in capsys.readouterr().err
 
 
 def test_flipped_witness_header_refused(files):
@@ -246,6 +265,35 @@ def test_flipped_witness_header_refused(files):
     assert _check(tmp, lay, bytes(bad)) == 2
 
 
+def test_flipped_layout_bytes_sweep(tmp_path):
+    """Every byte of a layout file flipped in turn: the loader returns or
+    raises FormatError or CircuitError.  Flips of the prefix and of each
+    section's width byte and cell-column head also go through `check`,
+    which exits 2 whenever loading failed.  Gate width 2 keeps the file
+    small."""
+    g = two_tap_fc_model()
+    layout, _ = compile(g, CompileConfig(gate_width=2))
+    wit = serialize.dump_witness(assign_witness(layout, g, random_input(random.Random(3), g)))
+    lay = serialize.dump_layout(layout)
+    sections = layout_sections(layout_doc(layout))
+    raw = b"".join(sections)
+    starts = [sum(map(len, sections[:k])) for k in range(1, len(sections))]
+    heads = {*range(12), *(s + k for s in starts for k in range(6))}
+    for source in (lay, raw):
+        for pos in range(len(source)) if source is lay else sorted(heads):
+            for mask in (0xFF,) if source is lay else (0x01, 0xFF):
+                bad = bytearray(source)
+                bad[pos] ^= mask
+                try:
+                    serialize.load_layout(bytes(bad))
+                    failed = False
+                except (FormatError, CircuitError):
+                    failed = True
+                if source is raw:
+                    code = _check(tmp_path, bytes(bad), wit)
+                    assert code == 2 if failed else code in (0, 1, 2)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_flipped_bytes_never_crash(files, data):
@@ -255,10 +303,7 @@ def test_flipped_bytes_never_crash(files, data):
     in_layout = data.draw(st.booleans())
     raw = bytearray(lay if in_layout else wit)
     pos = data.draw(st.integers(0, len(raw) - 1))
-    if in_layout:
-        raw[pos] = data.draw(st.sampled_from(b'0123456789-"[]{},:ax '))
-    else:
-        raw[pos] ^= data.draw(st.integers(1, 255))
+    raw[pos] ^= data.draw(st.integers(1, 255))
     try:
         (serialize.load_layout if in_layout else serialize.load_witness)(bytes(raw))
         failed = False
@@ -270,86 +315,145 @@ def test_flipped_bytes_never_crash(files, data):
         assert code == 2
 
 
-def _v1_layout(doc: dict) -> dict:
-    """The same layout in the version-1 shape: per-copy lists and full
-    fixed columns."""
-    names = [c["id"] for c in doc["columns"]]
-    n, p = doc["n_rows"], int(doc["modulus"])
-    fixed = {}
-    for col, flat in doc["fixed"].items():
-        fixed[col] = [0] * n
-        for row, v in zip(flat[0::2], flat[1::2]):
-            fixed[col][row] = v % p
-    flat = doc["copies"]
-    copies = [[names[flat[i]], flat[i + 1], names[flat[i + 2]], flat[i + 3]] for i in range(0, len(flat), 4)]
-    return {**doc, "version": 1, "fixed": fixed, "copies": copies}
+# A version-2 layout: JSON with a one-row fixed selector "q" over advice "a".
+V2_LAYOUT = json.dumps({
+    "format": "zkgrid-layout", "version": 2, "modulus": str(P), "n_rows": 1, "n_rows_logical": 1,
+    "columns": [{"id": "q", "kind": "fixed"}, {"id": "a", "kind": "advice"}],
+    "gates": [{"id": "g", "name": "G", "selector": "q", "poly": "(col a)"}],
+    "tables": {}, "lookups": [], "copies": [], "fixed": {"q": [0, 1]}, "instance_map": [],
+}).encode()
 
 
-def _edit(path: str, value):
-    """A layout edit: set the field at `path` (keys and list indices)."""
+def test_v1_and_v2_layouts_refused(files, capsys):
+    tmp, _, wit = files
+    v1 = json.loads(V2_LAYOUT)
+    v1.update(version=1, fixed={"q": [1]})
+    for raw in (V2_LAYOUT, json.dumps(v1).encode()):
+        with pytest.raises(FormatError, match="JSON layout of version 1 or 2"):
+            serialize.load_layout(raw)
+        assert _check(tmp, raw, wit) == 2
+        assert "compile the model again" in capsys.readouterr().err
+
+
+def _edit(key, value):
+    """A header edit: set the field at key path `key` (keys and list indices)."""
     def apply(doc):
-        *head, last = path
-        node = doc
+        *head, last = key
+        node = doc["header"]
         for k in head:
             node = node[k]
         node[last] = value(node[last]) if callable(value) else value
     return apply
 
 
+def _copy_cell(i, value):
+    return lambda doc: doc["copies"].__setitem__(i, value)
+
+
+def _fixed(col, rows, vals):
+    """Replace fixed column `col`'s cells."""
+    def apply(doc):
+        entry = next(f for f in doc["fixed"] if f[0] == col)
+        entry[1:] = [rows, vals]
+    return apply
+
+
 def _add_table_row(doc, value):
-    table = next(iter(doc["tables"].values()))
-    table["rows"].append([value] * table["arity"])
+    tid, arity, entries = doc["tables"][0]
+    entries += [value] * arity
 
 
-def _first_nonempty_fixed(doc):
-    return next(c for c, flat in sorted(doc["fixed"].items()) if len(flat) >= 2)
+def _width(key, w):
+    """Write the section named `key`, or key(doc), with width byte w."""
+    return lambda doc: doc["widths"].__setitem__(key(doc) if callable(key) else key, w)
 
+
+def _first_fixed_values(doc):
+    return "values:" + next(col for col, rows, _ in doc["fixed"] if rows)
+
+
+def _first_table(doc):
+    return "table:" + doc["tables"][0][0]
+
+
+U32_MAX = (1 << 32) - 1
+SELECTOR = "g0:q_dot2"   # enables the model's one row
 
 BAD_LAYOUTS = {
-    "v1 layout": lambda doc: doc.update(_v1_layout(doc)),
-    "string fixed value": lambda doc: doc["fixed"][_first_nonempty_fixed(doc)].__setitem__(1, "1"),
-    "string copy row": _edit(["copies", 1], str),
-    "float copy row": _edit(["copies", 1], lambda r: r + 0.0),
-    "copy column index out of range": _edit(["copies", 0], 10_000),
-    "negative copy column index": _edit(["copies", 2], -1),
-    "copy row outside grid": _edit(["copies", 3], 1 << 20),
+    "fixed value width 3": _width(_first_fixed_values, 3),
+    "copy width 3": _width("copies", 3),
+    "copy width 8": _width("copies", 8),
+    "copy column index out of range": _copy_cell(0, 10_000),
+    "copy column index 2**32 - 1": _copy_cell(2, U32_MAX),
+    "copy row outside grid": _copy_cell(3, 1 << 20),
     "ragged copies": lambda doc: doc["copies"].pop(),
+    "copy count above the section": _edit(["copies"], 1_000_000),
     "truncated s-expression": _edit(["gates", 0, "poly"], lambda s: s[:-1]),
     "s-expression bad constant": _edit(["gates", 0, "poly"], lambda s: "(+ 1 x)"),
     "deep s-expression": _edit(["gates", 0, "poly"], lambda s: "(+ " * 500 + s + ")" * 500),
     "unclosed s-expression": _edit(["gates", 0, "poly"], lambda s: "(+ " * 5000),
     "lookup selector is advice": _edit(["lookups", 0, "selector"], "g0:x0"),
-    "fixed rows unsorted": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [1, 1, 0, 1]),
-    "fixed row repeated": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 1, 0, 1]),
-    "fixed row outside grid": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 1, 4, 1]),
-    "fixed negative row": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [-1, 1]),
-    "fixed value above p/2": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, P // 2 + 1]),
-    "fixed value at -p/2": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, -(P // 2) - 1]),
-    "fixed zero listed": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 0]),
-    "fixed odd length": lambda doc: doc["fixed"].__setitem__("g0:q_dot2", [0, 1, 2]),
-    "fixed for unknown column": lambda doc: doc["fixed"].__setitem__("nope", []),
+    "fixed rows unsorted": _fixed(SELECTOR, [1, 0], [1, 1]),
+    "fixed row repeated": _fixed(SELECTOR, [0, 0], [1, 1]),
+    "fixed row outside grid": lambda doc: _fixed(SELECTOR, [0, doc["header"]["n_rows"]], [1, 1])(doc),
+    "fixed row 2**32 - 1": _fixed(SELECTOR, [U32_MAX], [1]),
+    "fixed value p": _fixed(SELECTOR, [0], [P]),
+    "fixed value 2**255": _fixed(SELECTOR, [0], [1 << 255]),
+    "fixed zero listed": _fixed(SELECTOR, [0], [0]),
+    "fixed unassigned value": _fixed(SELECTOR, [0], [None]),
+    "fixed more rows than values": _fixed(SELECTOR, [0, 1], [1]),
+    "fixed more values than rows": _fixed(SELECTOR, [0], [1, 1]),
+    "fixed count string": lambda doc: doc["header"].update(fixed=[[c, str(len(r))] for c, r, _ in doc["fixed"]]),
+    "fixed for unknown column": lambda doc: doc["fixed"].append(["nope", [], []]),
+    "fixed column listed twice": lambda doc: doc["fixed"].append(list(doc["fixed"][0])),
     "table value p": lambda doc: _add_table_row(doc, P),
-    "table value string": lambda doc: _add_table_row(doc, "1"),
+    "table value width 3": _width(_first_table, 3),
+    "table arity 0": lambda doc: doc["header"].update(tables=[[t, 0, 0] for t, _, _ in doc["tables"]]),
+    "table listed twice": lambda doc: doc["tables"].append(list(doc["tables"][0])),
     "boolean n_rows": _edit(["n_rows"], True),
     "modulus not prime": _edit(["modulus"], str(P + 2)),
     "modulus as number": _edit(["modulus"], P),
-    "duplicate column": lambda doc: doc["columns"].append(dict(doc["columns"][1])),
+    "duplicate column": lambda doc: doc["header"]["columns"].append(dict(doc["header"]["columns"][1])),
     "column kind": _edit(["columns", 1, "kind"], "advise"),
     "column not an object": _edit(["columns", 1], "io0"),
-    "instance binding row string": _edit(["instance_map", 0, 1], "0"),
-    "instance binding short": _edit(["instance_map", 0], ["io0", 0]),
+    "instance binding width 3": _width("bindings", 3),
+    "instance binding count string": _edit(["bindings"], "1"),
+    "instance binding short": lambda doc: doc["bindings"].pop(),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BAD_LAYOUTS))
 def test_malformed_layout_exit_2(files, name):
     tmp, lay, wit = files
-    doc = json.loads(lay)
+    doc = layout_doc(serialize.load_layout(lay))
     BAD_LAYOUTS[name](doc)
-    raw = json.dumps(doc).encode()
+    raw = layout_file(doc)
     with pytest.raises((FormatError, CircuitError)):
         serialize.load_layout(raw)
     assert _check(tmp, raw, wit) == 2
+
+
+@pytest.mark.parametrize("raw, match", [
+    (b"ZKLY" + struct.pack("<II", 4, 2) + b"{}", "unsupported layout version 4"),
+    (b"ZKLY" + struct.pack("<II", 3, 2) + b"[]", "the header must be an object"),
+    (b"ZKLY" + struct.pack("<II", 3, 2) + b"{\xff", "not valid JSON"),
+    (b"ZKLY" + struct.pack("<II", 3, 3) + b"{}", "truncated header"),
+    (b"ZKLY\x03\x00", "truncated header"),
+])
+def test_malformed_layout_prefix_refused(raw, match):
+    with pytest.raises(FormatError, match=match):
+        serialize.load_layout(raw)
+
+
+def test_reference_file_loads_as_dump_writes_it(files):
+    """The reference writer's 4-byte integers and 32-byte cells load to
+    the same layout as dump_layout's narrowest widths."""
+    _, lay, _ = files
+    layout = serialize.load_layout(lay)
+    raw = layout_file(layout_doc(layout))
+    assert raw != lay
+    assert serialize.load_layout(raw) == layout
+    assert serialize.dump_layout(serialize.load_layout(raw)) == lay
 
 
 def test_v1_witness_refused_by_cli(files):
@@ -366,9 +470,9 @@ def test_layout_taller_than_max_rows_exits_2(files, capsys):
     """A layout's n_rows is refused before any column is sized by it."""
     tmp, lay, wit = files
     for n_rows in (MAX_ROWS + 1, 10**15):
-        doc = json.loads(lay)
-        doc["n_rows"] = n_rows
-        assert _check(tmp, json.dumps(doc).encode(), wit) == 2
+        doc = layout_doc(serialize.load_layout(lay))
+        doc["header"]["n_rows"] = n_rows
+        assert _check(tmp, layout_file(doc), wit) == 2
         assert "n_rows must be an integer in" in capsys.readouterr().err
 
 
@@ -393,12 +497,13 @@ def test_witness_of_many_empty_columns_exits_2(files, capsys):
 
 
 def test_layout_of_many_empty_fixed_columns_exits_2(files, capsys):
-    """Likewise each `[]` fixed column would become n_rows zeros."""
+    """An empty fixed column costs a few bytes but the checker may make
+    it n_rows cells: 10,000 of them at MAX_ROWS rows are refused."""
     tmp, lay, wit = files
-    doc = json.loads(lay)
-    doc["n_rows"] = MAX_ROWS
-    doc["fixed"].update({f"f{i}": [] for i in range(10_000)})
-    assert _check(tmp, json.dumps(doc).encode(), wit) == 2
+    doc = layout_doc(serialize.load_layout(lay))
+    doc["header"]["n_rows"] = MAX_ROWS
+    doc["fixed"] += [[f"f{i}", [], []] for i in range(10_000)]
+    assert _check(tmp, layout_file(doc), wit) == 2
     assert f"fixed columns of over {MAX_CELLS} cells" in capsys.readouterr().err
 
 
@@ -416,13 +521,14 @@ def test_witness_is_read_whole_before_padding():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+@pytest.mark.parametrize("mode", [None, *VisibilityMode])
 def test_round_trips_are_exact_and_deterministic(mode):
     rng = random.Random(8)
     g = random_model(rng, max_hw=5, max_c=3, max_layers=3)
     layout, _ = compile(g, CompileConfig(mode=mode))
     asg = assign_witness(layout, g, random_input(rng, g))
     lay_raw, wit_raw = serialize.dump_layout(layout), serialize.dump_witness(asg)
+    assert lay_raw == serialize.dump_layout(compile(g, CompileConfig(mode=mode))[0])
     assert serialize.load_layout(lay_raw) == layout
     assert serialize.load_witness(wit_raw) == asg
     assert serialize.dump_layout(serialize.load_layout(lay_raw)) == lay_raw
@@ -434,15 +540,20 @@ def test_round_trips_are_exact_and_deterministic(mode):
 def test_dump_layout_refuses_non_canonical_fixed_cell():
     g = two_tap_fc_model()
     layout, _ = compile(g)
-    layout.fixed["g0:q_dot2"][0] = layout.field.modulus
+    vals = list(layout.fixed["g0:q_dot2"])
+    vals[0] = layout.field.modulus
+    layout = replace(layout, fixed={**layout.fixed, "g0:q_dot2": vals})
     with pytest.raises(FormatError, match="canonical"):
         serialize.dump_layout(layout)
 
 
-def test_fixed_values_at_the_signed_bounds_load(files):
+def test_fixed_values_at_the_residue_bounds_load(files):
+    """1 and p - 1, the extreme nonzero residues, load as themselves
+    (p and 0 are refused above)."""
     _, lay, _ = files
-    doc = json.loads(lay)
-    doc["fixed"]["g0:w0"] = [0, P // 2]
-    doc["fixed"]["g0:w1"] = [0, -(P // 2)]
-    layout = serialize.load_layout(json.dumps(doc))
-    assert (layout.fixed["g0:w0"][0], layout.fixed["g0:w1"][0]) == (P // 2, P // 2 + 1)
+    doc = layout_doc(serialize.load_layout(lay))
+    _fixed("g0:w0", [0], [P - 1])(doc)
+    _fixed("g0:w1", [0], [1])(doc)
+    layout = serialize.load_layout(layout_file(doc))
+    assert (layout.fixed["g0:w0"][0], layout.fixed["g0:w1"][0]) == (P - 1, 1)
+    assert serialize.load_layout(serialize.dump_layout(layout)) == layout
