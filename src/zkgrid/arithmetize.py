@@ -31,6 +31,16 @@ rows are exhausted, and clip tables are shared whenever the scale key
 matches, widening the key's domain to the union of the requesting
 layers' ranges.  No lookup table may exceed LOOKUP_CAP entries.
 
+Lowering goes a layer at a time.  Each layer's taps are one table: per
+output position, the source offsets of its window (padding clipped) and
+the matching weight offsets, shared by every output channel; per channel,
+a source base and a weight base.  The layer's rows, fixed cells and
+copies are emitted from that table straight into the builder's packed
+copy list and sparse fixed columns, with each group's columns numbered
+once.  The witness plan keeps one record per layer (LayerPlan): its z_in,
+its DIV key (a, b, off, z_out) and, per site, the x source cells, the
+weights, the bias and the (group, row) of each row of the chain.
+
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
 layer's act; the witness reads x from that cell.  The instance vector is
 the compiled instance map: logits, then raw input codes or the input
@@ -141,12 +151,34 @@ class CircuitStats:
     n_lookup_args: int
     n_copy_constraints: int
     max_gate_degree: int
+    # Rows, copies and enabled lookup rows of each part of the grid, in
+    # grid order: "staging", then "layer<i>" for each lowered layer, then
+    # "sponge" (which has no lookups).  A copy belongs to the part that
+    # emitted it, a lookup row to the part of the row its selector enables.
+    regions: dict
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
 
 
 # --- witness plan -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class LayerPlan:
+    """One lowered layer, as the witness fills it."""
+
+    layer: int
+    z_in: int
+    a: int
+    b: int
+    off: int
+    z_out: int
+    # Per site, in flat order: (x source cells, weights, bias, rows).  Row
+    # r of `rows`, a (group, row) pair, holds taps r*N .. r*N + N - 1 and
+    # the last row carries DIV.  A chain may cross into a new group, so
+    # its rows need not be contiguous.
+    sites: list
+
 
 @dataclass(frozen=True)
 class DotRowSpec:
@@ -207,8 +239,28 @@ class WitnessPlan:
     # PACK chains) with its value; none of it depends on the input.
     weight_cells: list | None
     weight_values: list | None
-    site_plans: list
+    layer_plans: list
     sponges: list
+
+    @property
+    def site_plans(self) -> list[SitePlan]:
+        """One record per site and per row, built from `layer_plans` on
+        each call; compile and witness do not use it."""
+        n = self.gate_width
+        out = []
+        for lp in self.layer_plans:
+            for flat, (x_srcs, w_ints, bias, rows) in enumerate(lp.sites):
+                specs = [
+                    DotRowSpec(group=g, row=row, x_srcs=tuple(x_srcs[lo : lo + n]), w_ints=tuple(w_ints[lo : lo + n]))
+                    for lo, (g, row) in zip(range(0, len(x_srcs), n), rows)
+                ]
+                last = specs.pop()
+                div = DivRowSpec(
+                    group=last.group, row=last.row, x_srcs=last.x_srcs, w_ints=last.w_ints,
+                    a=lp.a, b=lp.b, off=lp.off, z_out=lp.z_out,
+                )
+                out.append(SitePlan(lp.layer, flat, lp.z_in, bias, tuple(specs), div))
+        return out
 
 
 # --- grid builder -----------------------------------------------------------
@@ -243,6 +295,13 @@ class _Group:
         )
         builder.gates.extend(builtin_gates(n, cols, prefix=f"{g}:"))
         self.lookup_selectors: dict[str, str] = {}
+        # Column numbers, as the packed copy list holds them.
+        num = builder.col_number
+        self.x_nums = tuple(num[c] for c in self.xs)
+        self.w_nums = tuple(num[c] for c in self.ws)
+        self.carry_num, self.out_num, self.const_num = num[self.carry], num[self.out], num[self.const]
+        # The public weight lanes' sparse cells.
+        self.w_fixed = tuple(builder.fixed.get(c) for c in self.ws)
 
 
 class _Builder:
@@ -271,6 +330,7 @@ class _Builder:
         # layer index -> (staged int8 weight cells, bias cells)
         self.param_cells: dict[int, tuple[list, list]] = {}
         self.pack_cols: tuple | None = None
+        self.regions: dict[str, dict[str, int]] = {}   # CircuitStats.regions
         self.zero_col = self.new_column("zero", FIXED)
 
     def new_column(self, col_id: str, kind: str) -> str:
@@ -414,13 +474,6 @@ def _next_pow2(n: int) -> int:
     return out
 
 
-def _flatten_index(shape: tuple[int, ...], idx: tuple[int, ...]) -> int:
-    flat = 0
-    for d, i in zip(shape, idx):
-        flat = flat * d + i
-    return flat
-
-
 def build_clip_table(
     bounds: tuple[int, int],
     s: ScaleFactor,
@@ -453,7 +506,12 @@ def _clip_table(a: int, b: int, z_out: int, d_lo: int, d_hi: int, p: int) -> tup
             f" exceed the modulus {p}; use a larger field"
         )
     off = max(0, -d_lo)
-    rows = frozenset(((d + off) % p, min(255, max(0, d + z_out))) for d in range(d_lo, d_hi + 1))
+    # clip(d + z_out, 0, 255) over the domain: a run of 0s, the values
+    # 0..255 the domain reaches, then a run of 255s.
+    lo, hi = d_lo + z_out, d_hi + z_out
+    n = hi - lo + 1
+    acts = [0] * min(max(-lo, 0), n) + list(range(max(lo, 0), min(hi, 255) + 1)) + [255] * min(max(hi - 255, 0), n)
+    rows = frozenset(zip([(d + off) % p for d in range(d_lo, d_hi + 1)], acts))
     return LookupTable(id=f"clip:a{a}:b{b}:z{z_out}", arity=2, rows=rows), off
 
 
@@ -467,69 +525,59 @@ def _scale_key(graph: ModelGraph, layer) -> tuple[int, int, int]:
     return q.scale.a, q.scale.b, q.zero_point
 
 
-def _conv_taps(graph, layer, out_shape, flat, kind, src):
-    """Tap list (source cell, weight, weight-index) for one output element.
+def _tap_table(graph: ModelGraph, i: int, act_cells: dict) -> tuple[list, list, list, int]:
+    """Layer i's taps as one table: (source cells, windows, channels, z_in).
 
-    Padded window positions are omitted entirely: padding with the input
-    zero point makes their contribution exactly zero.
+    windows holds, per output position, (source offsets, weight offsets)
+    and channels, per output channel, (source base, weight base).  Site
+    (pos, ch), flat index pos * len(channels) + ch, reads the source
+    cells base + o for o in the position's source offsets against the
+    weights base + o for o in its weight offsets; weight offsets None
+    means unit weights.  Every output channel shares its position's
+    offsets, and padded window positions are left out: padding with the
+    input zero point makes their contribution exactly zero.
     """
+    layer = graph.layers[i]
     ref = layer.input_refs[0]
-    in_shape = graph.shape_of_ref(ref)
-    h, w, c = in_shape
-    if kind == "conv2d":
-        _, kh, kw, ic = layer.weights.shape
-    else:
-        kh, kw = layer.weights.shape[0], layer.weights.shape[1]
-    oh, ow, oc = out_shape
-    o_i, rem = divmod(flat, ow * oc)
-    o_j, o_c = divmod(rem, oc)
-    if layer.padding == "same":
-        ph = max((oh - 1) * layer.stride + kh - h, 0)
-        pw = max((ow - 1) * layer.stride + kw - w, 0)
-        top, left = ph // 2, pw // 2
-    else:
-        top = left = 0
-    wvals = layer.weights.signed_values()
-    taps = []
-    for r in range(kh):
-        for s_ in range(kw):
-            ih = o_i * layer.stride - top + r
-            iw = o_j * layer.stride - left + s_
-            if not (0 <= ih < h and 0 <= iw < w):
-                continue
-            if kind == "conv2d":
-                for ci in range(ic):
-                    widx = ((o_c * kh + r) * kw + s_) * ic + ci
-                    taps.append((src[_flatten_index(in_shape, (ih, iw, ci))], wvals[widx], widx))
-            else:
-                widx = (r * kw + s_) * oc + o_c
-                taps.append((src[_flatten_index(in_shape, (ih, iw, o_c))], wvals[widx], widx))
-    return taps
-
-
-def _site_taps(graph, layer, out_shape, flat, act_cells):
-    """(taps, z_in, bias) for one site; taps are (source cell, w, widx|None)
-    and act_cells maps each input ref to its tensor's cells."""
+    src = act_cells[ref]
     if layer.kind in ("conv2d", "depthwise_conv2d"):
-        taps = _conv_taps(graph, layer, out_shape, flat, layer.kind, act_cells[layer.input_refs[0]])
-        z = graph.quant_of_ref(layer.input_refs[0]).zero_point
-        return taps, z, layer.bias[flat % out_shape[2]]
+        h, w, c = graph.shape_of_ref(ref)
+        oh, ow, oc = graph.output_shapes[i]
+        if layer.kind == "conv2d":
+            _, kh, kw, ic = layer.weights.shape
+            lanes, w_step = range(ic), ic
+            channels = [(0, o * kh * kw * ic) for o in range(oc)]
+        else:
+            kh, kw, _ = layer.weights.shape
+            lanes, w_step = (0,), oc
+            channels = [(o, o) for o in range(oc)]
+        top = left = 0
+        if layer.padding == "same":
+            top = max((oh - 1) * layer.stride + kh - h, 0) // 2
+            left = max((ow - 1) * layer.stride + kw - w, 0) // 2
+        windows = []
+        for o_i in range(oh):
+            taps_r = [(r, o_i * layer.stride - top + r) for r in range(kh)]
+            taps_r = [(r, ih) for r, ih in taps_r if 0 <= ih < h]
+            for o_j in range(ow):
+                taps_s = [(s, o_j * layer.stride - left + s) for s in range(kw)]
+                taps_s = [(s, iw) for s, iw in taps_s if 0 <= iw < w]
+                x_offs = [(ih * w + iw) * c + ci for _, ih in taps_r for _, iw in taps_s for ci in lanes]
+                w_offs = [(r * kw + s) * w_step + ci for r, _ in taps_r for s, _ in taps_s for ci in lanes]
+                windows.append((x_offs, w_offs))
+        return src, windows, channels, graph.quant_of_ref(ref).zero_point
     if layer.kind == "fully_connected":
-        ref = layer.input_refs[0]
-        src = act_cells[ref]
-        _, feat = layer.weights.shape
-        wvals = layer.weights.signed_values()
-        taps = [(src[j], wvals[flat * feat + j], flat * feat + j) for j in range(feat)]
-        return taps, graph.quant_of_ref(ref).zero_point, layer.bias[flat]
+        units, feat = layer.weights.shape
+        offs = range(feat)
+        return src, [(offs, offs)], [(0, u * feat) for u in range(units)], graph.quant_of_ref(ref).zero_point
     if layer.kind == "residual_add":
-        ra, rb = layer.input_refs
-        taps = [(act_cells[ra][flat], 1, None), (act_cells[rb][flat], 1, None)]
-        return taps, layer.out_quant.zero_point, 0
+        other = act_cells[layer.input_refs[1]]
+        n = len(src)
+        return src + other, [((0, n), None)], [(f, None) for f in range(n)], layer.out_quant.zero_point
     # average_pool (global): sum over H x W at this channel, unit weights.
-    src = act_cells[layer.input_refs[0]]
-    h, w, c = graph.shape_of_ref(layer.input_refs[0])
-    taps = [(src[(r * w + s) * c + flat], 1, None) for r in range(h) for s in range(w)]
-    return taps, 0, 0
+    h, w, c = graph.shape_of_ref(ref)
+    offs = [(r * w + s) * c for r in range(h) for s in range(w)]
+    return src, [(offs, None)], [(ch, None) for ch in range(c)], 0
 
 
 # --- compile ----------------------------------------------------------------
@@ -607,29 +655,30 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
             absorbed_cells += b_cells
             bld.param_cells[i] = (w_cells, b_cells)
 
+    bld.regions["staging"] = {
+        "rows": bld.io_cursor,
+        "copies": len(bld.copies) // 4,
+        "lookup_rows": sum(len(bld.fixed[lk.selector]) for lk in bld.lookups),
+    }
+
     # Per-layer lowering into rows, in layer order: each x source is
     # assigned before the site that reads it.
-    site_plans: list[SitePlan] = []
+    layer_plans: list[LayerPlan] = []
     act_cells: dict[int, list] = {INPUT_REF: input_cells}
     acc_cells: dict[int, list] = {}   # each site's last out: its accumulator
-
     for i, key in keys.items():
-        layer = graph.layers[i]
-        out_shape = graph.output_shapes[i]
-        n_sites = 1
-        for d in out_shape:
-            n_sites *= d
-        layer_acts: list[tuple] = []
-        layer_accs: list[tuple] = []
-        for flat in range(n_sites):
-            taps, z_in, bias = _site_taps(graph, layer, out_shape, flat, act_cells)
-            plan = _lower_site(bld, i, flat, taps, z_in, bias, key, offsets[key])
-            site_plans.append(plan)
-            g = bld.groups[plan.div.group]
-            layer_acts.append((g.act, plan.div.row))
-            layer_accs.append((g.out, plan.div.row))
-        act_cells[i] = layer_acts
-        acc_cells[i] = layer_accs
+        n_copies = len(bld.copies)
+        lp = _lower_layer(bld, i, key, offsets[key], act_cells)
+        layer_plans.append(lp)
+        ends = [rows[-1] for *_, rows in lp.sites]
+        act_cells[i] = [(bld.groups[g].act, row) for g, row in ends]
+        acc_cells[i] = [(bld.groups[g].out, row) for g, row in ends]
+        bld.regions[f"layer{i}"] = {
+            "rows": sum(len(rows) for *_, rows in lp.sites),
+            "copies": (len(bld.copies) - n_copies) // 4,
+            "lookup_rows": 2 * len(lp.sites),   # each DIV row's range and clip lookups
+        }
+    n_copies = len(bld.copies)
 
     # Output wiring: logits are the referenced layer's accumulators.
     out_layer = graph.layers[graph.output_layer_index]
@@ -656,6 +705,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         sponge_plans.append(sp)
         bound.append(sp.digest_cell)
     bld.instance_map = [(c, idx) for idx, c in enumerate(bound)]
+    bld.regions["sponge"] = {"rows": bld.sponge_cursor, "copies": (len(bld.copies) - n_copies) // 4}
 
     layout, stats = _finalize(bld)
     layout.plan = WitnessPlan(
@@ -667,70 +717,103 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         io_pad_cells=bld.io_pad_cells,
         weight_cells=bld.weight_cells if bld.weights_advice else None,
         weight_values=bld.weight_values if bld.weights_advice else None,
-        site_plans=site_plans,
+        layer_plans=layer_plans,
         sponges=sponge_plans,
     )
     return layout, stats
 
 
-def _lower_site(bld: _Builder, layer_idx, flat, taps, z_in, bias, key, off):
+def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -> LayerPlan:
+    """Emit layer i's rows from its tap table: per site a DOT chain of
+    ceil(k/N) rows, DIV on the last, straight into the builder's packed
+    copies and sparse fixed columns."""
+    graph = bld.graph
+    layer = graph.layers[i]
+    src, windows, channels, z_in = _tap_table(graph, i, act_cells)
     n = bld.cfg.gate_width
     p = bld.p
     a, b, z_out = key
-
-    specs = []
-    carry_src = None
-    n_rows = -(-len(taps) // n)
-    for r in range(n_rows):
-        chunk = taps[r * n : (r + 1) * n]
-        g = bld.gate_row()
-        row = g.cursor
-        g.cursor += 1
-        bld.set_fixed(g.q_dots[len(chunk) - 1], row, 1)
-        bld.set_fixed(g.z, row, z_in)
-        for j, (src, w, widx) in enumerate(chunk):
-            bld.copy((g.xs[j], row), src)
-            if not bld.weights_advice:
-                bld.set_fixed(g.ws[j], row, w % p)
-            elif widx is not None:
-                bld.copy((g.ws[j], row), bld.param_cells[layer_idx][0][widx])
-            else:
-                # structural unit weight (residual / pooling)
-                bld.set_fixed(g.const, row, 1)
-                bld.copy((g.ws[j], row), (g.const, row))
-        if carry_src is None:
-            # The bias enters through the first carry, not through const:
-            # in hidden-weights mode const already holds unit weights.
-            if layer_idx in bld.param_cells:
-                b_cells = bld.param_cells[layer_idx][1]
-                carry_src = b_cells[flat % len(b_cells)]
-            elif bias:
-                bld.set_fixed(g.const, row, bias % p)
-                carry_src = (g.const, row)
-            else:
-                carry_src = (bld.zero_col, row)
-        bld.copy((g.carry, row), carry_src)
-        carry_src = (g.out, row)
-        x_srcs = tuple(c[0] for c in chunk)
-        w_ints = tuple(c[1] for c in chunk)
-        if r < n_rows - 1:
-            specs.append(DotRowSpec(group=g.index, row=row, x_srcs=x_srcs, w_ints=w_ints))
-
-    # The last row carries DIV, its remainder range check and the clip lookup.
-    bld.set_fixed(g.q_div, row, 1)
-    bld.set_fixed(g.div_a, row, a)
-    bld.set_fixed(g.div_b, row, b)
-    bld.set_fixed(g.div_off, row, off)
+    fixed = bld.fixed
+    copies = bld.copies
+    num = bld.col_number
+    src_nums = [(num[col], row) for col, row in src]
+    hidden = bld.weights_advice
+    # What a weight lane takes: its fixed value when weights are public,
+    # a copy of the staged weight cell when they are hidden.
+    if layer.weights is not None:
+        w_vals = layer.weights.signed_values()
+        w_sources = [w % p for w in w_vals]
+    if i in bld.param_cells:
+        w_cells, b_cells = bld.param_cells[i]
+        w_sources = [(num[col], row) for col, row in w_cells]
+        b_nums = [(num[col], row) for col, row in b_cells]
+    biases = layer.bias or (0,) * len(channels)
+    z_mod = z_in % p
     rtab = bld.range_table(0, b - 1)
-    bld.set_fixed(bld.group_lookup_selector(g, rtab, (g.r,)), row, 1)
     ctab = f"clip:a{a}:b{b}:z{z_out}"
-    bld.set_fixed(bld.group_lookup_selector(g, ctab, (g.q, g.act)), row, 1)
 
-    div = DivRowSpec(
-        group=g.index, row=row, x_srcs=x_srcs, w_ints=w_ints,
-        a=a, b=b, off=off, z_out=z_out,
-    )
-    return SitePlan(layer=layer_idx, flat=flat, z_in=z_in, bias=bias, dot_rows=tuple(specs), div=div)
+    sites = []
+    for x_offs, w_offs in windows:
+        k = len(x_offs)
+        x_base_done = None
+        for ch, (x_base, w_base) in enumerate(channels):
+            if x_base != x_base_done:    # channels that share a base share the x taps
+                x_srcs = [src[x_base + o] for o in x_offs]
+                x_nums = [src_nums[x_base + o] for o in x_offs]
+                x_base_done = x_base
+            if w_offs is None:
+                w_ints = w_lanes = [1] * k
+            else:
+                w_ints = [w_vals[w_base + o] for o in w_offs]
+                w_lanes = [w_sources[w_base + o] for o in w_offs]
+            bias = biases[ch]
+            rows = []
+            carry_src = None
+            for lo in range(0, k, n):
+                hi = lo + n
+                g = bld.gate_row()
+                row = g.cursor
+                g.cursor += 1
+                rows.append((g.index, row))
+                fixed[g.q_dots[min(hi, k) - lo - 1]][row] = 1
+                if z_mod:
+                    fixed[g.z][row] = z_mod
+                if not hidden:
+                    for x, (col, src_row) in zip(g.x_nums, x_nums[lo:hi]):
+                        copies += (x, row, col, src_row)
+                    for w_fixed, w in zip(g.w_fixed, w_lanes[lo:hi]):
+                        if w:
+                            w_fixed[row] = w
+                elif w_offs is not None:
+                    for x, (col, src_row), w, (w_col, w_row) in zip(g.x_nums, x_nums[lo:hi], g.w_nums, w_lanes[lo:hi]):
+                        copies += (x, row, col, src_row, w, row, w_col, w_row)
+                else:
+                    # structural unit weights (residual / pooling)
+                    fixed[g.const][row] = 1
+                    for x, (col, src_row), w in zip(g.x_nums, x_nums[lo:hi], g.w_nums):
+                        copies += (x, row, col, src_row, w, row, g.const_num, row)
+                if carry_src is None:
+                    # The bias enters through the first carry, not through
+                    # const: in hidden-weights mode const holds unit weights.
+                    if i in bld.param_cells:
+                        carry_src = b_nums[ch]
+                    elif bias:
+                        bld.set_fixed(g.const, row, bias)
+                        carry_src = (g.const_num, row)
+                    else:
+                        carry_src = (num[bld.zero_col], row)
+                copies += (g.carry_num, row, *carry_src)
+                carry_src = (g.out_num, row)
+
+            # The last row carries DIV, its remainder range check and the clip lookup.
+            bld.set_fixed(g.q_div, row, 1)
+            bld.set_fixed(g.div_a, row, a)
+            bld.set_fixed(g.div_b, row, b)
+            bld.set_fixed(g.div_off, row, off)
+            fixed[bld.group_lookup_selector(g, rtab, (g.r,))][row] = 1
+            fixed[bld.group_lookup_selector(g, ctab, (g.q, g.act))][row] = 1
+            sites.append((x_srcs, w_ints, bias, rows))
+    return LayerPlan(layer=i, z_in=z_in, a=a, b=b, off=off, z_out=z_out, sites=sites)
 
 
 def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells: list) -> SpongePlan:
@@ -874,6 +957,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         n_lookup_args=len(bld.lookups),
         n_copy_constraints=len(layout.copies),
         max_gate_degree=layout.max_gate_degree(),
+        regions=bld.regions,
     )
     return layout, stats
 
@@ -916,46 +1000,45 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
 
     hidden_w = plan.weight_cells is not None
     group_cols: dict[int, tuple] = {}
-    for site in plan.site_plans:
-        z = site.z_in
-        acc = site.bias
-        for d in site.rows:
-            cols = group_cols.get(d.group)
-            if cols is None:
-                g = f"g{d.group}:"
-                cols = group_cols[d.group] = (
-                    [advice[f"{g}x{j}"] for j in range(n)],
-                    [advice[f"{g}w{j}"] for j in range(n)] if hidden_w else None,
-                    advice[f"{g}carry"], advice[f"{g}out"],
-                    advice[f"{g}r"], advice[f"{g}q"], advice[f"{g}act"],
+    for lp in plan.layer_plans:
+        z = lp.z_in
+        accs, acts = flat_accs[lp.layer], flat_acts[lp.layer]
+        for flat, (x_srcs, w_ints, bias, rows) in enumerate(lp.sites):
+            acc = bias
+            taps = zip(x_srcs, w_ints)     # each row takes the next n
+            for gi, row in rows:
+                cols = group_cols.get(gi)
+                if cols is None:
+                    g = f"g{gi}:"
+                    cols = group_cols[gi] = (
+                        [advice[f"{g}x{j}"] for j in range(n)],
+                        [advice[f"{g}w{j}"] for j in range(n)] if hidden_w else None,
+                        advice[f"{g}carry"], advice[f"{g}out"],
+                        advice[f"{g}r"], advice[f"{g}q"], advice[f"{g}act"],
+                    )
+                xs, ws, carry, out = cols[:4]
+                carry[row] = acc % p
+                for j, ((col, src_row), w) in zip(range(n), taps):
+                    x = advice[col][src_row]
+                    xs[j][row] = x
+                    if hidden_w:
+                        ws[j][row] = w % p
+                    acc += (x - z) * w
+                out[row] = acc % p
+            if acc != int(accs[flat]):
+                raise WitnessError(
+                    f"internal mismatch at layer {lp.layer} site {flat}: "
+                    f"{acc} vs trace {int(accs[flat])}"
                 )
-            xs, ws, carry, out = cols[:4]
-            row = d.row
-            carry[row] = acc % p
-            for j, ((col, src_row), w) in enumerate(zip(d.x_srcs, d.w_ints)):
-                x = advice[col][src_row]
-                xs[j][row] = x
-                if hidden_w:
-                    ws[j][row] = w % p
-                acc += (x - z) * w
-            out[row] = acc % p
-        if acc != int(flat_accs[site.layer][site.flat]):
-            raise WitnessError(
-                f"internal mismatch at layer {site.layer} site {site.flat}: "
-                f"{acc} vs trace {int(flat_accs[site.layer][site.flat])}"
-            )
-        dv = site.div
-        num = acc * dv.a
-        d_q = num // dv.b
-        r_col, q_col, act_col = group_cols[dv.group][4:]
-        r_col[dv.row] = (num - d_q * dv.b) % p
-        q_col[dv.row] = (d_q + dv.off) % p
-        act = int(flat_acts[site.layer][site.flat])
-        if act != min(255, max(0, d_q + dv.z_out)):
-            raise WitnessError(
-                f"internal activation mismatch at layer {site.layer} site {site.flat}"
-            )
-        act_col[dv.row] = act
+            num = acc * lp.a
+            d_q = num // lp.b
+            r_col, q_col, act_col = cols[4:]
+            r_col[row] = (num - d_q * lp.b) % p
+            q_col[row] = (d_q + lp.off) % p
+            act = int(acts[flat])
+            if act != min(255, max(0, d_q + lp.z_out)):
+                raise WitnessError(f"internal activation mismatch at layer {lp.layer} site {flat}")
+            act_col[row] = act
 
     for sp in plan.sponges:
         if sp.filled is None:

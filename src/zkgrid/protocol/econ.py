@@ -84,16 +84,20 @@ class EconParams:
         return Fraction(self.N1) * self.P / 99
 
     @classmethod
-    def from_json(cls, doc: dict) -> "EconParams":
+    def from_json(cls, doc) -> "EconParams":
+        if type(doc) is not dict:
+            raise EconError(f"econ params must be an object, not {type(doc).__name__}")
         known = {"E", "Z", "P", "N1", "N2", "K", "K1", "beta", "epsilon", "accuracy_target"}
         extra = set(doc) - known
         if extra:
             raise EconError(f"unknown econ param fields: {sorted(extra)}")
-        kwargs = {k: doc[k] for k in known & set(doc)}
+        missing = {"E", "Z", "P", "N1", "N2"} - set(doc)
+        if missing:
+            raise EconError(f"missing econ param fields: {sorted(missing)}")
         for k in ("N1", "N2", "K", "K1"):
-            if k in kwargs:
-                kwargs[k] = int(kwargs[k])
-        return cls(**kwargs)
+            if k in doc and type(doc[k]) is not int:
+                raise EconError(f"econ param {k} must be an integer, not {type(doc[k]).__name__}")
+        return cls(**{k: doc[k] for k in known & set(doc)})
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,51 @@ def test_fc_k10_n4_row_counts():
     assert check(layout, assign_witness(layout, g, inp)) == []
 
 
+def _naive_site_taps(g, i, flat, cells):
+    """(source cell, weight) taps of one output element of layer i, found
+    window position by window position; cells maps each tensor ref to
+    its cells.  The reference the compiler's per-layer tap tables must
+    match, tap for tap and in order."""
+    layer = g.layers[i]
+    ref = layer.input_refs[0]
+    src = cells[ref]
+    if layer.kind in ("conv2d", "depthwise_conv2d"):
+        h, w, c = g.shape_of_ref(ref)
+        oh, ow, oc = g.output_shapes[i]
+        if layer.kind == "conv2d":
+            _, kh, kw, ic = layer.weights.shape
+        else:
+            kh, kw, _ = layer.weights.shape
+        o_i, rem = divmod(flat, ow * oc)
+        o_j, o_c = divmod(rem, oc)
+        top = left = 0
+        if layer.padding == "same":
+            top = max((oh - 1) * layer.stride + kh - h, 0) // 2
+            left = max((ow - 1) * layer.stride + kw - w, 0) // 2
+        wvals = layer.weights.signed_values()
+        taps = []
+        for r in range(kh):
+            for s in range(kw):
+                ih = o_i * layer.stride - top + r
+                iw = o_j * layer.stride - left + s
+                if not (0 <= ih < h and 0 <= iw < w):
+                    continue
+                if layer.kind == "conv2d":
+                    for ci in range(ic):
+                        taps.append((src[(ih * w + iw) * c + ci], wvals[((o_c * kh + r) * kw + s) * ic + ci]))
+                else:
+                    taps.append((src[(ih * w + iw) * c + o_c], wvals[(r * kw + s) * oc + o_c]))
+        return taps
+    if layer.kind == "fully_connected":
+        _, feat = layer.weights.shape
+        wvals = layer.weights.signed_values()
+        return [(src[j], wvals[flat * feat + j]) for j in range(feat)]
+    if layer.kind == "residual_add":
+        return [(src[flat], 1), (cells[layer.input_refs[1]][flat], 1)]
+    h, w, c = g.shape_of_ref(ref)   # average_pool
+    return [(src[(r * w + s) * c + flat], 1) for r in range(h) for s in range(w)]
+
+
 @pytest.mark.parametrize(
     "mode",
     [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS, VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS],
@@ -91,13 +136,136 @@ def test_one_row_per_dot_chunk(mode):
         # Each tensor's elements stand in for its cells.
         cells = {ref: range(math.prod(g.shape_of_ref(ref))) for ref in range(INPUT_REF, len(g.layers))}
         for site in layout.plan.site_plans:
-            layer = g.layers[site.layer]
-            taps = arithmetize._site_taps(g, layer, g.output_shapes[site.layer], site.flat, cells)[0]
+            taps = _naive_site_taps(g, site.layer, site.flat, cells)
             assert len(site.rows) == -(-max(len(taps), 1) // 4)
         assert sorted({gd.name for gd in layout.gates if gd.id.startswith("g")}) == ["DIV", "DOT_1", "DOT_2", "DOT_3", "DOT_4"]
         assert not any(gd.name.startswith("ADD_") for gd in layout.gates)
         assert not any(col.endswith("q_add") for col in layout.columns)
         assert check(layout, assign_witness(layout, g, random_input(rng, g))) == []
+
+
+def _table_models():
+    """Three models that between them hold conv2d and depthwise layers with
+    "same" and "valid" padding at strides 1 and 2 (odd and even kernels,
+    so "same" pads unevenly), a residual add, an average pool and an fc."""
+    rng = random.Random(5)
+    unit = QuantParams(0, ScaleFactor(1, 1))
+
+    def conv(kind, ref, in_c, kh, kw, oc, stride, padding, quant):
+        shape = (oc, kh, kw, in_c) if kind == "conv2d" else (kh, kw, in_c)
+        oc = oc if kind == "conv2d" else in_c
+        data = bytes(rng.randint(-5, 5) % 256 for _ in range(math.prod(shape)))
+        bias = tuple(rng.randint(-50, 50) for _ in range(oc))
+        return Layer(kind, (ref,), quant, QuantTensor(shape, data, unit), bias, stride, padding)
+
+    q_in, q1, q2 = (QuantParams(z, ScaleFactor(1, 64)) for z in (3, 9, 20))
+    a = (
+        conv("conv2d", INPUT_REF, 3, 3, 3, 4, 2, "same", q1),                 # (7,6,3) -> (4,3,4)
+        conv("depthwise_conv2d", 0, 4, 3, 3, 4, 1, "same", q1),               # -> (4,3,4)
+        Layer("residual_add", (0, 1), QuantParams(9, ScaleFactor(1, 1))),     # -> (4,3,4)
+        conv("conv2d", 2, 4, 2, 2, 2, 2, "valid", q2),                        # -> (2,1,2)
+        conv("depthwise_conv2d", 3, 2, 2, 1, 2, 1, "valid", q2),              # -> (1,1,2)
+    )
+    b = (
+        conv("depthwise_conv2d", INPUT_REF, 2, 3, 3, 2, 2, "valid", q1),      # (7,7,2) -> (3,3,2)
+        conv("conv2d", 0, 2, 2, 2, 3, 1, "same", q2),                         # -> (3,3,3)
+        conv("conv2d", 1, 3, 3, 3, 3, 1, "valid", q2),                        # -> (1,1,3)
+    )
+    c = (
+        conv("depthwise_conv2d", INPUT_REF, 2, 3, 3, 2, 2, "same", q1),       # (7,7,2) -> (4,4,2)
+        conv("conv2d", 0, 2, 1, 3, 3, 1, "same", q2),                         # -> (4,4,3)
+        Layer("average_pool", (1,), q2),                                      # -> (1,1,3)
+        Layer(
+            "fully_connected", (2,), q1,
+            QuantTensor((5, 3), bytes(rng.randint(-9, 9) % 256 for _ in range(15)), unit),
+            tuple(rng.randint(-50, 50) for _ in range(5)),
+        ),
+    )
+    models = []
+    for layers, shape in ((a, (7, 6, 3)), (b, (7, 7, 2)), (c, (7, 7, 2))):
+        out = Layer("output", (len(layers) - 1,), layers[-1].out_quant)
+        models.append(validate(ModelGraph(layers=(*layers, out), input_shape=shape, input_quant=q_in)))
+    return models
+
+
+@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+def test_layer_tables_match_naive_taps(mode):
+    """For every site of every layer kind, the per-layer tap table gives
+    the same (x source cell, weight) taps, in the same order, as the
+    window-by-window enumeration, and the site spans ceil(k / N) rows."""
+    kinds = set()
+    for g in _table_models():
+        layout, _ = compile(g, CompileConfig(gate_width=4, mode=mode))
+        plan = layout.plan
+        cells = {INPUT_REF: plan.input_cells}
+        for lp in plan.layer_plans:
+            layer = g.layers[lp.layer]
+            kinds.add((layer.kind, layer.padding, layer.stride))
+            assert len(lp.sites) == math.prod(g.output_shapes[lp.layer])
+            for flat, (x_srcs, w_ints, _, rows) in enumerate(lp.sites):
+                want = _naive_site_taps(g, lp.layer, flat, cells)
+                assert list(zip(x_srcs, w_ints)) == want, (lp.layer, flat)
+                assert len(rows) == -(-len(want) // 4)
+            cells[lp.layer] = [(f"g{rows[-1][0]}:act", rows[-1][1]) for *_, rows in lp.sites]
+        assert check(layout, assign_witness(layout, g, random_input(random.Random(7), g))) == []
+    assert kinds == {
+        (kind, padding, stride)
+        for kind in ("conv2d", "depthwise_conv2d") for padding in ("same", "valid") for stride in (1, 2)
+    } | {("residual_add", "valid", 1), ("average_pool", "valid", 1), ("fully_connected", "valid", 1)}
+
+
+@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+def test_carry_chain_crosses_gate_group(mode):
+    """Two 10-tap sites at N = 4 in groups of 4 rows: the second site's
+    chain runs from g0 row 3 into g1 rows 0 and 1, so its second carry
+    copies the out cell of the previous group.  The honest witness checks
+    clean, and that carry moved by one is caught."""
+    g = _fc_model(units=2, feat=10, weights=[(-1) ** j * (j % 7) for j in range(20)], bias=(3, -4))
+    layout, _ = compile(g, CompileConfig(gate_width=4, max_rows=4, mode=mode))
+    assert [rows for *_, rows in layout.plan.layer_plans[0].sites] == [
+        [(0, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (1, 1)]
+    ]
+    copies = {cp.a: cp.b for cp in layout.copies}
+    assert copies[("g1:carry", 0)] == ("g0:out", 3)
+    asg = assign_witness(layout, g, _fc_input(g, random.Random(3)))
+    assert check(layout, asg) == []
+    asg.advice["g1:carry"][0] = (asg.advice["g1:carry"][0] + 1) % layout.field.modulus
+    violations = check(layout, asg)
+    assert {(v.kind, v.row) for v in violations} == {("copy", 0), ("gate", 0)}
+
+
+@pytest.mark.parametrize(
+    "seed, mode",
+    [(110, None), (111, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS), (3, VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS)],
+)
+def test_region_stats_partition_the_grid(seed, mode):
+    """The per-layer, staging and sponge lines of CircuitStats.regions
+    split the copies and the gate-group rows exactly, and each line's
+    lookup rows are the enabled lookup rows in its part of the grid."""
+    g = random_model(random.Random(seed), max_hw=32 if seed > 100 else 6, max_c=16, max_layers=5)
+    layout, stats = compile(g, CompileConfig(mode=mode))
+    regions = stats.regions
+    layers = [f"layer{lp.layer}" for lp in layout.plan.layer_plans]
+    assert list(regions) == ["staging", *layers, "sponge"]
+    assert sum(line["copies"] for line in regions.values()) == stats.n_copy_constraints
+    dot_rows = sum(len(layout.fixed[c].nonzero_rows()) for c in layout.columns if ":q_dot" in c)
+    assert sum(regions[name]["rows"] for name in layers) == dot_rows
+
+    owner = {}
+    for lp in layout.plan.layer_plans:
+        for *_, rows in lp.sites:
+            owner.update((row, f"layer{lp.layer}") for row in rows)
+    lookup_rows = dict.fromkeys(regions, 0)
+    for lk in layout.lookups:
+        col = lk.columns[0]
+        for row in layout.fixed[lk.selector].nonzero_rows():
+            region = "staging" if col.startswith("io") else owner[(int(col[1 : col.index(":")]), row)]
+            lookup_rows[region] += 1
+    assert {name: line.get("lookup_rows", 0) for name, line in regions.items()} == lookup_rows
+    assert regions["staging"]["rows"] == len({row for _, row in layout.plan.input_cells + (layout.plan.weight_cells or [])})
+    assert regions["sponge"]["rows"] == sum(
+        len(sp.absorb_rows) + sum(map(len, sp.round_rows)) for sp in layout.plan.sponges
+    )
 
 
 @pytest.mark.parametrize("seed, mode", [(110, None), (111, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS)])
@@ -182,6 +350,19 @@ def test_build_clip_table_saturates_at_255():
     assert as_map[255] == 255
     assert all(as_map[k] == 255 for k in range(256, 601))
     assert as_map[254] == 254
+
+
+@pytest.mark.parametrize(
+    "bounds, z_out",
+    [((0, 3), 0), ((-300, -10), 7), ((-50, 40), 200), ((260, 900), 0), ((-700, 700), 128), ((5, 5), -6)],
+)
+def test_build_clip_table_matches_per_entry_clip(bounds, z_out):
+    """Every domain shape (all below 0, straddling 0 or 255, all above
+    255, one entry) against clip(d + z_out, 0, 255) entry by entry."""
+    d_lo, d_hi = bounds
+    off = max(0, -d_lo)
+    want = frozenset((d + off, min(255, max(0, d + z_out))) for d in range(d_lo, d_hi + 1))
+    assert build_clip_table(bounds, ScaleFactor(1, 1), z_out).rows == want
 
 
 def test_build_clip_table_cap(monkeypatch):

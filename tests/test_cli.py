@@ -50,6 +50,8 @@ def test_compile_stats_and_layout(workspace):
     assert main(["compile", model, "--stats", str(stats), "--layout", str(layout)]) == 0
     doc = json.loads(stats.read_text())
     assert doc["n_gates"] == 9  # DOT_1 .. DOT_8 and DIV
+    assert list(doc["regions"]) == ["layer0", "sponge", "staging"]   # keys sorted
+    assert sum(line["copies"] for line in doc["regions"].values()) == doc["n_copy_constraints"]
     lay = serialize.load_layout(layout.read_bytes())
     assert lay.n_rows >= 1
 
@@ -354,6 +356,51 @@ def test_mutated_config_exits_0_or_2(mutation_dir, data):
     assert main(["compile", str(mutation_dir / "model.json"), "--config", str(path)]) in (0, 2)
 
 
+PROTOCOL_PARAMS = {"E": 1, "Z": "0.5", "P": "0.1", "N1": 10, "N2": 10, "K": 100, "K1": 10, "beta": 2}
+PROTOCOL_LOG = [
+    {"actor": "MP", "action": "commit", "payload": {"hash": "w"}},
+    {"actor": "MC", "action": "commit", "payload": {"hash": "t"}},
+    {"actor": "MP", "action": "escrow"},
+    {"actor": "MC", "action": "escrow"},
+    {"actor": "MP", "action": "send_subset", "payload": {"count": 10}},
+    {"actor": "MC", "action": "send_subset", "payload": {"count": 10}},
+    {"actor": "MP", "action": "acknowledge"},
+    {"actor": "MC", "action": "send_subset", "payload": {"count": 10}},
+    {"actor": "MP", "action": "send_snarks", "payload": {"results": [True] * 10}},
+    {"actor": "escrow_service", "action": "settle"},
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"N1": None}, "N1 must be an integer, not NoneType"),
+        ({"K": 1.5}, "K must be an integer, not float"),
+        ({"N2": "10"}, "N2 must be an integer, not str"),
+        ({"K1": True}, "K1 must be an integer, not bool"),
+        ({"E": None}, "cannot interpret None"),
+    ],
+)
+def test_mistyped_protocol_params_exit_2(tmp_path, capsys, edit, message):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({**PROTOCOL_PARAMS, **edit}))
+    log = tmp_path / "log.jsonl"
+    log.write_text("\n".join(json.dumps(s) for s in PROTOCOL_LOG))
+    assert main(["protocol", "run", str(log), "--kind", "accuracy_full", "--params", str(params)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_protocol_params_exit_0_or_2(mutation_dir, data):
+    params = mutation_dir / "params.json"
+    params.write_text(json.dumps(_mutate(dict(PROTOCOL_PARAMS), data)))
+    log = mutation_dir / "log.jsonl"
+    log.write_text("\n".join(json.dumps(s) for s in PROTOCOL_LOG))
+    out = mutation_dir / "out.json"
+    assert main(["protocol", "run", str(log), "--kind", "accuracy_full", "--params", str(params), "-o", str(out)]) in (0, 2)
+
+
 @pytest.mark.parametrize(
     "line",
     [{"action": "commit"}, ["MP", "commit"], {"actor": "MP", "action": "commit", "payload": 3}],
@@ -382,19 +429,7 @@ def test_protocol_run_log(tmp_path, capsys):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"E": 1, "Z": "0.5", "P": "0.1", "N1": 10, "N2": 10}))
     log = tmp_path / "log.jsonl"
-    steps = [
-        {"actor": "MP", "action": "commit", "payload": {"hash": "w"}},
-        {"actor": "MC", "action": "commit", "payload": {"hash": "t"}},
-        {"actor": "MP", "action": "escrow"},
-        {"actor": "MC", "action": "escrow"},
-        {"actor": "MP", "action": "send_subset", "payload": {"count": 10}},
-        {"actor": "MC", "action": "send_subset", "payload": {"count": 10}},
-        {"actor": "MP", "action": "acknowledge"},
-        {"actor": "MC", "action": "send_subset", "payload": {"count": 10}},
-        {"actor": "MP", "action": "send_snarks", "payload": {"results": [True] * 10}},
-        {"actor": "escrow_service", "action": "settle"},
-    ]
-    log.write_text("\n".join(json.dumps(s) for s in steps))
+    log.write_text("\n".join(json.dumps(s) for s in PROTOCOL_LOG))
     out = tmp_path / "out.json"
     assert main(["protocol", "run", str(log), "--kind", "accuracy_full", "--params", str(params), "-o", str(out)]) == 0
     text = out.read_text()
