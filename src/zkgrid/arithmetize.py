@@ -22,29 +22,47 @@ The paper lowers a site to DOT rows, an ADD reduction tree and a DIV row;
 folding the sum into the carry and the division into the last row spends
 one row per N taps instead.
 
+A row holds M output slots over one set of N x lanes.  The output
+channels of one output position that read the same input patch (every
+channel of a conv2d, every unit of a fully connected layer) share their
+rows: slot m has its own weight lanes, carry, out, r, q, act and const
+cells, out_m = carry_m + sum_j (x_j - z) * w_{m,j}, its own DIV and its
+own range and clip lookups, while z, the DIV scale cells, the DOT_k and
+DIV selectors and the lookup selectors belong to the row.  So the x lanes
+are copied once per row, not once per channel.  M is derived, never
+configured: a position's C sharing channels are split into ceil(C/N)
+chunks as equal as possible, and a chunk of m channels takes rows in the
+gate group of m slots.  Depthwise, residual and pooling channels each
+read their own cells, so they take rows of one slot.  Groups of
+different M have their own columns and sit side by side, each with its
+own cursor from row 0; every row of a group fills all its slots, so a
+shared selector never enables an empty slot.
+
 Residual adds lower to a two-tap DOT with unit weights; global average
 pooling lowers to unit-weight DOT rows with zero z.  Each DIV row carries
 its own divisor, so layers with unrelated denominators (1/3 next to 1/4)
 compile as they are.  Two packing rules keep layouts small: a new gate
-group (fresh columns and gates) is opened only when the current group's
-rows are exhausted, and clip tables are shared whenever the scale key
-matches, widening the key's domain to the union of the requesting
-layers' ranges.  No lookup table may exceed LOOKUP_CAP entries.
+group of a given M (fresh columns and gates) is opened only when the
+current one's rows are exhausted, and clip tables are shared whenever
+the scale key matches, widening the key's domain to the union of the
+requesting layers' ranges.  No lookup table may exceed LOOKUP_CAP entries.
 
 Lowering goes a layer at a time.  Each layer's taps are one table: per
 output position, the source offsets of its window (padding clipped) and
 the matching weight offsets, shared by every output channel; per channel,
-a source base and a weight base.  The layer's rows, fixed cells and
-copies are emitted from that table straight into the builder's packed
-copy list and sparse fixed columns, with each group's columns numbered
-once.  The witness plan keeps one record per layer (LayerPlan): its z_in,
-its DIV key (a, b, off, z_out) and, per site, the x source cells, the
-weights, the bias and the (group, row) of each row of the chain.
+a source base and a weight base (channels with the same source base
+share a patch).  The layer's rows, fixed cells and copies are emitted
+from that table straight into the builder's packed copy list and sparse
+fixed columns, with each group's columns numbered once.  The witness plan
+keeps one record per layer (LayerPlan): its z_in, its DIV key (a, b, off,
+z_out) and, per site, the x source cells, the weights, the bias, its slot
+and the (group, row) of each row of the chain.
 
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
-layer's act; the witness reads x from that cell.  The instance vector is
-the compiled instance map: logits, then raw input codes or the input
-digest, then the weight digest; the witness fills it from the bound cells.
+layer's act; the witness reads x from that cell and writes it once per
+row for all the row's slots.  The instance vector is the compiled
+instance map: logits, then raw input codes or the input digest, then the
+weight digest; the witness fills it from the bound cells.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
 rows binding them to a public digest in the instance vector.  Hidden
@@ -67,6 +85,7 @@ sponge rows are filled once, at compile.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field, replace
 
@@ -85,6 +104,7 @@ from .circuit import (
     GateDef,
     LookupArg,
     LookupTable,
+    SlotColumns,
     add,
     builtin_gates,
     cell,
@@ -156,6 +176,10 @@ class CircuitStats:
     # "sponge" (which has no lookups).  A copy belongs to the part that
     # emitted it, a lookup row to the part of the row its selector enables.
     regions: dict
+    # Advice columns times padded rows: wider rows move cells into columns.
+    advice_cells: int
+    # Per gate group, in column order: its slot count M and its rows.
+    groups: list
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -173,10 +197,11 @@ class LayerPlan:
     b: int
     off: int
     z_out: int
-    # Per site, in flat order: (x source cells, weights, bias, rows).  Row
-    # r of `rows`, a (group, row) pair, holds taps r*N .. r*N + N - 1 and
-    # the last row carries DIV.  A chain may cross into a new group, so
-    # its rows need not be contiguous.
+    # Per site, in flat order: (x source cells, weights, bias, slot, rows).
+    # Row r of `rows`, a (group, row) pair, holds taps r*N .. r*N + N - 1
+    # and the last row carries DIV.  A chain may cross into a new group,
+    # so its rows need not be contiguous.  The sites of one chunk (its
+    # slots 0 .. M-1, consecutive) share their rows and x source cells.
     sites: list
 
 
@@ -184,8 +209,18 @@ class LayerPlan:
 class DotRowSpec:
     group: int
     row: int
+    slot: int
     x_srcs: tuple     # the cells the row's x lanes are copied from
     w_ints: tuple
+
+    def cell(self, name: str) -> tuple:
+        """(column, row) of this slot's own cell `name` on the row: w<j>,
+        carry, out, r, q, act or const."""
+        return (_slot_col(self.group, self.slot, name), self.row)
+
+    def x_cell(self, j: int) -> tuple:
+        """(column, row) of the row's x lane j, shared by every slot."""
+        return (_lane(self.group, j), self.row)
 
 
 @dataclass(frozen=True)
@@ -241,6 +276,7 @@ class WitnessPlan:
     weight_values: list | None
     layer_plans: list
     sponges: list
+    group_slots: list     # each gate group's slot count M, by group index
 
     @property
     def site_plans(self) -> list[SitePlan]:
@@ -249,14 +285,17 @@ class WitnessPlan:
         n = self.gate_width
         out = []
         for lp in self.layer_plans:
-            for flat, (x_srcs, w_ints, bias, rows) in enumerate(lp.sites):
+            for flat, (x_srcs, w_ints, bias, slot, rows) in enumerate(lp.sites):
                 specs = [
-                    DotRowSpec(group=g, row=row, x_srcs=tuple(x_srcs[lo : lo + n]), w_ints=tuple(w_ints[lo : lo + n]))
+                    DotRowSpec(
+                        group=g, row=row, slot=slot,
+                        x_srcs=tuple(x_srcs[lo : lo + n]), w_ints=tuple(w_ints[lo : lo + n]),
+                    )
                     for lo, (g, row) in zip(range(0, len(x_srcs), n), rows)
                 ]
                 last = specs.pop()
                 div = DivRowSpec(
-                    group=last.group, row=last.row, x_srcs=last.x_srcs, w_ints=last.w_ints,
+                    group=last.group, row=last.row, slot=slot, x_srcs=last.x_srcs, w_ints=last.w_ints,
                     a=lp.a, b=lp.b, off=lp.off, z_out=lp.z_out,
                 )
                 out.append(SitePlan(lp.layer, flat, lp.z_in, bias, tuple(specs), div))
@@ -265,43 +304,64 @@ class WitnessPlan:
 
 # --- grid builder -----------------------------------------------------------
 
-class _Group:
-    """One gate-column group; its rows hold DOT chains, DIV on each last row."""
+def _lane(group: int, j: int) -> str:
+    """Column id of x lane j of gate group `group`, shared by its slots."""
+    return f"g{group}:x{j}"
 
-    def __init__(self, builder: "_Builder", index: int):
-        self.index = index
-        self.cursor = 0
+
+def _slot_col(group: int, slot: int, name: str) -> str:
+    """Column id of slot `slot`'s own column `name` in gate group `group`:
+    w<j>, carry, out, r, q, act or const."""
+    return f"g{group}:s{slot}:{name}"
+
+
+class _Slot:
+    """One output slot's own columns in a gate group."""
+
+    def __init__(self, builder: "_Builder", group: int, slot: int):
         n = builder.cfg.gate_width
-        g = f"g{index}"
-        self.xs = tuple(builder.new_column(f"{g}:x{j}", ADVICE) for j in range(n))
         wkind = ADVICE if builder.weights_advice else FIXED
-        self.ws = tuple(builder.new_column(f"{g}:w{j}", wkind) for j in range(n))
-        self.carry = builder.new_column(f"{g}:carry", ADVICE)
-        self.out = builder.new_column(f"{g}:out", ADVICE)
-        self.r = builder.new_column(f"{g}:r", ADVICE)
-        self.q = builder.new_column(f"{g}:q", ADVICE)
-        self.act = builder.new_column(f"{g}:act", ADVICE)
-        self.z = builder.new_column(f"{g}:z", FIXED)
-        self.div_a = builder.new_column(f"{g}:da", FIXED)
-        self.div_b = builder.new_column(f"{g}:db", FIXED)
-        self.div_off = builder.new_column(f"{g}:off", FIXED)
-        self.const = builder.new_column(f"{g}:const", FIXED)
-        self.q_dots = tuple(builder.new_column(f"{g}:q_dot{k}", FIXED) for k in range(1, n + 1))
-        self.q_div = builder.new_column(f"{g}:q_div", FIXED)
-        cols = GateColumns(
-            xs=self.xs, ws=self.ws, carry=self.carry, out=self.out, r=self.r, q=self.q,
-            act=self.act, z=self.z, div_a=self.div_a, div_b=self.div_b, div_off=self.div_off,
-            q_dots=self.q_dots, q_div=self.q_div,
-        )
-        builder.gates.extend(builtin_gates(n, cols, prefix=f"{g}:"))
-        self.lookup_selectors: dict[str, str] = {}
+
+        def col(name: str, kind: str = ADVICE) -> str:
+            return builder.new_column(_slot_col(group, slot, name), kind)
+
+        self.ws = tuple(col(f"w{j}", wkind) for j in range(n))
+        self.carry, self.out, self.r, self.q, self.act = map(col, ("carry", "out", "r", "q", "act"))
+        self.const = col("const", FIXED)
         # Column numbers, as the packed copy list holds them.
         num = builder.col_number
-        self.x_nums = tuple(num[c] for c in self.xs)
         self.w_nums = tuple(num[c] for c in self.ws)
         self.carry_num, self.out_num, self.const_num = num[self.carry], num[self.out], num[self.const]
         # The public weight lanes' sparse cells.
         self.w_fixed = tuple(builder.fixed.get(c) for c in self.ws)
+
+
+class _Group:
+    """One gate-column group of M output slots over shared x lanes; its
+    rows hold DOT chains, DIV on each last row.  Every row of the group
+    fills all M slots."""
+
+    def __init__(self, builder: "_Builder", index: int, m: int):
+        self.index = index
+        self.cursor = 0
+        n = builder.cfg.gate_width
+        g = f"g{index}"
+        self.xs = tuple(builder.new_column(_lane(index, j), ADVICE) for j in range(n))
+        self.slots = tuple(_Slot(builder, index, s) for s in range(m))
+        self.z = builder.new_column(f"{g}:z", FIXED)
+        self.div_a = builder.new_column(f"{g}:da", FIXED)
+        self.div_b = builder.new_column(f"{g}:db", FIXED)
+        self.div_off = builder.new_column(f"{g}:off", FIXED)
+        self.q_dots = tuple(builder.new_column(f"{g}:q_dot{k}", FIXED) for k in range(1, n + 1))
+        self.q_div = builder.new_column(f"{g}:q_div", FIXED)
+        cols = GateColumns(
+            xs=self.xs, z=self.z, div_a=self.div_a, div_b=self.div_b, div_off=self.div_off,
+            q_dots=self.q_dots, q_div=self.q_div,
+            slots=tuple(SlotColumns(ws=s.ws, carry=s.carry, out=s.out, r=s.r, q=s.q, act=s.act) for s in self.slots),
+        )
+        builder.gates.extend(builtin_gates(n, cols, prefix=f"{g}:"))
+        self.lookup_selectors: dict[str, str] = {}
+        self.x_nums = tuple(builder.col_number[c] for c in self.xs)
 
 
 class _Builder:
@@ -319,6 +379,7 @@ class _Builder:
         self.copies: list[int] = []  # packed, as in circuit.Copies
         self.instance_map: list[tuple[tuple, int]] = []
         self.groups: list[_Group] = []
+        self.open_groups: dict[int, _Group] = {}   # slot count -> the group taking its rows
         self.io_cursor = 0
         self.sponge_cursor = 0
         self.io_cols: tuple | None = None
@@ -347,10 +408,15 @@ class _Builder:
         else:
             self.fixed[col_id].pop(row, None)
 
-    def gate_row(self) -> _Group:
-        if not self.groups or self.groups[-1].cursor >= self.cfg.max_rows:
-            self.groups.append(_Group(self, len(self.groups)))
-        return self.groups[-1]
+    def gate_row(self, m: int) -> _Group:
+        """The group of M = m slots that takes the next row: groups of
+        different M sit side by side, and a new one of the same M opens
+        only when the current one's rows are exhausted."""
+        g = self.open_groups.get(m)
+        if g is None or g.cursor >= self.cfg.max_rows:
+            g = self.open_groups[m] = _Group(self, len(self.groups), m)
+            self.groups.append(g)
+        return g
 
     def copy(self, a: tuple, b: tuple) -> None:
         num = self.col_number
@@ -451,19 +517,22 @@ class _Builder:
             )
         return tid
 
-    def group_lookup_selector(self, group: _Group, table_id: str, columns: tuple) -> str:
+    def group_lookup_selector(self, group: _Group, table_id: str, names: tuple) -> str:
+        """The row-level selector applying `table_id` to the slot columns
+        `names` (such as ("q", "act")) of every slot of the group."""
         sel = group.lookup_selectors.get(table_id)
         if sel is None:
             sel = self.new_column(f"g{group.index}:q:{table_id}", FIXED)
             group.lookup_selectors[table_id] = sel
-            self.lookups.append(
-                LookupArg(
-                    id=f"g{group.index}:lk:{table_id}",
-                    table=table_id,
-                    columns=columns,
-                    selector=sel,
+            for m, slot in enumerate(group.slots):
+                self.lookups.append(
+                    LookupArg(
+                        id=f"g{group.index}:s{m}:lk:{table_id}",
+                        table=table_id,
+                        columns=tuple(getattr(slot, name) for name in names),
+                        selector=sel,
+                    )
                 )
-            )
         return sel
 
 
@@ -670,11 +739,12 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         n_copies = len(bld.copies)
         lp = _lower_layer(bld, i, key, offsets[key], act_cells)
         layer_plans.append(lp)
-        ends = [rows[-1] for *_, rows in lp.sites]
-        act_cells[i] = [(bld.groups[g].act, row) for g, row in ends]
-        acc_cells[i] = [(bld.groups[g].out, row) for g, row in ends]
+        ends = [(bld.groups[rows[-1][0]].slots[s], rows[-1][1]) for *_, s, rows in lp.sites]
+        act_cells[i] = [(slot.act, row) for slot, row in ends]
+        acc_cells[i] = [(slot.out, row) for slot, row in ends]
         bld.regions[f"layer{i}"] = {
-            "rows": sum(len(rows) for *_, rows in lp.sites),
+            # grid rows: a chunk's slots share its rows, counted at slot 0
+            "rows": sum(len(rows) for *_, s, rows in lp.sites if s == 0),
             "copies": (len(bld.copies) - n_copies) // 4,
             "lookup_rows": 2 * len(lp.sites),   # each DIV row's range and clip lookups
         }
@@ -719,14 +789,37 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         weight_values=bld.weight_values if bld.weights_advice else None,
         layer_plans=layer_plans,
         sponges=sponge_plans,
+        group_slots=[len(g.slots) for g in bld.groups],
     )
     return layout, stats
 
 
+def _chunks(channels: list, n: int) -> list[range]:
+    """The layer's channels as slot chunks, in order.  Consecutive
+    channels with the same source base read the same patch; each such
+    run of C channels is split into ceil(C/N) chunks as equal as possible
+    (C = 10 at N = 8 gives 5 + 5, C = 11 gives 6 + 5)."""
+    out = []
+    lo = 0
+    while lo < len(channels):
+        hi = lo + 1
+        while hi < len(channels) and channels[hi][0] == channels[lo][0]:
+            hi += 1
+        parts = -(-(hi - lo) // n)
+        size, extra = divmod(hi - lo, parts)
+        for part in range(parts):
+            m = size + (part < extra)
+            out.append(range(lo, lo + m))
+            lo += m
+    return out
+
+
 def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -> LayerPlan:
-    """Emit layer i's rows from its tap table: per site a DOT chain of
-    ceil(k/N) rows, DIV on the last, straight into the builder's packed
-    copies and sparse fixed columns."""
+    """Emit layer i's rows from its tap table, straight into the builder's
+    packed copies and sparse fixed columns: per output position and per
+    chunk of M channels sharing its patch, one DOT chain of ceil(k/N) rows
+    in the group of M slots, the x lanes copied once per row and DIV on
+    the last row."""
     graph = bld.graph
     layer = graph.layers[i]
     src, windows, channels, z_in = _tap_table(graph, i, act_cells)
@@ -749,70 +842,73 @@ def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -
         b_nums = [(num[col], row) for col, row in b_cells]
     biases = layer.bias or (0,) * len(channels)
     z_mod = z_in % p
+    zero_num = num[bld.zero_col]
     rtab = bld.range_table(0, b - 1)
     ctab = f"clip:a{a}:b{b}:z{z_out}"
+    chunks = _chunks(channels, n)
 
     sites = []
     for x_offs, w_offs in windows:
         k = len(x_offs)
-        x_base_done = None
-        for ch, (x_base, w_base) in enumerate(channels):
-            if x_base != x_base_done:    # channels that share a base share the x taps
-                x_srcs = [src[x_base + o] for o in x_offs]
-                x_nums = [src_nums[x_base + o] for o in x_offs]
-                x_base_done = x_base
+        for chunk in chunks:
+            x_base = channels[chunk.start][0]
+            x_srcs = [src[x_base + o] for o in x_offs]
+            x_nums = [src_nums[x_base + o] for o in x_offs]
             if w_offs is None:
-                w_ints = w_lanes = [1] * k
+                w_ints = w_lanes = [[1] * k] * len(chunk)
             else:
-                w_ints = [w_vals[w_base + o] for o in w_offs]
-                w_lanes = [w_sources[w_base + o] for o in w_offs]
-            bias = biases[ch]
+                w_ints = [[w_vals[channels[ch][1] + o] for o in w_offs] for ch in chunk]
+                w_lanes = [[w_sources[channels[ch][1] + o] for o in w_offs] for ch in chunk]
             rows = []
-            carry_src = None
+            carry_srcs = [None] * len(chunk)
             for lo in range(0, k, n):
                 hi = lo + n
-                g = bld.gate_row()
+                g = bld.gate_row(len(chunk))
                 row = g.cursor
                 g.cursor += 1
                 rows.append((g.index, row))
                 fixed[g.q_dots[min(hi, k) - lo - 1]][row] = 1
                 if z_mod:
                     fixed[g.z][row] = z_mod
-                if not hidden:
-                    for x, (col, src_row) in zip(g.x_nums, x_nums[lo:hi]):
-                        copies += (x, row, col, src_row)
-                    for w_fixed, w in zip(g.w_fixed, w_lanes[lo:hi]):
-                        if w:
-                            w_fixed[row] = w
-                elif w_offs is not None:
-                    for x, (col, src_row), w, (w_col, w_row) in zip(g.x_nums, x_nums[lo:hi], g.w_nums, w_lanes[lo:hi]):
-                        copies += (x, row, col, src_row, w, row, w_col, w_row)
-                else:
-                    # structural unit weights (residual / pooling)
-                    fixed[g.const][row] = 1
-                    for x, (col, src_row), w in zip(g.x_nums, x_nums[lo:hi], g.w_nums):
-                        copies += (x, row, col, src_row, w, row, g.const_num, row)
-                if carry_src is None:
-                    # The bias enters through the first carry, not through
-                    # const: in hidden-weights mode const holds unit weights.
-                    if i in bld.param_cells:
-                        carry_src = b_nums[ch]
-                    elif bias:
-                        bld.set_fixed(g.const, row, bias)
-                        carry_src = (g.const_num, row)
+                for x, (col, src_row) in zip(g.x_nums, x_nums[lo:hi]):
+                    copies += (x, row, col, src_row)
+                for s, (slot, ch) in enumerate(zip(g.slots, chunk)):
+                    if not hidden:
+                        for w_fixed, w in zip(slot.w_fixed, w_lanes[s][lo:hi]):
+                            if w:
+                                w_fixed[row] = w
+                    elif w_offs is not None:
+                        for w, (w_col, w_row) in zip(slot.w_nums, w_lanes[s][lo:hi]):
+                            copies += (w, row, w_col, w_row)
                     else:
-                        carry_src = (num[bld.zero_col], row)
-                copies += (g.carry_num, row, *carry_src)
-                carry_src = (g.out_num, row)
+                        # structural unit weights (residual / pooling)
+                        fixed[slot.const][row] = 1
+                        for w in slot.w_nums[: min(hi, k) - lo]:
+                            copies += (w, row, slot.const_num, row)
+                    carry_src = carry_srcs[s]
+                    if carry_src is None:
+                        # The bias enters through the first carry, not through
+                        # const: in hidden-weights mode const holds unit weights.
+                        if i in bld.param_cells:
+                            carry_src = b_nums[ch]
+                        elif biases[ch]:
+                            bld.set_fixed(slot.const, row, biases[ch])
+                            carry_src = (slot.const_num, row)
+                        else:
+                            carry_src = (zero_num, row)
+                    copies += (slot.carry_num, row, *carry_src)
+                    carry_srcs[s] = (slot.out_num, row)
 
-            # The last row carries DIV, its remainder range check and the clip lookup.
+            # The last row carries DIV, and each slot's remainder range
+            # check and clip lookup.
             bld.set_fixed(g.q_div, row, 1)
             bld.set_fixed(g.div_a, row, a)
             bld.set_fixed(g.div_b, row, b)
             bld.set_fixed(g.div_off, row, off)
-            fixed[bld.group_lookup_selector(g, rtab, (g.r,))][row] = 1
-            fixed[bld.group_lookup_selector(g, ctab, (g.q, g.act))][row] = 1
-            sites.append((x_srcs, w_ints, bias, rows))
+            fixed[bld.group_lookup_selector(g, rtab, ("r",))][row] = 1
+            fixed[bld.group_lookup_selector(g, ctab, ("q", "act"))][row] = 1
+            for s, ch in enumerate(chunk):
+                sites.append((x_srcs, w_ints[s], biases[ch], s, rows))
     return LayerPlan(layer=i, z_in=z_in, a=a, b=b, off=off, z_out=z_out, sites=sites)
 
 
@@ -846,16 +942,14 @@ def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells
                     poly=sub(cell(sc["s_out"][j]), cell(sc["s_in"][j])),
                 )
             )
+        # Every round gate reads the same s_in + rc and S-box subtrees,
+        # which the checker then evaluates once per row.
+        shifted = [add(cell(sc["s_in"][j]), cell(sc["rc"][j])) for j in range(t)]
+        sboxes = [pow5(x) for x in shifted]
         for k in range(t):
-            full_terms = [
-                mul(const(params.mds[k][j]), pow5(add(cell(sc["s_in"][j]), cell(sc["rc"][j]))))
-                for j in range(t)
-            ]
-            part_terms = [
-                mul(const(params.mds[k][0]), pow5(add(cell(sc["s_in"][0]), cell(sc["rc"][0]))))
-            ] + [
-                mul(const(params.mds[k][j]), add(cell(sc["s_in"][j]), cell(sc["rc"][j])))
-                for j in range(1, t)
+            full_terms = [mul(const(params.mds[k][j]), sboxes[j]) for j in range(t)]
+            part_terms = [mul(const(params.mds[k][0]), sboxes[0])] + [
+                mul(const(params.mds[k][j]), shifted[j]) for j in range(1, t)
             ]
             bld.gates.append(
                 GateDef(id=f"sp:full{k}", name=f"POSE_FULL_{k}", selector=sc["q_full"],
@@ -958,6 +1052,8 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         n_copy_constraints=len(layout.copies),
         max_gate_degree=layout.max_gate_degree(),
         regions=bld.regions,
+        advice_cells=n_advice * padded,
+        groups=[{"slots": len(g.slots), "rows": g.cursor} for g in bld.groups],
     )
     return layout, stats
 
@@ -999,31 +1095,41 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
             advice[col][row] = v
 
     hidden_w = plan.weight_cells is not None
-    group_cols: dict[int, tuple] = {}
+    # Per group its x lane columns, and per slot its own columns.
+    lanes = [[advice[_lane(gi, j)] for j in range(n)] for gi in range(len(plan.group_slots))]
+    slot_cols = [
+        [
+            (
+                [advice[_slot_col(gi, s, f"w{j}")] for j in range(n)] if hidden_w else None,
+                *(advice[_slot_col(gi, s, name)] for name in ("carry", "out", "r", "q", "act")),
+            )
+            for s in range(m)
+        ]
+        for gi, m in enumerate(plan.group_slots)
+    ]
     for lp in plan.layer_plans:
         z = lp.z_in
         accs, acts = flat_accs[lp.layer], flat_acts[lp.layer]
-        for flat, (x_srcs, w_ints, bias, rows) in enumerate(lp.sites):
+        for flat, (x_srcs, w_ints, bias, slot, rows) in enumerate(lp.sites):
+            if slot == 0:
+                row_diffs = []     # per row, x - z on each of its lanes
             acc = bias
-            taps = zip(x_srcs, w_ints)     # each row takes the next n
-            for gi, row in rows:
-                cols = group_cols.get(gi)
-                if cols is None:
-                    g = f"g{gi}:"
-                    cols = group_cols[gi] = (
-                        [advice[f"{g}x{j}"] for j in range(n)],
-                        [advice[f"{g}w{j}"] for j in range(n)] if hidden_w else None,
-                        advice[f"{g}carry"], advice[f"{g}out"],
-                        advice[f"{g}r"], advice[f"{g}q"], advice[f"{g}act"],
-                    )
-                xs, ws, carry, out = cols[:4]
+            for r, (gi, row) in enumerate(rows):
+                ws, carry, out = slot_cols[gi][slot][:3]
+                lo = r * n
+                w = w_ints[lo : lo + n]
+                if slot == 0:
+                    # A chunk's first site writes the x lanes its slots share.
+                    diffs = []
+                    for lane, (col, src_row) in zip(lanes[gi], x_srcs[lo : lo + n]):
+                        x = lane[row] = advice[col][src_row]
+                        diffs.append(x - z)
+                    row_diffs.append(diffs)
                 carry[row] = acc % p
-                for j, ((col, src_row), w) in zip(range(n), taps):
-                    x = advice[col][src_row]
-                    xs[j][row] = x
-                    if hidden_w:
-                        ws[j][row] = w % p
-                    acc += (x - z) * w
+                if hidden_w:
+                    for lane, v in zip(ws, w):
+                        lane[row] = v % p
+                acc += sum(map(operator.mul, row_diffs[r], w))
                 out[row] = acc % p
             if acc != int(accs[flat]):
                 raise WitnessError(
@@ -1032,7 +1138,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
                 )
             num = acc * lp.a
             d_q = num // lp.b
-            r_col, q_col, act_col = cols[4:]
+            r_col, q_col, act_col = slot_cols[gi][slot][3:]
             r_col[row] = (num - d_q * lp.b) % p
             q_col[row] = (d_q + lp.off) % p
             act = int(acts[flat])

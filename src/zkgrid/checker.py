@@ -8,10 +8,12 @@ there is no succinctness and no randomization.
 Gates are evaluated column-wise.  For each selector the enabled rows,
 its nonzero cells, are listed once, and each node of a gate polynomial
 becomes one pass over those rows (constants stay scalars).  Node
-results are memoised per selector on the hashable expression subtree,
-so gates that share a sub-expression, such as the S-box terms of the
-sponge round gates, compute it once per row.  Values are reduced mod p only by pow5 and
-once before the zero test; sums, differences and products are left
+results are memoised per selector on the identity of the expression
+subtree, so gates that share a sub-expression object compute it once per
+row: the slots of a DOT row share each x - z, and the sponge round gates
+their S-box terms.  Compile builds such gates over shared subtrees and
+the layout loader parses equal subtrees into one object.  Values are
+reduced mod p only by pow5 and once before the zero test; sums, differences and products are left
 unreduced, which is exact because reduction mod p is a ring homomorphism
 and Python ints do not overflow.
 
@@ -78,7 +80,7 @@ def _eval(e: Expr, rows: list, cols: dict, memo: dict, p: int):
     constant subtrees.  Values are congruent to the field result mod p."""
     if e.op == "const":
         return e.value
-    got = memo.get(e)
+    got = memo.get(id(e))
     if got is not None:
         return got
     if e.op == "cell":
@@ -91,7 +93,7 @@ def _eval(e: Expr, rows: list, cols: dict, memo: dict, p: int):
         out = _eval(e.args[0], rows, cols, memo, p)
         for a in e.args[1:]:
             out = _binop(fn, out, _eval(a, rows, cols, memo, p))
-    memo[e] = out
+    memo[id(e)] = out
     return out
 
 

@@ -125,53 +125,67 @@ def pow5(a: Expr) -> Expr:
 MAX_EXPR_DEPTH = 64  # compiled gates nest at most 6 deep
 
 
-def parse_sexpr(text: str) -> Expr:
+_SEXPR_OPS = {"+": "add", "-": "sub", "*": "mul", "pow5": "pow5"}
+
+
+def parse_sexpr(text: str, built: dict | None = None) -> Expr:
     """Inverse of Expr.to_sexpr, used by the layout file loader.  Any
     malformed text raises CircuitError, as does nesting deeper than
     MAX_EXPR_DEPTH, which every later recursive walk of the tree could
-    not handle."""
+    not handle.
+
+    One loop over the tokens: `open_nodes` holds the (op, args) of each
+    operator node begun and not yet closed, so its length is the depth
+    of the next node.  Equal subtrees are built once: `built` maps a
+    leaf's token, or an operator node's op and the ids of its (already
+    shared) operands, to its node.  Pass one `built` dict to the calls
+    for a whole layout and its gates share their common subtrees, as
+    compiled gates do."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def peek() -> str:
-        if pos == len(tokens):
-            raise CircuitError("malformed s-expression: unexpected end")
-        return tokens[pos]
-
-    def take() -> str:
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
-
-    def parse(depth: int) -> Expr:
-        if depth > MAX_EXPR_DEPTH:
+    if built is None:
+        built = {}
+    open_nodes: list[tuple[str, list]] = []
+    it = iter(tokens)
+    for tok in it:
+        if tok == ")" and open_nodes:
+            op, args = open_nodes.pop()
+            key = (op, *map(id, args))
+            node = built.get(key)
+            if node is None:
+                node = built[key] = Expr(op, args=tuple(args))
+        elif len(open_nodes) > MAX_EXPR_DEPTH:
             raise CircuitError("s-expression nests too deeply")
-        tok = take()
-        if tok != "(":
-            try:
-                return const(int(tok))
-            except ValueError:
-                raise CircuitError(f"malformed s-expression: bad constant {tok!r}") from None
-        head = take()
-        if head == "col":
-            col_id = take()
-            if take() != ")":
-                raise CircuitError("malformed s-expression: unterminated col")
-            return cell(col_id)
-        op = {"+": "add", "-": "sub", "*": "mul", "pow5": "pow5"}.get(head)
-        if op is None:
-            raise CircuitError(f"unknown s-expression head {head!r}")
-        args = []
-        while peek() != ")":
-            args.append(parse(depth + 1))
-        take()
-        return Expr(op, args=tuple(args))
-
-    out = parse(0)
-    if pos != len(tokens):
-        raise CircuitError("trailing tokens in s-expression")
-    return out
+        elif tok == "(":
+            head = next(it, None)
+            if head == "col":
+                col_id, close = next(it, None), next(it, None)
+                if close is None:
+                    raise CircuitError("malformed s-expression: unexpected end")
+                if close != ")":
+                    raise CircuitError("malformed s-expression: unterminated col")
+                node = built.get(("col", col_id))
+                if node is None:
+                    node = built["col", col_id] = Expr("cell", col=col_id)
+            elif head is None:
+                raise CircuitError("malformed s-expression: unexpected end")
+            elif head in _SEXPR_OPS:
+                open_nodes.append((_SEXPR_OPS[head], []))
+                continue
+            else:
+                raise CircuitError(f"unknown s-expression head {head!r}")
+        else:
+            node = built.get(tok)
+            if node is None:
+                try:
+                    node = built[tok] = Expr("const", value=int(tok))
+                except ValueError:
+                    raise CircuitError(f"malformed s-expression: bad constant {tok!r}") from None
+        if not open_nodes:
+            if next(it, None) is not None:
+                raise CircuitError("trailing tokens in s-expression")
+            return node
+        open_nodes[-1][1].append(node)
+    raise CircuitError("malformed s-expression: unexpected end")
 
 
 # --- constraints ------------------------------------------------------------
@@ -196,9 +210,8 @@ class LookupTable:
     def __post_init__(self):
         if self.arity < 1:
             raise CircuitError("lookup table arity must be >= 1")
-        for r in self.rows:
-            if len(r) != self.arity:
-                raise CircuitError(f"table {self.id}: tuple arity mismatch")
+        if not set(map(len, self.rows)) <= {self.arity}:
+            raise CircuitError(f"table {self.id}: tuple arity mismatch")
 
 
 @dataclass(frozen=True, slots=True)
@@ -411,11 +424,14 @@ class CircuitLayout:
         unknown = set(names) - self.columns.keys()
         if unknown:
             raise CircuitError(f"copy references unknown column {min(unknown)}")
-        cols, rows = self.copies.flat[0::2], self.copies.flat[1::2]
-        if cols and not (0 <= min(cols) and max(cols) < len(names)):
-            bad = min(cols) if min(cols) < 0 else max(cols)
-            raise CircuitError(f"copy references column number {bad} outside the {len(names)} columns")
-        if rows and not (0 <= min(rows) and max(rows) < self.n_rows):
+        flat = self.copies.flat
+        # Three passes when every copy is in range; only a bad one pays
+        # for finding which number to name.
+        if flat and not (min(flat) >= 0 and max(flat[0::2]) < len(names) and max(flat[1::2]) < self.n_rows):
+            cols, rows = flat[0::2], flat[1::2]
+            if not (0 <= min(cols) and max(cols) < len(names)):
+                bad = min(cols) if min(cols) < 0 else max(cols)
+                raise CircuitError(f"copy references column number {bad} outside the {len(names)} columns")
             bad = min(rows) if min(rows) < 0 else max(rows)
             raise CircuitError(f"copy references row {bad} outside grid")
         bindable = {col_id for col_id, col in self.columns.items() if col.kind != INSTANCE}
@@ -505,37 +521,52 @@ def _eval_expr(e: Expr, layout: CircuitLayout, assignment: Assignment, row: int)
 # --- built-in gate families -------------------------------------------------
 
 @dataclass(frozen=True)
-class GateColumns:
-    """Column ids one gate group operates on."""
+class SlotColumns:
+    """Column ids of one output slot of a gate group."""
 
-    xs: tuple[str, ...]       # advice: dot inputs
     ws: tuple[str, ...]       # dot weights (advice or fixed, mode dependent)
     carry: str                # advice: running sum carried into the row
     out: str                  # advice: running sum after the row
     r: str                    # advice: division remainder
     q: str                    # advice: shifted quotient, the clip-table key
     act: str                  # advice: post-lookup activation
+
+
+@dataclass(frozen=True)
+class GateColumns:
+    """Column ids one gate group operates on: the row-level cells every
+    slot shares, and each slot's own."""
+
+    xs: tuple[str, ...]       # advice: dot inputs, read by every slot
     z: str                    # fixed: dot zero point
     div_a: str                # fixed: numerator
     div_b: str                # fixed: divisor
     div_off: str              # fixed: table offset for negative domains
-    q_dots: tuple[str, ...]   # fixed: q_dots[k-1] enables DOT_k
-    q_div: str
+    q_dots: tuple[str, ...]   # fixed: q_dots[k-1] enables DOT_k in every slot
+    q_div: str                # fixed: enables DIV in every slot
+    slots: tuple[SlotColumns, ...]
 
 
 def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[GateDef]:
-    """The row-local gate families for linear layers: DOT_1 .. DOT_N over
-    the same columns, then DIV.
+    """The row-local gate families for linear layers, per output slot m:
+    DOT_1 .. DOT_N over the same columns, then DIV.
 
-    DOT_k:  out = carry + sum_{j<k} (x_j - z) * w_j, z from a fixed cell so
-            one gate serves every layer.  A row with k taps enables DOT_k,
-            so no gate reads its lanes k..N-1 and they need no value.
-            Rows chain by copying one row's out into the next row's carry,
-            so a k-tap sum takes ceil(k/N) rows and no reduction tree
-    DIV:    out * a = (q - off) * b + r, on the chain's last row, pairing
-            with the range lookup 0 <= r < b; q then holds
-            floor(out*a/b) + off, which is exactly the shifted key of the
-            clip table
+    DOT_k:  out_m = carry_m + sum_{j<k} (x_j - z) * w_{m,j}, z from a
+            fixed cell so one gate serves every layer.  The x lanes are
+            shared: the M slots of a row are M output channels that read
+            the same input patch, each with its own weights.  A row with
+            k taps enables DOT_k in every slot, so no gate reads lanes
+            k..N-1 and they need no value.  Rows chain by copying one
+            row's out_m into the next row's carry_m, so a k-tap sum takes
+            ceil(k/N) rows and no reduction tree
+    DIV:    out_m * a = (q_m - off) * b + r_m, on the chain's last row,
+            pairing with the range lookup 0 <= r_m < b; q_m then holds
+            floor(out_m*a/b) + off, which is exactly the shifted key of
+            the clip table
+
+    Gate names are DOT_k and DIV in every slot; slot m's ids are
+    `{prefix}s{m}:dot{k}` and `{prefix}s{m}:div`.  The selectors are
+    row-level, so every slot of an enabled row is constrained.
 
     This departs from the paper's scheme of DOT rows, an ADD tree and a
     separate DIV row: the sum and the division share rows, and the grid
@@ -543,16 +574,20 @@ def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[Gat
     """
     if n_width < 2:
         raise CircuitError("gate width must be >= 2")
-    terms = [mul(sub(cell(x), cell(cols.z)), cell(w)) for x, w in zip(cols.xs, cols.ws)]
-    gates = [
-        GateDef(
-            id=f"{prefix}dot{k}", name=f"DOT_{k}", selector=cols.q_dots[k - 1],
-            poly=sub(add(cell(cols.carry), *terms[:k]), cell(cols.out)),
+    diffs = [sub(cell(x), cell(cols.z)) for x in cols.xs]
+    gates = []
+    for m, slot in enumerate(cols.slots):
+        terms = [mul(d, cell(w)) for d, w in zip(diffs, slot.ws)]
+        gates += [
+            GateDef(
+                id=f"{prefix}s{m}:dot{k}", name=f"DOT_{k}", selector=cols.q_dots[k - 1],
+                poly=sub(add(cell(slot.carry), *terms[:k]), cell(slot.out)),
+            )
+            for k in range(1, n_width + 1)
+        ]
+        div_poly = sub(
+            mul(cell(slot.out), cell(cols.div_a)),
+            add(mul(sub(cell(slot.q), cell(cols.div_off)), cell(cols.div_b)), cell(slot.r)),
         )
-        for k in range(1, n_width + 1)
-    ]
-    div_poly = sub(
-        mul(cell(cols.out), cell(cols.div_a)),
-        add(mul(sub(cell(cols.q), cell(cols.div_off)), cell(cols.div_b)), cell(cols.r)),
-    )
-    return gates + [GateDef(id=f"{prefix}div", name="DIV", selector=cols.q_div, poly=div_poly)]
+        gates.append(GateDef(id=f"{prefix}s{m}:div", name="DIV", selector=cols.q_div, poly=div_poly))
+    return gates

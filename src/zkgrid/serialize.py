@@ -98,26 +98,38 @@ class FormatError(ValueError):
 def _encode_column(vals: list) -> bytes:
     """Assigned length, width byte, base and cells of one column (see the
     module docstring)."""
+    # Strip the unassigned tail a slice at a time, then cell by cell.
     n = len(vals)
-    while n and vals[n - 1] is None:
-        n -= 1
+    for s in (4096, 256, 16, 1):
+        while n >= s and vals[n - s : n].count(None) == s:
+            n -= s
     vals = vals[:n]
-    head = _LENGTH.pack(len(vals))
-    present = [v for v in vals if v is not None]
+    present = [v for v in vals if v is not None] if None in vals else vals
     lo, hi = min(present, default=0), max(present, default=0)
-    if lo < 0 or hi >= _LIMIT:
-        raise FormatError(f"cell value {lo if lo < 0 else hi} outside [0, 2**255)")
+    if lo < 0:
+        raise FormatError(f"cell value {lo} outside [0, 2**255)")
+    return _pack_cells(vals, present, hi)
+
+
+def _pack_cells(vals: list, present: list, hi: int) -> bytes:
+    """The cell column of `vals`, whose assigned cells are `present` (the
+    list `vals` itself when every cell is assigned), each at least 0 and
+    at most `hi`."""
+    if hi >= _LIMIT:
+        raise FormatError(f"cell value {hi} outside [0, 2**255)")
+    head = _LENGTH.pack(len(vals))
     base, span = 0, hi
     if hi >= _BIG:
         base = hi + 1
+        # _BIG.__gt__ and _BIG.__le__ split the cells below and from 2**63.
         span = max(
-            max((v for v in present if v < _BIG), default=0),
-            base - min(v for v in present if v >= _BIG),
+            max(filter(_BIG.__gt__, present), default=0),
+            base - min(filter(_BIG.__le__, present)),
         )
     for w in (1, 2, 4, 8):
         if span < 1 << (8 * w - 1):
             none = -1 << (8 * w - 1)
-            if base or len(present) != len(vals):
+            if base or present is not vals:
                 vals = [none if v is None else v if v < _BIG else v - base for v in vals]
             cells = array(_TYPECODE[w], vals)
             if _SWAP:
@@ -217,12 +229,13 @@ def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[list[int
 def _encode_residues(vals: list, p: int, what: str, low: int = 0) -> bytes:
     """A cell column of vals, each in [low, p)."""
     try:
-        ok = not vals or (min(vals) >= low and max(vals) < p)
+        hi = max(vals, default=low)
+        ok = min(vals, default=low) >= low and hi < p
     except TypeError:   # an unassigned value
         ok = False
     if not ok:
         raise FormatError(f"{what} holds a value outside [{low}, p): not a canonical residue")
-    return _encode_column(vals)
+    return _pack_cells(vals, vals, hi)
 
 
 def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str, low: int = 0) -> tuple[list[int], int]:
@@ -336,9 +349,11 @@ def load_layout(raw: bytes) -> CircuitLayout:
         _need(len(names) == len(doc["columns"]), "duplicate column id")
 
         gates = []
+        subtrees: dict = {}   # shared by the gates' parses
         for g in doc["gates"]:
             _need(_typed([g["id"], g["name"], g["selector"], g["poly"]], str), "gate fields must be strings")
-            gates.append(GateDef(id=g["id"], name=g["name"], selector=g["selector"], poly=parse_sexpr(g["poly"])))
+            poly = parse_sexpr(g["poly"], subtrees)
+            gates.append(GateDef(id=g["id"], name=g["name"], selector=g["selector"], poly=poly))
 
         lookups = []
         for l in doc["lookups"]:

@@ -66,7 +66,8 @@ def test_criterion_1_oracle_equivalence(oracle_corpus):
         assert violations == [], f"model {checked}: {violations[:3]}"
         tr = run_inference(g, inp)
         for site in layout.plan.site_plans:
-            got = asg.advice[f"g{site.div.group}:act"][site.div.row]
+            col, row = site.div.cell("act")
+            got = asg.advice[col][row]
             want = int(tr.layers[site.layer].act.reshape(-1)[site.flat])
             assert got == want, f"model {checked} layer {site.layer} site {site.flat}"
         checked += 1

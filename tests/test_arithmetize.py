@@ -51,9 +51,10 @@ def _fc_model(units=1, feat=10, b=2, weights=None, bias=None):
 
 
 def test_fc_k10_n4_row_counts():
-    """k=10 with gate width 4: a chain of 3 DOT rows per output neuron,
-    the last padded and carrying DIV.  The bias is the first row's carry,
-    a copy of a const cell; each later carry copies the previous out."""
+    """k=10 with gate width 4: one chain of 3 DOT rows whose 3 slots are
+    the 3 output neurons, the last row carrying DIV.  Each slot's bias is
+    its first carry, a copy of its const cell; each later carry copies
+    the slot's previous out."""
     biases = [5, -6, 7]
     g = _fc_model(units=3, feat=10, bias=biases)
     layout, stats = compile(g, CompileConfig(gate_width=4))
@@ -66,12 +67,14 @@ def test_fc_k10_n4_row_counts():
         assert [len(r.x_srcs) for r in rows] == [4, 4, 2]  # 10 = 4 + 4 + 2
         assert rows[-1] is site.div and site.add_rows == ()
         first = rows[0]
-        const = copies[(f"g{first.group}:carry", first.row)]
-        assert const == (f"g{first.group}:const", first.row)
+        const = copies[first.cell("carry")]
+        assert const == first.cell("const")
         assert layout.fixed[const[0]][const[1]] == bias % p
         for prev, cur in zip(rows, rows[1:]):
-            assert copies[(f"g{cur.group}:carry", cur.row)] == (f"g{prev.group}:out", prev.row)
-    assert stats.n_rows == 9
+            assert copies[cur.cell("carry")] == prev.cell("out")
+    assert [site.div.slot for site in plan.site_plans] == [0, 1, 2]
+    assert stats.n_rows == 3
+    assert stats.groups == [{"slots": 3, "rows": 3}]
     inp = random_input(random.Random(1), g)
     assert check(layout, assign_witness(layout, g, inp)) == []
 
@@ -202,11 +205,11 @@ def test_layer_tables_match_naive_taps(mode):
             layer = g.layers[lp.layer]
             kinds.add((layer.kind, layer.padding, layer.stride))
             assert len(lp.sites) == math.prod(g.output_shapes[lp.layer])
-            for flat, (x_srcs, w_ints, _, rows) in enumerate(lp.sites):
+            for flat, (x_srcs, w_ints, _, _, rows) in enumerate(lp.sites):
                 want = _naive_site_taps(g, lp.layer, flat, cells)
                 assert list(zip(x_srcs, w_ints)) == want, (lp.layer, flat)
                 assert len(rows) == -(-len(want) // 4)
-            cells[lp.layer] = [(f"g{rows[-1][0]}:act", rows[-1][1]) for *_, rows in lp.sites]
+            cells[lp.layer] = [site.div.cell("act") for site in plan.site_plans if site.layer == lp.layer]
         assert check(layout, assign_witness(layout, g, random_input(random.Random(7), g))) == []
     assert kinds == {
         (kind, padding, stride)
@@ -214,24 +217,32 @@ def test_layer_tables_match_naive_taps(mode):
     } | {("residual_add", "valid", 1), ("average_pool", "valid", 1), ("fully_connected", "valid", 1)}
 
 
+@pytest.mark.parametrize("units", [1, 3])
 @pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
-def test_carry_chain_crosses_gate_group(mode):
-    """Two 10-tap sites at N = 4 in groups of 4 rows: the second site's
-    chain runs from g0 row 3 into g1 rows 0 and 1, so its second carry
-    copies the out cell of the previous group.  The honest witness checks
-    clean, and that carry moved by one is caught."""
-    g = _fc_model(units=2, feat=10, weights=[(-1) ** j * (j % 7) for j in range(20)], bias=(3, -4))
-    layout, _ = compile(g, CompileConfig(gate_width=4, max_rows=4, mode=mode))
-    assert [rows for *_, rows in layout.plan.layer_plans[0].sites] == [
-        [(0, 0), (0, 1), (0, 2)], [(0, 3), (1, 0), (1, 1)]
+def test_carry_chain_crosses_gate_group(mode, units):
+    """One 18-tap chain at N = 4 in groups of 4 rows: its M = units slots
+    share g0 rows 0..3, then a new group of the same M, g1 row 0, so each
+    slot's fifth carry copies its own out cell in the previous group.
+    The honest witness checks clean, and one slot's cross-group carry
+    moved by one is caught by that copy and that slot's DOT gate."""
+    g = _fc_model(
+        units=units, feat=18, weights=[(-1) ** j * (j % 7) for j in range(18 * units)], bias=(3, -4, 5)[:units]
+    )
+    layout, stats = compile(g, CompileConfig(gate_width=4, max_rows=4, mode=mode))
+    assert stats.groups == [{"slots": units, "rows": 4}, {"slots": units, "rows": 1}]
+    assert [(slot, rows) for *_, slot, rows in layout.plan.layer_plans[0].sites] == [
+        (s, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]) for s in range(units)
     ]
     copies = {cp.a: cp.b for cp in layout.copies}
-    assert copies[("g1:carry", 0)] == ("g0:out", 3)
+    for s in range(units):
+        assert copies[(f"g1:s{s}:carry", 0)] == (f"g0:s{s}:out", 3)
     asg = assign_witness(layout, g, _fc_input(g, random.Random(3)))
     assert check(layout, asg) == []
-    asg.advice["g1:carry"][0] = (asg.advice["g1:carry"][0] + 1) % layout.field.modulus
+    carry = asg.advice[f"g1:s{units - 1}:carry"]
+    carry[0] = (carry[0] + 1) % layout.field.modulus
     violations = check(layout, asg)
     assert {(v.kind, v.row) for v in violations} == {("copy", 0), ("gate", 0)}
+    assert [v.id for v in violations if v.kind == "gate"] == [f"g1:s{units - 1}:dot2"]
 
 
 @pytest.mark.parametrize(
@@ -278,29 +289,29 @@ def test_dot_rows_hold_only_their_taps(seed, mode):
     cfg = CompileConfig(mode=mode)
     n = cfg.gate_width
     layout, _ = compile(g, cfg)
-    lanes = {c for c in layout.columns if re.fullmatch(r"g\d+:[xw]\d+", c)}
+    lanes = {c for c in layout.columns if re.fullmatch(r"g\d+:(s\d+:)?[xw]\d+", c)}
+    assert lanes
     assert not [cp for cp in layout.copies if cp.a[0] in lanes and cp.b[0] == "zero"]
     assert not [cp for cp in layout.copies if cp.b[0] in lanes and cp.a[0] == "zero"]
 
     asg = assign_witness(layout, g, random_input(random.Random(1), g))
     assert check(layout, asg) == []
     lane_kinds = "xw" if mode is not None else "x"
-    live = []
-    n_dot_rows = 0
+    live = set()
+    dot_rows = set()
     for site in layout.plan.site_plans:
         for d in site.rows:
-            n_dot_rows += 1
+            dot_rows.add((d.group, d.row))
             k = len(d.x_srcs)
-            g_ = f"g{d.group}:"
-            assert [j for j in range(1, n + 1) if layout.fixed[f"{g_}q_dot{j}"][d.row]] == [k]
+            assert [j for j in range(1, n + 1) if layout.fixed[f"g{d.group}:q_dot{j}"][d.row]] == [k]
             for kind in lane_kinds:
-                cells = [(f"{g_}{kind}{j}", d.row) for j in range(n)]
+                cells = [d.x_cell(j) if kind == "x" else d.cell(f"w{j}") for j in range(n)]
                 assert [asg.advice[c][r] is None for c, r in cells] == [j >= k for j in range(n)]
-                live += cells[:k]
-    assert sum(sum(map(bool, layout.fixed[c])) for c in layout.columns if ":q_dot" in c) == n_dot_rows
+                live.update(cells[:k])
+    assert sum(sum(map(bool, layout.fixed[c])) for c in layout.columns if ":q_dot" in c) == len(dot_rows)
 
     p = layout.field.modulus
-    for col, row in random.Random(seed).sample(live, 64):
+    for col, row in random.Random(seed).sample(sorted(live), 64):
         v = asg.advice[col][row]
         asg.advice[col][row] = (v + 1) % p
         assert check(layout, asg), (col, row)
@@ -511,7 +522,8 @@ def test_identity_conv_witness_roundtrip():
     asg = assign_witness(layout, g, inp)
     assert check(layout, asg) == []
     site = layout.plan.site_plans[0]
-    act_cell = asg.advice[f"g{site.div.group}:act"][site.div.row]
+    col, row = site.div.cell("act")
+    act_cell = asg.advice[col][row]
     assert act_cell == 7
 
 
@@ -528,7 +540,8 @@ def test_zero_input_matches_bias_only_accumulators():
     assert check(layout, asg) == []
     tr = run_inference(g, inp)
     for site in layout.plan.site_plans:
-        got = asg.advice[f"g{site.div.group}:act"][site.div.row]
+        col, row = site.div.cell("act")
+        got = asg.advice[col][row]
         assert got == int(tr.layers[site.layer].act.reshape(-1)[site.flat])
 
 
@@ -542,7 +555,8 @@ def test_oracle_equivalence_random_models():
         assert check(layout, asg) == []
         tr = run_inference(g, inp)
         for site in layout.plan.site_plans:
-            got = asg.advice[f"g{site.div.group}:act"][site.div.row]
+            col, row = site.div.cell("act")
+            got = asg.advice[col][row]
             assert got == int(tr.layers[site.layer].act.reshape(-1)[site.flat])
 
 
@@ -605,8 +619,8 @@ def test_weight_columns_fixed_when_public_advice_when_hidden():
     g = random_parameterized_model(rng, max_hw=4, max_c=2, max_layers=1)
     pub, _ = compile(g, CompileConfig(mode=None))
     hid, _ = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
-    assert pub.columns["g0:w0"].kind == "fixed"
-    assert hid.columns["g0:w0"].kind == "advice"
+    assert pub.columns["g0:s0:w0"].kind == "fixed"
+    assert hid.columns["g0:s0:w0"].kind == "advice"
 
 
 # --- hidden weights: PACK chains and bias range checks ------------------------
@@ -699,7 +713,7 @@ def test_div_rows_leave_unread_cells_free():
     g = random_model(rng, max_hw=5, max_c=3, max_layers=3)
     layout, _ = compile(g)
     div_cells = {
-        (f"g{site.div.group}:{col}", site.div.row)
+        site.div.cell(col)
         for site in layout.plan.site_plans
         for col in ("r", "q")
     }
@@ -747,3 +761,141 @@ def test_grid_over_max_cells_rejected(monkeypatch):
     monkeypatch.setattr(arithmetize, "MAX_CELLS", cells - 1)
     with pytest.raises(CompileError, match="cells"):
         compile(g)
+
+
+# --- multi-output rows: slots over shared x lanes ------------------------------
+
+MODES = [None, *VisibilityMode]
+
+
+def _slot_case_model(seed, mode):
+    """The benchmark models for seeds 110 and 111 when the input is public
+    (a hidden input's sponge alone would take 131,072 rows), smaller
+    models from the same seeds otherwise."""
+    if seed >= 100:
+        big = mode is None or not mode.input_hidden
+        return random_model(random.Random(seed), max_hw=32 if big else 8, max_c=16, max_layers=5)
+    return random_model(random.Random(seed), max_hw=8, max_c=12, max_layers=4)
+
+
+@pytest.mark.parametrize(
+    "seed, mode, gate_width",
+    [(seed, mode, 8) for seed in (110, 111, *range(12)) for mode in MODES]
+    + [(seed, mode, 4) for seed in range(6) for mode in MODES],
+)
+def test_slot_rows_match_the_interpreter(seed, mode, gate_width):
+    """On every model and mode, at N = 8 (and N = 4 on seeds 0-5), the
+    honest witness checks clean, every site's out and act cells equal the
+    interpreter's accumulator and activation, and each group's rows fill
+    all its slots."""
+    g = _slot_case_model(seed, mode)
+    layout, stats = compile(g, CompileConfig(gate_width=gate_width, mode=mode))
+    inp = random_input(random.Random(seed), g)
+    asg = assign_witness(layout, g, inp)
+    assert check(layout, asg) == []
+    tr = run_inference(g, inp)
+    p = layout.field.modulus
+    slots = {}
+    for site in layout.plan.site_plans:
+        out_col, row = site.div.cell("out")
+        act_col, _ = site.div.cell("act")
+        assert asg.advice[out_col][row] == int(tr.layers[site.layer].acc.reshape(-1)[site.flat]) % p
+        assert asg.advice[act_col][row] == int(tr.layers[site.layer].act.reshape(-1)[site.flat])
+        for d in site.rows:
+            slots.setdefault((d.group, d.row), set()).add(d.slot)
+    for gi, group in enumerate(stats.groups):
+        rows = [r for (gj, r), s in slots.items() if gj == gi]
+        assert sorted(rows) == list(range(group["rows"]))
+        assert all(slots[(gi, r)] == set(range(group["slots"])) for r in rows)
+        assert 1 <= group["slots"] <= gate_width
+
+
+def _three_unit_fc(mode):
+    """fc with 3 units over 10 features at N = 4: one chain of 3 rows
+    whose 3 slots are the units."""
+    weights = [(j * 7) % 5 + 1 if j % 2 else -((j * 3) % 7 + 1) for j in range(30)]   # none is 0
+    g = _fc_model(units=3, feat=10, b=4, weights=weights, bias=(9, -20, 31))
+    layout, _ = compile(g, CompileConfig(gate_width=4, mode=mode))
+    asg = assign_witness(layout, g, _fc_input(g, random.Random(11)))
+    assert check(layout, asg) == []
+    return layout, asg
+
+
+def _raised(layout, asg, cell):
+    col, row = cell
+    old = asg.advice[col][row]
+    asg.advice[col][row] = (old + 1) % layout.field.modulus
+    try:
+        return check(layout, asg)
+    finally:
+        asg.advice[col][row] = old
+
+
+@pytest.mark.parametrize(
+    "mode, name",
+    [(mode, name) for mode in (None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS) for name in ("out", "act", "q", "r")]
+    + [(VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS, "w1")],   # public weight lanes are fixed cells
+)
+def test_raised_slot_cell_names_its_slot(mode, name):
+    """Raising one slot's out, act, q, r or (hidden) weight lane by one is
+    rejected by a gate or lookup of that slot, and by no other slot's."""
+    layout, asg = _three_unit_fc(mode)
+    for site in layout.plan.site_plans:
+        d = site.div if name != "w1" else site.rows[0]
+        violations = _raised(layout, asg, d.cell(name))
+        named = {v.id for v in violations if v.kind in ("gate", "lookup")}
+        assert named, (site.flat, name)
+        assert all(i.startswith(f"g{d.group}:s{d.slot}:") for i in named), named
+
+
+@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+def test_raised_shared_x_lane_breaks_every_slot(mode):
+    """An x lane is read by every slot of its row: raising it by one breaks
+    each slot's DOT gate on that row, and its copy."""
+    layout, asg = _three_unit_fc(mode)
+    site = layout.plan.site_plans[0]
+    for d in site.rows:
+        k = len(d.x_srcs)
+        for j in range(k):
+            violations = _raised(layout, asg, d.x_cell(j))
+            gates = {(v.id, v.row) for v in violations if v.kind == "gate"}
+            assert gates == {(f"g{d.group}:s{m}:dot{k}", d.row) for m in range(3)}
+            assert [v.kind for v in violations if v.kind != "gate"] == ["copy"]
+
+
+@pytest.mark.parametrize("units, groups", [(10, [(5, 2)]), (11, [(6, 1), (5, 1)]), (8, [(8, 1)]), (9, [(5, 1), (4, 1)])])
+def test_channels_split_into_equal_chunks(units, groups):
+    """C channels that share a patch at N = 8 take ceil(C/8) chunks as
+    equal as possible, each in the group of its slot count: C = 10 gives
+    two chunks of 5 in one group, C = 11 a group of 6 slots and one of 5."""
+    g = _fc_model(units=units, feat=6, weights=[(j % 9) - 4 for j in range(6 * units)])
+    layout, stats = compile(g)
+    assert [(grp["slots"], grp["rows"]) for grp in stats.groups] == groups
+    slots = [site.div.slot for site in layout.plan.site_plans]
+    sizes = [m for m, rows in groups for _ in range(rows)]
+    assert slots == [s for m in sizes for s in range(m)]
+    assert check(layout, assign_witness(layout, g, _fc_input(g, random.Random(units)))) == []
+
+
+def test_depthwise_residual_and_pool_channels_take_one_slot():
+    """Channels with their own source base (depthwise, residual, pool)
+    share no patch: their sites take rows of M = 1 slot."""
+    for g in _table_models():
+        layout, _ = compile(g)
+        for site in layout.plan.site_plans:
+            kind = g.layers[site.layer].kind
+            if kind not in ("conv2d", "fully_connected"):
+                assert site.div.slot == 0
+                assert layout.columns.get(f"g{site.div.group}:s1:out") is None, kind
+
+
+def test_slot_stats_report_cells_and_groups():
+    """advice_cells is advice columns times padded rows, and groups list
+    each group's slot count and rows in column order."""
+    g = random_model(random.Random(110), max_hw=32, max_c=16, max_layers=5)
+    layout, stats = compile(g)
+    n_advice = sum(col.kind == "advice" for col in layout.columns.values())
+    assert stats.advice_cells == n_advice * stats.n_rows_padded
+    assert stats.groups == [{"slots": 3, "rows": 934}, {"slots": 1, "rows": 391}]
+    assert (stats.n_rows_padded, stats.n_copy_constraints) == (1024, 12243)
+    assert stats.to_json()["groups"] == stats.groups

@@ -32,8 +32,7 @@ def test_single_tamper_names_constraint_and_row():
     plan = layout.plan
     site = plan.site_plans[0]
     first = site.rows[0]  # a single-row site has no dot_rows before its div
-    col = f"g{first.group}:out"
-    row = first.row
+    col, row = first.cell("out")
     asg.advice[col][row] = (asg.advice[col][row] + 1) % layout.field.modulus
     vs = check(layout, asg)
     assert vs

@@ -3,14 +3,19 @@ import pytest
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
+    MAX_EXPR_DEPTH,
     Assignment,
     CircuitError,
     CircuitLayout,
     Column,
+    Expr,
     GateColumns,
     GateDef,
+    SlotColumns,
+    add,
     builtin_gates,
     cell,
+    const,
     mul,
     parse_sexpr,
     pow5,
@@ -85,18 +90,13 @@ def test_selector_linearity_random():
 def _gate_cols(n):
     return GateColumns(
         xs=tuple(f"x{j}" for j in range(n)),
-        ws=tuple(f"w{j}" for j in range(n)),
-        carry="carry",
-        out="out",
-        r="r",
-        q="q",
-        act="act",
         z="z",
         div_a="da",
         div_b="db",
         div_off="off",
         q_dots=tuple(f"q_dot{k}" for k in range(1, n + 1)),
         q_div="q_div",
+        slots=(SlotColumns(ws=tuple(f"w{j}" for j in range(n)), carry="carry", out="out", r="r", q="q", act="act"),),
     )
 
 
@@ -190,6 +190,91 @@ def test_sexpr_round_trip():
     e2 = parse_sexpr(text)
     assert e2.to_sexpr() == text
     assert e2.degree() == e.degree() == 6
+
+
+def _random_expr(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return cell(f"c{rng.randrange(4)}") if rng.random() < 0.5 else Expr("const", value=rng.randrange(-9, 1 << 254))
+    op = rng.choice(["add", "sub", "mul", "pow5"])
+    k = 1 if op == "pow5" else rng.randrange(1, 4)
+    return Expr(op, args=tuple(_random_expr(rng, depth - 1) for _ in range(k)))
+
+
+def test_sexpr_round_trips_are_exact():
+    """Every tree, up to MAX_EXPR_DEPTH deep, parses back to an equal tree
+    and the same text, alone or with one table of shared subtrees."""
+    import random
+
+    rng = random.Random(4)
+    exprs = [_random_expr(rng, rng.randrange(0, 7)) for _ in range(300)]
+    deepest = cell("a")
+    for _ in range(MAX_EXPR_DEPTH):
+        deepest = add(deepest, const(1))
+    exprs.append(deepest)
+    built = {}
+    for e in exprs:
+        for got in (parse_sexpr(e.to_sexpr()), parse_sexpr(e.to_sexpr(), built)):
+            assert got == e and got.to_sexpr() == e.to_sexpr()
+    shared = [parse_sexpr(text, built) for text in ("(+ (col a) 2)", "(* (+ (col a) 2) (col a))")]
+    assert shared[1].args[0] is shared[0]
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("", "unexpected end"),
+        ("(+ (col a)", "unexpected end"),
+        ("(col", "unexpected end"),
+        ("(col a", "unexpected end"),
+        ("(", "unexpected end"),
+        ("(col a b)", "unterminated col"),
+        ("(+ 1 x)", "bad constant 'x'"),
+        (")", "bad constant"),
+        ("(% 1 2)", "unknown s-expression head '%'"),
+        ("((col a))", "unknown s-expression head"),
+        ("(col a) 1", "trailing tokens"),
+        ("(+ 1 2))", "trailing tokens"),
+        ("1 2", "trailing tokens"),
+        ("(+ " * (MAX_EXPR_DEPTH + 1) + "1" + ")" * (MAX_EXPR_DEPTH + 1), "nests too deeply"),
+        ("(+ " * 5000, "nests too deeply"),
+    ],
+)
+def test_malformed_sexpr_raises(text, match):
+    with pytest.raises(CircuitError, match=match):
+        parse_sexpr(text)
+    with pytest.raises(CircuitError, match=match):
+        parse_sexpr(text, {})
+
+
+def test_sexpr_depth_limit_is_inclusive():
+    """A leaf at depth MAX_EXPR_DEPTH parses; one level deeper does not."""
+    ok = "(+ " * MAX_EXPR_DEPTH + "1" + ")" * MAX_EXPR_DEPTH
+    assert parse_sexpr(ok).to_sexpr() == ok
+    with pytest.raises(CircuitError, match="nests too deeply"):
+        parse_sexpr("(+ " + ok + ")")
+
+
+def test_slots_share_x_lanes_and_selectors():
+    """Two slots over the same x lanes: one gate per slot and width, named
+    DOT_k / DIV with the slot in the id, on the shared selectors; each
+    slot's gate reads only its own weights, carry and out."""
+    slots = tuple(
+        SlotColumns(ws=(f"w{m}_0", f"w{m}_1"), carry=f"c{m}", out=f"o{m}", r=f"r{m}", q=f"q{m}", act=f"a{m}")
+        for m in range(2)
+    )
+    cols = GateColumns(
+        xs=("x0", "x1"), z="z", div_a="da", div_b="db", div_off="off",
+        q_dots=("q_dot1", "q_dot2"), q_div="q_div", slots=slots,
+    )
+    gates = builtin_gates(2, cols, prefix="g0:")
+    assert [(g.id, g.name, g.selector) for g in gates] == [
+        ("g0:s0:dot1", "DOT_1", "q_dot1"), ("g0:s0:dot2", "DOT_2", "q_dot2"), ("g0:s0:div", "DIV", "q_div"),
+        ("g0:s1:dot1", "DOT_1", "q_dot1"), ("g0:s1:dot2", "DOT_2", "q_dot2"), ("g0:s1:div", "DIV", "q_div"),
+    ]
+    shared = {"x0", "x1", "z", "da", "db", "off"}
+    for g, m in zip(gates, [0] * 3 + [1] * 3):
+        own = g.poly.columns() - shared
+        assert own and own <= {*slots[m].ws, slots[m].carry, slots[m].out, slots[m].r, slots[m].q}, g.id
 
 
 def test_degree_accounting():

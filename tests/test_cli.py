@@ -54,6 +54,8 @@ def test_compile_stats_and_layout(workspace):
     assert sum(line["copies"] for line in doc["regions"].values()) == doc["n_copy_constraints"]
     lay = serialize.load_layout(layout.read_bytes())
     assert lay.n_rows >= 1
+    assert doc["advice_cells"] == sum(c.kind == "advice" for c in lay.columns.values()) * lay.n_rows
+    assert doc["groups"] == [{"rows": doc["regions"]["layer0"]["rows"], "slots": 1}]
 
 
 def test_full_pipeline_accepts(workspace):

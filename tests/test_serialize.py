@@ -552,8 +552,8 @@ def test_fixed_values_at_the_residue_bounds_load(files):
     (p and 0 are refused above)."""
     _, lay, _ = files
     doc = layout_doc(serialize.load_layout(lay))
-    _fixed("g0:w0", [0], [P - 1])(doc)
-    _fixed("g0:w1", [0], [1])(doc)
+    _fixed("g0:s0:w0", [0], [P - 1])(doc)
+    _fixed("g0:s0:w1", [0], [1])(doc)
     layout = serialize.load_layout(layout_file(doc))
-    assert (layout.fixed["g0:w0"][0], layout.fixed["g0:w1"][0]) == (P - 1, 1)
+    assert (layout.fixed["g0:s0:w0"][0], layout.fixed["g0:s0:w1"][0]) == (P - 1, 1)
     assert serialize.load_layout(serialize.dump_layout(layout)) == layout
