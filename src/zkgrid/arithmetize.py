@@ -3,8 +3,9 @@ witnesses for it.
 
 Lowering scheme, per activation site (one output element of one layer):
 
-  * the dot product is split into ceil(k/N) carry-chained rows; a row
-    holding k' <= N taps enables the DOT gate of its own width,
+  * the dot product is split into ceil(k/N) carry-chained rows, where
+    N = GATE_WIDTH is the number of x lanes in a row; a row holding
+    k' <= N taps enables the DOT gate of its own width,
     out = carry + sum_{j<k'} (x_j - z) * w_j, so no lane is padded
   * the first row's carry is the bias: a copy of the zero column, of a
     const cell holding a public bias, or of the staged hidden bias; each
@@ -41,11 +42,11 @@ shared selector never enables an empty slot.
 Residual adds lower to a two-tap DOT with unit weights; global average
 pooling lowers to unit-weight DOT rows with zero z.  Each DIV row carries
 its own divisor, so layers with unrelated denominators (1/3 next to 1/4)
-compile as they are.  Two packing rules keep layouts small: a new gate
-group of a given M (fresh columns and gates) is opened only when the
-current one's rows are exhausted, and clip tables are shared whenever
-the scale key matches, widening the key's domain to the union of the
-requesting layers' ranges.  No lookup table may exceed LOOKUP_CAP entries.
+compile as they are.  There is one gate group per M, opened on first
+use, so a chain's rows are consecutive rows of one group.  Clip tables
+are shared whenever the scale key matches, widening the key's domain to
+the union of the requesting layers' ranges.  No lookup table may exceed
+LOOKUP_CAP entries.
 
 Lowering goes a layer at a time.  Each layer's taps are one table: per
 output position, the source offsets of its window (padding clipped) and
@@ -55,8 +56,8 @@ share a patch).  The layer's rows, fixed cells and copies are emitted
 from that table straight into the builder's packed copy list and sparse
 fixed columns, with each group's columns numbered once.  The witness plan
 keeps one record per layer (LayerPlan): its z_in, its DIV key (a, b, off,
-z_out) and, per site, the x source cells, the weights, the bias, its slot
-and the (group, row) of each row of the chain.
+z_out) and, per site, the x source cells, the weights, the bias, its slot,
+its group and the first row of its chain.
 
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
 layer's act; the witness reads x from that cell and writes it once per
@@ -138,19 +139,20 @@ class WitnessError(ValueError):
     pass
 
 
+# The x lanes of a gate row and the cells of a staging row.
+GATE_WIDTH = 8
+
+
+def _chain_rows(k: int) -> int:
+    """The rows of a DOT chain over k taps."""
+    return -(-k // GATE_WIDTH)
+
+
 @dataclass(frozen=True)
 class CompileConfig:
-    gate_width: int = 8
-    max_rows: int = 1 << 20
     field: Field = dc_field(default_factory=Field)
     mode: VisibilityMode | None = None
     sponge: SpongeParams | None = None
-
-    def __post_init__(self):
-        if self.gate_width < 2:
-            raise CompileError("gate width must be >= 2")
-        if self.max_rows < 4:
-            raise CompileError("max_rows must be >= 4")
 
     def sponge_params(self) -> SpongeParams:
         if self.sponge is not None:
@@ -197,11 +199,11 @@ class LayerPlan:
     b: int
     off: int
     z_out: int
-    # Per site, in flat order: (x source cells, weights, bias, slot, rows).
-    # Row r of `rows`, a (group, row) pair, holds taps r*N .. r*N + N - 1
-    # and the last row carries DIV.  A chain may cross into a new group,
-    # so its rows need not be contiguous.  The sites of one chunk (its
-    # slots 0 .. M-1, consecutive) share their rows and x source cells.
+    # Per site, in flat order: (x source cells, weights, bias, slot,
+    # group, first row).  The chain takes rows first_row + r of the group
+    # for r < ceil(k/N); row r holds taps r*N .. r*N + N - 1 and the last
+    # row carries DIV.  The sites of one chunk (its slots 0 .. M-1,
+    # consecutive) share their rows and x source cells.
     sites: list
 
 
@@ -266,7 +268,6 @@ class SpongePlan:
 class WitnessPlan:
     mode: VisibilityMode | None
     sponge: SpongeParams | None
-    gate_width: int
     n_inputs: int
     input_cells: list
     io_pad_cells: list
@@ -282,16 +283,16 @@ class WitnessPlan:
     def site_plans(self) -> list[SitePlan]:
         """One record per site and per row, built from `layer_plans` on
         each call; compile and witness do not use it."""
-        n = self.gate_width
+        n = GATE_WIDTH
         out = []
         for lp in self.layer_plans:
-            for flat, (x_srcs, w_ints, bias, slot, rows) in enumerate(lp.sites):
+            for flat, (x_srcs, w_ints, bias, slot, g, first_row) in enumerate(lp.sites):
                 specs = [
                     DotRowSpec(
-                        group=g, row=row, slot=slot,
+                        group=g, row=first_row + r, slot=slot,
                         x_srcs=tuple(x_srcs[lo : lo + n]), w_ints=tuple(w_ints[lo : lo + n]),
                     )
-                    for lo, (g, row) in zip(range(0, len(x_srcs), n), rows)
+                    for r, lo in enumerate(range(0, len(x_srcs), n))
                 ]
                 last = specs.pop()
                 div = DivRowSpec(
@@ -319,13 +320,12 @@ class _Slot:
     """One output slot's own columns in a gate group."""
 
     def __init__(self, builder: "_Builder", group: int, slot: int):
-        n = builder.cfg.gate_width
         wkind = ADVICE if builder.weights_advice else FIXED
 
         def col(name: str, kind: str = ADVICE) -> str:
             return builder.new_column(_slot_col(group, slot, name), kind)
 
-        self.ws = tuple(col(f"w{j}", wkind) for j in range(n))
+        self.ws = tuple(col(f"w{j}", wkind) for j in range(GATE_WIDTH))
         self.carry, self.out, self.r, self.q, self.act = map(col, ("carry", "out", "r", "q", "act"))
         self.const = col("const", FIXED)
         # Column numbers, as the packed copy list holds them.
@@ -337,29 +337,28 @@ class _Slot:
 
 
 class _Group:
-    """One gate-column group of M output slots over shared x lanes; its
+    """The gate-column group of M output slots over shared x lanes; its
     rows hold DOT chains, DIV on each last row.  Every row of the group
     fills all M slots."""
 
     def __init__(self, builder: "_Builder", index: int, m: int):
         self.index = index
         self.cursor = 0
-        n = builder.cfg.gate_width
         g = f"g{index}"
-        self.xs = tuple(builder.new_column(_lane(index, j), ADVICE) for j in range(n))
+        self.xs = tuple(builder.new_column(_lane(index, j), ADVICE) for j in range(GATE_WIDTH))
         self.slots = tuple(_Slot(builder, index, s) for s in range(m))
         self.z = builder.new_column(f"{g}:z", FIXED)
         self.div_a = builder.new_column(f"{g}:da", FIXED)
         self.div_b = builder.new_column(f"{g}:db", FIXED)
         self.div_off = builder.new_column(f"{g}:off", FIXED)
-        self.q_dots = tuple(builder.new_column(f"{g}:q_dot{k}", FIXED) for k in range(1, n + 1))
+        self.q_dots = tuple(builder.new_column(f"{g}:q_dot{k}", FIXED) for k in range(1, GATE_WIDTH + 1))
         self.q_div = builder.new_column(f"{g}:q_div", FIXED)
         cols = GateColumns(
             xs=self.xs, z=self.z, div_a=self.div_a, div_b=self.div_b, div_off=self.div_off,
             q_dots=self.q_dots, q_div=self.q_div,
             slots=tuple(SlotColumns(ws=s.ws, carry=s.carry, out=s.out, r=s.r, q=s.q, act=s.act) for s in self.slots),
         )
-        builder.gates.extend(builtin_gates(n, cols, prefix=f"{g}:"))
+        builder.gates.extend(builtin_gates(cols, prefix=f"{g}:"))
         self.lookup_selectors: dict[str, str] = {}
         self.x_nums = tuple(builder.col_number[c] for c in self.xs)
 
@@ -378,8 +377,7 @@ class _Builder:
         self.lookups: list[LookupArg] = []
         self.copies: list[int] = []  # packed, as in circuit.Copies
         self.instance_map: list[tuple[tuple, int]] = []
-        self.groups: list[_Group] = []
-        self.open_groups: dict[int, _Group] = {}   # slot count -> the group taking its rows
+        self.groups: dict[int, _Group] = {}   # slot count M -> its group, in column order
         self.io_cursor = 0
         self.sponge_cursor = 0
         self.io_cols: tuple | None = None
@@ -408,14 +406,12 @@ class _Builder:
         else:
             self.fixed[col_id].pop(row, None)
 
-    def gate_row(self, m: int) -> _Group:
-        """The group of M = m slots that takes the next row: groups of
-        different M sit side by side, and a new one of the same M opens
-        only when the current one's rows are exhausted."""
-        g = self.open_groups.get(m)
-        if g is None or g.cursor >= self.cfg.max_rows:
-            g = self.open_groups[m] = _Group(self, len(self.groups), m)
-            self.groups.append(g)
+    def group(self, m: int) -> _Group:
+        """The group of M = m slots, opened on first use; groups of
+        different M sit side by side."""
+        g = self.groups.get(m)
+        if g is None:
+            g = self.groups[m] = _Group(self, len(self.groups), m)
         return g
 
     def copy(self, a: tuple, b: tuple) -> None:
@@ -424,26 +420,24 @@ class _Builder:
 
     def io_columns(self) -> tuple:
         if self.io_cols is None:
-            n = self.cfg.gate_width
-            self.io_cols = tuple(self.new_column(f"io{j}", ADVICE) for j in range(n))
+            self.io_cols = tuple(self.new_column(f"io{j}", ADVICE) for j in range(GATE_WIDTH))
         return self.io_cols
 
     def stage(self, count: int, range_selector: str | None) -> list[tuple]:
-        """Staging cells for `count` values, gate_width per row.
+        """Staging cells for `count` values, GATE_WIDTH per row.
 
         On range-checked rows the lookup applies to the whole row, so
         unused trailing cells are pinned to zero (and later assigned 0);
         rows without a row-wide lookup leave their tail unconstrained.
         """
         cols = self.io_columns()
-        n = self.cfg.gate_width
         cells: list[tuple] = []
         while len(cells) < count:
             row = self.io_cursor
             self.io_cursor += 1
             if range_selector is not None:
                 self.set_fixed(range_selector, row, 1)
-            for j in range(n):
+            for j in range(GATE_WIDTH):
                 if len(cells) < count:
                     cells.append((cols[j], row))
                 elif range_selector is not None:
@@ -483,7 +477,7 @@ class _Builder:
         pk_out cell, which holds sum_i 256^i * (v_i + shift) + const_term.
         Every assigned cell and value is recorded as weight staging."""
         pk_in, pk_out, scale_col, off_col, q_pack = self.pack_columns()
-        n = self.cfg.gate_width
+        n = GATE_WIDTH
         p = self.p
         cells = self.stage(len(values), range_selector)
         prev = None
@@ -739,12 +733,15 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         n_copies = len(bld.copies)
         lp = _lower_layer(bld, i, key, offsets[key], act_cells)
         layer_plans.append(lp)
-        ends = [(bld.groups[rows[-1][0]].slots[s], rows[-1][1]) for *_, s, rows in lp.sites]
+        slots = {g.index: g.slots for g in bld.groups.values()}
+        ends = [
+            (slots[g][s], row + _chain_rows(len(x_srcs)) - 1) for x_srcs, _, _, s, g, row in lp.sites
+        ]
         act_cells[i] = [(slot.act, row) for slot, row in ends]
         acc_cells[i] = [(slot.out, row) for slot, row in ends]
         bld.regions[f"layer{i}"] = {
             # grid rows: a chunk's slots share its rows, counted at slot 0
-            "rows": sum(len(rows) for *_, s, rows in lp.sites if s == 0),
+            "rows": sum(_chain_rows(len(x_srcs)) for x_srcs, _, _, s, *_ in lp.sites if s == 0),
             "copies": (len(bld.copies) - n_copies) // 4,
             "lookup_rows": 2 * len(lp.sites),   # each DIV row's range and clip lookups
         }
@@ -781,7 +778,6 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     layout.plan = WitnessPlan(
         mode=mode,
         sponge=sponge,
-        gate_width=cfg.gate_width,
         n_inputs=n_inputs,
         input_cells=input_cells,
         io_pad_cells=bld.io_pad_cells,
@@ -789,12 +785,12 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         weight_values=bld.weight_values if bld.weights_advice else None,
         layer_plans=layer_plans,
         sponges=sponge_plans,
-        group_slots=[len(g.slots) for g in bld.groups],
+        group_slots=list(bld.groups),
     )
     return layout, stats
 
 
-def _chunks(channels: list, n: int) -> list[range]:
+def _chunks(channels: list) -> list[range]:
     """The layer's channels as slot chunks, in order.  Consecutive
     channels with the same source base read the same patch; each such
     run of C channels is split into ceil(C/N) chunks as equal as possible
@@ -805,7 +801,7 @@ def _chunks(channels: list, n: int) -> list[range]:
         hi = lo + 1
         while hi < len(channels) and channels[hi][0] == channels[lo][0]:
             hi += 1
-        parts = -(-(hi - lo) // n)
+        parts = -(-(hi - lo) // GATE_WIDTH)
         size, extra = divmod(hi - lo, parts)
         for part in range(parts):
             m = size + (part < extra)
@@ -823,7 +819,7 @@ def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -
     graph = bld.graph
     layer = graph.layers[i]
     src, windows, channels, z_in = _tap_table(graph, i, act_cells)
-    n = bld.cfg.gate_width
+    n = GATE_WIDTH
     p = bld.p
     a, b, z_out = key
     fixed = bld.fixed
@@ -845,7 +841,7 @@ def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -
     zero_num = num[bld.zero_col]
     rtab = bld.range_table(0, b - 1)
     ctab = f"clip:a{a}:b{b}:z{z_out}"
-    chunks = _chunks(channels, n)
+    chunks = _chunks(channels)
 
     sites = []
     for x_offs, w_offs in windows:
@@ -859,14 +855,12 @@ def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -
             else:
                 w_ints = [[w_vals[channels[ch][1] + o] for o in w_offs] for ch in chunk]
                 w_lanes = [[w_sources[channels[ch][1] + o] for o in w_offs] for ch in chunk]
-            rows = []
             carry_srcs = [None] * len(chunk)
-            for lo in range(0, k, n):
+            g = bld.group(len(chunk))
+            first_row = g.cursor
+            g.cursor += _chain_rows(k)
+            for row, lo in enumerate(range(0, k, n), first_row):
                 hi = lo + n
-                g = bld.gate_row(len(chunk))
-                row = g.cursor
-                g.cursor += 1
-                rows.append((g.index, row))
                 fixed[g.q_dots[min(hi, k) - lo - 1]][row] = 1
                 if z_mod:
                     fixed[g.z][row] = z_mod
@@ -908,7 +902,7 @@ def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -
             fixed[bld.group_lookup_selector(g, rtab, ("r",))][row] = 1
             fixed[bld.group_lookup_selector(g, ctab, ("q", "act"))][row] = 1
             for s, ch in enumerate(chunk):
-                sites.append((x_srcs, w_ints[s], biases[ch], s, rows))
+                sites.append((x_srcs, w_ints[s], biases[ch], s, g.index, first_row))
     return LayerPlan(layer=i, z_in=z_in, a=a, b=b, off=off, z_out=z_out, sites=sites)
 
 
@@ -1012,7 +1006,7 @@ def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells
 
 def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
     logical = max(
-        [g.cursor for g in bld.groups] + [bld.io_cursor, bld.sponge_cursor] + [1]
+        [g.cursor for g in bld.groups.values()] + [bld.io_cursor, bld.sponge_cursor] + [1]
     )
     padded = _next_pow2(logical)
     if padded > MAX_ROWS:
@@ -1053,7 +1047,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         max_gate_degree=layout.max_gate_degree(),
         regions=bld.regions,
         advice_cells=n_advice * padded,
-        groups=[{"slots": len(g.slots), "rows": g.cursor} for g in bld.groups],
+        groups=[{"slots": m, "rows": g.cursor} for m, g in bld.groups.items()],
     )
     return layout, stats
 
@@ -1072,7 +1066,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     if plan is None:
         raise WitnessError("layout carries no witness plan (was it deserialized?)")
     p = layout.field.modulus
-    n = plan.gate_width
+    n = GATE_WIDTH
     trace = run_inference(graph, inp)
     flat_acts = [t.act.reshape(-1) for t in trace.layers]
     flat_accs = [t.acc.reshape(-1) for t in trace.layers]
@@ -1110,13 +1104,13 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     for lp in plan.layer_plans:
         z = lp.z_in
         accs, acts = flat_accs[lp.layer], flat_acts[lp.layer]
-        for flat, (x_srcs, w_ints, bias, slot, rows) in enumerate(lp.sites):
+        for flat, (x_srcs, w_ints, bias, slot, gi, first_row) in enumerate(lp.sites):
             if slot == 0:
                 row_diffs = []     # per row, x - z on each of its lanes
+            ws, carry, out, r_col, q_col, act_col = slot_cols[gi][slot]
             acc = bias
-            for r, (gi, row) in enumerate(rows):
-                ws, carry, out = slot_cols[gi][slot][:3]
-                lo = r * n
+            for r, lo in enumerate(range(0, len(x_srcs), n)):
+                row = first_row + r
                 w = w_ints[lo : lo + n]
                 if slot == 0:
                     # A chunk's first site writes the x lanes its slots share.
@@ -1138,7 +1132,6 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
                 )
             num = acc * lp.a
             d_q = num // lp.b
-            r_col, q_col, act_col = slot_cols[gi][slot][3:]
             r_col[row] = (num - d_q * lp.b) % p
             q_col[row] = (d_q + lp.off) % p
             act = int(acts[flat])

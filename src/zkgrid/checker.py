@@ -245,27 +245,12 @@ def check(
     assignment: Assignment,
     cap: int = DEFAULT_VIOLATION_CAP,
 ) -> list[Violation]:
-    """All violations, deterministically ordered by (kind, id, row).
-
-    Empty list means the assignment satisfies the layout.
+    """The first `cap` violations, deterministically ordered by
+    (kind, id, row).  Empty list means the assignment satisfies the
+    layout; a cap below 1 is refused, since it would report none.
     """
-    return check_parallel(layout, assignment, shards=1, cap=cap)
-
-
-def check_parallel(
-    layout: CircuitLayout,
-    assignment: Assignment,
-    shards: int,
-    cap: int = DEFAULT_VIOLATION_CAP,
-) -> list[Violation]:
-    """Same result as check() for any shard count >= 1.
-
-    The grid is checked in one pass whatever the shard count: checking
-    row ranges one after another would rescan every copy and instance
-    binding once per range and gain nothing.
-    """
-    if shards < 1:
-        raise CheckError("shards must be >= 1")
+    if cap < 1:
+        raise CheckError(f"violation cap must be >= 1, not {cap}")
     _validate_dimensions(layout, assignment)
     table_sets = {
         tid: {r[0] for r in t.rows} if t.arity == 1 else t.rows
@@ -279,3 +264,17 @@ def check_parallel(
         if isinstance(cols[col_id], FixedColumn):
             cols[col_id] = cols[col_id].tolist()
     return _check_all(layout, cols, assignment.instance, cap, table_sets)
+
+
+def check_parallel(
+    layout: CircuitLayout,
+    assignment: Assignment,
+    shards: int,
+    cap: int = DEFAULT_VIOLATION_CAP,
+) -> list[Violation]:
+    """check() for any shard count >= 1: the grid is checked in one pass
+    whatever the count.  Kept only because perfbench/layers.py calls it,
+    until the benchmark change of ROADMAP item 1 removes that call."""
+    if shards < 1:
+        raise CheckError("shards must be >= 1")
+    return check(layout, assignment, cap=cap)

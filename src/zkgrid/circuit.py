@@ -547,9 +547,10 @@ class GateColumns:
     slots: tuple[SlotColumns, ...]
 
 
-def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[GateDef]:
+def builtin_gates(cols: GateColumns, prefix: str = "") -> list[GateDef]:
     """The row-local gate families for linear layers, per output slot m:
-    DOT_1 .. DOT_N over the same columns, then DIV.
+    DOT_1 .. DOT_N over the same columns, then DIV, where N is the number
+    of x lanes, len(cols.xs).
 
     DOT_k:  out_m = carry_m + sum_{j<k} (x_j - z) * w_{m,j}, z from a
             fixed cell so one gate serves every layer.  The x lanes are
@@ -572,7 +573,7 @@ def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[Gat
     separate DIV row: the sum and the division share rows, and the grid
     spends one row per N taps.
     """
-    if n_width < 2:
+    if len(cols.xs) < 2:
         raise CircuitError("gate width must be >= 2")
     diffs = [sub(cell(x), cell(cols.z)) for x in cols.xs]
     gates = []
@@ -583,7 +584,7 @@ def builtin_gates(n_width: int, cols: GateColumns, prefix: str = "") -> list[Gat
                 id=f"{prefix}s{m}:dot{k}", name=f"DOT_{k}", selector=cols.q_dots[k - 1],
                 poly=sub(add(cell(slot.carry), *terms[:k]), cell(slot.out)),
             )
-            for k in range(1, n_width + 1)
+            for k in range(1, len(cols.xs) + 1)
         ]
         div_poly = sub(
             mul(cell(slot.out), cell(cols.div_a)),

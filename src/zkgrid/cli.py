@@ -56,6 +56,10 @@ def _config_field(doc: dict, key: str, types: tuple, default):
     return v
 
 
+# The fields a --config file may name; any other field is refused.
+CONFIG_FIELDS = ("modulus", "mode", "sponge_params")
+
+
 def load_config(path: str | None) -> arithmetize.CompileConfig:
     """The compile config at `path`, its sponge params checked against
     its field, so that every command refuses the same bad config."""
@@ -64,8 +68,7 @@ def load_config(path: str | None) -> arithmetize.CompileConfig:
     doc = json.loads(_read(path))
     if type(doc) is not dict:
         raise CliError("config must be a JSON object")
-    known = {"modulus", "gate_width", "max_rows", "mode", "sponge_params"}
-    extra = set(doc) - known
+    extra = set(doc) - set(CONFIG_FIELDS)
     if extra:
         raise CliError(f"unknown config fields: {sorted(extra)}")
     modulus = _config_field(doc, "modulus", (str, int), DEFAULT_MODULUS)
@@ -74,8 +77,6 @@ def load_config(path: str | None) -> arithmetize.CompileConfig:
     mode = _config_field(doc, "mode", (str, type(None)), None)
     sponge = _config_field(doc, "sponge_params", (str, type(None)), None)
     cfg = arithmetize.CompileConfig(
-        gate_width=_config_field(doc, "gate_width", (int,), 8),
-        max_rows=_config_field(doc, "max_rows", (int,), 1 << 20),
         field=Field(int(modulus)),
         mode=VisibilityMode(mode) if mode else None,
         sponge=SpongeParams.load(sponge) if sponge is not None else None,
@@ -133,7 +134,7 @@ def cmd_witness(args) -> int:
 def cmd_check(args) -> int:
     layout = serialize.load_layout(_read(args.layout))
     assignment = serialize.load_witness(_read(args.witness))
-    violations = checker.check_parallel(layout, assignment, shards=args.shards, cap=args.cap)
+    violations = checker.check(layout, assignment, cap=args.cap)
     if violations:
         report = {
             "accepted": False,
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify a witness against a layout")
     p.add_argument("layout")
     p.add_argument("witness")
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--cap", type=int, default=checker.DEFAULT_VIOLATION_CAP)
     p.add_argument("--report")
     p.set_defaults(fn=cmd_check)

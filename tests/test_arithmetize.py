@@ -50,21 +50,21 @@ def _fc_model(units=1, feat=10, b=2, weights=None, bias=None):
     )
 
 
-def test_fc_k10_n4_row_counts():
-    """k=10 with gate width 4: one chain of 3 DOT rows whose 3 slots are
-    the 3 output neurons, the last row carrying DIV.  Each slot's bias is
-    its first carry, a copy of its const cell; each later carry copies
-    the slot's previous out."""
+def test_fc_k18_row_counts():
+    """k=18 at N = 8: one chain of 3 DOT rows whose 3 slots are the 3
+    output neurons, the last row carrying DIV.  Each slot's bias is its
+    first carry, a copy of its const cell; each later carry copies the
+    slot's previous out."""
     biases = [5, -6, 7]
-    g = _fc_model(units=3, feat=10, bias=biases)
-    layout, stats = compile(g, CompileConfig(gate_width=4))
+    g = _fc_model(units=3, feat=18, bias=biases)
+    layout, stats = compile(g)
     copies = {cp.a: cp.b for cp in layout.copies}
     p = layout.field.modulus
     plan = layout.plan
     assert len(plan.site_plans) == 3
     for site, bias in zip(plan.site_plans, biases):
         rows = site.rows
-        assert [len(r.x_srcs) for r in rows] == [4, 4, 2]  # 10 = 4 + 4 + 2
+        assert [len(r.x_srcs) for r in rows] == [8, 8, 2]  # 18 = 8 + 8 + 2
         assert rows[-1] is site.div and site.add_rows == ()
         first = rows[0]
         const = copies[first.cell("carry")]
@@ -130,9 +130,12 @@ def _naive_site_taps(g, i, flat, cells):
 )
 def test_one_row_per_dot_chunk(mode):
     """Every site takes ceil(max(k, 1) / N) rows of the DOT chain, the
-    layout has no ADD gate, and the honest witness checks clean."""
+    layout has no ADD gate, and the honest witness checks clean.  Some
+    sites need more than one row."""
     rng = random.Random(21)
-    cfg = CompileConfig(gate_width=4, mode=mode)
+    cfg = CompileConfig(mode=mode)
+    n = arithmetize.GATE_WIDTH
+    multi_row = 0
     for _ in range(4):
         g = random_parameterized_model(rng, max_hw=5, max_c=3, max_layers=3)
         layout, stats = compile(g, cfg)
@@ -140,11 +143,15 @@ def test_one_row_per_dot_chunk(mode):
         cells = {ref: range(math.prod(g.shape_of_ref(ref))) for ref in range(INPUT_REF, len(g.layers))}
         for site in layout.plan.site_plans:
             taps = _naive_site_taps(g, site.layer, site.flat, cells)
-            assert len(site.rows) == -(-max(len(taps), 1) // 4)
-        assert sorted({gd.name for gd in layout.gates if gd.id.startswith("g")}) == ["DIV", "DOT_1", "DOT_2", "DOT_3", "DOT_4"]
+            assert len(site.rows) == -(-max(len(taps), 1) // n)
+            multi_row += len(site.rows) > 1
+        assert sorted({gd.name for gd in layout.gates if gd.id.startswith("g")}) == [
+            "DIV", *(f"DOT_{k}" for k in range(1, n + 1))
+        ]
         assert not any(gd.name.startswith("ADD_") for gd in layout.gates)
         assert not any(col.endswith("q_add") for col in layout.columns)
         assert check(layout, assign_witness(layout, g, random_input(rng, g))) == []
+    assert multi_row
 
 
 def _table_models():
@@ -197,52 +204,29 @@ def test_layer_tables_match_naive_taps(mode):
     the same (x source cell, weight) taps, in the same order, as the
     window-by-window enumeration, and the site spans ceil(k / N) rows."""
     kinds = set()
+    multi_row = 0
     for g in _table_models():
-        layout, _ = compile(g, CompileConfig(gate_width=4, mode=mode))
+        layout, _ = compile(g, CompileConfig(mode=mode))
         plan = layout.plan
         cells = {INPUT_REF: plan.input_cells}
+        sites = {(site.layer, site.flat): site for site in plan.site_plans}
         for lp in plan.layer_plans:
             layer = g.layers[lp.layer]
             kinds.add((layer.kind, layer.padding, layer.stride))
             assert len(lp.sites) == math.prod(g.output_shapes[lp.layer])
-            for flat, (x_srcs, w_ints, _, _, rows) in enumerate(lp.sites):
+            for flat, (x_srcs, w_ints, *_) in enumerate(lp.sites):
                 want = _naive_site_taps(g, lp.layer, flat, cells)
                 assert list(zip(x_srcs, w_ints)) == want, (lp.layer, flat)
-                assert len(rows) == -(-len(want) // 4)
+                n_rows = len(sites[(lp.layer, flat)].rows)
+                assert n_rows == -(-len(want) // arithmetize.GATE_WIDTH)
+                multi_row += n_rows > 1
             cells[lp.layer] = [site.div.cell("act") for site in plan.site_plans if site.layer == lp.layer]
         assert check(layout, assign_witness(layout, g, random_input(random.Random(7), g))) == []
     assert kinds == {
         (kind, padding, stride)
         for kind in ("conv2d", "depthwise_conv2d") for padding in ("same", "valid") for stride in (1, 2)
     } | {("residual_add", "valid", 1), ("average_pool", "valid", 1), ("fully_connected", "valid", 1)}
-
-
-@pytest.mark.parametrize("units", [1, 3])
-@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
-def test_carry_chain_crosses_gate_group(mode, units):
-    """One 18-tap chain at N = 4 in groups of 4 rows: its M = units slots
-    share g0 rows 0..3, then a new group of the same M, g1 row 0, so each
-    slot's fifth carry copies its own out cell in the previous group.
-    The honest witness checks clean, and one slot's cross-group carry
-    moved by one is caught by that copy and that slot's DOT gate."""
-    g = _fc_model(
-        units=units, feat=18, weights=[(-1) ** j * (j % 7) for j in range(18 * units)], bias=(3, -4, 5)[:units]
-    )
-    layout, stats = compile(g, CompileConfig(gate_width=4, max_rows=4, mode=mode))
-    assert stats.groups == [{"slots": units, "rows": 4}, {"slots": units, "rows": 1}]
-    assert [(slot, rows) for *_, slot, rows in layout.plan.layer_plans[0].sites] == [
-        (s, [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]) for s in range(units)
-    ]
-    copies = {cp.a: cp.b for cp in layout.copies}
-    for s in range(units):
-        assert copies[(f"g1:s{s}:carry", 0)] == (f"g0:s{s}:out", 3)
-    asg = assign_witness(layout, g, _fc_input(g, random.Random(3)))
-    assert check(layout, asg) == []
-    carry = asg.advice[f"g1:s{units - 1}:carry"]
-    carry[0] = (carry[0] + 1) % layout.field.modulus
-    violations = check(layout, asg)
-    assert {(v.kind, v.row) for v in violations} == {("copy", 0), ("gate", 0)}
-    assert [v.id for v in violations if v.kind == "gate"] == [f"g1:s{units - 1}:dot2"]
+    assert multi_row
 
 
 @pytest.mark.parametrize(
@@ -263,9 +247,8 @@ def test_region_stats_partition_the_grid(seed, mode):
     assert sum(regions[name]["rows"] for name in layers) == dot_rows
 
     owner = {}
-    for lp in layout.plan.layer_plans:
-        for *_, rows in lp.sites:
-            owner.update((row, f"layer{lp.layer}") for row in rows)
+    for site in layout.plan.site_plans:
+        owner.update(((d.group, d.row), f"layer{site.layer}") for d in site.rows)
     lookup_rows = dict.fromkeys(regions, 0)
     for lk in layout.lookups:
         col = lk.columns[0]
@@ -286,9 +269,8 @@ def test_dot_rows_hold_only_their_taps(seed, mode):
     witness leaves lanes k..N-1 unassigned, and tampering a live lane
     cell is caught."""
     g = random_model(random.Random(seed), max_hw=32, max_c=16, max_layers=5)
-    cfg = CompileConfig(mode=mode)
-    n = cfg.gate_width
-    layout, _ = compile(g, cfg)
+    n = arithmetize.GATE_WIDTH
+    layout, _ = compile(g, CompileConfig(mode=mode))
     lanes = {c for c in layout.columns if re.fullmatch(r"g\d+:(s\d+:)?[xw]\d+", c)}
     assert lanes
     assert not [cp for cp in layout.copies if cp.a[0] in lanes and cp.b[0] == "zero"]
@@ -319,10 +301,10 @@ def test_dot_rows_hold_only_their_taps(seed, mode):
 
 
 def test_row_padding_to_power_of_two():
-    g = _fc_model(units=2, feat=5)
-    _, stats = compile(g, CompileConfig(gate_width=4))
-    assert stats.n_rows_padded >= stats.n_rows
-    assert stats.n_rows_padded & (stats.n_rows_padded - 1) == 0
+    """18 features: a 3-row chain and 3 staging rows, padded to 4."""
+    g = _fc_model(units=2, feat=18)
+    _, stats = compile(g)
+    assert (stats.n_rows, stats.n_rows_padded) == (3, 4)
 
 
 def test_empty_passthrough_graph():
@@ -578,19 +560,6 @@ def test_stats_deterministic():
     assert s1 == s2
 
 
-def test_multi_group_when_rows_exhausted():
-    rng = random.Random(17)
-    g = random_model(rng, max_hw=8, max_c=4, max_layers=3)
-    base_layout, base_stats = compile(g)
-    tiny_layout, tiny_stats = compile(g, CompileConfig(max_rows=16))
-    if base_stats.n_rows > 16:
-        assert tiny_stats.n_gates > base_stats.n_gates
-        assert tiny_stats.n_columns > base_stats.n_columns
-    inp = random_input(rng, g)
-    asg = assign_witness(tiny_layout, g, inp)
-    assert check(tiny_layout, asg) == []
-
-
 @pytest.mark.parametrize(
     "mode",
     [
@@ -637,28 +606,32 @@ def _fc_input(g, rng):
 
 
 @pytest.mark.parametrize(
-    "gate_width, fld, rows_per_chunk, rows_per_bias",
-    [(8, Field(), 4, 1), (4, Field(), 8, 1), (3, Field(), 11, 2), (4, Field(65537), 1, 1)],
+    "fld, pack_rows",
+    [
+        (Field(), 2 * 4 + 2),                   # chunks 31 + 31
+        (Field((1 << 89) - 1), 5 * 2 + 1 + 2),  # chunks 5 x 11 + 7
+        (Field(65537), 31 * 1 + 2),             # chunks 31 x 2
+    ],
 )
-def test_hidden_weights_pack_chunks(gate_width, fld, rows_per_chunk, rows_per_bias):
-    """Weight chunks of k = pack_width(p) int8 values (31 on the default
-    field, 2 on p = 65537) span ceil(k / N) PACK rows, each bias
-    ceil(4 / N); the absorbed cells hold `weight_elements` and the
+def test_hidden_weights_pack_chunks(fld, pack_rows):
+    """The 62 weights split into chunks of k = pack_width(p) int8 values
+    (31 on the default field, 11 on p = 2^89 - 1, 2 on p = 65537), each
+    spanning ceil(k / N) PACK rows at N = 8, and each of the 2 biases
+    takes one; the absorbed cells hold `weight_elements` and the
     instance equals `commit_model_io`."""
-    rng = random.Random(gate_width)
+    rng = random.Random(pack_rows)
     units, feat = 2, 31
     weights = [rng.randint(-3, 3) for _ in range(units * feat)]
     weights[:2] = [-128, 127] if fld.modulus.bit_length() > 64 else [-3, 3]
     g = _fc_model(units=units, feat=feat, weights=weights, bias=(-5, 7))
-    cfg = CompileConfig(gate_width=gate_width, field=fld, mode=HIDDEN_W.mode)
+    cfg = CompileConfig(field=fld, mode=HIDDEN_W.mode)
     layout, _ = compile(g, cfg)
     inp = _fc_input(g, rng)
     asg = assign_witness(layout, g, inp)
     assert check(layout, asg) == []
     assert asg.instance == commit_model_io(g, inp, cfg.mode, cfg.sponge_params(), fld)
     elements = weight_elements(g, fld.modulus)
-    n_chunks = len(elements) - units
-    assert len(_pack_rows(layout)) == n_chunks * rows_per_chunk + units * rows_per_bias
+    assert len(_pack_rows(layout)) == pack_rows
     sp = next(s for s in layout.plan.sponges if s.label == "weights")
     assert [asg.advice[c][r] for c, r in sp.message_cells] == elements
 
@@ -778,18 +751,15 @@ def _slot_case_model(seed, mode):
     return random_model(random.Random(seed), max_hw=8, max_c=12, max_layers=4)
 
 
-@pytest.mark.parametrize(
-    "seed, mode, gate_width",
-    [(seed, mode, 8) for seed in (110, 111, *range(12)) for mode in MODES]
-    + [(seed, mode, 4) for seed in range(6) for mode in MODES],
-)
-def test_slot_rows_match_the_interpreter(seed, mode, gate_width):
-    """On every model and mode, at N = 8 (and N = 4 on seeds 0-5), the
-    honest witness checks clean, every site's out and act cells equal the
-    interpreter's accumulator and activation, and each group's rows fill
-    all its slots."""
+@pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, *range(12)) for mode in MODES])
+def test_slot_rows_match_the_interpreter(seed, mode):
+    """On every model and mode the honest witness checks clean, every
+    site's out and act cells equal the interpreter's accumulator and
+    activation, each group's rows fill all its slots, there is one group
+    per slot count, and every site's chain is consecutive rows of one
+    group."""
     g = _slot_case_model(seed, mode)
-    layout, stats = compile(g, CompileConfig(gate_width=gate_width, mode=mode))
+    layout, stats = compile(g, CompileConfig(mode=mode))
     inp = random_input(random.Random(seed), g)
     asg = assign_witness(layout, g, inp)
     assert check(layout, asg) == []
@@ -801,21 +771,26 @@ def test_slot_rows_match_the_interpreter(seed, mode, gate_width):
         act_col, _ = site.div.cell("act")
         assert asg.advice[out_col][row] == int(tr.layers[site.layer].acc.reshape(-1)[site.flat]) % p
         assert asg.advice[act_col][row] == int(tr.layers[site.layer].act.reshape(-1)[site.flat])
+        first = site.rows[0]
+        assert [(d.group, d.row) for d in site.rows] == [
+            (first.group, first.row + r) for r in range(len(site.rows))
+        ]
         for d in site.rows:
             slots.setdefault((d.group, d.row), set()).add(d.slot)
     for gi, group in enumerate(stats.groups):
         rows = [r for (gj, r), s in slots.items() if gj == gi]
         assert sorted(rows) == list(range(group["rows"]))
         assert all(slots[(gi, r)] == set(range(group["slots"])) for r in rows)
-        assert 1 <= group["slots"] <= gate_width
+        assert 1 <= group["slots"] <= arithmetize.GATE_WIDTH
+    assert sorted(group["slots"] for group in stats.groups) == sorted({len(s) for s in slots.values()})
 
 
 def _three_unit_fc(mode):
-    """fc with 3 units over 10 features at N = 4: one chain of 3 rows
+    """fc with 3 units over 18 features at N = 8: one chain of 3 rows
     whose 3 slots are the units."""
-    weights = [(j * 7) % 5 + 1 if j % 2 else -((j * 3) % 7 + 1) for j in range(30)]   # none is 0
-    g = _fc_model(units=3, feat=10, b=4, weights=weights, bias=(9, -20, 31))
-    layout, _ = compile(g, CompileConfig(gate_width=4, mode=mode))
+    weights = [(j * 7) % 5 + 1 if j % 2 else -((j * 3) % 7 + 1) for j in range(54)]   # none is 0
+    g = _fc_model(units=3, feat=18, b=4, weights=weights, bias=(9, -20, 31))
+    layout, _ = compile(g, CompileConfig(mode=mode))
     asg = assign_witness(layout, g, _fc_input(g, random.Random(11)))
     assert check(layout, asg) == []
     return layout, asg
@@ -833,12 +808,13 @@ def _raised(layout, asg, cell):
 
 @pytest.mark.parametrize(
     "mode, name",
-    [(mode, name) for mode in (None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS) for name in ("out", "act", "q", "r")]
+    [(mode, name) for mode in (None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS) for name in ("carry", "out", "act", "q", "r")]
     + [(VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS, "w1")],   # public weight lanes are fixed cells
 )
 def test_raised_slot_cell_names_its_slot(mode, name):
-    """Raising one slot's out, act, q, r or (hidden) weight lane by one is
-    rejected by a gate or lookup of that slot, and by no other slot's."""
+    """Raising one slot's carry (the last row's, a copy of the previous
+    row's out), out, act, q, r or (hidden) weight lane by one is rejected
+    by a gate or lookup of that slot, and by no other slot's."""
     layout, asg = _three_unit_fc(mode)
     for site in layout.plan.site_plans:
         d = site.div if name != "w1" else site.rows[0]
@@ -846,6 +822,8 @@ def test_raised_slot_cell_names_its_slot(mode, name):
         named = {v.id for v in violations if v.kind in ("gate", "lookup")}
         assert named, (site.flat, name)
         assert all(i.startswith(f"g{d.group}:s{d.slot}:") for i in named), named
+        if name == "carry":
+            assert "copy" in {v.kind for v in violations}
 
 
 @pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])

@@ -109,7 +109,7 @@ def _family_layout(n):
         cols[cid] = Column(cid, ADVICE)
     for cid in ("z", "da", "db", "off", "q_div", *(f"q_dot{k}" for k in range(1, n + 1))):
         cols[cid] = Column(cid, FIXED)
-    gates = builtin_gates(n, _gate_cols(n))
+    gates = builtin_gates(_gate_cols(n))
     return cols, gates
 
 
@@ -162,7 +162,7 @@ def test_div_gate_row():
 
 def test_builtin_gates_require_width_two():
     with pytest.raises(CircuitError):
-        builtin_gates(1, _gate_cols(1))
+        builtin_gates(_gate_cols(1))
 
 
 def test_div_with_range_is_unique_over_integers():
@@ -266,7 +266,7 @@ def test_slots_share_x_lanes_and_selectors():
         xs=("x0", "x1"), z="z", div_a="da", div_b="db", div_off="off",
         q_dots=("q_dot1", "q_dot2"), q_div="q_div", slots=slots,
     )
-    gates = builtin_gates(2, cols, prefix="g0:")
+    gates = builtin_gates(cols, prefix="g0:")
     assert [(g.id, g.name, g.selector) for g in gates] == [
         ("g0:s0:dot1", "DOT_1", "q_dot1"), ("g0:s0:dot2", "DOT_2", "q_dot2"), ("g0:s0:div", "DIV", "q_div"),
         ("g0:s1:dot1", "DOT_1", "q_dot1"), ("g0:s1:dot2", "DOT_2", "q_dot2"), ("g0:s1:div", "DIV", "q_div"),

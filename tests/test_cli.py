@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import layout_doc, layout_file
 from zkgrid import serialize
+from zkgrid.arithmetize import assign_witness, compile
 from zkgrid.circuit import CircuitError
 from zkgrid.cli import main
 from zkgrid.model import (
@@ -91,6 +92,28 @@ def test_check_reports_violations_with_exit_1(workspace):
     assert doc["accepted"] is False and doc["n_violations"] >= 1
 
 
+@pytest.mark.parametrize("cap, code", [(1, 1), (0, 2), (-5, 2)])
+def test_check_cap_below_one_refused(workspace, capsys, cap, code):
+    """A witness with one act cell raised by 1 is rejected at cap 1; a cap
+    below 1 would report no violation, so it is refused with exit 2
+    rather than read as an accept."""
+    tmp, model, inp = workspace
+    g = two_tap_fc_model()
+    layout, _ = compile(g)
+    asg = assign_witness(layout, g, random_input(random.Random(3), g))
+    col, row = layout.plan.site_plans[0].div.cell("act")
+    asg.advice[col][row] += 1
+    lay, bad = tmp / "layout.bin", tmp / "bad.bin"
+    lay.write_bytes(serialize.dump_layout(layout))
+    bad.write_bytes(serialize.dump_witness(asg))
+    assert main(["check", str(lay), str(bad), "--cap", str(cap)]) == code
+    out = capsys.readouterr()
+    if code == 2:
+        assert "violation cap must be >= 1" in out.err
+    else:
+        assert json.loads(out.out)["accepted"] is False
+
+
 def test_check_malformed_witness_exit_2(workspace, capsys):
     tmp, model, inp = workspace
     layout = tmp / "layout.bin"
@@ -115,14 +138,17 @@ def test_unknown_subcommand_exit_2():
 
 
 def test_witness_layout_cross_check_mismatch(workspace):
+    """A layout compiled under another config (hidden weights) is refused
+    by a witness run under the default config, and accepted by one under
+    the same config."""
     tmp, model, inp = workspace
-    # layout compiled with a different gate width must be rejected
     cfg = tmp / "cfg.json"
-    cfg.write_text(json.dumps({"gate_width": 4}))
-    lay4 = tmp / "lay4.bin"
-    assert main(["compile", model, "--config", str(cfg), "--layout", str(lay4)]) == 0
+    cfg.write_text(json.dumps({"mode": "public_input_hidden_weights"}))
+    lay = tmp / "lay_hidden.bin"
+    assert main(["compile", model, "--config", str(cfg), "--layout", str(lay)]) == 0
     wit = tmp / "w.bin"
-    assert main(["witness", model, inp, "-o", str(wit), "--layout", str(lay4)]) == 2
+    assert main(["witness", model, inp, "-o", str(wit), "--layout", str(lay)]) == 2
+    assert main(["witness", model, inp, "-o", str(wit), "--config", str(cfg), "--layout", str(lay)]) == 0
 
 
 def test_byte_identical_outputs_across_runs(workspace):
@@ -287,9 +313,9 @@ def test_mistyped_input_tensor_exit_2(workspace, capsys, tensor, message):
 
 @pytest.mark.parametrize("config, message", [
     ({"sponge_params": {"t": 3}}, "sponge_params must be str"),
-    ({"gate_width": None}, "gate_width must be int"),
-    ({"gate_width": 4.0}, "gate_width must be int"),
-    ({"max_rows": True}, "max_rows must be int"),
+    ({"gate_width": 8}, "unknown config fields: ['gate_width']"),
+    ({"max_rows": 1 << 20}, "unknown config fields: ['max_rows']"),
+    ({"gate_width": 8, "max_rows": 1 << 20}, "unknown config fields: ['gate_width', 'max_rows']"),
     ({"mode": 3}, "mode must be str"),
     ({"modulus": "0x11"}, "modulus must be a decimal string"),
     ([], "config must be a JSON object"),
@@ -350,8 +376,8 @@ def test_mutated_model_exits_0_or_2(mutation_dir, data):
 @given(data=st.data())
 def test_mutated_config_exits_0_or_2(mutation_dir, data):
     doc = {
-        "modulus": str(DEFAULT_MODULUS), "gate_width": 4, "max_rows": 64,
-        "mode": "public_input_hidden_weights", "sponge_params": str(mutation_dir / "sponge.json"),
+        "modulus": str(DEFAULT_MODULUS), "mode": "public_input_hidden_weights",
+        "sponge_params": str(mutation_dir / "sponge.json"),
     }
     path = mutation_dir / "cfg.json"
     path.write_text(json.dumps(_mutate(doc, data)))

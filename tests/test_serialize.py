@@ -269,10 +269,10 @@ def test_flipped_layout_bytes_sweep(tmp_path):
     """Every byte of a layout file flipped in turn: the loader returns or
     raises FormatError or CircuitError.  Flips of the prefix and of each
     section's width byte and cell-column head also go through `check`,
-    which exits 2 whenever loading failed.  Gate width 2 keeps the file
-    small."""
+    which exits 2 whenever loading failed.  The two-tap model keeps the
+    file small."""
     g = two_tap_fc_model()
-    layout, _ = compile(g, CompileConfig(gate_width=2))
+    layout, _ = compile(g)
     wit = serialize.dump_witness(assign_witness(layout, g, random_input(random.Random(3), g)))
     lay = serialize.dump_layout(layout)
     sections = layout_sections(layout_doc(layout))
