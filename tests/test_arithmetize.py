@@ -229,6 +229,32 @@ def test_layer_tables_match_naive_taps(mode):
     assert multi_row
 
 
+@pytest.mark.parametrize("units", [1, 3])
+@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+def test_carry_chain_stays_in_one_group(mode, units):
+    """One 18-tap chain at N = 8: its M = units slots share g0 rows 0..2,
+    the only group, and each slot's later carries copy its own out cell
+    on the row before.  The honest witness checks clean, and one slot's
+    last carry moved by one is caught by that copy and that slot's DOT
+    gate."""
+    g = _fc_model(
+        units=units, feat=18, weights=[(-1) ** j * (j % 7) for j in range(18 * units)], bias=(3, -4, 5)[:units]
+    )
+    layout, stats = compile(g, CompileConfig(mode=mode))
+    assert stats.groups == [{"slots": units, "rows": 3}]
+    assert [site[3:] for site in layout.plan.layer_plans[0].sites] == [(s, 0, 0) for s in range(units)]
+    copies = {cp.a: cp.b for cp in layout.copies}
+    for s in range(units):
+        assert [copies[(f"g0:s{s}:carry", r)] for r in (1, 2)] == [(f"g0:s{s}:out", 0), (f"g0:s{s}:out", 1)]
+    asg = assign_witness(layout, g, _fc_input(g, random.Random(3)))
+    assert check(layout, asg) == []
+    carry = asg.advice[f"g0:s{units - 1}:carry"]
+    carry[2] = (carry[2] + 1) % layout.field.modulus
+    violations = check(layout, asg)
+    assert {(v.kind, v.row) for v in violations} == {("copy", 2), ("gate", 2)}
+    assert [v.id for v in violations if v.kind == "gate"] == [f"g0:s{units - 1}:dot2"]
+
+
 @pytest.mark.parametrize(
     "seed, mode",
     [(110, None), (111, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS), (3, VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS)],
@@ -758,7 +784,18 @@ def test_slot_rows_match_the_interpreter(seed, mode):
     activation, each group's rows fill all its slots, there is one group
     per slot count, and every site's chain is consecutive rows of one
     group."""
-    g = _slot_case_model(seed, mode)
+    _assert_slot_rows_match(_slot_case_model(seed, mode), mode, seed)
+
+
+@pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in range(6) for mode in MODES])
+def test_wide_slot_rows_match_the_interpreter(seed, mode):
+    """The same checks on models of up to 24 channels, whose output
+    channels over one patch split into several slot counts (5 + 4, say)."""
+    g = random_model(random.Random(seed), max_hw=6, max_c=24, max_layers=3)
+    _assert_slot_rows_match(g, mode, seed)
+
+
+def _assert_slot_rows_match(g, mode, seed):
     layout, stats = compile(g, CompileConfig(mode=mode))
     inp = random_input(random.Random(seed), g)
     asg = assign_witness(layout, g, inp)
