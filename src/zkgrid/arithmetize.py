@@ -463,7 +463,7 @@ class _Builder:
             off = self.new_column("io:pk_off", FIXED)
             q_pack = self.new_column("io:q_pack", FIXED)
             weighted = [
-                cell(col) if j == 0 else mul(const(256**j), cell(col))
+                cell(col) if j == 0 else mul(const(pow(256, j, self.p)), cell(col))
                 for j, col in enumerate(self.io_columns())
             ]
             poly = sub(cell(pk_out), add(cell(pk_in), mul(cell(scale), add(*weighted)), cell(off)))
@@ -1017,8 +1017,6 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
             f"the grid needs {padded} rows of {n_advice} advice and {len(bld.fixed)} fixed"
             f" columns, over the limit of {MAX_CELLS} cells"
         )
-    if bld.instance_map:
-        bld.new_column("inst", "instance")
     # validate() below refuses a column whose cells were not set in
     # increasing row order.
     fixed = {col_id: FixedColumn(cells, padded) for col_id, cells in bld.fixed.items()}

@@ -11,11 +11,12 @@ becomes one pass over those rows (constants stay scalars).  Node
 results are memoised per selector on the identity of the expression
 subtree, so gates that share a sub-expression object compute it once per
 row: the slots of a DOT row share each x - z, and the sponge round gates
-their S-box terms.  Compile builds such gates over shared subtrees and
-the layout loader parses equal subtrees into one object.  Values are
-reduced mod p only by pow5 and once before the zero test; sums, differences and products are left
-unreduced, which is exact because reduction mod p is a ring homomorphism
-and Python ints do not overflow.
+their S-box terms.  Compile builds such gates over shared subtrees, and
+the layout file holds each distinct subtree once, so a loaded layout
+shares them too.  Values are reduced mod p only by pow5 and once before
+the zero test; sums, differences and products are left unreduced, which
+is exact because reduction mod p is a ring homomorphism and Python ints
+do not overflow.
 
 Fixed columns stay sparse: a gate or lookup reads a fixed operand from
 the column's cell dict on its enabled rows only.  The few fixed columns

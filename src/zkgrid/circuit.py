@@ -22,12 +22,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, repeat
+from math import prod
 
 from .field import Field, FieldElement
 
 ADVICE = "advice"
 FIXED = "fixed"
-INSTANCE = "instance"
 
 # The tallest grid compile builds and the file loaders accept, and the most
 # cells its advice columns, or its fixed columns, may hold: a file header
@@ -48,7 +48,7 @@ class Column:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in (ADVICE, FIXED, INSTANCE):
+        if self.kind not in (ADVICE, FIXED):
             raise CircuitError(f"unknown column kind {self.kind!r}")
 
 
@@ -122,70 +122,12 @@ def pow5(a: Expr) -> Expr:
     return Expr("pow5", args=(a,))
 
 
-MAX_EXPR_DEPTH = 64  # compiled gates nest at most 6 deep
-
-
-_SEXPR_OPS = {"+": "add", "-": "sub", "*": "mul", "pow5": "pow5"}
-
-
-def parse_sexpr(text: str, built: dict | None = None) -> Expr:
-    """Inverse of Expr.to_sexpr, used by the layout file loader.  Any
-    malformed text raises CircuitError, as does nesting deeper than
-    MAX_EXPR_DEPTH, which every later recursive walk of the tree could
-    not handle.
-
-    One loop over the tokens: `open_nodes` holds the (op, args) of each
-    operator node begun and not yet closed, so its length is the depth
-    of the next node.  Equal subtrees are built once: `built` maps a
-    leaf's token, or an operator node's op and the ids of its (already
-    shared) operands, to its node.  Pass one `built` dict to the calls
-    for a whole layout and its gates share their common subtrees, as
-    compiled gates do."""
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    if built is None:
-        built = {}
-    open_nodes: list[tuple[str, list]] = []
-    it = iter(tokens)
-    for tok in it:
-        if tok == ")" and open_nodes:
-            op, args = open_nodes.pop()
-            key = (op, *map(id, args))
-            node = built.get(key)
-            if node is None:
-                node = built[key] = Expr(op, args=tuple(args))
-        elif len(open_nodes) > MAX_EXPR_DEPTH:
-            raise CircuitError("s-expression nests too deeply")
-        elif tok == "(":
-            head = next(it, None)
-            if head == "col":
-                col_id, close = next(it, None), next(it, None)
-                if close is None:
-                    raise CircuitError("malformed s-expression: unexpected end")
-                if close != ")":
-                    raise CircuitError("malformed s-expression: unterminated col")
-                node = built.get(("col", col_id))
-                if node is None:
-                    node = built["col", col_id] = Expr("cell", col=col_id)
-            elif head is None:
-                raise CircuitError("malformed s-expression: unexpected end")
-            elif head in _SEXPR_OPS:
-                open_nodes.append((_SEXPR_OPS[head], []))
-                continue
-            else:
-                raise CircuitError(f"unknown s-expression head {head!r}")
-        else:
-            node = built.get(tok)
-            if node is None:
-                try:
-                    node = built[tok] = Expr("const", value=int(tok))
-                except ValueError:
-                    raise CircuitError(f"malformed s-expression: bad constant {tok!r}") from None
-        if not open_nodes:
-            if next(it, None) is not None:
-                raise CircuitError("trailing tokens in s-expression")
-            return node
-        open_nodes[-1][1].append(node)
-    raise CircuitError("malformed s-expression: unexpected end")
+# The deepest gate polynomial, and the most nodes a layout's gate
+# polynomials hold written out as trees, that a layout file may hold: walks
+# of a tree recurse, and shared subtrees can name a tree exponentially
+# larger than the file.  Compiled gates nest at most 6 deep.
+MAX_EXPR_DEPTH = 64
+MAX_EXPR_NODES = 1 << 20
 
 
 # --- constraints ------------------------------------------------------------
@@ -434,10 +376,9 @@ class CircuitLayout:
                 raise CircuitError(f"copy references column number {bad} outside the {len(names)} columns")
             bad = min(rows) if min(rows) < 0 else max(rows)
             raise CircuitError(f"copy references row {bad} outside grid")
-        bindable = {col_id for col_id, col in self.columns.items() if col.kind != INSTANCE}
         for (col_id, row), idx in self.instance_map:
-            if col_id not in bindable:
-                raise CircuitError(f"instance binding to {col_id!r}: not an advice or fixed column")
+            if col_id not in self.columns:
+                raise CircuitError(f"instance binding references unknown column {col_id!r}")
             if not 0 <= row < self.n_rows:
                 raise CircuitError(f"instance binding references row {row} outside grid")
             if idx < 0:
@@ -448,13 +389,9 @@ class CircuitLayout:
         return max((1 + g.poly.degree() for g in self.gates), default=0)
 
     def resolve_column(self, col_id: str, assignment: Assignment) -> list:
-        col = self.columns[col_id]
-        if col.kind == FIXED:
+        if self.columns[col_id].kind == FIXED:
             return self.fixed[col_id]
-        if col.kind == ADVICE:
-            return assignment.advice[col_id]
-        vals = list(assignment.instance) + [0] * (self.n_rows - len(assignment.instance))
-        return vals
+        return assignment.advice[col_id]
 
     def eval_gate(self, gate: GateDef, assignment: Assignment, row: int) -> FieldElement:
         """selector(row) * poly(row); skips poly evaluation when disabled."""
@@ -497,24 +434,15 @@ def _eval_expr(e: Expr, layout: CircuitLayout, assignment: Assignment, row: int)
         if v is None:
             raise CircuitError(f"unassigned cell ({e.col}, {row}) referenced")
         return v % p
+    vals = [_eval_expr(a, layout, assignment, row) for a in e.args]
     if e.op == "add":
-        out = 0
-        for a in e.args:
-            out = (out + _eval_expr(a, layout, assignment, row)) % p
-        return out
+        return sum(vals) % p
     if e.op == "sub":
-        out = _eval_expr(e.args[0], layout, assignment, row)
-        for a in e.args[1:]:
-            out = (out - _eval_expr(a, layout, assignment, row)) % p
-        return out
+        return (vals[0] - sum(vals[1:])) % p
     if e.op == "mul":
-        out = 1
-        for a in e.args:
-            out = out * _eval_expr(a, layout, assignment, row) % p
-        return out
+        return prod(vals) % p
     if e.op == "pow5":
-        v = _eval_expr(e.args[0], layout, assignment, row)
-        return pow(v, 5, p)
+        return pow(vals[0], 5, p)
     raise CircuitError(f"bad expr op {e.op!r}")
 
 

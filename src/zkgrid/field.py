@@ -90,9 +90,6 @@ class Field:
         """
         return FieldElement(encode_signed(x, self.modulus), self.modulus)
 
-    def rand(self, rng: random.Random) -> "FieldElement":
-        return FieldElement(rng.randrange(self.modulus), self.modulus)
-
 
 def encode_signed(x: int, modulus: int) -> int:
     if 2 * abs(x) >= modulus:

@@ -83,9 +83,6 @@ class QuantTensor:
         """Bytes read as two's-complement int8 (weight convention)."""
         return [b - 256 if b >= 128 else b for b in self.data]
 
-    def unsigned_values(self) -> list[int]:
-        return list(self.data)
-
 
 @dataclass(frozen=True, slots=True)
 class Layer:

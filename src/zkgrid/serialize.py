@@ -1,4 +1,4 @@
-"""On-disk formats for layouts and witnesses, both binary and version 3.
+"""Binary on-disk formats: layouts (version 4) and witnesses (version 3).
 
 Both formats write integers little-endian and share one cell codec (a
 "cell column"): an assigned length L (`<I`), a width byte w in
@@ -15,9 +15,15 @@ unassigned.
 
 Layout: `ZKLY`, then version and header length (`<II`), then the header,
 a JSON object: modulus (a decimal string), n_rows, n_rows_logical,
-columns, gates (polynomials as s-expressions), lookups, tables as
-[id, arity, entries] triples, fixed as [column id, cells] pairs and the
-copies and bindings counts.  The sections follow in this order:
+columns, nodes, gates (each `poly` the index of its root node), lookups,
+tables as [id, arity, entries] triples, fixed as [column id, cells]
+pairs and the copies and bindings counts.  `nodes` holds each distinct
+subtree of the gate polynomials once, children first: `["col", id]`,
+`["const", str(v)]` for v in [0, p), `["+", i, j, ...]` or
+`["*", i, j, ...]`, `["-", i, j]` or `["pow5", i]`, where i, j, ...
+index earlier nodes.  A polynomial nests at most `circuit.MAX_EXPR_DEPTH`
+operators deep, and all of them hold at most `circuit.MAX_EXPR_NODES`
+nodes written out as trees.  The sections follow in this order:
 
 * copies: 4 * copies integers `[a_col, a_row, b_col, b_row, ...]` whose
   column numbers index `columns`; it is the in-memory `circuit.Copies`
@@ -42,8 +48,8 @@ written as a cell column whose length is one past its last assigned row
 
 Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
-more than `circuit.MAX_CELLS` cells, and refuse older versions: JSON
-layouts (versions 1 and 2) and witness versions 1 and 2.
+more than `circuit.MAX_CELLS` cells, and refuse older versions: layout
+versions 1 to 3 (1 and 2 were JSON) and witness versions 1 and 2.
 """
 
 from __future__ import annotations
@@ -57,21 +63,23 @@ from operator import itemgetter
 
 from .circuit import (
     MAX_CELLS,
+    MAX_EXPR_DEPTH,
+    MAX_EXPR_NODES,
     MAX_ROWS,
     Assignment,
     CircuitError,
     CircuitLayout,
     Column,
     Copies,
+    Expr,
     FixedColumn,
+    GateDef,
     LookupArg,
     LookupTable,
-    GateDef,
-    parse_sexpr,
 )
 from .field import Field
 
-_LAYOUT_VERSION = 3
+_LAYOUT_VERSION = 4
 _WITNESS_VERSION = 3
 
 _LAYOUT_MAGIC = b"ZKLY"
@@ -256,15 +264,80 @@ def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str, low: i
     return vals, pos
 
 
+# The node table's operators, the Expr ops they build, and the operand
+# counts that circuit.add, mul, sub and pow5 give them.
+_OPERATORS = {"+": "add", "*": "mul", "-": "sub", "pow5": "pow5"}
+_NODE_OPS = {op: name for name, op in _OPERATORS.items()}
+_ARITY = {"+": range(2, sys.maxsize), "*": range(2, sys.maxsize), "-": range(2, 3), "pow5": range(1, 2)}
+
+
+def _node_table(layout: CircuitLayout) -> tuple[list, list[int]]:
+    """The gates' polynomials as one node table and each gate's root
+    index, refused as load_layout would refuse them.  A node is numbered
+    by its op and its payload or operands' numbers, so equal subtrees get
+    one number however memory shares them."""
+    number: dict[tuple, int] = {}
+
+    def visit(e: Expr) -> int:
+        if e.op == "const":
+            key = ("const", str(e.value))
+        elif e.op == "cell":
+            key = ("col", e.col)
+        else:
+            key = (_NODE_OPS.get(e.op, e.op), *map(visit, e.args))
+        return number.setdefault(key, len(number))
+
+    roots = [visit(g.poly) for g in layout.gates]
+    nodes = list(map(list, number))
+    _read_nodes(nodes, roots, layout.field.modulus)
+    return nodes, roots
+
+
+def _read_nodes(nodes, roots: list, p: int) -> list[Expr]:
+    """Each node's Expr, built from its operands'.  The gates' `roots`
+    must index nodes, and their trees written out hold at most
+    MAX_EXPR_NODES nodes."""
+    _need(type(nodes) is list, "nodes must be a list")
+    built, heights, sizes = [], [], []
+    for k, node in enumerate(nodes):
+        _need(type(node) is list and len(node) >= 2 and type(node[0]) is str,
+              f"node {k} is not a list of an op and its operands")
+        name, *args = node
+        leaf = args[0] if len(args) == 1 else None
+        if name == "col" and type(leaf) is str:
+            e, height, size = Expr("cell", col=leaf), 0, 1
+        elif name == "const":
+            _need(type(leaf) is str and leaf.isascii() and leaf.isdigit() and len(leaf) <= len(str(p))
+                  and str(int(leaf)) == leaf and int(leaf) < p, f"node {k}: const takes one canonical residue")
+            e, height, size = Expr("const", value=int(leaf)), 0, 1
+        else:
+            _need(name in _OPERATORS and len(args) in _ARITY[name] and _typed(args, int)
+                  and min(args) >= 0 and max(args) < k,
+                  f"node {k}: neither a col of one id nor an operator of its arity over earlier nodes")
+            height = 1 + max(map(heights.__getitem__, args))
+            _need(height <= MAX_EXPR_DEPTH, f"node {k} nests over {MAX_EXPR_DEPTH} operators deep")
+            e = Expr(_OPERATORS[name], args=tuple(map(built.__getitem__, args)))
+            size = 1 + sum(map(sizes.__getitem__, args))
+        built.append(e)
+        heights.append(height)
+        sizes.append(size)
+    _need(all(type(r) is int and 0 <= r < len(built) for r in roots), "gate poly must index a node")
+    _need(sum(map(sizes.__getitem__, roots)) <= MAX_EXPR_NODES,
+          f"gate polynomials of over {MAX_EXPR_NODES} nodes written out as trees")
+    return built
+
+
 def _layout_header(layout: CircuitLayout) -> dict:
+    nodes, roots = _node_table(layout)
     return {
         "modulus": str(layout.field.modulus),
         "n_rows": layout.n_rows,
         "n_rows_logical": layout.n_rows_logical,
         "columns": [{"id": c.id, "kind": c.kind} for c in layout.columns.values()],
+        "nodes": nodes,
         "gates": [
-            {"id": g.id, "name": g.name, "selector": g.selector, "poly": g.poly.to_sexpr()}
-            for g in layout.gates
+            {"id": g.id, "name": g.name, "selector": g.selector, "poly": root}
+            for g, root in zip(layout.gates, roots)
         ],
         "lookups": [
             {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
@@ -302,13 +375,16 @@ def dump_layout(layout: CircuitLayout) -> bytes:
 
 
 def _read_header(raw: bytes) -> tuple[dict, int]:
-    """The header object of a version-3 layout and the position after it."""
+    """The header object of a current layout and the position after it."""
+    again = f"compile the model again to get a version-{_LAYOUT_VERSION} file"
     if raw[:4] != _LAYOUT_MAGIC:
         if raw.lstrip()[:1] == b"{":
-            raise FormatError("a JSON layout of version 1 or 2; compile the model again to get a version-3 file")
+            raise FormatError(f"a JSON layout of version 1 or 2; {again}")
         raise FormatError("not a layout file")
     _need(len(raw) >= _LAYOUT_PREFIX.size, "truncated header")
     _, version, n_head = _LAYOUT_PREFIX.unpack_from(raw)
+    if version < _LAYOUT_VERSION:
+        raise FormatError(f"a layout of version {version}; {again}")
     if version != _LAYOUT_VERSION:
         raise FormatError(f"unsupported layout version {version}")
     pos = _LAYOUT_PREFIX.size + n_head
@@ -324,9 +400,9 @@ def _read_header(raw: bytes) -> tuple[dict, int]:
 
 
 def load_layout(raw: bytes) -> CircuitLayout:
-    """A validated layout from a version-3 file.
+    """A validated layout from a current layout file.
 
-    Raises FormatError for bytes that are not a well-formed v3 layout
+    Raises FormatError for bytes that are not a well-formed layout
     and CircuitError for a file that describes an inconsistent circuit.
     """
     doc, pos = _read_header(raw)
@@ -348,12 +424,11 @@ def load_layout(raw: bytes) -> CircuitLayout:
         names = list(columns)
         _need(len(names) == len(doc["columns"]), "duplicate column id")
 
+        nodes = _read_nodes(doc["nodes"], [g["poly"] for g in doc["gates"]], p)
         gates = []
-        subtrees: dict = {}   # shared by the gates' parses
         for g in doc["gates"]:
-            _need(_typed([g["id"], g["name"], g["selector"], g["poly"]], str), "gate fields must be strings")
-            poly = parse_sexpr(g["poly"], subtrees)
-            gates.append(GateDef(id=g["id"], name=g["name"], selector=g["selector"], poly=poly))
+            _need(_typed([g["id"], g["name"], g["selector"]], str), "gate id, name and selector must be strings")
+            gates.append(GateDef(id=g["id"], name=g["name"], selector=g["selector"], poly=nodes[g["poly"]]))
 
         lookups = []
         for l in doc["lookups"]:

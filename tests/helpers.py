@@ -1,6 +1,6 @@
 """Shared test machinery: the independent convolution oracle, the
 row-by-row constraint oracle, the single-cell tamper harness and a
-reference writer of version-3 layout files."""
+reference writer of version-4 layout files."""
 
 from __future__ import annotations
 
@@ -195,22 +195,45 @@ def row_oracle_check(layout, assignment, cap=1000):
     return out[:cap]
 
 
+_NODE_NAMES = {"add": "+", "sub": "-", "mul": "*", "pow5": "pow5"}
+
+
+def node_table(polys) -> tuple[list, list[int]]:
+    """A node table of the polynomials written out as trees, each node
+    its own entry after its children's (equal subtrees are not merged),
+    and each polynomial's root index."""
+    nodes = []
+
+    def write(e) -> int:
+        if e.op == "const":
+            nodes.append(["const", str(e.value)])
+        elif e.op == "cell":
+            nodes.append(["col", e.col])
+        else:
+            nodes.append([_NODE_NAMES[e.op], *map(write, e.args)])
+        return len(nodes) - 1
+
+    return nodes, [write(e) for e in polys]
+
+
 def layout_doc(layout) -> dict:
-    """The parts of a version-3 layout file, restated from the layout
+    """The parts of a version-4 layout file, restated from the layout
     without zkgrid.serialize: the header object without its counts, then
     each section's integers.  `widths` maps a section to the width byte
     layout_file writes for it: "copies", "bindings", "rows:<column>",
     "values:<column>" or "table:<id>"."""
     names = list(layout.columns)
+    nodes, roots = node_table(g.poly for g in layout.gates)
     return {
         "header": {
             "modulus": str(layout.field.modulus),
             "n_rows": layout.n_rows,
             "n_rows_logical": layout.n_rows_logical,
             "columns": [{"id": c.id, "kind": c.kind} for c in layout.columns.values()],
+            "nodes": nodes,
             "gates": [
-                {"id": g.id, "name": g.name, "selector": g.selector, "poly": g.poly.to_sexpr()}
-                for g in layout.gates
+                {"id": g.id, "name": g.name, "selector": g.selector, "poly": root}
+                for g, root in zip(layout.gates, roots)
             ],
             "lookups": [
                 {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
@@ -250,7 +273,7 @@ def layout_sections(doc) -> list[bytes]:
         **doc["header"],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = [b"ZKLY" + struct.pack("<II", 3, len(head)) + head, uints("copies", doc["copies"])]
+    out = [b"ZKLY" + struct.pack("<II", 4, len(head)) + head, uints("copies", doc["copies"])]
     for col, rows, vals in doc["fixed"]:
         out += [uints(f"rows:{col}", rows), cells(f"values:{col}", vals)]
     out += [cells(f"table:{tid}", entries) for tid, _, entries in doc["tables"]]

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from helpers import tamper_trials
-from zkgrid import arithmetize
+from zkgrid import arithmetize, serialize
 from zkgrid.arithmetize import (
     CompileConfig,
     CompileError,
@@ -644,7 +644,8 @@ def test_hidden_weights_pack_chunks(fld, pack_rows):
     (31 on the default field, 11 on p = 2^89 - 1, 2 on p = 65537), each
     spanning ceil(k / N) PACK rows at N = 8, and each of the 2 biases
     takes one; the absorbed cells hold `weight_elements` and the
-    instance equals `commit_model_io`."""
+    instance equals `commit_model_io`.  The PACK gate's constants
+    256^j are canonical residues, so the layout file round-trips."""
     rng = random.Random(pack_rows)
     units, feat = 2, 31
     weights = [rng.randint(-3, 3) for _ in range(units * feat)]
@@ -660,6 +661,7 @@ def test_hidden_weights_pack_chunks(fld, pack_rows):
     assert len(_pack_rows(layout)) == pack_rows
     sp = next(s for s in layout.plan.sponges if s.label == "weights")
     assert [asg.advice[c][r] for c, r in sp.message_cells] == elements
+    assert serialize.load_layout(serialize.dump_layout(layout)) == layout
 
 
 @pytest.mark.parametrize("bias", [1 << 31, -(1 << 31) - 1])

@@ -3,21 +3,16 @@ import pytest
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
-    MAX_EXPR_DEPTH,
     Assignment,
     CircuitError,
     CircuitLayout,
     Column,
-    Expr,
     GateColumns,
     GateDef,
     SlotColumns,
-    add,
     builtin_gates,
     cell,
-    const,
     mul,
-    parse_sexpr,
     pow5,
     sub,
 )
@@ -184,76 +179,6 @@ def test_div_with_range_is_unique_over_integers():
                 assert d == ca // b and r == ca - d * b
 
 
-def test_sexpr_round_trip():
-    e = sub(mul(cell("a"), pow5(cell("b"))), cell("c"))
-    text = e.to_sexpr()
-    e2 = parse_sexpr(text)
-    assert e2.to_sexpr() == text
-    assert e2.degree() == e.degree() == 6
-
-
-def _random_expr(rng, depth):
-    if depth == 0 or rng.random() < 0.3:
-        return cell(f"c{rng.randrange(4)}") if rng.random() < 0.5 else Expr("const", value=rng.randrange(-9, 1 << 254))
-    op = rng.choice(["add", "sub", "mul", "pow5"])
-    k = 1 if op == "pow5" else rng.randrange(1, 4)
-    return Expr(op, args=tuple(_random_expr(rng, depth - 1) for _ in range(k)))
-
-
-def test_sexpr_round_trips_are_exact():
-    """Every tree, up to MAX_EXPR_DEPTH deep, parses back to an equal tree
-    and the same text, alone or with one table of shared subtrees."""
-    import random
-
-    rng = random.Random(4)
-    exprs = [_random_expr(rng, rng.randrange(0, 7)) for _ in range(300)]
-    deepest = cell("a")
-    for _ in range(MAX_EXPR_DEPTH):
-        deepest = add(deepest, const(1))
-    exprs.append(deepest)
-    built = {}
-    for e in exprs:
-        for got in (parse_sexpr(e.to_sexpr()), parse_sexpr(e.to_sexpr(), built)):
-            assert got == e and got.to_sexpr() == e.to_sexpr()
-    shared = [parse_sexpr(text, built) for text in ("(+ (col a) 2)", "(* (+ (col a) 2) (col a))")]
-    assert shared[1].args[0] is shared[0]
-
-
-@pytest.mark.parametrize(
-    "text, match",
-    [
-        ("", "unexpected end"),
-        ("(+ (col a)", "unexpected end"),
-        ("(col", "unexpected end"),
-        ("(col a", "unexpected end"),
-        ("(", "unexpected end"),
-        ("(col a b)", "unterminated col"),
-        ("(+ 1 x)", "bad constant 'x'"),
-        (")", "bad constant"),
-        ("(% 1 2)", "unknown s-expression head '%'"),
-        ("((col a))", "unknown s-expression head"),
-        ("(col a) 1", "trailing tokens"),
-        ("(+ 1 2))", "trailing tokens"),
-        ("1 2", "trailing tokens"),
-        ("(+ " * (MAX_EXPR_DEPTH + 1) + "1" + ")" * (MAX_EXPR_DEPTH + 1), "nests too deeply"),
-        ("(+ " * 5000, "nests too deeply"),
-    ],
-)
-def test_malformed_sexpr_raises(text, match):
-    with pytest.raises(CircuitError, match=match):
-        parse_sexpr(text)
-    with pytest.raises(CircuitError, match=match):
-        parse_sexpr(text, {})
-
-
-def test_sexpr_depth_limit_is_inclusive():
-    """A leaf at depth MAX_EXPR_DEPTH parses; one level deeper does not."""
-    ok = "(+ " * MAX_EXPR_DEPTH + "1" + ")" * MAX_EXPR_DEPTH
-    assert parse_sexpr(ok).to_sexpr() == ok
-    with pytest.raises(CircuitError, match="nests too deeply"):
-        parse_sexpr("(+ " + ok + ")")
-
-
 def test_slots_share_x_lanes_and_selectors():
     """Two slots over the same x lanes: one gate per slot and width, named
     DOT_k / DIV with the slot in the id, on the shared selectors; each
@@ -283,6 +208,7 @@ def test_degree_accounting():
     assert sorted(by_name) == ["DIV", "DOT_1", "DOT_2", "DOT_3", "DOT_4"]
     assert by_name["DOT_4"].poly.degree() == 2
     assert by_name["DIV"].poly.degree() == 2
+    assert sub(mul(cell("a"), pow5(cell("b"))), cell("c")).degree() == 6
 
 
 def test_column_eval_matches_tree_eval():
@@ -326,8 +252,7 @@ def test_debug_dump_shape():
     doc = layout.debug_dump()
     assert doc["n_rows"] == stats.n_rows_padded
     assert {c["id"] for c in doc["columns"]} == set(layout.columns)
-    for gd in doc["gates"]:
-        parse_sexpr(gd["poly"])  # every polynomial round-trips
+    assert [gd["poly"] for gd in doc["gates"]] == [g.poly.to_sexpr() for g in layout.gates]
     assert doc["max_gate_degree"] == stats.max_gate_degree
     for tid, t in doc["tables"].items():
         assert t["size"] == len(layout.tables[tid].rows)

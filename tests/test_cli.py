@@ -499,17 +499,16 @@ U32_MAX = (1 << 32) - 1
     [
         (1, U32_MAX, "instance binding references row"),
         (1, "n_rows", "instance binding references row"),
-        (0, "inst", "instance binding to 'inst'"),
         (0, "columns", "instance binding references column number"),
         (2, U32_MAX, None),
     ],
 )
 def test_bad_instance_binding_refused(workspace, field, value, message):
-    """Bindings outside the grid, to the instance column or to a column
-    number past the last would let a forged instance through; the layout
-    loader refuses them and `check` exits 2.  A file cannot hold a
-    negative index: the largest one loads, and `check` refuses it as
-    past the end of the instance vector."""
+    """Bindings outside the grid or to a column number past the last
+    would let a forged instance through; the layout loader refuses them
+    and `check` exits 2.  A file cannot hold a negative index: the
+    largest one loads, and `check` refuses it as past the end of the
+    instance vector."""
     tmp, model, inp = workspace
     layout, wit = tmp / "layout.bin", tmp / "w.bin"
     assert main(["compile", model, "--layout", str(layout)]) == 0
@@ -518,7 +517,7 @@ def test_bad_instance_binding_refused(workspace, field, value, message):
     names = [c["id"] for c in doc["header"]["columns"]]
     bound = doc["bindings"]
     for k in range(field, len(bound), 3):
-        bound[k] = {"n_rows": doc["header"]["n_rows"], "inst": names.index("inst"), "columns": len(names)}.get(value, value)
+        bound[k] = {"n_rows": doc["header"]["n_rows"], "columns": len(names)}.get(value, value)
     bad_layout = tmp / "bad_layout.bin"
     bad_layout.write_bytes(layout_file(doc))
     asg = serialize.load_witness(wit.read_bytes())

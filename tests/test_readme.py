@@ -1,7 +1,8 @@
 """The README documents exactly the settings the code has: the fields of
 its `--config` example are the ones `cli.load_config` accepts, and each
 subcommand line of its CLI synopsis lists exactly the options that
-subcommand's parser defines."""
+subcommand's parser defines, and its file formats carry the versions
+`serialize` writes."""
 
 import argparse
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zkgrid import cli
+from zkgrid import cli, serialize
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -66,3 +67,14 @@ def test_synopsis_lists_each_option(path):
     assert listed <= defined, f"{line!r} lists options the parser lacks: {sorted(listed - defined)}"
     missing = [strings for strings in options if not listed & set(strings)]
     assert not missing, f"{line!r} omits {missing}"
+
+
+@pytest.mark.parametrize("name, version", [
+    ("Layout", serialize._LAYOUT_VERSION),
+    ("Witness", serialize._WITNESS_VERSION),
+])
+def test_file_format_versions(name, version):
+    """The README's file-format section names each format's current
+    version, so a format change that forgets the README fails here."""
+    stated = re.findall(rf"\*\*{name}\*\* \(version (\d+)\)", README)
+    assert stated == [str(version)], f"README states {name} version(s) {stated}, the code writes {version}"

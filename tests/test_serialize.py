@@ -16,10 +16,28 @@ from hypothesis import strategies as st
 from helpers import layout_doc, layout_file, layout_sections
 from zkgrid import serialize
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
-from zkgrid.circuit import MAX_CELLS, MAX_ROWS, Assignment, CircuitError
+from zkgrid.circuit import (
+    ADVICE,
+    FIXED,
+    MAX_CELLS,
+    MAX_EXPR_DEPTH,
+    MAX_ROWS,
+    Assignment,
+    CircuitError,
+    CircuitLayout,
+    Column,
+    Expr,
+    GateDef,
+    add,
+    cell,
+    const,
+    mul,
+    pow5,
+    sub,
+)
 from zkgrid.cli import main
 from zkgrid.commit import VisibilityMode
-from zkgrid.field import DEFAULT_MODULUS
+from zkgrid.field import DEFAULT_MODULUS, Field
 from zkgrid.modelgen import random_input, random_model, two_tap_fc_model
 from zkgrid.serialize import FormatError
 
@@ -376,6 +394,55 @@ def _first_table(doc):
     return "table:" + doc["tables"][0][0]
 
 
+def _root(*nodes):
+    """Append `nodes` to the node table and make the last gate 0's
+    polynomial.  In them operand -1 names the node just before the one
+    it is in and -2 the one before that; other operands are kept (node 0
+    of layout_doc's table is a col)."""
+    def apply(doc):
+        table = doc["header"]["nodes"]
+        for node in nodes:
+            at = len(table)
+            table.append([at + x if type(x) is int and x < 0 else x for x in node])
+        doc["header"]["gates"][0]["poly"] = len(table) - 1
+    return apply
+
+
+# Node-table entries the loader refuses, each made gate 0's polynomial.
+BAD_NODES = {
+    **{f"{op} of {len(args)} operands": [[op, *args]] for op, args in [
+        ("+", []), ("+", [-1]), ("*", []), ("*", [-1]),
+        ("-", []), ("-", [-1]), ("-", [-1, -2, -1]), ("pow5", []), ("pow5", [-1, -2]),
+    ]},
+    **{f"const {text!r}": [["const", text]] for text in ["1_0", "+5", "\u0663", "-7", "07", " 7", "", str(P)]},
+    "const as a number": [["const", 7]],
+    "const of two values": [["const", "1", "2"]],
+    "col of two ids": [["col", "g0:x0", "g0:x1"]],
+    "col id a number": [["col", 0]],
+    "operand out of range": [["+", -1, 10**6]],
+    "operand negative": [["+", 0, -10**6]],
+    "operand a string": [["+", -1, "0"]],
+    "operand a boolean": [["+", -1, True]],
+    "unknown op": [["%", -1, -2]],
+    "op not a string": [[["+"], -1, -2]],
+    "not a list": ["g0:x0"],
+    "empty list": [[]],
+    "op alone": [["col"]],
+    "chain one deeper than MAX_EXPR_DEPTH": [["+", 0, 0]] + [["+", -1, 0]] * MAX_EXPR_DEPTH,
+    "tree of 2**64 - 1 nodes": [["col", "g0:x0"]] + [["+", -1, -1]] * (MAX_EXPR_DEPTH - 1),
+}
+
+
+def _operand(index):
+    """Set the last operand of the table's first operator node, number
+    k, to index(k)."""
+    def apply(doc):
+        nodes = doc["header"]["nodes"]
+        k = next(k for k, node in enumerate(nodes) if node[0] not in ("col", "const"))
+        nodes[k][-1] = index(k)
+    return apply
+
+
 U32_MAX = (1 << 32) - 1
 SELECTOR = "g0:q_dot2"   # enables the model's one row
 
@@ -388,10 +455,13 @@ BAD_LAYOUTS = {
     "copy row outside grid": _copy_cell(3, 1 << 20),
     "ragged copies": lambda doc: doc["copies"].pop(),
     "copy count above the section": _edit(["copies"], 1_000_000),
-    "truncated s-expression": _edit(["gates", 0, "poly"], lambda s: s[:-1]),
-    "s-expression bad constant": _edit(["gates", 0, "poly"], lambda s: "(+ 1 x)"),
-    "deep s-expression": _edit(["gates", 0, "poly"], lambda s: "(+ " * 500 + s + ")" * 500),
-    "unclosed s-expression": _edit(["gates", 0, "poly"], lambda s: "(+ " * 5000),
+    **{f"node {name}": _root(*nodes) for name, nodes in BAD_NODES.items()},
+    "gate poly index out of range": lambda doc: _edit(["gates", 0, "poly"], len(doc["header"]["nodes"]))(doc),
+    "gate poly index negative": _edit(["gates", 0, "poly"], -1),
+    "gate poly as s-expression": _edit(["gates", 0, "poly"], "(col g0:x0)"),
+    "nodes not a list": _edit(["nodes"], {}),
+    "node operand is itself": _operand(lambda k: k),
+    "node operand points forward": _operand(lambda k: k + 1),
     "lookup selector is advice": _edit(["lookups", 0, "selector"], "g0:x0"),
     "fixed rows unsorted": _fixed(SELECTOR, [1, 0], [1, 1]),
     "fixed row repeated": _fixed(SELECTOR, [0, 0], [1, 1]),
@@ -415,6 +485,7 @@ BAD_LAYOUTS = {
     "modulus as number": _edit(["modulus"], P),
     "duplicate column": lambda doc: doc["header"]["columns"].append(dict(doc["header"]["columns"][1])),
     "column kind": _edit(["columns", 1, "kind"], "advise"),
+    "column kind instance": _edit(["columns", 1, "kind"], "instance"),
     "column not an object": _edit(["columns", 1], "io0"),
     "instance binding width 3": _width("bindings", 3),
     "instance binding count string": _edit(["bindings"], "1"),
@@ -434,11 +505,11 @@ def test_malformed_layout_exit_2(files, name):
 
 
 @pytest.mark.parametrize("raw, match", [
-    (b"ZKLY" + struct.pack("<II", 4, 2) + b"{}", "unsupported layout version 4"),
-    (b"ZKLY" + struct.pack("<II", 3, 2) + b"[]", "the header must be an object"),
-    (b"ZKLY" + struct.pack("<II", 3, 2) + b"{\xff", "not valid JSON"),
-    (b"ZKLY" + struct.pack("<II", 3, 3) + b"{}", "truncated header"),
-    (b"ZKLY\x03\x00", "truncated header"),
+    (b"ZKLY" + struct.pack("<II", 5, 2) + b"{}", "unsupported layout version 5"),
+    (b"ZKLY" + struct.pack("<II", 4, 2) + b"[]", "the header must be an object"),
+    (b"ZKLY" + struct.pack("<II", 4, 2) + b"{\xff", "not valid JSON"),
+    (b"ZKLY" + struct.pack("<II", 4, 3) + b"{}", "truncated header"),
+    (b"ZKLY\x04\x00", "truncated header"),
 ])
 def test_malformed_layout_prefix_refused(raw, match):
     with pytest.raises(FormatError, match=match):
@@ -535,6 +606,114 @@ def test_round_trips_are_exact_and_deterministic(mode):
     assert serialize.dump_witness(serialize.load_witness(wit_raw)) == wit_raw
     widths = set(column_widths(wit_raw))
     assert 1 in widths and (32 in widths) == (mode is not None)
+
+
+def test_v3_layout_refused(files, capsys):
+    """A version-3 layout, whose gates were s-expressions, is refused
+    with a message that says to compile the model again."""
+    tmp, lay, wit = files
+    v3 = lay[:4] + struct.pack("<I", 3) + lay[8:]
+    with pytest.raises(FormatError, match="version 3; compile the model again"):
+        serialize.load_layout(v3)
+    assert _check(tmp, v3, wit) == 2
+    assert "compile the model again" in capsys.readouterr().err
+
+
+def _gates_layout(polys) -> CircuitLayout:
+    """A one-row layout on the default field whose gates, all enabled by
+    the selector q, are `polys` over the advice columns c0..c3."""
+    return CircuitLayout(
+        field=Field(P),
+        columns={"q": Column("q", FIXED), **{f"c{i}": Column(f"c{i}", ADVICE) for i in range(4)}},
+        n_rows=1, n_rows_logical=1,
+        gates=[GateDef(id=f"g{k}", name="G", selector="q", poly=e) for k, e in enumerate(polys)],
+        tables={}, lookups=[], copies=[], fixed={"q": [1]}, instance_map=[],
+    )
+
+
+def _random_poly(rng, depth):
+    """A polynomial built by circuit.add, sub, mul and pow5 over c0..c3
+    and constants in [0, p), nesting at most `depth` operators deep."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.5:
+            return cell(f"c{rng.randrange(4)}")
+        return const(rng.choice([0, 1, P - 1, rng.randrange(P)]))
+    op = rng.choice([add, sub, mul, pow5])
+    n = {add: rng.randrange(2, 5), mul: rng.randrange(2, 5), sub: 2, pow5: 1}[op]
+    return op(*(_random_poly(rng, depth - 1) for _ in range(n)))
+
+
+def _reachable(gates) -> list:
+    """Every distinct node object of the gates' polynomials."""
+    seen = {}
+    stack = [g.poly for g in gates]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack.extend(e.args)
+    return list(seen.values())
+
+
+def test_gate_polynomials_round_trip():
+    """Random polynomials up to 6 deep load equal to the ones dumped,
+    from dump_layout's deduplicated node table or from the reference
+    writer's table of whole trees, and dump again to the same bytes."""
+    rng = random.Random(4)
+    layout = _gates_layout([_random_poly(rng, rng.randrange(0, 7)) for _ in range(300)])
+    raw = serialize.dump_layout(layout)
+    for loaded in (serialize.load_layout(raw), serialize.load_layout(layout_file(layout_doc(layout)))):
+        assert loaded == layout
+        assert serialize.dump_layout(loaded) == raw
+
+
+def test_equal_subtrees_load_as_one_object():
+    """Gates built apart from equal parts load sharing one object for each
+    distinct subtree; so does a compiled layout, with one object for each
+    entry of its node table."""
+    part = lambda: add(cell("c0"), const(2))
+    layout = _gates_layout([part(), mul(part(), cell("c0")), sub(mul(part(), cell("c0")), part())])
+    g0, g1, g2 = serialize.load_layout(serialize.dump_layout(layout)).gates
+    assert g1.poly.args[0] is g0.poly and g1.poly.args[1] is g0.poly.args[0]
+    assert g2.poly.args[0] is g1.poly and g2.poly.args[1] is g0.poly
+
+    raw = serialize.dump_layout(compile(two_tap_fc_model())[0])
+    nodes = _reachable(serialize.load_layout(raw).gates)
+    header = json.loads(raw[12 : 12 + struct.unpack_from("<I", raw, 8)[0]])
+    assert len(set(nodes)) == len(nodes) == len(header["nodes"])
+
+
+def test_expr_depth_limit_is_inclusive():
+    """A chain of MAX_EXPR_DEPTH operators dumps and loads; one operator
+    more is refused by dump_layout, and by load_layout from the reference
+    writer's file."""
+    chain = cell("c0")
+    for _ in range(MAX_EXPR_DEPTH):
+        chain = add(chain, const(1))
+    layout = _gates_layout([chain])
+    assert serialize.load_layout(serialize.dump_layout(layout)) == layout
+    deeper = _gates_layout([add(chain, const(1))])
+    for refuse in (serialize.dump_layout, lambda lay: serialize.load_layout(layout_file(layout_doc(lay)))):
+        with pytest.raises(FormatError, match=f"nests over {MAX_EXPR_DEPTH} operators deep"):
+            refuse(deeper)
+
+
+@pytest.mark.parametrize("poly", [
+    Expr("add", args=(cell("c0"),)),
+    Expr("mul", args=()),
+    Expr("sub", args=(cell("c0"),)),
+    Expr("sub", args=(cell("c0"), cell("c1"), cell("c2"))),
+    Expr("pow5", args=(cell("c0"), cell("c1"))),
+    Expr("div", args=(cell("c0"), cell("c1"))),
+    const(-7),
+    const(P),
+    const(True),
+], ids=repr)
+def test_dump_layout_refuses_what_load_refuses(poly):
+    """dump_layout writes only the node forms and canonical constants
+    that load_layout reads."""
+    with pytest.raises(FormatError):
+        serialize.dump_layout(_gates_layout([add(cell("c1"), poly)]))
 
 
 def test_dump_layout_refuses_non_canonical_fixed_cell():
