@@ -60,10 +60,12 @@ z_out) and, per site, the x source cells, the weights, the bias, its slot,
 its group and the first row of its chain.
 
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
-layer's act; the witness reads x from that cell and writes it once per
-row for all the row's slots.  The instance vector is the compiled
-instance map: logits, then raw input codes or the input digest, then the
-weight digest; the witness fills it from the bound cells.
+layer's act.  The witness computes only the cells no copy fills (input
+codes, weight staging, outs, each DIV row's r, q and act, sponge states
+out); the layout's copies then fill the rest, x lanes included.  The
+instance vector is the compiled instance map: logits, then raw input
+codes or the input digest, then the weight digest; the witness fills it
+from the bound cells.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
 rows binding them to a public digest in the instance vector.  Hidden
@@ -81,7 +83,7 @@ b + 2^31 on rows under the byte lookup with pk_off = -2^31, so its last
 pk_out is b itself, range-checked to int32; that cell is both the first
 carry of the site's DOT chain and one absorbed element.  The absorbed
 sequence is exactly `commit.weight_elements`, so the weight digest's
-sponge rows are filled once, at compile.
+sponge states out are computed once, at compile.
 """
 
 from __future__ import annotations
@@ -259,20 +261,23 @@ class SpongePlan:
     absorb_rows: tuple    # one row per rate-sized chunk
     round_rows: tuple     # per chunk: tuple of round row indices
     digest_cell: tuple
-    # {column: {row: value}} when the message is fixed by the model and
-    # the rows were filled at compile; None when they depend on the input.
+    # The states out, {column: {row: value}}, when the message is fixed by
+    # the model and they were computed at compile; None when they depend
+    # on the input.
     filled: dict | None = None
 
 
 @dataclass
 class WitnessPlan:
-    mode: VisibilityMode | None
     sponge: SpongeParams | None
     n_inputs: int
     input_cells: list
+    # The staging cells pinned to zero; only the benchmark's row
+    # attribution (perfbench/layers.py) reads them.
     io_pad_cells: list
-    # Every cell the weight staging assigns (int8 weights, bias bytes and
-    # PACK chains) with its value; none of it depends on the input.
+    # Every cell the weight staging computes (int8 weights, bias bytes and
+    # each PACK row's pk_out) with its value; none of it depends on the
+    # input.
     weight_cells: list | None
     weight_values: list | None
     layer_plans: list
@@ -475,7 +480,8 @@ class _Builder:
         """Stage `values` on fresh rows under `range_selector` and chain
         PACK rows over them.  Returns the staged cells and the last row's
         pk_out cell, which holds sum_i 256^i * (v_i + shift) + const_term.
-        Every assigned cell and value is recorded as weight staging."""
+        The staged cells and each row's pk_out are recorded, with their
+        values, as weight staging; each pk_in is a copy."""
         pk_in, pk_out, scale_col, off_col, q_pack = self.pack_columns()
         n = GATE_WIDTH
         p = self.p
@@ -492,10 +498,9 @@ class _Builder:
             self.set_fixed(scale_col, row, scale)
             self.set_fixed(off_col, row, off)
             self.copy((pk_in, row), prev or (self.zero_col, row))
-            out = acc + scale * sum(v << (8 * j) for j, v in enumerate(live)) + off
-            self.weight_cells += [(pk_in, row), (pk_out, row)]
-            self.weight_values += [acc % p, out % p]
-            acc = out
+            acc += scale * sum(v << (8 * j) for j, v in enumerate(live)) + off
+            self.weight_cells.append((pk_out, row))
+            self.weight_values.append(acc % p)
             prev = (pk_out, row)
         self.weight_cells += cells
         self.weight_values += [v % p for v in values]
@@ -764,7 +769,8 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         bound.append(sp.digest_cell)
     if bld.weights_advice:
         sp = _build_sponge(bld, sponge, "weights", absorbed_cells)
-        # The weight digest depends only on the model: fill its rows once.
+        # The weight digest depends only on the model: compute its states
+        # out once.
         staged = dict(zip(bld.weight_cells, bld.weight_values))
         filled = defaultdict(dict)
         _fill_sponge(filled, sp, [staged[c] for c in absorbed_cells], sponge)
@@ -776,7 +782,6 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
 
     layout, stats = _finalize(bld)
     layout.plan = WitnessPlan(
-        mode=mode,
         sponge=sponge,
         n_inputs=n_inputs,
         input_cells=input_cells,
@@ -1056,9 +1061,12 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     """Fill the honest witness for one input.
 
     The layout must come from compile() for the same graph; the attached
-    plan drives the fill.  Each x lane is read from the cell it copies,
-    each site's accumulator and activation are checked against the
-    interpreter trace, and the instance is the bound cells' values.
+    plan drives the fill.  The witness computes the cells no copy fills:
+    the input codes, the weight staging, each chain row's out and the
+    last row's r, q and act, and the sponge states out.  Each site's
+    accumulator and activation are checked against the interpreter
+    trace.  One pass over the layout's copies then fills every other
+    cell, and the instance is the bound cells' values.
     """
     plan: WitnessPlan = layout.plan
     if plan is None:
@@ -1080,23 +1088,12 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
 
     for (col, row), v in zip(plan.input_cells, codes):
         advice[col][row] = v
-    for col, row in plan.io_pad_cells:
-        advice[col][row] = 0
     if plan.weight_cells is not None:
         for (col, row), v in zip(plan.weight_cells, plan.weight_values):
             advice[col][row] = v
 
-    hidden_w = plan.weight_cells is not None
-    # Per group its x lane columns, and per slot its own columns.
-    lanes = [[advice[_lane(gi, j)] for j in range(n)] for gi in range(len(plan.group_slots))]
     slot_cols = [
-        [
-            (
-                [advice[_slot_col(gi, s, f"w{j}")] for j in range(n)] if hidden_w else None,
-                *(advice[_slot_col(gi, s, name)] for name in ("carry", "out", "r", "q", "act")),
-            )
-            for s in range(m)
-        ]
+        [tuple(advice[_slot_col(gi, s, name)] for name in ("out", "r", "q", "act")) for s in range(m)]
         for gi, m in enumerate(plan.group_slots)
     ]
     for lp in plan.layer_plans:
@@ -1104,24 +1101,12 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
         accs, acts = flat_accs[lp.layer], flat_acts[lp.layer]
         for flat, (x_srcs, w_ints, bias, slot, gi, first_row) in enumerate(lp.sites):
             if slot == 0:
-                row_diffs = []     # per row, x - z on each of its lanes
-            ws, carry, out, r_col, q_col, act_col = slot_cols[gi][slot]
+                # A chunk's sites share their x source cells.
+                diffs = [advice[col][src_row] - z for col, src_row in x_srcs]
+            out, r_col, q_col, act_col = slot_cols[gi][slot]
             acc = bias
-            for r, lo in enumerate(range(0, len(x_srcs), n)):
-                row = first_row + r
-                w = w_ints[lo : lo + n]
-                if slot == 0:
-                    # A chunk's first site writes the x lanes its slots share.
-                    diffs = []
-                    for lane, (col, src_row) in zip(lanes[gi], x_srcs[lo : lo + n]):
-                        x = lane[row] = advice[col][src_row]
-                        diffs.append(x - z)
-                    row_diffs.append(diffs)
-                carry[row] = acc % p
-                if hidden_w:
-                    for lane, v in zip(ws, w):
-                        lane[row] = v % p
-                acc += sum(map(operator.mul, row_diffs[r], w))
+            for row, lo in enumerate(range(0, len(x_srcs), n), first_row):
+                acc += sum(map(operator.mul, diffs[lo : lo + n], w_ints[lo : lo + n]))
                 out[row] = acc % p
             if acc != int(accs[flat]):
                 raise WitnessError(
@@ -1147,22 +1132,30 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
             for row, v in cells.items():
                 column[row] = v
 
-    instance = [0] * len(layout.instance_map)
+    # Every copy is (target, source).  Compile makes each target an
+    # advice cell, no cell the target of two copies and no source the
+    # target of another copy, so one pass in any order gives every target
+    # the value of a cell computed above or of a fixed cell.
+    asg = Assignment(advice=advice, instance=[0] * len(layout.instance_map))
+    copies = layout.copies
+    cols = [layout.resolve_column(name, asg) for name in copies.names]
+    it = iter(copies.flat)
+    for ca, ra, cb, rb in zip(it, it, it, it):
+        cols[ca][ra] = cols[cb][rb]
+
     for (col, row), idx in layout.instance_map:
-        instance[idx] = advice[col][row]
-    return Assignment(advice=advice, instance=instance)
+        asg.instance[idx] = advice[col][row]
+    return asg
 
 
 def _fill_sponge(advice, sp: SpongePlan, elements: list[int], params: SpongeParams) -> None:
-    """Write `commit.sponge_states` for `elements` to the sponge's rows:
-    each chunk's absorb row, then its round rows, state in to state out."""
-    t = params.t
-    for (chunk, states), absorb_row, round_rows in zip(
+    """Write the states out of `commit.sponge_states` for `elements` to
+    the sponge's rows: each chunk's absorb row, then its round rows.
+    Every other sponge cell is a copy."""
+    outs = [advice[f"sp:out{j}"] for j in range(params.t)]
+    for (_, states), absorb_row, round_rows in zip(
         sponge_states(elements, params), sp.absorb_rows, sp.round_rows
     ):
-        for j, m in enumerate(chunk):
-            advice[f"sp:m{j}"][absorb_row] = m
-        for row, s_in, s_out in zip((absorb_row, *round_rows), states, states[1:]):
-            for j in range(t):
-                advice[f"sp:in{j}"][row] = s_in[j]
-                advice[f"sp:out{j}"][row] = s_out[j]
+        for row, s_out in zip((absorb_row, *round_rows), states[1:]):
+            for column, v in zip(outs, s_out):
+                column[row] = v

@@ -278,16 +278,24 @@ def validate(graph: ModelGraph) -> ModelGraph:
 # ---------------------------------------------------------------------------
 # Worst-case accumulator bounds (interval arithmetic over actual weights)
 
-def _dot_extremes(weights: list[int], z: int) -> tuple[int, int]:
-    """Extremes of sum((x_t - z) * w_t) with each x_t free in [0, 255]."""
-    lo = hi = 0
-    for w in weights:
-        # (x - z) * w is linear in x, so extremes sit at x in {0, 255}.
-        at0 = -z * w
-        at255 = (255 - z) * w
-        lo += min(at0, at255)
-        hi += max(at0, at255)
-    return lo, hi
+def dot_bounds(kind: str, shape: tuple, weights: list[int], bias, z: int) -> tuple[int, int]:
+    """(min, max) over a conv2d, depthwise or fully connected layer's
+    output channels of bias + sum((x_t - z) * w_t), each x_t free in
+    [0, 255].  `weights` are the signed values in the layer's layout:
+    channel o reads its own slice, or w[o::c] when depthwise."""
+    channels = shape[-1] if kind == "depthwise_conv2d" else shape[0]
+    per = len(weights) // channels
+    spans = []
+    for o in range(channels):
+        taps = weights[o::channels] if kind == "depthwise_conv2d" else weights[o * per : (o + 1) * per]
+        lo = hi = bias[o]
+        for w in taps:
+            # (x - z) * w is linear in x, so extremes sit at x in {0, 255}.
+            at0, at255 = -z * w, (255 - z) * w
+            lo += min(at0, at255)
+            hi += max(at0, at255)
+        spans.append((lo, hi))
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
 
 
 def accumulator_bounds(graph: ModelGraph) -> list[tuple[int, int]]:
@@ -300,32 +308,8 @@ def accumulator_bounds(graph: ModelGraph) -> list[tuple[int, int]]:
     for i, layer in enumerate(graph.layers):
         if layer.kind in ("conv2d", "depthwise_conv2d", "fully_connected"):
             z = graph.quant_of_ref(layer.input_refs[0]).zero_point
-            w = layer.weights.signed_values()
-            lo, hi = None, None
-            if layer.kind == "conv2d":
-                oc, kh, kw, ic = layer.weights.shape
-                per = kh * kw * ic
-                for o in range(oc):
-                    l, h = _dot_extremes(w[o * per : (o + 1) * per], z)
-                    l, h = l + layer.bias[o], h + layer.bias[o]
-                    lo = l if lo is None else min(lo, l)
-                    hi = h if hi is None else max(hi, h)
-            elif layer.kind == "depthwise_conv2d":
-                kh, kw, c = layer.weights.shape
-                for ch in range(c):
-                    taps = [w[(r * kw + s) * c + ch] for r in range(kh) for s in range(kw)]
-                    l, h = _dot_extremes(taps, z)
-                    l, h = l + layer.bias[ch], h + layer.bias[ch]
-                    lo = l if lo is None else min(lo, l)
-                    hi = h if hi is None else max(hi, h)
-            else:
-                units, feat = layer.weights.shape
-                for u in range(units):
-                    l, h = _dot_extremes(w[u * feat : (u + 1) * feat], z)
-                    l, h = l + layer.bias[u], h + layer.bias[u]
-                    lo = l if lo is None else min(lo, l)
-                    hi = h if hi is None else max(hi, h)
-            bounds.append((lo, hi))
+            w = layer.weights
+            bounds.append(dot_bounds(layer.kind, w.shape, w.signed_values(), layer.bias, z))
         elif layer.kind == "residual_add":
             z = layer.out_quant.zero_point
             bounds.append((-2 * z, 510 - 2 * z))

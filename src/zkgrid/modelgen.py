@@ -17,21 +17,13 @@ from .model import (
     QuantParams,
     QuantTensor,
     ScaleFactor,
+    dot_bounds,
     validate,
 )
 
 
 def _i8_bytes(rng: random.Random, n: int, lim: int = 127) -> bytes:
     return bytes((rng.randint(-lim, lim)) & 0xFF for _ in range(n))
-
-
-def _dot_span(weights: list[int], z: int, bias: int) -> tuple[int, int]:
-    lo = hi = bias
-    for w in weights:
-        a0, a255 = -z * w, (255 - z) * w
-        lo += min(a0, a255)
-        hi += max(a0, a255)
-    return lo, hi
 
 
 def _pick_scale(rng: random.Random, b: int, lo: int, hi: int) -> ScaleFactor:
@@ -72,26 +64,13 @@ def random_model(
             oc = min(rng.randint(1, max_c), rng.randint(1, max_c))
             wt = _i8_bytes(rng, oc * k * k * cc)
             shape = (oc, k, k, cc)
-            per = k * k * cc
         else:
             oc = cc
             wt = _i8_bytes(rng, k * k * cc)
             shape = (k, k, cc)
-            per = k * k
         signed = [v - 256 if v >= 128 else v for v in wt]
         bias = tuple(rng.randint(-4000, 4000) for _ in range(oc))
-        lo = min(
-            _dot_span(signed[o * per : (o + 1) * per] if kind == "conv2d"
-                      else [signed[(r * k + s) * cc + o] for r in range(k) for s in range(k)],
-                      z_in, bias[o])[0]
-            for o in range(oc)
-        )
-        hi = max(
-            _dot_span(signed[o * per : (o + 1) * per] if kind == "conv2d"
-                      else [signed[(r * k + s) * cc + o] for r in range(k) for s in range(k)],
-                      z_in, bias[o])[1]
-            for o in range(oc)
-        )
+        lo, hi = dot_bounds(kind, shape, signed, bias, z_in)
         out_quant = QuantParams(
             zero_point=rng.randint(0, 160), scale=_pick_scale(rng, b, lo, hi)
         )
@@ -177,8 +156,7 @@ def random_model(
             signed = [v - 256 if v >= 128 else v for v in wt]
             bias = tuple(rng.randint(-4000, 4000) for _ in range(units))
             z_in = cur_quant.zero_point
-            lo = min(_dot_span(signed[u * feat : (u + 1) * feat], z_in, bias[u])[0] for u in range(units))
-            hi = max(_dot_span(signed[u * feat : (u + 1) * feat], z_in, bias[u])[1] for u in range(units))
+            lo, hi = dot_bounds("fully_connected", (units, feat), signed, bias, z_in)
             fc = Layer(
                 kind="fully_connected",
                 input_refs=(cur_ref,),

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from helpers import tamper_trials
+from helpers import constrained_advice_cells, tamper_trials
 from zkgrid import arithmetize, serialize
 from zkgrid.arithmetize import (
     CompileConfig,
@@ -724,8 +724,8 @@ def test_div_rows_leave_unread_cells_free():
 
 
 def test_weight_sponge_filled_once_at_compile(monkeypatch):
-    """The weight digest depends only on the model: witnesses fill no
-    sponge rows in hidden-weights mode, and every witness carries the
+    """The weight digest depends only on the model: witnesses compute no
+    sponge states in hidden-weights mode, and every witness carries the
     same sponge cells."""
     rng = random.Random(8)
     g = random_parameterized_model(rng, max_hw=5, max_c=3, max_layers=3)
@@ -795,6 +795,20 @@ def test_wide_slot_rows_match_the_interpreter(seed, mode):
     channels over one patch split into several slot counts (5 + 4, say)."""
     g = random_model(random.Random(seed), max_hw=6, max_c=24, max_layers=3)
     _assert_slot_rows_match(g, mode, seed)
+
+
+@pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, *range(6)) for mode in MODES])
+def test_witness_assigns_exactly_the_constrained_cells(seed, mode):
+    """The honest witness leaves no advice cell empty that an enabled
+    gate row, an enabled lookup row, a copy or a binding reads, and
+    assigns no other advice cell."""
+    g = _slot_case_model(seed, mode)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    asg = assign_witness(layout, g, random_input(random.Random(seed), g))
+    assigned = sorted(
+        (col, row) for col, vals in asg.advice.items() for row, v in enumerate(vals) if v is not None
+    )
+    assert assigned == constrained_advice_cells(layout)
 
 
 def _assert_slot_rows_match(g, mode, seed):

@@ -12,7 +12,8 @@ from helpers import row_oracle_check
 from zkgrid import serialize
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
 from zkgrid.checker import check
-from zkgrid.circuit import CircuitError, Copies, CopyConstraint
+from zkgrid.circuit import ADVICE, CircuitError, Copies, CopyConstraint
+from zkgrid.commit import VisibilityMode
 from zkgrid.modelgen import random_input, random_model
 
 
@@ -53,6 +54,23 @@ def test_layout_from_constraint_list_equals_packed(small):
         asg.advice[col][row] = (asg.advice[col][row] + 1) % p
         assert check(listed, asg) == check(layout, asg) != []
     assert check(listed, honest) == check(layout, honest) == []
+
+
+@pytest.mark.parametrize("mode", [None, *VisibilityMode])
+@pytest.mark.parametrize("seed", range(6))
+def test_copies_are_target_then_source(seed, mode):
+    """Every copy is (target, source): the target is an advice cell, no
+    cell is the target of two copies and no source is another copy's
+    target.  The witness fills the targets in one pass on this."""
+    g = random_model(random.Random(seed), max_hw=8, max_c=12, max_layers=4)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    targets, sources = set(), set()
+    for target, source in _pairs(layout):
+        assert layout.columns[target[0]].kind == ADVICE, target
+        assert target not in targets, target
+        targets.add(target)
+        sources.add(source)
+    assert not targets & sources, sorted(targets & sources)[:3]
 
 
 def test_sequence_agrees_with_pairs(small):
