@@ -7,8 +7,8 @@ from .arithmetize import (
     CompileError,
     WitnessError,
     assign_witness,
-    build_clip_table,
     compile,
+    lookup_table,
 )
 from .checker import KERNEL, CheckError, Violation, check, check_parallel
 from .circuit import (
@@ -70,7 +70,6 @@ __all__ = [
     "WitnessError",
     "accumulator_bounds",
     "assign_witness",
-    "build_clip_table",
     "builtin_gates",
     "check",
     "check_parallel",
@@ -78,6 +77,7 @@ __all__ = [
     "commit_model_io",
     "compile",
     "load_model",
+    "lookup_table",
     "run_inference",
     "save_model",
     "shape_inference",

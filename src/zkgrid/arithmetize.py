@@ -128,7 +128,6 @@ from .model import (
     INPUT_REF,
     ModelGraph,
     QuantTensor,
-    ScaleFactor,
     accumulator_bounds,
 )
 
@@ -506,14 +505,11 @@ class _Builder:
         self.weight_values += [v % p for v in values]
         return cells, prev
 
-    def range_table(self, lo: int, hi: int) -> str:
-        tid = f"range:{lo}:{hi}"
+    def table(self, recipe: tuple) -> str:
+        """The id of the table `recipe` describes, built on first use."""
+        tid, _ = check_recipe(recipe, self.p)
         if tid not in self.tables:
-            if hi - lo + 1 > LOOKUP_CAP:
-                raise CompileError(f"range table {tid} exceeds the cap {LOOKUP_CAP}")
-            self.tables[tid] = LookupTable(
-                id=tid, arity=1, rows=frozenset((v % self.p,) for v in range(lo, hi + 1))
-            )
+            self.tables[tid] = lookup_table(recipe, self.p)
         return tid
 
     def group_lookup_selector(self, group: _Group, table_id: str, names: tuple) -> str:
@@ -535,52 +531,54 @@ class _Builder:
         return sel
 
 
-def _next_pow2(n: int) -> int:
-    out = 1
-    while out < n:
-        out *= 2
-    return out
-
-
-def build_clip_table(
-    bounds: tuple[int, int],
-    s: ScaleFactor,
-    z_out: int,
-    fld: Field | None = None,
-) -> LookupTable:
-    """Clip table over the quotient domain implied by accumulator bounds.
-
-    Keys are offset-shifted so negative quotients become small canonical
-    field values; pairs are (d + off, clip(d + z_out, 0, 255)).
-    """
-    fld = fld or Field()
-    lo_c, hi_c = bounds
-    return _clip_table(s.a, s.b, z_out, (lo_c * s.a) // s.b, (hi_c * s.a) // s.b, fld.modulus)[0]
-
-
-def _clip_table(a: int, b: int, z_out: int, d_lo: int, d_hi: int, p: int) -> tuple[LookupTable, int]:
-    """The clip table for scale a/b and output zero point z_out over the
-    quotients [d_lo, d_hi], and its key offset off = max(0, -d_lo)."""
-    if d_hi - d_lo + 1 > LOOKUP_CAP:
-        raise CompileError(
-            f"clip table (a={a}, b={b}, z={z_out}) needs {d_hi - d_lo + 1} entries, "
-            f"over the cap {LOOKUP_CAP}"
-        )
+def check_recipe(recipe: tuple, p: int) -> tuple[str, int]:
+    """The id of the table `recipe` describes on the field of modulus p and
+    the size of its domain, which bounds its entries; CompileError for a
+    recipe lookup_table refuses."""
+    kind = recipe[0] if type(recipe) is tuple and recipe else None
+    if not (type(kind) is str and len(recipe) == {"range": 3, "clip": 6}.get(kind)
+            and all(type(v) is int for v in recipe[1:])):
+        raise CompileError(f"table recipe {recipe!r} is neither ('range', lo, hi) nor"
+                           " ('clip', a, b, z_out, d_lo, d_hi) with integer parameters")
+    *scale, lo, hi = recipe[1:]
+    a, b, z_out = scale or (1, 1, 0)
+    tid = f"clip:a{a}:b{b}:z{z_out}" if scale else f"range:{lo}:{hi}"
+    n = hi - lo + 1
+    if n < 1:
+        raise CompileError(f"table {tid}: empty domain {lo}..{hi}")
+    if n > LOOKUP_CAP:
+        raise CompileError(f"table {tid} of {n} entries exceeds the cap {LOOKUP_CAP}")
+    if a < 1 or b < 1:
+        raise CompileError(f"table {tid}: the scale a/b must be positive")
     # DIV pins (q, r) only if every pair the lookups admit, (q - off) * b + r
-    # over the quotients and 0 <= r < b, is a distinct residue.
-    if (d_hi - d_lo + 1) * b > p:
-        raise CompileError(
-            f"scale a={a}, b={b}, z={z_out}: {d_hi - d_lo + 1} quotients times the divisor"
-            f" exceed the modulus {p}; use a larger field"
-        )
-    off = max(0, -d_lo)
+    # over the quotients and 0 <= r < b, is a distinct residue; hi < p keeps
+    # every key d + clip_offset(lo) a residue.
+    if scale and (n * b > p or hi >= p):
+        raise CompileError(f"table {tid}: quotients {lo}..{hi} times b exceed the modulus {p}; use a larger field")
+    return tid, n
+
+
+def clip_offset(d_lo: int) -> int:
+    """The shift from a clip table's quotients d >= d_lo to its keys."""
+    return max(0, -d_lo)
+
+
+def lookup_table(recipe: tuple, p: int) -> LookupTable:
+    """The table `recipe` describes on the field of modulus p, for compile
+    and the layout loader alike: ("range", lo, hi) holds v mod p for each v
+    in [lo, hi], and ("clip", a, b, z_out, d_lo, d_hi) maps each quotient d
+    in [d_lo, d_hi], keyed d + clip_offset(d_lo), to clip(d + z_out, 0, 255)."""
+    tid, _ = check_recipe(recipe, p)
+    if recipe[0] == "range":
+        return LookupTable(recipe, tid, 1, frozenset((v % p,) for v in range(recipe[1], recipe[2] + 1)))
+    _, _, _, z_out, d_lo, d_hi = recipe
+    off = clip_offset(d_lo)
     # clip(d + z_out, 0, 255) over the domain: a run of 0s, the values
     # 0..255 the domain reaches, then a run of 255s.
     lo, hi = d_lo + z_out, d_hi + z_out
     n = hi - lo + 1
     acts = [0] * min(max(-lo, 0), n) + list(range(max(lo, 0), min(hi, 255) + 1)) + [255] * min(max(hi - 255, 0), n)
-    rows = frozenset(zip([(d + off) % p for d in range(d_lo, d_hi + 1)], acts))
-    return LookupTable(id=f"clip:a{a}:b{b}:z{z_out}", arity=2, rows=rows), off
+    return LookupTable(recipe, tid, 2, frozenset(zip(range(d_lo + off, d_hi + off + 1), acts)))
 
 
 def _scale_key(graph: ModelGraph, layer) -> tuple[int, int, int]:
@@ -674,17 +672,11 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
                 f"use a larger field"
             )
         d_lo, d_hi = (lo_c * a) // b, (hi_c * a) // b
-        if key in domains:
-            lo, hi = domains[key]
-            d_lo, d_hi = min(lo, d_lo), max(hi, d_hi)
-        domains[key] = (d_lo, d_hi)
+        lo, hi = domains.get(key, (d_lo, d_hi))
+        domains[key] = (min(lo, d_lo), max(hi, d_hi))
 
     bld = _Builder(graph, cfg)
-
-    offsets: dict[tuple, int] = {}
-    for key, (d_lo, d_hi) in domains.items():
-        table, offsets[key] = _clip_table(*key, d_lo, d_hi, p)
-        bld.tables[table.id] = table
+    clips = {key: ("clip", *key, *domain) for key, domain in domains.items()}
 
     # Input staging (always present; instance-bound or sponge-bound).
     n_inputs = 1
@@ -694,7 +686,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     input_hidden = mode is not None and mode.input_hidden
     q_byte = None
     if input_hidden or bld.weights_advice:
-        q_byte = bld.io_lookup("byte", bld.range_table(0, 255))
+        q_byte = bld.io_lookup("byte", bld.table(("range", 0, 255)))
     input_cells = bld.stage(n_inputs, q_byte if input_hidden else None)
 
     # Weight chunks and biases, staged and packed, when hidden.
@@ -702,7 +694,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     if bld.weights_advice:
         if not any(layer.weights is not None for layer in graph.layers):
             raise CompileError("hidden-weights mode needs at least one parameterized layer")
-        q_i8 = bld.io_lookup("w", bld.range_table(-128, 127))
+        q_i8 = bld.io_lookup("w", bld.table(("range", -128, 127)))
         k = pack_width(p)
         for i, layer in enumerate(graph.layers):
             if layer.weights is None:
@@ -736,7 +728,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     acc_cells: dict[int, list] = {}   # each site's last out: its accumulator
     for i, key in keys.items():
         n_copies = len(bld.copies)
-        lp = _lower_layer(bld, i, key, offsets[key], act_cells)
+        lp = _lower_layer(bld, i, clips[key], act_cells)
         layer_plans.append(lp)
         slots = {g.index: g.slots for g in bld.groups.values()}
         ends = [
@@ -815,18 +807,19 @@ def _chunks(channels: list) -> list[range]:
     return out
 
 
-def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -> LayerPlan:
+def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> LayerPlan:
     """Emit layer i's rows from its tap table, straight into the builder's
     packed copies and sparse fixed columns: per output position and per
     chunk of M channels sharing its patch, one DOT chain of ceil(k/N) rows
     in the group of M slots, the x lanes copied once per row and DIV on
-    the last row."""
+    the last row.  `clip` is the recipe of the layer's clip table."""
     graph = bld.graph
     layer = graph.layers[i]
     src, windows, channels, z_in = _tap_table(graph, i, act_cells)
     n = GATE_WIDTH
     p = bld.p
-    a, b, z_out = key
+    _, a, b, z_out, d_lo, _ = clip
+    off = clip_offset(d_lo)
     fixed = bld.fixed
     copies = bld.copies
     num = bld.col_number
@@ -844,8 +837,8 @@ def _lower_layer(bld: _Builder, i: int, key: tuple, off: int, act_cells: dict) -
     biases = layer.bias or (0,) * len(channels)
     z_mod = z_in % p
     zero_num = num[bld.zero_col]
-    rtab = bld.range_table(0, b - 1)
-    ctab = f"clip:a{a}:b{b}:z{z_out}"
+    rtab = bld.table(("range", 0, b - 1))
+    ctab = bld.table(clip)
     chunks = _chunks(channels)
 
     sites = []
@@ -1013,7 +1006,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
     logical = max(
         [g.cursor for g in bld.groups.values()] + [bld.io_cursor, bld.sponge_cursor] + [1]
     )
-    padded = _next_pow2(logical)
+    padded = 1 << (logical - 1).bit_length()   # logical >= 1
     if padded > MAX_ROWS:
         raise CompileError(f"the grid needs {padded} rows, over the limit of {MAX_ROWS}")
     n_advice = sum(col.kind == ADVICE for col in bld.columns.values())

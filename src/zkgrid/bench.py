@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+from .arithmetize import lookup_table
 from .circuit import (
     ADVICE,
     FIXED,
@@ -19,7 +20,6 @@ from .circuit import (
     Copies,
     GateDef,
     LookupArg,
-    LookupTable,
     cell,
     mul,
     sub,
@@ -60,6 +60,7 @@ def make_synthetic_grid(
         a[j] = a[i]
         copies += (col_a, i, col_a, j)
     c = [x * y % p for x, y in zip(a, b)]
+    byte = lookup_table(("range", 0, 255), p)
     layout = CircuitLayout(
         field=fld,
         columns=columns,
@@ -71,8 +72,8 @@ def make_synthetic_grid(
                 poly=sub(mul(cell("a"), cell("b")), cell("c")),
             )
         ],
-        tables={"byte": LookupTable(id="byte", arity=1, rows=frozenset((v,) for v in range(256)))},
-        lookups=[LookupArg(id="lk_byte", table="byte", columns=("d",), selector="q_byte")],
+        tables={byte.id: byte},
+        lookups=[LookupArg(id="lk_byte", table=byte.id, columns=("d",), selector="q_byte")],
         copies=Copies(copies, list(columns)),
         fixed={"q": [1] * n_rows, "q_byte": [1] * n_rows},
         instance_map=[],

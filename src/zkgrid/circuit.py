@@ -145,15 +145,11 @@ class GateDef:
 
 @dataclass(frozen=True, slots=True)
 class LookupTable:
+    """A table built by `arithmetize.lookup_table` from its recipe."""
+    recipe: tuple
     id: str
     arity: int
     rows: frozenset  # of tuples of canonical field ints
-
-    def __post_init__(self):
-        if self.arity < 1:
-            raise CircuitError("lookup table arity must be >= 1")
-        if not set(map(len, self.rows)) <= {self.arity}:
-            raise CircuitError(f"table {self.id}: tuple arity mismatch")
 
 
 @dataclass(frozen=True, slots=True)
@@ -415,7 +411,7 @@ class CircuitLayout:
                 {"id": g.id, "name": g.name, "selector": g.selector, "poly": g.poly.to_sexpr()}
                 for g in self.gates
             ],
-            "tables": {t.id: {"arity": t.arity, "size": len(t.rows)} for t in self.tables.values()},
+            "tables": {t.id: {"recipe": list(t.recipe), "size": len(t.rows)} for t in self.tables.values()},
             "lookups": [
                 {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
                 for l in self.lookups

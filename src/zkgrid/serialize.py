@@ -1,4 +1,4 @@
-"""Binary on-disk formats: layouts (version 4) and witnesses (version 3).
+"""Binary on-disk formats: layouts (version 5) and witnesses (version 3).
 
 Both formats write integers little-endian and share one cell codec (a
 "cell column"): an assigned length L (`<I`), a width byte w in
@@ -16,14 +16,16 @@ unassigned.
 Layout: `ZKLY`, then version and header length (`<II`), then the header,
 a JSON object: modulus (a decimal string), n_rows, n_rows_logical,
 columns, nodes, gates (each `poly` the index of its root node), lookups,
-tables as [id, arity, entries] triples, fixed as [column id, cells]
-pairs and the copies and bindings counts.  `nodes` holds each distinct
-subtree of the gate polynomials once, children first: `["col", id]`,
-`["const", str(v)]` for v in [0, p), `["+", i, j, ...]` or
-`["*", i, j, ...]`, `["-", i, j]` or `["pow5", i]`, where i, j, ...
-index earlier nodes.  A polynomial nests at most `circuit.MAX_EXPR_DEPTH`
-operators deep, and all of them hold at most `circuit.MAX_EXPR_NODES`
-nodes written out as trees.  The sections follow in this order:
+tables as the recipes `arithmetize.lookup_table` builds them from at
+compile and at load (`["range", lo, hi]` or `["clip", a, b, z_out, d_lo,
+d_hi]`, never their entries), fixed as [column id, cells] pairs and the
+copies and bindings counts.  `nodes` holds each distinct subtree of the
+gate polynomials once, children first: `["col", id]`, `["const", str(v)]`
+for v in [0, p), `["+", i, j, ...]` or `["*", i, j, ...]`, `["-", i, j]`
+or `["pow5", i]`, where i, j, ... index earlier nodes.  A polynomial
+nests at most `circuit.MAX_EXPR_DEPTH` operators deep, and all of them
+hold at most `circuit.MAX_EXPR_NODES` nodes written out as trees.  The
+sections follow in this order:
 
 * copies: 4 * copies integers `[a_col, a_row, b_col, b_row, ...]` whose
   column numbers index `columns`; it is the in-memory `circuit.Copies`
@@ -31,8 +33,6 @@ nodes written out as trees.  The sections follow in this order:
 * each fixed column in header order: its `cells` rows, strictly
   increasing, then a cell column of their values, each a nonzero
   canonical residue: the `circuit.FixedColumn` cells themselves;
-* each table in header order: a cell column of its entries * arity
-  values, canonical residues, the entries in sorted order;
 * instance bindings: 3 * bindings integers `[column number, row, index]`.
 
 Copies, rows and bindings are unsigned sections: a width byte w in
@@ -48,8 +48,9 @@ written as a cell column whose length is one past its last assigned row
 
 Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
-more than `circuit.MAX_CELLS` cells, and refuse older versions: layout
-versions 1 to 3 (1 and 2 were JSON) and witness versions 1 and 2.
+more than `circuit.MAX_CELLS` cells, a layout whose tables would hold
+more than `circuit.MAX_CELLS` entries in all, and older versions: layout
+versions 1 to 4 (1 and 2 were JSON) and witness versions 1 and 2.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from array import array
 from itertools import repeat
 from operator import itemgetter
 
+from .arithmetize import CompileError, check_recipe, lookup_table
 from .circuit import (
     MAX_CELLS,
     MAX_EXPR_DEPTH,
@@ -75,11 +77,10 @@ from .circuit import (
     FixedColumn,
     GateDef,
     LookupArg,
-    LookupTable,
 )
 from .field import Field
 
-_LAYOUT_VERSION = 4
+_LAYOUT_VERSION = 5
 _WITNESS_VERSION = 3
 
 _LAYOUT_MAGIC = b"ZKLY"
@@ -234,32 +235,32 @@ def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[list[int
     return cells.tolist(), end
 
 
-def _encode_residues(vals: list, p: int, what: str, low: int = 0) -> bytes:
-    """A cell column of vals, each in [low, p)."""
+def _encode_residues(vals: list, p: int, what: str) -> bytes:
+    """A cell column of vals, each a nonzero residue in [1, p)."""
     try:
-        hi = max(vals, default=low)
-        ok = min(vals, default=low) >= low and hi < p
+        hi = max(vals, default=1)
+        ok = min(vals, default=1) >= 1 and hi < p
     except TypeError:   # an unassigned value
         ok = False
     if not ok:
-        raise FormatError(f"{what} holds a value outside [{low}, p): not a canonical residue")
+        raise FormatError(f"{what} holds a value outside [1, p): not a canonical residue")
     return _pack_cells(vals, vals, hi)
 
 
-def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str, low: int = 0) -> tuple[list[int], int]:
-    """The `count` values, each in [low, p), of the cell column at raw[pos:]."""
+def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str) -> tuple[list[int], int]:
+    """The `count` values, each in [1, p), of the cell column at raw[pos:]."""
     try:
         vals, pos = _decode_column(raw, pos, count)
     except FormatError as e:
         raise FormatError(f"malformed layout: {what}: {e}") from None
     _need(len(vals) == count, f"{what}: {len(vals)} values, the header says {count}")
     try:
-        ok = not vals or (min(vals) >= low and max(vals) < p)
+        ok = not vals or (min(vals) >= 1 and max(vals) < p)
     except TypeError:
         ok = False
     if not ok:
         _need(None not in vals, f"{what}: unassigned value")
-        _need(not low or 0 not in vals, f"{what}: zero cell listed")
+        _need(0 not in vals, f"{what}: zero cell listed")
         _need(False, f"{what}: value not a canonical residue")
     return vals, pos
 
@@ -343,7 +344,7 @@ def _layout_header(layout: CircuitLayout) -> dict:
             {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
             for l in layout.lookups
         ],
-        "tables": [[t.id, t.arity, len(t.rows)] for t in layout.tables.values()],
+        "tables": [list(t.recipe) for t in layout.tables.values()],
         "fixed": [[col_id, len(vals.cells)] for col_id, vals in layout.fixed.items()],
         "copies": len(layout.copies),
         "bindings": len(layout.instance_map),
@@ -361,17 +362,30 @@ def dump_layout(layout: CircuitLayout) -> bytes:
         if col_id not in number:
             raise FormatError(f"instance binding to unknown column {col_id!r}")
         bindings += (number[col_id], row, idx)
+    if _table_ids([t.recipe for t in layout.tables.values()], p) != list(layout.tables):
+        raise FormatError("a table's id is not the one its recipe names")
     head = json.dumps(_layout_header(layout), sort_keys=True, separators=(",", ":")).encode("ascii")
     out = [_LAYOUT_PREFIX.pack(_LAYOUT_MAGIC, _LAYOUT_VERSION, len(head)), head]
     out.append(_encode_uints(layout.copies.flat, "copies"))
     for col_id, vals in layout.fixed.items():
         what = f"fixed column {col_id}"
         out.append(_encode_uints(list(vals.cells), what))
-        out.append(_encode_residues(list(vals.cells.values()), p, what, low=1))
-    for t in layout.tables.values():
-        out.append(_encode_residues([v for r in sorted(t.rows) for v in r], p, f"table {t.id}"))
+        out.append(_encode_residues(list(vals.cells.values()), p, what))
     out.append(_encode_uints(bindings, "instance bindings"))
     return b"".join(out)
+
+
+def _table_ids(recipes: list, p: int) -> list[str]:
+    """Each recipe's table id.  Refuses a recipe lookup_table refuses, one
+    listed twice, and tables of over MAX_CELLS entries in all."""
+    try:
+        checked = [check_recipe(r, p) for r in recipes]
+    except CompileError as e:
+        raise FormatError(f"malformed layout: {e}") from None
+    ids = [tid for tid, _ in checked]
+    _need(len(set(ids)) == len(ids), "table recipe listed twice")
+    _need(sum(n for _, n in checked) <= MAX_CELLS, f"tables of over {MAX_CELLS} entries")
+    return ids
 
 
 def _read_header(raw: bytes) -> tuple[dict, int]:
@@ -436,18 +450,16 @@ def load_layout(raw: bytes) -> CircuitLayout:
                   "lookup fields must be strings")
             lookups.append(LookupArg(id=l["id"], table=l["table"], columns=tuple(l["columns"]), selector=l["selector"]))
 
-        fixed_counts, table_counts = doc["fixed"], doc["tables"]
+        fixed_counts, recipes = doc["fixed"], doc["tables"]
         n_copies, n_bindings = doc["copies"], doc["bindings"]
         _need(_typed(fixed_counts, list) and all(
             len(f) == 2 and type(f[0]) is str and type(f[1]) is int and f[1] >= 0 for f in fixed_counts
         ), "fixed must list [column id, cell count] pairs")
         _need(len({f[0] for f in fixed_counts}) == len(fixed_counts), "duplicate fixed column")
         _need(len(fixed_counts) * n_rows <= MAX_CELLS, f"fixed columns of over {MAX_CELLS} cells")
-        _need(_typed(table_counts, list) and all(
-            len(t) == 3 and type(t[0]) is str and type(t[1]) is int and t[1] >= 1 and type(t[2]) is int and t[2] >= 0
-            for t in table_counts
-        ), "tables must list [id, arity >= 1, entry count] triples")
-        _need(len({t[0] for t in table_counts}) == len(table_counts), "duplicate table id")
+        _need(_typed(recipes, list), "tables must list recipes")
+        recipes = list(map(tuple, recipes))
+        _table_ids(recipes, p)
         _need(_typed([n_copies, n_bindings], int) and min(n_copies, n_bindings) >= 0,
               "copy and binding counts must be integers >= 0")
     except (KeyError, TypeError, AttributeError) as e:
@@ -458,13 +470,9 @@ def load_layout(raw: bytes) -> CircuitLayout:
     for col_id, n in fixed_counts:
         what = f"fixed column {col_id}"
         rows, pos = _decode_uints(raw, pos, n, what)
-        vals, pos = _decode_residues(raw, pos, n, p, what, low=1)
+        vals, pos = _decode_residues(raw, pos, n, p, what)
         fixed[col_id] = FixedColumn(dict(zip(rows, vals)), n_rows)
         _need(len(fixed[col_id].cells) == n, f"{what}: row listed twice")
-    tables = {}
-    for tid, arity, n in table_counts:
-        vals, pos = _decode_residues(raw, pos, n * arity, p, f"table {tid}")
-        tables[tid] = LookupTable(id=tid, arity=arity, rows=frozenset(zip(*[iter(vals)] * arity)))
     bound, pos = _decode_uints(raw, pos, 3 * n_bindings, "instance bindings")
     _need(pos == len(raw), f"{len(raw) - pos} trailing bytes after the layout")
     cols = bound[0::3]
@@ -476,7 +484,7 @@ def load_layout(raw: bytes) -> CircuitLayout:
         n_rows=n_rows,
         n_rows_logical=n_logical,
         gates=gates,
-        tables=tables,
+        tables={t.id: t for t in map(lookup_table, recipes, repeat(p))},
         lookups=lookups,
         copies=Copies(flat, names),
         fixed=fixed,

@@ -1,6 +1,6 @@
 """Shared test machinery: the independent convolution oracle, the
 row-by-row constraint oracle, the single-cell tamper harness and a
-reference writer of version-4 layout files."""
+reference writer of version-5 layout files."""
 
 from __future__ import annotations
 
@@ -217,11 +217,11 @@ def node_table(polys) -> tuple[list, list[int]]:
 
 
 def layout_doc(layout) -> dict:
-    """The parts of a version-4 layout file, restated from the layout
+    """The parts of a version-5 layout file, restated from the layout
     without zkgrid.serialize: the header object without its counts, then
     each section's integers.  `widths` maps a section to the width byte
-    layout_file writes for it: "copies", "bindings", "rows:<column>",
-    "values:<column>" or "table:<id>"."""
+    layout_file writes for it: "copies", "bindings", "rows:<column>" or
+    "values:<column>"."""
     names = list(layout.columns)
     nodes, roots = node_table(g.poly for g in layout.gates)
     return {
@@ -239,10 +239,10 @@ def layout_doc(layout) -> dict:
                 {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
                 for l in layout.lookups
             ],
+            "tables": [list(t.recipe) for t in layout.tables.values()],
         },
         "copies": list(layout.copies.flat),
         "fixed": [[col, list(vals.cells), list(vals.cells.values())] for col, vals in layout.fixed.items()],
-        "tables": [[t.id, t.arity, [v for row in sorted(t.rows) for v in row]] for t in layout.tables.values()],
         "bindings": [v for (col, row), idx in layout.instance_map for v in (names.index(col), row, idx)],
         "widths": {},
     }
@@ -269,14 +269,12 @@ def layout_sections(doc) -> list[bytes]:
         "copies": len(doc["copies"]) // 4,
         "bindings": len(doc["bindings"]) // 3,
         "fixed": [[col, len(rows)] for col, rows, _ in doc["fixed"]],
-        "tables": [[tid, arity, len(entries) // arity] for tid, arity, entries in doc["tables"]],
         **doc["header"],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = [b"ZKLY" + struct.pack("<II", 4, len(head)) + head, uints("copies", doc["copies"])]
+    out = [b"ZKLY" + struct.pack("<II", 5, len(head)) + head, uints("copies", doc["copies"])]
     for col, rows, vals in doc["fixed"]:
         out += [uints(f"rows:{col}", rows), cells(f"values:{col}", vals)]
-    out += [cells(f"table:{tid}", entries) for tid, _, entries in doc["tables"]]
     out.append(uints("bindings", doc["bindings"]))
     return out
 

@@ -11,12 +11,12 @@ from zkgrid.arithmetize import (
     CompileConfig,
     CompileError,
     assign_witness,
-    build_clip_table,
     compile,
+    lookup_table,
 )
 from zkgrid.checker import check
 from zkgrid.commit import VisibilityMode, commit_model_io, weight_elements
-from zkgrid.field import Field
+from zkgrid.field import DEFAULT_MODULUS, Field
 from zkgrid.interpreter import run_inference
 from zkgrid.model import (
     INPUT_REF,
@@ -351,19 +351,25 @@ def test_empty_passthrough_graph():
 
 # --- clip tables -------------------------------------------------------------
 
-def test_build_clip_table_identity_domain():
-    t = build_clip_table((0, 3), ScaleFactor(1, 1), 0)
+def _clip(bounds, z_out):
+    """The clip table at scale 1/1 over the quotients `bounds`."""
+    return lookup_table(("clip", 1, 1, z_out, *bounds), DEFAULT_MODULUS)
+
+
+def test_clip_table_identity_domain():
+    t = _clip((0, 3), 0)
+    assert (t.id, t.arity) == ("clip:a1:b1:z0", 2)
     assert t.rows == frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})
 
 
-def test_build_clip_table_negative_domain_offset():
-    t = build_clip_table((-2, 2), ScaleFactor(1, 1), 0)
+def test_clip_table_negative_domain_offset():
+    t = _clip((-2, 2), 0)
     # keys shifted by 2: clip of negatives is 0
     assert t.rows == frozenset({(0, 0), (1, 0), (2, 0), (3, 1), (4, 2)})
 
 
-def test_build_clip_table_saturates_at_255():
-    t = build_clip_table((0, 600), ScaleFactor(1, 1), 0)
+def test_clip_table_saturates_at_255():
+    t = _clip((0, 600), 0)
     as_map = dict(t.rows)
     assert len(as_map) == 601
     assert as_map[255] == 255
@@ -375,19 +381,24 @@ def test_build_clip_table_saturates_at_255():
     "bounds, z_out",
     [((0, 3), 0), ((-300, -10), 7), ((-50, 40), 200), ((260, 900), 0), ((-700, 700), 128), ((5, 5), -6)],
 )
-def test_build_clip_table_matches_per_entry_clip(bounds, z_out):
+def test_clip_table_matches_per_entry_clip(bounds, z_out):
     """Every domain shape (all below 0, straddling 0 or 255, all above
     255, one entry) against clip(d + z_out, 0, 255) entry by entry."""
     d_lo, d_hi = bounds
     off = max(0, -d_lo)
     want = frozenset((d + off, min(255, max(0, d + z_out))) for d in range(d_lo, d_hi + 1))
-    assert build_clip_table(bounds, ScaleFactor(1, 1), z_out).rows == want
+    assert _clip(bounds, z_out).rows == want
 
 
-def test_build_clip_table_cap(monkeypatch):
+def test_clip_table_cap(monkeypatch):
     monkeypatch.setattr(arithmetize, "LOOKUP_CAP", 1 << 20)
     with pytest.raises(CompileError, match="cap"):
-        build_clip_table((0, 1 << 22), ScaleFactor(1, 1), 0)
+        _clip((0, 1 << 22), 0)
+
+
+def test_range_table_entries_are_residues():
+    t = lookup_table(("range", -2, 1), 65537)
+    assert (t.id, t.arity, t.rows) == ("range:-2:1", 1, frozenset({(65535,), (65536,), (0,), (1,)}))
 
 
 def _three_layer_same_scale(b2=None):
@@ -777,6 +788,18 @@ def _slot_case_model(seed, mode):
         big = mode is None or not mode.input_hidden
         return random_model(random.Random(seed), max_hw=32 if big else 8, max_c=16, max_layers=5)
     return random_model(random.Random(seed), max_hw=8, max_c=12, max_layers=4)
+
+
+@pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, 14, *range(8)) for mode in MODES])
+def test_every_table_comes_from_its_recipe(seed, mode):
+    """Compiled and loaded layouts hold exactly the tables the one builder
+    makes from their recipes."""
+    layout, _ = compile(_slot_case_model(seed, mode), CompileConfig(mode=mode))
+    p = layout.field.modulus
+    loaded = serialize.load_layout(serialize.dump_layout(layout))
+    assert loaded == layout
+    for lay in (layout, loaded):
+        assert lay.tables == {t.id: lookup_table(t.recipe, p) for t in lay.tables.values()}
 
 
 @pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, *range(12)) for mode in MODES])

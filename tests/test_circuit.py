@@ -256,3 +256,7 @@ def test_debug_dump_shape():
     assert doc["max_gate_degree"] == stats.max_gate_degree
     for tid, t in doc["tables"].items():
         assert t["size"] == len(layout.tables[tid].rows)
+        assert t["recipe"] == list(layout.tables[tid].recipe)
+    # Each clip table's domain shows beside its size.
+    clips = [t for tid, t in doc["tables"].items() if tid.startswith("clip:")]
+    assert clips and all(t["recipe"][0] == "clip" and t["size"] == t["recipe"][5] - t["recipe"][4] + 1 for t in clips)

@@ -19,6 +19,7 @@ from zkgrid.arithmetize import CompileConfig, assign_witness, compile
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
+    LOOKUP_CAP,
     MAX_CELLS,
     MAX_EXPR_DEPTH,
     MAX_ROWS,
@@ -376,11 +377,6 @@ def _fixed(col, rows, vals):
     return apply
 
 
-def _add_table_row(doc, value):
-    tid, arity, entries = doc["tables"][0]
-    entries += [value] * arity
-
-
 def _width(key, w):
     """Write the section named `key`, or key(doc), with width byte w."""
     return lambda doc: doc["widths"].__setitem__(key(doc) if callable(key) else key, w)
@@ -388,10 +384,6 @@ def _width(key, w):
 
 def _first_fixed_values(doc):
     return "values:" + next(col for col, rows, _ in doc["fixed"] if rows)
-
-
-def _first_table(doc):
-    return "table:" + doc["tables"][0][0]
 
 
 def _root(*nodes):
@@ -446,6 +438,27 @@ def _operand(index):
 U32_MAX = (1 << 32) - 1
 SELECTOR = "g0:q_dot2"   # enables the model's one row
 
+# The model's two table recipes, and table lists the loader refuses in
+# their place, each with what its message says.
+RANGE, CLIP = ["range", 0, 1], ["clip", 1, 2, 0, -5, 1143]
+BAD_RECIPES = {
+    "recipe of an unknown kind": ([["square", 0, 1], CLIP], "with integer parameters"),
+    "recipe empty": ([[], CLIP], "with integer parameters"),
+    "recipe of three bounds": ([["range", 0, 1, 2], CLIP], "with integer parameters"),
+    "recipe boolean parameter": ([["range", False, 1], CLIP], "with integer parameters"),
+    "recipe string parameter": ([RANGE, ["clip", 1, "2", 0, -5, 1143]], "with integer parameters"),
+    "range lo > hi": ([["range", 1, 0], CLIP], "empty domain"),
+    "range over LOOKUP_CAP": ([["range", 0, LOOKUP_CAP], CLIP], f"exceeds the cap {LOOKUP_CAP}"),
+    "clip b = 0": ([RANGE, ["clip", 1, 0, 0, -5, 1143]], "must be positive"),
+    "clip domain empty": ([RANGE, ["clip", 1, 2, 0, 5, -5]], "empty domain"),
+    "listed twice": ([RANGE, CLIP, RANGE], "listed twice"),
+    "entries over MAX_CELLS": (
+        [RANGE, CLIP] + [["range", k << 20, ((k + 1) << 20) - 1] for k in range(1, (MAX_CELLS >> 20) + 1)],
+        f"tables of over {MAX_CELLS} entries",
+    ),
+}
+
+
 BAD_LAYOUTS = {
     "fixed value width 3": _width(_first_fixed_values, 3),
     "copy width 3": _width("copies", 3),
@@ -476,10 +489,8 @@ BAD_LAYOUTS = {
     "fixed count string": lambda doc: doc["header"].update(fixed=[[c, str(len(r))] for c, r, _ in doc["fixed"]]),
     "fixed for unknown column": lambda doc: doc["fixed"].append(["nope", [], []]),
     "fixed column listed twice": lambda doc: doc["fixed"].append(list(doc["fixed"][0])),
-    "table value p": lambda doc: _add_table_row(doc, P),
-    "table value width 3": _width(_first_table, 3),
-    "table arity 0": lambda doc: doc["header"].update(tables=[[t, 0, 0] for t, _, _ in doc["tables"]]),
-    "table listed twice": lambda doc: doc["tables"].append(list(doc["tables"][0])),
+    **{f"table {name}": _edit(["tables"], recipes) for name, (recipes, _) in BAD_RECIPES.items()},
+    "table recipe not a list": _edit(["tables", 0], "range:0:1"),
     "boolean n_rows": _edit(["n_rows"], True),
     "modulus not prime": _edit(["modulus"], str(P + 2)),
     "modulus as number": _edit(["modulus"], P),
@@ -505,10 +516,10 @@ def test_malformed_layout_exit_2(files, name):
 
 
 @pytest.mark.parametrize("raw, match", [
-    (b"ZKLY" + struct.pack("<II", 5, 2) + b"{}", "unsupported layout version 5"),
-    (b"ZKLY" + struct.pack("<II", 4, 2) + b"[]", "the header must be an object"),
-    (b"ZKLY" + struct.pack("<II", 4, 2) + b"{\xff", "not valid JSON"),
-    (b"ZKLY" + struct.pack("<II", 4, 3) + b"{}", "truncated header"),
+    (b"ZKLY" + struct.pack("<II", 6, 2) + b"{}", "unsupported layout version 6"),
+    (b"ZKLY" + struct.pack("<II", 5, 2) + b"[]", "the header must be an object"),
+    (b"ZKLY" + struct.pack("<II", 5, 2) + b"{\xff", "not valid JSON"),
+    (b"ZKLY" + struct.pack("<II", 5, 3) + b"{}", "truncated header"),
     (b"ZKLY\x04\x00", "truncated header"),
 ])
 def test_malformed_layout_prefix_refused(raw, match):
@@ -617,6 +628,71 @@ def test_v3_layout_refused(files, capsys):
         serialize.load_layout(v3)
     assert _check(tmp, v3, wit) == 2
     assert "compile the model again" in capsys.readouterr().err
+
+
+def test_v4_layout_refused(files, capsys):
+    """A version-4 layout, which listed every table entry, is refused
+    with a message that says to compile the model again."""
+    tmp, lay, wit = files
+    v4 = lay[:4] + struct.pack("<I", 4) + lay[8:]
+    with pytest.raises(FormatError, match="version 4; compile the model again"):
+        serialize.load_layout(v4)
+    assert _check(tmp, v4, wit) == 2
+    assert "compile the model again" in capsys.readouterr().err
+
+
+def _with_recipes(layout, recipes) -> CircuitLayout:
+    """The layout with one table of each recipe, made from its first table."""
+    first = next(iter(layout.tables.values()))
+    return replace(layout, tables={str(k): replace(first, recipe=tuple(r)) for k, r in enumerate(recipes)})
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RECIPES))
+def test_bad_table_recipes_refused_by_load_and_dump(files, capsys, name):
+    """The loader refuses each table list with the builder's message or
+    its own, `zkgrid check` exits 2 saying so, and dump_layout refuses
+    the same list."""
+    tmp, lay, wit = files
+    recipes, match = BAD_RECIPES[name]
+    layout = serialize.load_layout(lay)
+    doc = layout_doc(layout)
+    assert doc["header"]["tables"] == [RANGE, CLIP]
+    doc["header"]["tables"] = recipes
+    with pytest.raises(FormatError, match=match):
+        serialize.load_layout(layout_file(doc))
+    assert _check(tmp, layout_file(doc), wit) == 2
+    assert match in capsys.readouterr().err
+    with pytest.raises(FormatError, match=match):
+        serialize.dump_layout(_with_recipes(layout, recipes))
+
+
+def test_clip_domain_over_the_div_guard_refused(tmp_path, capsys):
+    """On p = 65537 a clip domain of 32,769 quotients at b = 2 lets some
+    DIV rows hold two (q, r) pairs: load_layout, `zkgrid check` and
+    dump_layout refuse it.  The default field takes the same recipe."""
+    g = two_tap_fc_model()
+    wide = ["clip", 1, 2, 0, -5, 32763]
+    small = compile(g, CompileConfig(field=Field(65537)))[0]
+    doc = layout_doc(small)
+    doc["header"]["tables"][1] = wide
+    with pytest.raises(FormatError, match="exceed the modulus 65537"):
+        serialize.load_layout(layout_file(doc))
+    wit = serialize.dump_witness(assign_witness(small, g, random_input(random.Random(3), g)))
+    assert _check(tmp_path, layout_file(doc), wit) == 2
+    assert "exceed the modulus 65537" in capsys.readouterr().err
+    with pytest.raises(FormatError, match="exceed the modulus 65537"):
+        serialize.dump_layout(_with_recipes(small, [RANGE, wide]))
+    doc = layout_doc(compile(g)[0])
+    doc["header"]["tables"][1] = wide
+    assert serialize.load_layout(layout_file(doc)).tables["clip:a1:b2:z0"].recipe == tuple(wide)
+
+
+def test_dump_layout_refuses_a_table_under_another_id(files):
+    """Each table is written as its recipe alone, so dump_layout refuses a
+    table whose key is not the id its recipe names."""
+    layout = serialize.load_layout(files[1])
+    with pytest.raises(FormatError, match="not the one its recipe names"):
+        serialize.dump_layout(_with_recipes(layout, [RANGE, CLIP]))
 
 
 def _gates_layout(polys) -> CircuitLayout:
