@@ -128,7 +128,6 @@ from .model import (
     INPUT_REF,
     ModelGraph,
     QuantTensor,
-    accumulator_bounds,
 )
 
 
@@ -282,6 +281,9 @@ class WitnessPlan:
     layer_plans: list
     sponges: list
     group_slots: list     # each gate group's slot count M, by group index
+    # Each fixed column a copy reads, as its full list of cells, by its
+    # number in the layout's copies: the witness's copy pass reads these.
+    fixed_sources: dict
 
     @property
     def site_plans(self) -> list[SitePlan]:
@@ -653,7 +655,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     cfg = cfg or CompileConfig()
     fld = cfg.field
     p = fld.modulus
-    bounds = accumulator_bounds(graph)
+    bounds = graph.bounds
     mode = cfg.mode
     sponge = cfg.sponge_params() if mode is not None else None
 
@@ -699,7 +701,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         for i, layer in enumerate(graph.layers):
             if layer.weights is None:
                 continue
-            ws = layer.weights.signed_values()
+            ws = graph.signed_weights[i]
             w_cells: list[tuple] = []
             for lo in range(0, len(ws), k):
                 cells, packed = bld.pack(ws[lo : lo + k], q_i8, 128, 0)
@@ -773,6 +775,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     bld.regions["sponge"] = {"rows": bld.sponge_cursor, "copies": (len(bld.copies) - n_copies) // 4}
 
     layout, stats = _finalize(bld)
+    names = layout.copies.names
     layout.plan = WitnessPlan(
         sponge=sponge,
         n_inputs=n_inputs,
@@ -783,6 +786,9 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         layer_plans=layer_plans,
         sponges=sponge_plans,
         group_slots=list(bld.groups),
+        fixed_sources={
+            k: layout.fixed[names[k]].tolist() for k in set(bld.copies[2::4]) if names[k] in layout.fixed
+        },
     )
     return layout, stats
 
@@ -828,7 +834,7 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> LayerPl
     # What a weight lane takes: its fixed value when weights are public,
     # a copy of the staged weight cell when they are hidden.
     if layer.weights is not None:
-        w_vals = layer.weights.signed_values()
+        w_vals = graph.signed_weights[i]
         w_sources = [w % p for w in w_vals]
     if i in bld.param_cells:
         w_cells, b_cells = bld.param_cells[i]
@@ -1132,6 +1138,8 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     asg = Assignment(advice=advice, instance=[0] * len(layout.instance_map))
     copies = layout.copies
     cols = [layout.resolve_column(name, asg) for name in copies.names]
+    for k, cells in plan.fixed_sources.items():
+        cols[k] = cells
     it = iter(copies.flat)
     for ca, ra, cb, rb in zip(it, it, it, it):
         cols[ca][ra] = cols[cb][rb]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INPUT_REF, ModelGraph, QuantTensor, ScaleFactor, accumulator_bounds
+from .model import INPUT_REF, ModelGraph, QuantTensor, ScaleFactor
 
 
 class InferenceError(ValueError):
@@ -92,7 +92,7 @@ def run_inference(graph: ModelGraph, inp: QuantTensor) -> InferenceTrace:
         raise InferenceError(f"input shape {inp.shape} != graph input {graph.input_shape}")
     if inp.quant != graph.input_quant:
         raise InferenceError("input quant params do not match the graph")
-    bounds = accumulator_bounds(graph)
+    bounds = graph.bounds
 
     x_in = np.frombuffer(inp.data, dtype=np.uint8).reshape(inp.shape)
     traces: list[LayerTrace] = []
@@ -106,14 +106,12 @@ def run_inference(graph: ModelGraph, inp: QuantTensor) -> InferenceTrace:
             x = act_of_ref(layer.input_refs[0])
             z = graph.quant_of_ref(layer.input_refs[0]).zero_point
             bias = np.asarray(layer.bias, dtype=np.int64)
+            w = np.asarray(graph.signed_weights[i], dtype=np.int64).reshape(layer.weights.shape)
             if layer.kind == "conv2d":
-                w = np.asarray(layer.weights.signed_values(), dtype=np.int64).reshape(layer.weights.shape)
                 acc = _conv2d(x, w, bias, z, layer.stride, layer.padding)
             elif layer.kind == "depthwise_conv2d":
-                w = np.asarray(layer.weights.signed_values(), dtype=np.int64).reshape(layer.weights.shape)
                 acc = _depthwise(x, w, bias, z, layer.stride, layer.padding)
             else:
-                w = np.asarray(layer.weights.signed_values(), dtype=np.int64).reshape(layer.weights.shape)
                 acc = w @ (x.reshape(-1).astype(np.int64) - z) + bias
             act = _clip_and_scale_arr(acc, layer.out_quant.scale, layer.out_quant.zero_point)
         elif layer.kind == "residual_add":

@@ -128,6 +128,33 @@ class ModelGraph:
             return self.input_quant
         return self.layers[ref].out_quant
 
+    @property
+    def bounds(self) -> list[tuple[int, int]]:
+        """`accumulator_bounds(self)`, worked out once for a validated
+        graph; callers must not change it."""
+        return self._derived("_bounds", accumulator_bounds)
+
+    @property
+    def signed_weights(self) -> tuple[list[int] | None, ...]:
+        """Each layer's `weights.signed_values()`, None for a layer without
+        weights, worked out once for a validated graph; callers must not
+        change them."""
+        return self._derived("_signed_weights", _signed_weights)
+
+    def _derived(self, key: str, make):
+        """make(self), kept once the graph is validated (its output shapes
+        set): the graph is frozen, so it never changes after that."""
+        value = self.__dict__.get(key)
+        if value is None:
+            value = make(self)
+            if self.output_shapes:
+                self.__dict__[key] = value
+        return value
+
+
+def _signed_weights(graph: ModelGraph) -> tuple[list[int] | None, ...]:
+    return tuple(None if layer.weights is None else layer.weights.signed_values() for layer in graph.layers)
+
 
 def _conv_out_hw(in_hw: int, k: int, stride: int, padding: str) -> int:
     if padding == "same":
@@ -308,8 +335,7 @@ def accumulator_bounds(graph: ModelGraph) -> list[tuple[int, int]]:
     for i, layer in enumerate(graph.layers):
         if layer.kind in ("conv2d", "depthwise_conv2d", "fully_connected"):
             z = graph.quant_of_ref(layer.input_refs[0]).zero_point
-            w = layer.weights
-            bounds.append(dot_bounds(layer.kind, w.shape, w.signed_values(), layer.bias, z))
+            bounds.append(dot_bounds(layer.kind, layer.weights.shape, graph.signed_weights[i], layer.bias, z))
         elif layer.kind == "residual_add":
             z = layer.out_quant.zero_point
             bounds.append((-2 * z, 510 - 2 * z))

@@ -1,17 +1,30 @@
-"""Binary on-disk formats: layouts (version 5) and witnesses (version 3).
+"""Binary on-disk formats: layouts (version 6) and witnesses (version 4).
 
 Both formats write integers little-endian and share one cell codec (a
-"cell column"): an assigned length L (`<I`), a width byte w in
-{1, 2, 4, 8, 32}, a 32-byte little-endian base B and L w-byte cells.
-For w <= 8 a cell is a little-endian signed integer d: the value is d
-when d >= 0 and B + d otherwise, and the most negative w-byte integer
-marks an unassigned cell.  For w = 32 (B = 0) a cell is the value as a
-32-byte unsigned integer and 32 bytes of 0xFF mark an unassigned cell.
-The writer picks the narrowest w, with B one above the column's largest
-value >= 2**63 (or 0 when there is none), so residues p - x of small
-negatives x take a few bytes without the codec knowing p.  Every cell in
-[0, 2**255) round trips exactly.  A column's cell L - 1 is never
-unassigned.
+"cell column" of L rows): L and the number N <= L of assigned cells (two
+`<I`), a form byte whose low 7 bits are the width w in {1, 2, 4, 8, 32}
+and whose top bit says a 32-byte base B follows (else B = 0), then, only
+when N < L, a presence bitmap of ceil(L / 8) bytes whose bit r (bit
+r % 8 of byte r // 8) is set when row r is assigned, then the N assigned
+cells in row order, w bytes each.  Unassigned cells cost their bit and
+nothing else.  For w = 32 (no base) a cell is its value as a 32-byte
+unsigned integer.  For w <= 8 a cell is a signed integer d: the value d
+when d >= 0, B + d when d < 0, and the most negative w-byte integer, the
+outlier mark, stands for the next value of an outlier list that follows
+the cells: a count K (`<I`) and K 32-byte unsigned values.
+
+The writer sets B one above the column's largest value >= 2**63 (none
+when there is no such value) and writes each value below 2**63 as
+itself and each other value v as v - B, so residues p - x of small
+negatives x take a few bytes without the codec knowing p; a value whose
+d is the mark or does not fit in w bytes is an outlier.  It picks the w
+that minimises N * w plus 32 bytes for each outlier and for the base
+(w = 32 takes neither), the narrowest of equals, so a few stray big
+values no longer widen their column.  Every cell in [0, 2**255) round
+trips exactly.  The loader refuses a bitmap with a bit set at or past L,
+one whose bit L - 1 is clear (L is one past the last assigned row), N
+other than the bits set, a mark count other than K and a value (cell or
+outlier) of 2**255 or more.
 
 Layout: `ZKLY`, then version and header length (`<II`), then the header,
 a JSON object: modulus (a decimal string), n_rows, n_rows_logical,
@@ -31,8 +44,9 @@ sections follow in this order:
   column numbers index `columns`; it is the in-memory `circuit.Copies`
   store itself;
 * each fixed column in header order: its `cells` rows, strictly
-  increasing, then a cell column of their values, each a nonzero
-  canonical residue: the `circuit.FixedColumn` cells themselves;
+  increasing, then a cell column of their values with no unassigned
+  cell, each a nonzero canonical residue: the `circuit.FixedColumn`
+  cells themselves;
 * instance bindings: 3 * bindings integers `[column number, row, index]`.
 
 Copies, rows and bindings are unsigned sections: a width byte w in
@@ -50,7 +64,7 @@ Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
 more than `circuit.MAX_CELLS` cells, a layout whose tables would hold
 more than `circuit.MAX_CELLS` entries in all, and older versions: layout
-versions 1 to 4 (1 and 2 were JSON) and witness versions 1 and 2.
+versions 1 to 5 (1 and 2 were JSON) and witness versions 1 to 3.
 """
 
 from __future__ import annotations
@@ -59,8 +73,10 @@ import json
 import struct
 import sys
 from array import array
-from itertools import repeat
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import is_not, itemgetter
+
+import numpy as np
 
 from .arithmetize import CompileError, check_recipe, lookup_table
 from .circuit import (
@@ -80,20 +96,19 @@ from .circuit import (
 )
 from .field import Field
 
-_LAYOUT_VERSION = 5
-_WITNESS_VERSION = 3
+_LAYOUT_VERSION = 6
+_WITNESS_VERSION = 4
 
 _LAYOUT_MAGIC = b"ZKLY"
 _LAYOUT_PREFIX = struct.Struct("<4sII")
 _WITNESS_MAGIC = b"ZKWT"
 _HEADER = struct.Struct("<IIII")
-_LENGTH = struct.Struct("<I")
-_UNASSIGNED = b"\xff" * 32
-_ALL_ONES = int.from_bytes(_UNASSIGNED, "little")
+_COUNT = struct.Struct("<I")     # a cell column's outlier count
+_COUNTS = struct.Struct("<II")   # a cell column's length and assigned cells
+_BASED = 0x80              # form-byte flag: a 32-byte base follows
 _LOW_BYTES = bytes(range(0x80))
 _BIG = 1 << 63             # cells at or above this are stored relative to the base
 _LIMIT = 1 << 255          # cells must lie in [0, _LIMIT)
-_TYPECODE = {array(c).itemsize: c for c in "bhiq"}
 _UINT_TYPECODE = {array(c).itemsize: c for c in "BHI"}
 _SWAP = sys.byteorder == "big"
 
@@ -105,94 +120,151 @@ class FormatError(ValueError):
 # --- cell columns ------------------------------------------------------------
 
 def _encode_column(vals: list) -> bytes:
-    """Assigned length, width byte, base and cells of one column (see the
-    module docstring)."""
+    """The cell column of `vals`, None marking an unassigned cell, written
+    up to its last assigned cell (see the module docstring)."""
+    n, holes = len(vals), vals.count(None)
+    first = vals.index(None) if holes else n
+    if first + holes == n:   # every unassigned cell is in the tail
+        return _pack_cells(vals[:first], first, b"")
     # Strip the unassigned tail a slice at a time, then cell by cell.
-    n = len(vals)
     for s in (4096, 256, 16, 1):
         while n >= s and vals[n - s : n].count(None) == s:
             n -= s
-    vals = vals[:n]
-    present = [v for v in vals if v is not None] if None in vals else vals
-    lo, hi = min(present, default=0), max(present, default=0)
-    if lo < 0:
+    flags = bytes(map(is_not, vals[:n], repeat(None)))
+    bitmap = np.packbits(np.frombuffer(flags, bool), bitorder="little").tobytes()
+    return _pack_cells(list(compress(vals, flags)), n, bitmap)
+
+
+def _pack_cells(present: list, length: int, bitmap: bytes, bounds: tuple | None = None) -> bytes:
+    """The cell column of `length` rows whose assigned cells, in row
+    order, are `present`, at the rows `bitmap` sets (b"" when every row
+    is assigned), at the width the module docstring gives.  `bounds`, if
+    given, are the least and the greatest of `present`."""
+    n, base = len(present), 0
+    try:
+        d = np.array(present, dtype=np.int64)
+    except OverflowError:   # a cell >= 2**63 (or outside [0, 2**255))
+        lo, hi = bounds or (min(present), max(present))
+        if lo < 0 or hi >= _LIMIT:
+            raise FormatError(f"cell value {lo if lo < 0 else hi} outside [0, 2**255)") from None
+        base, floor = hi + 1, hi + 1 - _BIG
+        if lo >= _BIG and 32 * sum(map(floor.__ge__, present)) > 31 * n - 32:
+            # So many cells are in band at no width below 32 bytes (those
+            # up to `floor`) that no such width can win: the sponge states.
+            return b"".join((_COUNTS.pack(length, n), b"\x20", bitmap, _wide(present)))
+        # Each cell's in-band integer, -2**63 for a cell that is in band
+        # at no width below 32 bytes.
+        d = np.array([v if v < _BIG else v - base if v > floor else -_BIG for v in present], dtype=np.int64)
+    lo, hi = int(d.min(initial=0)), int(d.max(initial=0))
+    if lo < 0 and not base:
         raise FormatError(f"cell value {lo} outside [0, 2**255)")
-    return _pack_cells(vals, present, hi)
+    top = max(hi, -lo)
+    best = None
+    for width in (1, 2, 4, 8):
+        half = 1 << (8 * width - 1)
+        out = (d > half - 1) | (d < 1 - half) if top >= half else None   # bounds that fit int64
+        cost = (32 if base else 0) + n * width + 32 * (0 if out is None else np.count_nonzero(out))
+        if best is None or cost < best[0]:
+            best = cost, width, out
+    size, w, outside = best
+    if 32 * n < size:
+        w = 32
+    head = _COUNTS.pack(length, n)
+    if w == 32:
+        return b"".join((head, b"\x20", bitmap, _wide(present)))
+    outliers = []
+    if outside is not None:
+        d = np.where(outside, -1 << (8 * w - 1), d)
+        outliers = list(map(present.__getitem__, np.flatnonzero(outside).tolist()))
+    form = bytes((w | _BASED,)) + base.to_bytes(32, "little") if base else bytes((w,))
+    return b"".join((head, form, bitmap, d.astype(f"<i{w}").tobytes(), _COUNT.pack(len(outliers)), _wide(outliers)))
 
 
-def _pack_cells(vals: list, present: list, hi: int) -> bytes:
-    """The cell column of `vals`, whose assigned cells are `present` (the
-    list `vals` itself when every cell is assigned), each at least 0 and
-    at most `hi`."""
-    if hi >= _LIMIT:
-        raise FormatError(f"cell value {hi} outside [0, 2**255)")
-    head = _LENGTH.pack(len(vals))
-    base, span = 0, hi
-    if hi >= _BIG:
-        base = hi + 1
-        # _BIG.__gt__ and _BIG.__le__ split the cells below and from 2**63.
-        span = max(
-            max(filter(_BIG.__gt__, present), default=0),
-            base - min(filter(_BIG.__le__, present)),
-        )
-    for w in (1, 2, 4, 8):
-        if span < 1 << (8 * w - 1):
-            none = -1 << (8 * w - 1)
-            if base or present is not vals:
-                vals = [none if v is None else v if v < _BIG else v - base for v in vals]
-            cells = array(_TYPECODE[w], vals)
-            if _SWAP:
-                cells.byteswap()
-            return head + bytes((w,)) + base.to_bytes(32, "little") + cells.tobytes()
-    return head + bytes((32,)) + bytes(32) + b"".join(
-        _UNASSIGNED if v is None else v.to_bytes(32, "little") for v in vals
-    )
-
-
-def _refuse(what: str) -> None:
-    raise FormatError(f"cell {what}")
+def _wide(vals: list) -> bytes:
+    """vals as 32-byte little-endian unsigned integers."""
+    return b"".join(map(int.to_bytes, vals, repeat(32), repeat("little")))
 
 
 def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
-    """The assigned cells of the column at raw[pos:], at most `limit` of
-    them, and the position after it."""
-    if pos + 37 > len(raw):
+    """The cells of the column at raw[pos:], at most `limit` of them,
+    None for each unassigned one, and the position after it."""
+    if pos + _COUNTS.size + 1 > len(raw):
         raise FormatError("truncated cell column header")
-    (n,) = _LENGTH.unpack_from(raw, pos)
-    w = raw[pos + 4]
-    base = int.from_bytes(raw[pos + 5 : pos + 37], "little")
-    pos += 37
-    if n > limit:
-        raise FormatError(f"column of {n} cells where at most {limit} fit")
-    end = pos + n * w
+    n_rows, n = _COUNTS.unpack_from(raw, pos)
+    form = raw[pos + _COUNTS.size]
+    pos += _COUNTS.size + 1
+    if n_rows > limit:
+        raise FormatError(f"column of {n_rows} cells where at most {limit} fit")
+    if n > n_rows:
+        raise FormatError(f"{n} assigned cells in a column of {n_rows}")
+    w, base = form & ~_BASED, 0
     if w not in (1, 2, 4, 8, 32):
         raise FormatError(f"bad cell width {w}")
+    if form & _BASED:
+        if w == 32:
+            raise FormatError("32-byte cells take no base")
+        if pos + 32 > len(raw):
+            raise FormatError("truncated cell column header")
+        base = int.from_bytes(raw[pos : pos + 32], "little")
+        if not _BIG < base <= _LIMIT:
+            raise FormatError(f"column base {base} outside (2**63, 2**255]")
+        pos += 32
+    bitmap = None
+    if n < n_rows:
+        end = pos + (n_rows + 7) // 8
+        if end > len(raw):
+            raise FormatError("truncated presence bitmap")
+        bitmap = np.frombuffer(raw, np.uint8, end - pos, pos)
+        bits = int.from_bytes(raw[pos:end], "little")
+        if bits >> n_rows:
+            raise FormatError("presence bit set at or past the column's length")
+        if not bits >> (n_rows - 1):
+            raise FormatError("a column's last written cell is unassigned")
+        if bits.bit_count() != n:
+            raise FormatError(f"{n} assigned cells, the presence bitmap sets {bits.bit_count()}")
+        pos = end
+    end = pos + n * w
     if end > len(raw):
         raise FormatError("truncated cell column")
+    # Any cell whose top byte has its top bit set (for w <= 8, a negative one).
+    signed = raw[pos + w - 1 : end : w].translate(None, _LOW_BYTES)
     if w == 32:
-        if base:
-            raise FormatError("32-byte cells take no base")
-        cells = map(itemgetter(0), struct.iter_unpack("32s", raw[pos:end]))
-        ints = list(map(int.from_bytes, cells, repeat("little")))
-        # Every cell with its top bit set must be the unassigned mark.
-        if len(raw[pos + 31 : end : 32].translate(None, _LOW_BYTES)) != ints.count(_ALL_ONES):
+        if signed:
             raise FormatError("cell >= 2**255")
-        vals = [None if v == _ALL_ONES else v for v in ints]
+        vals = _big_ints(raw, pos, end)
     else:
-        if base and not _BIG < base <= _LIMIT:
-            raise FormatError(f"column base {base} outside (2**63, 2**255]")
-        cells = array(_TYPECODE[w])
-        cells.frombytes(raw[pos:end])
-        if _SWAP:
-            cells.byteswap()
-        none = -1 << (8 * w - 1)
-        if not raw[pos + w - 1 : end : w].translate(None, _LOW_BYTES):   # no cell's sign bit is set
-            vals = cells.tolist()
-        else:
-            vals = [d if d >= 0 else None if d == none else base + d if base else _refuse(f"{d} < 0") for d in cells]
-    if vals and vals[-1] is None:
-        raise FormatError("a column's last written cell is unassigned")
-    return vals, end
+        vals = np.frombuffer(raw, f"<i{w}", n, pos)
+        if end + _COUNT.size > len(raw):
+            raise FormatError("truncated outlier count")
+        (k,) = _COUNT.unpack_from(raw, end)
+        pos, end = end + _COUNT.size, end + _COUNT.size + 32 * k
+        if end > len(raw):
+            raise FormatError("truncated outlier list")
+        if raw[pos + 31 : end : 32].translate(None, _LOW_BYTES):
+            raise FormatError("outlier >= 2**255")
+        marks = 0
+        if signed:
+            negative, outside = vals < 0, vals == -1 << (8 * w - 1)
+            marks = np.count_nonzero(outside)
+        if marks > k:
+            raise FormatError("outlier mark with no listed outlier")
+        if marks < k:
+            raise FormatError("listed outlier with no outlier mark")
+        if signed:
+            if not base and np.count_nonzero(negative) > marks:
+                raise FormatError(f"cell {vals[negative & ~outside][0]} < 0 in a column with no base")
+            vals = vals.astype(object)
+            vals[negative] += base
+            vals[outside] = _big_ints(raw, pos, end)
+    if bitmap is not None:
+        cells, vals = vals, np.empty(n_rows, object)
+        vals[np.unpackbits(bitmap, count=n_rows, bitorder="little").view(bool)] = cells
+    return (vals if type(vals) is list else vals.tolist()), end
+
+
+def _big_ints(raw: bytes, pos: int, end: int) -> list[int]:
+    """The 32-byte little-endian unsigned integers of raw[pos:end]."""
+    return list(map(int.from_bytes, map(itemgetter(0), struct.iter_unpack("32s", raw[pos:end])), repeat("little")))
 
 
 # --- layout ------------------------------------------------------------------
@@ -238,13 +310,12 @@ def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[list[int
 def _encode_residues(vals: list, p: int, what: str) -> bytes:
     """A cell column of vals, each a nonzero residue in [1, p)."""
     try:
-        hi = max(vals, default=1)
-        ok = min(vals, default=1) >= 1 and hi < p
+        bounds = min(vals, default=1), max(vals, default=1)
     except TypeError:   # an unassigned value
-        ok = False
-    if not ok:
+        bounds = 0, p
+    if bounds[0] < 1 or bounds[1] >= p:
         raise FormatError(f"{what} holds a value outside [1, p): not a canonical residue")
-    return _pack_cells(vals, vals, hi)
+    return _pack_cells(vals, len(vals), b"", bounds)
 
 
 def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str) -> tuple[list[int], int]:
@@ -518,6 +589,8 @@ def load_witness(raw: bytes) -> Assignment:
     if len(raw) < 4 + _HEADER.size or raw[:4] != _WITNESS_MAGIC:
         raise FormatError("not a witness file")
     version, n_rows, n_cols, n_inst = _HEADER.unpack_from(raw, 4)
+    if version < _WITNESS_VERSION:
+        raise FormatError(f"a witness of version {version}; run `zkgrid witness` again to get a version-{_WITNESS_VERSION} file")
     if version != _WITNESS_VERSION:
         raise FormatError(f"unsupported witness version {version}")
     if n_rows > MAX_ROWS:

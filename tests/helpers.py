@@ -1,6 +1,6 @@
 """Shared test machinery: the independent convolution oracle, the
 row-by-row constraint oracle, the single-cell tamper harness and a
-reference writer of version-5 layout files."""
+reference writer of version-6 layout files."""
 
 from __future__ import annotations
 
@@ -217,7 +217,7 @@ def node_table(polys) -> tuple[list, list[int]]:
 
 
 def layout_doc(layout) -> dict:
-    """The parts of a version-5 layout file, restated from the layout
+    """The parts of a version-6 layout file, restated from the layout
     without zkgrid.serialize: the header object without its counts, then
     each section's integers.  `widths` maps a section to the width byte
     layout_file writes for it: "copies", "bindings", "rows:<column>" or
@@ -251,9 +251,10 @@ def layout_doc(layout) -> dict:
 def layout_sections(doc) -> list[bytes]:
     """The byte strings of a layout file: magic, version and header, then
     each section in file order.  Unsigned sections are written 4 bytes
-    wide and cell columns 32 bytes wide unless `widths` says otherwise;
-    a None cell is written as the unassigned mark.  Header counts the
-    document does not set are the sections' own."""
+    wide and cell columns 32 bytes wide unless `widths` says otherwise,
+    with no base and no outlier; a None cell is left out of a presence
+    bitmap.  Header counts the document does not set are the sections'
+    own."""
     widths = doc["widths"]
 
     def uints(key, xs):
@@ -262,8 +263,12 @@ def layout_sections(doc) -> list[bytes]:
 
     def cells(key, xs):
         w = widths.get(key, 32)
-        body = b"".join(b"\xff" * w if x is None else x.to_bytes(w, "little") for x in xs)
-        return struct.pack("<I", len(xs)) + bytes((w,)) + bytes(32) + body
+        present = [x for x in xs if x is not None]
+        bits = sum(1 << r for r, x in enumerate(xs) if x is not None)
+        bitmap = b"" if len(present) == len(xs) else bits.to_bytes((len(xs) + 7) // 8, "little")
+        body = b"".join(x.to_bytes(w, "little") for x in present)
+        outliers = b"" if w == 32 else struct.pack("<I", 0)
+        return struct.pack("<II", len(xs), len(present)) + bytes((w,)) + bitmap + body + outliers
 
     header = {
         "copies": len(doc["copies"]) // 4,
@@ -272,7 +277,7 @@ def layout_sections(doc) -> list[bytes]:
         **doc["header"],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = [b"ZKLY" + struct.pack("<II", 5, len(head)) + head, uints("copies", doc["copies"])]
+    out = [b"ZKLY" + struct.pack("<II", 6, len(head)) + head, uints("copies", doc["copies"])]
     for col, rows, vals in doc["fixed"]:
         out += [uints(f"rows:{col}", rows), cells(f"values:{col}", vals)]
     out.append(uints("bindings", doc["bindings"]))

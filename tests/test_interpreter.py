@@ -109,3 +109,31 @@ def test_activations_are_bytes():
         tr = run_inference(g, inp)
         for lt in tr.layers:
             assert lt.act.dtype == np.uint8
+
+
+def test_bounds_worked_out_once_per_graph(monkeypatch):
+    """A validated graph keeps its accumulator bounds and signed weights:
+    two inferences give the same trace and only the first calls
+    `model.dot_bounds`.  An unvalidated copy keeps nothing."""
+    from dataclasses import replace
+
+    from zkgrid import model
+
+    calls = []
+    real = model.dot_bounds
+    monkeypatch.setattr(model, "dot_bounds", lambda *args: calls.append(args) or real(*args))
+    rng = random.Random(12)
+    g = random_model(rng, max_hw=6, max_c=3, max_layers=4)
+    inp = random_input(rng, g)
+    first = run_inference(g, inp)
+    n = len(calls)
+    assert n == sum(layer.weights is not None for layer in g.layers) > 0
+    second = run_inference(g, inp)
+    assert len(calls) == n
+    assert np.array_equal(first.logits, second.logits)
+    for a, b in zip(first.layers, second.layers):
+        assert np.array_equal(a.acc, b.acc) and np.array_equal(a.act, b.act)
+    assert g.bounds == accumulator_bounds(g)
+    assert list(g.signed_weights) == [None if l.weights is None else l.weights.signed_values() for l in g.layers]
+    bare = replace(g, output_shapes=())
+    assert bare.signed_weights == g.signed_weights and "_signed_weights" not in bare.__dict__

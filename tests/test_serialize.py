@@ -44,158 +44,240 @@ from zkgrid.serialize import FormatError
 
 P = DEFAULT_MODULUS
 TOP = (1 << 255) - 1
-EDGES = [0, 1, P - 1, P, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, TOP]
+HALVES = [1 << (8 * w - 1) for w in (1, 2, 4, 8)]
+EDGES = [0, 1, P - 1, P, TOP, *(h + k for h in HALVES for k in (-1, 0, 1))]
 # A version-1 witness: one advice column "a" of one 32-byte cell.
 V1_WITNESS = b"ZKWT" + struct.pack("<IIII", 1, 1, 1, 0) + b"\x01\x00a" + (5).to_bytes(32, "little")
 # A version-2 witness: column "a" and the instance vector, each one 1-byte cell 5.
 V2_WITNESS = b"ZKWT" + struct.pack("<IIII", 2, 1, 1, 1) + b"\x01\x00a" + (b"\x01" + bytes(32) + b"\x05") * 2
+# A version-3 witness: the same, each column led by its assigned length.
+V3_WITNESS = b"ZKWT" + struct.pack("<IIII", 3, 1, 1, 1) + b"\x01\x00a" + (b"\x01\x00\x00\x00\x01" + bytes(32) + b"\x05") * 2
 
 
-def column_heads(raw: bytes) -> list[tuple[int, int, int]]:
-    """(offset, assigned length, width) of each advice column, then of the
-    instance vector."""
+def cell_column(cells=b"", w=1, base=None, length=None, count=None, bitmap=b"", outliers=(), k=None) -> bytes:
+    """A version-4 cell column from raw parts: `cells` are the assigned
+    cells' bytes, w bytes each.  The length and the assigned count
+    default to the number of cells, a base is written when given, and
+    for w <= 8 the outlier count `k` defaults to the number of
+    `outliers`."""
+    n = len(cells) // w
+    form = bytes((w | 0x80,)) + base.to_bytes(32, "little") if base is not None else bytes((w,))
+    tail = b"" if w == 32 else struct.pack("<I", len(outliers) if k is None else k)
+    tail += b"".join(v.to_bytes(32, "little") for v in outliers)
+    return struct.pack("<II", n if length is None else length, n if count is None else count) + form + bitmap + cells + tail
+
+
+def witness_bytes(n_rows, columns, instance=cell_column(b"\x05"), n_inst=None, version=4) -> bytes:
+    """A witness file from raw parts: columns maps id -> cell column
+    bytes, or lists such (id, bytes) pairs, and instance is one more cell
+    column.  The instance count defaults to the instance column's
+    length, ids are str or raw bytes."""
+    items = list(columns.items() if isinstance(columns, dict) else columns)
+    n_inst = struct.unpack_from("<I", instance)[0] if n_inst is None else n_inst
+    out = [b"ZKWT", struct.pack("<IIII", version, n_rows, len(items), n_inst)]
+    for cid, _ in items:
+        cid = cid if isinstance(cid, bytes) else cid.encode()
+        out += [struct.pack("<H", len(cid)), cid]
+    out += [column for _, column in items]
+    out.append(instance)
+    return b"".join(out)
+
+
+def column_heads(raw: bytes) -> list[dict]:
+    """Each advice column's, then the instance vector's, offset, length,
+    assigned count, width, base flag and outlier count, read by the
+    version-4 rules restated."""
     _, n_rows, n_cols, n_inst = struct.unpack_from("<IIII", raw, 4)
     pos = 20
     for _ in range(n_cols):
         pos += 2 + struct.unpack_from("<H", raw, pos)[0]
     heads = []
     for _ in range(n_cols + 1):
-        (n,) = struct.unpack_from("<I", raw, pos)
-        heads.append((pos, n, raw[pos + 4]))
-        pos += 37 + n * raw[pos + 4]
+        length, count = struct.unpack_from("<II", raw, pos)
+        form = raw[pos + 8]
+        head = dict(pos=pos, length=length, count=count, width=form & 0x7F, based=form >= 0x80, outliers=0)
+        at = pos + 9 + 32 * head["based"] + ((length + 7) // 8 if count < length else 0) + count * head["width"]
+        if head["width"] != 32:
+            head["outliers"] = struct.unpack_from("<I", raw, at)[0]
+            at += 4 + 32 * head["outliers"]
+        heads.append(head)
+        pos = at
     assert pos == len(raw)
     return heads
 
 
 def column_widths(raw: bytes) -> list[int]:
-    """The width byte of each advice column, then of the instance vector."""
-    return [w for _, _, w in column_heads(raw)]
+    """The width of each advice column, then of the instance vector."""
+    return [h["width"] for h in column_heads(raw)]
 
 
 def assigned_length(vals) -> int:
     return max((i + 1 for i, v in enumerate(vals) if v is not None), default=0)
 
 
-def witness_bytes(n_rows, columns, instance=(1, 0, b"\x05"), n_inst=None) -> bytes:
-    """A version-3 witness file from raw parts: columns maps id -> (width,
-    base, cells) or (width, base, cells, assigned length), or lists such
-    (id, tuple) pairs; instance is one more such tuple.  The length
-    defaults to the number of cells, ids are str or raw bytes."""
-    items = list(columns.items() if isinstance(columns, dict) else columns)
-    parts = [(*t, len(t[2]) // t[0])[:4] for t in [*(t for _, t in items), instance]]
-    n_inst = parts[-1][3] if n_inst is None else n_inst
-    out = [b"ZKWT", struct.pack("<IIII", 3, n_rows, len(items), n_inst)]
-    for cid, _ in items:
-        cid = cid if isinstance(cid, bytes) else cid.encode()
-        out += [struct.pack("<H", len(cid)), cid]
-    for w, base, cells, n in parts:
-        out += [struct.pack("<I", n), bytes((w,)), base.to_bytes(32, "little"), cells]
-    return b"".join(out)
+def cheapest_width(vals) -> tuple[int, int]:
+    """The width rule, restated, and the outliers it leaves: values
+    below 2**63 as themselves, the others as negatives against one above
+    the largest of them; the width costs its cells, 32 bytes per outlier
+    and 32 for the base, 32-byte cells cost only themselves, and the
+    narrowest of equal costs wins."""
+    present = [v for v in vals if v is not None]
+    big = [v for v in present if v >= 1 << 63]
+    base = max(big) + 1 if big else 0
+    d = [v if v < 1 << 63 else v - base for v in present]
+    costs = {}
+    for w, half in zip((1, 2, 4, 8), HALVES):
+        outs = sum(not -half < x < half for x in d)
+        costs[w] = (32 * bool(base) + len(present) * w + 32 * outs, outs)
+    costs[32] = (32 * len(present), 0)
+    w = min(costs, key=lambda w: (costs[w][0], w))
+    return w, costs[w][1]
 
 
 # --- witness codec -----------------------------------------------------------
 
 @pytest.mark.parametrize(
-    "vals, width",
+    "vals, width, outliers",
     [
-        ([None, 0, 127], 1),
-        ([None, None], 1),
-        ([P - 1, P - 127, 3, None], 1),  # base P: d = -1 and -127
-        ([P - 1, P - 128, 3], 2),        # -128 is the w=1 unassigned mark
-        ([P, 0], 1),                     # base P + 1: d = -1
-        ([1 << 15], 4),
-        ([(1 << 31) - 1, P - 1], 4),
-        ([1 << 31], 8),
-        ([(1 << 63) - 1, TOP], 8),   # base 2**255, d = -1
-        ([1 << 63, None, 0], 1),
-        ([TOP, 1 << 63], 32),
-        ([P - 1, 1 << 63, None], 32),
+        ([None, 0, 127], 1, 0),
+        ([None, None], 1, 0),
+        ([P - 1, P - 127, 3, None], 1, 0),  # base P: d = -1 and -127
+        ([P - 1, P - 128, 3], 2, 0),        # -128 is the w=1 outlier mark: 2 bytes a cell beat 32 for it
+        ([P - 1] * 40 + [P - 128], 1, 1),   # ... unless the column is long
+        ([P, 0], 1, 0),                     # base P + 1: d = -1
+        ([1 << 15], 4, 0),
+        ([(1 << 31) - 1, P - 1], 4, 0),
+        ([1 << 31], 8, 0),
+        ([(1 << 63) - 1, TOP], 8, 0),   # base 2**255, d = -1
+        ([1 << 63, None, 0], 1, 0),
+        ([TOP, 1 << 63], 32, 0),
+        ([P - 1, 1 << 63, None], 32, 0),
+        ([200, 200, 1], 2, 0),
+        ([1] * 40 + [1 << 40], 1, 1),                 # one stray big value
+        ([1] * 40 + [1 << 200, 1 << 100, None], 1, 1),  # 2**200 is the base's, 2**100 an outlier
+        ([P - 1, 1 << 100] * 20, 1, 20),
     ],
 )
-def test_witness_picks_narrowest_width(vals, width):
+def test_witness_picks_cheapest_width(vals, width, outliers):
     asg = Assignment(advice={"a": vals, "b": [0] * len(vals)}, instance=[v for v in vals if v is not None])
     raw = serialize.dump_witness(asg)
-    widths = column_widths(raw)
-    assert widths[:2] == [width, 1]
+    heads = column_heads(raw)
+    assert [(h["width"], h["outliers"]) for h in heads] == [(width, outliers), (1, 0), (width, outliers)]
+    assert cheapest_width(vals) == (width, outliers)
     assert serialize.load_witness(raw) == asg
-
-
-def narrowest_width(vals) -> int:
-    """The width rule, restated: small values as themselves, values
-    >= 2**63 as negatives against one above the largest of them."""
-    present = [v for v in vals if v is not None]
-    big = [v for v in present if v >= 1 << 63]
-    base = max(big) + 1 if big else 0
-    span = max([v for v in present if v < 1 << 63] + [base - v for v in big], default=0)
-    return next((w for w in (1, 2, 4, 8) if span < 1 << (8 * w - 1)), 32)
 
 
 @st.composite
 def columns(draw, n_rows):
-    """Cells up to `bits` wide or that far below `top`, plus edge values,
-    often with an unassigned tail; the bit choices make every width
+    """Cells up to `bits` wide or that far below `top`, edge values of
+    each width, often runs of unassigned cells, an unassigned tail or no
+    assigned cell at all; the bit choices make every width and outliers
     common."""
     bits = draw(st.sampled_from([7, 15, 31, 63, 255]))
     top = draw(st.sampled_from([P, P + 1, 1 << 63, 1 << 255]))
     cell = st.one_of(
-        st.none(),
         st.integers(0, (1 << bits) - 1).map(lambda v: min(v, TOP)),
         st.integers(1, 1 << bits).map(lambda d: top - d).filter(lambda v: v >= 0),
         st.sampled_from(EDGES),
+        st.sampled_from([top - h + k for h in HALVES for k in (-1, 0, 1, 2)]).filter(lambda v: 0 <= v <= TOP),
     )
     cells = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
-    cut = draw(st.integers(0, n_rows))
+    for start, run in draw(st.lists(st.tuples(st.integers(0, n_rows), st.integers(1, 12)), max_size=4)):
+        cells[start : start + run] = [None] * len(cells[start : start + run])
+    cut = draw(st.sampled_from([n_rows, 0, draw(st.integers(0, n_rows))]))
     return cells[:cut] + [None] * (n_rows - cut)
 
 
-@settings(max_examples=200, deadline=None)
-@given(n_rows=st.integers(0, 12), data=st.data())
+@settings(max_examples=300, deadline=None)
+@given(n_rows=st.integers(0, 40), data=st.data())
 def test_witness_round_trip(n_rows, data):
     ids = data.draw(st.lists(st.text("abcxyz:", min_size=1, max_size=4), max_size=5, unique=True))
     advice = {c: data.draw(columns(n_rows)) for c in ids}
-    instance = [v for v in data.draw(columns(6)) if v is not None]
+    instance = [v for v in data.draw(columns(12)) if v is not None]
     asg = Assignment(advice=advice, instance=instance)
     raw = serialize.dump_witness(asg)
     heads = column_heads(raw)
-    assert [w for _, _, w in heads] == [narrowest_width(advice[c]) for c in sorted(advice)] + [narrowest_width(instance)]
-    assert [n for _, n, _ in heads] == [assigned_length(advice[c]) for c in sorted(advice)] + [len(instance)]
-    assert serialize.load_witness(raw) == asg
-    assert serialize.dump_witness(serialize.load_witness(raw)) == raw
+    vals = [advice[c] for c in sorted(advice)] + [instance]
+    assert [(h["width"], h["outliers"]) for h in heads] == list(map(cheapest_width, vals))
+    assert [h["length"] for h in heads] == list(map(assigned_length, vals))
+    assert [h["count"] for h in heads] == [len(v) - v.count(None) for v in vals]
+    loaded = serialize.load_witness(raw)
+    assert loaded == asg
+    assert {type(v) for v in [*loaded.instance, *(v for col in loaded.advice.values() for v in col)]} <= {int, type(None)}
+    assert serialize.dump_witness(loaded) == raw
 
 
-@pytest.mark.parametrize("bad", [1 << 255, (1 << 256) - 1, -1])
+@pytest.mark.parametrize("bad", [1 << 255, (1 << 256) - 1, -1, -(1 << 70)])
 def test_witness_refuses_cells_outside_255_bits(bad):
     with pytest.raises(FormatError, match="outside"):
         serialize.dump_witness(Assignment(advice={"a": [0, bad]}, instance=[]))
     with pytest.raises(FormatError, match="outside"):
         serialize.dump_witness(Assignment(advice={}, instance=[bad]))
+    with pytest.raises(FormatError, match="outside"):
+        serialize.dump_witness(Assignment(advice={"a": [None, 1 << 200, bad]}, instance=[]))
 
 
-@pytest.mark.parametrize(
-    "raw, match",
-    [
-        (V1_WITNESS, "unsupported witness version 1"),
-        (V2_WITNESS, "unsupported witness version 2"),
-        (witness_bytes(1, {"a": (1, 0, b"\x01\x02", 2)}), "column of 2 cells where at most 1 fit"),
-        (witness_bytes(2, {"a": (1, 0, b"\x01\x80")}), "last written cell is unassigned"),
-        (witness_bytes(1, {"a": (1, 0, b"\x01")}, n_inst=2), "header says 2"),
-        (witness_bytes(1, {"a": (3, 0, b"\x00\x00\x00")}), "bad cell width 3"),
-        (witness_bytes(1, {"a": (32, 1, bytes(32))}), "32-byte cells take no base"),
-        (witness_bytes(1, {"a": (1, 1 << 63, b"\x01")}), "base"),
-        (witness_bytes(1, {"a": (8, (1 << 255) + 1, bytes(8))}), "base"),
-        (witness_bytes(1, {"a": (1, 0, b"\xff")}), "-1 < 0"),
-        (witness_bytes(1, {"a": (32, 0, (1 << 255).to_bytes(32, "little"))}), ">= 2\\*\\*255"),
-        (witness_bytes(1, {"a": (1, 0, b"\x01"), "b": (1, 0, b"\x01")})[:-1], "truncated"),
-        (witness_bytes(1, {"a": (1, 0, b"\x01")}) + b"\x00", "trailing"),
-        (witness_bytes(0, {b"\xff": (1, 0, b"")}, instance=(1, 0, b"")), "UTF-8"),
-        (witness_bytes(1, {"a": (1, 0, b"\x01")}, instance=(1, 0, b"\x80\x05")), "instance values"),
-        (witness_bytes(0, [("a", (1, 0, b"")), ("a", (1, 0, b""))], instance=(1, 0, b"")), "duplicate"),
-        (b"not a witness", "not a witness"),
-    ],
-)
-def test_malformed_witness_refused(raw, match):
+def _header_and(*parts: bytes) -> bytes:
+    """A witness of 20 rows whose column "a" is `parts` and nothing more."""
+    return b"ZKWT" + struct.pack("<IIII", 4, 20, 1, 0) + b"\x01\x00a" + b"".join(parts)
+
+
+# A presence bitmap 0b101 over 3 rows: rows 0 and 2 assigned.
+HOLE = dict(length=3, bitmap=b"\x05")
+
+MALFORMED_WITNESSES = {
+    "version 1": (V1_WITNESS, "version 1; run `zkgrid witness` again"),
+    "version 2": (V2_WITNESS, "version 2; run `zkgrid witness` again"),
+    "version 3": (V3_WITNESS, "version 3; run `zkgrid witness` again"),
+    "version 5": (witness_bytes(1, {"a": cell_column(b"\x01")}, version=5), "unsupported witness version 5"),
+    "column longer than the grid": (witness_bytes(1, {"a": cell_column(b"\x01\x02")}), "column of 2 cells where at most 1 fit"),
+    "more cells than rows": (witness_bytes(2, {"a": cell_column(b"\x01", length=1, count=2)}), "2 assigned cells in a column of 1"),
+    "bitmap truncated": (_header_and(struct.pack("<II", 20, 1), b"\x01", b"\x00"), "truncated presence bitmap"),
+    "bit set at L": (witness_bytes(4, {"a": cell_column(b"\x01\x02", length=3, bitmap=b"\x0c")}), "presence bit set at or past"),
+    "bit set past L": (witness_bytes(9, {"a": cell_column(b"\x01", length=2, bitmap=b"\x82")}), "presence bit set at or past"),
+    "last bit clear": (witness_bytes(4, {"a": cell_column(b"\x01\x02", length=3, bitmap=b"\x03")}), "last written cell is unassigned"),
+    "count not the popcount": (witness_bytes(4, {"a": cell_column(b"\x01", **HOLE)}), "1 assigned cells, the presence bitmap sets 2"),
+    "outlier mark with no list entry": (witness_bytes(2, {"a": cell_column(b"\x05\x80")}), "outlier mark with no listed outlier"),
+    "mark past the list": (witness_bytes(2, {"a": cell_column(b"\x80\x80", outliers=[7])}), "outlier mark with no listed outlier"),
+    "list entry left over": (witness_bytes(1, {"a": cell_column(b"\x05", outliers=[7])}), "listed outlier with no outlier mark"),
+    "outlier >= 2**255": (witness_bytes(1, {"a": cell_column(b"\x80", outliers=[1 << 255])}), "outlier >= 2\\*\\*255"),
+    "outlier list truncated": (witness_bytes(1, {"a": cell_column(b"\x80", k=2, outliers=[7])}), "truncated"),
+    "instance with a hole": (witness_bytes(1, {"a": cell_column(b"\x01")}, instance=cell_column(b"\x05\x05", **HOLE)), "instance values"),
+    "instance count": (witness_bytes(1, {"a": cell_column(b"\x01")}, n_inst=2), "header says 2"),
+    "width 3": (witness_bytes(1, {"a": cell_column(b"\x00\x00\x00", w=3)}), "bad cell width 3"),
+    "width 0x41": (witness_bytes(1, {"a": cell_column(b"\x00", w=0x41)}), "bad cell width 65"),
+    "32-byte cells with a base": (witness_bytes(1, {"a": cell_column(bytes(32), w=32, base=1 << 64)}), "32-byte cells take no base"),
+    "base 2**63": (witness_bytes(1, {"a": cell_column(b"\x01", base=1 << 63)}), "base"),
+    "base over 2**255": (witness_bytes(1, {"a": cell_column(bytes(8), w=8, base=(1 << 255) + 1)}), "base"),
+    "negative cell with no base": (witness_bytes(1, {"a": cell_column(b"\xff")}), "cell -1 < 0 in a column with no base"),
+    "32-byte cell >= 2**255": (witness_bytes(1, {"a": cell_column((1 << 255).to_bytes(32, "little"), w=32)}), ">= 2\\*\\*255"),
+    "truncated": (witness_bytes(1, {"a": cell_column(b"\x01"), "b": cell_column(b"\x01")})[:-1], "truncated"),
+    "trailing bytes": (witness_bytes(1, {"a": cell_column(b"\x01")}) + b"\x00", "trailing"),
+    "id not UTF-8": (witness_bytes(0, {b"\xff": cell_column()}, instance=cell_column()), "UTF-8"),
+    "duplicate id": (witness_bytes(0, [("a", cell_column()), ("a", cell_column())], instance=cell_column()), "duplicate"),
+    "not a witness": (b"not a witness", "not a witness"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WITNESSES))
+def test_malformed_witness_refused(name):
+    raw, match = MALFORMED_WITNESSES[name]
     with pytest.raises(FormatError, match=match):
         serialize.load_witness(raw)
+
+
+def test_well_formed_fixtures_load():
+    """The fixtures' parts load when nothing is wrong with them: a hole,
+    an outlier, a base and a 32-byte cell."""
+    raw = witness_bytes(4, {
+        "a": cell_column(b"\x01\x02", **HOLE),
+        "b": cell_column(b"\x05\x80\xff", base=P, outliers=[1 << 100]),
+        "c": cell_column((P - 1).to_bytes(32, "little"), w=32),
+    })
+    asg = serialize.load_witness(raw)
+    assert asg.advice == {"a": [1, None, 2, None], "b": [5, 1 << 100, P - 1, None], "c": [P - 1, None, None, None]}
+    assert asg.instance == [5]
+    assert serialize.dump_witness(asg) == raw
 
 
 # --- files through the CLI ---------------------------------------------------
@@ -262,13 +344,14 @@ def test_layout_truncated_at_each_section_boundary_exits_2(files, capsys):
 
 
 def test_flipped_witness_header_refused(files):
-    """A flipped header byte, assigned-length byte or width byte is
-    refused by the loader.  The row count is the one header field no
-    cell bytes back: a larger one can load, as a witness with more
-    unassigned rows, and `check` then refuses it against the layout."""
+    """A flipped header byte, or a flipped low byte of a column's length
+    or assigned count, or its form byte, is refused by the loader.  The
+    row count is the one header field no cell bytes back: a larger one
+    can load, as a witness with more unassigned rows, and `check` then
+    refuses it against the layout."""
     tmp, lay, wit = files
-    column_starts = [pos for pos, _, _ in column_heads(wit)]
-    for pos in [*range(8), *range(12, 20), *column_starts, *(pos + 4 for pos in column_starts)]:
+    column_starts = [h["pos"] for h in column_heads(wit)]
+    for pos in [*range(8), *range(12, 20), *(pos + k for pos in column_starts for k in (0, 4, 8))]:
         for mask in (0x01, 0x06, 0x80, 0xFF):
             bad = bytearray(wit)
             bad[pos] ^= mask
@@ -516,10 +599,10 @@ def test_malformed_layout_exit_2(files, name):
 
 
 @pytest.mark.parametrize("raw, match", [
-    (b"ZKLY" + struct.pack("<II", 6, 2) + b"{}", "unsupported layout version 6"),
-    (b"ZKLY" + struct.pack("<II", 5, 2) + b"[]", "the header must be an object"),
-    (b"ZKLY" + struct.pack("<II", 5, 2) + b"{\xff", "not valid JSON"),
-    (b"ZKLY" + struct.pack("<II", 5, 3) + b"{}", "truncated header"),
+    (b"ZKLY" + struct.pack("<II", 7, 2) + b"{}", "unsupported layout version 7"),
+    (b"ZKLY" + struct.pack("<II", 6, 2) + b"[]", "the header must be an object"),
+    (b"ZKLY" + struct.pack("<II", 6, 2) + b"{\xff", "not valid JSON"),
+    (b"ZKLY" + struct.pack("<II", 6, 3) + b"{}", "truncated header"),
     (b"ZKLY\x04\x00", "truncated header"),
 ])
 def test_malformed_layout_prefix_refused(raw, match):
@@ -548,6 +631,14 @@ def test_v2_witness_refused_by_cli(files):
     assert _check(tmp, lay, V2_WITNESS) == 2
 
 
+def test_v3_witness_refused_by_cli(files, capsys):
+    """A version-3 witness, whose unassigned cells were in-band marks, is
+    refused with a message that says to make the witness again."""
+    tmp, lay, _ = files
+    assert _check(tmp, lay, V3_WITNESS) == 2
+    assert "version 3; run `zkgrid witness` again to get a version-4 file" in capsys.readouterr().err
+
+
 def test_layout_taller_than_max_rows_exits_2(files, capsys):
     """A layout's n_rows is refused before any column is sized by it."""
     tmp, lay, wit = files
@@ -572,7 +663,7 @@ def test_witness_of_many_empty_columns_exits_2(files, capsys):
     """Empty columns cost a few bytes each but would be padded to n_rows
     cells: 10,000 of them at MAX_ROWS rows are refused before padding."""
     tmp, lay, _ = files
-    bad = witness_bytes(MAX_ROWS, [(f"c{i}", (1, 0, b"")) for i in range(10_000)])
+    bad = witness_bytes(MAX_ROWS, [(f"c{i}", cell_column()) for i in range(10_000)])
     assert len(bad) < 500_000
     assert _check(tmp, lay, bad) == 2
     assert f"over the limit of {MAX_CELLS} cells" in capsys.readouterr().err
@@ -592,7 +683,7 @@ def test_layout_of_many_empty_fixed_columns_exits_2(files, capsys):
 def test_witness_is_read_whole_before_padding():
     """A file with trailing bytes is refused before its one column is
     padded to the MAX_ROWS rows its header claims (8 MB of list slots)."""
-    raw = witness_bytes(MAX_ROWS, [("a", (1, 0, b"\x01"))]) + b"\x00"
+    raw = witness_bytes(MAX_ROWS, [("a", cell_column(b"\x01"))]) + b"\x00"
     tracemalloc.start()
     try:
         with pytest.raises(FormatError, match="trailing bytes"):
@@ -638,6 +729,18 @@ def test_v4_layout_refused(files, capsys):
     with pytest.raises(FormatError, match="version 4; compile the model again"):
         serialize.load_layout(v4)
     assert _check(tmp, v4, wit) == 2
+    assert "compile the model again" in capsys.readouterr().err
+
+
+def test_v5_layout_refused(files, capsys):
+    """A version-5 layout, whose fixed values were cell columns of the
+    version-3 witness codec, is refused with a message that says to
+    compile the model again."""
+    tmp, lay, wit = files
+    v5 = lay[:4] + struct.pack("<I", 5) + lay[8:]
+    with pytest.raises(FormatError, match="version 5; compile the model again to get a version-6 file"):
+        serialize.load_layout(v5)
+    assert _check(tmp, v5, wit) == 2
     assert "compile the model again" in capsys.readouterr().err
 
 
@@ -812,3 +915,20 @@ def test_fixed_values_at_the_residue_bounds_load(files):
     layout = serialize.load_layout(layout_file(doc))
     assert (layout.fixed["g0:s0:w0"][0], layout.fixed["g0:s0:w1"][0]) == (P - 1, 1)
     assert serialize.load_layout(serialize.dump_layout(layout)) == layout
+
+
+@pytest.mark.parametrize("seed, mode, witness_budget, layout_budget", [
+    (110, None, 66_000, 220_287),
+    (111, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS, 240_000, 301_399),
+])
+def test_benchmark_models_fit_their_byte_budgets(seed, mode, witness_budget, layout_budget):
+    """The two benchmark models (perfbench's prove_public and audit_batch:
+    32/16/5 random models, the second with hidden weights) witnessed on
+    one fixed input.  The witness budgets hold only when unassigned cells
+    cost a bit and stray big values are outliers (version 3 wrote 81,557
+    and 393,261 bytes); the layout budgets are what version 5 wrote."""
+    g = random_model(random.Random(seed), max_hw=32, max_c=16, max_layers=5)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    wit = serialize.dump_witness(assign_witness(layout, g, random_input(random.Random(1), g)))
+    assert len(wit) <= witness_budget
+    assert len(serialize.dump_layout(layout)) <= layout_budget
