@@ -62,7 +62,7 @@ its group and the first row of its chain.
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
 layer's act.  The witness computes only the cells no copy fills (input
 codes, weight staging, outs, each DIV row's r, q and act, sponge states
-out); the layout's copies then fill the rest, x lanes included.  The
+out and u); the layout's copies then fill the rest, x lanes included.  The
 instance vector is the compiled instance map: logits, then raw input
 codes or the input digest, then the weight digest; the witness fills it
 from the bound cells.
@@ -84,6 +84,24 @@ pk_out is b itself, range-checked to int32; that cell is both the first
 carry of the site's DOT chain and one absorbed element.  The absorbed
 sequence is exactly `commit.weight_elements`, so the weight digest's
 sponge states out are computed once, at compile.
+
+Sponge rows.  Each rate-sized chunk of a digest takes
+full_rounds + ceil(partial_rounds / 2) rows, 37 at the default params
+(t = 3, 8 full and 57 partial rounds), holding the states of
+`commit.sponge_states`:
+
+  * one row per full round; round 0's row also adds the chunk, so there
+    is no absorb row: s_out_k = sum_j M_kj (s_in_j + msg_j + rc_j)^5,
+    with msg on the rate lanes only
+  * one row per pair of partial rounds, the last alone when their count
+    is odd; a pair row's advice cell u holds lane 0 after the first
+    round and the second round's S-box reads it, so every gate stays
+    degree 5, with the second round's constants in the fixed columns
+    rcb_j.  Its gates state the second mix as M^-1 s_out = the S-box
+    layer, so they multiply only canonical cells
+  * each row's state in is a copy of the state out of the row before;
+    a sponge's first row copies zeros and adds the initial state
+    (0, ..., 0, length) to its round constants instead
 """
 
 from __future__ import annotations
@@ -175,8 +193,9 @@ class CircuitStats:
     max_gate_degree: int
     # Rows, copies and enabled lookup rows of each part of the grid, in
     # grid order: "staging", then "layer<i>" for each lowered layer, then
-    # "sponge" (which has no lookups).  A copy belongs to the part that
-    # emitted it, a lookup row to the part of the row its selector enables.
+    # "sponge" (which has no lookups, and counts its absorbs).  A copy
+    # belongs to the part that emitted it, a lookup row to the part of the
+    # row its selector enables.
     regions: dict
     # Advice columns times padded rows: wider rows move cells into columns.
     advice_cells: int
@@ -256,8 +275,8 @@ class SitePlan:
 class SpongePlan:
     label: str            # "input" | "weights"
     message_cells: tuple  # the absorbed cells, in order
-    absorb_rows: tuple    # one row per rate-sized chunk
-    round_rows: tuple     # per chunk: tuple of round row indices
+    absorb_rows: tuple    # per rate-sized chunk, its round-0 row, which adds it
+    round_rows: tuple     # per chunk: the rows of its later rounds
     digest_cell: tuple
     # The states out, {column: {row: value}}, when the message is fixed by
     # the model and they were computed at compile; None when they depend
@@ -772,7 +791,11 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         sponge_plans.append(sp)
         bound.append(sp.digest_cell)
     bld.instance_map = [(c, idx) for idx, c in enumerate(bound)]
-    bld.regions["sponge"] = {"rows": bld.sponge_cursor, "copies": (len(bld.copies) - n_copies) // 4}
+    bld.regions["sponge"] = {
+        "rows": bld.sponge_cursor,
+        "copies": (len(bld.copies) - n_copies) // 4,
+        "absorbs": sum(len(sp.absorb_rows) for sp in sponge_plans),
+    }
 
     layout, stats = _finalize(bld)
     names = layout.copies.names
@@ -910,101 +933,122 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> LayerPl
     return LayerPlan(layer=i, z_in=z_in, a=a, b=b, off=off, z_out=z_out, sites=sites)
 
 
+def _sponge_row_rounds(params: SpongeParams) -> list[tuple]:
+    """The rounds each row of one absorb computes, in order: the leading
+    full rounds one to a row (round 0's row also adds the message), the
+    partial rounds two to a row (the last alone when their count is
+    odd), then the trailing full rounds one to a row."""
+    half = params.full_rounds // 2
+    end = half + params.partial_rounds
+    return (
+        [(r,) for r in range(half)]
+        + [tuple(range(r, min(r + 2, end))) for r in range(half, end, 2)]
+        + [(r,) for r in range(end, params.n_rounds)]
+    )
+
+
+def _sponge_columns(bld: _Builder, params: SpongeParams) -> dict:
+    """The sponge's columns and round gates, made on first use and shared
+    by every sponge of the grid."""
+    if bld.sponge_cols is not None:
+        return bld.sponge_cols
+    t = params.t
+    mds = params.mds
+    sc = bld.sponge_cols = {
+        "s_in": tuple(bld.new_column(f"sp:in{j}", ADVICE) for j in range(t)),
+        "s_out": tuple(bld.new_column(f"sp:out{j}", ADVICE) for j in range(t)),
+        "msg": tuple(bld.new_column(f"sp:m{j}", ADVICE) for j in range(params.rate)),
+        # lane 0 between the two partial rounds of a pair row
+        "u": bld.new_column("sp:u", ADVICE),
+        "rc": tuple(bld.new_column(f"sp:rc{j}", FIXED) for j in range(t)),
+        # the second partial round's constants on a pair row
+        "rcb": tuple(bld.new_column(f"sp:rcb{j}", FIXED) for j in range(t)),
+        "q_absorb": bld.new_column("sp:q_absorb", FIXED),
+        "q_full": bld.new_column("sp:q_full", FIXED),
+        "q_part": bld.new_column("sp:q_part", FIXED),
+        "q_pair": bld.new_column("sp:q_pair", FIXED),
+    }
+
+    def mix(matrix: tuple, k: int, lanes: list):
+        return add(*(mul(const(matrix[k][j]), x) for j, x in enumerate(lanes)))
+
+    def gate(gid: str, name: str, sel: str, lhs, rhs) -> None:
+        bld.gates.append(GateDef(id=gid, name=name, selector=sc[sel], poly=sub(lhs, rhs)))
+
+    rc, rcb = sc["rc"], sc["rcb"]
+    s_out = [cell(c) for c in sc["s_out"]]
+    u = cell(sc["u"])
+    # The gates of one selector share their subtrees, which the checker
+    # then evaluates once per row.
+    shifted = [add(cell(x), cell(c)) for x, c in zip(sc["s_in"], rc)]
+    full = [pow5(x) for x in shifted]
+    part = [full[0], *shifted[1:]]
+    # Round 0 adds the message to the rate lanes.
+    absorbed = [pow5(add(cell(x), cell(m), cell(c))) for x, m, c in zip(sc["s_in"], sc["msg"], rc)]
+    absorbed += full[params.rate :]
+    # A pair row: u is lane 0 after the first round; the second round's
+    # S-box reads u and its other lanes are linear in the first round's,
+    # so every gate stays degree 5.  The pair gates state the second
+    # round's mix as M^-1 * s_out = its S-box layer, which is equivalent
+    # (M is invertible) and multiplies canonical cells only.
+    second = [pow5(add(u, cell(rcb[0])))]
+    second += [add(mix(mds, k, part), cell(rcb[k])) for k in range(1, t)]
+    gate("sp:pair_u", "POSE_PART_U", "q_pair", u, mix(mds, 0, part))
+    for k in range(t):
+        gate(f"sp:absorb{k}", f"ABSORB_{k}", "q_absorb", s_out[k], mix(mds, k, absorbed))
+        gate(f"sp:full{k}", f"POSE_FULL_{k}", "q_full", s_out[k], mix(mds, k, full))
+        gate(f"sp:part{k}", f"POSE_PART_{k}", "q_part", s_out[k], mix(mds, k, part))
+        gate(f"sp:pair{k}", f"POSE_PART_PAIR_{k}", "q_pair", mix(params.mds_inv, k, s_out), second[k])
+    return sc
+
+
 def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells: list) -> SpongePlan:
-    """Absorb rows plus permutation round rows for one committed tensor."""
-    p = bld.p
+    """The rows of one committed tensor's sponge, `_sponge_row_rounds`
+    for each rate-sized chunk.  Each row copies its state in from the
+    previous row's state out; the sponge's first row copies it from the
+    zero column and adds the initial state (0, ..., 0, length) to its
+    round constants instead."""
+    sc = _sponge_columns(bld, params)
     t = params.t
     rate = params.rate
-    if bld.sponge_cols is None:
-        sc = {
-            "s_in": tuple(bld.new_column(f"sp:in{j}", ADVICE) for j in range(t)),
-            "s_out": tuple(bld.new_column(f"sp:out{j}", ADVICE) for j in range(t)),
-            "msg": tuple(bld.new_column(f"sp:m{j}", ADVICE) for j in range(rate)),
-            "rc": tuple(bld.new_column(f"sp:rc{j}", FIXED) for j in range(t)),
-            "q_absorb": bld.new_column("sp:q_absorb", FIXED),
-            "q_full": bld.new_column("sp:q_full", FIXED),
-            "q_part": bld.new_column("sp:q_part", FIXED),
-        }
-        bld.sponge_cols = sc
-        for j in range(rate):
-            bld.gates.append(
-                GateDef(
-                    id=f"sp:absorb{j}", name=f"ABSORB_{j}", selector=sc["q_absorb"],
-                    poly=sub(cell(sc["s_out"][j]), add(cell(sc["s_in"][j]), cell(sc["msg"][j]))),
-                )
-            )
-        for j in range(rate, t):
-            bld.gates.append(
-                GateDef(
-                    id=f"sp:absorb{j}", name=f"ABSORB_{j}", selector=sc["q_absorb"],
-                    poly=sub(cell(sc["s_out"][j]), cell(sc["s_in"][j])),
-                )
-            )
-        # Every round gate reads the same s_in + rc and S-box subtrees,
-        # which the checker then evaluates once per row.
-        shifted = [add(cell(sc["s_in"][j]), cell(sc["rc"][j])) for j in range(t)]
-        sboxes = [pow5(x) for x in shifted]
-        for k in range(t):
-            full_terms = [mul(const(params.mds[k][j]), sboxes[j]) for j in range(t)]
-            part_terms = [mul(const(params.mds[k][0]), sboxes[0])] + [
-                mul(const(params.mds[k][j]), shifted[j]) for j in range(1, t)
-            ]
-            bld.gates.append(
-                GateDef(id=f"sp:full{k}", name=f"POSE_FULL_{k}", selector=sc["q_full"],
-                        poly=sub(cell(sc["s_out"][k]), add(*full_terms)))
-            )
-            bld.gates.append(
-                GateDef(id=f"sp:part{k}", name=f"POSE_PART_{k}", selector=sc["q_part"],
-                        poly=sub(cell(sc["s_out"][k]), add(*part_terms)))
-            )
-    sc = bld.sponge_cols
-
+    row_rounds = _sponge_row_rounds(params)
     n_elems = len(message_cells)
-    absorb_rows = []
-    round_rows = []
-    prev_out_cells: list | None = None
-    for chunk_start in range(0, n_elems, rate):
-        chunk_cells = message_cells[chunk_start : chunk_start + rate]
-        row = bld.sponge_cursor
-        bld.sponge_cursor += 1
-        bld.set_fixed(sc["q_absorb"], row, 1)
-        if prev_out_cells is None:
-            # initial state (0, ..., 0, length), pinned through the rc cells
-            init = [0] * (t - 1) + [n_elems % p]
-            for j in range(t):
-                bld.set_fixed(sc["rc"][j], row, init[j])
-                bld.copy((sc["s_in"][j], row), (sc["rc"][j], row))
-        else:
-            for j in range(t):
-                bld.copy((sc["s_in"][j], row), prev_out_cells[j])
-        for j in range(rate):
-            if j < len(chunk_cells):
-                bld.copy((sc["msg"][j], row), chunk_cells[j])
-            else:
-                bld.copy((sc["msg"][j], row), (bld.zero_col, row))
-        absorb_rows.append(row)
-        prev_cells = [(sc["s_out"][j], row) for j in range(t)]
-
-        chunk_rounds = []
-        for r in range(params.n_rounds):
+    rcs = params.round_constants
+    rc_first = [c + v for c, v in zip(rcs[0], [0] * rate + [n_elems])]
+    chunk_rows = []
+    prev = None
+    for lo in range(0, n_elems, rate):
+        chunk = message_cells[lo : lo + rate]
+        rows = []
+        for rounds in row_rounds:
             row = bld.sponge_cursor
             bld.sponge_cursor += 1
-            sel = sc["q_full"] if params.is_full_round(r) else sc["q_part"]
-            bld.set_fixed(sel, row, 1)
+            r = rounds[0]
+            if r == 0:
+                sel = "q_absorb"
+                for j in range(rate):
+                    bld.copy((sc["msg"][j], row), chunk[j] if j < len(chunk) else (bld.zero_col, row))
+            elif len(rounds) == 2:
+                sel = "q_pair"
+                for j in range(t):
+                    bld.set_fixed(sc["rcb"][j], row, rcs[r + 1][j])
+            else:
+                sel = "q_full" if params.is_full_round(r) else "q_part"
+            bld.set_fixed(sc[sel], row, 1)
+            rc = rcs[r] if prev else rc_first
             for j in range(t):
-                bld.set_fixed(sc["rc"][j], row, params.round_constants[r][j])
-                bld.copy((sc["s_in"][j], row), prev_cells[j])
-            prev_cells = [(sc["s_out"][j], row) for j in range(t)]
-            chunk_rounds.append(row)
-        round_rows.append(tuple(chunk_rounds))
-        prev_out_cells = prev_cells
+                bld.set_fixed(sc["rc"][j], row, rc[j])
+                bld.copy((sc["s_in"][j], row), prev[j] if prev else (bld.zero_col, row))
+            prev = [(sc["s_out"][j], row) for j in range(t)]
+            rows.append(row)
+        chunk_rows.append(rows)
 
     return SpongePlan(
         label=label,
         message_cells=tuple(message_cells),
-        absorb_rows=tuple(absorb_rows),
-        round_rows=tuple(round_rows),
-        digest_cell=tuple(prev_out_cells[0]),
+        absorb_rows=tuple(rows[0] for rows in chunk_rows),
+        round_rows=tuple(tuple(rows[1:]) for rows in chunk_rows),
+        digest_cell=prev[0],
     )
 
 
@@ -1062,7 +1106,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     The layout must come from compile() for the same graph; the attached
     plan drives the fill.  The witness computes the cells no copy fills:
     the input codes, the weight staging, each chain row's out and the
-    last row's r, q and act, and the sponge states out.  Each site's
+    last row's r, q and act, and the sponge states out and u.  Each site's
     accumulator and activation are checked against the interpreter
     trace.  One pass over the layout's copies then fills every other
     cell, and the instance is the bound cells' values.
@@ -1150,13 +1194,19 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
 
 
 def _fill_sponge(advice, sp: SpongePlan, elements: list[int], params: SpongeParams) -> None:
-    """Write the states out of `commit.sponge_states` for `elements` to
-    the sponge's rows: each chunk's absorb row, then its round rows.
-    Every other sponge cell is a copy."""
+    """Write the states of `commit.sponge_states` for `elements` to the
+    sponge's rows: each row's state out after its last round and, on a
+    pair row, u after its first.  Every other sponge cell is a copy."""
     outs = [advice[f"sp:out{j}"] for j in range(params.t)]
+    u = advice["sp:u"]
+    row_rounds = _sponge_row_rounds(params)
     for (_, states), absorb_row, round_rows in zip(
         sponge_states(elements, params), sp.absorb_rows, sp.round_rows
     ):
-        for row, s_out in zip((absorb_row, *round_rows), states[1:]):
-            for column, v in zip(outs, s_out):
+        # states[0] is the state in and states[1] the absorbed state, so
+        # round r's state out is states[r + 2].
+        for row, rounds in zip((absorb_row, *round_rows), row_rounds):
+            for column, v in zip(outs, states[rounds[-1] + 2]):
                 column[row] = v
+            if len(rounds) == 2:
+                u[row] = states[rounds[0] + 2][0]

@@ -19,6 +19,12 @@ Absorb schedule.  The state starts as (0, ..., 0, length); each
 rate-sized chunk, zero-padded, is added to the rate lanes and the state
 is permuted.  `sponge_states` yields every intermediate state, so
 `sponge_hash` and the grid's sponge rows are filled from one schedule.
+The grid spends full_rounds + ceil(partial_rounds / 2) rows on a chunk
+(37 at the defaults): round 0's row adds the chunk as it permutes, so
+the absorbed state gets no row of its own, and partial rounds go two to
+a row, which keeps lane 0 between them in one cell and drops the other
+lanes of that middle state.  The mixing matrix is invertible, and the
+grid's paired-round gates use its inverse `mds_inv`.
 
 Digest definitions.  The input digest absorbs `input_elements`, one
 element per input code.  The weight digest absorbs `weight_elements`,
@@ -69,21 +75,23 @@ def _derive_constant(seed: str, label: str, i: int, modulus: int) -> int:
     return int.from_bytes(h, "big") % modulus
 
 
-def _matrix_invertible(m: list[list[int]], p: int) -> bool:
-    """Gaussian elimination mod p."""
+def _matrix_inverse(m: list[list[int]], p: int) -> list[list[int]] | None:
+    """The inverse of m mod p by Gauss-Jordan elimination, or None when m
+    is singular."""
     t = len(m)
-    a = [row[:] for row in m]
+    a = [list(row) + [int(c == r) for c in range(t)] for r, row in enumerate(m)]
     for col in range(t):
         piv = next((r for r in range(col, t) if a[r][col] % p != 0), None)
         if piv is None:
-            return False
+            return None
         a[col], a[piv] = a[piv], a[col]
         inv = pow(a[col][col], p - 2, p)
-        for r in range(col + 1, t):
-            f = a[r][col] * inv % p
-            for c in range(col, t):
-                a[r][c] = (a[r][c] - f * a[col][c]) % p
-    return True
+        a[col] = [v * inv % p for v in a[col]]
+        for r in range(t):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[col])]
+    return [row[t:] for row in a]
 
 
 @dataclass(frozen=True)
@@ -95,12 +103,15 @@ class SpongeParams:
     seed: str = DEFAULT_SEED
     round_constants: tuple = field(default=(), compare=False)
     mds: tuple = field(default=(), compare=False)
+    mds_inv: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.t < 2:
             raise ValueError("state width must be >= 2")
         if self.full_rounds < 2 or self.full_rounds % 2 != 0:
             raise ValueError("full round count must be even and >= 2")
+        if self.partial_rounds < 0:
+            raise ValueError("partial round count must be >= 0")
         p = self.modulus
         n_rounds = self.full_rounds + self.partial_rounds
         rc = tuple(
@@ -110,10 +121,12 @@ class SpongeParams:
         mds = [
             [pow(r + self.t + c, p - 2, p) for c in range(self.t)] for r in range(self.t)
         ]
-        if not _matrix_invertible(mds, p):
+        mds_inv = _matrix_inverse(mds, p)
+        if mds_inv is None:
             raise ValueError("derived mixing matrix is singular; pick another seed")
         object.__setattr__(self, "round_constants", rc)
         object.__setattr__(self, "mds", tuple(tuple(row) for row in mds))
+        object.__setattr__(self, "mds_inv", tuple(tuple(row) for row in mds_inv))
 
     @property
     def rate(self) -> int:

@@ -288,6 +288,30 @@ def test_region_stats_partition_the_grid(seed, mode):
     )
 
 
+def test_audit_model_sponge_rows():
+    """An absorb takes 37 rows at the default params: round 0 adds the
+    chunk, so there is no absorb row, and the 57 partial rounds go two to
+    a row (4 + 28 + 1 + 4).  On audit_batch's model (seed 111, hidden
+    weights) the weight digest's 13 absorbs take 481 rows, which sit
+    under its 1,428 model rows; 1,440 of the copies chain a row's state in
+    to the state out before it."""
+    g = random_model(random.Random(111), max_hw=32, max_c=16, max_layers=5)
+    _, stats = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
+    assert stats.regions["sponge"] == {"rows": 481, "copies": 1440 + 13 * 2 + 3, "absorbs": 13}
+    assert (stats.n_rows, stats.n_rows_padded) == (1428, 2048)
+
+
+@pytest.mark.parametrize("seed", [110, 111])
+def test_both_hidden_benchmark_models_fit_65536_rows(seed):
+    """With both tensors hidden the input digest sizes the grid (1,714 and
+    1,315 absorbs); at 37 rows an absorb both models fit 2^16 rows."""
+    g = random_model(random.Random(seed), max_hw=32, max_c=16, max_layers=5)
+    _, stats = compile(g, CompileConfig(mode=VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS))
+    sponge = stats.regions["sponge"]
+    assert sponge["rows"] == 37 * sponge["absorbs"] == stats.n_rows
+    assert stats.n_rows_padded == 65536
+
+
 @pytest.mark.parametrize("seed, mode", [(110, None), (111, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS)])
 def test_dot_rows_hold_only_their_taps(seed, mode):
     """On the benchmark models each DOT row enables exactly DOT_k for its k

@@ -182,7 +182,7 @@ def test_tampered_hidden_witness_matches_row_oracle(hidden_layout):
     rng = random.Random(5)
     sponge_cells = [(c, r) for c in sorted(honest.advice) if c.startswith("sp:") for r in range(layout.n_rows)]
     all_cells = [(c, r) for c in sorted(honest.advice) for r in range(layout.n_rows)]
-    full_rows = [r for r, q in enumerate(layout.fixed["sp:q_full"]) if q]
+    pair_rows = layout.fixed["sp:q_pair"].nonzero_rows()
     caught = 0
     hit_gates = set()
     for trial in range(12):
@@ -192,7 +192,9 @@ def test_tampered_hidden_witness_matches_row_oracle(hidden_layout):
             if asg.advice[col][row] is not None:
                 asg.advice[col][row] = rng.randrange(p)
         if trial % 4 == 1:
-            asg.advice["sp:in1"][rng.choice(full_rows)] += 1
+            asg.advice["sp:in1"][rng.choice(pair_rows)] += 1
+        if trial % 4 == 3:
+            asg.advice["sp:u"][rng.choice(pair_rows)] += 1
         cap = rng.choice([1000, 7])
         expect = row_oracle_check(layout, asg, cap=cap)
         caught += bool(expect)
@@ -200,7 +202,7 @@ def test_tampered_hidden_witness_matches_row_oracle(hidden_layout):
         for shards in (1, 4):
             assert check_parallel(layout, asg, shards=shards, cap=cap) == expect
     assert caught >= 6
-    assert {g[:7] for g in hit_gates} >= {"sp:full", "sp:part"}
+    assert {g[:7] for g in hit_gates} >= {"sp:full", "sp:pair"}
 
 
 def test_non_canonical_cells_reduce_exactly(hidden_layout):
@@ -229,11 +231,15 @@ def test_non_canonical_cells_reduce_exactly(hidden_layout):
     assert got and got == row_oracle_check(layout, edge, cap=10_000)
 
 
-@pytest.mark.parametrize("col", ["sp:in0", "sp:out1", "sp:rc0"])
-def test_unassigned_sponge_cell_is_error(hidden_layout, col):
+@pytest.mark.parametrize("col, selector", [
+    ("sp:in0", "sp:q_absorb"), ("sp:m1", "sp:q_absorb"), ("sp:in2", "sp:q_full"),
+    ("sp:u", "sp:q_pair"), ("sp:out1", "sp:q_pair"), ("sp:rcb0", "sp:q_pair"), ("sp:rc0", "sp:q_part"),
+])
+def test_unassigned_sponge_cell_is_error(hidden_layout, col, selector):
+    """A cell that an enabled round gate reads, on each kind of sponge row."""
     layout, honest = hidden_layout
     asg = copy.deepcopy(honest)
-    row = layout.plan.sponges[0].round_rows[0][1]
+    row = layout.fixed[selector].nonzero_rows()[1]
     if col in asg.advice:
         asg.advice[col][row] = None
     else:
@@ -242,6 +248,40 @@ def test_unassigned_sponge_cell_is_error(hidden_layout, col):
         layout = replace(layout, fixed={**layout.fixed, col: vals})
     with pytest.raises(CheckError, match=f"unassigned cell in enabled row {row}"):
         check(layout, asg)
+
+
+def _sponge_cell(layout, which):
+    """(column, row) of one sponge cell: the u or a state out of a pair
+    row, a message lane of a later chunk's round-0 row, or a state in of
+    the sponge's first row."""
+    sp = layout.plan.sponges[0]
+    pair_row = layout.fixed["sp:q_pair"].nonzero_rows()[3]
+    return {
+        "u": ("sp:u", pair_row),
+        "pair s_out": ("sp:out1", pair_row),
+        "round-0 msg": ("sp:m0", sp.absorb_rows[-1]),
+        "first s_in": ("sp:in2", sp.absorb_rows[0]),
+    }[which]
+
+
+@pytest.mark.parametrize("which, gates, copied", [
+    ("u", ["sp:pair0", "sp:pair_u"], False),
+    ("pair s_out", ["sp:pair0", "sp:pair1", "sp:pair2"], True),
+    ("round-0 msg", ["sp:absorb0", "sp:absorb1", "sp:absorb2"], True),
+    ("first s_in", ["sp:absorb0", "sp:absorb1", "sp:absorb2"], True),
+])
+def test_raised_sponge_cell_is_caught(hidden_layout, which, gates, copied):
+    """Raising one sponge cell by 1 breaks the round gates of its own row,
+    and, when a copy binds the cell, that copy: the next row's state in,
+    the absorbed message cell or the zero column."""
+    layout, honest = hidden_layout
+    col, row = _sponge_cell(layout, which)
+    asg = copy.deepcopy(honest)
+    asg.advice[col][row] += 1
+    got = check(layout, asg)
+    assert got == row_oracle_check(layout, asg)
+    assert [(v.id, v.row) for v in got if v.kind == "gate"] == [(g, row) for g in gates]
+    assert [v.kind for v in got if v.kind != "gate"] == ["copy"] * copied
 
 
 def test_unassigned_lookup_and_copy_cells_are_errors():

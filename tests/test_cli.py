@@ -491,6 +491,16 @@ def test_config_with_sponge_params_and_mode(workspace):
     assert main(["check", str(layout), str(wit)]) == 0
 
 
+def test_config_negative_partial_rounds_exit_2(workspace, capsys):
+    tmp, model, _ = workspace
+    sponge = tmp / "sponge.json"
+    sponge.write_text(json.dumps({"partial_rounds": -1}))
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "public_input_hidden_weights", "sponge_params": str(sponge)}))
+    assert main(["compile", model, "--config", str(cfg)]) == 2
+    assert "partial round count must be >= 0" in capsys.readouterr().err
+
+
 U32_MAX = (1 << 32) - 1
 
 

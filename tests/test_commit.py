@@ -105,6 +105,9 @@ def test_mds_invertible_and_constants_reproducible():
     again = SpongeParams()
     assert again.round_constants == PARAMS.round_constants
     assert again.mds == PARAMS.mds
+    p, t = PARAMS.modulus, PARAMS.t
+    product = [[sum(PARAMS.mds[i][k] * PARAMS.mds_inv[k][j] for k in range(t)) % p for j in range(t)] for i in range(t)]
+    assert product == [[int(i == j) for j in range(t)] for i in range(t)]
     other_seed = SpongeParams(seed="different-seed")
     assert other_seed.round_constants != PARAMS.round_constants
 
@@ -176,26 +179,62 @@ def test_in_circuit_sponge_matches_out_of_circuit():
         assert got_w == expect_w
 
 
+def _row_rounds(params):
+    """The rounds each row of one absorb computes: full rounds one to a
+    row, partial rounds two to a row and the odd one alone."""
+    half = params.full_rounds // 2
+    end = half + params.partial_rounds
+    pairs = [(r, r + 1) for r in range(half, end - 1, 2)]
+    odd = [(end - 1,)] if params.partial_rounds % 2 else []
+    return [(r,) for r in range(half)] + pairs + odd + [(r,) for r in range(end, params.n_rounds)]
+
+
 def test_sponge_rows_are_sponge_states():
     """Both sponges' rows, the input's filled per witness and the
     weights' filled at compile, hold exactly `sponge_states`: each chunk
-    on its absorb row, and each state in and out along the chunk's rows."""
+    on its round-0 row, which has no absorb row before it, then one row
+    per full round and per pair of partial rounds, with u the lane 0
+    between the two rounds of a pair.  Each row's state in is the state
+    out of the row before; the sponge's first row reads zeros and adds
+    the initial state (0, 0, length) through its round constants."""
     rng = random.Random(31)
     g = random_parameterized_model(rng, max_hw=3, max_c=2, max_layers=2)
     cfg = CompileConfig(mode=VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS)
     layout, _ = compile(g, cfg)
     adv = assign_witness(layout, g, random_input(rng, g)).advice
     params = cfg.sponge_params()
+    row_rounds = _row_rounds(params)
+    assert len(row_rounds) == 37
+    rc = [layout.fixed[f"sp:rc{j}"] for j in range(params.t)]
+    rcb = [layout.fixed[f"sp:rcb{j}"] for j in range(params.t)]
     assert {sp.label for sp in layout.plan.sponges} == {"input", "weights"}
     for sp in layout.plan.sponges:
         elements = [adv[c][r] for c, r in sp.message_cells]
         chunks = list(sponge_states(elements, params))
         assert len(chunks) == len(sp.absorb_rows) == len(sp.round_rows)
+        first = sp.absorb_rows[0]
+        assert [adv[f"sp:in{j}"][first] for j in range(params.t)] == [0, 0, 0]
+        init = [0, 0, len(elements)]
+        assert [rc[j][first] for j in range(params.t)] == [
+            (c + v) % params.modulus for c, v in zip(params.round_constants[0], init)
+        ]
+        prev = None
         for (chunk, states), absorb_row, round_rows in zip(chunks, sp.absorb_rows, sp.round_rows):
             assert [adv[f"sp:m{j}"][absorb_row] for j in range(params.rate)] == chunk
             rows = (absorb_row, *round_rows)
-            assert [[adv[f"sp:in{j}"][r] for j in range(params.t)] for r in rows] == states[:-1]
-            assert [[adv[f"sp:out{j}"][r] for j in range(params.t)] for r in rows] == states[1:]
+            assert len(rows) == len(row_rounds)
+            for row, rounds in zip(rows, row_rounds):
+                if row != first:
+                    assert [adv[f"sp:in{j}"][row] for j in range(params.t)] == prev
+                    assert [rc[j][row] for j in range(params.t)] == list(params.round_constants[rounds[0]])
+                prev = [adv[f"sp:out{j}"][row] for j in range(params.t)]
+                assert prev == states[rounds[-1] + 2]
+                if len(rounds) == 2:
+                    assert adv["sp:u"][row] == states[rounds[0] + 2][0]
+                    assert [rcb[j][row] for j in range(params.t)] == list(params.round_constants[rounds[1]])
+                else:
+                    assert adv["sp:u"][row] is None
+            assert prev == states[-1]
         assert adv[sp.digest_cell[0]][sp.digest_cell[1]] == sponge_hash(elements, params)
 
 
@@ -224,6 +263,30 @@ def test_weight_perturbation_breaks_binding():
     tampered = assign_witness(layout2, g2, inp)
     tampered.instance = list(honest.instance)  # claim the old commitment
     assert check(layout2, tampered) != []
+
+
+@pytest.mark.parametrize("partial_rounds", [0, 1, 2, 57])
+def test_partial_round_counts_compile_and_check(partial_rounds):
+    """No partial round, an odd one alone and one pair: each count
+    compiles to full_rounds + ceil(partial/2) rows per absorb, the honest
+    witness checks clean and both digests match `sponge_hash`."""
+    rng = random.Random(50 + partial_rounds)
+    g = random_parameterized_model(rng, max_hw=3, max_c=2, max_layers=2)
+    inp = random_input(rng, g)
+    sp = SpongeParams(partial_rounds=partial_rounds)
+    cfg = CompileConfig(mode=VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS, sponge=sp)
+    layout, stats = compile(g, cfg)
+    sponge = stats.regions["sponge"]
+    assert sponge["rows"] == sponge["absorbs"] * (8 + (partial_rounds + 1) // 2)
+    asg = assign_witness(layout, g, inp)
+    assert check(layout, asg) == []
+    assert asg.instance == commit_model_io(g, inp, cfg.mode, sp)
+
+
+def test_negative_partial_rounds_rejected():
+    """-1 partial rounds would run full_rounds - 1 rounds, all full."""
+    with pytest.raises(ValueError, match="partial round count must be >= 0"):
+        SpongeParams.from_json({"partial_rounds": -1})
 
 
 def test_wider_sponge_state_compiles_and_binds():

@@ -1,17 +1,22 @@
 """The README documents exactly the settings the code has: the fields of
 its `--config` example are the ones `cli.load_config` accepts, and each
 subcommand line of its CLI synopsis lists exactly the options that
-subcommand's parser defines, and its file formats carry the versions
-`serialize` writes."""
+subcommand's parser defines, its file formats carry the versions
+`serialize` writes, and its sponge rows per absorb are what compile
+lays out."""
 
 import argparse
 import json
+import random
 import re
 from pathlib import Path
 
 import pytest
 
 from zkgrid import cli, serialize
+from zkgrid.arithmetize import CompileConfig, compile
+from zkgrid.commit import VisibilityMode
+from zkgrid.modelgen import random_model
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -78,3 +83,14 @@ def test_file_format_versions(name, version):
     version, so a format change that forgets the README fails here."""
     stated = re.findall(rf"\*\*{name}\*\* \(version (\d+)\)", README)
     assert stated == [str(version)], f"README states {name} version(s) {stated}, the code writes {version}"
+
+
+def test_sponge_rows_per_absorb():
+    """The README's rows-per-absorb figure is what compile gives at the
+    default sponge params."""
+    stated = re.findall(r"Each absorb takes (\d+) rows at the default sponge params", README)
+    g = random_model(random.Random(4), max_hw=4, max_c=2, max_layers=2)
+    _, stats = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
+    sponge = stats.regions["sponge"]
+    assert stated == [str(sponge["rows"] // sponge["absorbs"])]
+    assert sponge["rows"] % sponge["absorbs"] == 0
