@@ -56,8 +56,15 @@ share a patch).  The layer's rows, fixed cells and copies are emitted
 from that table straight into the builder's packed copy list and sparse
 fixed columns, with each group's columns numbered once.  The witness plan
 keeps one record per layer (LayerPlan): its z_in, its DIV key (a, b, off,
-z_out) and, per site, the x source cells, the weights, the bias, its slot,
-its group and the first row of its chain.
+z_out), the refs it reads and its taps as integer arrays.  Per chain they
+hold its source indices into the refs' flattened outputs and its tap
+count; per site its chain, slot, group, first row, bias and weights.
+Every chain is padded to the layer's widest, a multiple of N taps, with
+weight 0 on the pad taps, so the witness fills a whole layer with a few
+array operations: gather the sources from the trace, one product with the
+weights, a sum per N-tap block and a cumulative sum give every row's out.
+The DIV step runs in int64 when a and max|bound| * a fit it, on Python
+ints otherwise, as in the interpreter.
 
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
 layer's act.  The witness computes only the cells no copy fills (input
@@ -106,9 +113,12 @@ full_rounds + ceil(partial_rounds / 2) rows, 37 at the default params
 
 from __future__ import annotations
 
-import operator
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field as dc_field, replace
+from functools import cached_property
+
+import numpy as np
 
 from .circuit import (
     ADVICE,
@@ -141,7 +151,7 @@ from .commit import (
     sponge_states,
 )
 from .field import Field
-from .interpreter import run_inference
+from .interpreter import run_inference, scale_fits_int64
 from .model import (
     INPUT_REF,
     ModelGraph,
@@ -208,9 +218,11 @@ class CircuitStats:
 
 # --- witness plan -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LayerPlan:
-    """One lowered layer, as the witness fills it."""
+    """One lowered layer, as the witness fills it: its tap table as
+    integer arrays, every chain padded to the same K taps, a multiple of
+    N, with weight 0 on each pad tap."""
 
     layer: int
     z_in: int
@@ -218,12 +230,48 @@ class LayerPlan:
     b: int
     off: int
     z_out: int
-    # Per site, in flat order: (x source cells, weights, bias, slot,
-    # group, first row).  The chain takes rows first_row + r of the group
-    # for r < ceil(k/N); row r holds taps r*N .. r*N + N - 1 and the last
-    # row carries DIV.  The sites of one chunk (its slots 0 .. M-1,
-    # consecutive) share their rows and x source cells.
-    sites: list
+    # The refs the layer reads.  A source index is a position in their
+    # flattened outputs, concatenated in this order (a residual's first
+    # input, then its second).
+    refs: tuple
+    # Per chain, in emission order (per output position, per chunk of the
+    # channels sharing its patch): its K source indices and its tap count
+    # k.  The chain spans ceil(k/N) rows; row r holds taps r*N .. r*N + N - 1.
+    src: np.ndarray       # (chains, K)
+    taps: np.ndarray      # (chains,)
+    # Per site, in flat order: its chain, its slot and group, the first
+    # row of its chain, its bias and its K weights.  The sites of one
+    # chain (slots 0 .. M-1, consecutive) share its rows; the last row
+    # carries DIV.
+    chain: np.ndarray     # (sites,)
+    slot: np.ndarray
+    group: np.ndarray
+    first_row: np.ndarray
+    bias: np.ndarray
+    weights: np.ndarray   # (sites, K)
+
+    @cached_property
+    def fill_order(self) -> tuple:
+        """How the witness writes the layer, worked out on first use: the
+        sites sorted by (group, slot), stably; the positions of their outs
+        on real rows in the (sites, rows) array of outs, in that order;
+        each sorted site's last row; and per (group, slot), its group,
+        slot and first row and its ranges of sorted sites and of outs.
+        The sites of one (group, slot) hold consecutive rows of its
+        columns, in flat order."""
+        order = np.lexsort((self.slot, self.group))
+        rows = _chain_rows(self.taps)[self.chain][order]
+        width = self.src.shape[1] // GATE_WIDTH
+        live = np.arange(width) < rows[:, None]
+        out_pos = (order[:, None] * width + np.arange(width))[live]
+        group, slot, first_row = self.group[order], self.slot[order], self.first_row[order]
+        cuts = (np.flatnonzero((np.diff(group) != 0) | (np.diff(slot) != 0)) + 1).tolist()
+        ends = [0, *np.cumsum(rows).tolist()]
+        blocks = [
+            (int(group[lo]), int(slot[lo]), int(first_row[lo]), lo, hi, ends[lo], ends[hi])
+            for lo, hi in zip([0, *cuts], [*cuts, len(order)])
+        ]
+        return order, out_pos, (first_row + rows - 1).tolist(), blocks
 
 
 @dataclass(frozen=True)
@@ -310,14 +358,22 @@ class WitnessPlan:
         each call; compile and witness do not use it."""
         n = GATE_WIDTH
         out = []
+        act_cells = {INPUT_REF: self.input_cells}
         for lp in self.layer_plans:
-            for flat, (x_srcs, w_ints, bias, slot, g, first_row) in enumerate(lp.sites):
+            src_cells = [c for ref in lp.refs for c in act_cells[ref]]
+            start = len(out)
+            taps, src = lp.taps.tolist(), lp.src.tolist()
+            weights = lp.weights.tolist()
+            sites = zip(lp.chain.tolist(), lp.slot.tolist(), lp.group.tolist(), lp.first_row.tolist(), lp.bias.tolist())
+            for flat, (ch, slot, g, first_row, bias) in enumerate(sites):
+                k = taps[ch]
+                x_srcs = [src_cells[j] for j in src[ch][:k]]
                 specs = [
                     DotRowSpec(
                         group=g, row=first_row + r, slot=slot,
-                        x_srcs=tuple(x_srcs[lo : lo + n]), w_ints=tuple(w_ints[lo : lo + n]),
+                        x_srcs=tuple(x_srcs[lo : lo + n]), w_ints=tuple(weights[flat][lo : min(lo + n, k)]),
                     )
-                    for r, lo in enumerate(range(0, len(x_srcs), n))
+                    for r, lo in enumerate(range(0, k, n))
                 ]
                 last = specs.pop()
                 div = DivRowSpec(
@@ -325,6 +381,7 @@ class WitnessPlan:
                     a=lp.a, b=lp.b, off=lp.off, z_out=lp.z_out,
                 )
                 out.append(SitePlan(lp.layer, flat, lp.z_in, bias, tuple(specs), div))
+            act_cells[lp.layer] = [site.div.cell("act") for site in out[start:]]
         return out
 
 
@@ -749,19 +806,12 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     acc_cells: dict[int, list] = {}   # each site's last out: its accumulator
     for i, key in keys.items():
         n_copies = len(bld.copies)
-        lp = _lower_layer(bld, i, clips[key], act_cells)
+        lp, act_cells[i], acc_cells[i] = _lower_layer(bld, i, clips[key], act_cells)
         layer_plans.append(lp)
-        slots = {g.index: g.slots for g in bld.groups.values()}
-        ends = [
-            (slots[g][s], row + _chain_rows(len(x_srcs)) - 1) for x_srcs, _, _, s, g, row in lp.sites
-        ]
-        act_cells[i] = [(slot.act, row) for slot, row in ends]
-        acc_cells[i] = [(slot.out, row) for slot, row in ends]
         bld.regions[f"layer{i}"] = {
-            # grid rows: a chunk's slots share its rows, counted at slot 0
-            "rows": sum(_chain_rows(len(x_srcs)) for x_srcs, _, _, s, *_ in lp.sites if s == 0),
+            "rows": int(_chain_rows(lp.taps).sum()),   # a chain's slots share its rows
             "copies": (len(bld.copies) - n_copies) // 4,
-            "lookup_rows": 2 * len(lp.sites),   # each DIV row's range and clip lookups
+            "lookup_rows": 2 * len(lp.chain),   # each DIV row's range and clip lookups
         }
     n_copies = len(bld.copies)
 
@@ -836,12 +886,14 @@ def _chunks(channels: list) -> list[range]:
     return out
 
 
-def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> LayerPlan:
+def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> tuple[LayerPlan, list, list]:
     """Emit layer i's rows from its tap table, straight into the builder's
     packed copies and sparse fixed columns: per output position and per
     chunk of M channels sharing its patch, one DOT chain of ceil(k/N) rows
     in the group of M slots, the x lanes copied once per row and DIV on
-    the last row.  `clip` is the recipe of the layer's clip table."""
+    the last row.  `clip` is the recipe of the layer's clip table.
+    Returns the layer's plan and, per site, its act and accumulator (last
+    out) cells."""
     graph = bld.graph
     layer = graph.layers[i]
     src, windows, channels, z_in = _tap_table(graph, i, act_cells)
@@ -870,22 +922,23 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> LayerPl
     ctab = bld.table(clip)
     chunks = _chunks(channels)
 
-    sites = []
+    chain_groups, chain_rows = [], []   # per chain: its group and first row
+    act_out, acc_out = [], []
     for x_offs, w_offs in windows:
         k = len(x_offs)
         for chunk in chunks:
             x_base = channels[chunk.start][0]
-            x_srcs = [src[x_base + o] for o in x_offs]
             x_nums = [src_nums[x_base + o] for o in x_offs]
             if w_offs is None:
-                w_ints = w_lanes = [[1] * k] * len(chunk)
+                w_lanes = [[1] * k] * len(chunk)
             else:
-                w_ints = [[w_vals[channels[ch][1] + o] for o in w_offs] for ch in chunk]
                 w_lanes = [[w_sources[channels[ch][1] + o] for o in w_offs] for ch in chunk]
             carry_srcs = [None] * len(chunk)
             g = bld.group(len(chunk))
             first_row = g.cursor
             g.cursor += _chain_rows(k)
+            chain_groups.append(g.index)
+            chain_rows.append(first_row)
             for row, lo in enumerate(range(0, k, n), first_row):
                 hi = lo + n
                 fixed[g.q_dots[min(hi, k) - lo - 1]][row] = 1
@@ -928,9 +981,49 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> LayerPl
             bld.set_fixed(g.div_off, row, off)
             fixed[bld.group_lookup_selector(g, rtab, ("r",))][row] = 1
             fixed[bld.group_lookup_selector(g, ctab, ("q", "act"))][row] = 1
-            for s, ch in enumerate(chunk):
-                sites.append((x_srcs, w_ints[s], biases[ch], s, g.index, first_row))
-    return LayerPlan(layer=i, z_in=z_in, a=a, b=b, off=off, z_out=z_out, sites=sites)
+            act_out += [(slot.act, row) for slot in g.slots]
+            acc_out += [(slot.out, row) for slot in g.slots]
+
+    plan_arrays = _tap_arrays(windows, channels, chunks, graph.signed_weights[i])
+    chain = plan_arrays["chain"]
+    lp = LayerPlan(
+        layer=i, z_in=z_in, a=a, b=b, off=off, z_out=z_out, refs=tuple(layer.input_refs),
+        group=np.array(chain_groups)[chain], first_row=np.array(chain_rows)[chain],
+        bias=np.tile(np.array(biases, np.int64), len(windows)), **plan_arrays,
+    )
+    return lp, act_out, acc_out
+
+
+def _tap_arrays(windows: list, channels: list, chunks: list, w_vals: list | None) -> dict:
+    """A layer's tap table as LayerPlan's src, taps, chain, slot and
+    weights arrays.  Chain w * len(chunks) + c reads window w from chunk
+    c's source base, and site w * len(channels) + ch is channel ch at
+    window w; w_vals None means unit weights."""
+    ks = np.array([len(x_offs) for x_offs, _ in windows])
+    width = GATE_WIDTH * int(_chain_rows(ks.max()))
+    real = np.arange(width) < ks[:, None]     # per window, its taps
+
+    def padded(offsets) -> np.ndarray:
+        out = np.zeros(real.shape, np.int64)
+        out[real] = list(itertools.chain.from_iterable(offsets))
+        return out
+
+    n_win = len(windows)
+    bases = np.array([channels[c.start][0] for c in chunks])
+    chunk_of, slot_of = np.array([(c, s) for c, chunk in enumerate(chunks) for s in range(len(chunk))]).T
+    site_win = np.repeat(np.arange(n_win), len(channels))
+    if w_vals is None:
+        weights = real[site_win].astype(np.int64)
+    else:
+        w_idx = padded(w for _, w in windows)[site_win] + np.tile([w for _, w in channels], n_win)[:, None]
+        weights = np.where(real[site_win], np.asarray(w_vals, np.int64)[w_idx], 0)
+    return {
+        "src": (padded(x for x, _ in windows)[:, None, :] + bases[:, None]).reshape(-1, width),
+        "taps": np.repeat(ks, len(chunks)),
+        "chain": site_win * len(chunks) + np.tile(chunk_of, n_win),
+        "slot": np.tile(slot_of, n_win),
+        "weights": weights,
+    }
 
 
 def _sponge_row_rounds(params: SpongeParams) -> list[tuple]:
@@ -1115,10 +1208,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     if plan is None:
         raise WitnessError("layout carries no witness plan (was it deserialized?)")
     p = layout.field.modulus
-    n = GATE_WIDTH
     trace = run_inference(graph, inp)
-    flat_acts = [t.act.reshape(-1) for t in trace.layers]
-    flat_accs = [t.acc.reshape(-1) for t in trace.layers]
     codes = list(inp.data)
     if len(codes) != plan.n_inputs:
         raise WitnessError(f"input has {len(codes)} elements, plan expects {plan.n_inputs}")
@@ -1139,31 +1229,14 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
         [tuple(advice[_slot_col(gi, s, name)] for name in ("out", "r", "q", "act")) for s in range(m)]
         for gi, m in enumerate(plan.group_slots)
     ]
+    acts = {INPUT_REF: np.frombuffer(inp.data, np.uint8)}
     for lp in plan.layer_plans:
-        z = lp.z_in
-        accs, acts = flat_accs[lp.layer], flat_acts[lp.layer]
-        for flat, (x_srcs, w_ints, bias, slot, gi, first_row) in enumerate(lp.sites):
-            if slot == 0:
-                # A chunk's sites share their x source cells.
-                diffs = [advice[col][src_row] - z for col, src_row in x_srcs]
-            out, r_col, q_col, act_col = slot_cols[gi][slot]
-            acc = bias
-            for row, lo in enumerate(range(0, len(x_srcs), n), first_row):
-                acc += sum(map(operator.mul, diffs[lo : lo + n], w_ints[lo : lo + n]))
-                out[row] = acc % p
-            if acc != int(accs[flat]):
-                raise WitnessError(
-                    f"internal mismatch at layer {lp.layer} site {flat}: "
-                    f"{acc} vs trace {int(accs[flat])}"
-                )
-            num = acc * lp.a
-            d_q = num // lp.b
-            r_col[row] = (num - d_q * lp.b) % p
-            q_col[row] = (d_q + lp.off) % p
-            act = int(acts[flat])
-            if act != min(255, max(0, d_q + lp.z_out)):
-                raise WitnessError(f"internal activation mismatch at layer {lp.layer} site {flat}")
-            act_col[row] = act
+        t = trace.layers[lp.layer] if lp.layer < len(trace.layers) else None
+        if t is None or t.acc.size != len(lp.chain):
+            raise WitnessError(f"layer {lp.layer} of the model does not match the layout's plan")
+        acts[lp.layer] = t.act.reshape(-1)
+        _fill_layer(slot_cols, lp, [acts[ref] for ref in lp.refs], t.acc.reshape(-1), acts[lp.layer],
+                    graph.bounds[lp.layer], p)
 
     for sp in plan.sponges:
         if sp.filled is None:
@@ -1191,6 +1264,46 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     for (col, row), idx in layout.instance_map:
         asg.instance[idx] = advice[col][row]
     return asg
+
+
+def _fill_layer(slot_cols: list, lp: LayerPlan, sources: list, accs: np.ndarray, acts: np.ndarray,
+                bound: tuple, p: int) -> None:
+    """Fill one layer's DOT chains: every row's out, and r, q and act on
+    each chain's last row.  `sources` are the flattened tensors `lp.refs`
+    name, and `accs` and `acts` the layer's trace, which every site's
+    accumulator and activation must match."""
+    n_sites = len(lp.chain)
+    x = np.concatenate(sources).astype(np.int64) - lp.z_in
+    # Every row's out: per N-tap block, bias + the partial sums so far.
+    outs = (x[lp.src][lp.chain] * lp.weights).reshape(n_sites, -1, GATE_WIDTH).sum(axis=2).cumsum(axis=1)
+    outs += lp.bias[:, None]
+    acc = outs[:, -1]     # pad blocks add 0
+    bad = np.flatnonzero(acc != accs)
+    if bad.size:
+        f = bad[0]
+        raise WitnessError(f"internal mismatch at layer {lp.layer} site {f}: {acc[f]} vs trace {accs[f]}")
+    if not scale_fits_int64(bound, lp.a):
+        acc = acc.astype(object)
+    num = acc * lp.a
+    d_q = num // lp.b
+    bad = np.flatnonzero(np.clip(d_q + lp.z_out, 0, 255) != acts)
+    if bad.size:
+        raise WitnessError(f"internal activation mismatch at layer {lp.layer} site {bad[0]}")
+    r = num - d_q * lp.b
+    q = d_q + lp.off
+
+    # One slice of out per (group, slot), then r, q and act on each
+    # site's last row.
+    order, out_pos, last, blocks = lp.fill_order
+    out_vals = (outs.reshape(-1)[out_pos].astype(object) % p).tolist()
+    r, q, a = r[order].tolist(), q[order].tolist(), acts[order].tolist()
+    for g, s, start, lo, hi, o_lo, o_hi in blocks:
+        out_col, r_col, q_col, act_col = slot_cols[g][s]
+        out_col[start : start + o_hi - o_lo] = out_vals[o_lo:o_hi]
+        for row, rv, qv, av in zip(last[lo:hi], r[lo:hi], q[lo:hi], a[lo:hi]):
+            r_col[row] = rv
+            q_col[row] = qv
+            act_col[row] = av
 
 
 def _fill_sponge(advice, sp: SpongePlan, elements: list[int], params: SpongeParams) -> None:

@@ -68,6 +68,9 @@ class VisibilityMode(Enum):
 
 
 DEFAULT_SEED = "zkgrid-sponge-v1"
+# The largest sponge params accepted: state width and total rounds.
+MAX_SPONGE_WIDTH = 16
+MAX_SPONGE_ROUNDS = 1024
 
 
 def _derive_constant(seed: str, label: str, i: int, modulus: int) -> int:
@@ -106,14 +109,18 @@ class SpongeParams:
     mds_inv: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.t < 2:
-            raise ValueError("state width must be >= 2")
+        # The upper bounds come before any constant is derived: the inverse
+        # matrix costs O(t^3) and each round one hash per lane.
+        if not 2 <= self.t <= MAX_SPONGE_WIDTH:
+            raise ValueError(f"state width must be in 2..{MAX_SPONGE_WIDTH}")
         if self.full_rounds < 2 or self.full_rounds % 2 != 0:
             raise ValueError("full round count must be even and >= 2")
         if self.partial_rounds < 0:
             raise ValueError("partial round count must be >= 0")
-        p = self.modulus
         n_rounds = self.full_rounds + self.partial_rounds
+        if n_rounds > MAX_SPONGE_ROUNDS:
+            raise ValueError(f"full plus partial rounds must be at most {MAX_SPONGE_ROUNDS}")
+        p = self.modulus
         rc = tuple(
             tuple(_derive_constant(self.seed, "rc", r * self.t + c, p) for c in range(self.t))
             for r in range(n_rounds)

@@ -3,6 +3,9 @@
 This is the behavioral oracle the compiled circuit must agree with.  All
 arithmetic is exact: int64 accumulators, floor division toward minus
 infinity for the scale step, saturation to [0, 255] for activations.
+The scale step acc * a runs in int64 only when it cannot overflow, that
+is when max(1, max|bound|) * a < 2^63 for the layer's accumulator
+bound, and on Python ints otherwise (`scale_fits_int64`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ def clip_and_scale(c: int, s: ScaleFactor, z_out: int, lo: int = 0, hi: int = 25
     return min(hi, max(lo, (c * s.a) // s.b + z_out))
 
 
-def _clip_and_scale_arr(acc: np.ndarray, s: ScaleFactor, z_out: int) -> np.ndarray:
+def scale_fits_int64(bound: tuple[int, int], a: int) -> bool:
+    """Whether a and acc * a fit int64 for every accumulator within `bound`."""
+    return max(1, *map(abs, bound)) * a < 1 << 63
+
+
+def _clip_and_scale_arr(acc: np.ndarray, s: ScaleFactor, z_out: int, bound: tuple[int, int]) -> np.ndarray:
+    if not scale_fits_int64(bound, s.a):
+        acc = acc.astype(object)
     d = (acc * s.a) // s.b  # np floor_divide rounds toward -inf, matching //
     return np.clip(d + z_out, 0, 255).astype(np.uint8)
 
@@ -113,7 +123,7 @@ def run_inference(graph: ModelGraph, inp: QuantTensor) -> InferenceTrace:
                 acc = _depthwise(x, w, bias, z, layer.stride, layer.padding)
             else:
                 acc = w @ (x.reshape(-1).astype(np.int64) - z) + bias
-            act = _clip_and_scale_arr(acc, layer.out_quant.scale, layer.out_quant.zero_point)
+            act = _clip_and_scale_arr(acc, layer.out_quant.scale, layer.out_quant.zero_point, bounds[i])
         elif layer.kind == "residual_add":
             # Shared zero point z: out = clip(x1 + x2 - z).  Expressed through
             # the common pipeline as acc = x1 + x2 - 2z, then unit scale with
@@ -122,7 +132,7 @@ def run_inference(graph: ModelGraph, inp: QuantTensor) -> InferenceTrace:
             x1 = act_of_ref(layer.input_refs[0]).astype(np.int64)
             x2 = act_of_ref(layer.input_refs[1]).astype(np.int64)
             acc = x1 + x2 - 2 * z
-            act = _clip_and_scale_arr(acc, ScaleFactor(1, 1), z)
+            act = _clip_and_scale_arr(acc, ScaleFactor(1, 1), z, bounds[i])
         elif layer.kind == "average_pool":
             x = act_of_ref(layer.input_refs[0]).astype(np.int64)
             h, w_, c = x.shape

@@ -15,6 +15,7 @@ from zkgrid.arithmetize import (
     lookup_table,
 )
 from zkgrid.checker import check
+from zkgrid.cli import main as cli_main
 from zkgrid.commit import VisibilityMode, commit_model_io, weight_elements
 from zkgrid.field import DEFAULT_MODULUS, Field
 from zkgrid.interpreter import run_inference
@@ -25,6 +26,8 @@ from zkgrid.model import (
     QuantParams,
     QuantTensor,
     ScaleFactor,
+    save_model,
+    save_tensor,
     validate,
 )
 from zkgrid.modelgen import identity_model, random_input, random_model, random_parameterized_model
@@ -200,9 +203,10 @@ def _table_models():
 
 @pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
 def test_layer_tables_match_naive_taps(mode):
-    """For every site of every layer kind, the per-layer tap table gives
+    """For every site of every layer kind, the plan's index arrays give
     the same (x source cell, weight) taps, in the same order, as the
-    window-by-window enumeration, and the site spans ceil(k / N) rows."""
+    window-by-window enumeration, every pad tap has weight 0, and the
+    site_plans view holds those taps over ceil(k / N) rows."""
     kinds = set()
     multi_row = 0
     for g in _table_models():
@@ -213,11 +217,18 @@ def test_layer_tables_match_naive_taps(mode):
         for lp in plan.layer_plans:
             layer = g.layers[lp.layer]
             kinds.add((layer.kind, layer.padding, layer.stride))
-            assert len(lp.sites) == math.prod(g.output_shapes[lp.layer])
-            for flat, (x_srcs, w_ints, *_) in enumerate(lp.sites):
+            assert len(lp.chain) == math.prod(g.output_shapes[lp.layer])
+            assert lp.src.shape[1] == lp.weights.shape[1] and lp.src.shape[1] % arithmetize.GATE_WIDTH == 0
+            src_cells = [c for ref in lp.refs for c in cells[ref]]
+            for flat, ch in enumerate(lp.chain.tolist()):
+                k = int(lp.taps[ch])
                 want = _naive_site_taps(g, lp.layer, flat, cells)
-                assert list(zip(x_srcs, w_ints)) == want, (lp.layer, flat)
-                n_rows = len(sites[(lp.layer, flat)].rows)
+                got = [(src_cells[j], w) for j, w in zip(lp.src[ch, :k].tolist(), lp.weights[flat, :k].tolist())]
+                assert got == want, (lp.layer, flat)
+                assert not lp.weights[flat, k:].any()
+                site = sites[(lp.layer, flat)]
+                assert [(x, w) for d in site.rows for x, w in zip(d.x_srcs, d.w_ints)] == want
+                n_rows = len(site.rows)
                 assert n_rows == -(-len(want) // arithmetize.GATE_WIDTH)
                 multi_row += n_rows > 1
             cells[lp.layer] = [site.div.cell("act") for site in plan.site_plans if site.layer == lp.layer]
@@ -242,7 +253,10 @@ def test_carry_chain_stays_in_one_group(mode, units):
     )
     layout, stats = compile(g, CompileConfig(mode=mode))
     assert stats.groups == [{"slots": units, "rows": 3}]
-    assert [site[3:] for site in layout.plan.layer_plans[0].sites] == [(s, 0, 0) for s in range(units)]
+    lp = layout.plan.layer_plans[0]
+    assert lp.slot.tolist() == list(range(units))
+    assert lp.group.tolist() == lp.first_row.tolist() == lp.chain.tolist() == [0] * units
+    assert lp.taps.tolist() == [18]
     copies = {cp.a: cp.b for cp in layout.copies}
     for s in range(units):
         assert [copies[(f"g0:s{s}:carry", r)] for r in (1, 2)] == [(f"g0:s{s}:out", 0), (f"g0:s{s}:out", 1)]
@@ -977,3 +991,94 @@ def test_slot_stats_report_cells_and_groups():
     assert stats.groups == [{"slots": 3, "rows": 934}, {"slots": 1, "rows": 391}]
     assert (stats.n_rows_padded, stats.n_copy_constraints) == (1024, 12243)
     assert stats.to_json()["groups"] == stats.groups
+
+
+def _with_layer(g, i, **changes):
+    """g with layer i's fields replaced, validated again."""
+    layers = list(g.layers)
+    layers[i] = dataclasses.replace(layers[i], **changes)
+    return validate(ModelGraph(layers=tuple(layers), input_shape=g.input_shape, input_quant=g.input_quant))
+
+
+def _first_difference(a, b) -> int:
+    return next(f for f, (u, v) in enumerate(zip(a.reshape(-1).tolist(), b.reshape(-1).tolist())) if u != v)
+
+
+@pytest.mark.parametrize("change", ["weight", "zero_point"])
+@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+def test_witness_for_another_model_names_layer_and_site(tmp_path, capsys, monkeypatch, mode, change):
+    """A layout compiled for G witnessed with G', which differs in one
+    weight, or with G'', which differs in one layer's output zero point:
+    the witness refuses at the first site whose accumulator (G') or
+    activation (G'') disagrees with the plan, naming its layer and site,
+    and `zkgrid witness` exits 2 with that message and no traceback.  The
+    CLI compiles the layout from the model it is given, so the stale plan
+    is put in by compiling G in its place."""
+    # conv2d, depthwise, conv2d, depthwise: G' changes layer 0's last
+    # weight, G'' layer 2's zero point, so layers 0 and 1 still agree.
+    g = random_model(random.Random(9), max_hw=6, max_c=4, max_layers=4)
+    i = {"weight": 0, "zero_point": 2}[change]
+    layer = g.layers[i]
+    if change == "weight":
+        data = bytearray(layer.weights.data)
+        data[-1] = (data[-1] + 1) % 256
+        other = _with_layer(g, i, weights=dataclasses.replace(layer.weights, data=bytes(data)))
+    else:
+        q = layer.out_quant
+        other = _with_layer(g, i, out_quant=dataclasses.replace(q, zero_point=(q.zero_point + 1) % 256))
+    inp = random_input(random.Random(2), g)
+    mine, theirs = run_inference(g, inp).layers[i], run_inference(other, inp).layers[i]
+    if change == "weight":
+        site = _first_difference(mine.acc, theirs.acc)
+        assert site > 0     # the last weight is the last channel's
+        want = f"internal mismatch at layer {i} site {site}: {int(mine.acc.reshape(-1)[site])} vs trace"
+    else:
+        assert (mine.acc == theirs.acc).all()
+        want = f"internal activation mismatch at layer {i} site {_first_difference(mine.act, theirs.act)}"
+
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    with pytest.raises(arithmetize.WitnessError) as err:
+        assign_witness(layout, other, inp)
+    assert str(err.value).startswith(want)
+
+    model_path, inp_path = tmp_path / "other.json", tmp_path / "input.json"
+    model_path.write_bytes(save_model(other))
+    inp_path.write_bytes(save_tensor(inp))
+    monkeypatch.setattr(arithmetize, "compile", lambda graph, cfg=None: (layout, None))
+    assert cli_main(["witness", str(model_path), str(inp_path), "-o", str(tmp_path / "w.bin")]) == 2
+    stderr = capsys.readouterr().err
+    assert stderr.startswith(f"error: {want}") and "Traceback" not in stderr
+    assert not (tmp_path / "w.bin").exists()
+
+
+@pytest.mark.parametrize("units, other_units", [(2, 3), (3, 2)])
+def test_witness_for_a_model_of_other_shape_is_refused(units, other_units):
+    """A model whose layer has another number of sites than the layout's
+    plan is refused by name, whichever has more."""
+    layout, _ = compile(_fc_model(units=units))
+    other = _fc_model(units=other_units)
+    with pytest.raises(arithmetize.WitnessError, match="layer 0 of the model does not match the layout's plan"):
+        assign_witness(layout, other, _fc_input(other, random.Random(1)))
+
+
+@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+@pytest.mark.parametrize("seed", [110, 111, 14])
+def test_site_plans_agree_with_region_rows(seed, mode):
+    """The site_plans view, which the benchmark's row attribution reads,
+    agrees with compile's own counts: per layer its distinct (group, row)
+    pairs are the region's rows, and each site spans ceil(k / N) rows
+    for its k taps, every row but the last holding N of them."""
+    n = arithmetize.GATE_WIDTH
+    g = random_model(random.Random(seed), max_hw=32, max_c=16, max_layers=5)
+    layout, stats = compile(g, CompileConfig(mode=mode))
+    rows: dict[int, set] = {}
+    taps = {lp.layer: lp.taps[lp.chain].tolist() for lp in layout.plan.layer_plans}
+    for site in layout.plan.site_plans:
+        rows.setdefault(site.layer, set()).update((d.group, d.row) for d in site.rows)
+        k = taps[site.layer][site.flat]
+        assert [len(d.x_srcs) for d in site.rows] == [n] * (len(site.rows) - 1) + [k - n * (len(site.rows) - 1)]
+        assert [len(d.w_ints) for d in site.rows] == [len(d.x_srcs) for d in site.rows]
+        assert len(site.rows) == -(-k // n)
+        assert [d.row for d in site.rows] == list(range(site.rows[0].row, site.div.row + 1))
+    layers = [f"layer{lp.layer}" for lp in layout.plan.layer_plans]
+    assert {f"layer{i}": len(r) for i, r in rows.items()} == {name: stats.regions[name]["rows"] for name in layers}

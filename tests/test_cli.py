@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -499,6 +500,29 @@ def test_config_negative_partial_rounds_exit_2(workspace, capsys):
     cfg.write_text(json.dumps({"mode": "public_input_hidden_weights", "sponge_params": str(sponge)}))
     assert main(["compile", model, "--config", str(cfg)]) == 2
     assert "partial round count must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        ({"t": 17}, "state width must be in 2..16"),
+        ({"t": 300}, "state width must be in 2..16"),
+        ({"partial_rounds": 1017}, "full plus partial rounds must be at most 1024"),
+        ({"partial_rounds": 10**8}, "full plus partial rounds must be at most 1024"),
+    ],
+)
+def test_config_oversized_sponge_params_exit_2_fast(workspace, capsys, params, message):
+    """A sponge width or round count past the bounds is refused before
+    any constant is derived, so the command exits 2 at once."""
+    tmp, model, _ = workspace
+    sponge = tmp / "sponge.json"
+    sponge.write_text(json.dumps(params))
+    cfg = tmp / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "public_input_hidden_weights", "sponge_params": str(sponge)}))
+    t0 = time.perf_counter()
+    assert main(["compile", model, "--config", str(cfg)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert message in capsys.readouterr().err
 
 
 U32_MAX = (1 << 32) - 1

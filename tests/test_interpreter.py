@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,8 +6,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import naive_layer_oracle
-from zkgrid.interpreter import InferenceError, clip_and_scale, run_inference
-from zkgrid.model import QuantTensor, ScaleFactor, accumulator_bounds
+from zkgrid.arithmetize import assign_witness, compile
+from zkgrid.checker import check
+from zkgrid.cli import main
+from zkgrid.interpreter import InferenceError, clip_and_scale, run_inference, scale_fits_int64
+from zkgrid.model import (
+    INPUT_REF,
+    Layer,
+    ModelGraph,
+    QuantParams,
+    QuantTensor,
+    ScaleFactor,
+    accumulator_bounds,
+    save_model,
+    save_tensor,
+    validate,
+)
 from zkgrid.modelgen import identity_model, random_input, random_model, two_tap_fc_model
 
 
@@ -137,3 +152,51 @@ def test_bounds_worked_out_once_per_graph(monkeypatch):
     assert list(g.signed_weights) == [None if l.weights is None else l.weights.signed_values() for l in g.layers]
     bare = replace(g, output_shapes=())
     assert bare.signed_weights == g.signed_weights and "_signed_weights" not in bare.__dict__
+
+
+def _wide_scale_model(a: int, b: int):
+    """One fc unit with zero weights and bias 2^30 at scale a/b: the
+    accumulator is 2^30 on every input, so acc * a leaves int64 once
+    a >= 2^33."""
+    fc = Layer(
+        kind="fully_connected",
+        input_refs=(INPUT_REF,),
+        out_quant=QuantParams(0, ScaleFactor(a, b)),
+        weights=QuantTensor(shape=(1, 2), data=bytes(2), quant=QuantParams(0, ScaleFactor(1, 1))),
+        bias=(1 << 30,),
+    )
+    out = Layer(kind="output", input_refs=(0,), out_quant=fc.out_quant)
+    return validate(ModelGraph(layers=(fc, out), input_shape=(1, 1, 2), input_quant=QuantParams(0, ScaleFactor(1, 1))))
+
+
+@pytest.mark.parametrize("a, b", [(1 << 40, 1 << 20), (1 << 71, 1 << 20)])
+def test_scale_step_exact_past_int64(tmp_path, capsys, a, b):
+    """The scale step gives the exact activations where acc * a leaves
+    int64 (it used to wrap to act 0 at a = 2^40, and to raise
+    OverflowError at a = 2^71), in the interpreter and through `infer`,
+    and the honest witness, whose DIV step follows the same rule, checks
+    clean."""
+    g = _wide_scale_model(a, b)
+    assert not scale_fits_int64(g.bounds[0], a)
+    want = [clip_and_scale(1 << 30, ScaleFactor(a, b), 0)]
+    assert want == [255]
+    inp = QuantTensor(shape=(1, 1, 2), data=bytes([9, 200]), quant=g.input_quant)
+    assert run_inference(g, inp).layers[0].act.reshape(-1).tolist() == want
+
+    model_path, inp_path, out = tmp_path / "model.json", tmp_path / "input.json", tmp_path / "trace.json"
+    model_path.write_bytes(save_model(g))
+    inp_path.write_bytes(save_tensor(inp))
+    assert main(["infer", str(model_path), str(inp_path), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["layers"][0]["act"] == want
+    assert capsys.readouterr().err == ""
+    layout, _ = compile(g)
+    assert check(layout, assign_witness(layout, g, inp)) == []
+
+
+def test_scale_fits_int64_boundary():
+    assert scale_fits_int64((-(1 << 31), 1 << 31), 1 << 31) is True
+    assert scale_fits_int64((-(1 << 31), 1 << 31), 1 << 32) is False
+    assert scale_fits_int64((-3, 2), (1 << 63) // 3) is True
+    assert scale_fits_int64((-3, 2), (1 << 63) // 3 + 1) is False
+    # a must fit even when every accumulator is 0
+    assert scale_fits_int64((0, 0), 1 << 63) is False

@@ -2,8 +2,8 @@
 its `--config` example are the ones `cli.load_config` accepts, and each
 subcommand line of its CLI synopsis lists exactly the options that
 subcommand's parser defines, its file formats carry the versions
-`serialize` writes, and its sponge rows per absorb are what compile
-lays out."""
+`serialize` writes, its sponge rows per absorb are what compile lays
+out, and its sponge param bounds are the ones `SpongeParams` enforces."""
 
 import argparse
 import json
@@ -15,7 +15,7 @@ import pytest
 
 from zkgrid import cli, serialize
 from zkgrid.arithmetize import CompileConfig, compile
-from zkgrid.commit import VisibilityMode
+from zkgrid.commit import MAX_SPONGE_ROUNDS, MAX_SPONGE_WIDTH, VisibilityMode
 from zkgrid.modelgen import random_model
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -94,3 +94,11 @@ def test_sponge_rows_per_absorb():
     sponge = stats.regions["sponge"]
     assert stated == [str(sponge["rows"] // sponge["absorbs"])]
     assert sponge["rows"] % sponge["absorbs"] == 0
+
+
+def test_sponge_param_bounds():
+    """The README's config section states the bounds `SpongeParams`
+    refuses past."""
+    text = " ".join(README.split())
+    assert re.findall(r"`t` must lie in 2\.\.(\d+)", text) == [str(MAX_SPONGE_WIDTH)]
+    assert re.findall(r"`full_rounds \+ partial_rounds` at most (\d+)", text) == [str(MAX_SPONGE_ROUNDS)]
