@@ -48,21 +48,24 @@ are shared whenever the scale key matches, widening the key's domain to
 the union of the requesting layers' ranges.  No lookup table may exceed
 LOOKUP_CAP entries.
 
-Lowering goes a layer at a time.  Each layer's taps are one table: per
-output position, the source offsets of its window (padding clipped) and
-the matching weight offsets, shared by every output channel; per channel,
-a source base and a weight base (channels with the same source base
-share a patch).  The layer's rows, fixed cells and copies are emitted
-from that table straight into the builder's packed copy list and sparse
-fixed columns, with each group's columns numbered once.  The witness plan
+Lowering goes a layer at a time.  Each layer's taps are integer arrays
+(`taps.layer_taps`): per output position, the source offsets of its
+window (padding clipped) and the matching weight offsets, shared by every
+output channel; per channel, a source base and a weight base (conv and fc
+channels share a patch).  The layer's rows, copies and fixed cells are
+emitted from those arrays with a few numpy operations: padded (chain,
+row, lane or slot) arrays and one mask, flattened in copy order into the
+builder's packed copy list, and one dict update per fixed column.  Before
+any of that, compile works out the grid's height from the model's shapes
+(`taps.layer_rows`) and refuses one over MAX_ROWS.  The witness plan
 keeps one record per layer (LayerPlan): its z_in, its DIV key (a, b, off,
-z_out), the refs it reads and its taps as integer arrays.  Per chain they
-hold its source indices into the refs' flattened outputs and its tap
-count; per site its chain, slot, group, first row, bias and weights.
-Every chain is padded to the layer's widest, a multiple of N taps, with
-weight 0 on the pad taps, so the witness fills a whole layer with a few
-array operations: gather the sources from the trace, one product with the
-weights, a sum per N-tap block and a cumulative sum give every row's out.
+z_out), the refs it reads and the same arrays.  Per chain they hold its
+source indices into the refs' flattened outputs and its tap count; per
+site its chain, slot, group, first row, bias and weights.  Every chain is
+padded to the layer's widest, a multiple of N taps, with weight 0 on the
+pad taps, so the witness fills a whole layer with a few array operations:
+gather the sources from the trace, one product with the weights, a sum
+per N-tap block and a cumulative sum give every row's out.
 The DIV step runs in int64 when a and max|bound| * a fit it, on Python
 ints otherwise, as in the interpreter.
 
@@ -113,8 +116,8 @@ full_rounds + ceil(partial_rounds / 2) rows, 37 at the default params
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
+import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 
@@ -157,6 +160,7 @@ from .model import (
     ModelGraph,
     QuantTensor,
 )
+from .taps import GATE_WIDTH, SHARED, chain_rows, layer_rows, layer_taps, split
 
 
 class CompileError(ValueError):
@@ -165,15 +169,6 @@ class CompileError(ValueError):
 
 class WitnessError(ValueError):
     pass
-
-
-# The x lanes of a gate row and the cells of a staging row.
-GATE_WIDTH = 8
-
-
-def _chain_rows(k: int) -> int:
-    """The rows of a DOT chain over k taps."""
-    return -(-k // GATE_WIDTH)
 
 
 @dataclass(frozen=True)
@@ -260,7 +255,7 @@ class LayerPlan:
         The sites of one (group, slot) hold consecutive rows of its
         columns, in flat order."""
         order = np.lexsort((self.slot, self.group))
-        rows = _chain_rows(self.taps)[self.chain][order]
+        rows = chain_rows(self.taps)[self.chain][order]
         width = self.src.shape[1] // GATE_WIDTH
         live = np.arange(width) < rows[:, None]
         out_pos = (order[:, None] * width + np.arange(width))[live]
@@ -410,12 +405,6 @@ class _Slot:
         self.ws = tuple(col(f"w{j}", wkind) for j in range(GATE_WIDTH))
         self.carry, self.out, self.r, self.q, self.act = map(col, ("carry", "out", "r", "q", "act"))
         self.const = col("const", FIXED)
-        # Column numbers, as the packed copy list holds them.
-        num = builder.col_number
-        self.w_nums = tuple(num[c] for c in self.ws)
-        self.carry_num, self.out_num, self.const_num = num[self.carry], num[self.out], num[self.const]
-        # The public weight lanes' sparse cells.
-        self.w_fixed = tuple(builder.fixed.get(c) for c in self.ws)
 
 
 class _Group:
@@ -442,7 +431,19 @@ class _Group:
         )
         builder.gates.extend(builtin_gates(cols, prefix=f"{g}:"))
         self.lookup_selectors: dict[str, str] = {}
-        self.x_nums = tuple(builder.col_number[c] for c in self.xs)
+        # Column numbers, as the packed copy list holds them, by role: per
+        # lane, per row role, and per slot (padded to N slots with column
+        # 0, which no live slot reads).
+        num = builder.col_number
+        pad = GATE_WIDTH - m
+        self.nums = {
+            "x": [num[c] for c in self.xs],
+            "q_dot": [num[c] for c in self.q_dots],
+            "z": num[self.z], "q_div": num[self.q_div], "da": num[self.div_a], "db": num[self.div_b],
+            "off": num[self.div_off],
+            "w": [[num[c] for c in s.ws] for s in self.slots] + [[0] * GATE_WIDTH] * pad,
+            **{name: [num[getattr(s, name)] for s in self.slots] + [0] * pad for name in ("carry", "out", "act", "const")},
+        }
 
 
 class _Builder:
@@ -472,6 +473,9 @@ class _Builder:
         self.param_cells: dict[int, tuple[list, list]] = {}
         self.pack_cols: tuple | None = None
         self.regions: dict[str, dict[str, int]] = {}   # CircuitStats.regions
+        self.int_objects = np.zeros(0, object)   # ints(): value v at index v
+        # v mod p for v in -128..127, indexed by v + 128: public weights.
+        self.int8_residues = np.array([v % self.p for v in range(-128, 128)], object)
         self.zero_col = self.new_column("zero", FIXED)
 
     def new_column(self, col_id: str, kind: str) -> str:
@@ -500,6 +504,46 @@ class _Builder:
         num = self.col_number
         self.copies += (num[a[0]], a[1], num[b[0]], b[1])
 
+    def cell_nums(self, cells: list) -> tuple[np.ndarray, np.ndarray]:
+        """The column numbers and the rows of `cells`, as two arrays."""
+        cols, rows = zip(*cells) if cells else ((), ())
+        return np.array(list(map(self.col_number.__getitem__, cols)), np.int32), np.array(rows, np.int32)
+
+    def group_nums(self) -> dict[str, np.ndarray]:
+        """Each column role's numbers (`_Group.nums`), stacked by group."""
+        groups = list(self.groups.values())
+        return {role: np.array([g.nums[role] for g in groups], np.int32) for role in groups[0].nums}
+
+    def ints(self, a: np.ndarray) -> np.ndarray:
+        """The values of `a`, nonnegative integers, as an object array of
+        Python ints that share one object per value, as a loop's counters
+        would: a grid's rows then cost no int object per cell."""
+        top = int(a.max(initial=0)) + 1
+        if len(self.int_objects) < top:
+            self.int_objects = np.arange(max(top, 2 * len(self.int_objects))).astype(object)
+        return self.int_objects[a]
+
+    def put_fixed(self, pieces: list) -> None:
+        """Set the fixed cells `pieces` give as (column numbers, rows,
+        values) arrays, the values residues or one int for the piece.  A
+        column's cells come in increasing row order, as its dict keeps
+        them; a piece of value 0 is left out."""
+        pieces = [pc for pc in pieces if not isinstance(pc[2], int) or pc[2]]
+        if not pieces:
+            return
+        cols = np.concatenate([c for c, _, _ in pieces])
+        # A stable sort keeps each column's rows in order; on 16-bit keys
+        # it is a radix sort.
+        order = np.argsort(cols.astype(np.uint16) if len(self.col_number) <= 1 << 16 else cols, kind="stable")
+        cols = cols[order]
+        rows = self.ints(np.concatenate([r for _, r, _ in pieces])[order])
+        vals = np.concatenate([np.full(len(c), v, object) if isinstance(v, int) else v for c, _, v in pieces])[order]
+        del order, pieces
+        cuts = (np.flatnonzero(np.diff(cols)) + 1).tolist()
+        names = list(self.col_number)
+        for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
+            self.fixed[names[cols[lo]]].update(zip(rows[lo:hi], vals[lo:hi]))
+
     def io_columns(self) -> tuple:
         if self.io_cols is None:
             self.io_cols = tuple(self.new_column(f"io{j}", ADVICE) for j in range(GATE_WIDTH))
@@ -513,20 +557,15 @@ class _Builder:
         rows without a row-wide lookup leave their tail unconstrained.
         """
         cols = self.io_columns()
-        cells: list[tuple] = []
-        while len(cells) < count:
-            row = self.io_cursor
-            self.io_cursor += 1
-            if range_selector is not None:
-                self.set_fixed(range_selector, row, 1)
-            for j in range(GATE_WIDTH):
-                if len(cells) < count:
-                    cells.append((cols[j], row))
-                elif range_selector is not None:
-                    pad = (cols[j], row)
-                    self.copy(pad, (self.zero_col, row))
-                    self.io_pad_cells.append(pad)
-        return cells
+        rows = range(self.io_cursor, self.io_cursor + chain_rows(count))
+        self.io_cursor = rows.stop
+        cells = [(col, row) for row in rows for col in cols]
+        if range_selector is not None:
+            self.fixed[range_selector].update(dict.fromkeys(rows, 1))
+            for pad in cells[count:]:
+                self.copy(pad, (self.zero_col, pad[1]))
+                self.io_pad_cells.append(pad)
+        return cells[:count]
 
     def io_lookup(self, name: str, table_id: str) -> str:
         """A selector applying `table_id` to every staging column."""
@@ -669,59 +708,39 @@ def _scale_key(graph: ModelGraph, layer) -> tuple[int, int, int]:
     return q.scale.a, q.scale.b, q.zero_point
 
 
-def _tap_table(graph: ModelGraph, i: int, act_cells: dict) -> tuple[list, list, list, int]:
-    """Layer i's taps as one table: (source cells, windows, channels, z_in).
+def _grid_rows(graph: ModelGraph, layers, mode: VisibilityMode | None, sponge: SpongeParams | None) -> int:
+    """The logical rows compile spends on `graph`, from its shapes alone:
+    the tallest of the gate groups, the staging and the sponge rows."""
+    groups: Counter = Counter()
+    for i in layers:
+        groups.update(layer_rows(graph, i))
+    n_inputs = math.prod(graph.input_shape)
+    staging = chain_rows(n_inputs)
+    chunks = 0            # the sponges' rate-sized chunks
+    if mode is not None and mode.input_hidden:
+        chunks += -(-n_inputs // sponge.rate)
+    if mode is not None and mode.weights_hidden:
+        k = pack_width(sponge.modulus)
+        absorbed = 0
+        for layer in graph.layers:
+            if layer.weights is not None:
+                n_w = math.prod(layer.weights.shape)
+                # Chunks of k packed weights, then one row of four bytes
+                # per bias.
+                staging += n_w // k * chain_rows(k) + chain_rows(n_w % k) + len(layer.bias)
+                absorbed += -(-n_w // k) + len(layer.bias)
+        chunks += -(-absorbed // sponge.rate)
+    sponge_rows = chunks * len(_sponge_row_rounds(sponge)) if chunks else 0
+    return max([*groups.values(), staging, sponge_rows, 1])
 
-    windows holds, per output position, (source offsets, weight offsets)
-    and channels, per output channel, (source base, weight base).  Site
-    (pos, ch), flat index pos * len(channels) + ch, reads the source
-    cells base + o for o in the position's source offsets against the
-    weights base + o for o in its weight offsets; weight offsets None
-    means unit weights.  Every output channel shares its position's
-    offsets, and padded window positions are left out: padding with the
-    input zero point makes their contribution exactly zero.
-    """
-    layer = graph.layers[i]
-    ref = layer.input_refs[0]
-    src = act_cells[ref]
-    if layer.kind in ("conv2d", "depthwise_conv2d"):
-        h, w, c = graph.shape_of_ref(ref)
-        oh, ow, oc = graph.output_shapes[i]
-        if layer.kind == "conv2d":
-            _, kh, kw, ic = layer.weights.shape
-            lanes, w_step = range(ic), ic
-            channels = [(0, o * kh * kw * ic) for o in range(oc)]
-        else:
-            kh, kw, _ = layer.weights.shape
-            lanes, w_step = (0,), oc
-            channels = [(o, o) for o in range(oc)]
-        top = left = 0
-        if layer.padding == "same":
-            top = max((oh - 1) * layer.stride + kh - h, 0) // 2
-            left = max((ow - 1) * layer.stride + kw - w, 0) // 2
-        windows = []
-        for o_i in range(oh):
-            taps_r = [(r, o_i * layer.stride - top + r) for r in range(kh)]
-            taps_r = [(r, ih) for r, ih in taps_r if 0 <= ih < h]
-            for o_j in range(ow):
-                taps_s = [(s, o_j * layer.stride - left + s) for s in range(kw)]
-                taps_s = [(s, iw) for s, iw in taps_s if 0 <= iw < w]
-                x_offs = [(ih * w + iw) * c + ci for _, ih in taps_r for _, iw in taps_s for ci in lanes]
-                w_offs = [(r * kw + s) * w_step + ci for r, _ in taps_r for s, _ in taps_s for ci in lanes]
-                windows.append((x_offs, w_offs))
-        return src, windows, channels, graph.quant_of_ref(ref).zero_point
-    if layer.kind == "fully_connected":
-        units, feat = layer.weights.shape
-        offs = range(feat)
-        return src, [(offs, offs)], [(0, u * feat) for u in range(units)], graph.quant_of_ref(ref).zero_point
-    if layer.kind == "residual_add":
-        other = act_cells[layer.input_refs[1]]
-        n = len(src)
-        return src + other, [((0, n), None)], [(f, None) for f in range(n)], layer.out_quant.zero_point
-    # average_pool (global): sum over H x W at this channel, unit weights.
-    h, w, c = graph.shape_of_ref(ref)
-    offs = [(r * w + s) * c for r in range(h) for s in range(w)]
-    return src, [(offs, None)], [(ch, None) for ch in range(c)], 0
+
+def _padded_rows(logical: int) -> int:
+    """The grid height for `logical` rows, the next power of two;
+    CompileError over MAX_ROWS."""
+    padded = 1 << (logical - 1).bit_length()   # logical >= 1
+    if padded > MAX_ROWS:
+        raise CompileError(f"the grid needs {padded} rows, over the limit of MAX_ROWS = {MAX_ROWS}")
+    return padded
 
 
 # --- compile ----------------------------------------------------------------
@@ -752,6 +771,9 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         d_lo, d_hi = (lo_c * a) // b, (hi_c * a) // b
         lo, hi = domains.get(key, (d_lo, d_hi))
         domains[key] = (min(lo, d_lo), max(hi, d_hi))
+
+    # Refuse an oversize grid before any per-site array or list is built.
+    _padded_rows(_grid_rows(graph, keys, mode, sponge))
 
     bld = _Builder(graph, cfg)
     clips = {key: ("clip", *key, *domain) for key, domain in domains.items()}
@@ -800,16 +822,17 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     }
 
     # Per-layer lowering into rows, in layer order: each x source is
-    # assigned before the site that reads it.
+    # assigned before the site that reads it.  Cells are (column numbers,
+    # rows) arrays, per site.
     layer_plans: list[LayerPlan] = []
-    act_cells: dict[int, list] = {INPUT_REF: input_cells}
-    acc_cells: dict[int, list] = {}   # each site's last out: its accumulator
+    act_cells: dict[int, tuple] = {INPUT_REF: bld.cell_nums(input_cells)}
+    acc_cells: dict[int, tuple] = {}   # each site's last out: its accumulator
     for i, key in keys.items():
         n_copies = len(bld.copies)
         lp, act_cells[i], acc_cells[i] = _lower_layer(bld, i, clips[key], act_cells)
         layer_plans.append(lp)
         bld.regions[f"layer{i}"] = {
-            "rows": int(_chain_rows(lp.taps).sum()),   # a chain's slots share its rows
+            "rows": int(chain_rows(lp.taps).sum()),   # a chain's slots share its rows
             "copies": (len(bld.copies) - n_copies) // 4,
             "lookup_rows": 2 * len(lp.chain),   # each DIV row's range and clip lookups
         }
@@ -818,7 +841,11 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     # Output wiring: logits are the referenced layer's accumulators.
     out_layer = graph.layers[graph.output_layer_index]
     ref = out_layer.input_refs[0]
-    logit_cells = input_cells if ref == INPUT_REF else acc_cells[ref]
+    if ref == INPUT_REF:
+        logit_cells = input_cells
+    else:
+        names = list(bld.col_number)
+        logit_cells = [(names[col], row) for col, row in zip(*(a.tolist() for a in acc_cells[ref]))]
 
     # The instance order: logits, then the raw input codes or the input
     # digest, then the weight digest when weights are hidden.
@@ -866,164 +893,175 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     return layout, stats
 
 
-def _chunks(channels: list) -> list[range]:
-    """The layer's channels as slot chunks, in order.  Consecutive
-    channels with the same source base read the same patch; each such
-    run of C channels is split into ceil(C/N) chunks as equal as possible
-    (C = 10 at N = 8 gives 5 + 5, C = 11 gives 6 + 5)."""
-    out = []
-    lo = 0
-    while lo < len(channels):
-        hi = lo + 1
-        while hi < len(channels) and channels[hi][0] == channels[lo][0]:
-            hi += 1
-        parts = -(-(hi - lo) // GATE_WIDTH)
-        size, extra = divmod(hi - lo, parts)
-        for part in range(parts):
-            m = size + (part < extra)
-            out.append(range(lo, lo + m))
-            lo += m
-    return out
-
-
-def _lower_layer(bld: _Builder, i: int, clip: tuple, act_cells: dict) -> tuple[LayerPlan, list, list]:
-    """Emit layer i's rows from its tap table, straight into the builder's
+def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[LayerPlan, tuple, tuple]:
+    """Emit layer i's rows from its tap arrays, straight into the builder's
     packed copies and sparse fixed columns: per output position and per
     chunk of M channels sharing its patch, one DOT chain of ceil(k/N) rows
     in the group of M slots, the x lanes copied once per row and DIV on
-    the last row.  `clip` is the recipe of the layer's clip table.
-    Returns the layer's plan and, per site, its act and accumulator (last
-    out) cells."""
+    the last row.  `clip` is the recipe of the layer's clip table and
+    `cells` each lowered ref's per-site (column numbers, rows).
+
+    The copies come from padded (chain, row, lane or slot) arrays and one
+    mask, flattened in C order: per chain, per row, the x lanes, then per
+    slot its w lanes and its carry, which is the copy order (violation ids
+    are copy indices).  The fixed cells come from the same arrays, one
+    dict update per column (`_Builder.put_fixed`).  Returns the layer's
+    plan and, per site, its act and accumulator (last out) cells."""
     graph = bld.graph
     layer = graph.layers[i]
-    src, windows, channels, z_in = _tap_table(graph, i, act_cells)
     n = GATE_WIDTH
     p = bld.p
     _, a, b, z_out, d_lo, _ = clip
     off = clip_offset(d_lo)
-    fixed = bld.fixed
-    copies = bld.copies
-    num = bld.col_number
-    src_nums = [(num[col], row) for col, row in src]
-    hidden = bld.weights_advice
-    # What a weight lane takes: its fixed value when weights are public,
-    # a copy of the staged weight cell when they are hidden.
-    if layer.weights is not None:
-        w_vals = graph.signed_weights[i]
-        w_sources = [w % p for w in w_vals]
-    if i in bld.param_cells:
-        w_cells, b_cells = bld.param_cells[i]
-        w_sources = [(num[col], row) for col, row in w_cells]
-        b_nums = [(num[col], row) for col, row in b_cells]
-    biases = layer.bias or (0,) * len(channels)
-    z_mod = z_in % p
-    zero_num = num[bld.zero_col]
     rtab = bld.table(("range", 0, b - 1))
     ctab = bld.table(clip)
-    chunks = _chunks(channels)
+    win_taps, x_offs, w_offs, x_base, w_base, z_in = layer_taps(graph, i)
+    n_win, width = x_offs.shape
+    n_ch = len(x_base)
+    biases = np.array(layer.bias or (0,) * n_ch, np.int64)
 
-    chain_groups, chain_rows = [], []   # per chain: its group and first row
-    act_out, acc_out = [], []
-    for x_offs, w_offs in windows:
-        k = len(x_offs)
-        for chunk in chunks:
-            x_base = channels[chunk.start][0]
-            x_nums = [src_nums[x_base + o] for o in x_offs]
-            if w_offs is None:
-                w_lanes = [[1] * k] * len(chunk)
-            else:
-                w_lanes = [[w_sources[channels[ch][1] + o] for o in w_offs] for ch in chunk]
-            carry_srcs = [None] * len(chunk)
-            g = bld.group(len(chunk))
-            first_row = g.cursor
-            g.cursor += _chain_rows(k)
-            chain_groups.append(g.index)
-            chain_rows.append(first_row)
-            for row, lo in enumerate(range(0, k, n), first_row):
-                hi = lo + n
-                fixed[g.q_dots[min(hi, k) - lo - 1]][row] = 1
-                if z_mod:
-                    fixed[g.z][row] = z_mod
-                for x, (col, src_row) in zip(g.x_nums, x_nums[lo:hi]):
-                    copies += (x, row, col, src_row)
-                for s, (slot, ch) in enumerate(zip(g.slots, chunk)):
-                    if not hidden:
-                        for w_fixed, w in zip(slot.w_fixed, w_lanes[s][lo:hi]):
-                            if w:
-                                w_fixed[row] = w
-                    elif w_offs is not None:
-                        for w, (w_col, w_row) in zip(slot.w_nums, w_lanes[s][lo:hi]):
-                            copies += (w, row, w_col, w_row)
-                    else:
-                        # structural unit weights (residual / pooling)
-                        fixed[slot.const][row] = 1
-                        for w in slot.w_nums[: min(hi, k) - lo]:
-                            copies += (w, row, slot.const_num, row)
-                    carry_src = carry_srcs[s]
-                    if carry_src is None:
-                        # The bias enters through the first carry, not through
-                        # const: in hidden-weights mode const holds unit weights.
-                        if i in bld.param_cells:
-                            carry_src = b_nums[ch]
-                        elif biases[ch]:
-                            bld.set_fixed(slot.const, row, biases[ch])
-                            carry_src = (slot.const_num, row)
-                        else:
-                            carry_src = (zero_num, row)
-                    copies += (slot.carry_num, row, *carry_src)
-                    carry_srcs[s] = (slot.out_num, row)
+    # The channels' slot chunks, the same for every window; chain
+    # w * chunks + c is chunk c at window w, and site w * n_ch + ch is
+    # channel ch at window w.
+    chunk_m = np.array(split(n_ch)) if layer.kind in SHARED else np.ones(n_ch, np.int64)
+    chunk_start = np.cumsum(chunk_m) - chunk_m
+    chunk_of = np.repeat(np.arange(len(chunk_m)), chunk_m)
+    site_win = np.repeat(np.arange(n_win), n_ch)
+    chain = site_win * len(chunk_m) + np.tile(chunk_of, n_win)
+    slot = np.tile(np.arange(n_ch) - chunk_start[chunk_of], n_win)
+    real = (np.arange(width) < win_taps[:, None])[site_win]
+    if w_offs is None:
+        weights = real.astype(np.int64)
+    else:
+        w_idx = w_offs[site_win] + np.tile(w_base, n_win)[:, None]
+        weights = np.asarray(graph.signed_weights[i], np.int64)[w_idx]
+        weights[~real] = 0
+        if not bld.weights_advice:
+            del w_idx        # only hidden weights copy from the staged cells
+    del real
+    taps = np.repeat(win_taps, len(chunk_m))
+    src = (x_offs[:, None, :] + x_base[chunk_start][:, None]).reshape(-1, width)
+    m_c = np.tile(chunk_m, n_win)
+    rows_c = chain_rows(taps)
+    first_site = (np.arange(n_win)[:, None] * n_ch + chunk_start).reshape(-1)
 
-            # The last row carries DIV, and each slot's remainder range
-            # check and clip lookup.
-            bld.set_fixed(g.q_div, row, 1)
-            bld.set_fixed(g.div_a, row, a)
-            bld.set_fixed(g.div_b, row, b)
-            bld.set_fixed(g.div_off, row, off)
-            fixed[bld.group_lookup_selector(g, rtab, ("r",))][row] = 1
-            fixed[bld.group_lookup_selector(g, ctab, ("q", "act"))][row] = 1
-            act_out += [(slot.act, row) for slot in g.slots]
-            acc_out += [(slot.out, row) for slot in g.slots]
+    # Each slot count's group, opened on first use with its lookup
+    # selectors; its chains take consecutive rows from its cursor.  Rows
+    # and column numbers fit int32.
+    first = np.empty(len(taps), np.int32)
+    group_of = np.zeros(n + 1, np.int64)
+    sels = {}
+    ms, at = np.unique(chunk_m, return_index=True)
+    for m in ms[np.argsort(at)].tolist():
+        grp = bld.group(m)
+        group_of[m] = grp.index
+        sels[grp.index] = [
+            bld.col_number[bld.group_lookup_selector(grp, rtab, ("r",))],
+            bld.col_number[bld.group_lookup_selector(grp, ctab, ("q", "act"))],
+        ]
+        on = m_c == m
+        r = rows_c[on]
+        first[on] = grp.cursor + np.cumsum(r) - r
+        grp.cursor += int(r.sum())
+    g_c = group_of[m_c]
+    last = first + rows_c - 1
+    nums = bld.group_nums()
+    sel = np.array([sels.get(g, [0, 0]) for g in range(len(bld.groups))], np.int32)[g_c]
 
-    plan_arrays = _tap_arrays(windows, channels, chunks, graph.signed_weights[i])
-    chain = plan_arrays["chain"]
+    # Axes: chain C, row R, slot M, lane N.
+    C, R, M = len(taps), width // n, int(chunk_m.max())
+    r = np.arange(R, dtype=np.int32)
+    row_live = r < rows_c[:, None]
+    trow = first[:, None] + r
+    lane_live = r[:, None] * n + np.arange(n) < taps[:, None, None]
+    slot_live = np.arange(M) < m_c[:, None]
+    site = np.minimum(first_site[:, None] + np.arange(M), len(chain) - 1)
+    ch = site % n_ch
+    slot_nums = {role: nums[role][g_c][:, None, :M] for role in ("carry", "out", "const")}
+
+    # The copies.  x lanes from the sources; each first carry from the
+    # staged bias, the const cell holding a public bias, or zero, each
+    # later carry from the previous row's out; in hidden-weights mode the
+    # w lanes from the staged weights or, for unit weights, the row's
+    # const.  The bias enters through the first carry, not through const:
+    # in hidden-weights mode const holds unit weights.
+    src_cols, src_rows = (np.concatenate([cells[ref][k] for ref in layer.input_refs]) for k in (0, 1))
+    x_src = src.reshape(C, R, n)
+    x = (nums["x"][g_c][:, None, :], trow[:, :, None], src_cols[x_src], src_rows[x_src])
+    if i in bld.param_cells:
+        b_cols, b_rows = bld.cell_nums(bld.param_cells[i][1])
+        carry0 = (b_cols[ch], b_rows[ch])
+    else:
+        carry0 = (np.where(biases[ch] != 0, slot_nums["const"][:, 0], bld.col_number[bld.zero_col]),
+                  np.broadcast_to(first[:, None], (C, M)))
+    head = (r == 0)[:, None]
+    carry = (
+        slot_nums["carry"], trow[:, :, None],
+        np.where(head, carry0[0][:, None, :], slot_nums["out"]),
+        np.where(head, carry0[1][:, None, :], trow[:, :, None] - 1),
+    )
+    w = (None,) * 4
+    if bld.weights_advice:
+        w_rows = trow[:, :, None, None]
+        if w_offs is None:
+            w_src = (slot_nums["const"][..., None], w_rows)
+        else:
+            staged = w_idx[site].reshape(C, M, R, n).transpose(0, 2, 1, 3)
+            w_cols, w_cell_rows = bld.cell_nums(bld.param_cells[i][0])
+            w_src = (w_cols[staged], w_cell_rows[staged])
+        w = (nums["w"][g_c][:, None, :M], w_rows, *w_src)
+
+    def per_row(x_part, w_part, carry_part) -> np.ndarray:
+        """A (chain, row) block's copies in order: the x lanes, then per
+        slot its w lanes (hidden weights only) and its carry."""
+        per_slot = [np.broadcast_to(carry_part, (C, R, M))[..., None]]
+        if w_part is not None:
+            per_slot.insert(0, np.broadcast_to(w_part, (C, R, M, n)))
+        return np.concatenate(
+            [np.broadcast_to(x_part, (C, R, n)), np.concatenate(per_slot, axis=3).reshape(C, R, -1)], axis=2
+        )
+
+    w_live = None if w[0] is None else lane_live[:, :, None, :] & slot_live[:, None, :, None]
+    live = per_row(lane_live, w_live, row_live[:, :, None] & slot_live[:, None, :])
+    bld.copies.extend(bld.ints(np.stack([per_row(*parts)[live] for parts in zip(x, w, carry)], axis=1).ravel()))
+    del x, w, carry, live
+
+    # The fixed cells: per row its DOT_k selector and z, per last row DIV
+    # and the two lookup selectors, per slot its public weights and the
+    # const cells.
+    rows = trow[row_live]
+    g_row = np.broadcast_to(g_c[:, None], (C, R))[row_live]
+    k_row = np.minimum(taps[:, None] - r * n, n)[row_live]
+    fixed = [(nums["q_dot"][g_row, k_row - 1], rows, 1), (nums["z"][g_row], rows, z_in % p)]
+    fixed += [(nums[role][g_c], last, v % p) for role, v in (("q_div", 1), ("da", a), ("db", b), ("off", off))]
+    fixed += [(sel[:, 0], last, 1), (sel[:, 1], last, 1)]
+    if i not in bld.param_cells:
+        residues = biases.astype(object) % p
+        on = slot_live & (residues != 0)[ch]
+        fixed.append((slot_nums["const"][:, 0][on], np.broadcast_to(first[:, None], (C, M))[on], residues[ch][on]))
+    if not bld.weights_advice:
+        # Site-major order keeps each weight column's rows increasing.
+        w_site, t = np.nonzero(weights)
+        w_chain = chain[w_site]
+        fixed.append((
+            nums["w"][g_c[w_chain], slot[w_site], t % n],
+            first[w_chain] + (t // n).astype(np.int32),
+            bld.int8_residues[weights[w_site, t] + 128],
+        ))
+        del w_site, t, w_chain
+    elif w_offs is None:
+        on = row_live[:, :, None] & slot_live[:, None, :]
+        fixed.append((np.broadcast_to(slot_nums["const"], on.shape)[on], np.broadcast_to(trow[:, :, None], on.shape)[on], 1))
+    bld.put_fixed(fixed)
+
     lp = LayerPlan(
         layer=i, z_in=z_in, a=a, b=b, off=off, z_out=z_out, refs=tuple(layer.input_refs),
-        group=np.array(chain_groups)[chain], first_row=np.array(chain_rows)[chain],
-        bias=np.tile(np.array(biases, np.int64), len(windows)), **plan_arrays,
+        src=src, taps=taps, chain=chain, slot=slot, group=g_c[chain], first_row=first[chain],
+        bias=np.tile(biases, n_win), weights=weights,
     )
-    return lp, act_out, acc_out
-
-
-def _tap_arrays(windows: list, channels: list, chunks: list, w_vals: list | None) -> dict:
-    """A layer's tap table as LayerPlan's src, taps, chain, slot and
-    weights arrays.  Chain w * len(chunks) + c reads window w from chunk
-    c's source base, and site w * len(channels) + ch is channel ch at
-    window w; w_vals None means unit weights."""
-    ks = np.array([len(x_offs) for x_offs, _ in windows])
-    width = GATE_WIDTH * int(_chain_rows(ks.max()))
-    real = np.arange(width) < ks[:, None]     # per window, its taps
-
-    def padded(offsets) -> np.ndarray:
-        out = np.zeros(real.shape, np.int64)
-        out[real] = list(itertools.chain.from_iterable(offsets))
-        return out
-
-    n_win = len(windows)
-    bases = np.array([channels[c.start][0] for c in chunks])
-    chunk_of, slot_of = np.array([(c, s) for c, chunk in enumerate(chunks) for s in range(len(chunk))]).T
-    site_win = np.repeat(np.arange(n_win), len(channels))
-    if w_vals is None:
-        weights = real[site_win].astype(np.int64)
-    else:
-        w_idx = padded(w for _, w in windows)[site_win] + np.tile([w for _, w in channels], n_win)[:, None]
-        weights = np.where(real[site_win], np.asarray(w_vals, np.int64)[w_idx], 0)
-    return {
-        "src": (padded(x for x, _ in windows)[:, None, :] + bases[:, None]).reshape(-1, width),
-        "taps": np.repeat(ks, len(chunks)),
-        "chain": site_win * len(chunks) + np.tile(chunk_of, n_win),
-        "slot": np.tile(slot_of, n_win),
-        "weights": weights,
-    }
+    act = (nums["act"][g_c[chain], slot], last[chain])
+    acc = (nums["out"][g_c[chain], slot], last[chain])
+    return lp, act, acc
 
 
 def _sponge_row_rounds(params: SpongeParams) -> list[tuple]:
@@ -1149,9 +1187,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
     logical = max(
         [g.cursor for g in bld.groups.values()] + [bld.io_cursor, bld.sponge_cursor] + [1]
     )
-    padded = 1 << (logical - 1).bit_length()   # logical >= 1
-    if padded > MAX_ROWS:
-        raise CompileError(f"the grid needs {padded} rows, over the limit of {MAX_ROWS}")
+    padded = _padded_rows(logical)
     n_advice = sum(col.kind == ADVICE for col in bld.columns.values())
     if padded * max(n_advice, len(bld.fixed)) > MAX_CELLS:
         raise CompileError(

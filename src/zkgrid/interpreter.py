@@ -6,6 +6,12 @@ infinity for the scale step, saturation to [0, 255] for activations.
 The scale step acc * a runs in int64 only when it cannot overflow, that
 is when max(1, max|bound|) * a < 2^63 for the layer's accumulator
 bound, and on Python ints otherwise (`scale_fits_int64`).
+
+A conv or depthwise layer is one windowed product: a sliding-window view
+of the padded input, then one int64 `tensordot` or `einsum` over every
+output position.  Integer products do not go through BLAS, so they are
+exact.  Being the oracle, the interpreter reads nothing compile derives
+(no tap table, no witness plan).
 """
 
 from __future__ import annotations
@@ -60,39 +66,28 @@ def _pad_same(x: np.ndarray, kh: int, kw: int, stride: int, fill: int) -> tuple[
     return np.pad(x, pad, constant_values=fill), oh, ow
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, z: int, stride: int, padding: str) -> np.ndarray:
-    oc, kh, kw, _ = w.shape
+def _windows(x: np.ndarray, kh: int, kw: int, z: int, stride: int, padding: str) -> np.ndarray:
+    """Every kernel window of x - z, as a (oh, ow, c, kh, kw) view."""
     if padding == "same":
         # Padding with the zero point makes padded taps contribute zero.
-        xp, oh, ow = _pad_same(x, kh, kw, stride, z)
+        x, oh, ow = _pad_same(x, kh, kw, stride, z)
     else:
-        xp = x
         oh = (x.shape[0] - kh) // stride + 1
         ow = (x.shape[1] - kw) // stride + 1
-    acc = np.empty((oh, ow, oc), dtype=np.int64)
-    xs = xp.astype(np.int64) - z
-    for i in range(oh):
-        for j in range(ow):
-            win = xs[i * stride : i * stride + kh, j * stride : j * stride + kw, :]
-            acc[i, j, :] = np.tensordot(win, w, axes=([0, 1, 2], [1, 2, 3])) + bias
-    return acc
+    win = np.lib.stride_tricks.sliding_window_view(x.astype(np.int64) - z, (kh, kw), axis=(0, 1))
+    return win[: (oh - 1) * stride + 1 : stride, : (ow - 1) * stride + 1 : stride]
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, z: int, stride: int, padding: str) -> np.ndarray:
+    _, kh, kw, _ = w.shape
+    # One int64 product over every window; integer products skip BLAS, so
+    # it is exact.
+    return np.tensordot(_windows(x, kh, kw, z, stride, padding), w, axes=([2, 3, 4], [3, 1, 2])) + bias
 
 
 def _depthwise(x: np.ndarray, w: np.ndarray, bias: np.ndarray, z: int, stride: int, padding: str) -> np.ndarray:
-    kh, kw, c = w.shape
-    if padding == "same":
-        xp, oh, ow = _pad_same(x, kh, kw, stride, z)
-    else:
-        xp = x
-        oh = (x.shape[0] - kh) // stride + 1
-        ow = (x.shape[1] - kw) // stride + 1
-    acc = np.empty((oh, ow, c), dtype=np.int64)
-    xs = xp.astype(np.int64) - z
-    for i in range(oh):
-        for j in range(ow):
-            win = xs[i * stride : i * stride + kh, j * stride : j * stride + kw, :]
-            acc[i, j, :] = np.sum(win * w, axis=(0, 1)) + bias
-    return acc
+    kh, kw, _ = w.shape
+    return np.einsum("ijcrs,rsc->ijc", _windows(x, kh, kw, z, stride, padding), w) + bias
 
 
 def run_inference(graph: ModelGraph, inp: QuantTensor) -> InferenceTrace:

@@ -1,16 +1,18 @@
-"""Shared test machinery: the independent convolution oracle, the
-row-by-row constraint oracle, the single-cell tamper harness and a
-reference writer of version-6 layout files."""
+"""Shared test machinery: the independent convolution oracle, the models
+that cover every layer kind, padding and stride, the row-by-row
+constraint oracle, the single-cell tamper harness and a reference writer
+of version-6 layout files."""
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import struct
 
 from zkgrid.checker import Violation, check
 from zkgrid.circuit import ADVICE
-from zkgrid.model import INPUT_REF
+from zkgrid.model import INPUT_REF, Layer, ModelGraph, QuantParams, QuantTensor, ScaleFactor, validate
 
 
 def naive_layer_oracle(graph, inp_codes):
@@ -109,6 +111,50 @@ def naive_layer_oracle(graph, inp_codes):
             logits = list(inp_codes) if ref == INPUT_REF else list(accs[ref])
             accs[li], acts[li] = logits, (list(inp_codes) if ref == INPUT_REF else acts[ref])
     return accs, acts, logits
+
+
+def table_models():
+    """Three models that between them hold conv2d and depthwise layers with
+    "same" and "valid" padding at strides 1 and 2 (odd and even kernels,
+    so "same" pads unevenly), a residual add, an average pool and an fc."""
+    rng = random.Random(5)
+    unit = QuantParams(0, ScaleFactor(1, 1))
+
+    def conv(kind, ref, in_c, kh, kw, oc, stride, padding, quant):
+        shape = (oc, kh, kw, in_c) if kind == "conv2d" else (kh, kw, in_c)
+        oc = oc if kind == "conv2d" else in_c
+        data = bytes(rng.randint(-5, 5) % 256 for _ in range(math.prod(shape)))
+        bias = tuple(rng.randint(-50, 50) for _ in range(oc))
+        return Layer(kind, (ref,), quant, QuantTensor(shape, data, unit), bias, stride, padding)
+
+    q_in, q1, q2 = (QuantParams(z, ScaleFactor(1, 64)) for z in (3, 9, 20))
+    a = (
+        conv("conv2d", INPUT_REF, 3, 3, 3, 4, 2, "same", q1),                 # (7,6,3) -> (4,3,4)
+        conv("depthwise_conv2d", 0, 4, 3, 3, 4, 1, "same", q1),               # -> (4,3,4)
+        Layer("residual_add", (0, 1), QuantParams(9, ScaleFactor(1, 1))),     # -> (4,3,4)
+        conv("conv2d", 2, 4, 2, 2, 2, 2, "valid", q2),                        # -> (2,1,2)
+        conv("depthwise_conv2d", 3, 2, 2, 1, 2, 1, "valid", q2),              # -> (1,1,2)
+    )
+    b = (
+        conv("depthwise_conv2d", INPUT_REF, 2, 3, 3, 2, 2, "valid", q1),      # (7,7,2) -> (3,3,2)
+        conv("conv2d", 0, 2, 2, 2, 3, 1, "same", q2),                         # -> (3,3,3)
+        conv("conv2d", 1, 3, 3, 3, 3, 1, "valid", q2),                        # -> (1,1,3)
+    )
+    c = (
+        conv("depthwise_conv2d", INPUT_REF, 2, 3, 3, 2, 2, "same", q1),       # (7,7,2) -> (4,4,2)
+        conv("conv2d", 0, 2, 1, 3, 3, 1, "same", q2),                         # -> (4,4,3)
+        Layer("average_pool", (1,), q2),                                      # -> (1,1,3)
+        Layer(
+            "fully_connected", (2,), q1,
+            QuantTensor((5, 3), bytes(rng.randint(-9, 9) % 256 for _ in range(15)), unit),
+            tuple(rng.randint(-50, 50) for _ in range(5)),
+        ),
+    )
+    models = []
+    for layers, shape in ((a, (7, 6, 3)), (b, (7, 7, 2)), (c, (7, 7, 2))):
+        out = Layer("output", (len(layers) - 1,), layers[-1].out_quant)
+        models.append(validate(ModelGraph(layers=(*layers, out), input_shape=shape, input_quant=q_in)))
+    return models
 
 
 def constrained_advice_cells(layout):

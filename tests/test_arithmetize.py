@@ -3,9 +3,10 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 
-from helpers import constrained_advice_cells, tamper_trials
+from helpers import constrained_advice_cells, table_models, tamper_trials
 from zkgrid import arithmetize, serialize
 from zkgrid.arithmetize import (
     CompileConfig,
@@ -157,50 +158,6 @@ def test_one_row_per_dot_chunk(mode):
     assert multi_row
 
 
-def _table_models():
-    """Three models that between them hold conv2d and depthwise layers with
-    "same" and "valid" padding at strides 1 and 2 (odd and even kernels,
-    so "same" pads unevenly), a residual add, an average pool and an fc."""
-    rng = random.Random(5)
-    unit = QuantParams(0, ScaleFactor(1, 1))
-
-    def conv(kind, ref, in_c, kh, kw, oc, stride, padding, quant):
-        shape = (oc, kh, kw, in_c) if kind == "conv2d" else (kh, kw, in_c)
-        oc = oc if kind == "conv2d" else in_c
-        data = bytes(rng.randint(-5, 5) % 256 for _ in range(math.prod(shape)))
-        bias = tuple(rng.randint(-50, 50) for _ in range(oc))
-        return Layer(kind, (ref,), quant, QuantTensor(shape, data, unit), bias, stride, padding)
-
-    q_in, q1, q2 = (QuantParams(z, ScaleFactor(1, 64)) for z in (3, 9, 20))
-    a = (
-        conv("conv2d", INPUT_REF, 3, 3, 3, 4, 2, "same", q1),                 # (7,6,3) -> (4,3,4)
-        conv("depthwise_conv2d", 0, 4, 3, 3, 4, 1, "same", q1),               # -> (4,3,4)
-        Layer("residual_add", (0, 1), QuantParams(9, ScaleFactor(1, 1))),     # -> (4,3,4)
-        conv("conv2d", 2, 4, 2, 2, 2, 2, "valid", q2),                        # -> (2,1,2)
-        conv("depthwise_conv2d", 3, 2, 2, 1, 2, 1, "valid", q2),              # -> (1,1,2)
-    )
-    b = (
-        conv("depthwise_conv2d", INPUT_REF, 2, 3, 3, 2, 2, "valid", q1),      # (7,7,2) -> (3,3,2)
-        conv("conv2d", 0, 2, 2, 2, 3, 1, "same", q2),                         # -> (3,3,3)
-        conv("conv2d", 1, 3, 3, 3, 3, 1, "valid", q2),                        # -> (1,1,3)
-    )
-    c = (
-        conv("depthwise_conv2d", INPUT_REF, 2, 3, 3, 2, 2, "same", q1),       # (7,7,2) -> (4,4,2)
-        conv("conv2d", 0, 2, 1, 3, 3, 1, "same", q2),                         # -> (4,4,3)
-        Layer("average_pool", (1,), q2),                                      # -> (1,1,3)
-        Layer(
-            "fully_connected", (2,), q1,
-            QuantTensor((5, 3), bytes(rng.randint(-9, 9) % 256 for _ in range(15)), unit),
-            tuple(rng.randint(-50, 50) for _ in range(5)),
-        ),
-    )
-    models = []
-    for layers, shape in ((a, (7, 6, 3)), (b, (7, 7, 2)), (c, (7, 7, 2))):
-        out = Layer("output", (len(layers) - 1,), layers[-1].out_quant)
-        models.append(validate(ModelGraph(layers=(*layers, out), input_shape=shape, input_quant=q_in)))
-    return models
-
-
 @pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
 def test_layer_tables_match_naive_taps(mode):
     """For every site of every layer kind, the plan's index arrays give
@@ -209,7 +166,7 @@ def test_layer_tables_match_naive_taps(mode):
     site_plans view holds those taps over ceil(k / N) rows."""
     kinds = set()
     multi_row = 0
-    for g in _table_models():
+    for g in table_models():
         layout, _ = compile(g, CompileConfig(mode=mode))
         plan = layout.plan
         cells = {INPUT_REF: plan.input_cells}
@@ -972,7 +929,7 @@ def test_channels_split_into_equal_chunks(units, groups):
 def test_depthwise_residual_and_pool_channels_take_one_slot():
     """Channels with their own source base (depthwise, residual, pool)
     share no patch: their sites take rows of M = 1 slot."""
-    for g in _table_models():
+    for g in table_models():
         layout, _ = compile(g)
         for site in layout.plan.site_plans:
             kind = g.layers[site.layer].kind
@@ -1082,3 +1039,111 @@ def test_site_plans_agree_with_region_rows(seed, mode):
         assert [d.row for d in site.rows] == list(range(site.rows[0].row, site.div.row + 1))
     layers = [f"layer{lp.layer}" for lp in layout.plan.layer_plans]
     assert {f"layer{i}": len(r) for i, r in rows.items()} == {name: stats.regions[name]["rows"] for name in layers}
+
+
+# --- array emission and the row budget -----------------------------------------
+
+def _odd_chunk_model():
+    """conv2d to C = 11 channels (chunks 6 + 5, two groups), a depthwise
+    layer at stride 2 with uneven "same" padding, an fc to
+    13 units (chunks 7 + 6) and the output."""
+    rng = random.Random(11)
+    unit = QuantParams(0, ScaleFactor(1, 1))
+    q_in, q1, q2 = (QuantParams(z, ScaleFactor(1, 64)) for z in (5, 7, 11))
+
+    def tensor(shape):
+        return QuantTensor(shape, bytes(rng.randint(-6, 6) % 256 for _ in range(math.prod(shape))), unit)
+
+    def bias(n):
+        return tuple(rng.choice([0, rng.randint(-60, 60)]) for _ in range(n))
+
+    layers = (
+        Layer("conv2d", (INPUT_REF,), q1, tensor((11, 3, 2, 3)), bias(11), 1, "same"),   # (5,4,3) -> (5,4,11)
+        Layer("depthwise_conv2d", (0,), q2, tensor((2, 3, 11)), bias(11), 2, "same"),   # -> (3,2,11)
+        Layer("fully_connected", (1,), q1, tensor((13, 66)), bias(13)),                 # -> (1,1,13)
+    )
+    out = Layer("output", (2,), q1)
+    return validate(ModelGraph(layers=(*layers, out), input_shape=(5, 4, 3), input_quant=q_in))
+
+
+@pytest.mark.parametrize("mode", [None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS])
+def test_array_emission_invariants_on_odd_chunks(mode):
+    """A layer whose chunks fall in two groups (C = 11 -> 6 + 5, 13 -> 7 +
+    6) emits its copies in order: per chain and row, its live x lanes,
+    then per slot its w lanes (hidden weights) and its carry.  Each fixed
+    column's rows strictly increase, a layer's region counts exactly its
+    copies, and the honest witness checks clean."""
+    g = _odd_chunk_model()
+    layout, stats = compile(g, CompileConfig(mode=mode))
+    assert {grp["slots"] for grp in stats.groups} >= {6, 5, 7, 1}
+    for col in layout.fixed.values():
+        rows = list(col.cells)
+        assert rows == sorted(set(rows))
+    names = layout.copies.names
+    flat = layout.copies.flat
+    targets = list(zip((names[k] for k in flat[0::4]), flat[1::4]))
+    hidden = mode is not None and mode.weights_hidden
+    start = stats.regions["staging"]["copies"]
+    n = arithmetize.GATE_WIDTH
+    for lp in layout.plan.layer_plans:
+        # The targets in copy order, written out one chain, row and slot
+        # at a time.
+        want = []
+        for ch in range(len(lp.taps)):
+            sites = np.flatnonzero(lp.chain == ch)
+            grp, first, k = int(lp.group[sites[0]]), int(lp.first_row[sites[0]]), int(lp.taps[ch])
+            for r, lo in enumerate(range(0, k, n)):
+                lanes = range(min(n, k - lo))
+                want += [(f"g{grp}:x{j}", first + r) for j in lanes]
+                for s in range(len(sites)):
+                    want += [(f"g{grp}:s{s}:w{j}", first + r) for j in lanes if hidden]
+                    want.append((f"g{grp}:s{s}:carry", first + r))
+        assert stats.regions[f"layer{lp.layer}"]["copies"] == len(want)
+        assert targets[start : start + len(want)] == want
+        start += len(want)
+    assert check(layout, assign_witness(layout, g, random_input(random.Random(3), g))) == []
+
+
+def _grid_row_cases():
+    fields = (Field(), Field((1 << 89) - 1), Field(65537))
+    fc = _fc_model(units=2, feat=31, weights=[(j % 7) - 3 for j in range(62)], bias=[5, -9])
+    cases = [(g, mode, Field()) for g in [*table_models(), _odd_chunk_model()] for mode in MODES]
+    cases += [(random_model(random.Random(seed)), mode, Field()) for seed in range(8) for mode in MODES]
+    return cases + [(fc, mode, fld) for fld in fields for mode in MODES]
+
+
+def test_row_budget_is_the_compiled_height():
+    """The rows compile works out from the shapes before lowering are the
+    logical rows it then spends, on every layer kind and mode and on
+    fields of three pack widths."""
+    for g, mode, fld in _grid_row_cases():
+        cfg = CompileConfig(field=fld, mode=mode)
+        keys = [i for i, layer in enumerate(g.layers) if layer.kind != "output"]
+        sponge = cfg.sponge_params() if mode is not None else None
+        assert arithmetize._grid_rows(g, keys, mode, sponge) == compile(g, cfg)[1].n_rows
+
+
+def _oversize_model():
+    """A (1100, 1100, 1) input and a 1x1 depthwise conv: 1,210,000 rows of
+    one slot, a grid of 2^21 rows."""
+    q = QuantParams(3, ScaleFactor(1, 64))
+    dw = Layer("depthwise_conv2d", (INPUT_REF,), q, QuantTensor((1, 1, 1), bytes([2]), QuantParams(0, ScaleFactor(1, 1))), (5,), 1, "valid")
+    return validate(ModelGraph(layers=(dw, Layer("output", (0,), q)), input_shape=(1100, 1100, 1), input_quant=q))
+
+
+def test_oversize_grid_refused_before_lowering(monkeypatch, tmp_path):
+    """compile refuses a grid over MAX_ROWS from the model's shapes,
+    before it stages an input cell or lowers a layer; the CLI exits 2."""
+    g = _oversize_model()
+
+    def never(*args, **kwargs):
+        raise AssertionError("lowering ran")
+
+    monkeypatch.setattr(arithmetize, "_lower_layer", never)
+    monkeypatch.setattr(arithmetize._Builder, "stage", never)
+    with pytest.raises(CompileError, match=f"over the limit of MAX_ROWS = {arithmetize.MAX_ROWS}"):
+        compile(g)
+    model = tmp_path / "big.json"
+    model.write_bytes(save_model(g))
+    assert cli_main(["compile", str(model), "--layout", str(tmp_path / "big.layout")]) == 2
+    assert not (tmp_path / "big.layout").exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import naive_layer_oracle
+from helpers import naive_layer_oracle, table_models
 from zkgrid.arithmetize import assign_witness, compile
 from zkgrid.checker import check
 from zkgrid.cli import main
@@ -74,10 +74,17 @@ def test_input_shape_mismatch_raises():
 
 
 def test_trace_matches_naive_oracle_on_random_models():
-    """Independently written nested-loop inference agrees exactly."""
+    """Independently written nested-loop inference agrees exactly, on
+    random models and on the models that hold even kernels, uneven "same"
+    padding and stride 2."""
     rng = random.Random(123)
-    for _ in range(25):
-        g = random_model(rng, max_hw=8, max_c=4, max_layers=4)
+
+    def models():
+        for _ in range(25):
+            yield random_model(rng, max_hw=8, max_c=4, max_layers=4)
+        yield from table_models()
+
+    for g in models():
         inp = random_input(rng, g)
         tr = run_inference(g, inp)
         accs, acts, logits = naive_layer_oracle(g, list(inp.data))
