@@ -54,8 +54,9 @@ window (padding clipped) and the matching weight offsets, shared by every
 output channel; per channel, a source base and a weight base (conv and fc
 channels share a patch).  The layer's rows, copies and fixed cells are
 emitted from those arrays with a few numpy operations: padded (chain,
-row, lane or slot) arrays and one mask, flattened in copy order into the
-builder's packed copy list, and one dict update per fixed column.  Before
+row, lane or slot) arrays and one mask, flattened in copy order into one
+int32 piece of the builder's packed copies, and one (rows, values) array
+piece per fixed column; the layout's arrays are those pieces joined.  Before
 any of that, compile works out the grid's height from the model's shapes
 (`taps.layer_rows`) and refuses one over MAX_ROWS.  The witness plan
 keeps one record per layer (LayerPlan): its z_in, its DIV key (a, b, off,
@@ -119,7 +120,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -143,6 +144,7 @@ from .circuit import (
     builtin_gates,
     cell,
     const,
+    fixed_values,
     mul,
     pow5,
     sub,
@@ -150,6 +152,7 @@ from .circuit import (
 from .commit import (
     SpongeParams,
     VisibilityMode,
+    default_sponge_params,
     pack_width,
     sponge_states,
 )
@@ -182,7 +185,7 @@ class CompileConfig:
             if self.sponge.modulus != self.field.modulus:
                 raise CompileError("sponge params disagree with field modulus")
             return self.sponge
-        return SpongeParams(modulus=self.field.modulus)
+        return default_sponge_params(self.field.modulus)
 
 
 @dataclass(frozen=True)
@@ -446,6 +449,42 @@ class _Group:
         }
 
 
+class _FixedCells:
+    """One fixed column's nonzero cells as compile sets them, in
+    increasing row order: (rows, values) array pieces, and the cells set
+    one at a time since the last piece."""
+
+    __slots__ = ("pieces", "rows", "values")
+
+    def __init__(self):
+        self.pieces: list[tuple[np.ndarray, np.ndarray]] = []
+        self.rows: list[int] = []
+        self.values: list[int] = []
+
+    def add(self, row: int, value: int) -> None:
+        self.rows.append(row)
+        self.values.append(value)
+
+    def extend(self, rows: np.ndarray, values: np.ndarray) -> None:
+        self._close()
+        self.pieces.append((rows, values))
+
+    def _close(self) -> None:
+        if self.rows:
+            self.pieces.append((np.array(self.rows, np.int32), np.array(self.values, object)))
+            self.rows, self.values = [], []
+
+    def __len__(self) -> int:
+        return sum(len(r) for r, _ in self.pieces) + len(self.rows)
+
+    def column(self, n_rows: int) -> FixedColumn:
+        self._close()
+        if not self.pieces:
+            return FixedColumn(np.zeros(0, np.int32), np.zeros(0, np.int64), n_rows)
+        rows, values = zip(*self.pieces)
+        return FixedColumn(np.concatenate(rows), fixed_values(np.concatenate(values)), n_rows)
+
+
 class _Builder:
     def __init__(self, graph: ModelGraph, cfg: CompileConfig):
         self.graph = graph
@@ -454,11 +493,14 @@ class _Builder:
         self.columns: dict[str, Column] = {}
         self.col_number: dict[str, int] = {}
         # Each fixed column's nonzero cells, set in increasing row order.
-        self.fixed: dict[str, dict[int, int]] = {}
+        self.fixed: dict[str, _FixedCells] = {}
         self.gates: list[GateDef] = []
         self.tables: dict[str, LookupTable] = {}
         self.lookups: list[LookupArg] = []
-        self.copies: list[int] = []  # packed, as in circuit.Copies
+        # The copies, packed as in circuit.Copies: int32 arrays, then the
+        # copies made one at a time since the last array.
+        self.copy_parts: list[np.ndarray] = []
+        self.copies: list[int] = []
         self.instance_map: list[tuple[tuple, int]] = []
         self.groups: dict[int, _Group] = {}   # slot count M -> its group, in column order
         self.io_cursor = 0
@@ -473,7 +515,6 @@ class _Builder:
         self.param_cells: dict[int, tuple[list, list]] = {}
         self.pack_cols: tuple | None = None
         self.regions: dict[str, dict[str, int]] = {}   # CircuitStats.regions
-        self.int_objects = np.zeros(0, object)   # ints(): value v at index v
         # v mod p for v in -128..127, indexed by v + 128: public weights.
         self.int8_residues = np.array([v % self.p for v in range(-128, 128)], object)
         self.zero_col = self.new_column("zero", FIXED)
@@ -482,15 +523,15 @@ class _Builder:
         self.col_number.setdefault(col_id, len(self.col_number))
         self.columns[col_id] = Column(col_id, kind)
         if kind == FIXED:
-            self.fixed[col_id] = {}
+            self.fixed[col_id] = _FixedCells()
         return col_id
 
     def set_fixed(self, col_id: str, row: int, value: int) -> None:
+        """Set one fixed cell, after the column's earlier cells; a value
+        of 0 mod p sets nothing."""
         value %= self.p
         if value:
-            self.fixed[col_id][row] = value
-        else:
-            self.fixed[col_id].pop(row, None)
+            self.fixed[col_id].add(row, value)
 
     def group(self, m: int) -> _Group:
         """The group of M = m slots, opened on first use; groups of
@@ -504,6 +545,18 @@ class _Builder:
         num = self.col_number
         self.copies += (num[a[0]], a[1], num[b[0]], b[1])
 
+    def put_copies(self, flat: np.ndarray) -> None:
+        """Append the packed copies `flat`, after every earlier copy."""
+        self.copy_parts += (np.array(self.copies, np.int32), flat.astype(np.int32))
+        self.copies = []
+
+    def n_copies(self) -> int:
+        return (sum(map(len, self.copy_parts)) + len(self.copies)) // 4
+
+    def packed_copies(self) -> np.ndarray:
+        """Every copy, packed, as one int32 array."""
+        return np.concatenate([*self.copy_parts, np.array(self.copies, np.int32)])
+
     def cell_nums(self, cells: list) -> tuple[np.ndarray, np.ndarray]:
         """The column numbers and the rows of `cells`, as two arrays."""
         cols, rows = zip(*cells) if cells else ((), ())
@@ -514,20 +567,11 @@ class _Builder:
         groups = list(self.groups.values())
         return {role: np.array([g.nums[role] for g in groups], np.int32) for role in groups[0].nums}
 
-    def ints(self, a: np.ndarray) -> np.ndarray:
-        """The values of `a`, nonnegative integers, as an object array of
-        Python ints that share one object per value, as a loop's counters
-        would: a grid's rows then cost no int object per cell."""
-        top = int(a.max(initial=0)) + 1
-        if len(self.int_objects) < top:
-            self.int_objects = np.arange(max(top, 2 * len(self.int_objects))).astype(object)
-        return self.int_objects[a]
-
     def put_fixed(self, pieces: list) -> None:
         """Set the fixed cells `pieces` give as (column numbers, rows,
         values) arrays, the values residues or one int for the piece.  A
-        column's cells come in increasing row order, as its dict keeps
-        them; a piece of value 0 is left out."""
+        column's cells come in increasing row order, after its earlier
+        cells; a piece of value 0 is left out."""
         pieces = [pc for pc in pieces if not isinstance(pc[2], int) or pc[2]]
         if not pieces:
             return
@@ -536,13 +580,13 @@ class _Builder:
         # it is a radix sort.
         order = np.argsort(cols.astype(np.uint16) if len(self.col_number) <= 1 << 16 else cols, kind="stable")
         cols = cols[order]
-        rows = self.ints(np.concatenate([r for _, r, _ in pieces])[order])
+        rows = np.concatenate([r for _, r, _ in pieces]).astype(np.int32)[order]
         vals = np.concatenate([np.full(len(c), v, object) if isinstance(v, int) else v for c, _, v in pieces])[order]
         del order, pieces
         cuts = (np.flatnonzero(np.diff(cols)) + 1).tolist()
         names = list(self.col_number)
         for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-            self.fixed[names[cols[lo]]].update(zip(rows[lo:hi], vals[lo:hi]))
+            self.fixed[names[cols[lo]]].extend(rows[lo:hi], vals[lo:hi])
 
     def io_columns(self) -> tuple:
         if self.io_cols is None:
@@ -561,7 +605,9 @@ class _Builder:
         self.io_cursor = rows.stop
         cells = [(col, row) for row in rows for col in cols]
         if range_selector is not None:
-            self.fixed[range_selector].update(dict.fromkeys(rows, 1))
+            self.fixed[range_selector].extend(
+                np.arange(rows.start, rows.stop, dtype=np.int32), np.ones(len(rows), np.int64)
+            )
             for pad in cells[count:]:
                 self.copy(pad, (self.zero_col, pad[1]))
                 self.io_pad_cells.append(pad)
@@ -680,11 +726,25 @@ def clip_offset(d_lo: int) -> int:
     return max(0, -d_lo)
 
 
+# How many lookup tables `lookup_table` keeps, by recipe and modulus.
+TABLE_CACHE = 16
+
+
 def lookup_table(recipe: tuple, p: int) -> LookupTable:
     """The table `recipe` describes on the field of modulus p, for compile
     and the layout loader alike: ("range", lo, hi) holds v mod p for each v
     in [lo, hi], and ("clip", a, b, z_out, d_lo, d_hi) maps each quotient d
-    in [d_lo, d_hi], keyed d + clip_offset(d_lo), to clip(d + z_out, 0, 255)."""
+    in [d_lo, d_hi], keyed d + clip_offset(d_lo), to clip(d + z_out, 0, 255).
+    The tables of the last TABLE_CACHE recipes are kept, so compile and
+    every load of its layout share one frozen table."""
+    check_recipe(recipe, p)
+    return _lookup_table(recipe, p)
+
+
+@lru_cache(maxsize=TABLE_CACHE)
+def _lookup_table(recipe: tuple, p: int) -> LookupTable:
+    """lookup_table for a recipe check_recipe accepts.  Its parameters are
+    then exact ints, so recipes that compare equal are the same recipe."""
     tid, _ = check_recipe(recipe, p)
     if recipe[0] == "range":
         return LookupTable(recipe, tid, 1, frozenset((v % p,) for v in range(recipe[1], recipe[2] + 1)))
@@ -817,7 +877,7 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
 
     bld.regions["staging"] = {
         "rows": bld.io_cursor,
-        "copies": len(bld.copies) // 4,
+        "copies": bld.n_copies(),
         "lookup_rows": sum(len(bld.fixed[lk.selector]) for lk in bld.lookups),
     }
 
@@ -828,15 +888,15 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     act_cells: dict[int, tuple] = {INPUT_REF: bld.cell_nums(input_cells)}
     acc_cells: dict[int, tuple] = {}   # each site's last out: its accumulator
     for i, key in keys.items():
-        n_copies = len(bld.copies)
+        n_copies = bld.n_copies()
         lp, act_cells[i], acc_cells[i] = _lower_layer(bld, i, clips[key], act_cells)
         layer_plans.append(lp)
         bld.regions[f"layer{i}"] = {
             "rows": int(chain_rows(lp.taps).sum()),   # a chain's slots share its rows
-            "copies": (len(bld.copies) - n_copies) // 4,
+            "copies": bld.n_copies() - n_copies,
             "lookup_rows": 2 * len(lp.chain),   # each DIV row's range and clip lookups
         }
-    n_copies = len(bld.copies)
+    n_copies = bld.n_copies()
 
     # Output wiring: logits are the referenced layer's accumulators.
     out_layer = graph.layers[graph.output_layer_index]
@@ -870,12 +930,12 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     bld.instance_map = [(c, idx) for idx, c in enumerate(bound)]
     bld.regions["sponge"] = {
         "rows": bld.sponge_cursor,
-        "copies": (len(bld.copies) - n_copies) // 4,
+        "copies": bld.n_copies() - n_copies,
         "absorbs": sum(len(sp.absorb_rows) for sp in sponge_plans),
     }
 
     layout, stats = _finalize(bld)
-    names = layout.copies.names
+    names, flat = layout.copies.names, layout.copies.flat
     layout.plan = WitnessPlan(
         sponge=sponge,
         n_inputs=n_inputs,
@@ -887,7 +947,9 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         sponges=sponge_plans,
         group_slots=list(bld.groups),
         fixed_sources={
-            k: layout.fixed[names[k]].tolist() for k in set(bld.copies[2::4]) if names[k] in layout.fixed
+            k: layout.fixed[names[k]].dense()
+            for k in np.flatnonzero(np.bincount(flat[2::4], minlength=len(names))).tolist()
+            if names[k] in layout.fixed
         },
     )
     return layout, stats
@@ -905,7 +967,7 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[Layer
     mask, flattened in C order: per chain, per row, the x lanes, then per
     slot its w lanes and its carry, which is the copy order (violation ids
     are copy indices).  The fixed cells come from the same arrays, one
-    dict update per column (`_Builder.put_fixed`).  Returns the layer's
+    array piece per column (`_Builder.put_fixed`).  Returns the layer's
     plan and, per site, its act and accumulator (last out) cells."""
     graph = bld.graph
     layer = graph.layers[i]
@@ -1023,7 +1085,7 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[Layer
 
     w_live = None if w[0] is None else lane_live[:, :, None, :] & slot_live[:, None, :, None]
     live = per_row(lane_live, w_live, row_live[:, :, None] & slot_live[:, None, :])
-    bld.copies.extend(bld.ints(np.stack([per_row(*parts)[live] for parts in zip(x, w, carry)], axis=1).ravel()))
+    bld.put_copies(np.stack([per_row(*parts)[live] for parts in zip(x, w, carry)], axis=1).ravel())
     del x, w, carry, live
 
     # The fixed cells: per row its DOT_k selector and z, per last row DIV
@@ -1196,7 +1258,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         )
     # validate() below refuses a column whose cells were not set in
     # increasing row order.
-    fixed = {col_id: FixedColumn(cells, padded) for col_id, cells in bld.fixed.items()}
+    fixed = {col_id: cells.column(padded) for col_id, cells in bld.fixed.items()}
     layout = CircuitLayout(
         field=bld.cfg.field,
         columns=bld.columns,
@@ -1205,7 +1267,7 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         gates=bld.gates,
         tables=bld.tables,
         lookups=bld.lookups,
-        copies=Copies(bld.copies, list(bld.columns)),
+        copies=Copies(bld.packed_copies(), list(bld.columns)),
         fixed=fixed,
         instance_map=bld.instance_map,
     )
@@ -1289,11 +1351,10 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     # target of another copy, so one pass in any order gives every target
     # the value of a cell computed above or of a fixed cell.
     asg = Assignment(advice=advice, instance=[0] * len(layout.instance_map))
-    copies = layout.copies
-    cols = [layout.resolve_column(name, asg) for name in copies.names]
+    cols = [layout.resolve_column(name, asg) for name in layout.copies.names]
     for k, cells in plan.fixed_sources.items():
         cols[k] = cells
-    it = iter(copies.flat)
+    it = iter(layout.copies.tolist())
     for ca, ra, cb, rb in zip(it, it, it, it):
         cols[ca][ra] = cols[cb][rb]
 

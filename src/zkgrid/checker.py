@@ -18,10 +18,11 @@ the zero test; sums, differences and products are left unreduced, which
 is exact because reduction mod p is a ring homomorphism and Python ints
 do not overflow.
 
-Fixed columns stay sparse: a gate or lookup reads a fixed operand from
-the column's cell dict on its enabled rows only.  The few fixed columns
-that copies or instance bindings index, such as the zero column, are
-made dense once per check.
+A selector's enabled rows are the rows array of its `FixedColumn`.  A
+gate, lookup, copy or instance binding reads a fixed operand from the
+column's full-height list (`FixedColumn.dense`), which the column builds
+on first read and keeps, so a layout checked again reads the lists it
+already has.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import add, length_hint, mod, mul, sub
 
-from .circuit import Assignment, CircuitLayout, Expr, FixedColumn
+import numpy as np
+
+from .circuit import Assignment, CircuitLayout, Expr
 
 KERNEL = "python"
 
@@ -69,10 +72,22 @@ def _binop(fn, x, y):
     return fn(x, y)
 
 
-def _cells(col, rows):
+class _Columns(dict):
+    """Each column's cells by id: the assignment's advice lists, and each
+    fixed column's full-height list (`FixedColumn.dense`), looked up on
+    first read."""
+
+    def __init__(self, layout: CircuitLayout, assignment: Assignment):
+        super().__init__(assignment.advice)
+        self.fixed = layout.fixed
+
+    def __missing__(self, col_id: str) -> list:
+        cells = self[col_id] = self.fixed[col_id].dense()
+        return cells
+
+
+def _cells(col: list, rows):
     """An iterator over col's cells on `rows`."""
-    if isinstance(col, FixedColumn):
-        return map(col.cells.get, rows, repeat(0))
     return map(col.__getitem__, rows)
 
 
@@ -184,8 +199,10 @@ def _check_all(
     if len(out) >= cap:
         return out
     copies = layout.copies
-    numbered = [cols[col_id] for col_id in copies.names]
-    it = iter(copies.flat)
+    read = np.zeros(len(copies.names), bool)
+    read[copies.flat[0::2]] = True
+    numbered = [cols[col_id] if r else None for col_id, r in zip(copies.names, read.tolist())]
+    it = iter(copies.tolist())
     for ca, ra, cb, rb in zip(it, it, it, it):
         va = numbered[ca][ra]
         vb = numbered[cb][rb]
@@ -257,14 +274,7 @@ def check(
         tid: {r[0] for r in t.rows} if t.arity == 1 else t.rows
         for tid, t in layout.tables.items()
     }
-    cols = {col_id: layout.resolve_column(col_id, assignment) for col_id in layout.columns}
-    flat, names = layout.copies.flat, layout.copies.names
-    indexed = {names[k] for k in {*flat[0::4], *flat[2::4]}}
-    indexed.update(col_id for (col_id, _), _ in layout.instance_map)
-    for col_id in indexed:
-        if isinstance(cols[col_id], FixedColumn):
-            cols[col_id] = cols[col_id].tolist()
-    return _check_all(layout, cols, assignment.instance, cap, table_sets)
+    return _check_all(layout, _Columns(layout, assignment), assignment.instance, cap, table_sets)
 
 
 def check_parallel(

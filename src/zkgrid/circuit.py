@@ -4,25 +4,28 @@ gated by selectors, lookup arguments, and copy (equality) constraints.
 Gate polynomials are expression trees over same-row cells and constants.
 A gate is satisfied on a row when selector * polynomial == 0 there.
 
-Copies are held packed: one flat integer list `[a_col, a_row, b_col,
-b_row, ...]` whose column numbers index the layout's columns in
-insertion order, which is also how the layout file writes them.  The
-compiler appends to that list, the file loader hands it over once its
-types are checked, and the checker walks it directly; `CopyConstraint`
-objects are built only when a caller indexes or iterates the `Copies`
-sequence.
+Copies are held packed: one int32 array `[a_col, a_row, b_col, b_row,
+...]` whose column numbers index the layout's columns in insertion
+order, which is also how the layout file writes them.  Compile
+concatenates it from its per-layer arrays, the file loader wraps the
+file's section, and validate() and the checker read it as it is;
+`CopyConstraint` objects are built only when a caller indexes or
+iterates the `Copies` sequence.
 
 Fixed columns are held sparse in the same way: each is a read-only
-`FixedColumn` over its nonzero cells, in increasing row order, which is
-also how the layout file writes them.  Every other row reads 0.
+`FixedColumn` of two arrays, the int32 rows of its nonzero cells in
+increasing order and their values, which is also how the layout file
+writes them.  Every other row reads 0.  A read of single cells goes
+through one full-height list the column builds on first read and keeps.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 from math import prod
+
+import numpy as np
 
 from .field import Field, FieldElement
 
@@ -36,6 +39,8 @@ MAX_ROWS = 1 << 20
 MAX_CELLS = 1 << 25
 # The most entries compile puts in one lookup table.
 LOOKUP_CAP = 1 << 20
+
+_INT32 = np.iinfo(np.int32)
 
 
 class CircuitError(ValueError):
@@ -166,20 +171,59 @@ class CopyConstraint:
     b: CellRef
 
 
+def check_copy_range(flat: np.ndarray, n_cols: int, n_rows: int) -> None:
+    """Refuse a packed copy store naming a column number outside
+    [0, n_cols) or a row outside [0, n_rows)."""
+    if not flat.size:
+        return
+    cols, rows = flat[0::2], flat[1::2]
+    c_lo, c_hi, r_lo, r_hi = int(cols.min()), int(cols.max()), int(rows.min()), int(rows.max())
+    if c_lo < 0 or c_hi >= n_cols:
+        raise CircuitError(f"copy references column number {c_lo if c_lo < 0 else c_hi} outside the {n_cols} columns")
+    if r_lo < 0 or r_hi >= n_rows:
+        raise CircuitError(f"copy references row {r_lo if r_lo < 0 else r_hi} outside grid")
+
+
 class Copies(Sequence):
     """Read-only sequence of CopyConstraint over a packed store.
 
-    `flat` is `[a_col, a_row, b_col, b_row, ...]` and its column numbers
-    index `names`.  Indexing and iteration build CopyConstraint objects
+    `flat` is an int32 array `[a_col, a_row, b_col, b_row, ...]` whose
+    column numbers index `names`; any other sequence of integers is
+    converted, and one that int32 cannot hold is refused as validate()
+    would refuse it.  Indexing and iteration build CopyConstraint objects
     on demand; equality compares the resolved (column id, row) pairs.
     """
 
-    __slots__ = ("flat", "names")
+    __slots__ = ("flat", "names", "_list")
     __hash__ = None
 
-    def __init__(self, flat: list[int], names: list[str]):
+    def __init__(self, flat, names: list[str]):
+        flat = np.asarray(flat)
+        if flat.dtype != np.int32:
+            try:
+                flat = flat.astype(np.int64)
+            except OverflowError:
+                raise CircuitError("copy references a number outside int32") from None
+            if flat.size and not (_INT32.min <= flat.min() and flat.max() <= _INT32.max):
+                check_copy_range(flat, len(names), _INT32.max)
+            flat = flat.astype(np.int32)
         self.flat = flat
         self.names = names
+        self._list = None
+
+    def tolist(self) -> list[int]:
+        """`flat` as one list of ints, built on first call and kept: a
+        caller must not change it.  The witness and the checker walk a
+        list several times faster than the array.  When the numbers are
+        fewer than the copies, equal numbers share one int object."""
+        if self._list is None:
+            flat = self.flat
+            top = int(flat.max(initial=0))
+            if top < len(flat) and flat.min(initial=0) >= 0:
+                self._list = np.arange(top + 1).astype(object)[flat].tolist()
+            else:
+                self._list = flat.tolist()
+        return self._list
 
     @classmethod
     def pack(cls, copies, names: list[str]) -> "Copies":
@@ -195,7 +239,7 @@ class Copies(Sequence):
                     k = number[col_id] = len(names)
                     names.append(col_id)
                 flat += (k, row)
-        return cls(flat, names)
+        return cls(np.array(flat, np.int64), names)
 
     def __len__(self) -> int:
         return len(self.flat) // 4
@@ -206,12 +250,12 @@ class Copies(Sequence):
         k = i + len(self) if i < 0 else i
         if not 0 <= k < len(self):
             raise IndexError("copy index out of range")
-        ca, ra, cb, rb = self.flat[4 * k : 4 * k + 4]
+        ca, ra, cb, rb = self.flat[4 * k : 4 * k + 4].tolist()
         return CopyConstraint((self.names[ca], ra), (self.names[cb], rb))
 
     def __iter__(self):
         names = self.names
-        it = iter(self.flat)
+        it = iter(self.flat.tolist())
         for ca, ra, cb, rb in zip(it, it, it, it):
             yield CopyConstraint((names[ca], ra), (names[cb], rb))
 
@@ -219,44 +263,67 @@ class Copies(Sequence):
         if not isinstance(other, Copies):
             return NotImplemented
         if self.names == other.names:
-            return self.flat == other.flat
+            return bool(np.array_equal(self.flat, other.flat))
         return len(self) == len(other) and all(map(CopyConstraint.__eq__, self, other))
 
     def __repr__(self) -> str:
         return f"Copies({len(self)} copies over {len(self.names)} columns)"
 
 
+def fixed_values(vals) -> np.ndarray:
+    """`vals` as a FixedColumn holds its values: int64 when every value
+    fits it, object otherwise (a value of 2**63 or more, or None)."""
+    try:
+        return np.asarray(vals, np.int64)
+    except (OverflowError, TypeError):
+        return np.asarray(vals, object)
+
+
 class FixedColumn(Sequence):
     """Read-only fixed column of `n_rows` cells held as its nonzero cells.
 
-    `cells` maps row to value in increasing row order and lists no zero
-    cell; every other row reads 0.  A cell is None (unassigned) only when
-    a caller packs a list holding None; the layout file cannot say so.
+    `rows` is an int32 array of the rows that hold a nonzero cell, in
+    increasing order, and `values` their values (`fixed_values`); every
+    other row reads 0.  A cell is None (unassigned) only when a caller
+    packs a list holding None; the layout file cannot say so.  Reading a
+    cell, iterating and `dense` read one full-height list, built on first
+    use with one scatter and kept.
     """
 
-    __slots__ = ("cells", "n_rows")
+    __slots__ = ("rows", "values", "n_rows", "_dense")
     __hash__ = None
 
-    def __init__(self, cells: dict[int, int], n_rows: int):
-        self.cells = cells
+    def __init__(self, rows: np.ndarray, values: np.ndarray, n_rows: int):
+        self.rows = rows
+        self.values = values
         self.n_rows = n_rows
+        self._dense = None
 
     @classmethod
     def pack(cls, vals) -> "FixedColumn":
         """The view of a full column: every cell that is not 0 is kept."""
-        vals = list(vals)
-        return cls({row: v for row, v in enumerate(vals) if v != 0}, len(vals))
+        vals = fixed_values(list(vals))
+        rows = np.flatnonzero(vals != 0)
+        return cls(rows.astype(np.int32), fixed_values(vals[rows]), len(vals))
+
+    def dense(self) -> list:
+        """The column as one list of `n_rows` cells, built on first call
+        and kept: a caller must not change it."""
+        if self._dense is None:
+            out = np.zeros(self.n_rows, self.values.dtype)
+            out[self.rows] = self.values
+            self._dense = out.tolist()
+        return self._dense
 
     def nonzero_rows(self) -> list[int]:
         """The rows whose cell is truthy, in increasing order: for a
         selector, the rows it enables."""
-        return list(compress(self.cells, self.cells.values()))
+        if self.values.dtype == object:
+            return self.rows[self.values.astype(bool)].tolist()
+        return self.rows.tolist()
 
     def tolist(self) -> list:
-        out = [0] * self.n_rows
-        for row, v in self.cells.items():
-            out[row] = v
-        return out
+        return list(self.dense())
 
     def __len__(self) -> int:
         return self.n_rows
@@ -265,22 +332,26 @@ class FixedColumn(Sequence):
         r = row + self.n_rows if row < 0 else row
         if not 0 <= r < self.n_rows:
             raise IndexError("fixed row out of range")
-        return self.cells.get(r, 0)
+        return self.dense()[r]
 
     def __iter__(self):
-        return map(self.cells.get, range(self.n_rows), repeat(0))
+        return iter(self.dense())
 
     def count(self, value) -> int:
-        zeros = self.n_rows - len(self.cells) if value == 0 else 0
-        return zeros + list(self.cells.values()).count(value)
+        zeros = self.n_rows - len(self.rows) if value == 0 else 0
+        return zeros + self.values.tolist().count(value)
 
     def __eq__(self, other):
         if not isinstance(other, FixedColumn):
             return NotImplemented
-        return self.n_rows == other.n_rows and self.cells == other.cells
+        return bool(
+            self.n_rows == other.n_rows
+            and np.array_equal(self.rows, other.rows)
+            and np.array_equal(self.values, other.values)
+        )
 
     def __repr__(self) -> str:
-        return f"FixedColumn({len(self.cells)} nonzero of {self.n_rows} rows)"
+        return f"FixedColumn({len(self.rows)} nonzero of {self.n_rows} rows)"
 
 
 @dataclass
@@ -336,8 +407,10 @@ class CircuitLayout:
                 raise CircuitError(f"fixed values for non-fixed column {col_id}")
             if vals.n_rows != self.n_rows:
                 raise CircuitError(f"fixed column {col_id} has {vals.n_rows} rows, the grid {self.n_rows}")
-            rows = list(vals.cells)   # distinct, as dict keys
-            if rows and not (0 <= rows[0] and rows[-1] < self.n_rows and rows == sorted(rows)):
+            rows = vals.rows
+            if len(rows) != len(vals.values):
+                raise CircuitError(f"fixed column {col_id} has {len(rows)} rows and {len(vals.values)} values")
+            if rows.size and not (rows[0] >= 0 and rows[-1] < self.n_rows and (rows[1:] > rows[:-1]).all()):
                 raise CircuitError(f"fixed column {col_id}: cells not in increasing rows inside the grid")
         for col_id, col in self.columns.items():
             if col.kind == FIXED and col_id not in self.fixed:
@@ -362,16 +435,7 @@ class CircuitLayout:
         unknown = set(names) - self.columns.keys()
         if unknown:
             raise CircuitError(f"copy references unknown column {min(unknown)}")
-        flat = self.copies.flat
-        # Three passes when every copy is in range; only a bad one pays
-        # for finding which number to name.
-        if flat and not (min(flat) >= 0 and max(flat[0::2]) < len(names) and max(flat[1::2]) < self.n_rows):
-            cols, rows = flat[0::2], flat[1::2]
-            if not (0 <= min(cols) and max(cols) < len(names)):
-                bad = min(cols) if min(cols) < 0 else max(cols)
-                raise CircuitError(f"copy references column number {bad} outside the {len(names)} columns")
-            bad = min(rows) if min(rows) < 0 else max(rows)
-            raise CircuitError(f"copy references row {bad} outside grid")
+        check_copy_range(self.copies.flat, len(names), self.n_rows)
         for (col_id, row), idx in self.instance_map:
             if col_id not in self.columns:
                 raise CircuitError(f"instance binding references unknown column {col_id!r}")

@@ -39,6 +39,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -177,6 +178,14 @@ class SpongeParams:
             return cls.from_json(json.load(fh))
 
 
+@lru_cache(maxsize=8)
+def default_sponge_params(modulus: int) -> SpongeParams:
+    """The default SpongeParams on the field of `modulus`, built once per
+    modulus: deriving its constants and inverting its matrix takes
+    milliseconds, and the params are frozen."""
+    return SpongeParams(modulus=modulus)
+
+
 def round_function(state: list[int], r: int, params: SpongeParams) -> list[int]:
     """One round: add constants, S-box (all lanes or lane 0), then mix."""
     p = params.modulus
@@ -286,7 +295,7 @@ def commit_model_io(
     nothing here.
     """
     fld = fld or Field()
-    params = params or SpongeParams(modulus=fld.modulus)
+    params = params or default_sponge_params(fld.modulus)
     if params.modulus != fld.modulus:
         raise ValueError("sponge params and field disagree on the modulus")
     trace = run_inference(graph, inp)

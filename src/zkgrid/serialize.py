@@ -41,12 +41,13 @@ hold at most `circuit.MAX_EXPR_NODES` nodes written out as trees.  The
 sections follow in this order:
 
 * copies: 4 * copies integers `[a_col, a_row, b_col, b_row, ...]` whose
-  column numbers index `columns`; it is the in-memory `circuit.Copies`
-  store itself;
+  column numbers index `columns`: the bytes of `circuit.Copies.flat`,
+  which the loader wraps as its int32 array;
 * each fixed column in header order: its `cells` rows, strictly
   increasing, then a cell column of their values with no unassigned
-  cell, each a nonzero canonical residue: the `circuit.FixedColumn`
-  cells themselves;
+  cell, each a nonzero canonical residue: the `rows` and `values` arrays
+  of its `circuit.FixedColumn`, which the writer reads and the loader
+  builds with array operations only;
 * instance bindings: 3 * bindings integers `[column number, row, index]`.
 
 Copies, rows and bindings are unsigned sections: a width byte w in
@@ -72,7 +73,6 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from array import array
 from itertools import compress, repeat
 from operator import is_not, itemgetter
 
@@ -109,8 +109,6 @@ _BASED = 0x80              # form-byte flag: a 32-byte base follows
 _LOW_BYTES = bytes(range(0x80))
 _BIG = 1 << 63             # cells at or above this are stored relative to the base
 _LIMIT = 1 << 255          # cells must lie in [0, _LIMIT)
-_UINT_TYPECODE = {array(c).itemsize: c for c in "BHI"}
-_SWAP = sys.byteorder == "big"
 
 
 class FormatError(ValueError):
@@ -124,40 +122,67 @@ def _encode_column(vals: list) -> bytes:
     up to its last assigned cell (see the module docstring)."""
     n, holes = len(vals), vals.count(None)
     first = vals.index(None) if holes else n
+    bitmap = b""
     if first + holes == n:   # every unassigned cell is in the tail
-        return _pack_cells(vals[:first], first, b"")
-    # Strip the unassigned tail a slice at a time, then cell by cell.
-    for s in (4096, 256, 16, 1):
-        while n >= s and vals[n - s : n].count(None) == s:
-            n -= s
-    flags = bytes(map(is_not, vals[:n], repeat(None)))
-    bitmap = np.packbits(np.frombuffer(flags, bool), bitorder="little").tobytes()
-    return _pack_cells(list(compress(vals, flags)), n, bitmap)
+        present, n = vals[:first], first
+    else:
+        # Strip the unassigned tail a slice at a time, then cell by cell.
+        for s in (4096, 256, 16, 1):
+            while n >= s and vals[n - s : n].count(None) == s:
+                n -= s
+        flags = bytes(map(is_not, vals[:n], repeat(None)))
+        bitmap = np.packbits(np.frombuffer(flags, bool), bitorder="little").tobytes()
+        present = list(compress(vals, flags))
+    cells, parts, lo, hi = _split(present)
+    if lo < 0 or hi >= _LIMIT:
+        raise FormatError(f"cell value {lo if lo < 0 else hi} outside [0, 2**255)")
+    return _pack_cells(cells, parts, lo, hi, n, bitmap)
 
 
-def _pack_cells(present: list, length: int, bitmap: bytes, bounds: tuple | None = None) -> bytes:
-    """The cell column of `length` rows whose assigned cells, in row
-    order, are `present`, at the rows `bitmap` sets (b"" when every row
-    is assigned), at the width the module docstring gives.  `bounds`, if
-    given, are the least and the greatest of `present`."""
-    n, base = len(present), 0
+def _split(cells) -> tuple:
+    """`cells` (a list or an array of ints) as the codec reads them: an
+    int64 array and None when every cell fits int64, else an object array
+    and its parts, the mask `big` of its cells >= 2**63, those cells and
+    the others (int64 unless one is below -2**63); then the least and the
+    greatest cell, (0, 0) for none.  TypeError for a cell that is not an
+    int."""
     try:
-        d = np.array(present, dtype=np.int64)
-    except OverflowError:   # a cell >= 2**63 (or outside [0, 2**255))
-        lo, hi = bounds or (min(present), max(present))
-        if lo < 0 or hi >= _LIMIT:
-            raise FormatError(f"cell value {lo if lo < 0 else hi} outside [0, 2**255)") from None
+        cells = np.asarray(cells, np.int64)
+    except OverflowError:
+        cells = np.asarray(cells, object)
+        big = cells >= _BIG
+        high, rest = cells[big], cells[~big]
+        try:
+            rest = rest.astype(np.int64)
+        except OverflowError:   # a cell < -2**63
+            pass
+        lo = rest.min() if len(rest) else high.min()
+        return cells, (big, high, rest), int(lo), int(high.max() if len(high) else rest.max())
+    return cells, None, *((int(cells.min()), int(cells.max())) if len(cells) else (0, 0))
+
+
+def _pack_cells(cells: np.ndarray, parts: tuple | None, lo: int, hi: int, length: int, bitmap: bytes) -> bytes:
+    """The cell column of `length` rows whose assigned cells, in row
+    order, are `_split`'s (`cells`, `parts`, `lo`, `hi`), each in
+    [0, 2**255), at the rows `bitmap` sets (b"" when every row is
+    assigned), at the width the module docstring gives."""
+    n, base = len(cells), 0
+    d = cells
+    if parts is not None:
+        big, high, rest = parts
         base, floor = hi + 1, hi + 1 - _BIG
-        if lo >= _BIG and 32 * sum(map(floor.__ge__, present)) > 31 * n - 32:
-            # So many cells are in band at no width below 32 bytes (those
-            # up to `floor`) that no such width can win: the sponge states.
-            return b"".join((_COUNTS.pack(length, n), b"\x20", bitmap, _wide(present)))
-        # Each cell's in-band integer, -2**63 for a cell that is in band
-        # at no width below 32 bytes.
-        d = np.array([v if v < _BIG else v - base if v > floor else -_BIG for v in present], dtype=np.int64)
-    lo, hi = int(d.min(initial=0)), int(d.max(initial=0))
-    if lo < 0 and not base:
-        raise FormatError(f"cell value {lo} outside [0, 2**255)")
+        # Each cell's in-band integer: itself below 2**63, its offset from
+        # the base above `floor`, and -2**63 for a cell in band at no
+        # width below 32 bytes.
+        band = high > floor
+        if not len(rest) and 32 * (n - np.count_nonzero(band)) > 31 * n - 32:
+            # So many cells are in band at no width below 32 bytes that no
+            # such width can win: the sponge states.
+            return b"".join((_COUNTS.pack(length, n), b"\x20", bitmap, _wide(cells)))
+        d = np.empty(n, np.int64)
+        d[~big] = rest
+        d[big] = np.where(band, high - base, -_BIG)
+        lo, hi = int(d.min()), int(d.max())
     top = max(hi, -lo)
     best = None
     for width in (1, 2, 4, 8):
@@ -171,11 +196,11 @@ def _pack_cells(present: list, length: int, bitmap: bytes, bounds: tuple | None 
         w = 32
     head = _COUNTS.pack(length, n)
     if w == 32:
-        return b"".join((head, b"\x20", bitmap, _wide(present)))
+        return b"".join((head, b"\x20", bitmap, _wide(cells)))
     outliers = []
     if outside is not None:
         d = np.where(outside, -1 << (8 * w - 1), d)
-        outliers = list(map(present.__getitem__, np.flatnonzero(outside).tolist()))
+        outliers = cells[outside].tolist()
     form = bytes((w | _BASED,)) + base.to_bytes(32, "little") if base else bytes((w,))
     return b"".join((head, form, bitmap, d.astype(f"<i{w}").tobytes(), _COUNT.pack(len(outliers)), _wide(outliers)))
 
@@ -188,6 +213,20 @@ def _wide(vals: list) -> bytes:
 def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
     """The cells of the column at raw[pos:], at most `limit` of them,
     None for each unassigned one, and the position after it."""
+    vals, n_rows, bitmap, end, _ = _decode_cells(raw, pos, limit)
+    if bitmap is not None:
+        cells, vals = vals, np.empty(n_rows, object)
+        vals[np.unpackbits(bitmap, count=n_rows, bitorder="little").view(bool)] = cells
+    return vals.tolist(), end
+
+
+def _decode_cells(raw: bytes, pos: int, limit: int, bounds: bool = False) -> tuple:
+    """The assigned cells of the column at raw[pos:], in row order, as an
+    integer array (objects when a cell does not fit int64); the column's
+    length L, at most `limit`; its presence bitmap, None when every row is
+    assigned; the position after it; and, if `bounds` is set, the least
+    and the greatest cell, (0, 0) when there is none, found with no
+    operation on objects per cell (else None)."""
     if pos + _COUNTS.size + 1 > len(raw):
         raise FormatError("truncated cell column header")
     n_rows, n = _COUNTS.unpack_from(raw, pos)
@@ -228,10 +267,12 @@ def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
         raise FormatError("truncated cell column")
     # Any cell whose top byte has its top bit set (for w <= 8, a negative one).
     signed = raw[pos + w - 1 : end : w].translate(None, _LOW_BYTES)
+    ends = []   # candidates for the least and the greatest cell
     if w == 32:
         if signed:
             raise FormatError("cell >= 2**255")
-        vals = _big_ints(raw, pos, end)
+        ends = _big_ints(raw, pos, end)
+        vals = np.array(ends, object)
     else:
         vals = np.frombuffer(raw, f"<i{w}", n, pos)
         if end + _COUNT.size > len(raw):
@@ -250,16 +291,24 @@ def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
             raise FormatError("outlier mark with no listed outlier")
         if marks < k:
             raise FormatError("listed outlier with no outlier mark")
+        plain = (vals[~negative] if signed else vals) if bounds else ()
+        if len(plain):
+            ends += (int(plain.min()), int(plain.max()))
         if signed:
-            if not base and np.count_nonzero(negative) > marks:
+            based = np.count_nonzero(negative) > marks
+            if based and not base:
                 raise FormatError(f"cell {vals[negative & ~outside][0]} < 0 in a column with no base")
-            vals = vals.astype(object)
-            vals[negative] += base
-            vals[outside] = _big_ints(raw, pos, end)
-    if bitmap is not None:
-        cells, vals = vals, np.empty(n_rows, object)
-        vals[np.unpackbits(bitmap, count=n_rows, bitorder="little").view(bool)] = cells
-    return (vals if type(vals) is list else vals.tolist()), end
+            if bounds and based:
+                offsets = vals[negative & ~outside]
+                ends += (base + int(offsets.min()), base + int(offsets.max()))
+            outliers = _big_ints(raw, pos, end)
+            ends += outliers
+            vals = vals.astype(object if based or max(outliers, default=0) >= _BIG else np.int64)
+            if based:
+                vals[negative] += base
+            vals[outside] = outliers
+    lohi = ((min(ends), max(ends)) if ends else (0, 0)) if bounds else None
+    return vals, n_rows, bitmap, end, lohi
 
 
 def _big_ints(raw: bytes, pos: int, end: int) -> list[int]:
@@ -279,61 +328,52 @@ def _typed(xs, t: type) -> bool:
     return type(xs) is list and set(map(type, xs)) <= {t}
 
 
-def _encode_uints(xs: list, what: str) -> bytes:
-    """Width byte w, then xs as w-byte little-endian unsigned integers."""
-    top = max(xs, default=0)
-    w = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
-    try:
-        cells = array(_UINT_TYPECODE[w], xs)
-    except OverflowError:
-        raise FormatError(f"{what}: integer outside [0, 2**32)") from None
-    if _SWAP:
-        cells.byteswap()
-    return bytes((w,)) + cells.tobytes()
+def _encode_uints(xs, what: str) -> bytes:
+    """Width byte w, then the integers xs (a list or an array) as w-byte
+    little-endian unsigned integers."""
+    xs = np.asarray(xs)
+    lo, hi = (int(xs.min()), int(xs.max())) if xs.size else (0, 0)
+    if lo < 0 or hi >= 1 << 32:
+        raise FormatError(f"{what}: integer outside [0, 2**32)")
+    w = 1 if hi < 1 << 8 else 2 if hi < 1 << 16 else 4
+    return bytes((w,)) + xs.astype(f"<u{w}").tobytes()
 
 
-def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[list[int], int]:
-    """The `count` integers of the unsigned section at raw[pos:], and the
-    position after it."""
+def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[np.ndarray, int]:
+    """The `count` integers of the unsigned section at raw[pos:], as an
+    unsigned array over `raw`, and the position after it."""
     _need(pos < len(raw), f"{what}: truncated")
     w = raw[pos]
     _need(w in (1, 2, 4), f"{what}: bad integer width {w}")
     end = pos + 1 + count * w
     _need(end <= len(raw), f"{what}: truncated")
-    cells = array(_UINT_TYPECODE[w])
-    cells.frombytes(raw[pos + 1 : end])
-    if _SWAP:
-        cells.byteswap()
-    return cells.tolist(), end
+    return np.frombuffer(raw, f"<u{w}", count, pos + 1), end
 
 
-def _encode_residues(vals: list, p: int, what: str) -> bytes:
-    """A cell column of vals, each a nonzero residue in [1, p)."""
+def _encode_residues(vals: np.ndarray, p: int, what: str) -> bytes:
+    """A cell column of the array vals, each a nonzero residue in [1, p)."""
     try:
-        bounds = min(vals, default=1), max(vals, default=1)
+        cells, parts, lo, hi = _split(vals)
     except TypeError:   # an unassigned value
-        bounds = 0, p
-    if bounds[0] < 1 or bounds[1] >= p:
+        lo = hi = 0
+    if len(vals) and (lo < 1 or hi >= p):
         raise FormatError(f"{what} holds a value outside [1, p): not a canonical residue")
-    return _pack_cells(vals, len(vals), b"", bounds)
+    return _pack_cells(cells, parts, lo, hi, len(cells), b"")
 
 
-def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str) -> tuple[list[int], int]:
-    """The `count` values, each in [1, p), of the cell column at raw[pos:]."""
+def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str) -> tuple[np.ndarray, int]:
+    """The `count` values, each in [1, p), of the cell column at raw[pos:],
+    as `circuit.fixed_values` holds them."""
     try:
-        vals, pos = _decode_column(raw, pos, count)
+        vals, n_rows, bitmap, pos, (lo, hi) = _decode_cells(raw, pos, count, bounds=True)
     except FormatError as e:
         raise FormatError(f"malformed layout: {what}: {e}") from None
-    _need(len(vals) == count, f"{what}: {len(vals)} values, the header says {count}")
-    try:
-        ok = not vals or (min(vals) >= 1 and max(vals) < p)
-    except TypeError:
-        ok = False
-    if not ok:
-        _need(None not in vals, f"{what}: unassigned value")
-        _need(0 not in vals, f"{what}: zero cell listed")
+    _need(n_rows == count, f"{what}: {n_rows} values, the header says {count}")
+    _need(bitmap is None, f"{what}: unassigned value")
+    if vals.size and not (lo >= 1 and hi < p):
+        _need(not (vals == 0).any(), f"{what}: zero cell listed")
         _need(False, f"{what}: value not a canonical residue")
-    return vals, pos
+    return (vals if vals.dtype == object else vals.astype(np.int64)), pos
 
 
 # The node table's operators, the Expr ops they build, and the operand
@@ -416,7 +456,7 @@ def _layout_header(layout: CircuitLayout) -> dict:
             for l in layout.lookups
         ],
         "tables": [list(t.recipe) for t in layout.tables.values()],
-        "fixed": [[col_id, len(vals.cells)] for col_id, vals in layout.fixed.items()],
+        "fixed": [[col_id, len(vals.rows)] for col_id, vals in layout.fixed.items()],
         "copies": len(layout.copies),
         "bindings": len(layout.instance_map),
     }
@@ -440,8 +480,8 @@ def dump_layout(layout: CircuitLayout) -> bytes:
     out.append(_encode_uints(layout.copies.flat, "copies"))
     for col_id, vals in layout.fixed.items():
         what = f"fixed column {col_id}"
-        out.append(_encode_uints(list(vals.cells), what))
-        out.append(_encode_residues(list(vals.cells.values()), p, what))
+        out.append(_encode_uints(vals.rows, what))
+        out.append(_encode_residues(vals.values, p, what))
     out.append(_encode_uints(bindings, "instance bindings"))
     return b"".join(out)
 
@@ -542,10 +582,15 @@ def load_layout(raw: bytes) -> CircuitLayout:
         what = f"fixed column {col_id}"
         rows, pos = _decode_uints(raw, pos, n, what)
         vals, pos = _decode_residues(raw, pos, n, p, what)
-        fixed[col_id] = FixedColumn(dict(zip(rows, vals)), n_rows)
-        _need(len(fixed[col_id].cells) == n, f"{what}: row listed twice")
+        if n > 1 and not (rows[1:] > rows[:-1]).all():
+            ordered = np.sort(rows)
+            _need((ordered[1:] != ordered[:-1]).all(), f"{what}: row listed twice")
+        # A row of 2**31 or more turns negative here; validate() refuses
+        # it with the rows that are not in increasing order in the grid.
+        fixed[col_id] = FixedColumn(rows.astype(np.int32), vals, n_rows)
     bound, pos = _decode_uints(raw, pos, 3 * n_bindings, "instance bindings")
     _need(pos == len(raw), f"{len(raw) - pos} trailing bytes after the layout")
+    bound = bound.tolist()
     cols = bound[0::3]
     if cols and max(cols) >= len(names):
         raise CircuitError(f"instance binding references column number {max(cols)} outside the {len(names)} columns")

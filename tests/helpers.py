@@ -287,8 +287,8 @@ def layout_doc(layout) -> dict:
             ],
             "tables": [list(t.recipe) for t in layout.tables.values()],
         },
-        "copies": list(layout.copies.flat),
-        "fixed": [[col, list(vals.cells), list(vals.cells.values())] for col, vals in layout.fixed.items()],
+        "copies": layout.copies.flat.tolist(),
+        "fixed": [[col, vals.rows.tolist(), vals.values.tolist()] for col, vals in layout.fixed.items()],
         "bindings": [v for (col, row), idx in layout.instance_map for v in (names.index(col), row, idx)],
         "widths": {},
     }

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -797,6 +798,25 @@ def test_every_table_comes_from_its_recipe(seed, mode):
         assert lay.tables == {t.id: lookup_table(t.recipe, p) for t in lay.tables.values()}
 
 
+@pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, 14, *range(8)) for mode in MODES])
+def test_loaded_layout_rewrites_and_checks_alike(seed, mode):
+    """A loaded layout writes the same bytes, and checking it twice (the
+    second time on the full-height lists the first built) gives the
+    compiled layout's verdicts on an honest and a tampered witness."""
+    g = _slot_case_model(seed, mode)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    asg = assign_witness(layout, g, random_input(random.Random(seed), g))
+    raw = serialize.dump_layout(layout)
+    loaded = serialize.load_layout(raw)
+    assert serialize.dump_layout(loaded) == raw
+    tampered = copy.deepcopy(asg)
+    col, row = next((c, r) for c, vals in asg.advice.items() for r, v in enumerate(vals) if v is not None)
+    tampered.advice[col][row] = (tampered.advice[col][row] + 1) % layout.field.modulus
+    for witness in (asg, tampered):
+        assert check(loaded, witness) == check(loaded, witness) == check(layout, witness)
+    assert check(loaded, asg) == [] != check(loaded, tampered)
+
+
 @pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, *range(12)) for mode in MODES])
 def test_slot_rows_match_the_interpreter(seed, mode):
     """On every model and mode the honest witness checks clean, every
@@ -1077,10 +1097,10 @@ def test_array_emission_invariants_on_odd_chunks(mode):
     layout, stats = compile(g, CompileConfig(mode=mode))
     assert {grp["slots"] for grp in stats.groups} >= {6, 5, 7, 1}
     for col in layout.fixed.values():
-        rows = list(col.cells)
+        rows = col.rows.tolist()
         assert rows == sorted(set(rows))
     names = layout.copies.names
-    flat = layout.copies.flat
+    flat = layout.copies.flat.tolist()
     targets = list(zip((names[k] for k in flat[0::4]), flat[1::4]))
     hidden = mode is not None and mode.weights_hidden
     start = stats.regions["staging"]["copies"]

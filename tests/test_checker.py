@@ -7,10 +7,21 @@ import pytest
 from helpers import row_oracle_check
 from zkgrid.bench import make_synthetic_grid
 from zkgrid.checker import KERNEL, CheckError, check, check_parallel
-from zkgrid.circuit import Assignment, CircuitLayout
+from zkgrid.circuit import (
+    ADVICE,
+    FIXED,
+    Assignment,
+    CircuitLayout,
+    Column,
+    CopyConstraint,
+    GateDef,
+    add,
+    cell,
+    sub,
+)
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
 from zkgrid.commit import VisibilityMode
-from zkgrid.field import Field
+from zkgrid.field import DEFAULT_MODULUS, Field
 from zkgrid.modelgen import random_input, random_model, random_parameterized_model
 
 
@@ -308,3 +319,68 @@ def test_negative_instance_index_rejected():
 
 def test_checker_name_exported():
     assert KERNEL == "python"
+
+
+def _edge_layout():
+    """Eight rows whose selector q enables rows 0, 3 and 7, the grid's
+    first and last, for the gate a = c + k over fixed c and k; copies and
+    an instance binding read k as well.  Returns it with its honest
+    witness."""
+    p = DEFAULT_MODULUS
+    columns = {c: Column(c, FIXED) for c in ("q", "c", "k")}
+    columns.update({c: Column(c, ADVICE) for c in ("a", "b")})
+    fixed = {"q": [1, 0, 0, 1, 0, 0, 0, 1], "c": [p - 5, 0, 0, 7, 0, 0, 0, p - 1], "k": [3, 0, 9, 0, 0, 0, 0, 4]}
+    layout = CircuitLayout(
+        field=Field(), columns=columns, n_rows=8, n_rows_logical=8,
+        gates=[GateDef(id="sum", name="SUM", selector="q", poly=sub(cell("a"), add(cell("c"), cell("k"))))],
+        tables={}, lookups=[],
+        copies=[CopyConstraint(("b", r), ("k", r)) for r in (0, 2, 7)],
+        fixed=fixed, instance_map=[(("k", 7), 0)],
+    )
+    layout.validate()
+    a = [(c + k) % p for c, k in zip(fixed["c"], fixed["k"])]
+    return layout, Assignment(advice={"a": a, "b": list(fixed["k"])}, instance=[4])
+
+
+@pytest.mark.parametrize("col, row, value", [
+    ("c", 0, 1), ("c", 7, 2), ("c", 3, 0), ("c", 1, 5), ("k", 0, 1), ("k", 2, 8), ("k", 7, 0), ("q", 2, 1), ("q", 7, 0),
+])
+def test_tampered_fixed_cells_match_row_oracle(col, row, value):
+    """A changed fixed cell, on an enabled row at either end of the grid,
+    on a disabled row, in a copy source or a binding, or in the selector
+    itself, gives the row oracle's violations, read first through a new
+    column and then through the full-height list that read built."""
+    layout, honest = _edge_layout()
+    assert check(layout, honest) == []
+    vals = list(layout.fixed[col])
+    vals[row] = value
+    tampered = replace(layout, fixed={**layout.fixed, col: vals})
+    want = row_oracle_check(tampered, honest)
+    assert check(tampered, honest) == want
+    assert check(tampered, honest) == want
+    # Row 1 is disabled, row 2 satisfies the gate it gets, and disabling
+    # row 7 leaves a satisfied grid.
+    assert (want != []) == ((col, row) not in {("c", 1), ("q", 2), ("q", 7)})
+
+
+def test_tampered_fixed_operands_of_compiled_layout_match_row_oracle():
+    """Each fixed column a compiled gate reads, changed on the first and on
+    the last row its selector enables, gives the row oracle's violations."""
+    rng = random.Random(21)
+    g = random_model(rng, max_hw=6, max_c=3, max_layers=3)
+    layout, _ = compile(g)
+    honest = assign_witness(layout, g, random_input(rng, g))
+    p = layout.field.modulus
+    reads = sorted({
+        (c, gate.selector) for gate in layout.gates for c in gate.poly.columns()
+        if layout.columns[c].kind == FIXED and layout.fixed[gate.selector].nonzero_rows()
+    })
+    assert {c.split(":")[-1] for c, _ in reads} >= {"z", "da", "db", "off", "w0"}
+    for col, selector in reads[:: max(1, len(reads) // 12)]:
+        enabled = layout.fixed[selector].nonzero_rows()
+        vals = list(layout.fixed[col])
+        for row in (enabled[0], enabled[-1]):
+            vals[row] = (vals[row] + 1) % p
+        tampered = replace(layout, fixed={**layout.fixed, col: vals})
+        want = row_oracle_check(tampered, honest)
+        assert want and check(tampered, honest) == want == check(tampered, honest)

@@ -9,13 +9,14 @@ from zkgrid.commit import (
     SpongeParams,
     VisibilityMode,
     commit_model_io,
+    default_sponge_params,
     pack_width,
     permute,
     sponge_hash,
     sponge_states,
     weight_elements,
 )
-from zkgrid.field import DEFAULT_MODULUS
+from zkgrid.field import DEFAULT_MODULUS, Field
 from zkgrid.modelgen import random_input, random_model, random_parameterized_model
 
 PARAMS = SpongeParams()
@@ -378,3 +379,15 @@ def test_weight_elements_injective():
             assert sum(a != b for a, b in zip(got, base)) == 1
             assert tuple(got) not in seen
             seen.add(tuple(got))
+
+
+def test_default_sponge_params_built_once_per_modulus():
+    """Every config without sponge params on one field shares one default
+    SpongeParams, equal to a freshly built one; another field gets its own."""
+    shared = CompileConfig().sponge_params()
+    assert shared is CompileConfig(mode=VisibilityMode.HIDDEN_INPUT_HIDDEN_WEIGHTS).sponge_params()
+    assert shared is default_sponge_params(DEFAULT_MODULUS)
+    fresh = SpongeParams(modulus=DEFAULT_MODULUS)
+    assert shared == fresh and shared.round_constants == fresh.round_constants and shared.mds_inv == fresh.mds_inv
+    other = CompileConfig(field=Field(2**61 - 1)).sponge_params()
+    assert other.modulus == 2**61 - 1 and other is CompileConfig(field=Field(2**61 - 1)).sponge_params()

@@ -6,6 +6,7 @@ import copy
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from helpers import row_oracle_check
@@ -27,7 +28,7 @@ def small():
 
 def _pairs(layout):
     """The copies as ((col, row), (col, row)) pairs, read from the flat list."""
-    names, flat = layout.copies.names, layout.copies.flat
+    names, flat = layout.copies.names, layout.copies.flat.tolist()
     return [
         ((names[flat[k]], flat[k + 1]), (names[flat[k + 2]], flat[k + 3]))
         for k in range(0, len(flat), 4)
@@ -46,7 +47,8 @@ def test_layout_from_constraint_list_equals_packed(small):
     _, layout, honest = small
     listed = replace(layout, copies=list(layout.copies))
     assert isinstance(listed.copies, Copies)
-    assert listed.copies.flat == layout.copies.flat
+    assert listed.copies.flat.dtype == layout.copies.flat.dtype == np.int32
+    assert listed.copies.flat.tolist() == layout.copies.flat.tolist()
     assert listed == layout
     p = layout.field.modulus
     for col, row in _copy_bound_advice(layout)[:6]:
@@ -120,7 +122,7 @@ def test_copy_tampers_match_row_oracle(small, cap):
 
 
 def _with_flat(layout, edit):
-    flat = list(layout.copies.flat)
+    flat = layout.copies.flat.tolist()
     edit(flat)
     return replace(layout, copies=Copies(flat, list(layout.columns)))
 

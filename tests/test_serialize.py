@@ -9,6 +9,7 @@ import struct
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -27,11 +28,14 @@ from zkgrid.circuit import (
     CircuitError,
     CircuitLayout,
     Column,
+    Copies,
     Expr,
+    FixedColumn,
     GateDef,
     add,
     cell,
     const,
+    fixed_values,
     mul,
     pow5,
     sub,
@@ -934,3 +938,96 @@ def test_benchmark_models_fit_their_byte_budgets(seed, mode, witness_budget, lay
     wit = serialize.dump_witness(assign_witness(layout, g, random_input(random.Random(1), g)))
     assert len(wit) <= witness_budget
     assert len(serialize.dump_layout(layout)) <= layout_budget
+
+
+# Fixed values a round trip must keep exactly: the residue edges, the
+# int64 edge and values in band of no width below 32 bytes.
+FIXED_EDGES = [1, 2, 255, 256, P - 1, P - 2, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, 1 << 200]
+
+
+@st.composite
+def sparse_layouts(draw):
+    """A layout of sparse fixed columns and flat copies, and no gates:
+    empty and one-cell columns, rows 0 and n_rows - 1, small values,
+    residues p - x, the edges above and a few outliers among small
+    values."""
+    n_rows = draw(st.integers(1, 48))
+    n_fixed, n_advice = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    columns = {f"f{k}": Column(f"f{k}", FIXED) for k in range(n_fixed)}
+    columns.update({f"a{k}": Column(f"a{k}", ADVICE) for k in range(n_advice)})
+    small = st.integers(1, 300)
+    value = st.one_of(small, small.map(lambda x: P - x), st.sampled_from(FIXED_EDGES), st.integers(1, P - 1))
+    fixed = {}
+    for col_id in list(columns)[:n_fixed]:
+        rows = draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows))
+        rows |= {r for r, keep in ((0, draw(st.booleans())), (n_rows - 1, draw(st.booleans()))) if keep}
+        rows = sorted(rows)
+        kind = draw(st.sampled_from(["small", "residues", "any", "outliers"]))
+        if kind == "outliers":   # one-byte values and a few that take an outlier slot
+            vals = [draw(st.integers(1, 100)) for _ in rows]
+            for k in draw(st.sets(st.integers(0, max(len(rows) - 1, 0)), max_size=2)) if rows else ():
+                vals[k] = draw(st.sampled_from([1 << 40, 1 << 63, P - 1]))
+        else:
+            vals = [draw({"small": small, "residues": small.map(lambda x: P - x), "any": value}[kind]) for _ in rows]
+        fixed[col_id] = (rows, vals)
+    names = list(columns)
+    n_copies = draw(st.integers(0, 12))
+    flat = [draw(st.integers(0, n - 1)) for _ in range(n_copies) for n in (len(names), n_rows) * 2]
+    return columns, n_rows, fixed, flat
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_layouts())
+def test_sparse_fixed_columns_and_copies_round_trip(case):
+    columns, n_rows, fixed, flat = case
+    layout = CircuitLayout(
+        field=Field(), columns=columns, n_rows=n_rows, n_rows_logical=n_rows, gates=[], tables={}, lookups=[],
+        copies=Copies(flat, list(columns)),
+        fixed={c: FixedColumn(np.array(rows, np.int32), fixed_values(vals), n_rows) for c, (rows, vals) in fixed.items()},
+        instance_map=[],
+    )
+    layout.validate()
+    raw = serialize.dump_layout(layout)
+    loaded = serialize.load_layout(raw)
+    assert loaded == layout
+    assert serialize.dump_layout(loaded) == raw
+    assert loaded.copies.flat.dtype == np.int32 and loaded.copies.flat.tolist() == flat
+    for col_id, (rows, vals) in fixed.items():
+        col = loaded.fixed[col_id]
+        assert col.rows.dtype == np.int32 and col.rows.tolist() == rows
+        assert col.values.dtype == (np.int64 if max(vals, default=0) < 1 << 63 else object)
+        assert col.values.tolist() == vals and {type(v) for v in col.values.tolist()} <= {int}
+        dense = [0] * n_rows
+        for r, v in zip(rows, vals):
+            dense[r] = v
+        assert list(col) == dense and [col[r] for r in range(n_rows)] == dense
+        assert col.count(0) == n_rows - len(rows) and col.nonzero_rows() == rows
+
+
+def test_fixed_column_pack_and_reads():
+    """A full list packs to its nonzero cells; reads see the full column
+    before and after the full-height list is built."""
+    vals = [0, 5, 0, P - 1, 0, 1 << 63]
+    col = FixedColumn.pack(vals)
+    assert col.rows.tolist() == [1, 3, 5] and col.values.dtype == object
+    assert col.values.tolist() == [5, P - 1, 1 << 63]
+    assert (col[5], col[-1], col[0]) == (1 << 63, 1 << 63, 0)
+    assert list(col) == vals == col.tolist() and col.count(0) == 3 and len(col) == 6
+    assert col == FixedColumn(np.array([1, 3, 5], np.int32), np.array([5, P - 1, 1 << 63], object), 6)
+    assert col != FixedColumn.pack([0, 5, 0, P - 1, 0, 0])
+    assert FixedColumn.pack([0, 7, 1]).values.dtype == np.int64
+    with pytest.raises(IndexError):
+        col[6]
+    # A packed None is an unassigned cell: kept, and not an enabled row.
+    gap = FixedColumn.pack([1, None, 0, 2])
+    assert gap.rows.tolist() == [0, 1, 3] and gap.nonzero_rows() == [0, 3] and list(gap) == [1, None, 0, 2]
+
+
+def test_loads_share_one_table_per_recipe():
+    """Compile and every load of its layout share one frozen table per
+    recipe."""
+    g = two_tap_fc_model()
+    layout, _ = compile(g)
+    first, second = (serialize.load_layout(serialize.dump_layout(layout)) for _ in range(2))
+    assert first.tables and list(first.tables) == list(layout.tables)
+    assert all(first.tables[t] is second.tables[t] is layout.tables[t] for t in layout.tables)
