@@ -144,7 +144,7 @@ from .circuit import (
     builtin_gates,
     cell,
     const,
-    fixed_values,
+    int_cells,
     mul,
     pow5,
     sub,
@@ -477,12 +477,13 @@ class _FixedCells:
     def __len__(self) -> int:
         return sum(len(r) for r, _ in self.pieces) + len(self.rows)
 
-    def column(self, n_rows: int) -> FixedColumn:
+    def cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows and the values set, each joined into one array."""
         self._close()
         if not self.pieces:
-            return FixedColumn(np.zeros(0, np.int32), np.zeros(0, np.int64), n_rows)
+            return np.zeros(0, np.int32), np.zeros(0, np.int64)
         rows, values = zip(*self.pieces)
-        return FixedColumn(np.concatenate(rows), fixed_values(np.concatenate(values)), n_rows)
+        return np.concatenate(rows), np.concatenate(values)
 
 
 class _Builder:
@@ -1258,7 +1259,10 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         )
     # validate() below refuses a column whose cells were not set in
     # increasing row order.
-    fixed = {col_id: cells.column(padded) for col_id, cells in bld.fixed.items()}
+    rows, values = zip(*(cells.cells() for cells in bld.fixed.values())) if bld.fixed else ((), ())
+    fixed = {
+        col_id: FixedColumn.from_cells(r, form, padded) for col_id, r, form in zip(bld.fixed, rows, int_cells(values))
+    }
     layout = CircuitLayout(
         field=bld.cfg.field,
         columns=bld.columns,
@@ -1358,8 +1362,10 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     for ca, ra, cb, rb in zip(it, it, it, it):
         cols[ca][ra] = cols[cb][rb]
 
-    for (col, row), idx in layout.instance_map:
-        asg.instance[idx] = advice[col][row]
+    bound = layout.instance_map.flat.tolist()
+    names = layout.instance_map.names
+    for k, row, idx in zip(bound[0::3], bound[1::3], bound[2::3]):
+        asg.instance[idx] = advice[names[k]][row]
     return asg
 
 

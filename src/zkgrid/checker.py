@@ -5,35 +5,56 @@ for table membership, every copy constraint and instance binding is
 compared directly.  This is exact verification of the arithmetization;
 there is no succinctness and no randomization.
 
-Gates are evaluated column-wise.  For each selector the enabled rows,
-its nonzero cells, are listed once, and each node of a gate polynomial
-becomes one pass over those rows (constants stay scalars).  Node
-results are memoised per selector on the identity of the expression
-subtree, so gates that share a sub-expression object compute it once per
-row: the slots of a DOT row share each x - z, and the sponge round gates
-their S-box terms.  Compile builds such gates over shared subtrees, and
-the layout file holds each distinct subtree once, so a loaded layout
-shares them too.  Values are reduced mod p only by pow5 and once before
-the zero test; sums, differences and products are left unreduced, which
-is exact because reduction mod p is a ring homomorphism and Python ints
-do not overflow.
+The checker reads each column as an array of canonical signed residues,
+v - p when v > p // 2 and v otherwise: int64 when every residue fits,
+worked out from the cell codec's cells and base with a few array
+operations over all columns at once (`circuit.signed_cells`), and the
+values as Python ints otherwise (the sponge states, a non-canonical
+cell).  An advice column is read at its used length, as the witness
+loader holds it.  A fixed column keeps its reading, so a layout checked
+again reads it for free.
 
-A selector's enabled rows are the rows array of its `FixedColumn`.  A
-gate, lookup, copy or instance binding reads a fixed operand from the
-column's full-height list (`FixedColumn.dense`), which the column builds
-on first read and keeps, so a layout checked again reads the lists it
-already has.
+Gates are evaluated column-wise with numpy.  For each selector the
+enabled rows are listed once, and each node of a gate polynomial becomes
+one operation over those rows (constants stay scalars), memoised per
+selector on the column id or the identity of the subtree, so gates that
+share a sub-expression compute it once: the slots of a DOT row share
+each x - z, and the sponge round gates their S-box terms.  A node runs
+in int64 only when a bound on the magnitude of its values, worked out
+from its operands' (each column's greatest residue, each constant) as
+`interpreter.scale_fits_int64` does, proves that they fit, since numpy
+wraps silently on overflow; otherwise its operands become object arrays
+and it runs on Python ints.  That is one evaluation path with two dtypes.
+Values are reduced mod p only by pow5 on objects and in the zero test,
+which is `r != 0` for an int64 r when p > 2**63 and `r % p != 0`
+otherwise; sums, differences and products are left unreduced, which is
+exact because reduction mod p is a ring homomorphism.
+
+Lookups search each table's sorted entries packed into int64
+(`LookupTable.sorted_entries`), one search per table.  Copies and
+bindings gather both sides from the columns laid end to end and compare
+them as int64, and as residues of Python ints only where a side is an
+object column.  Python touches only violating rows and the cells of
+object columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add, length_hint, mod, mul, sub
+from operator import add, mul, sub
 
 import numpy as np
 
-from .circuit import Assignment, CircuitLayout, Expr
+from .circuit import (
+    AdviceColumn,
+    Assignment,
+    CircuitLayout,
+    Expr,
+    FixedColumn,
+    cell_value,
+    int_cells,
+    signed_cells,
+)
 
 KERNEL = "python"
 
@@ -41,6 +62,7 @@ DEFAULT_VIOLATION_CAP = 1000
 
 _KIND_ORDER = {"gate": 0, "lookup": 1, "copy": 2, "instance": 3}
 _FOLD = {"add": add, "sub": sub, "mul": mul}
+_BIG = 1 << 63
 
 
 class CheckError(ValueError):
@@ -61,76 +83,237 @@ class Violation:
         return {"kind": self.kind, "id": self.id, "row": self.row, "detail": self.detail}
 
 
-def _binop(fn, x, y):
-    """fn over two operands, each a per-row list or a scalar."""
-    if isinstance(x, list):
-        if isinstance(y, list):
-            return list(map(fn, x, y))
-        return list(map(fn, x, repeat(y)))
-    if isinstance(y, list):
-        return list(map(fn, repeat(x), y))
-    return fn(x, y)
+class _Grid:
+    """Every column of a layout and an assignment, by its number k in the
+    layout's columns, as the checker reads it.  `cells[k]` holds the cell
+    of each of its first `lengths[k]` rows, the rows that may be assigned
+    (every row of a fixed column): int64 signed residues, with
+    `bounds[k]` the greatest magnitude among them, or the values as Python
+    ints, with `bounds[k]` None.  Of those rows, `present[k]` marks the
+    assigned ones (None: all of them).  An unassigned cell holds an
+    arbitrary value: every read of one raises CheckError before its value
+    can matter.
 
+    The columns a copy or a binding reads are also laid end to end in one
+    array, `ints` for int64 columns and `objects` for the others, column k
+    from `offsets[k]` on, with `assigned` marking the assigned cells."""
 
-class _Columns(dict):
-    """Each column's cells by id: the assignment's advice lists, and each
-    fixed column's full-height list (`FixedColumn.dense`), looked up on
-    first read."""
-
-    def __init__(self, layout: CircuitLayout, assignment: Assignment):
-        super().__init__(assignment.advice)
+    def __init__(self, layout: CircuitLayout, advice: dict):
+        p = self.p = layout.field.modulus
+        n = layout.n_rows
+        self.names = layout.copies.names
+        self.number = {col_id: k for k, col_id in enumerate(self.names)}
         self.fixed = layout.fixed
+        self.advice = advice
+        size = len(self.names)
+        self.cells, self.bounds = [None] * size, [None] * size
+        self.lengths, self.present = [n] * size, [None] * size
+        fixed = [k for k, c in enumerate(self.names) if c in self.fixed]
+        adv = [k for k, c in enumerate(self.names) if c not in self.fixed]
+        for k, view in zip(fixed, FixedColumn.signed([self.fixed[self.names[k]] for k in fixed], p)):
+            self.cells[k], self.bounds[k], self.present[k] = view
 
-    def __missing__(self, col_id: str) -> list:
-        cells = self[col_id] = self.fixed[col_id].dense()
-        return cells
+        cols = [advice[self.names[k]] for k in adv]
+        signed, starts, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in cols], p)
+        lens = np.array([len(c.cells) for c in cols], np.int64)
+        for k, col, bound in zip(adv, cols, bounds):
+            self.lengths[k], self.present[k], self.bounds[k] = col.length, col.present, bound
+        # Copies and bindings read the advice columns and a few fixed ones.
+        read = np.bincount(layout.copies.flat[0::2], minlength=size) + np.bincount(
+            layout.instance_map.flat[0::3], minlength=size)
+        shared = [k for k in fixed if read[k]] + adv
+        self.lengths_arr = np.array(self.lengths, np.int64)
+        self.offsets = np.zeros(size, np.int64)
+        self.offsets[shared] = np.cumsum(self.lengths_arr[shared]) - self.lengths_arr[shared]
+        total = int(self.lengths_arr[shared].sum())
+        self.ints = np.empty(total, np.int64)
+        self.assigned = np.zeros(total, bool)
+        self.is_object = np.array([b is None for b in self.bounds], bool)
+
+        # Each advice cell's position in `ints`: its column's offset plus
+        # its row.
+        at = np.arange(len(signed)) - np.repeat(starts, lens)
+        masked = [j for j, c in enumerate(cols) if c.present is not None]
+        if masked:
+            gaps = np.flatnonzero(np.repeat(np.array([c.present is not None for c in cols], bool), lens))
+            marks = [cols[j].present for j in masked]
+            widths = np.array(list(map(len, marks)))
+            at[gaps] = np.flatnonzero(np.concatenate(marks)) - np.repeat(np.cumsum(widths) - widths, lens[masked])
+        at += np.repeat(self.offsets[adv], lens)
+        ok = np.repeat(~self.is_object[adv], lens)
+        self.ints[at[ok]] = signed[ok]
+        self.assigned[at] = True
+        for k in shared[: len(shared) - len(adv)]:
+            s = self.offsets[k]
+            if not self.is_object[k]:
+                self.ints[s : s + n] = self.cells[k]
+            self.assigned[s : s + n] = True if self.present[k] is None else self.present[k]
+        for k, col in zip(adv, cols):
+            o = self.offsets[k]
+            if not self.is_object[k]:
+                self.cells[k] = self.ints[o : o + col.length]
+            elif col.present is None:
+                self.cells[k] = col.values
+            else:
+                self.cells[k] = np.zeros(col.length, object)
+                self.cells[k][col.present] = col.values
+        objs = [k for k in shared if self.is_object[k]]
+        self.objects = np.concatenate([self.cells[k] for k in objs]) if objs else np.zeros(0, object)
+        self.object_offsets = np.zeros(size, np.int64)
+        self.object_offsets[objs] = np.cumsum(self.lengths_arr[objs]) - self.lengths_arr[objs]
+
+    def at(self, cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For each (column number, row) of a column that copies or
+        bindings read, its position in `ints`, and whether it is
+        assigned."""
+        inside = rows < self.lengths_arr[cols]
+        pos = np.where(inside, self.offsets[cols] + rows, 0)
+        return pos, inside & self.assigned[pos]
+
+    def gather(self, k: int, rows: np.ndarray) -> np.ndarray:
+        """Column k's cells on the sorted `rows`, any value on a row past
+        the ones it holds."""
+        cells = self.cells[k]
+        if not len(rows) or rows[-1] < len(cells):
+            return cells[rows]
+        return cells[np.minimum(rows, len(cells) - 1)] if len(cells) else np.zeros(len(rows), np.int64)
+
+    def missing(self, k: int, rows: np.ndarray) -> int | None:
+        """The first of the sorted, non-empty `rows` whose cell in column
+        k is unassigned."""
+        length, present = self.lengths[k], self.present[k]
+        if present is None and rows[-1] < length:
+            return None
+        ok = rows < length
+        if present is not None:
+            ok[ok] = present[rows[ok]]
+        return None if ok.all() else int(rows[np.argmin(ok)])
+
+    def residues(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The assigned cell of each (column number, row) pair as its
+        residue in [0, p), an object array (0 for an unassigned one)."""
+        pos, assigned = self.at(cols, rows)
+        out = self.ints[pos].astype(object)
+        obj = self.is_object[cols] & assigned
+        out[obj] = self.objects[self.object_offsets[cols[obj]] + rows[obj]]
+        out[~assigned] = 0
+        return out % self.p
+
+    def value(self, col_id: str, row: int):
+        """The cell as the assignment or the layout holds it."""
+        col = self.fixed.get(col_id)
+        if col is None:
+            return self.advice[col_id][row]
+        k = int(np.searchsorted(col.rows, row))
+        if k == len(col.rows) or col.rows[k] != row:
+            return 0
+        return cell_value(col.cells, col.base, col.outliers, k)
 
 
-def _cells(col: list, rows):
-    """An iterator over col's cells on `rows`."""
-    return map(col.__getitem__, rows)
+def _objects(x):
+    return x.astype(object) if isinstance(x, np.ndarray) and x.dtype != object else x
 
 
-def _eval(e: Expr, rows: list, cols: dict, memo: dict, p: int):
-    """e over `rows`: a list with one value per row, or a scalar for
-    constant subtrees.  Values are congruent to the field result mod p."""
+def _eval(e: Expr, rows: np.ndarray, cols: _Grid, memo: dict, p: int) -> tuple:
+    """e over `rows`: its values (an array with one value per row, or a
+    Python int for a constant subtree), congruent to the field result mod
+    p; a bound below 2**63 on their magnitude when they are int64, None
+    when they are objects; and the first row on which e reads an
+    unassigned cell, None for none."""
     if e.op == "const":
-        return e.value
-    got = memo.get(id(e))
+        v = e.value % p
+        v = v - p if v > p // 2 else v
+        return v, abs(v) if abs(v) < _BIG else None, None
+    key = e.col if e.op == "cell" else id(e)
+    got = memo.get(key)
     if got is not None:
         return got
     if e.op == "cell":
-        out = list(_cells(cols[e.col], rows))
+        k = cols.number[e.col]
+        out = cols.gather(k, rows), cols.bounds[k], cols.missing(k, rows)
     elif e.op == "pow5":
-        x = _eval(e.args[0], rows, cols, memo, p)
-        out = list(map(pow, x, repeat(5), repeat(p))) if isinstance(x, list) else pow(x, 5, p)
+        x, b, miss = _eval(e.args[0], rows, cols, memo, p)
+        if b is not None and b**5 < _BIG:
+            x2 = x * x
+            out = x2 * x2 * x, b**5, miss
+        else:
+            x = _objects(x)
+            x2 = x * x % p
+            out = x2 * x2 % p * x % p, None, miss
     else:
         fn = _FOLD[e.op]
-        out = _eval(e.args[0], rows, cols, memo, p)
+        acc, b, miss = _eval(e.args[0], rows, cols, memo, p)
         for a in e.args[1:]:
-            out = _binop(fn, out, _eval(a, rows, cols, memo, p))
-    memo[id(e)] = out
+            y, yb, ym = _eval(a, rows, cols, memo, p)
+            b = None if b is None or yb is None else b * yb if fn is mul else b + yb
+            if b is None or b >= _BIG:
+                b, acc, y = None, _objects(acc), _objects(y)
+            acc = fn(acc, y)
+            if ym is not None and (miss is None or ym < miss):
+                miss = ym
+        out = acc, b, miss
+    memo[key] = out
     return out
 
 
-def _first_unassigned(cols: dict, col_ids, rows: list) -> int | None:
-    vals = [cols[c] for c in sorted(col_ids)]
-    return next((r for r in rows if any(v[r] is None for v in vals)), None)
+def _nonzero(vals, bound, p: int, n: int) -> np.ndarray:
+    """The positions of the `n` values (or the one constant) that are not
+    0 mod p."""
+    if not isinstance(vals, np.ndarray):
+        return np.arange(n) if vals % p else np.arange(0)
+    if bound is not None and p > _BIG:
+        return np.flatnonzero(vals)
+    return np.flatnonzero(vals % p)
 
 
-def _residue_key(cols: dict, col_ids: tuple, row: int, p: int):
-    if len(col_ids) == 1:
-        return cols[col_ids[0]][row] % p
-    return tuple(cols[c][row] % p for c in col_ids)
+def _found(layout: CircuitLayout, lookups: list, rows_of, cols: _Grid) -> list[np.ndarray]:
+    """For each lookup, whether the key of each row its selector enables
+    is an entry of its table: one search per table, in its sorted entries
+    (`LookupTable.sorted_entries`), for the keys of all its lookups."""
+    p = cols.p
+    by_table: dict[str, list] = {}
+    for j, lk in enumerate(lookups):
+        by_table.setdefault(lk.table, []).append(j)
+    out = [None] * len(lookups)
+    for tid, js in by_table.items():
+        table = layout.tables[tid]
+        rows = [rows_of(lookups[j].selector) for j in js]
+        keys = [
+            np.concatenate([cols.gather(cols.number[lookups[j].columns[i]], r) for j, r in zip(js, rows)])
+            for i in range(table.arity)
+        ]
+        entries = table.sorted_entries(p)
+        if entries is None:   # entries beyond an int64 packing: only a hand-written recipe
+            found = np.array([tuple(v % p for v in key) in table.rows for key in zip(*(k.tolist() for k in keys))], bool)
+        else:
+            packed, lows, spans = entries
+            found = np.ones(len(keys[0]), bool)
+            q = np.zeros(len(keys[0]), np.int64)
+            for k, lo, n in zip(keys, lows, spans):
+                if k.dtype == object:
+                    k = k % p
+                    k = np.where(k > p // 2, k - p, k)
+                inside = (k >= lo) & (k <= lo + n - 1)
+                found &= inside
+                if k.dtype == object:
+                    k = np.where(inside, k, lo).astype(np.int64)
+                # A key outside its column's span is no entry, whatever its
+                # packing wraps to.
+                q = q * n + (k - lo)
+            at = np.minimum(np.searchsorted(packed, q), len(packed) - 1)
+            found &= packed[at] == q
+        ends = np.cumsum([len(r) for r in rows]).tolist()
+        for j, a, b in zip(js, [0, *ends], ends):
+            out[j] = found[a:b]
+    return out
 
 
-def _check_all(
-    layout: CircuitLayout,
-    cols: dict,
-    instance: list,
-    cap: int,
-    table_sets: dict,
-) -> list[Violation]:
+def _first_error(bad: np.ndarray) -> int:
+    """The first position `bad` marks, or its length for none."""
+    return int(np.argmax(bad)) if bad.any() else len(bad)
+
+
+def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, cap: int) -> list[Violation]:
     """The first `cap` violations in canonical (kind, id, row) order.
 
     Constraints are scanned in that order, so stopping at the cap keeps
@@ -138,12 +321,12 @@ def _check_all(
     """
     out: list[Violation] = []
     p = layout.field.modulus
-    enabled: dict[str, list] = {}
+    enabled: dict[str, np.ndarray] = {}
 
-    def rows_of(selector: str) -> list:
+    def rows_of(selector: str) -> np.ndarray:
         rows = enabled.get(selector)
         if rows is None:
-            rows = enabled[selector] = layout.fixed[selector].nonzero_rows()
+            rows = enabled[selector] = layout.fixed[selector].enabled_rows()
         return rows
 
     gates = sorted(layout.gates, key=lambda g: g.id)
@@ -153,86 +336,75 @@ def _check_all(
         if len(out) >= cap:
             return out
         rows = rows_of(gate.selector)
-        if rows:
-            try:
-                vals = _eval(gate.poly, rows, cols, memos.setdefault(gate.selector, {}), p)
-                if not isinstance(vals, list):
-                    vals = [vals] * len(rows)
-                bad = any(map(mod, vals, repeat(p)))
-            except TypeError:
-                row = _first_unassigned(cols, gate.poly.columns(), rows)
-                if row is None:
-                    raise
-                raise CheckError(f"gate {gate.id}: unassigned cell in enabled row {row}") from None
-            if bad:
-                sel = layout.fixed[gate.selector]
-                for row, v in zip(rows, vals):
-                    v %= p
-                    if v:
-                        out.append(
-                            Violation("gate", gate.id, row, f"{gate.name} evaluates to {sel[row] * v % p}")
-                        )
-                        if len(out) >= cap:
-                            return out
+        if len(rows):
+            vals, bound, miss = _eval(gate.poly, rows, cols, memos.setdefault(gate.selector, {}), p)
+            if miss is not None:
+                raise CheckError(f"gate {gate.id}: unassigned cell in enabled row {miss}")
+            for at in _nonzero(vals, bound, p, len(rows))[: cap - len(out)].tolist():
+                row = int(rows[at])
+                v = int(vals[at] if isinstance(vals, np.ndarray) else vals)
+                sel = cols.value(gate.selector, row)
+                out.append(Violation("gate", gate.id, row, f"{gate.name} evaluates to {sel * v % p}"))
         if last_gate[gate.selector] == i:
             memos.pop(gate.selector, None)
 
-    for lk in sorted(layout.lookups, key=lambda l: l.id):
+    lookups = sorted(layout.lookups, key=lambda l: l.id)
+    for lk, found in zip(lookups, _found(layout, lookups, rows_of, cols)):
         if len(out) >= cap:
             return out
         rows = rows_of(lk.selector)
-        table = table_sets[lk.table]
-        if len(lk.columns) == 1:
-            keys = _cells(cols[lk.columns[0]], rows)
-        else:
-            keys = zip(*(_cells(cols[c], rows) for c in lk.columns))
-        missing = [row for row, key in zip(rows, keys) if key not in table]
-        row = _first_unassigned(cols, lk.columns, missing)
-        if row is not None:
-            raise CheckError(f"lookup {lk.id}: unassigned cell in enabled row {row}")
-        # Tables hold canonical residues, so a raw key found in one is
-        # its own residue; only the misses are looked up again reduced.
-        missing = [row for row in missing if _residue_key(cols, lk.columns, row, p) not in table]
-        for row in missing[: cap - len(out)]:
+        if not len(rows):
+            continue
+        misses = [m for m in (cols.missing(cols.number[c], rows) for c in lk.columns) if m is not None]
+        if misses:
+            raise CheckError(f"lookup {lk.id}: unassigned cell in enabled row {min(misses)}")
+        for row in rows[~found][: cap - len(out)].tolist():
             out.append(Violation("lookup", lk.id, row, f"tuple not in table {lk.table}"))
 
     if len(out) >= cap:
         return out
     copies = layout.copies
-    read = np.zeros(len(copies.names), bool)
-    read[copies.flat[0::2]] = True
-    numbered = [cols[col_id] if r else None for col_id, r in zip(copies.names, read.tolist())]
-    it = iter(copies.tolist())
-    for ca, ra, cb, rb in zip(it, it, it, it):
-        va = numbered[ca][ra]
-        vb = numbered[cb][rb]
-        if va == vb and va is not None:
-            continue
-        # A list iterator knows how many items it has left; counting the
-        # copy index that way keeps it out of the loop over equal copies.
-        idx = (len(copies.flat) - length_hint(it)) // 4 - 1
-        if va is None or vb is None:
-            raise CheckError(f"copy {idx}: unassigned cell")
-        if va % p != vb % p:
+    flat = copies.flat
+    if len(flat):
+        ca, ra, cb, rb = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+        (a, a_set), (b, b_set) = cols.at(ca, ra), cols.at(cb, rb)
+        first_unset = _first_error(~(a_set & b_set))
+        differ = cols.ints[a] != cols.ints[b]
+        obj = np.flatnonzero(cols.is_object[ca] | cols.is_object[cb])
+        if len(obj):
+            differ[obj] = cols.residues(ca[obj], ra[obj]) != cols.residues(cb[obj], rb[obj])
+        differ = np.flatnonzero(differ)
+        for idx in differ[differ < first_unset][: cap - len(out)].tolist():
             cp = copies[idx]
-            out.append(Violation("copy", f"{idx:09d}", ra, f"{cp.a} = {va} but {cp.b} = {vb}"))
-            if len(out) >= cap:
-                return out
-
-    for idx, (cell_ref, inst_idx) in enumerate(layout.instance_map):
+            va, vb = cols.value(*cp.a), cols.value(*cp.b)
+            out.append(Violation("copy", f"{idx:09d}", cp.a[1], f"{cp.a} = {va} but {cp.b} = {vb}"))
         if len(out) >= cap:
             return out
-        v = cols[cell_ref[0]][cell_ref[1]]
-        if v is None:
-            raise CheckError(f"instance binding {idx}: unassigned cell {cell_ref}")
-        declared = instance[inst_idx]
-        if v % p != declared:
+        if first_unset < len(ca):
+            raise CheckError(f"copy {first_unset}: unassigned cell")
+
+    bound = layout.instance_map.flat
+    if len(bound):
+        bound_cols, rows, idx = bound[0::3], bound[1::3], bound[2::3]
+        at, bound_set = cols.at(bound_cols, rows)
+        first_unset = _first_error(~bound_set)
+        declared, _, (bound,) = signed_cells(int_cells([instance]), p)
+        if bound is None or cols.is_object[bound_cols].any():
+            differ = cols.residues(bound_cols, rows) != np.array(instance, object)[idx]
+        else:
+            differ = cols.ints[at] != declared[idx]
+        differ = np.flatnonzero(differ)
+        for b in differ[differ < first_unset][: cap - len(out)].tolist():
+            ref, inst_idx = layout.instance_map[b]
             out.append(
                 Violation(
-                    "instance", f"{idx:09d}", cell_ref[1],
-                    f"cell {cell_ref} = {v} but instance[{inst_idx}] = {declared}",
+                    "instance", f"{b:09d}", ref[1],
+                    f"cell {ref} = {cols.value(*ref)} but instance[{inst_idx}] = {instance[inst_idx]}",
                 )
             )
+        if len(out) < cap and first_unset < len(rows):
+            ref = layout.instance_map[first_unset][0]
+            raise CheckError(f"instance binding {first_unset}: unassigned cell {ref}")
     return out
 
 
@@ -251,11 +423,14 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> None:
     if instance and not (min(instance) >= 0 and max(instance) < layout.field.modulus):
         bad = min(instance) if min(instance) < 0 else max(instance)
         raise CheckError(f"instance value {bad} is not a canonical residue in [0, p)")
-    for _, inst_idx in layout.instance_map:
-        if inst_idx < 0:
-            raise CheckError(f"negative instance binding index {inst_idx}")
-        if inst_idx >= len(assignment.instance):
-            raise CheckError(f"instance vector too short for binding index {inst_idx}")
+    idx = layout.instance_map.flat[2::3]
+    if len(idx):
+        out = (idx < 0) | (idx >= len(instance))
+        if out.any():
+            first = int(idx[np.argmax(out)])
+            if first < 0:
+                raise CheckError(f"negative instance binding index {first}")
+            raise CheckError(f"instance vector too short for binding index {first}")
 
 
 def check(
@@ -265,16 +440,17 @@ def check(
 ) -> list[Violation]:
     """The first `cap` violations, deterministically ordered by
     (kind, id, row).  Empty list means the assignment satisfies the
-    layout; a cap below 1 is refused, since it would report none.
+    layout; a cap below 1 is refused, since it would report none.  Advice
+    columns may be `circuit.AdviceColumn`s, as the witness loader gives
+    them, or lists of ints and None.
     """
     if cap < 1:
         raise CheckError(f"violation cap must be >= 1, not {cap}")
     _validate_dimensions(layout, assignment)
-    table_sets = {
-        tid: {r[0] for r in t.rows} if t.arity == 1 else t.rows
-        for tid, t in layout.tables.items()
-    }
-    return _check_all(layout, _Columns(layout, assignment), assignment.instance, cap, table_sets)
+    advice = dict(assignment.advice)
+    lists = [c for c, vals in advice.items() if not isinstance(vals, AdviceColumn)]
+    advice.update(zip(lists, AdviceColumn.pack([advice[c] for c in lists])))
+    return _check_all(layout, _Grid(layout, advice), assignment.instance, cap)
 
 
 def check_parallel(

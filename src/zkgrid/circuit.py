@@ -10,24 +10,31 @@ order, which is also how the layout file writes them.  Compile
 concatenates it from its per-layer arrays, the file loader wraps the
 file's section, and validate() and the checker read it as it is;
 `CopyConstraint` objects are built only when a caller indexes or
-iterates the `Copies` sequence.
+iterates the `Copies` sequence.  Instance bindings are held packed the
+same way (`Bindings`).
 
-Fixed columns are held sparse in the same way: each is a read-only
-`FixedColumn` of two arrays, the int32 rows of its nonzero cells in
-increasing order and their values, which is also how the layout file
-writes them.  Every other row reads 0.  A read of single cells goes
+Cells are held as the cell codec of the files holds them (`int_cells`):
+an int64 array whose negative cells are offsets from a base, so that a
+residue p - x of a small negative x costs an int64, plus the few
+outliers that have no such cell.  A fixed column is a read-only
+`FixedColumn` of the int32 rows of its nonzero cells in increasing order
+and their cells; every other row reads 0.  A read of single cells goes
 through one full-height list the column builds on first read and keeps.
+A loaded witness column is an `AdviceColumn` of its assigned cells up to
+its last assigned row; the prover's `Assignment` holds lists.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from math import prod
+from operator import is_not
 
 import numpy as np
 
-from .field import Field, FieldElement
+from .field import Field
 
 ADVICE = "advice"
 FIXED = "fixed"
@@ -155,6 +162,30 @@ class LookupTable:
     id: str
     arity: int
     rows: frozenset  # of tuples of canonical field ints
+    # (p, sorted entries) of the last `sorted_entries` call.
+    _sorted: list = field(default_factory=lambda: [None], compare=False, repr=False)
+
+    def sorted_entries(self, p: int) -> tuple | None:
+        """The entries as canonical signed residues (v - p when v > p // 2,
+        else v), each packed into one int64 in mixed radix: the packed
+        entries sorted, and each column's least residue and span, so that
+        a tuple t is an entry when every t_i lies in [low_i, low_i +
+        span_i) and its packing is found by `np.searchsorted`.  None when
+        the packing does not fit int64.  Built on first call and kept."""
+        got = self._sorted[0]
+        if got is None or got[0] != p:
+            ent = np.array(list(self.rows), object).reshape(len(self.rows), self.arity)
+            ent = np.where(ent > p // 2, ent - p, ent)
+            lows = [int(c.min()) for c in ent.T]
+            spans = [int(c.max()) - lo + 1 for c, lo in zip(ent.T, lows)]
+            packed = None
+            if prod(spans) < 1 << 63 and all(-(1 << 63) <= lo and lo + n <= 1 << 63 for lo, n in zip(lows, spans)):
+                packed = np.zeros(len(ent), np.int64)
+                for c, lo, n in zip(ent.T, lows, spans):
+                    packed = packed * n + (c - lo).astype(np.int64)
+                packed = np.sort(packed), lows, spans
+            got = self._sorted[0] = p, packed
+        return got[1]
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,9 +244,9 @@ class Copies(Sequence):
 
     def tolist(self) -> list[int]:
         """`flat` as one list of ints, built on first call and kept: a
-        caller must not change it.  The witness and the checker walk a
-        list several times faster than the array.  When the numbers are
-        fewer than the copies, equal numbers share one int object."""
+        caller must not change it.  The witness walks a list several
+        times faster than the array.  When the numbers are fewer than the
+        copies, equal numbers share one int object."""
         if self._list is None:
             flat = self.flat
             top = int(flat.max(initial=0))
@@ -270,57 +301,291 @@ class Copies(Sequence):
         return f"Copies({len(self)} copies over {len(self.names)} columns)"
 
 
-def fixed_values(vals) -> np.ndarray:
-    """`vals` as a FixedColumn holds its values: int64 when every value
-    fits it, object otherwise (a value of 2**63 or more, or None)."""
+class Bindings(Sequence):
+    """Read-only sequence of instance bindings over a packed store: an
+    int64 array `flat` of `[column number, row, index, ...]` whose column
+    numbers index `names`, read as ((column id, row), index) pairs;
+    equality compares the pairs."""
+
+    __slots__ = ("flat", "names")
+    __hash__ = None
+
+    def __init__(self, flat, names: list[str]):
+        self.flat = np.asarray(flat, np.int64)
+        self.names = names
+
+    @classmethod
+    def pack(cls, bindings, names: list[str]) -> "Bindings":
+        """Pack ((column id, row), index) pairs.  A column id missing from
+        `names` is numbered after them, so validate() can name it."""
+        names = list(names)
+        number = {col_id: k for k, col_id in enumerate(names)}
+        flat = []
+        for (col_id, row), idx in bindings:
+            if col_id not in number:
+                number[col_id] = len(names)
+                names.append(col_id)
+            flat += (number[col_id], row, idx)
+        return cls(flat, names)
+
+    def __len__(self) -> int:
+        return len(self.flat) // 3
+
+    def __getitem__(self, i: int):
+        k = i + len(self) if i < 0 else i
+        if not 0 <= k < len(self):
+            raise IndexError("binding index out of range")
+        c, row, idx = self.flat[3 * k : 3 * k + 3].tolist()
+        return (self.names[c], row), idx
+
+    def __iter__(self):
+        names = self.names
+        it = iter(self.flat.tolist())
+        for c, row, idx in zip(it, it, it):
+            yield (names[c], row), idx
+
+    def __eq__(self, other):
+        if not isinstance(other, Bindings):
+            return NotImplemented
+        if self.names == other.names:
+            return bool(np.array_equal(self.flat, other.flat))
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"Bindings({len(self)} bindings)"
+
+
+_BIG = 1 << 63
+# The int64 cell that stands for the next of a column's outliers.
+MARK = -_BIG
+NO_OUTLIERS = np.zeros(0, object)
+
+
+def int_cells(columns: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """Each column of integers (a sequence or an array) as the cell codec
+    holds it: int64 cells, a base B and an object array of outliers.  A
+    cell c is the value c when c >= 0 or B is 0, B + c when c < 0 and
+    B > 0, and the next outlier when it is MARK.  B is one above the
+    column's greatest value of 2**63 or more, or 0 when it has none.
+    Outliers are the values that have no such cell: one of 2**63 or more
+    at or below B - 2**63, one below 0 beside B, or one below -2**63.
+    The columns that int64 cannot hold are split in one array pass over
+    all of them; a cell that is not an int (None) makes its whole column
+    outliers."""
+    out, wide = [], []
+    for vals in columns:
+        try:
+            out.append((np.asarray(vals, np.int64), 0, NO_OUTLIERS))
+        except (OverflowError, TypeError):
+            out.append(np.asarray(vals, object))
+            wide.append(len(out) - 1)
+    if wide:
+        for k, form in zip(wide, _based([out[k] for k in wide])):
+            out[k] = form
+    return out
+
+
+def _based(objs: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """int_cells of object arrays, none of them empty, that int64 cannot
+    hold."""
+    lens = np.array(list(map(len, objs)))
+    starts = np.cumsum(lens) - lens
+    allv = np.concatenate(objs)
     try:
-        return np.asarray(vals, np.int64)
-    except (OverflowError, TypeError):
-        return np.asarray(vals, object)
+        big = allv >= _BIG
+        cells = np.full(len(allv), MARK)
+        cells[~big] = allv[~big]
+    except (OverflowError, TypeError):   # a value below -2**63 or not an int
+        if len(objs) > 1:
+            return [f for o in objs for f in _based([o])]
+        return [(np.full(len(allv), MARK), 0, allv)]
+    n_big = np.add.reduceat(big, starts)
+    has = n_big > 0
+    high = allv[big]
+    bases = np.zeros(len(objs), object)
+    if len(high):
+        bases[has] = np.maximum.reduceat(high, (np.cumsum(n_big) - n_big)[has]) + 1
+    # A big value is its offset from the base when that fits, else an
+    # outlier.
+    base = np.repeat(bases[has], n_big[has])
+    band = high > np.repeat(bases[has] - _BIG, n_big[has])
+    at = np.flatnonzero(big)[band]
+    cells[at] = high[band] - base[band]
+    # A value below 0 beside a base is an outlier too.
+    cells[(cells < 0) & ~big & np.repeat(has, lens)] = MARK
+    marked = cells == MARK
+    n_marks = np.add.reduceat(marked, starts).tolist()
+    return [
+        (cells[s : s + n], b, allv[s : s + n][marked[s : s + n]] if m else NO_OUTLIERS)
+        for s, n, b, m in zip(starts.tolist(), lens.tolist(), bases.tolist(), n_marks)
+    ]
+
+
+def cell_values(cells: np.ndarray, base: int, outliers: np.ndarray) -> np.ndarray:
+    """The values int_cells' (cells, base, outliers) stand for: the cells
+    when there is no base and no outlier, else an object array of Python
+    ints."""
+    if len(outliers) == len(cells) and len(cells):
+        return outliers
+    if not (base or len(outliers)):
+        return cells
+    vals = np.empty(len(cells), object)
+    marks = cells == MARK
+    if len(outliers):
+        vals[marks] = outliers
+    if base:
+        based = (cells < 0) & ~marks
+        vals[based] = cells[based].astype(object) + base
+        marks |= based
+    vals[~marks] = cells[~marks]
+    return vals
+
+
+def cell_value(cells: np.ndarray, base: int, outliers: np.ndarray, k: int):
+    """The value of int_cells' cell number k."""
+    c = int(cells[k])
+    if c == MARK:
+        return outliers[int(np.count_nonzero(cells[:k] == MARK))]
+    return c + base if c < 0 and base else c
+
+
+def signed_cells(forms: list, p: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """The canonical signed residue, v - p when v > p // 2 and v
+    otherwise, of each value the int_cells forms (cells, base, outliers)
+    stand for: one int64 array of all of them, form after form, each
+    form's offset into it, and per form the greatest magnitude of its
+    residues, or None when it has an outlier, a value not in [0, p) or a
+    residue that does not fit int64 (its residues are then meaningless).
+    A few array operations over all the cells and none on objects: a
+    based cell's residue is c + (B - p)."""
+    lens = np.array([len(c) for c, _, _ in forms], np.int64)
+    starts = np.cumsum(lens) - lens
+    cells = np.concatenate([c for c, _, _ in forms]) if forms else np.zeros(0, np.int64)
+    full = np.flatnonzero(lens)
+    lows = np.zeros(len(forms), np.int64)
+    highs = np.zeros(len(forms), np.int64)
+    if len(full):
+        lows[full] = np.minimum.reduceat(cells, starts[full])
+        highs[full] = np.maximum.reduceat(cells, starts[full])
+    bounds = [None if len(o) else 0 for _, _, o in forms]
+    if p > _BIG:   # a cell c >= 0 is its own residue when c <= p // 2
+        shifts = np.zeros(len(forms), np.int64)
+        for j, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist())):
+            k = forms[j][1] - p
+            if bounds[j] is None or hi > p // 2:
+                bounds[j] = None
+            elif lo >= 0:
+                bounds[j] = hi
+            elif forms[j][1] and k <= 0 and lo + k >= max(MARK, p // 2 + 1 - p):   # based: residue c + k
+                shifts[j] = k
+                bounds[j] = max(-(lo + k), hi)
+            else:
+                bounds[j] = None
+        return cells + np.where(cells < 0, np.repeat(shifts, lens), 0), starts, bounds
+    signed = np.where(cells > p // 2, cells - p, cells)
+    if len(full):
+        mags = np.maximum(-np.minimum.reduceat(signed, starts[full]), np.maximum.reduceat(signed, starts[full]))
+        for j, m in zip(full.tolist(), mags.tolist()):
+            bounds[j] = m if bounds[j] is not None and lows[j] >= 0 and highs[j] < p else None
+    return signed, starts, bounds
 
 
 class FixedColumn(Sequence):
     """Read-only fixed column of `n_rows` cells held as its nonzero cells.
 
     `rows` is an int32 array of the rows that hold a nonzero cell, in
-    increasing order, and `values` their values (`fixed_values`); every
-    other row reads 0.  A cell is None (unassigned) only when a caller
-    packs a list holding None; the layout file cannot say so.  Reading a
-    cell, iterating and `dense` read one full-height list, built on first
-    use with one scatter and kept.
+    increasing order, and `cells`, `base` and `outliers` their values as
+    `int_cells` holds them; every other row reads 0.  `values` is the
+    values as one array, int64 when they fit it and object otherwise.  A cell is None
+    (unassigned) only when a caller packs a list holding None; the layout
+    file cannot say so.  Reading a cell, iterating and `dense` read one
+    full-height list, built on first use with one scatter and kept.
     """
 
-    __slots__ = ("rows", "values", "n_rows", "_dense")
+    __slots__ = ("rows", "cells", "base", "outliers", "n_rows", "_dense", "_signed", "_enabled")
     __hash__ = None
 
-    def __init__(self, rows: np.ndarray, values: np.ndarray, n_rows: int):
+    def __init__(self, rows: np.ndarray, values, n_rows: int):
+        self._set(rows, *int_cells([values])[0], n_rows)
+
+    def _set(self, rows, cells, base, outliers, n_rows) -> None:
         self.rows = rows
-        self.values = values
+        self.cells = cells
+        self.base = base
+        self.outliers = outliers
         self.n_rows = n_rows
         self._dense = None
+        self._signed = None
+        self._enabled = None
+
+    @classmethod
+    def from_cells(cls, rows: np.ndarray, form: tuple, n_rows: int) -> "FixedColumn":
+        """The column of the nonzero cells `rows` whose values int_cells'
+        (cells, base, outliers) `form` holds."""
+        col = cls.__new__(cls)
+        col._set(rows, *form, n_rows)
+        return col
 
     @classmethod
     def pack(cls, vals) -> "FixedColumn":
         """The view of a full column: every cell that is not 0 is kept."""
-        vals = fixed_values(list(vals))
+        vals = np.asarray(list(vals), object)
         rows = np.flatnonzero(vals != 0)
-        return cls(rows.astype(np.int32), fixed_values(vals[rows]), len(vals))
+        return cls(rows.astype(np.int32), vals[rows], len(vals))
+
+    @property
+    def values(self) -> np.ndarray:
+        return cell_values(self.cells, self.base, self.outliers)
+
+    @staticmethod
+    def signed(columns: list, p: int) -> list[tuple]:
+        """Each column's cells as the checker reads them: a full-height
+        array of each row's canonical signed residue (0 on rows that hold
+        no cell) with the greatest magnitude of them, as `signed_cells`
+        gives it, or, when they do not fit int64, an object array of the
+        values with bound None; and which rows are assigned, None for all
+        of them.  Worked out for the columns that do not keep them for p
+        yet, with one `signed_cells` pass, and kept."""
+        todo = [col for col in columns if col._signed is None or col._signed[0] != p]
+        signed, starts, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in todo], p) if todo else ((), (), ())
+        for col, s, bound in zip(todo, starts, bounds):
+            present = None
+            if bound is None:
+                vals = cell_values(col.cells, col.base, col.outliers)
+                unset = np.equal(vals, None)
+                if unset.any():   # a packed None
+                    present = np.ones(col.n_rows, bool)
+                    present[col.rows[unset]] = False
+                    vals = np.where(unset, 0, vals)
+                full = np.zeros(col.n_rows, object)
+            else:
+                vals, full = signed[s : s + len(col.cells)], np.zeros(col.n_rows, np.int64)
+            full[col.rows] = vals
+            col._signed = p, (full, bound, present)
+        return [col._signed[1] for col in columns]
 
     def dense(self) -> list:
         """The column as one list of `n_rows` cells, built on first call
         and kept: a caller must not change it."""
         if self._dense is None:
-            out = np.zeros(self.n_rows, self.values.dtype)
-            out[self.rows] = self.values
+            values = self.values
+            out = np.zeros(self.n_rows, values.dtype)
+            out[self.rows] = values
             self._dense = out.tolist()
         return self._dense
 
-    def nonzero_rows(self) -> list[int]:
+    def enabled_rows(self) -> np.ndarray:
         """The rows whose cell is truthy, in increasing order: for a
-        selector, the rows it enables."""
-        if self.values.dtype == object:
-            return self.rows[self.values.astype(bool)].tolist()
-        return self.rows.tolist()
+        selector, the rows it enables.  Kept after the first call."""
+        if self._enabled is None:
+            if len(self.outliers):
+                self._enabled = self.rows[self.values.astype(bool)]
+            else:
+                self._enabled = self.rows if self.cells.all() else self.rows[self.cells != 0]
+        return self._enabled
+
+    def nonzero_rows(self) -> list[int]:
+        return self.enabled_rows().tolist()
 
     def tolist(self) -> list:
         return list(self.dense())
@@ -354,6 +619,102 @@ class FixedColumn(Sequence):
         return f"FixedColumn({len(self.rows)} nonzero of {self.n_rows} rows)"
 
 
+class AdviceColumn(Sequence):
+    """An advice column of `n_rows` cells held as its assigned cells, the
+    witness loader's form of a column.
+
+    The first `length` rows may be assigned, those `present` marks (a bool
+    array of `length`, or None when all of them are), and every later row
+    is unassigned.  `cells`, `base` and `outliers` hold the assigned
+    cells' values in row order as `int_cells` does.  The column reads as a
+    sequence of Python ints and None (unassigned), compares equal to a
+    list of the same cells, and takes `column[row] = value`, which
+    rebuilds its arrays.
+    """
+
+    __slots__ = ("n_rows", "length", "present", "cells", "base", "outliers", "_values")
+    __hash__ = None
+
+    def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple, values=None):
+        self.n_rows = n_rows
+        self.length = length
+        self.present = present
+        self.cells, self.base, self.outliers = form
+        self._values = values
+
+    @property
+    def values(self) -> np.ndarray:
+        """The assigned cells' values in row order, as `cell_values` gives
+        them (or as the caller that built the column gave them), kept."""
+        if self._values is None:
+            self._values = cell_values(self.cells, self.base, self.outliers)
+        return self._values
+
+    @classmethod
+    def pack(cls, columns: list) -> list["AdviceColumn"]:
+        """Each list of cells (None for an unassigned one) as a column of
+        its length; `int_cells` splits all of them in one pass."""
+        shapes, assigned = [], []
+        for vals in columns:
+            n, holes = len(vals), vals.count(None)
+            first = vals.index(None) if holes else n
+            if first + holes == n:   # every unassigned cell is in the tail
+                shapes.append((n, first, None))
+                assigned.append(vals[:first])
+                continue
+            # Strip the unassigned tail a slice at a time, then cell by cell.
+            end = n
+            for s in (4096, 256, 16, 1):
+                while end >= s and vals[end - s : end].count(None) == s:
+                    end -= s
+            flags = bytes(map(is_not, vals[:end], repeat(None)))
+            shapes.append((n, end, np.frombuffer(flags, bool)))
+            assigned.append(list(compress(vals, flags)))
+        return [cls(n, length, present, form) for (n, length, present), form in zip(shapes, int_cells(assigned))]
+
+    def tolist(self) -> list:
+        out = np.full(self.n_rows, None, object)
+        vals = self.values
+        if self.present is None:
+            out[: self.length] = vals
+        else:
+            out[: self.length][self.present] = vals
+        return out.tolist()
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, row: int):
+        r = row + self.n_rows if row < 0 else row
+        if not 0 <= r < self.n_rows:
+            raise IndexError("advice row out of range")
+        if r >= self.length:
+            return None
+        if self.present is not None:
+            if not self.present[r]:
+                return None
+            r = int(np.count_nonzero(self.present[:r]))
+        return cell_value(self.cells, self.base, self.outliers, r)
+
+    def __setitem__(self, row: int, value) -> None:
+        vals = self.tolist()
+        vals[row] = value
+        (new,) = AdviceColumn.pack([vals])
+        self.length, self.present, self.cells, self.base, self.outliers, self._values = (
+            new.length, new.present, new.cells, new.base, new.outliers, None)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (AdviceColumn, list)):
+            return self.tolist() == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"AdviceColumn({self.length} of {self.n_rows} rows)"
+
+
 @dataclass
 class Assignment:
     """Witness: advice column values plus the public instance vector.
@@ -380,7 +741,7 @@ class CircuitLayout:
     lookups: list[LookupArg]
     copies: Copies  # any iterable of CopyConstraint is packed on construction
     fixed: dict[str, FixedColumn]  # a full list of n_rows values is packed on construction
-    instance_map: list[tuple[CellRef, int]]
+    instance_map: Bindings  # any iterable of ((column id, row), index) is packed on construction
     # Opaque witness-construction plan attached by the compiler; not part
     # of the serialized layout or of layout equality.
     plan: object = field(default=None, compare=False, repr=False)
@@ -389,6 +750,8 @@ class CircuitLayout:
         names = list(self.columns)
         if not (isinstance(self.copies, Copies) and self.copies.names == names):
             self.copies = Copies.pack(self.copies, names)
+        if not (isinstance(self.instance_map, Bindings) and self.instance_map.names == names):
+            self.instance_map = Bindings.pack(self.instance_map, names)
         self.fixed = {
             col_id: vals if isinstance(vals, FixedColumn) else FixedColumn.pack(vals)
             for col_id, vals in self.fixed.items()
@@ -408,8 +771,8 @@ class CircuitLayout:
             if vals.n_rows != self.n_rows:
                 raise CircuitError(f"fixed column {col_id} has {vals.n_rows} rows, the grid {self.n_rows}")
             rows = vals.rows
-            if len(rows) != len(vals.values):
-                raise CircuitError(f"fixed column {col_id} has {len(rows)} rows and {len(vals.values)} values")
+            if len(rows) != len(vals.cells):
+                raise CircuitError(f"fixed column {col_id} has {len(rows)} rows and {len(vals.cells)} values")
             if rows.size and not (rows[0] >= 0 and rows[-1] < self.n_rows and (rows[1:] > rows[:-1]).all()):
                 raise CircuitError(f"fixed column {col_id}: cells not in increasing rows inside the grid")
         for col_id, col in self.columns.items():
@@ -436,13 +799,16 @@ class CircuitLayout:
         if unknown:
             raise CircuitError(f"copy references unknown column {min(unknown)}")
         check_copy_range(self.copies.flat, len(names), self.n_rows)
-        for (col_id, row), idx in self.instance_map:
+        bound = self.instance_map.flat
+        cols, rows, idx = bound[0::3], bound[1::3], bound[2::3]
+        bad = (cols >= len(self.columns)) | (rows < 0) | (rows >= self.n_rows) | (idx < 0)
+        if bad.any():
+            (col_id, row), idx = self.instance_map[int(np.argmax(bad))]
             if col_id not in self.columns:
                 raise CircuitError(f"instance binding references unknown column {col_id!r}")
             if not 0 <= row < self.n_rows:
                 raise CircuitError(f"instance binding references row {row} outside grid")
-            if idx < 0:
-                raise CircuitError(f"instance binding has negative index {idx}")
+            raise CircuitError(f"instance binding has negative index {idx}")
 
     def max_gate_degree(self) -> int:
         # Selector contributes one to every gate's total degree.
@@ -452,17 +818,6 @@ class CircuitLayout:
         if self.columns[col_id].kind == FIXED:
             return self.fixed[col_id]
         return assignment.advice[col_id]
-
-    def eval_gate(self, gate: GateDef, assignment: Assignment, row: int) -> FieldElement:
-        """selector(row) * poly(row); skips poly evaluation when disabled."""
-        if not 0 <= row < self.n_rows:
-            raise CircuitError(f"row {row} outside grid of {self.n_rows}")
-        p = self.field.modulus
-        sel = self.fixed[gate.selector][row]
-        if sel % p == 0:
-            return self.field.zero()
-        v = _eval_expr(gate.poly, self, assignment, row)
-        return self.field.element(sel * v)
 
     def debug_dump(self) -> dict:
         return {
@@ -483,27 +838,6 @@ class CircuitLayout:
             "n_copies": len(self.copies),
             "max_gate_degree": self.max_gate_degree(),
         }
-
-
-def _eval_expr(e: Expr, layout: CircuitLayout, assignment: Assignment, row: int) -> int:
-    p = layout.field.modulus
-    if e.op == "const":
-        return e.value % p
-    if e.op == "cell":
-        v = layout.resolve_column(e.col, assignment)[row]
-        if v is None:
-            raise CircuitError(f"unassigned cell ({e.col}, {row}) referenced")
-        return v % p
-    vals = [_eval_expr(a, layout, assignment, row) for a in e.args]
-    if e.op == "add":
-        return sum(vals) % p
-    if e.op == "sub":
-        return (vals[0] - sum(vals[1:])) % p
-    if e.op == "mul":
-        return prod(vals) % p
-    if e.op == "pow5":
-        return pow(vals[0], 5, p)
-    raise CircuitError(f"bad expr op {e.op!r}")
 
 
 # --- built-in gate families -------------------------------------------------

@@ -45,9 +45,9 @@ sections follow in this order:
   which the loader wraps as its int32 array;
 * each fixed column in header order: its `cells` rows, strictly
   increasing, then a cell column of their values with no unassigned
-  cell, each a nonzero canonical residue: the `rows` and `values` arrays
-  of its `circuit.FixedColumn`, which the writer reads and the loader
-  builds with array operations only;
+  cell, each a nonzero canonical residue: the `rows` and the cells of its
+  `circuit.FixedColumn`, which the writer reads and the loader builds
+  with array operations only;
 * instance bindings: 3 * bindings integers `[column number, row, index]`.
 
 Copies, rows and bindings are unsigned sections: a width byte w in
@@ -61,6 +61,16 @@ order.  Each advice column in that order, then the instance vector, is
 written as a cell column whose length is one past its last assigned row
 (the instance vector's own length); the rows from L on are unassigned.
 
+In memory a cell column is the form `circuit.int_cells` gives: int64
+cells, each its value or, below 0, its offset from the base, with a mark
+for each outlier and the outliers apart.  That is the file's own form, so
+the loader builds it with array operations only (the outliers and the
+32-byte cells take one Python int each), and the writer picks the width
+of every column of a file in one array pass over all their cells.  A
+loaded witness holds each advice column as a `circuit.AdviceColumn` at
+its used length, and its instance vector as a list; the prover's lists
+are split into the same form when they are written.
+
 Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
 more than `circuit.MAX_CELLS` cells, a layout whose tables would hold
@@ -73,18 +83,22 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from itertools import compress, repeat
-from operator import is_not, itemgetter
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
 from .arithmetize import CompileError, check_recipe, lookup_table
 from .circuit import (
+    NO_OUTLIERS,
+    MARK,
     MAX_CELLS,
     MAX_EXPR_DEPTH,
     MAX_EXPR_NODES,
     MAX_ROWS,
+    AdviceColumn,
     Assignment,
+    Bindings,
     CircuitError,
     CircuitLayout,
     Column,
@@ -93,6 +107,8 @@ from .circuit import (
     FixedColumn,
     GateDef,
     LookupArg,
+    cell_values,
+    int_cells,
 )
 from .field import Field
 
@@ -117,92 +133,72 @@ class FormatError(ValueError):
 
 # --- cell columns ------------------------------------------------------------
 
-def _encode_column(vals: list) -> bytes:
-    """The cell column of `vals`, None marking an unassigned cell, written
-    up to its last assigned cell (see the module docstring)."""
-    n, holes = len(vals), vals.count(None)
-    first = vals.index(None) if holes else n
-    bitmap = b""
-    if first + holes == n:   # every unassigned cell is in the tail
-        present, n = vals[:first], first
+def _encode_columns(columns: list, lo_limit: int, hi_limit: int) -> list[tuple[bytes, int | None]]:
+    """The cell column of each (form, length, bitmap), where form is its
+    assigned cells as `circuit.int_cells` holds them and bitmap its
+    presence bitmap (b"" when every row is assigned), at the width the
+    module docstring gives; and, for a column holding a value outside
+    [lo_limit, hi_limit), that value (else None).  The widths of all
+    columns are found in one array pass over their cells."""
+    out = [(_COUNTS.pack(length, 0) + b"\x01" + bitmap + _COUNT.pack(0), None) for _, length, bitmap in columns]
+    full = [k for k, (form, _, _) in enumerate(columns) if len(form[0])]
+    if not full:
+        return out
+    lens = np.array([len(columns[k][0][0]) for k in full])
+    starts = np.cumsum(lens) - lens
+    cells = np.concatenate([columns[k][0][0] for k in full])
+    mark = cells == MARK
+    # Per column: the cells outside each width (a cell c is outside w
+    # bytes when |c| >= 2**(8w - 1), and a mark, whose magnitude int64
+    # cannot hold, outside all of them), the least and greatest cell and
+    # the zero cells.
+    marks = np.add.reduceat(mark, starts)
+    size = np.abs(cells)
+    outside = {w: (np.add.reduceat(size >= 1 << (8 * w - 1), starts) + marks).tolist() for w in (1, 2, 4)}
+    outside[8] = marks.tolist()
+    if mark.any():
+        lows = np.minimum.reduceat(np.where(mark, cells.max(), cells), starts).tolist()
+        highs = np.maximum.reduceat(np.where(mark, 0, cells), starts).tolist()
     else:
-        # Strip the unassigned tail a slice at a time, then cell by cell.
-        for s in (4096, 256, 16, 1):
-            while n >= s and vals[n - s : n].count(None) == s:
-                n -= s
-        flags = bytes(map(is_not, vals[:n], repeat(None)))
-        bitmap = np.packbits(np.frombuffer(flags, bool), bitorder="little").tobytes()
-        present = list(compress(vals, flags))
-    cells, parts, lo, hi = _split(present)
-    if lo < 0 or hi >= _LIMIT:
-        raise FormatError(f"cell value {lo if lo < 0 else hi} outside [0, 2**255)")
-    return _pack_cells(cells, parts, lo, hi, n, bitmap)
-
-
-def _split(cells) -> tuple:
-    """`cells` (a list or an array of ints) as the codec reads them: an
-    int64 array and None when every cell fits int64, else an object array
-    and its parts, the mask `big` of its cells >= 2**63, those cells and
-    the others (int64 unless one is below -2**63); then the least and the
-    greatest cell, (0, 0) for none.  TypeError for a cell that is not an
-    int."""
-    try:
-        cells = np.asarray(cells, np.int64)
-    except OverflowError:
-        cells = np.asarray(cells, object)
-        big = cells >= _BIG
-        high, rest = cells[big], cells[~big]
-        try:
-            rest = rest.astype(np.int64)
-        except OverflowError:   # a cell < -2**63
-            pass
-        lo = rest.min() if len(rest) else high.min()
-        return cells, (big, high, rest), int(lo), int(high.max() if len(high) else rest.max())
-    return cells, None, *((int(cells.min()), int(cells.max())) if len(cells) else (0, 0))
-
-
-def _pack_cells(cells: np.ndarray, parts: tuple | None, lo: int, hi: int, length: int, bitmap: bytes) -> bytes:
-    """The cell column of `length` rows whose assigned cells, in row
-    order, are `_split`'s (`cells`, `parts`, `lo`, `hi`), each in
-    [0, 2**255), at the rows `bitmap` sets (b"" when every row is
-    assigned), at the width the module docstring gives."""
-    n, base = len(cells), 0
-    d = cells
-    if parts is not None:
-        big, high, rest = parts
-        base, floor = hi + 1, hi + 1 - _BIG
-        # Each cell's in-band integer: itself below 2**63, its offset from
-        # the base above `floor`, and -2**63 for a cell in band at no
-        # width below 32 bytes.
-        band = high > floor
-        if not len(rest) and 32 * (n - np.count_nonzero(band)) > 31 * n - 32:
-            # So many cells are in band at no width below 32 bytes that no
-            # such width can win: the sponge states.
-            return b"".join((_COUNTS.pack(length, n), b"\x20", bitmap, _wide(cells)))
-        d = np.empty(n, np.int64)
-        d[~big] = rest
-        d[big] = np.where(band, high - base, -_BIG)
-        lo, hi = int(d.min()), int(d.max())
-    top = max(hi, -lo)
-    best = None
-    for width in (1, 2, 4, 8):
-        half = 1 << (8 * width - 1)
-        out = (d > half - 1) | (d < 1 - half) if top >= half else None   # bounds that fit int64
-        cost = (32 if base else 0) + n * width + 32 * (0 if out is None else np.count_nonzero(out))
-        if best is None or cost < best[0]:
-            best = cost, width, out
-    size, w, outside = best
-    if 32 * n < size:
-        w = 32
-    head = _COUNTS.pack(length, n)
-    if w == 32:
-        return b"".join((head, b"\x20", bitmap, _wide(cells)))
-    outliers = []
-    if outside is not None:
-        d = np.where(outside, -1 << (8 * w - 1), d)
-        outliers = cells[outside].tolist()
-    form = bytes((w | _BASED,)) + base.to_bytes(32, "little") if base else bytes((w,))
-    return b"".join((head, form, bitmap, d.astype(f"<i{w}").tobytes(), _COUNT.pack(len(outliers)), _wide(outliers)))
+        lows, highs = np.minimum.reduceat(cells, starts).tolist(), np.maximum.reduceat(cells, starts).tolist()
+    zeros = np.add.reduceat(cells == 0, starts).tolist() if lo_limit > 0 else [0] * len(full)
+    bufs = {}
+    for j, (k, s, n) in enumerate(zip(full, starts.tolist(), lens.tolist())):
+        (col, base, outliers), length, bitmap = columns[k]
+        if base and base > hi_limit:
+            lo, hi = lo_limit, max(cell_values(col, base, outliers).tolist())
+        elif base:   # cells >= 0 are values below 2**63, the others below B
+            lo, hi = (0 if zeros[j] else lo_limit), base - 1
+        else:
+            lo, hi = lows[j], highs[j]
+        if len(outliers):
+            if len(outliers) == n:
+                lo, hi = lo_limit, hi_limit - 1
+            try:
+                lo, hi = min(lo, min(outliers)), max(hi, max(outliers))
+            except TypeError:   # an unassigned value
+                lo = hi = lo_limit - 1
+        if lo < lo_limit or hi >= hi_limit:
+            out[k] = b"", lo if lo < lo_limit else hi
+            continue
+        size, w = min(((32 if base else 0) + n * w + 32 * outside[w][j], w) for w in (1, 2, 4, 8))
+        head = _COUNTS.pack(length, n)
+        if 32 * n < size:
+            out[k] = b"".join((head, b"\x20", bitmap, _wide(cell_values(col, base, outliers).tolist()))), None
+            continue
+        listed = []
+        if outside[w][j]:
+            half = 1 << (8 * w - 1)
+            far = (col > half - 1) | (col < 1 - half)
+            listed = cell_values(col, base, outliers)[far].tolist()
+            body = np.where(far, -half, col).astype(f"<i{w}").tobytes()
+        else:
+            if w not in bufs:
+                bufs[w] = cells.astype(f"<i{w}").tobytes()
+            body = bufs[w][s * w : (s + n) * w]
+        form = bytes((w | _BASED,)) + base.to_bytes(32, "little") if base else bytes((w,))
+        out[k] = b"".join((head, form, bitmap, body, _COUNT.pack(len(listed)), _wide(listed))), None
+    return out
 
 
 def _wide(vals: list) -> bytes:
@@ -210,23 +206,14 @@ def _wide(vals: list) -> bytes:
     return b"".join(map(int.to_bytes, vals, repeat(32), repeat("little")))
 
 
-def _decode_column(raw: bytes, pos: int, limit: int) -> tuple[list, int]:
-    """The cells of the column at raw[pos:], at most `limit` of them,
-    None for each unassigned one, and the position after it."""
-    vals, n_rows, bitmap, end, _ = _decode_cells(raw, pos, limit)
-    if bitmap is not None:
-        cells, vals = vals, np.empty(n_rows, object)
-        vals[np.unpackbits(bitmap, count=n_rows, bitorder="little").view(bool)] = cells
-    return vals.tolist(), end
-
-
-def _decode_cells(raw: bytes, pos: int, limit: int, bounds: bool = False) -> tuple:
-    """The assigned cells of the column at raw[pos:], in row order, as an
-    integer array (objects when a cell does not fit int64); the column's
-    length L, at most `limit`; its presence bitmap, None when every row is
-    assigned; the position after it; and, if `bounds` is set, the least
-    and the greatest cell, (0, 0) when there is none, found with no
-    operation on objects per cell (else None)."""
+def _decode_cells(raw: bytes, pos: int, limit: int) -> tuple:
+    """The assigned cells of the column at raw[pos:], in row order, as
+    `circuit.int_cells` holds them, (cells, base, outliers), with no
+    operation on objects per cell but for the 32-byte cells and the
+    outliers; the column's length L, at most `limit`; which of its rows
+    are assigned, a bool array of L, None when every one is; and the
+    position after it; and, for 32-byte cells, their values as an object
+    array (else None)."""
     if pos + _COUNTS.size + 1 > len(raw):
         raise FormatError("truncated cell column header")
     n_rows, n = _COUNTS.unpack_from(raw, pos)
@@ -248,12 +235,11 @@ def _decode_cells(raw: bytes, pos: int, limit: int, bounds: bool = False) -> tup
         if not _BIG < base <= _LIMIT:
             raise FormatError(f"column base {base} outside (2**63, 2**255]")
         pos += 32
-    bitmap = None
+    present = None
     if n < n_rows:
         end = pos + (n_rows + 7) // 8
         if end > len(raw):
             raise FormatError("truncated presence bitmap")
-        bitmap = np.frombuffer(raw, np.uint8, end - pos, pos)
         bits = int.from_bytes(raw[pos:end], "little")
         if bits >> n_rows:
             raise FormatError("presence bit set at or past the column's length")
@@ -261,54 +247,44 @@ def _decode_cells(raw: bytes, pos: int, limit: int, bounds: bool = False) -> tup
             raise FormatError("a column's last written cell is unassigned")
         if bits.bit_count() != n:
             raise FormatError(f"{n} assigned cells, the presence bitmap sets {bits.bit_count()}")
+        present = np.unpackbits(np.frombuffer(raw, np.uint8, end - pos, pos), count=n_rows, bitorder="little").view(bool)
         pos = end
     end = pos + n * w
     if end > len(raw):
         raise FormatError("truncated cell column")
     # Any cell whose top byte has its top bit set (for w <= 8, a negative one).
     signed = raw[pos + w - 1 : end : w].translate(None, _LOW_BYTES)
-    ends = []   # candidates for the least and the greatest cell
     if w == 32:
         if signed:
             raise FormatError("cell >= 2**255")
-        ends = _big_ints(raw, pos, end)
-        vals = np.array(ends, object)
-    else:
-        vals = np.frombuffer(raw, f"<i{w}", n, pos)
-        if end + _COUNT.size > len(raw):
-            raise FormatError("truncated outlier count")
-        (k,) = _COUNT.unpack_from(raw, end)
-        pos, end = end + _COUNT.size, end + _COUNT.size + 32 * k
-        if end > len(raw):
-            raise FormatError("truncated outlier list")
-        if raw[pos + 31 : end : 32].translate(None, _LOW_BYTES):
-            raise FormatError("outlier >= 2**255")
-        marks = 0
-        if signed:
-            negative, outside = vals < 0, vals == -1 << (8 * w - 1)
-            marks = np.count_nonzero(outside)
-        if marks > k:
-            raise FormatError("outlier mark with no listed outlier")
-        if marks < k:
-            raise FormatError("listed outlier with no outlier mark")
-        plain = (vals[~negative] if signed else vals) if bounds else ()
-        if len(plain):
-            ends += (int(plain.min()), int(plain.max()))
-        if signed:
-            based = np.count_nonzero(negative) > marks
-            if based and not base:
-                raise FormatError(f"cell {vals[negative & ~outside][0]} < 0 in a column with no base")
-            if bounds and based:
-                offsets = vals[negative & ~outside]
-                ends += (base + int(offsets.min()), base + int(offsets.max()))
-            outliers = _big_ints(raw, pos, end)
-            ends += outliers
-            vals = vals.astype(object if based or max(outliers, default=0) >= _BIG else np.int64)
-            if based:
-                vals[negative] += base
-            vals[outside] = outliers
-    lohi = ((min(ends), max(ends)) if ends else (0, 0)) if bounds else None
-    return vals, n_rows, bitmap, end, lohi
+        values = np.array(_big_ints(raw, pos, end), object)
+        return int_cells([values])[0], n_rows, present, end, values
+    vals = np.frombuffer(raw, f"<i{w}", n, pos)
+    if end + _COUNT.size > len(raw):
+        raise FormatError("truncated outlier count")
+    (k,) = _COUNT.unpack_from(raw, end)
+    pos, end = end + _COUNT.size, end + _COUNT.size + 32 * k
+    if end > len(raw):
+        raise FormatError("truncated outlier list")
+    if raw[pos + 31 : end : 32].translate(None, _LOW_BYTES):
+        raise FormatError("outlier >= 2**255")
+    marks = np.flatnonzero(vals == -1 << (8 * w - 1)) if signed else ()
+    if len(marks) > k:
+        raise FormatError("outlier mark with no listed outlier")
+    if len(marks) < k:
+        raise FormatError("listed outlier with no outlier mark")
+    cells = vals.astype(np.int64)
+    if signed and np.count_nonzero(vals < 0) > k and not base:
+        raise FormatError(f"cell {vals[(vals < 0) & (vals != -1 << (8 * w - 1))][0]} < 0 in a column with no base")
+    outliers = []
+    # An outlier that has a cell, below 2**63 or in the base's band, takes it.
+    for at, v in zip(marks.tolist() if k else (), _big_ints(raw, pos, end)):
+        if v < _BIG or base - _BIG < v < base:
+            cells[at] = v if v < _BIG else v - base
+        else:
+            cells[at] = MARK
+            outliers.append(v)
+    return (cells, base, np.array(outliers, object) if outliers else NO_OUTLIERS), n_rows, present, end, None
 
 
 def _big_ints(raw: bytes, pos: int, end: int) -> list[int]:
@@ -350,30 +326,27 @@ def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[np.ndarr
     return np.frombuffer(raw, f"<u{w}", count, pos + 1), end
 
 
-def _encode_residues(vals: np.ndarray, p: int, what: str) -> bytes:
-    """A cell column of the array vals, each a nonzero residue in [1, p)."""
-    try:
-        cells, parts, lo, hi = _split(vals)
-    except TypeError:   # an unassigned value
-        lo = hi = 0
-    if len(vals) and (lo < 1 or hi >= p):
-        raise FormatError(f"{what} holds a value outside [1, p): not a canonical residue")
-    return _pack_cells(cells, parts, lo, hi, len(cells), b"")
-
-
-def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str) -> tuple[np.ndarray, int]:
+def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str) -> tuple[tuple, int]:
     """The `count` values, each in [1, p), of the cell column at raw[pos:],
-    as `circuit.fixed_values` holds them."""
+    as `circuit.int_cells` holds them, and the position after it."""
     try:
-        vals, n_rows, bitmap, pos, (lo, hi) = _decode_cells(raw, pos, count, bounds=True)
+        form, n_rows, present, pos, _ = _decode_cells(raw, pos, count)
     except FormatError as e:
         raise FormatError(f"malformed layout: {what}: {e}") from None
     _need(n_rows == count, f"{what}: {n_rows} values, the header says {count}")
-    _need(bitmap is None, f"{what}: unassigned value")
-    if vals.size and not (lo >= 1 and hi < p):
-        _need(not (vals == 0).any(), f"{what}: zero cell listed")
+    _need(present is None, f"{what}: unassigned value")
+    cells, base, outliers = form
+    if not len(cells):
+        return form, pos
+    if len(outliers) or base > p:
+        values = cell_values(*form)
+        ok = min(values) >= 1 and max(values) < p
+    else:   # a based cell is a value in [1, B); the others are themselves
+        ok = int(cells.max()) < p and (not (cells == 0).any() if base else int(cells.min()) >= 1)
+    if not ok:
+        _need(not (cell_values(*form) == 0).any(), f"{what}: zero cell listed")
         _need(False, f"{what}: value not a canonical residue")
-    return (vals if vals.dtype == object else vals.astype(np.int64)), pos
+    return form, pos
 
 
 # The node table's operators, the Expr ops they build, and the operand
@@ -467,21 +440,22 @@ def dump_layout(layout: CircuitLayout) -> bytes:
     names = list(layout.columns)
     if layout.copies.names != names:
         raise FormatError("copies do not number the layout's columns")
-    number = {col_id: k for k, col_id in enumerate(names)}
-    bindings = []
-    for (col_id, row), idx in layout.instance_map:
-        if col_id not in number:
-            raise FormatError(f"instance binding to unknown column {col_id!r}")
-        bindings += (number[col_id], row, idx)
+    bindings = layout.instance_map.flat
+    unknown = np.flatnonzero(bindings[0::3] >= len(names))
+    if len(unknown):
+        raise FormatError(f"instance binding to unknown column {layout.instance_map[int(unknown[0])][0][0]!r}")
     if _table_ids([t.recipe for t in layout.tables.values()], p) != list(layout.tables):
         raise FormatError("a table's id is not the one its recipe names")
     head = json.dumps(_layout_header(layout), sort_keys=True, separators=(",", ":")).encode("ascii")
     out = [_LAYOUT_PREFIX.pack(_LAYOUT_MAGIC, _LAYOUT_VERSION, len(head)), head]
     out.append(_encode_uints(layout.copies.flat, "copies"))
-    for col_id, vals in layout.fixed.items():
+    values = _encode_columns([((v.cells, v.base, v.outliers), len(v.rows), b"") for v in layout.fixed.values()], 1, p)
+    for (col_id, vals), (cells, bad) in zip(layout.fixed.items(), values):
         what = f"fixed column {col_id}"
         out.append(_encode_uints(vals.rows, what))
-        out.append(_encode_residues(vals.values, p, what))
+        if bad is not None:
+            raise FormatError(f"{what} holds a value outside [1, p): not a canonical residue")
+        out.append(cells)
     out.append(_encode_uints(bindings, "instance bindings"))
     return b"".join(out)
 
@@ -581,19 +555,18 @@ def load_layout(raw: bytes) -> CircuitLayout:
     for col_id, n in fixed_counts:
         what = f"fixed column {col_id}"
         rows, pos = _decode_uints(raw, pos, n, what)
-        vals, pos = _decode_residues(raw, pos, n, p, what)
+        form, pos = _decode_residues(raw, pos, n, p, what)
         if n > 1 and not (rows[1:] > rows[:-1]).all():
             ordered = np.sort(rows)
             _need((ordered[1:] != ordered[:-1]).all(), f"{what}: row listed twice")
         # A row of 2**31 or more turns negative here; validate() refuses
         # it with the rows that are not in increasing order in the grid.
-        fixed[col_id] = FixedColumn(rows.astype(np.int32), vals, n_rows)
+        fixed[col_id] = FixedColumn.from_cells(rows.astype(np.int32), form, n_rows)
     bound, pos = _decode_uints(raw, pos, 3 * n_bindings, "instance bindings")
     _need(pos == len(raw), f"{len(raw) - pos} trailing bytes after the layout")
-    bound = bound.tolist()
-    cols = bound[0::3]
-    if cols and max(cols) >= len(names):
-        raise CircuitError(f"instance binding references column number {max(cols)} outside the {len(names)} columns")
+    top = int(bound[0::3].max(initial=0))
+    if top >= len(names):
+        raise CircuitError(f"instance binding references column number {top} outside the {len(names)} columns")
     layout = CircuitLayout(
         field=fld,
         columns=columns,
@@ -604,7 +577,7 @@ def load_layout(raw: bytes) -> CircuitLayout:
         lookups=lookups,
         copies=Copies(flat, names),
         fixed=fixed,
-        instance_map=list(zip(zip(map(names.__getitem__, cols), bound[1::3]), bound[2::3])),
+        instance_map=Bindings(bound, names),
     )
     layout.validate()
     return layout
@@ -620,17 +593,31 @@ def dump_witness(assignment: Assignment) -> bytes:
             raise FormatError("ragged advice columns")
     if None in assignment.instance:
         raise FormatError("instance values cannot be unassigned")
+    columns = [assignment.advice[col] for col in cols] + [assignment.instance]
+    lists = [k for k, c in enumerate(columns) if not isinstance(c, AdviceColumn)]
+    for k, c in zip(lists, AdviceColumn.pack([columns[k] for k in lists])):
+        columns[k] = c
     out = [_WITNESS_MAGIC, _HEADER.pack(_WITNESS_VERSION, n_rows, len(cols), len(assignment.instance))]
     for col in cols:
         cid = col.encode("utf-8")
         out.append(struct.pack("<H", len(cid)))
         out.append(cid)
-    out.extend(_encode_column(assignment.advice[col]) for col in cols)
-    out.append(_encode_column(assignment.instance))
+    forms = [
+        ((c.cells, c.base, c.outliers), c.length,
+         b"" if c.present is None else np.packbits(c.present, bitorder="little").tobytes())
+        for c in columns
+    ]
+    for cells, bad in _encode_columns(forms, 0, _LIMIT):
+        if bad is not None:
+            raise FormatError(f"cell value {bad} outside [0, 2**255)")
+        out.append(cells)
     return b"".join(out)
 
 
 def load_witness(raw: bytes) -> Assignment:
+    """The witness of a current witness file, its advice columns as
+    `circuit.AdviceColumn`s held at their used length and its instance
+    vector as a list."""
     if len(raw) < 4 + _HEADER.size or raw[:4] != _WITNESS_MAGIC:
         raise FormatError("not a witness file")
     version, n_rows, n_cols, n_inst = _HEADER.unpack_from(raw, 4)
@@ -660,15 +647,13 @@ def load_witness(raw: bytes) -> Assignment:
         raise FormatError("duplicate advice column id")
     advice = {}
     for col in cols:
-        advice[col], pos = _decode_column(raw, pos, n_rows)
-    instance, pos = _decode_column(raw, pos, n_inst)
-    if len(instance) != n_inst:
-        raise FormatError(f"instance vector of {len(instance)} values, header says {n_inst}")
-    if None in instance:
+        form, length, present, pos, values = _decode_cells(raw, pos, n_rows)
+        advice[col] = AdviceColumn(n_rows, length, present, form, values)
+    form, length, present, pos, _ = _decode_cells(raw, pos, n_inst)
+    if length != n_inst:
+        raise FormatError(f"instance vector of {length} values, header says {n_inst}")
+    if present is not None:
         raise FormatError("instance values cannot be unassigned")
     if pos != len(raw):
         raise FormatError(f"{len(raw) - pos} trailing bytes after the witness")
-    # The whole file is read and checked; only now pad the unassigned tails.
-    for vals in advice.values():
-        vals += repeat(None, n_rows - len(vals))
-    return Assignment(advice=advice, instance=instance)
+    return Assignment(advice=advice, instance=cell_values(*form).tolist())

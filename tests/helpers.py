@@ -11,7 +11,7 @@ import random
 import struct
 
 from zkgrid.checker import Violation, check
-from zkgrid.circuit import ADVICE
+from zkgrid.circuit import ADVICE, CircuitError
 from zkgrid.model import INPUT_REF, Layer, ModelGraph, QuantParams, QuantTensor, ScaleFactor, validate
 
 
@@ -202,29 +202,68 @@ def tamper_trials(layout, assignment, rng: random.Random, n_trials: int) -> tupl
     return caught, n_trials
 
 
-def row_oracle_check(layout, assignment, cap=1000):
+def eval_gate(layout, gate, assignment, row: int):
+    """selector(row) * poly(row) as a field element, the poly evaluated on
+    its own row alone; it is not evaluated when the row is disabled."""
+    if not 0 <= row < layout.n_rows:
+        raise CircuitError(f"row {row} outside grid of {layout.n_rows}")
+    p = layout.field.modulus
+    sel = layout.fixed[gate.selector][row]
+    if sel % p == 0:
+        return layout.field.zero()
+    return layout.field.element(sel * _eval_expr(gate.poly, layout, assignment, row))
+
+
+def _eval_expr(e, layout, assignment, row: int) -> int:
+    p = layout.field.modulus
+    if e.op == "const":
+        return e.value % p
+    if e.op == "cell":
+        v = layout.resolve_column(e.col, assignment)[row]
+        if v is None:
+            raise CircuitError(f"unassigned cell ({e.col}, {row}) referenced")
+        return v % p
+    vals = [_eval_expr(a, layout, assignment, row) for a in e.args]
+    if e.op == "add":
+        return sum(vals) % p
+    if e.op == "sub":
+        return (vals[0] - sum(vals[1:])) % p
+    if e.op == "mul":
+        return math.prod(vals) % p
+    if e.op == "pow5":
+        return pow(vals[0], 5, p)
+    raise CircuitError(f"bad expr op {e.op!r}")
+
+
+def row_oracle_check(layout, assignment, cap=1000, rows=None):
     """The checker's violation list, recomputed one (constraint, row) at a
-    time: gates through CircuitLayout.eval_gate, lookups by set membership
+    time: gates through eval_gate, lookups by set membership
     of the cell tuple reduced mod p, copies and instance bindings compared
-    mod p.
+    mod p.  With `rows`, gates, lookups and the copies with a cell on
+    one of those rows are evaluated on those rows only: the whole list
+    when every other row is known to satisfy them.
     Shares no evaluation code with zkgrid.checker."""
     p = layout.field.modulus
+    rows = range(layout.n_rows) if rows is None else sorted(rows)
 
     def value(col, row):
         return layout.resolve_column(col, assignment)[row]
 
     out = []
     for g in layout.gates:
-        for row in range(layout.n_rows):
-            v = layout.eval_gate(g, assignment, row).value
+        for row in rows:
+            v = eval_gate(layout, g, assignment, row).value
             if v:
                 out.append(Violation("gate", g.id, row, f"{g.name} evaluates to {v}"))
     for lk in layout.lookups:
         sel = layout.fixed[lk.selector]
-        for row in range(layout.n_rows):
+        for row in rows:
             if sel[row] and tuple(value(c, row) % p for c in lk.columns) not in layout.tables[lk.table].rows:
                 out.append(Violation("lookup", lk.id, row, f"tuple not in table {lk.table}"))
+    on_rows = set(rows)
     for idx, cp in enumerate(layout.copies):
+        if cp.a[1] not in on_rows and cp.b[1] not in on_rows:
+            continue
         va, vb = value(*cp.a), value(*cp.b)
         if va % p != vb % p:
             out.append(Violation("copy", f"{idx:09d}", cp.a[1], f"{cp.a} = {va} but {cp.b} = {vb}"))

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 import random
@@ -7,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import constrained_advice_cells, table_models, tamper_trials
+from helpers import constrained_advice_cells, row_oracle_check, table_models, tamper_trials
 from zkgrid import arithmetize, serialize
 from zkgrid.arithmetize import (
     CompileConfig,
@@ -17,6 +16,7 @@ from zkgrid.arithmetize import (
     lookup_table,
 )
 from zkgrid.checker import check
+from zkgrid.circuit import Assignment
 from zkgrid.cli import main as cli_main
 from zkgrid.commit import VisibilityMode, commit_model_io, weight_elements
 from zkgrid.field import DEFAULT_MODULUS, Field
@@ -798,23 +798,54 @@ def test_every_table_comes_from_its_recipe(seed, mode):
         assert lay.tables == {t.id: lookup_table(t.recipe, p) for t in lay.tables.values()}
 
 
+def _oracle_tampers(layout, asg, rng):
+    """Three single changes to an honest witness: a cell an enabled gate
+    reads, an advice cell a copy binds and an instance value, each with
+    the rows whose gates, lookups and copies it can break."""
+    p = layout.field.modulus
+    advice = {c for c, col in layout.columns.items() if col.kind == "advice"}
+    read = sorted(
+        (c, int(layout.fixed[g.selector].enabled_rows()[0]))
+        for g in layout.gates for c in g.poly.columns()
+        if c in advice and len(layout.fixed[g.selector].enabled_rows())
+    )
+    flat, names = layout.copies.flat, layout.copies.names
+    bound = np.flatnonzero([names[k] in advice for k in flat[0::4].tolist()])
+    k = 4 * int(rng.choice(bound.tolist()))
+    out = []
+    for col, row in (rng.choice(read), (names[flat[k]], int(flat[k + 1]))):
+        cells = list(asg.advice[col])
+        cells[row] = (cells[row] + 1) % p
+        out.append((Assignment({**asg.advice, col: cells}, asg.instance), {row}))
+    instance = list(asg.instance)
+    k = rng.randrange(len(instance))
+    instance[k] = (instance[k] + 1) % p
+    out.append((Assignment(asg.advice, instance), set()))
+    return out
+
+
 @pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, 14, *range(8)) for mode in MODES])
-def test_loaded_layout_rewrites_and_checks_alike(seed, mode):
-    """A loaded layout writes the same bytes, and checking it twice (the
-    second time on the full-height lists the first built) gives the
-    compiled layout's verdicts on an honest and a tampered witness."""
+def test_checker_matches_row_oracle_on_every_case(seed, mode):
+    """A loaded layout writes the same bytes.  On the honest witness and
+    three tampers (a gate-read cell, a copy-bound cell, an instance value)
+    the checker gives the row oracle's violations exactly, at cap 1000
+    and cap 1, on the prover's lists against the compiled layout and on
+    their file round trip against the loaded layout."""
     g = _slot_case_model(seed, mode)
     layout, _ = compile(g, CompileConfig(mode=mode))
     asg = assign_witness(layout, g, random_input(random.Random(seed), g))
     raw = serialize.dump_layout(layout)
     loaded = serialize.load_layout(raw)
     assert serialize.dump_layout(loaded) == raw
-    tampered = copy.deepcopy(asg)
-    col, row = next((c, r) for c, vals in asg.advice.items() for r, v in enumerate(vals) if v is not None)
-    tampered.advice[col][row] = (tampered.advice[col][row] + 1) % layout.field.modulus
-    for witness in (asg, tampered):
-        assert check(loaded, witness) == check(loaded, witness) == check(layout, witness)
-    assert check(loaded, asg) == [] != check(loaded, tampered)
+    assert check(loaded, serialize.load_witness(serialize.dump_witness(asg))) == []
+    assert row_oracle_check(layout, asg, rows=()) == []
+    for tampered, rows in _oracle_tampers(layout, asg, random.Random(seed)):
+        want = row_oracle_check(layout, tampered, rows=rows)
+        assert want
+        round_trip = serialize.load_witness(serialize.dump_witness(tampered))
+        for cap in (1000, 1):
+            assert check(layout, tampered, cap=cap) == want[:cap]
+            assert check(loaded, round_trip, cap=cap) == want[:cap]
 
 
 @pytest.mark.parametrize("seed, mode", [(seed, mode) for seed in (110, 111, *range(12)) for mode in MODES])

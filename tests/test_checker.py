@@ -2,24 +2,33 @@ import copy
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import row_oracle_check
+from zkgrid import serialize
 from zkgrid.bench import make_synthetic_grid
-from zkgrid.checker import KERNEL, CheckError, check, check_parallel
+from zkgrid.checker import KERNEL, CheckError, Violation, _eval, _Grid, check, check_parallel
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
+    AdviceColumn,
     Assignment,
     CircuitLayout,
     Column,
     CopyConstraint,
     GateDef,
+    LookupArg,
     add,
     cell,
+    const,
+    mul,
+    pow5,
     sub,
 )
-from zkgrid.arithmetize import CompileConfig, assign_witness, compile
+from zkgrid.arithmetize import CompileConfig, assign_witness, compile, lookup_table
 from zkgrid.commit import VisibilityMode
 from zkgrid.field import DEFAULT_MODULUS, Field
 from zkgrid.modelgen import random_input, random_model, random_parameterized_model
@@ -312,7 +321,8 @@ def test_negative_instance_index_rejected():
     g = random_model(rng, max_hw=4, max_c=2)
     layout, _ = compile(g)
     asg = assign_witness(layout, g, random_input(rng, g))
-    layout.instance_map[0] = (layout.instance_map[0][0], -1)
+    (ref, _), *rest = layout.instance_map
+    layout = replace(layout, instance_map=[(ref, -1), *rest])
     with pytest.raises(CheckError, match="negative instance binding index"):
         check(layout, asg)
 
@@ -348,8 +358,8 @@ def _edge_layout():
 def test_tampered_fixed_cells_match_row_oracle(col, row, value):
     """A changed fixed cell, on an enabled row at either end of the grid,
     on a disabled row, in a copy source or a binding, or in the selector
-    itself, gives the row oracle's violations, read first through a new
-    column and then through the full-height list that read built."""
+    itself, gives the row oracle's violations, read first from a new
+    column and then from the reading the column kept."""
     layout, honest = _edge_layout()
     assert check(layout, honest) == []
     vals = list(layout.fixed[col])
@@ -384,3 +394,162 @@ def test_tampered_fixed_operands_of_compiled_layout_match_row_oracle():
         tampered = replace(layout, fixed={**layout.fixed, col: vals})
         want = row_oracle_check(tampered, honest)
         assert want and check(tampered, honest) == want == check(tampered, honest)
+
+
+def test_fresh_layout_is_checked_on_its_arrays():
+    """Checking a just-loaded layout, honest and tampered, against a loaded
+    witness builds no full-height list of a fixed column and no list of
+    the copies."""
+    rng = random.Random(4)
+    g = random_model(rng, max_hw=6, max_c=3, max_layers=3)
+    layout, _ = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
+    asg = assign_witness(layout, g, random_input(rng, g))
+    loaded = serialize.load_layout(serialize.dump_layout(layout))
+    witness = serialize.load_witness(serialize.dump_witness(asg))
+    assert check(loaded, witness) == []
+    col, row = next((c, r) for c, vals in asg.advice.items() for r, v in enumerate(vals) if v)
+    witness.advice[col][row] += 1
+    assert check(loaded, witness)
+    assert all(f._dense is None for f in loaded.fixed.values()) and loaded.copies._list is None
+
+
+def _grid(layout, witness):
+    """The checker's reading of a witness's columns, lists packed first."""
+    cols = [AdviceColumn.pack([v])[0] if isinstance(v, list) else v for v in witness.advice.values()]
+    return _Grid(layout, dict(zip(witness.advice, cols)))
+
+
+def _product_layout(cells, p=DEFAULT_MODULUS):
+    """Rows of the gate a * b - c, all enabled, and the witness whose a
+    and b are `cells` with c their product mod p."""
+    n = len(cells)
+    columns = {"q": Column("q", FIXED), **{c: Column(c, ADVICE) for c in "abc"}}
+    layout = CircuitLayout(
+        field=Field(p), columns=columns, n_rows=n, n_rows_logical=n,
+        gates=[GateDef(id="prod", name="PROD", selector="q", poly=sub(mul(cell("a"), cell("b")), cell("c")))],
+        tables={}, lookups=[], copies=[], fixed={"q": [1] * n}, instance_map=[],
+    )
+    return layout, Assignment(advice={"a": list(cells), "b": list(cells), "c": [v * v % p for v in cells]}, instance=[])
+
+
+@pytest.mark.parametrize("big", [1 << 62, (1 << 63) - 1, DEFAULT_MODULUS - (1 << 62)])
+def test_large_cells_take_the_object_path(big):
+    """A cell of 2**62 or more (or its negative) fits int64, but its
+    square does not: the product runs on objects and a tampered row is
+    still reported, as the row oracle reports it."""
+    layout, asg = _product_layout([3, big, 5, big])
+    for witness in (asg, serialize.load_witness(serialize.dump_witness(asg))):
+        grid = _grid(layout, witness)
+        assert grid.bounds[grid.number["a"]] is not None
+        _, bound, _ = _eval(layout.gates[0].poly, np.arange(4), grid, {}, layout.field.modulus)
+        assert bound is None
+        assert check(layout, witness) == []
+        witness.advice["c"][1] += 1
+        assert check(layout, witness) == row_oracle_check(layout, witness) != []
+
+
+def test_non_canonical_cell_takes_the_object_path():
+    """A cell written as v + p is no canonical residue: its column is
+    read as objects, an honest witness still checks clean and a tamper is
+    still reported."""
+    p = DEFAULT_MODULUS
+    layout, asg = _product_layout([3, 7, 5, 2])
+    asg.advice["a"][2] += p
+    for witness in (asg, serialize.load_witness(serialize.dump_witness(asg))):
+        grid = _grid(layout, witness)
+        assert grid.is_object[grid.number["a"]] and not grid.is_object[grid.number["b"]]
+        assert check(layout, witness) == []
+        witness.advice["b"][2] += 1
+        assert check(layout, witness) == row_oracle_check(layout, witness) != []
+
+
+_EDGES = st.one_of(
+    st.sampled_from([0, 1, 2, 255, (1 << 31) - 2, 1 << 62, (1 << 62) + 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1]),
+    st.integers(0, 1 << 64),
+)
+
+
+@st.composite
+def _gate_trees(draw, depth=3):
+    """A gate polynomial over the cells of x, y and z and constants near
+    +-2**62 and +-2**63."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if draw(st.booleans()):
+            return cell(draw(st.sampled_from("xyz")))
+        return const(draw(st.one_of(_EDGES, _EDGES.map(lambda v: -v))))
+    op = draw(st.sampled_from(["add", "sub", "mul", "pow5"]))
+    if op == "pow5":
+        return pow5(draw(_gate_trees(depth - 1)))
+    args = [draw(_gate_trees(depth - 1)) for _ in range(2 if op == "sub" else draw(st.integers(2, 3)))]
+    return {"add": add, "sub": sub, "mul": mul}[op](*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from([DEFAULT_MODULUS, (1 << 31) - 1]))
+def test_gate_trees_near_the_int64_edge_match_the_oracle(data, p):
+    """Random gates over cells near +-2**62 and +-2**63 (residues p - v
+    of the edges on the default field; on 2**31 - 1 mostly non-canonical
+    cells) report what the row oracle reports, row by row."""
+    n = 6
+    cells = st.one_of(_EDGES, _EDGES.map(lambda v: -v % p)) if p > 1 << 64 else st.one_of(_EDGES, st.integers(0, p - 1))
+    columns = {"q": Column("q", FIXED), **{c: Column(c, ADVICE) for c in "xyz"}}
+    layout = CircuitLayout(
+        field=Field(p), columns=columns, n_rows=n, n_rows_logical=n,
+        gates=[GateDef(id=f"g{i}", name=f"G{i}", selector="q", poly=data.draw(_gate_trees())) for i in range(2)],
+        tables={}, lookups=[], copies=[], fixed={"q": [1, 0, 2, 1, 1, p - 1]}, instance_map=[],
+    )
+    asg = Assignment(advice={c: data.draw(st.lists(cells, min_size=n, max_size=n)) for c in "xyz"}, instance=[])
+    assert check(layout, asg) == row_oracle_check(layout, asg)
+
+
+def _error_order_case():
+    """Eight rows over a 31-bit field: gates g0 (a = 1) and g1 (e = 0), a
+    byte lookup on d, a copy of f's row 1 to its row 2 and a binding of
+    h's row 0; and a witness that violates g0 on row 0 and satisfies the
+    rest."""
+    p = (1 << 31) - 1
+    byte = lookup_table(("range", 0, 255), p)
+    columns = {c: Column(c, FIXED) for c in ("q", "one")}
+    columns.update({c: Column(c, ADVICE) for c in "adefh"})
+    layout = CircuitLayout(
+        field=Field(p), columns=columns, n_rows=8, n_rows_logical=8,
+        gates=[GateDef(id="g0", name="ONE", selector="q", poly=sub(cell("a"), cell("one"))),
+               GateDef(id="g1", name="ZERO", selector="q", poly=cell("e"))],
+        tables={byte.id: byte}, lookups=[LookupArg(id="lk", table=byte.id, columns=("d",), selector="q")],
+        copies=[CopyConstraint(("f", 1), ("f", 2))], fixed={"q": [1] * 8, "one": [1] * 8},
+        instance_map=[(("h", 0), 0)],
+    )
+    asg = Assignment(advice={"a": [2] + [1] * 7, "d": [9] * 8, "e": [0] * 8, "f": [4] * 8, "h": [6] * 8}, instance=[6])
+    return layout, asg
+
+
+@pytest.mark.parametrize("col, row, message", [
+    ("e", 5, "gate g1: unassigned cell in enabled row 5"),
+    ("d", 3, "lookup lk: unassigned cell in enabled row 3"),
+    ("f", 2, "copy 0: unassigned cell"),
+    ("h", 0, r"instance binding 0: unassigned cell \('h', 0\)"),
+])
+def test_unassigned_cell_messages_and_the_cap(col, row, message):
+    """An unassigned cell that a gate, a lookup, a copy or a binding reads
+    is refused with its message, on lists and on a loaded witness, unless
+    the cap is reached by violations found before it."""
+    layout, asg = _error_order_case()
+    assert check(layout, asg) == [Violation("gate", "g0", 0, "ONE evaluates to 1")]
+    asg.advice[col][row] = None
+    for witness in (asg, serialize.load_witness(serialize.dump_witness(asg))):
+        assert check(layout, witness, cap=1) == [Violation("gate", "g0", 0, "ONE evaluates to 1")]
+        with pytest.raises(CheckError, match=f"^{message}$"):
+            check(layout, witness, cap=2)
+
+
+@pytest.mark.parametrize("order, message", [
+    ((1, 0, -1), "instance vector too short for binding index 1"),
+    ((0, -1, 1), "negative instance binding index -1"),
+])
+def test_first_bad_binding_index_is_named(order, message):
+    """The binding indices are compared with the instance's length as one
+    array; the first offending binding in map order is named."""
+    layout, asg = _error_order_case()
+    layout = replace(layout, instance_map=[(("h", r), idx) for r, idx in enumerate(order)])
+    with pytest.raises(CheckError, match=f"^{message}$"):
+        check(layout, asg)

@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import eval_gate
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
@@ -12,11 +13,13 @@ from zkgrid.circuit import (
     SlotColumns,
     builtin_gates,
     cell,
+    int_cells,
     mul,
     pow5,
+    signed_cells,
     sub,
 )
-from zkgrid.field import Field
+from zkgrid.field import DEFAULT_MODULUS, Field
 
 F = Field(65537)
 
@@ -44,27 +47,27 @@ def _mult_layout(n_rows=4):
 def test_eval_gate_satisfied_row():
     layout = _mult_layout()
     asg = Assignment(advice={"a": [3, 0, None, None], "b": [4, 0, None, None], "c": [12, 0, None, None]}, instance=[])
-    assert layout.eval_gate(layout.gates[0], asg, 0).value == 0
+    assert eval_gate(layout, layout.gates[0], asg, 0).value == 0
 
 
 def test_eval_gate_violated_row():
     layout = _mult_layout()
     asg = Assignment(advice={"a": [3, 0, None, None], "b": [4, 0, None, None], "c": [11, 0, None, None]}, instance=[])
-    assert layout.eval_gate(layout.gates[0], asg, 0).value == 1
+    assert eval_gate(layout, layout.gates[0], asg, 0).value == 1
 
 
 def test_eval_gate_disabled_row_ignores_cells():
     layout = _mult_layout()
     # row 2 has selector 0 and unassigned cells: must evaluate to 0
     asg = Assignment(advice={"a": [3, 0, None, None], "b": [4, 0, None, None], "c": [12, 0, None, None]}, instance=[])
-    assert layout.eval_gate(layout.gates[0], asg, 2).value == 0
+    assert eval_gate(layout, layout.gates[0], asg, 2).value == 0
 
 
 def test_eval_gate_unassigned_enabled_cell_raises():
     layout = _mult_layout()
     asg = Assignment(advice={"a": [None, 0, None, None], "b": [4, 0, None, None], "c": [12, 0, None, None]}, instance=[])
     with pytest.raises(CircuitError, match="unassigned"):
-        layout.eval_gate(layout.gates[0], asg, 0)
+        eval_gate(layout, layout.gates[0], asg, 0)
 
 
 def test_selector_linearity_random():
@@ -78,8 +81,8 @@ def test_selector_linearity_random():
             advice={k: [rng.randrange(F.modulus) for _ in range(4)] for k in ("a", "b", "c")},
             instance=[],
         )
-        assert layout.eval_gate(layout.gates[0], asg, 2).value == 0
-        assert layout.eval_gate(layout.gates[0], asg, 3).value == 0
+        assert eval_gate(layout, layout.gates[0], asg, 2).value == 0
+        assert eval_gate(layout, layout.gates[0], asg, 3).value == 0
 
 
 def _gate_cols(n):
@@ -129,8 +132,8 @@ def test_dot4_gate_row():
     layout, by_name = _family_row(4, {"w0": [4], "w1": [5], "z": [1], "q_dot4": [1]})
     dot = by_name["DOT_4"]
     xs = {"x0": 2, "x1": 3, "x2": 9, "x3": 1}
-    assert layout.eval_gate(dot, _row(**xs, carry=0, out=14), 0).value == 0
-    assert layout.eval_gate(dot, _row(**xs, carry=0, out=15), 0).value != 0
+    assert eval_gate(layout, dot, _row(**xs, carry=0, out=14), 0).value == 0
+    assert eval_gate(layout, dot, _row(**xs, carry=0, out=15), 0).value != 0
 
 
 def test_dot3_gate_adds_its_carry():
@@ -139,20 +142,20 @@ def test_dot3_gate_adds_its_carry():
     layout, by_name = _family_row(3, {"w0": [1], "w1": [2], "w2": [3], "q_dot3": [1]})
     dot = by_name["DOT_3"]
     xs = {"x0": 14, "x1": 9, "x2": 2}  # 14 + 18 + 6 = 38
-    assert layout.eval_gate(dot, _row(**xs, carry=-7 % F.modulus, out=31), 0).value == 0
-    assert layout.eval_gate(dot, _row(**xs, carry=0, out=31), 0).value != 0
-    assert layout.eval_gate(dot, _row(**xs, carry=-7 % F.modulus, out=32), 0).value != 0
+    assert eval_gate(layout, dot, _row(**xs, carry=-7 % F.modulus, out=31), 0).value == 0
+    assert eval_gate(layout, dot, _row(**xs, carry=0, out=31), 0).value != 0
+    assert eval_gate(layout, dot, _row(**xs, carry=-7 % F.modulus, out=32), 0).value != 0
 
 
 def test_div_gate_row():
     """out=7, a=3, b=4: 21 = 5*4 + 1, so (q, r) = (5, 1)."""
     layout, by_name = _family_row(2, {"da": [3], "db": [4], "q_div": [1]})
     div = by_name["DIV"]
-    assert layout.eval_gate(div, _row(out=7, q=5, r=1), 0).value == 0
+    assert eval_gate(layout, div, _row(out=7, q=5, r=1), 0).value == 0
     # (4, 5) also satisfies the raw equation 21 = 4*4 + 5; rejecting it is
     # the remainder range lookup's job, covered by the uniqueness test.
     for q, r in [(5, 2), (6, 1), (4, 0)]:
-        assert layout.eval_gate(div, _row(out=7, q=q, r=r), 0).value != 0
+        assert eval_gate(layout, div, _row(out=7, q=q, r=r), 0).value != 0
 
 
 def test_builtin_gates_require_width_two():
@@ -212,8 +215,8 @@ def test_degree_accounting():
 
 
 def test_column_eval_matches_tree_eval():
-    """The checker's column-wise evaluation agrees with eval_gate on every
-    row, for canonical cells, cells >= p and cells equal to p - 1."""
+    """The checker's column-wise evaluation agrees with the eval_gate
+    oracle on every row, for canonical cells, cells >= p and cells equal to p - 1."""
     import random
 
     from zkgrid.checker import check
@@ -237,7 +240,7 @@ def test_column_eval_matches_tree_eval():
     for row in range(n):
         a, b, c = (asg.advice[k][row] for k in "abc")
         expected = layout.fixed["q"][row] * (a * pow(b, 5, p) - c) % p
-        assert layout.eval_gate(layout.gates[0], asg, row).value == expected
+        assert eval_gate(layout, layout.gates[0], asg, row).value == expected
         assert got.get(row) == (f"G evaluates to {expected}" if expected else None)
 
 
@@ -260,3 +263,30 @@ def test_debug_dump_shape():
     # Each clip table's domain shows beside its size.
     clips = [t for tid, t in doc["tables"].items() if tid.startswith("clip:")]
     assert clips and all(t["recipe"][0] == "clip" and t["size"] == t["recipe"][5] - t["recipe"][4] + 1 for t in clips)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_MODULUS, (1 << 31) - 1, 65537])
+def test_signed_cells_match_python_residues(p):
+    """signed_cells gives every canonical value's signed residue and the
+    greatest magnitude among them, from int_cells forms with and without
+    a base, and None for a column holding a non-canonical value or an
+    outlier."""
+    import random
+
+    rng = random.Random(p)
+    columns = [
+        [], [0], [1, 2, 3], [p - 1], [p - 1, 1 << 30, 5], [p // 2, p // 2 + 1],
+        [rng.randrange(p) for _ in range(50)], [p - rng.randrange(1 << 20) for _ in range(30)] + [1 << 29],
+        [p], [3, p + 3], [1 << 100, 1 << 101],
+    ]
+    if p > 1 << 64:
+        columns += [[p - (1 << 62), 1 << 62], [p - (1 << 63), 7], [p - 1, (1 << 63) - 1]]
+    forms = int_cells(columns)
+    signed, starts, bounds = signed_cells(forms, p)
+    for vals, s, bound in zip(columns, starts.tolist(), bounds):
+        want = [v - p if v > p // 2 else v for v in vals]
+        if any(not 0 <= v < p for v in vals) or any(not -(1 << 63) <= w < 1 << 63 for w in want):
+            assert bound is None, vals
+        else:
+            assert signed[s : s + len(vals)].tolist() == want
+            assert bound == max(map(abs, want), default=0)

@@ -24,6 +24,7 @@ from zkgrid.circuit import (
     MAX_CELLS,
     MAX_EXPR_DEPTH,
     MAX_ROWS,
+    AdviceColumn,
     Assignment,
     CircuitError,
     CircuitLayout,
@@ -35,7 +36,6 @@ from zkgrid.circuit import (
     add,
     cell,
     const,
-    fixed_values,
     mul,
     pow5,
     sub,
@@ -684,6 +684,45 @@ def test_layout_of_many_empty_fixed_columns_exits_2(files, capsys):
     assert f"fixed columns of over {MAX_CELLS} cells" in capsys.readouterr().err
 
 
+def test_loaded_witness_columns_stay_arrays():
+    """load_witness holds each advice column at its used length as arrays
+    and pads nothing; a column reads as the prover's list, compares equal
+    to it, takes a write and writes the bytes the prover's list with the
+    same write gives."""
+    g = two_tap_fc_model()
+    layout, _ = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
+    asg = assign_witness(layout, g, random_input(random.Random(2), g))
+    raw = serialize.dump_witness(asg)
+    loaded = serialize.load_witness(raw)
+    assert type(loaded.instance) is list and loaded.instance == asg.instance
+    for col_id, vals in asg.advice.items():
+        col = loaded.advice[col_id]
+        assert isinstance(col, AdviceColumn) and len(col) == len(vals) and col == vals and list(col) == vals
+        assert col.length == max((r + 1 for r, v in enumerate(vals) if v is not None), default=0)
+        assert len(col.cells) == len(vals) - vals.count(None)
+    col_id, vals = next((c, v) for c, v in sorted(asg.advice.items()) if v.count(None) not in (0, len(v)))
+    row = vals.index(None)
+    for value in (vals[0] if vals[0] is not None else 1, None):
+        asg.advice[col_id][row] = loaded.advice[col_id][row] = value
+        assert loaded.advice[col_id][row] == value and serialize.dump_witness(loaded) == serialize.dump_witness(asg)
+    assert serialize.dump_witness(loaded) == raw
+
+
+def test_tall_witness_loads_without_padding():
+    """A column of one cell in a grid of MAX_ROWS rows loads in a few
+    bytes of memory: its unassigned rows are not stored."""
+    raw = witness_bytes(MAX_ROWS, [("a", cell_column(b"\x01"))])
+    tracemalloc.start()
+    try:
+        loaded = serialize.load_witness(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    col = loaded.advice["a"]
+    assert len(col) == MAX_ROWS and (col[0], col[1], col[-1]) == (1, None, None)
+
+
 def test_witness_is_read_whole_before_padding():
     """A file with trailing bytes is refused before its one column is
     padded to the MAX_ROWS rows its header claims (8 MB of list slots)."""
@@ -983,7 +1022,7 @@ def test_sparse_fixed_columns_and_copies_round_trip(case):
     layout = CircuitLayout(
         field=Field(), columns=columns, n_rows=n_rows, n_rows_logical=n_rows, gates=[], tables={}, lookups=[],
         copies=Copies(flat, list(columns)),
-        fixed={c: FixedColumn(np.array(rows, np.int32), fixed_values(vals), n_rows) for c, (rows, vals) in fixed.items()},
+        fixed={c: FixedColumn(np.array(rows, np.int32), vals, n_rows) for c, (rows, vals) in fixed.items()},
         instance_map=[],
     )
     layout.validate()
