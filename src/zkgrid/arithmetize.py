@@ -71,12 +71,14 @@ The DIV step runs in int64 when a and max|bound| * a fit it, on Python
 ints otherwise, as in the interpreter.
 
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
-layer's act.  The witness computes only the cells no copy fills (input
-codes, weight staging, outs, each DIV row's r, q and act, sponge states
-out and u); the layout's copies then fill the rest, x lanes included.  The
+layer's act.  The witness fills one flat object array of the advice cells
+by the cell numbers of `WitnessPlan`, each step one scatter: the input
+codes, what the model alone fixes (weight staging, the weight digest's
+sponge states and the copies of fixed cells, worked out at compile), the
+outs, each DIV row's r, q and act and the input digest's sponge states;
+one gather over the copies then fills the rest, x lanes included.  The
 instance vector is the compiled instance map: logits, then raw input
-codes or the input digest, then the weight digest; the witness fills it
-from the bound cells.
+codes or the input digest, then the weight digest.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
 rows binding them to a public digest in the instance vector.  Hidden
@@ -118,9 +120,9 @@ full_rounds + ceil(partial_rounds / 2) rows, 37 at the default params
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -130,6 +132,7 @@ from .circuit import (
     LOOKUP_CAP,
     MAX_CELLS,
     MAX_ROWS,
+    AdviceColumn,
     Assignment,
     CircuitLayout,
     Column,
@@ -247,29 +250,11 @@ class LayerPlan:
     first_row: np.ndarray
     bias: np.ndarray
     weights: np.ndarray   # (sites, K)
-
-    @cached_property
-    def fill_order(self) -> tuple:
-        """How the witness writes the layer, worked out on first use: the
-        sites sorted by (group, slot), stably; the positions of their outs
-        on real rows in the (sites, rows) array of outs, in that order;
-        each sorted site's last row; and per (group, slot), its group,
-        slot and first row and its ranges of sorted sites and of outs.
-        The sites of one (group, slot) hold consecutive rows of its
-        columns, in flat order."""
-        order = np.lexsort((self.slot, self.group))
-        rows = chain_rows(self.taps)[self.chain][order]
-        width = self.src.shape[1] // GATE_WIDTH
-        live = np.arange(width) < rows[:, None]
-        out_pos = (order[:, None] * width + np.arange(width))[live]
-        group, slot, first_row = self.group[order], self.slot[order], self.first_row[order]
-        cuts = (np.flatnonzero((np.diff(group) != 0) | (np.diff(slot) != 0)) + 1).tolist()
-        ends = [0, *np.cumsum(rows).tolist()]
-        blocks = [
-            (int(group[lo]), int(slot[lo]), int(first_row[lo]), lo, hi, ends[lo], ends[hi])
-            for lo, hi in zip([0, *cuts], [*cuts, len(order)])
-        ]
-        return order, out_pos, (first_row + rows - 1).tolist(), blocks
+    # Cell numbers: per site, the out of each of its K / N row blocks (a
+    # pad block adds 0, so it names the last row); then every site's r,
+    # every q and every act on its last row.
+    out_at: np.ndarray | None = None
+    div_at: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -324,14 +309,17 @@ class SpongePlan:
     absorb_rows: tuple    # per rate-sized chunk, its round-0 row, which adds it
     round_rows: tuple     # per chunk: the rows of its later rounds
     digest_cell: tuple
-    # The states out, {column: {row: value}}, when the message is fixed by
-    # the model and they were computed at compile; None when they depend
-    # on the input.
-    filled: dict | None = None
+    state_cells: tuple    # per row, its state out, then u on a pair row
+    # The cell numbers of message_cells and state_cells.
+    message_at: np.ndarray | None = None
+    state_at: np.ndarray | None = None
 
 
 @dataclass
 class WitnessPlan:
+    """The `*_at` fields are int64 arrays of cell numbers, advice index *
+    n_rows + row, the advice columns numbered in layout order."""
+
     sponge: SpongeParams | None
     n_inputs: int
     input_cells: list
@@ -339,16 +327,19 @@ class WitnessPlan:
     # attribution (perfbench/layers.py) reads them.
     io_pad_cells: list
     # Every cell the weight staging computes (int8 weights, bias bytes and
-    # each PACK row's pk_out) with its value; none of it depends on the
-    # input.
+    # each PACK row's pk_out); none of it depends on the input.
     weight_cells: list | None
-    weight_values: list | None
     layer_plans: list
     sponges: list
-    group_slots: list     # each gate group's slot count M, by group index
-    # Each fixed column a copy reads, as its full list of cells, by its
-    # number in the layout's copies: the witness's copy pass reads these.
-    fixed_sources: dict
+    input_at: np.ndarray
+    # Every cell whose value the model alone fixes, and its value: the
+    # weight staging, the weight digest's states and each copy of a fixed
+    # cell.
+    model_at: np.ndarray
+    model_values: np.ndarray
+    copy_to: np.ndarray       # the copies between advice cells
+    copy_from: np.ndarray
+    instance_at: np.ndarray   # the bound cell of each instance value
 
     @property
     def site_plans(self) -> list[SitePlan]:
@@ -445,7 +436,8 @@ class _Group:
             "z": num[self.z], "q_div": num[self.q_div], "da": num[self.div_a], "db": num[self.div_b],
             "off": num[self.div_off],
             "w": [[num[c] for c in s.ws] for s in self.slots] + [[0] * GATE_WIDTH] * pad,
-            **{name: [num[getattr(s, name)] for s in self.slots] + [0] * pad for name in ("carry", "out", "act", "const")},
+            **{name: [num[getattr(s, name)] for s in self.slots] + [0] * pad
+               for name in ("carry", "out", "r", "q", "act", "const")},
         }
 
 
@@ -920,12 +912,6 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         bound.append(sp.digest_cell)
     if bld.weights_advice:
         sp = _build_sponge(bld, sponge, "weights", absorbed_cells)
-        # The weight digest depends only on the model: compute its states
-        # out once.
-        staged = dict(zip(bld.weight_cells, bld.weight_values))
-        filled = defaultdict(dict)
-        _fill_sponge(filled, sp, [staged[c] for c in absorbed_cells], sponge)
-        sp = replace(sp, filled=dict(filled))
         sponge_plans.append(sp)
         bound.append(sp.digest_cell)
     bld.instance_map = [(c, idx) for idx, c in enumerate(bound)]
@@ -936,24 +922,69 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     }
 
     layout, stats = _finalize(bld)
-    names, flat = layout.copies.names, layout.copies.flat
-    layout.plan = WitnessPlan(
+    layout.plan = _witness_plan(bld, layout, sponge, n_inputs, input_cells, layer_plans, sponge_plans)
+    return layout, stats
+
+
+def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | None, n_inputs: int,
+                  input_cells: list, layer_plans: list, sponge_plans: list) -> WitnessPlan:
+    """The witness plan of the finalized grid `layout`."""
+    n_rows = layout.n_rows
+    names = layout.copies.names
+    advice = np.array([layout.columns[c].kind == ADVICE for c in names])
+    adv = np.full(len(names), -1, np.int64)   # each column number's advice index
+    adv[advice] = np.arange(np.count_nonzero(advice))
+
+    def at(cols, rows) -> np.ndarray:
+        return adv[cols] * n_rows + rows
+
+    def cells_at(cells) -> np.ndarray:
+        return at(*bld.cell_nums(cells))
+
+    nums = bld.group_nums() if bld.groups else {}
+    for k, lp in enumerate(layer_plans):
+        rows = chain_rows(lp.taps)[lp.chain]
+        blocks = np.minimum(np.arange(lp.src.shape[1] // GATE_WIDTH), rows[:, None] - 1)
+        last = lp.first_row + rows - 1
+        layer_plans[k] = replace(
+            lp,
+            out_at=at(nums["out"][lp.group, lp.slot][:, None], lp.first_row[:, None] + blocks).ravel(),
+            div_at=np.concatenate([at(nums[role][lp.group, lp.slot], last) for role in ("r", "q", "act")]),
+        )
+
+    flat = layout.copies.flat
+    to, src = at(flat[0::4], flat[1::4]), at(flat[2::4], flat[3::4])
+    fixed = adv[flat[2::4]] < 0
+    read, col_of = np.unique(flat[2::4][fixed], return_inverse=True)
+    dense = np.zeros((len(read), n_rows), object)   # the fixed columns copies read
+    for j, k in enumerate(read.tolist()):
+        dense[j, layout.fixed[names[k]].rows] = layout.fixed[names[k]].values
+    model = [(to[fixed], dense[col_of, flat[3::4][fixed]])]
+
+    for k, sp in enumerate(sponge_plans):
+        sp = sponge_plans[k] = replace(sp, message_at=cells_at(sp.message_cells), state_at=cells_at(sp.state_cells))
+        if sp.label == "weights":
+            staged = dict(zip(bld.weight_cells, bld.weight_values))
+            model.append(_fill_sponge(sp, [staged[c] for c in sp.message_cells], sponge))
+    if bld.weights_advice:
+        model.append((cells_at(bld.weight_cells), bld.weight_values))
+
+    bound = layout.instance_map.flat   # in instance order, as compile binds it
+    return WitnessPlan(
         sponge=sponge,
         n_inputs=n_inputs,
         input_cells=input_cells,
         io_pad_cells=bld.io_pad_cells,
         weight_cells=bld.weight_cells if bld.weights_advice else None,
-        weight_values=bld.weight_values if bld.weights_advice else None,
         layer_plans=layer_plans,
         sponges=sponge_plans,
-        group_slots=list(bld.groups),
-        fixed_sources={
-            k: layout.fixed[names[k]].dense()
-            for k in np.flatnonzero(np.bincount(flat[2::4], minlength=len(names))).tolist()
-            if names[k] in layout.fixed
-        },
+        input_at=cells_at(input_cells),
+        model_at=np.concatenate([c for c, _ in model]),
+        model_values=np.concatenate([np.array(v, object) for _, v in model]),
+        copy_to=to[~fixed],
+        copy_from=src[~fixed],
+        instance_at=at(bound[0::3], bound[1::3]),
     )
-    return layout, stats
 
 
 def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[LayerPlan, tuple, tuple]:
@@ -1210,6 +1241,7 @@ def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells
     rcs = params.round_constants
     rc_first = [c + v for c, v in zip(rcs[0], [0] * rate + [n_elems])]
     chunk_rows = []
+    state_cells = []
     prev = None
     for lo in range(0, n_elems, rate):
         chunk = message_cells[lo : lo + rate]
@@ -1234,6 +1266,7 @@ def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells
                 bld.set_fixed(sc["rc"][j], row, rc[j])
                 bld.copy((sc["s_in"][j], row), prev[j] if prev else (bld.zero_col, row))
             prev = [(sc["s_out"][j], row) for j in range(t)]
+            state_cells += prev + ([(sc["u"], row)] if len(rounds) == 2 else [])
             rows.append(row)
         chunk_rows.append(rows)
 
@@ -1243,6 +1276,7 @@ def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells
         absorb_rows=tuple(rows[0] for rows in chunk_rows),
         round_rows=tuple(tuple(rows[1:]) for rows in chunk_rows),
         digest_cell=prev[0],
+        state_cells=tuple(state_cells),
     )
 
 
@@ -1299,12 +1333,10 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     """Fill the honest witness for one input.
 
     The layout must come from compile() for the same graph; the attached
-    plan drives the fill.  The witness computes the cells no copy fills:
-    the input codes, the weight staging, each chain row's out and the
-    last row's r, q and act, and the sponge states out and u.  Each site's
-    accumulator and activation are checked against the interpreter
-    trace.  One pass over the layout's copies then fills every other
-    cell, and the instance is the bound cells' values.
+    plan drives the fill, as the module docstring says, marking each
+    cell it writes.  Each site's accumulator and activation are checked
+    against the interpreter trace.  The columns are cut from the array as
+    `circuit.AdviceColumn`s, and the instance is the bound cells' values.
     """
     plan: WitnessPlan = layout.plan
     if plan is None:
@@ -1315,66 +1347,46 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     if len(codes) != plan.n_inputs:
         raise WitnessError(f"input has {len(codes)} elements, plan expects {plan.n_inputs}")
 
-    advice = {
-        c.id: [None] * layout.n_rows
-        for c in layout.columns.values()
-        if c.kind == ADVICE
-    }
+    names = [c.id for c in layout.columns.values() if c.kind == ADVICE]
+    vals = np.empty(len(names) * layout.n_rows, object)
+    assigned = np.zeros(len(vals), bool)
 
-    for (col, row), v in zip(plan.input_cells, codes):
-        advice[col][row] = v
-    if plan.weight_cells is not None:
-        for (col, row), v in zip(plan.weight_cells, plan.weight_values):
-            advice[col][row] = v
+    def put(cells: np.ndarray, values) -> None:
+        vals[cells] = values
+        assigned[cells] = True
 
-    slot_cols = [
-        [tuple(advice[_slot_col(gi, s, name)] for name in ("out", "r", "q", "act")) for s in range(m)]
-        for gi, m in enumerate(plan.group_slots)
-    ]
+    put(plan.input_at, codes)
+    put(plan.model_at, plan.model_values)
     acts = {INPUT_REF: np.frombuffer(inp.data, np.uint8)}
     for lp in plan.layer_plans:
         t = trace.layers[lp.layer] if lp.layer < len(trace.layers) else None
         if t is None or t.acc.size != len(lp.chain):
             raise WitnessError(f"layer {lp.layer} of the model does not match the layout's plan")
         acts[lp.layer] = t.act.reshape(-1)
-        _fill_layer(slot_cols, lp, [acts[ref] for ref in lp.refs], t.acc.reshape(-1), acts[lp.layer],
-                    graph.bounds[lp.layer], p)
-
+        outs, divs = _fill_layer(lp, [acts[ref] for ref in lp.refs], t.acc.reshape(-1), acts[lp.layer],
+                                 graph.bounds[lp.layer], p)
+        put(lp.out_at, outs)
+        put(lp.div_at, divs)
     for sp in plan.sponges:
-        if sp.filled is None:
-            elements = [advice[col][row] for col, row in sp.message_cells]
-            _fill_sponge(advice, sp, elements, plan.sponge)
-            continue
-        for col, cells in sp.filled.items():
-            column = advice[col]
-            for row, v in cells.items():
-                column[row] = v
+        if sp.label == "input":   # the weight digest's states are in the model's cells
+            put(*_fill_sponge(sp, vals[sp.message_at].tolist(), plan.sponge))
 
-    # Every copy is (target, source).  Compile makes each target an
-    # advice cell, no cell the target of two copies and no source the
-    # target of another copy, so one pass in any order gives every target
-    # the value of a cell computed above or of a fixed cell.
-    asg = Assignment(advice=advice, instance=[0] * len(layout.instance_map))
-    cols = [layout.resolve_column(name, asg) for name in layout.copies.names]
-    for k, cells in plan.fixed_sources.items():
-        cols[k] = cells
-    it = iter(layout.copies.tolist())
-    for ca, ra, cb, rb in zip(it, it, it, it):
-        cols[ca][ra] = cols[cb][rb]
+    # Compile makes no cell the target of two copies and no source the
+    # target of another, so one gather fills every target.
+    vals[plan.copy_to] = vals[plan.copy_from]
+    assigned[plan.copy_to] = assigned[plan.copy_from]
 
-    bound = layout.instance_map.flat.tolist()
-    names = layout.instance_map.names
-    for k, row, idx in zip(bound[0::3], bound[1::3], bound[2::3]):
-        asg.instance[idx] = advice[names[k]][row]
-    return asg
+    shape = (len(names), layout.n_rows)
+    columns = AdviceColumn.pack(vals.reshape(shape), assigned.reshape(shape))
+    return Assignment(advice=dict(zip(names, columns)), instance=vals[plan.instance_at].tolist())
 
 
-def _fill_layer(slot_cols: list, lp: LayerPlan, sources: list, accs: np.ndarray, acts: np.ndarray,
-                bound: tuple, p: int) -> None:
-    """Fill one layer's DOT chains: every row's out, and r, q and act on
-    each chain's last row.  `sources` are the flattened tensors `lp.refs`
-    name, and `accs` and `acts` the layer's trace, which every site's
-    accumulator and activation must match."""
+def _fill_layer(lp: LayerPlan, sources: list, accs: np.ndarray, acts: np.ndarray,
+                bound: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of one layer's `lp.out_at` and `lp.div_at`.  `sources`
+    are the flattened tensors `lp.refs` name, and `accs` and `acts` the
+    layer's trace, which every site's accumulator and activation must
+    match."""
     n_sites = len(lp.chain)
     x = np.concatenate(sources).astype(np.int64) - lp.z_in
     # Every row's out: per N-tap block, bias + the partial sums so far.
@@ -1393,36 +1405,20 @@ def _fill_layer(slot_cols: list, lp: LayerPlan, sources: list, accs: np.ndarray,
     if bad.size:
         raise WitnessError(f"internal activation mismatch at layer {lp.layer} site {bad[0]}")
     r = num - d_q * lp.b
-    q = d_q + lp.off
-
-    # One slice of out per (group, slot), then r, q and act on each
-    # site's last row.
-    order, out_pos, last, blocks = lp.fill_order
-    out_vals = (outs.reshape(-1)[out_pos].astype(object) % p).tolist()
-    r, q, a = r[order].tolist(), q[order].tolist(), acts[order].tolist()
-    for g, s, start, lo, hi, o_lo, o_hi in blocks:
-        out_col, r_col, q_col, act_col = slot_cols[g][s]
-        out_col[start : start + o_hi - o_lo] = out_vals[o_lo:o_hi]
-        for row, rv, qv, av in zip(last[lo:hi], r[lo:hi], q[lo:hi], a[lo:hi]):
-            r_col[row] = rv
-            q_col[row] = qv
-            act_col[row] = av
+    return outs.ravel().astype(object) % p, np.concatenate([r, d_q + lp.off, acts])
 
 
-def _fill_sponge(advice, sp: SpongePlan, elements: list[int], params: SpongeParams) -> None:
-    """Write the states of `commit.sponge_states` for `elements` to the
-    sponge's rows: each row's state out after its last round and, on a
-    pair row, u after its first.  Every other sponge cell is a copy."""
-    outs = [advice[f"sp:out{j}"] for j in range(params.t)]
-    u = advice["sp:u"]
+def _fill_sponge(sp: SpongePlan, elements: list[int], params: SpongeParams) -> tuple[np.ndarray, list]:
+    """The cells `sp.state_at` and their values for `elements`: each row's
+    state out after its last round and, on a pair row, u after its first.
+    Every other sponge cell is a copy."""
     row_rounds = _sponge_row_rounds(params)
-    for (_, states), absorb_row, round_rows in zip(
-        sponge_states(elements, params), sp.absorb_rows, sp.round_rows
-    ):
+    values = []
+    for _, states in sponge_states(elements, params):
         # states[0] is the state in and states[1] the absorbed state, so
         # round r's state out is states[r + 2].
-        for row, rounds in zip((absorb_row, *round_rows), row_rounds):
-            for column, v in zip(outs, states[rounds[-1] + 2]):
-                column[row] = v
+        for rounds in row_rounds:
+            values += states[rounds[-1] + 2]
             if len(rounds) == 2:
-                u[row] = states[rounds[0] + 2][0]
+                values.append(states[rounds[0] + 2][0])
+    return sp.state_at, values

@@ -10,9 +10,9 @@ v - p when v > p // 2 and v otherwise: int64 when every residue fits,
 worked out from the cell codec's cells and base with a few array
 operations over all columns at once (`circuit.signed_cells`), and the
 values as Python ints otherwise (the sponge states, a non-canonical
-cell).  An advice column is read at its used length, as the witness
-loader holds it.  A fixed column keeps its reading, so a layout checked
-again reads it for free.
+cell).  An advice column is read at its used length, as the prover and
+the witness loader hold it.  A fixed column keeps its reading, so a
+layout checked again reads it for free.
 
 Gates are evaluated column-wise with numpy.  For each selector the
 enabled rows are listed once, and each node of a gate polynomial becomes
@@ -46,7 +46,6 @@ from operator import add, mul, sub
 import numpy as np
 
 from .circuit import (
-    AdviceColumn,
     Assignment,
     CircuitLayout,
     Expr,
@@ -440,17 +439,14 @@ def check(
 ) -> list[Violation]:
     """The first `cap` violations, deterministically ordered by
     (kind, id, row).  Empty list means the assignment satisfies the
-    layout; a cap below 1 is refused, since it would report none.  Advice
-    columns may be `circuit.AdviceColumn`s, as the witness loader gives
-    them, or lists of ints and None.
+    layout; a cap below 1 is refused, since it would report none.  The
+    advice columns are `circuit.AdviceColumn`s, as the prover and the
+    witness loader both give them.
     """
     if cap < 1:
         raise CheckError(f"violation cap must be >= 1, not {cap}")
     _validate_dimensions(layout, assignment)
-    advice = dict(assignment.advice)
-    lists = [c for c, vals in advice.items() if not isinstance(vals, AdviceColumn)]
-    advice.update(zip(lists, AdviceColumn.pack([advice[c] for c in lists])))
-    return _check_all(layout, _Grid(layout, advice), assignment.instance, cap)
+    return _check_all(layout, _Grid(layout, assignment.advice), assignment.instance, cap)
 
 
 def check_parallel(

@@ -20,17 +20,16 @@ outliers that have no such cell.  A fixed column is a read-only
 `FixedColumn` of the int32 rows of its nonzero cells in increasing order
 and their cells; every other row reads 0.  A read of single cells goes
 through one full-height list the column builds on first read and keeps.
-A loaded witness column is an `AdviceColumn` of its assigned cells up to
-its last assigned row; the prover's `Assignment` holds lists.
+A witness column is an `AdviceColumn` of its assigned cells up to its
+last assigned row, in the prover's assignment and in a loaded witness
+alike; an `Assignment` packs a list column when it is constructed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 from math import prod
-from operator import is_not
 
 import numpy as np
 
@@ -621,7 +620,7 @@ class FixedColumn(Sequence):
 
 class AdviceColumn(Sequence):
     """An advice column of `n_rows` cells held as its assigned cells, the
-    witness loader's form of a column.
+    form of a witness column for the prover and the loader alike.
 
     The first `length` rows may be assigned, those `present` marks (a bool
     array of `length`, or None when all of them are), and every later row
@@ -651,26 +650,25 @@ class AdviceColumn(Sequence):
         return self._values
 
     @classmethod
-    def pack(cls, columns: list) -> list["AdviceColumn"]:
-        """Each list of cells (None for an unassigned one) as a column of
-        its length; `int_cells` splits all of them in one pass."""
-        shapes, assigned = [], []
-        for vals in columns:
-            n, holes = len(vals), vals.count(None)
-            first = vals.index(None) if holes else n
-            if first + holes == n:   # every unassigned cell is in the tail
-                shapes.append((n, first, None))
-                assigned.append(vals[:first])
-                continue
-            # Strip the unassigned tail a slice at a time, then cell by cell.
-            end = n
-            for s in (4096, 256, 16, 1):
-                while end >= s and vals[end - s : end].count(None) == s:
-                    end -= s
-            flags = bytes(map(is_not, vals[:end], repeat(None)))
-            shapes.append((n, end, np.frombuffer(flags, bool)))
-            assigned.append(list(compress(vals, flags)))
-        return [cls(n, length, present, form) for (n, length, present), form in zip(shapes, int_cells(assigned))]
+    def pack(cls, vals: np.ndarray, assigned: np.ndarray) -> list["AdviceColumn"]:
+        """Each row of the 2-D object array `vals` as a column of its used
+        length, the same-shaped bool array `assigned` marking its assigned
+        cells; `int_cells` splits all of them in one pass."""
+        n_rows = assigned.shape[1]
+        counts = assigned.sum(axis=1)
+        lengths = np.where(counts > 0, n_rows - assigned[:, ::-1].argmax(axis=1), 0) if n_rows else counts
+        picked, ends = vals[assigned], np.cumsum(counts).tolist()
+        forms = int_cells([picked[a:b] for a, b in zip([0, *ends], ends)])
+        return [
+            cls(n_rows, length, None if n == length else mask[:length], form)
+            for mask, n, length, form in zip(assigned, counts.tolist(), lengths.tolist(), forms)
+        ]
+
+    @classmethod
+    def of_list(cls, vals) -> "AdviceColumn":
+        """The column of a sequence of cells, None for an unassigned one."""
+        vals = np.array(list(vals), object)
+        return cls.pack(vals[None], np.not_equal(vals, None)[None])[0]
 
     def tolist(self) -> list:
         out = np.full(self.n_rows, None, object)
@@ -699,7 +697,7 @@ class AdviceColumn(Sequence):
     def __setitem__(self, row: int, value) -> None:
         vals = self.tolist()
         vals[row] = value
-        (new,) = AdviceColumn.pack([vals])
+        new = AdviceColumn.of_list(vals)
         self.length, self.present, self.cells, self.base, self.outliers, self._values = (
             new.length, new.present, new.cells, new.base, new.outliers, None)
 
@@ -717,14 +715,20 @@ class AdviceColumn(Sequence):
 
 @dataclass
 class Assignment:
-    """Witness: advice column values plus the public instance vector.
+    """Witness: advice columns plus the public instance vector.
 
     Unassigned cells are None; touching one from an enabled constraint is
     an error, not a violation.
     """
 
-    advice: dict[str, list]
+    advice: dict[str, AdviceColumn]  # a list of cells is packed on construction
     instance: list
+
+    def __post_init__(self):
+        self.advice = {
+            col_id: vals if isinstance(vals, AdviceColumn) else AdviceColumn.of_list(vals)
+            for col_id, vals in self.advice.items()
+        }
 
     def n_rows(self) -> int:
         return len(next(iter(self.advice.values()))) if self.advice else 0

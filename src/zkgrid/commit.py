@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import DEFAULT_MODULUS, Field
+from .field import DEFAULT_MODULUS, MAX_MODULUS, Field
 from .interpreter import run_inference
 from .model import ModelGraph, QuantTensor
 
@@ -122,6 +122,8 @@ class SpongeParams:
         if n_rounds > MAX_SPONGE_ROUNDS:
             raise ValueError(f"full plus partial rounds must be at most {MAX_SPONGE_ROUNDS}")
         p = self.modulus
+        if p >= MAX_MODULUS:   # each constant costs a modular power in p
+            raise ValueError(f"sponge modulus of {p.bit_length()} bits is not below 2**255")
         rc = tuple(
             tuple(_derive_constant(self.seed, "rc", r * self.t + c, p) for c in range(self.t))
             for r in range(n_rounds)

@@ -2,10 +2,10 @@
 
 Every value that lands in the constraint grid is a canonical residue in
 [0, p) for a configurable odd prime p.  The default is the common 254-bit
-scalar prime; anything at or above 2**16 is accepted so that tests can run
-on small fields.  Internally the rest of the package works on plain ints
-(canonical residues) for speed; :class:`FieldElement` is the checked
-wrapper used at API boundaries.
+scalar prime; any in [2**16, 2**255) is accepted, so that tests can run on
+small fields and every residue fits a file's cell.  Internally the rest of
+the package works on plain ints (canonical residues) for speed;
+:class:`FieldElement` is the checked wrapper used at API boundaries.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 DEFAULT_MODULUS = 21888242871839275222246405745257275088548364400416034343698204186575808495617
 
 MIN_MODULUS = 1 << 16
+MAX_MODULUS = 1 << 255   # every cell of a layout or witness file lies below it
 
 _MR_ROUNDS = 40
 
@@ -58,6 +59,8 @@ class Field:
         modulus = int(modulus)
         if modulus < MIN_MODULUS:
             raise ValueError(f"modulus {modulus} below minimum {MIN_MODULUS}")
+        if modulus >= MAX_MODULUS:   # before the primality test, whose cost grows with p
+            raise ValueError(f"a modulus of {modulus.bit_length()} bits is not below 2**255")
         # The default modulus is a known prime; every layout file and
         # config that uses it would otherwise rerun the 40-round test.
         if modulus != DEFAULT_MODULUS and (modulus % 2 == 0 or not _is_probable_prime(modulus)):

@@ -67,9 +67,9 @@ for each outlier and the outliers apart.  That is the file's own form, so
 the loader builds it with array operations only (the outliers and the
 32-byte cells take one Python int each), and the writer picks the width
 of every column of a file in one array pass over all their cells.  A
-loaded witness holds each advice column as a `circuit.AdviceColumn` at
-its used length, and its instance vector as a list; the prover's lists
-are split into the same form when they are written.
+witness holds each advice column as a `circuit.AdviceColumn` at its used
+length, the prover's and a loaded one alike, and its instance vector as
+a list; the writer reads the columns' forms as they are.
 
 Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
@@ -593,10 +593,6 @@ def dump_witness(assignment: Assignment) -> bytes:
             raise FormatError("ragged advice columns")
     if None in assignment.instance:
         raise FormatError("instance values cannot be unassigned")
-    columns = [assignment.advice[col] for col in cols] + [assignment.instance]
-    lists = [k for k, c in enumerate(columns) if not isinstance(c, AdviceColumn)]
-    for k, c in zip(lists, AdviceColumn.pack([columns[k] for k in lists])):
-        columns[k] = c
     out = [_WITNESS_MAGIC, _HEADER.pack(_WITNESS_VERSION, n_rows, len(cols), len(assignment.instance))]
     for col in cols:
         cid = col.encode("utf-8")
@@ -605,8 +601,9 @@ def dump_witness(assignment: Assignment) -> bytes:
     forms = [
         ((c.cells, c.base, c.outliers), c.length,
          b"" if c.present is None else np.packbits(c.present, bitorder="little").tobytes())
-        for c in columns
+        for c in map(assignment.advice.get, cols)
     ]
+    forms.append((int_cells([assignment.instance])[0], len(assignment.instance), b""))
     for cells, bad in _encode_columns(forms, 0, _LIMIT):
         if bad is not None:
             raise FormatError(f"cell value {bad} outside [0, 2**255)")

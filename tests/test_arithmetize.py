@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -16,7 +17,7 @@ from zkgrid.arithmetize import (
     lookup_table,
 )
 from zkgrid.checker import check
-from zkgrid.circuit import Assignment
+from zkgrid.circuit import AdviceColumn, Assignment
 from zkgrid.cli import main as cli_main
 from zkgrid.commit import VisibilityMode, commit_model_io, weight_elements
 from zkgrid.field import DEFAULT_MODULUS, Field
@@ -1198,3 +1199,38 @@ def test_oversize_grid_refused_before_lowering(monkeypatch, tmp_path):
     model.write_bytes(save_model(g))
     assert cli_main(["compile", str(model), "--layout", str(tmp_path / "big.layout")]) == 2
     assert not (tmp_path / "big.layout").exists()
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("seed", range(3))
+def test_prover_columns_check_as_their_file(seed, mode):
+    """assign_witness gives each advice column as a `circuit.AdviceColumn`
+    at its used length, the witness loader's form, and check reads the
+    prover's assignment as it reads its file round trip: the honest
+    witness and three tampered ones (two constrained advice cells and one
+    instance value)."""
+    rng = random.Random(seed)
+    g = random_model(rng, max_hw=6, max_c=4, max_layers=3)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    p = layout.field.modulus
+    honest = assign_witness(layout, g, random_input(rng, g))
+    for vals in honest.advice.values():
+        assert isinstance(vals, AdviceColumn) and len(vals) == layout.n_rows
+        cells = vals.tolist()
+        used = max((r + 1 for r, v in enumerate(cells) if v is not None), default=0)
+        assert vals.length == used
+        assert (vals.present is None) == (None not in cells[:used])
+    witnesses = []
+    for col, row in rng.sample(constrained_advice_cells(layout), 2):
+        asg = copy.deepcopy(honest)
+        asg.advice[col][row] = (asg.advice[col][row] + 1) % p
+        witnesses.append(asg)
+    asg = copy.deepcopy(honest)
+    asg.instance[0] = (asg.instance[0] + 1) % p
+    witnesses.append(asg)
+    assert check(layout, honest) == []
+    for asg in [honest, *witnesses]:
+        loaded = serialize.load_witness(serialize.dump_witness(asg))
+        got = check(layout, asg, cap=10_000)
+        assert got == check(layout, loaded, cap=10_000)
+        assert bool(got) == (asg is not honest)

@@ -14,7 +14,6 @@ from zkgrid.checker import KERNEL, CheckError, Violation, _eval, _Grid, check, c
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
-    AdviceColumn,
     Assignment,
     CircuitLayout,
     Column,
@@ -109,7 +108,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(CheckError, match="advice columns mismatch"):
         check(layout, asg)
     layout2, asg2 = make_synthetic_grid(64)
-    asg2.advice["a"] = asg2.advice["a"][:-1]
+    asg2 = Assignment(advice={**asg2.advice, "a": list(asg2.advice["a"])[:-1]}, instance=asg2.instance)
     with pytest.raises(CheckError, match="rows"):
         check(layout2, asg2)
 
@@ -238,10 +237,10 @@ def test_non_canonical_cells_reduce_exactly(hidden_layout):
             if vals[row] is not None:
                 vals[row] += p * (1 + row % 4)
     assert check(layout, asg, cap=10_000) == row_oracle_check(layout, asg, cap=10_000) == []
-    sponge_asg = copy.deepcopy(honest)
-    for col in sorted(sponge_asg.advice):
-        if col.startswith("sp:"):
-            sponge_asg.advice[col] = [None if v is None else v + p for v in sponge_asg.advice[col]]
+    sponge_asg = Assignment(advice={
+        col: [None if v is None else v + p for v in vals] if col.startswith("sp:") else vals
+        for col, vals in honest.advice.items()
+    }, instance=list(honest.instance))
     assert check(layout, sponge_asg) == []
     edge = copy.deepcopy(honest)
     col = sorted(c for c in edge.advice if c.startswith("sp:in"))[0]
@@ -414,9 +413,8 @@ def test_fresh_layout_is_checked_on_its_arrays():
 
 
 def _grid(layout, witness):
-    """The checker's reading of a witness's columns, lists packed first."""
-    cols = [AdviceColumn.pack([v])[0] if isinstance(v, list) else v for v in witness.advice.values()]
-    return _Grid(layout, dict(zip(witness.advice, cols)))
+    """The checker's reading of a witness's columns."""
+    return _Grid(layout, witness.advice)
 
 
 def _product_layout(cells, p=DEFAULT_MODULUS):

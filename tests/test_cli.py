@@ -581,3 +581,48 @@ def test_non_canonical_instance_value_exits_2(workspace, capsys):
     capsys.readouterr()
     assert main(["check", str(layout), str(shifted)]) == 2
     assert "not a canonical residue" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["config", "layout", "sponge"])
+def test_modulus_of_2_255_or_more_exits_2_fast(workspace, capsys, where):
+    """The cells of layout and witness files lie below 2**255, so a
+    modulus at or above it is refused with exit 2 and a message, before
+    any work whose cost grows with its length: in a config (which used to
+    fail with a traceback when the layout was written), in a layout header
+    (which used to load) and in a sponge-params file (whose constants used
+    to take seconds to derive before the modulus was compared)."""
+    tmp, model, inp = workspace
+    layout, wit, cfg = tmp / "layout.bin", tmp / "w.bin", tmp / "cfg.json"
+    if where == "config":
+        cfg.write_text(json.dumps({"modulus": str((1 << 521) - 1)}))
+        argv = ["compile", model, "--config", str(cfg), "--layout", str(layout)]
+    elif where == "layout":
+        assert main(["compile", model, "--layout", str(layout)]) == 0
+        assert main(["witness", model, inp, "-o", str(wit)]) == 0
+        doc = layout_doc(serialize.load_layout(layout.read_bytes()))
+        doc["header"]["modulus"] = str((1 << 521) - 1)
+        layout.write_bytes(layout_file(doc))
+        argv = ["check", str(layout), str(wit)]
+    else:
+        sponge = tmp / "sponge.json"
+        sponge.write_text(json.dumps({"modulus": str((1 << 8000) - 1), "t": 2}))
+        cfg.write_text(json.dumps({"mode": "public_input_hidden_weights", "sponge_params": str(sponge)}))
+        argv = ["compile", model, "--config", str(cfg), "--layout", str(layout)]
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1
+    assert "2**255" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [None, "public_input_hidden_weights"])
+def test_largest_modulus_below_2_255_compiles_and_checks(workspace, mode):
+    """2**255 - 19, a prime just below the bound, still compiles, witnesses
+    and checks clean, public and with hidden weights."""
+    tmp, model, inp = workspace
+    cfg, layout, wit = tmp / "cfg.json", tmp / "layout.bin", tmp / "w.bin"
+    cfg.write_text(json.dumps({"modulus": str((1 << 255) - 19), "mode": mode}))
+    assert main(["compile", model, "--config", str(cfg), "--layout", str(layout)]) == 0
+    assert main(["witness", model, inp, "--config", str(cfg), "-o", str(wit)]) == 0
+    assert serialize.load_layout(layout.read_bytes()).field.modulus == (1 << 255) - 19
+    assert main(["check", str(layout), str(wit)]) == 0

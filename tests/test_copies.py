@@ -73,13 +73,6 @@ def test_copies_are_target_then_source(seed, mode):
         targets.add(target)
         sources.add(source)
     assert not targets & sources, sorted(targets & sources)[:3]
-    # The witness reads fixed sources from full lists the plan holds:
-    # one for each fixed column a copy reads, equal to that column.
-    names = layout.copies.names
-    read = {col for col, _ in sources if layout.columns[col].kind != ADVICE}
-    assert {names[k] for k in layout.plan.fixed_sources} == read
-    for k, cells in layout.plan.fixed_sources.items():
-        assert cells == list(layout.fixed[names[k]])
 
 
 def test_sequence_agrees_with_pairs(small):

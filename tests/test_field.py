@@ -24,6 +24,15 @@ def test_small_or_composite_modulus_rejected():
         Field(65537 * 3)
 
 
+def test_modulus_at_or_above_2_255_rejected():
+    """File cells lie below 2**255; a longer modulus is refused before
+    the primality test, however long it is."""
+    assert Field((1 << 255) - 19).modulus == (1 << 255) - 19
+    for p in (1 << 255, (1 << 521) - 1, (1 << 100_000) + 1):
+        with pytest.raises(ValueError, match="not below 2"):
+            Field(p)
+
+
 def test_add_examples(small_field):
     f = small_field
     # wraparound at the top of the field
