@@ -56,7 +56,11 @@ channels share a patch).  The layer's rows, copies and fixed cells are
 emitted from those arrays with a few numpy operations: padded (chain,
 row, lane or slot) arrays and one mask, flattened in copy order into one
 int32 piece of the builder's packed copies, and one (rows, values) array
-piece per fixed column; the layout's arrays are those pieces joined.  Before
+piece per fixed column; the layout's arrays are those pieces joined.
+Staging pads, PACK rows and sponge rows are emitted the same way, from
+padded (unit, row or lane) and (row, lane) arrays: every cell compile
+sets is a pair of int32 arrays, column numbers and rows, and so is the
+instance map, packed as compile builds it.  Before
 any of that, compile works out the grid's height from the model's shapes
 (`taps.layer_rows`) and refuses one over MAX_ROWS.  The witness plan
 keeps one record per layer (LayerPlan): its z_in, its DIV key (a, b, off,
@@ -134,6 +138,7 @@ from .circuit import (
     MAX_ROWS,
     AdviceColumn,
     Assignment,
+    Bindings,
     CircuitLayout,
     Column,
     Copies,
@@ -304,15 +309,17 @@ class SitePlan:
 
 @dataclass(frozen=True)
 class SpongePlan:
+    """One committed tensor's sponge; the `*_at` fields are cell numbers,
+    as in WitnessPlan."""
+
     label: str            # "input" | "weights"
-    message_cells: tuple  # the absorbed cells, in order
-    absorb_rows: tuple    # per rate-sized chunk, its round-0 row, which adds it
-    round_rows: tuple     # per chunk: the rows of its later rounds
-    digest_cell: tuple
-    state_cells: tuple    # per row, its state out, then u on a pair row
-    # The cell numbers of message_cells and state_cells.
-    message_at: np.ndarray | None = None
-    state_at: np.ndarray | None = None
+    rows: np.ndarray      # per rate-sized chunk: its round-0 row, which adds it, then its later rounds' rows
+    message_at: np.ndarray   # the absorbed cells, in order
+    state_at: np.ndarray     # per row, its state out, then u on a pair row
+    digest_at: int
+
+    absorb_rows = property(lambda self: tuple(self.rows[:, 0].tolist()))
+    round_rows = property(lambda self: tuple(map(tuple, self.rows[:, 1:].tolist())))
 
 
 @dataclass
@@ -322,16 +329,16 @@ class WitnessPlan:
 
     sponge: SpongeParams | None
     n_inputs: int
-    input_cells: list
-    # The staging cells pinned to zero; only the benchmark's row
-    # attribution (perfbench/layers.py) reads them.
-    io_pad_cells: list
-    # Every cell the weight staging computes (int8 weights, bias bytes and
-    # each PACK row's pk_out); none of it depends on the input.
-    weight_cells: list | None
     layer_plans: list
     sponges: list
+    advice_ids: list          # the advice columns, in layout order
+    n_rows: int
     input_at: np.ndarray
+    pad_at: np.ndarray        # the staging cells pinned to zero
+    # Every cell the weight staging computes (int8 weights, bias bytes and
+    # each PACK row's pk_out), None unless weights are hidden; none of it
+    # depends on the input.
+    weight_at: np.ndarray | None
     # Every cell whose value the model alone fixes, and its value: the
     # weight staging, the weight digest's states and each copy of a fixed
     # cell.
@@ -340,6 +347,17 @@ class WitnessPlan:
     copy_to: np.ndarray       # the copies between advice cells
     copy_from: np.ndarray
     instance_at: np.ndarray   # the bound cell of each instance value
+
+    def cells(self, at) -> list[tuple]:
+        """The (column id, row) of each cell number in `at`."""
+        cols, rows = np.divmod(np.asarray(at, np.int64), self.n_rows)
+        return list(zip(map(self.advice_ids.__getitem__, cols.tolist()), rows.tolist()))
+
+    # (column id, row) views of the cell numbers, built on each call; only
+    # the benchmark's row attribution (perfbench/layers.py) reads them.
+    input_cells = property(lambda self: self.cells(self.input_at))
+    io_pad_cells = property(lambda self: self.cells(self.pad_at))
+    weight_cells = property(lambda self: None if self.weight_at is None else self.cells(self.weight_at))
 
     @property
     def site_plans(self) -> list[SitePlan]:
@@ -441,43 +459,6 @@ class _Group:
         }
 
 
-class _FixedCells:
-    """One fixed column's nonzero cells as compile sets them, in
-    increasing row order: (rows, values) array pieces, and the cells set
-    one at a time since the last piece."""
-
-    __slots__ = ("pieces", "rows", "values")
-
-    def __init__(self):
-        self.pieces: list[tuple[np.ndarray, np.ndarray]] = []
-        self.rows: list[int] = []
-        self.values: list[int] = []
-
-    def add(self, row: int, value: int) -> None:
-        self.rows.append(row)
-        self.values.append(value)
-
-    def extend(self, rows: np.ndarray, values: np.ndarray) -> None:
-        self._close()
-        self.pieces.append((rows, values))
-
-    def _close(self) -> None:
-        if self.rows:
-            self.pieces.append((np.array(self.rows, np.int32), np.array(self.values, object)))
-            self.rows, self.values = [], []
-
-    def __len__(self) -> int:
-        return sum(len(r) for r, _ in self.pieces) + len(self.rows)
-
-    def cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows and the values set, each joined into one array."""
-        self._close()
-        if not self.pieces:
-            return np.zeros(0, np.int32), np.zeros(0, np.int64)
-        rows, values = zip(*self.pieces)
-        return np.concatenate(rows), np.concatenate(values)
-
-
 class _Builder:
     def __init__(self, graph: ModelGraph, cfg: CompileConfig):
         self.graph = graph
@@ -485,27 +466,25 @@ class _Builder:
         self.p = cfg.field.modulus
         self.columns: dict[str, Column] = {}
         self.col_number: dict[str, int] = {}
-        # Each fixed column's nonzero cells, set in increasing row order.
-        self.fixed: dict[str, _FixedCells] = {}
+        # Each fixed column's nonzero cells, (rows, values) array pieces
+        # set in increasing row order after an empty one.
+        self.fixed: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         self.gates: list[GateDef] = []
         self.tables: dict[str, LookupTable] = {}
         self.lookups: list[LookupArg] = []
-        # The copies, packed as in circuit.Copies: int32 arrays, then the
-        # copies made one at a time since the last array.
-        self.copy_parts: list[np.ndarray] = []
-        self.copies: list[int] = []
-        self.instance_map: list[tuple[tuple, int]] = []
+        # The copies, packed as in circuit.Copies: int32 array pieces.
+        self.copy_parts: list[np.ndarray] = [np.zeros(0, np.int32)]
         self.groups: dict[int, _Group] = {}   # slot count M -> its group, in column order
         self.io_cursor = 0
         self.sponge_cursor = 0
         self.io_cols: tuple | None = None
-        self.io_pad_cells: list[tuple] = []
+        # The staging cells pinned to zero, (column numbers, rows) pieces.
+        self.io_pads: list[tuple[np.ndarray, np.ndarray]] = []
         self.sponge_cols: dict | None = None
         self.weights_advice = cfg.mode is not None and cfg.mode.weights_hidden
-        self.weight_cells: list[tuple] = []
-        self.weight_values: list[int] = []
-        # layer index -> (staged int8 weight cells, bias cells)
-        self.param_cells: dict[int, tuple[list, list]] = {}
+        # layer index -> its staged int8 weight cells and its bias cells,
+        # each (column numbers, rows)
+        self.param_cells: dict[int, tuple[tuple, tuple]] = {}
         self.pack_cols: tuple | None = None
         self.regions: dict[str, dict[str, int]] = {}   # CircuitStats.regions
         # v mod p for v in -128..127, indexed by v + 128: public weights.
@@ -516,15 +495,12 @@ class _Builder:
         self.col_number.setdefault(col_id, len(self.col_number))
         self.columns[col_id] = Column(col_id, kind)
         if kind == FIXED:
-            self.fixed[col_id] = _FixedCells()
+            self.fixed[col_id] = [(np.zeros(0, np.int32), np.zeros(0, np.int64))]
         return col_id
 
-    def set_fixed(self, col_id: str, row: int, value: int) -> None:
-        """Set one fixed cell, after the column's earlier cells; a value
-        of 0 mod p sets nothing."""
-        value %= self.p
-        if value:
-            self.fixed[col_id].add(row, value)
+    def nums(self, col_ids) -> np.ndarray:
+        """The column numbers of `col_ids`, as an array."""
+        return np.array([self.col_number[c] for c in col_ids], np.int32)
 
     def group(self, m: int) -> _Group:
         """The group of M = m slots, opened on first use; groups of
@@ -534,26 +510,12 @@ class _Builder:
             g = self.groups[m] = _Group(self, len(self.groups), m)
         return g
 
-    def copy(self, a: tuple, b: tuple) -> None:
-        num = self.col_number
-        self.copies += (num[a[0]], a[1], num[b[0]], b[1])
-
     def put_copies(self, flat: np.ndarray) -> None:
         """Append the packed copies `flat`, after every earlier copy."""
-        self.copy_parts += (np.array(self.copies, np.int32), flat.astype(np.int32))
-        self.copies = []
+        self.copy_parts.append(flat.astype(np.int32))
 
     def n_copies(self) -> int:
-        return (sum(map(len, self.copy_parts)) + len(self.copies)) // 4
-
-    def packed_copies(self) -> np.ndarray:
-        """Every copy, packed, as one int32 array."""
-        return np.concatenate([*self.copy_parts, np.array(self.copies, np.int32)])
-
-    def cell_nums(self, cells: list) -> tuple[np.ndarray, np.ndarray]:
-        """The column numbers and the rows of `cells`, as two arrays."""
-        cols, rows = zip(*cells) if cells else ((), ())
-        return np.array(list(map(self.col_number.__getitem__, cols)), np.int32), np.array(rows, np.int32)
+        return sum(map(len, self.copy_parts)) // 4
 
     def group_nums(self) -> dict[str, np.ndarray]:
         """Each column role's numbers (`_Group.nums`), stacked by group."""
@@ -579,32 +541,47 @@ class _Builder:
         cuts = (np.flatnonzero(np.diff(cols)) + 1).tolist()
         names = list(self.col_number)
         for lo, hi in zip([0, *cuts], [*cuts, len(rows)]):
-            self.fixed[names[cols[lo]]].extend(rows[lo:hi], vals[lo:hi])
+            self.fixed[names[cols[lo]]].append((rows[lo:hi], vals[lo:hi]))
 
     def io_columns(self) -> tuple:
         if self.io_cols is None:
             self.io_cols = tuple(self.new_column(f"io{j}", ADVICE) for j in range(GATE_WIDTH))
         return self.io_cols
 
-    def stage(self, count: int, range_selector: str | None) -> list[tuple]:
-        """Staging cells for `count` values, GATE_WIDTH per row.
-
-        On range-checked rows the lookup applies to the whole row, so
-        unused trailing cells are pinned to zero (and later assigned 0);
-        rows without a row-wide lookup leave their tail unconstrained.
-        """
-        cols = self.io_columns()
-        rows = range(self.io_cursor, self.io_cursor + chain_rows(count))
-        self.io_cursor = rows.stop
-        cells = [(col, row) for row in rows for col in cols]
-        if range_selector is not None:
-            self.fixed[range_selector].extend(
-                np.arange(rows.start, rows.stop, dtype=np.int32), np.ones(len(rows), np.int64)
-            )
-            for pad in cells[count:]:
-                self.copy(pad, (self.zero_col, pad[1]))
-                self.io_pad_cells.append(pad)
-        return cells[:count]
+    def stage(self, counts: np.ndarray, selectors: np.ndarray | None, packed: bool = False) -> tuple:
+        """Staging rows for units of `counts` values, GATE_WIDTH to a row,
+        each unit from a fresh row; `selectors` gives each unit's range
+        selector (a column number), or is None.  On range-checked rows the
+        lookup applies to the whole row, so a unit's unused trailing cells
+        are pinned to zero by copies of the zero column (and later assigned
+        0); rows without one leave their tail unconstrained.  A `packed`
+        unit chains PACK rows: each row's pk_in is a copy of the previous
+        row's pk_out, or of zero on its first row, after the unit's pads.
+        Returns the units' rows, padded (unit, row), their mask and the
+        values' (column numbers, rows) in order."""
+        n = GATE_WIDTH
+        n_rows = chain_rows(counts)
+        r = np.arange(int(n_rows.max()))
+        rows = (self.io_cursor + np.cumsum(n_rows) - n_rows)[:, None] + r
+        live = r < n_rows[:, None]
+        self.io_cursor += int(n_rows.sum())
+        io = self.nums(self.io_columns())
+        pos = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        cells = (io[pos % n], np.repeat(rows[:, 0], counts) + pos // n)
+        if selectors is not None:
+            self.put_fixed([(np.repeat(selectors, n_rows), rows[live], 1)])
+            zero = self.col_number[self.zero_col]
+            last = (rows[:, 0] + n_rows - 1)[:, None]
+            on = [np.arange(n) >= (counts - (n_rows - 1) * n)[:, None]]
+            copies = [_copy_block(io, last, zero, last)]
+            self.io_pads.append(_live(on[0], io, last))
+            if packed:
+                pk_in, pk_out = self.nums(self.pack_columns()[:2])
+                head = r == 0
+                copies.append(_copy_block(pk_in, rows, np.where(head, zero, pk_out), np.where(head, rows, rows - 1)))
+                on.append(live)
+            self.put_copies(np.concatenate(copies, axis=1)[np.concatenate(on, axis=1)].ravel())
+        return rows, live, cells
 
     def io_lookup(self, name: str, table_id: str) -> str:
         """A selector applying `table_id` to every staging column."""
@@ -630,36 +607,6 @@ class _Builder:
             self.gates.append(GateDef(id="io:pack", name="ABSORB_PACK", selector=q_pack, poly=poly))
             self.pack_cols = (pk_in, pk_out, scale, off, q_pack)
         return self.pack_cols
-
-    def pack(self, values: list[int], range_selector: str, shift: int, const_term: int) -> tuple[list, tuple]:
-        """Stage `values` on fresh rows under `range_selector` and chain
-        PACK rows over them.  Returns the staged cells and the last row's
-        pk_out cell, which holds sum_i 256^i * (v_i + shift) + const_term.
-        The staged cells and each row's pk_out are recorded, with their
-        values, as weight staging; each pk_in is a copy."""
-        pk_in, pk_out, scale_col, off_col, q_pack = self.pack_columns()
-        n = GATE_WIDTH
-        p = self.p
-        cells = self.stage(len(values), range_selector)
-        prev = None
-        acc = 0
-        for r, lo in enumerate(range(0, len(values), n)):
-            live = values[lo : lo + n]
-            row = cells[lo][1]
-            scale = 256 ** (n * r)
-            ones = (256 ** len(live) - 1) // 255    # sum_j 256^j over the live cells
-            off = scale * shift * ones + (const_term if r == 0 else 0)
-            self.set_fixed(q_pack, row, 1)
-            self.set_fixed(scale_col, row, scale)
-            self.set_fixed(off_col, row, off)
-            self.copy((pk_in, row), prev or (self.zero_col, row))
-            acc += scale * sum(v << (8 * j) for j, v in enumerate(live)) + off
-            self.weight_cells.append((pk_out, row))
-            self.weight_values.append(acc % p)
-            prev = (pk_out, row)
-        self.weight_cells += cells
-        self.weight_values += [v % p for v in values]
-        return cells, prev
 
     def table(self, recipe: tuple) -> str:
         """The id of the table `recipe` describes, built on first use."""
@@ -832,53 +779,32 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
     clips = {key: ("clip", *key, *domain) for key, domain in domains.items()}
 
     # Input staging (always present; instance-bound or sponge-bound).
-    n_inputs = 1
-    for d in graph.input_shape:
-        n_inputs *= d
+    n_inputs = math.prod(graph.input_shape)
     # Hidden inputs and hidden biases are range-checked bytes.
     input_hidden = mode is not None and mode.input_hidden
     q_byte = None
     if input_hidden or bld.weights_advice:
-        q_byte = bld.io_lookup("byte", bld.table(("range", 0, 255)))
-    input_cells = bld.stage(n_inputs, q_byte if input_hidden else None)
+        q_byte = bld.col_number[bld.io_lookup("byte", bld.table(("range", 0, 255)))]
+    _, _, input_cells = bld.stage(np.array([n_inputs]), np.array([q_byte]) if input_hidden else None)
 
     # Weight chunks and biases, staged and packed, when hidden.
-    absorbed_cells: list[tuple] = []
+    absorbed = staged = None
     if bld.weights_advice:
         if not any(layer.weights is not None for layer in graph.layers):
             raise CompileError("hidden-weights mode needs at least one parameterized layer")
-        q_i8 = bld.io_lookup("w", bld.table(("range", -128, 127)))
-        k = pack_width(p)
-        for i, layer in enumerate(graph.layers):
-            if layer.weights is None:
-                continue
-            ws = graph.signed_weights[i]
-            w_cells: list[tuple] = []
-            for lo in range(0, len(ws), k):
-                cells, packed = bld.pack(ws[lo : lo + k], q_i8, 128, 0)
-                w_cells += cells
-                absorbed_cells.append(packed)
-            b_cells = []
-            for b in layer.bias:
-                u = b + (1 << 31)
-                # The top byte takes any excess, so only the lookup
-                # objects to a bias outside int32.
-                u_bytes = [u & 0xFF, (u >> 8) & 0xFF, (u >> 16) & 0xFF, u >> 24]
-                b_cells.append(bld.pack(u_bytes, q_byte, 0, -(1 << 31))[1])
-            absorbed_cells += b_cells
-            bld.param_cells[i] = (w_cells, b_cells)
+        absorbed, staged = _stage_weights(bld, q_byte)
 
     bld.regions["staging"] = {
         "rows": bld.io_cursor,
         "copies": bld.n_copies(),
-        "lookup_rows": sum(len(bld.fixed[lk.selector]) for lk in bld.lookups),
+        "lookup_rows": sum(len(rows) for lk in bld.lookups for rows, _ in bld.fixed[lk.selector]),
     }
 
     # Per-layer lowering into rows, in layer order: each x source is
     # assigned before the site that reads it.  Cells are (column numbers,
     # rows) arrays, per site.
     layer_plans: list[LayerPlan] = []
-    act_cells: dict[int, tuple] = {INPUT_REF: bld.cell_nums(input_cells)}
+    act_cells: dict[int, tuple] = {INPUT_REF: input_cells}
     acc_cells: dict[int, tuple] = {}   # each site's last out: its accumulator
     for i, key in keys.items():
         n_copies = bld.n_copies()
@@ -891,44 +817,108 @@ def compile(graph: ModelGraph, cfg: CompileConfig | None = None) -> tuple[Circui
         }
     n_copies = bld.n_copies()
 
-    # Output wiring: logits are the referenced layer's accumulators.
-    out_layer = graph.layers[graph.output_layer_index]
-    ref = out_layer.input_refs[0]
-    if ref == INPUT_REF:
-        logit_cells = input_cells
-    else:
-        names = list(bld.col_number)
-        logit_cells = [(names[col], row) for col, row in zip(*(a.tolist() for a in acc_cells[ref]))]
-
-    # The instance order: logits, then the raw input codes or the input
-    # digest, then the weight digest when weights are hidden.
-    bound = list(logit_cells)
-    sponge_plans: list[SpongePlan] = []
-    if not input_hidden:
-        bound += input_cells
-    else:
-        sp = _build_sponge(bld, sponge, "input", input_cells)
-        sponge_plans.append(sp)
-        bound.append(sp.digest_cell)
-    if bld.weights_advice:
-        sp = _build_sponge(bld, sponge, "weights", absorbed_cells)
-        sponge_plans.append(sp)
-        bound.append(sp.digest_cell)
-    bld.instance_map = [(c, idx) for idx, c in enumerate(bound)]
+    # Each committed tensor's sponge: (label, message cells, rows, state
+    # cells, digest cell).
+    sponges = [("input", input_cells)] if input_hidden else []
+    if absorbed is not None:
+        sponges.append(("weights", absorbed[:2]))
+    sponges = [(label, message, *_build_sponge(bld, sponge, message)) for label, message in sponges]
     bld.regions["sponge"] = {
         "rows": bld.sponge_cursor,
         "copies": bld.n_copies() - n_copies,
-        "absorbs": sum(len(sp.absorb_rows) for sp in sponge_plans),
+        "absorbs": sum(len(rows) for _, _, rows, _, _ in sponges),
     }
 
-    layout, stats = _finalize(bld)
-    layout.plan = _witness_plan(bld, layout, sponge, n_inputs, input_cells, layer_plans, sponge_plans)
+    # The instance order: logits (the output layer's input: the referenced
+    # layer's accumulators), then the raw input codes or the input digest,
+    # then the weight digest when weights are hidden.
+    ref = graph.layers[graph.output_layer_index].input_refs[0]
+    bound = [input_cells if ref == INPUT_REF else acc_cells[ref]]
+    bound += [] if input_hidden else [input_cells]
+    bound += [digest for *_, digest in sponges]
+    cols, rows = (np.concatenate([cells[k] for cells in bound]) for k in (0, 1))
+    instance = np.stack([cols, rows, np.arange(len(cols))], axis=1).ravel()
+
+    layout, stats = _finalize(bld, instance)
+    layout.plan = _witness_plan(bld, layout, sponge, n_inputs, input_cells, layer_plans, sponges, absorbed, staged)
     return layout, stats
 
 
+def _stage_weights(bld: _Builder, q_byte: int) -> tuple:
+    """Stage the hidden weights and biases, layer by layer, in packed
+    units (`_Builder.stage`): the layer's int8 weights in chunks of k =
+    pack_width(p) under the int8 lookup, then each bias as the four bytes
+    of b + 2^31 under the byte lookup (the top byte takes any excess, so
+    only the lookup objects to a bias outside int32).  A unit's last
+    pk_out holds sum_i 256^i * (v_i + shift) + const_term: shift 128 and
+    const_term 0 for weights, 0 and -2^31 for a bias.
+
+    Sets `bld.param_cells`.  Returns each unit's last pk_out cell and its
+    value (the absorbed elements) and, as (column numbers, rows, values),
+    every cell the staging computes: the staged values, then each row's
+    pk_out."""
+    graph, p, n = bld.graph, bld.p, GATE_WIDTH
+    q_i8 = bld.col_number[bld.io_lookup("w", bld.table(("range", -128, 127)))]
+    k = pack_width(p)
+    digits, counts, spans = [], [], []   # digits: each value plus its unit's shift
+    for i, layer in enumerate(graph.layers):
+        if layer.weights is None:
+            continue
+        ws = np.asarray(graph.signed_weights[i], np.int64)
+        u = np.asarray(layer.bias, np.int64) + (1 << 31)
+        chunks = [k] * (len(ws) // k) + [len(ws) % k] * (len(ws) % k > 0)
+        digits += [ws + 128, np.stack([u & 0xFF, (u >> 8) & 0xFF, (u >> 16) & 0xFF, u >> 24], axis=1).ravel()]
+        counts += [*chunks, *[4] * len(u)]
+        spans.append((i, len(ws), len(chunks), len(u)))
+    is_bias = np.concatenate([np.repeat([False, True], [n_c, n_b]) for _, _, n_c, n_b in spans])
+    digits, counts = np.concatenate(digits), np.array(counts)
+    shift, const_term = np.where(is_bias, 0, 128), np.where(is_bias, -(1 << 31), 0)
+
+    rows, live, cells = bld.stage(counts, np.where(is_bias, q_byte, q_i8), packed=True)
+    _, pk_out, scale_col, off_col, q_pack = bld.nums(bld.pack_columns())
+    n_rows, r = live.sum(axis=1), np.arange(live.shape[1])
+
+    # Row r of a unit has pk_scale 256^(N*r), and its pk_off adds what the
+    # shift owes its live cells, scale * shift * sum_j 256^j, plus
+    # const_term on the first row.  Its pk_out is then const_term plus
+    # the unit's digits so far, packed; a row packs exactly in two int64
+    # halves.
+    scale = np.array([256 ** (n * j) for j in r.tolist()], object)
+    ones = np.array([(256**j - 1) // 255 for j in range(n + 1)], object)
+    offs = scale * ones[np.clip(counts[:, None] - r * n, 0, n)] * shift[:, None]
+    offs[:, 0] += const_term
+    pos = np.arange(len(digits)) - np.repeat(np.cumsum(counts) - counts, counts)
+    lanes = np.zeros((int(n_rows.sum()), n), np.int64)
+    lanes[np.repeat(np.cumsum(n_rows) - n_rows, counts) + pos // n, pos % n] = digits
+    half = np.array([256**j for j in range(n // 2)], np.int64)
+    by_row = np.zeros(live.shape, object)
+    by_row[live] = (lanes[:, : n // 2] @ half).astype(object) + ((lanes[:, n // 2 :] @ half).astype(object) << 4 * n)
+    outs = ((np.cumsum(by_row * scale, axis=1) + const_term[:, None]) % p)[live]
+    rows, scales, offs = _live(live, rows, scale % p, offs % p)
+    bld.put_fixed([
+        (np.full(len(rows), q_pack), rows, 1),
+        (np.full(len(rows), scale_col), rows, scales),
+        (np.full(len(rows), off_col)[offs != 0], rows[offs != 0], offs[offs != 0]),
+    ])
+
+    v = unit = 0
+    last = np.cumsum(n_rows) - 1
+    for i, n_w, n_c, n_b in spans:
+        b = last[unit + n_c : unit + n_c + n_b]
+        bld.param_cells[i] = (tuple(c[v : v + n_w] for c in cells), (np.full(n_b, pk_out), rows[b]))
+        v += n_w + 4 * n_b
+        unit += n_c + n_b
+    values = (digits - np.repeat(shift, counts)).astype(object) % p
+    computed = (np.concatenate([cells[0], np.full(len(rows), pk_out)]), np.concatenate([cells[1], rows]),
+                np.concatenate([values, outs]))
+    return (np.full(len(last), pk_out), rows[last], outs[last]), computed
+
+
 def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | None, n_inputs: int,
-                  input_cells: list, layer_plans: list, sponge_plans: list) -> WitnessPlan:
-    """The witness plan of the finalized grid `layout`."""
+                  input_cells: tuple, layer_plans: list, sponges: list, absorbed: tuple | None,
+                  staged: tuple | None) -> WitnessPlan:
+    """The witness plan of the finalized grid `layout`; `absorbed` and
+    `staged` are what `_stage_weights` returns, or None."""
     n_rows = layout.n_rows
     names = layout.copies.names
     advice = np.array([layout.columns[c].kind == ADVICE for c in names])
@@ -937,9 +927,6 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
 
     def at(cols, rows) -> np.ndarray:
         return adv[cols] * n_rows + rows
-
-    def cells_at(cells) -> np.ndarray:
-        return at(*bld.cell_nums(cells))
 
     nums = bld.group_nums() if bld.groups else {}
     for k, lp in enumerate(layer_plans):
@@ -961,26 +948,30 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
         dense[j, layout.fixed[names[k]].rows] = layout.fixed[names[k]].values
     model = [(to[fixed], dense[col_of, flat[3::4][fixed]])]
 
-    for k, sp in enumerate(sponge_plans):
-        sp = sponge_plans[k] = replace(sp, message_at=cells_at(sp.message_cells), state_at=cells_at(sp.state_cells))
-        if sp.label == "weights":
-            staged = dict(zip(bld.weight_cells, bld.weight_values))
-            model.append(_fill_sponge(sp, [staged[c] for c in sp.message_cells], sponge))
-    if bld.weights_advice:
-        model.append((cells_at(bld.weight_cells), bld.weight_values))
+    sponge_plans = []
+    for label, message, rows, state, digest in sponges:
+        sp = SpongePlan(label, rows, at(*message), at(*state), int(at(*digest)[0]))
+        sponge_plans.append(sp)
+        if label == "weights":
+            model.append(_fill_sponge(sp, absorbed[2].tolist(), sponge))
+    weight_at = None
+    if staged is not None:
+        weight_at = at(*staged[:2])
+        model.append((weight_at, staged[2]))
 
     bound = layout.instance_map.flat   # in instance order, as compile binds it
     return WitnessPlan(
         sponge=sponge,
         n_inputs=n_inputs,
-        input_cells=input_cells,
-        io_pad_cells=bld.io_pad_cells,
-        weight_cells=bld.weight_cells if bld.weights_advice else None,
         layer_plans=layer_plans,
         sponges=sponge_plans,
-        input_at=cells_at(input_cells),
+        advice_ids=[c for c, kind in zip(names, advice.tolist()) if kind],
+        n_rows=n_rows,
+        input_at=at(*input_cells),
+        pad_at=np.concatenate([at(*pads) for pads in bld.io_pads] or [np.zeros(0, np.int64)]),
+        weight_at=weight_at,
         model_at=np.concatenate([c for c, _ in model]),
-        model_values=np.concatenate([np.array(v, object) for _, v in model]),
+        model_values=np.concatenate([np.asarray(v, object) for _, v in model]),
         copy_to=to[~fixed],
         copy_from=src[~fixed],
         instance_at=at(bound[0::3], bound[1::3]),
@@ -1083,7 +1074,7 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[Layer
     x_src = src.reshape(C, R, n)
     x = (nums["x"][g_c][:, None, :], trow[:, :, None], src_cols[x_src], src_rows[x_src])
     if i in bld.param_cells:
-        b_cols, b_rows = bld.cell_nums(bld.param_cells[i][1])
+        b_cols, b_rows = bld.param_cells[i][1]
         carry0 = (b_cols[ch], b_rows[ch])
     else:
         carry0 = (np.where(biases[ch] != 0, slot_nums["const"][:, 0], bld.col_number[bld.zero_col]),
@@ -1101,7 +1092,7 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[Layer
             w_src = (slot_nums["const"][..., None], w_rows)
         else:
             staged = w_idx[site].reshape(C, M, R, n).transpose(0, 2, 1, 3)
-            w_cols, w_cell_rows = bld.cell_nums(bld.param_cells[i][0])
+            w_cols, w_cell_rows = bld.param_cells[i][0]
             w_src = (w_cols[staged], w_cell_rows[staged])
         w = (nums["w"][g_c][:, None, :M], w_rows, *w_src)
 
@@ -1227,60 +1218,77 @@ def _sponge_columns(bld: _Builder, params: SpongeParams) -> dict:
     return sc
 
 
-def _build_sponge(bld: _Builder, params: SpongeParams, label: str, message_cells: list) -> SpongePlan:
-    """The rows of one committed tensor's sponge, `_sponge_row_rounds`
-    for each rate-sized chunk.  Each row copies its state in from the
-    previous row's state out; the sponge's first row copies it from the
-    zero column and adds the initial state (0, ..., 0, length) to its
-    round constants instead."""
+def _build_sponge(bld: _Builder, params: SpongeParams, message: tuple) -> tuple:
+    """The rows of one committed tensor's sponge over the cells `message`
+    (column numbers, rows): `_sponge_row_rounds` for each rate-sized
+    chunk.  Round 0's row copies the chunk into the message lanes, zero
+    past the end.  Each row copies its state in from the previous row's
+    state out; the sponge's first row copies it from the zero column and
+    adds the initial state (0, ..., 0, length) to its round constants
+    instead.  The copies come from padded (row, lane) arrays and a mask,
+    per row its message lanes (round-0 rows only), then its state in.
+
+    Returns the rows, a line of them per chunk; the state cells, per row
+    its state out, then u on a pair row; and the digest cell, lane 0 of
+    the last row's state out."""
     sc = _sponge_columns(bld, params)
-    t = params.t
-    rate = params.rate
+    t, rate, p = params.t, params.rate, params.modulus
+    zero = bld.col_number[bld.zero_col]
     row_rounds = _sponge_row_rounds(params)
-    n_elems = len(message_cells)
+    n_elems = len(message[0])
+    chunks, per = -(-n_elems // rate), len(row_rounds)
+    rows = (bld.sponge_cursor + np.arange(chunks * per, dtype=np.int32)).reshape(chunks, per)
+    bld.sponge_cursor += rows.size
+    row = rows.reshape(-1, 1)
+    s_out = bld.nums(sc["s_out"])
+
+    el = (np.arange(len(row)) // per)[:, None] * rate + np.arange(rate)
+    has = el < n_elems
+    el = np.minimum(el, n_elems - 1)
+    head = row == row[0]
+    copies = np.concatenate([
+        _copy_block(bld.nums(sc["msg"]), row, np.where(has, message[0][el], zero), np.where(has, message[1][el], row)),
+        _copy_block(bld.nums(sc["s_in"]), row, np.where(head, zero, s_out), np.where(head, row, row - 1)),
+    ], axis=1)
+    lanes = np.ones((len(row), rate + t), bool)
+    lanes[:, :rate] = np.tile([rounds[0] == 0 for rounds in row_rounds], chunks)[:, None]
+    bld.put_copies(copies[lanes].ravel())
+
+    # The fixed cells: per row its selector and its first round's
+    # constants rc_j, per pair row the second round's rcb_j; a value of 0
+    # mod p sets nothing.  Every chunk repeats the first chunk's, but for
+    # the sponge's first row.
     rcs = params.round_constants
-    rc_first = [c + v for c, v in zip(rcs[0], [0] * rate + [n_elems])]
-    chunk_rows = []
-    state_cells = []
-    prev = None
-    for lo in range(0, n_elems, rate):
-        chunk = message_cells[lo : lo + rate]
-        rows = []
-        for rounds in row_rounds:
-            row = bld.sponge_cursor
-            bld.sponge_cursor += 1
-            r = rounds[0]
-            if r == 0:
-                sel = "q_absorb"
-                for j in range(rate):
-                    bld.copy((sc["msg"][j], row), chunk[j] if j < len(chunk) else (bld.zero_col, row))
-            elif len(rounds) == 2:
-                sel = "q_pair"
-                for j in range(t):
-                    bld.set_fixed(sc["rcb"][j], row, rcs[r + 1][j])
-            else:
-                sel = "q_full" if params.is_full_round(r) else "q_part"
-            bld.set_fixed(sc[sel], row, 1)
-            rc = rcs[r] if prev else rc_first
-            for j in range(t):
-                bld.set_fixed(sc["rc"][j], row, rc[j])
-                bld.copy((sc["s_in"][j], row), prev[j] if prev else (bld.zero_col, row))
-            prev = [(sc["s_out"][j], row) for j in range(t)]
-            state_cells += prev + ([(sc["u"], row)] if len(rounds) == 2 else [])
-            rows.append(row)
-        chunk_rows.append(rows)
+    sel = bld.nums([sc["q_absorb" if rounds[0] == 0 else "q_pair" if len(rounds) == 2 else
+                       "q_full" if params.is_full_round(rounds[0]) else "q_part"] for rounds in row_rounds])
+    consts = np.array([(*rcs[rounds[0]], *(rcs[rounds[-1]] if len(rounds) == 2 else (0,) * t))
+                       for rounds in row_rounds], object) % p
+    on = np.tile(consts != 0, (chunks, 1))
+    consts = np.tile(consts, (chunks, 1))
+    consts[0, t - 1] = (consts[0, t - 1] + n_elems) % p
+    on[0, t - 1] = consts[0, t - 1] != 0
+    bld.put_fixed([(np.tile(sel, chunks), row[:, 0], 1), _live(on, bld.nums(sc["rc"] + sc["rcb"]), row, consts)])
 
-    return SpongePlan(
-        label=label,
-        message_cells=tuple(message_cells),
-        absorb_rows=tuple(rows[0] for rows in chunk_rows),
-        round_rows=tuple(tuple(rows[1:]) for rows in chunk_rows),
-        digest_cell=prev[0],
-        state_cells=tuple(state_cells),
-    )
+    lanes = np.ones((len(row), t + 1), bool)
+    lanes[:, t] = np.tile([len(rounds) == 2 for rounds in row_rounds], chunks)
+    state = _live(lanes, np.append(s_out, bld.col_number[sc["u"]]), row)
+    return rows, state, (s_out[:1], rows[-1, -1:])
 
 
-def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
+def _copy_block(*parts) -> np.ndarray:
+    """Packed copies (to column, to row, from column, from row) from
+    `parts` broadcast together, along a new last axis."""
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
+
+
+def _live(on: np.ndarray, *parts) -> tuple:
+    """Each of `parts`, broadcast to the mask `on`, where `on` is set."""
+    return tuple(np.broadcast_to(x, on.shape)[on] for x in parts)
+
+
+def _finalize(bld: _Builder, instance: np.ndarray) -> tuple[CircuitLayout, CircuitStats]:
+    """The layout and stats of the grid `bld` holds, its instance bound as
+    `instance` packs it (`circuit.Bindings`)."""
     logical = max(
         [g.cursor for g in bld.groups.values()] + [bld.io_cursor, bld.sponge_cursor] + [1]
     )
@@ -1293,7 +1301,8 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         )
     # validate() below refuses a column whose cells were not set in
     # increasing row order.
-    rows, values = zip(*(cells.cells() for cells in bld.fixed.values())) if bld.fixed else ((), ())
+    joined = [[np.concatenate(part) for part in zip(*pieces)] for pieces in bld.fixed.values()]
+    rows, values = zip(*joined) if joined else ((), ())
     fixed = {
         col_id: FixedColumn.from_cells(r, form, padded) for col_id, r, form in zip(bld.fixed, rows, int_cells(values))
     }
@@ -1305,9 +1314,9 @@ def _finalize(bld: _Builder) -> tuple[CircuitLayout, CircuitStats]:
         gates=bld.gates,
         tables=bld.tables,
         lookups=bld.lookups,
-        copies=Copies(bld.packed_copies(), list(bld.columns)),
+        copies=Copies(np.concatenate(bld.copy_parts), list(bld.columns)),
         fixed=fixed,
-        instance_map=bld.instance_map,
+        instance_map=Bindings(instance, list(bld.columns)),
     )
     layout.validate()
     stats = CircuitStats(
@@ -1347,7 +1356,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     if len(codes) != plan.n_inputs:
         raise WitnessError(f"input has {len(codes)} elements, plan expects {plan.n_inputs}")
 
-    names = [c.id for c in layout.columns.values() if c.kind == ADVICE]
+    names = plan.advice_ids
     vals = np.empty(len(names) * layout.n_rows, object)
     assigned = np.zeros(len(vals), bool)
 

@@ -224,7 +224,7 @@ class Copies(Sequence):
     on demand; equality compares the resolved (column id, row) pairs.
     """
 
-    __slots__ = ("flat", "names", "_list")
+    __slots__ = ("flat", "names")
     __hash__ = None
 
     def __init__(self, flat, names: list[str]):
@@ -239,21 +239,6 @@ class Copies(Sequence):
             flat = flat.astype(np.int32)
         self.flat = flat
         self.names = names
-        self._list = None
-
-    def tolist(self) -> list[int]:
-        """`flat` as one list of ints, built on first call and kept: a
-        caller must not change it.  The witness walks a list several
-        times faster than the array.  When the numbers are fewer than the
-        copies, equal numbers share one int object."""
-        if self._list is None:
-            flat = self.flat
-            top = int(flat.max(initial=0))
-            if top < len(flat) and flat.min(initial=0) >= 0:
-                self._list = np.arange(top + 1).astype(object)[flat].tolist()
-            else:
-                self._list = flat.tolist()
-        return self._list
 
     @classmethod
     def pack(cls, copies, names: list[str]) -> "Copies":

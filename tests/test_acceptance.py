@@ -292,7 +292,8 @@ def test_criterion_7_commitment_binding():
         asg = assign_witness(layout, g, inp)
         assert check(layout, asg) == []
         sp = next(s for s in layout.plan.sponges if s.label == "weights")
-        in_circuit = asg.advice[sp.digest_cell[0]][sp.digest_cell[1]]
+        [(col, row)] = layout.plan.cells([sp.digest_at])
+        in_circuit = asg.advice[col][row]
         out_of_circuit = sponge_hash(weight_elements(g, cfg.field.modulus), cfg.sponge_params())
         if in_circuit == out_of_circuit == asg.instance[-1]:
             agree += 1

@@ -668,7 +668,7 @@ def test_hidden_weights_pack_chunks(fld, pack_rows):
     elements = weight_elements(g, fld.modulus)
     assert len(_pack_rows(layout)) == pack_rows
     sp = next(s for s in layout.plan.sponges if s.label == "weights")
-    assert [asg.advice[c][r] for c, r in sp.message_cells] == elements
+    assert [asg.advice[c][r] for c, r in layout.plan.cells(sp.message_at)] == elements
     assert serialize.load_layout(serialize.dump_layout(layout)) == layout
 
 

@@ -397,8 +397,7 @@ def test_tampered_fixed_operands_of_compiled_layout_match_row_oracle():
 
 def test_fresh_layout_is_checked_on_its_arrays():
     """Checking a just-loaded layout, honest and tampered, against a loaded
-    witness builds no full-height list of a fixed column and no list of
-    the copies."""
+    witness builds no full-height list of a fixed column."""
     rng = random.Random(4)
     g = random_model(rng, max_hw=6, max_c=3, max_layers=3)
     layout, _ = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
@@ -409,7 +408,33 @@ def test_fresh_layout_is_checked_on_its_arrays():
     col, row = next((c, r) for c, vals in asg.advice.items() for r, v in enumerate(vals) if v)
     witness.advice[col][row] += 1
     assert check(loaded, witness)
-    assert all(f._dense is None for f in loaded.fixed.values()) and loaded.copies._list is None
+    assert all(f._dense is None for f in loaded.fixed.values())
+
+
+@pytest.mark.parametrize("recipe", [("range", 2**200, 2**200 + 3), ("clip", 1, 1, 0, 2**200, 2**200 + 3)])
+def test_lookup_beyond_an_int64_packing_runs_on_ints(recipe, tmp_path):
+    """A table whose entries no int64 packs (`sorted_entries` gives None),
+    written to a layout file and loaded back, is searched on Python ints:
+    an honest witness checks clean, and a key moved by 7 gives exactly one
+    lookup violation, on its row."""
+    table = lookup_table(recipe, DEFAULT_MODULUS)
+    entries = sorted(table.rows)
+    n = len(entries)
+    cols = "kv"[: table.arity]
+    layout = CircuitLayout(
+        field=Field(), columns={"q": Column("q", FIXED), **{c: Column(c, ADVICE) for c in cols}},
+        n_rows=n, n_rows_logical=n, gates=[], tables={table.id: table},
+        lookups=[LookupArg(id="lk", table=table.id, columns=tuple(cols), selector="q")],
+        copies=[], fixed={"q": [1] * n}, instance_map=[],
+    )
+    path = tmp_path / "layout.bin"
+    path.write_bytes(serialize.dump_layout(layout))
+    loaded = serialize.load_layout(path.read_bytes())
+    assert loaded.tables[table.id].sorted_entries(DEFAULT_MODULUS) is None
+    asg = Assignment(advice={c: [e[j] for e in entries] for j, c in enumerate(cols)}, instance=[])
+    assert check(loaded, asg) == []
+    asg.advice["k"][2] += 7
+    assert [(v.kind, v.id, v.row) for v in check(loaded, asg)] == [("lookup", "lk", 2)]
 
 
 def _grid(layout, witness):

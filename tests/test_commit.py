@@ -174,8 +174,9 @@ def test_in_circuit_sponge_matches_out_of_circuit():
         expect_in = sponge_hash(list(inp.data), params)
         expect_w = sponge_hash(weight_elements(g, cfg.field.modulus), params)
         plans = {sp.label: sp for sp in layout.plan.sponges}
-        got_in = asg.advice[plans["input"].digest_cell[0]][plans["input"].digest_cell[1]]
-        got_w = asg.advice[plans["weights"].digest_cell[0]][plans["weights"].digest_cell[1]]
+        (in_col, in_row), (w_col, w_row) = layout.plan.cells([plans["input"].digest_at, plans["weights"].digest_at])
+        got_in = asg.advice[in_col][in_row]
+        got_w = asg.advice[w_col][w_row]
         assert got_in == expect_in
         assert got_w == expect_w
 
@@ -210,7 +211,7 @@ def test_sponge_rows_are_sponge_states():
     rcb = [layout.fixed[f"sp:rcb{j}"] for j in range(params.t)]
     assert {sp.label for sp in layout.plan.sponges} == {"input", "weights"}
     for sp in layout.plan.sponges:
-        elements = [adv[c][r] for c, r in sp.message_cells]
+        elements = [adv[c][r] for c, r in layout.plan.cells(sp.message_at)]
         chunks = list(sponge_states(elements, params))
         assert len(chunks) == len(sp.absorb_rows) == len(sp.round_rows)
         first = sp.absorb_rows[0]
@@ -236,7 +237,8 @@ def test_sponge_rows_are_sponge_states():
                 else:
                     assert adv["sp:u"][row] is None
             assert prev == states[-1]
-        assert adv[sp.digest_cell[0]][sp.digest_cell[1]] == sponge_hash(elements, params)
+        [(col, row)] = layout.plan.cells([sp.digest_at])
+        assert adv[col][row] == sponge_hash(elements, params)
 
 
 def test_weight_perturbation_breaks_binding():
@@ -302,7 +304,8 @@ def test_wider_sponge_state_compiles_and_binds():
     asg = assign_witness(layout, g, inp)
     assert check(layout, asg) == []
     plans = {p.label: p for p in layout.plan.sponges}
-    got = asg.advice[plans["input"].digest_cell[0]][plans["input"].digest_cell[1]]
+    [(col, row)] = layout.plan.cells([plans["input"].digest_at])
+    got = asg.advice[col][row]
     assert got == sponge_hash(list(inp.data), sp)
 
 
