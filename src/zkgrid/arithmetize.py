@@ -126,7 +126,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +150,7 @@ from .circuit import (
     add,
     builtin_gates,
     cell,
+    clip_offset,
     const,
     int_cells,
     mul,
@@ -609,11 +609,10 @@ class _Builder:
         return self.pack_cols
 
     def table(self, recipe: tuple) -> str:
-        """The id of the table `recipe` describes, built on first use."""
-        tid, _ = check_recipe(recipe, self.p)
-        if tid not in self.tables:
-            self.tables[tid] = lookup_table(recipe, self.p)
-        return tid
+        """The id of the table `recipe` describes, added on first use."""
+        table = lookup_table(recipe, self.p)
+        self.tables.setdefault(table.id, table)
+        return table.id
 
     def group_lookup_selector(self, group: _Group, table_id: str, names: tuple) -> str:
         """The row-level selector applying `table_id` to the slot columns
@@ -637,7 +636,8 @@ class _Builder:
 def check_recipe(recipe: tuple, p: int) -> tuple[str, int]:
     """The id of the table `recipe` describes on the field of modulus p and
     the size of its domain, which bounds its entries; CompileError for a
-    recipe lookup_table refuses."""
+    malformed recipe, a domain that is empty or over LOOKUP_CAP, or a clip
+    table whose DIV rows it would leave unsound."""
     kind = recipe[0] if type(recipe) is tuple and recipe else None
     if not (type(kind) is str and len(recipe) == {"range": 3, "clip": 6}.get(kind)
             and all(type(v) is int for v in recipe[1:])):
@@ -661,41 +661,12 @@ def check_recipe(recipe: tuple, p: int) -> tuple[str, int]:
     return tid, n
 
 
-def clip_offset(d_lo: int) -> int:
-    """The shift from a clip table's quotients d >= d_lo to its keys."""
-    return max(0, -d_lo)
-
-
-# How many lookup tables `lookup_table` keeps, by recipe and modulus.
-TABLE_CACHE = 16
-
-
 def lookup_table(recipe: tuple, p: int) -> LookupTable:
-    """The table `recipe` describes on the field of modulus p, for compile
-    and the layout loader alike: ("range", lo, hi) holds v mod p for each v
-    in [lo, hi], and ("clip", a, b, z_out, d_lo, d_hi) maps each quotient d
-    in [d_lo, d_hi], keyed d + clip_offset(d_lo), to clip(d + z_out, 0, 255).
-    The tables of the last TABLE_CACHE recipes are kept, so compile and
-    every load of its layout share one frozen table."""
-    check_recipe(recipe, p)
-    return _lookup_table(recipe, p)
-
-
-@lru_cache(maxsize=TABLE_CACHE)
-def _lookup_table(recipe: tuple, p: int) -> LookupTable:
-    """lookup_table for a recipe check_recipe accepts.  Its parameters are
-    then exact ints, so recipes that compare equal are the same recipe."""
+    """The table `recipe` describes on the field of modulus p
+    (`circuit.LookupTable`), for compile and the layout loader alike;
+    CompileError for a recipe check_recipe refuses."""
     tid, _ = check_recipe(recipe, p)
-    if recipe[0] == "range":
-        return LookupTable(recipe, tid, 1, frozenset((v % p,) for v in range(recipe[1], recipe[2] + 1)))
-    _, _, _, z_out, d_lo, d_hi = recipe
-    off = clip_offset(d_lo)
-    # clip(d + z_out, 0, 255) over the domain: a run of 0s, the values
-    # 0..255 the domain reaches, then a run of 255s.
-    lo, hi = d_lo + z_out, d_hi + z_out
-    n = hi - lo + 1
-    acts = [0] * min(max(-lo, 0), n) + list(range(max(lo, 0), min(hi, 255) + 1)) + [255] * min(max(hi - 255, 0), n)
-    return LookupTable(recipe, tid, 2, frozenset(zip(range(d_lo + off, d_hi + off + 1), acts)))
+    return LookupTable(recipe, tid, 2 if recipe[0] == "clip" else 1, p)
 
 
 def _scale_key(graph: ModelGraph, layer) -> tuple[int, int, int]:

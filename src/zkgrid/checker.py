@@ -30,8 +30,9 @@ which is `r != 0` for an int64 r when p > 2**63 and `r % p != 0`
 otherwise; sums, differences and products are left unreduced, which is
 exact because reduction mod p is a ring homomorphism.
 
-Lookups search each table's sorted entries packed into int64
-(`LookupTable.sorted_entries`), one search per table.  Copies and
+Lookups test each key against its table's recipe (`LookupTable.holds`),
+one test per table over the keys of all its lookups, in int64 where a
+bound allows and on Python ints otherwise; no entry is built.  Copies and
 bindings gather both sides from the columns laid end to end and compare
 them as int64, and as residues of Python ints only where a side is an
 object column.  Python touches only violating rows and the cells of
@@ -267,9 +268,8 @@ def _nonzero(vals, bound, p: int, n: int) -> np.ndarray:
 
 def _found(layout: CircuitLayout, lookups: list, rows_of, cols: _Grid) -> list[np.ndarray]:
     """For each lookup, whether the key of each row its selector enables
-    is an entry of its table: one search per table, in its sorted entries
-    (`LookupTable.sorted_entries`), for the keys of all its lookups."""
-    p = cols.p
+    is an entry of its table: one test per table (`LookupTable.holds`),
+    over the keys of all its lookups."""
     by_table: dict[str, list] = {}
     for j, lk in enumerate(lookups):
         by_table.setdefault(lk.table, []).append(j)
@@ -277,30 +277,10 @@ def _found(layout: CircuitLayout, lookups: list, rows_of, cols: _Grid) -> list[n
     for tid, js in by_table.items():
         table = layout.tables[tid]
         rows = [rows_of(lookups[j].selector) for j in js]
-        keys = [
+        found = table.holds([
             np.concatenate([cols.gather(cols.number[lookups[j].columns[i]], r) for j, r in zip(js, rows)])
             for i in range(table.arity)
-        ]
-        entries = table.sorted_entries(p)
-        if entries is None:   # entries beyond an int64 packing: only a hand-written recipe
-            found = np.array([tuple(v % p for v in key) in table.rows for key in zip(*(k.tolist() for k in keys))], bool)
-        else:
-            packed, lows, spans = entries
-            found = np.ones(len(keys[0]), bool)
-            q = np.zeros(len(keys[0]), np.int64)
-            for k, lo, n in zip(keys, lows, spans):
-                if k.dtype == object:
-                    k = k % p
-                    k = np.where(k > p // 2, k - p, k)
-                inside = (k >= lo) & (k <= lo + n - 1)
-                found &= inside
-                if k.dtype == object:
-                    k = np.where(inside, k, lo).astype(np.int64)
-                # A key outside its column's span is no entry, whatever its
-                # packing wraps to.
-                q = q * n + (k - lo)
-            at = np.minimum(np.searchsorted(packed, q), len(packed) - 1)
-            found &= packed[at] == q
+        ])
         ends = np.cumsum([len(r) for r in rows]).tolist()
         for j, a, b in zip(js, [0, *ends], ends):
             out[j] = found[a:b]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from math import prod
 
 import numpy as np
 
@@ -154,37 +153,71 @@ class GateDef:
     poly: Expr
 
 
+def clip_offset(d_lo: int) -> int:
+    """The shift from a clip table's quotients d >= d_lo to its keys."""
+    return max(0, -d_lo)
+
+
+def _offsets(keys: np.ndarray, lo, lo_bound: int, span: int, p: int) -> np.ndarray:
+    """keys - lo, such that a key is lo + j mod p for a j in [0, span]
+    exactly when its offset is that j.  `lo` is an int or an int64 array,
+    at most `lo_bound` in magnitude.  In int64 when a bound on the
+    magnitude of keys - lo proves it exact: then reduced mod p when p <
+    2**63, and otherwise left as it is, which is then below p - span in
+    magnitude, so a negative offset is no j.  Else reduced mod p on
+    Python ints."""
+    if keys.dtype != object and len(keys):
+        bound = max(-int(keys.min()), int(keys.max())) + lo_bound
+        if bound < 1 << 63 and (p < 1 << 63 or bound + span < p):
+            d = keys - lo
+            return d % p if p < 1 << 63 else d
+    return (keys.astype(object) - lo) % p
+
+
 @dataclass(frozen=True, slots=True)
 class LookupTable:
-    """A table built by `arithmetize.lookup_table` from its recipe."""
+    """The table a recipe describes on the field of modulus p, held as the
+    recipe (`arithmetize.lookup_table` checks it): ("range", lo, hi) holds
+    v mod p for each v in [lo, hi], and ("clip", a, b, z_out, d_lo, d_hi)
+    maps each quotient d in [d_lo, d_hi], keyed d + clip_offset(d_lo), to
+    clip(d + z_out, 0, 255).  No entry is built: `holds` tests keys
+    against the recipe."""
     recipe: tuple
     id: str
     arity: int
-    rows: frozenset  # of tuples of canonical field ints
-    # (p, sorted entries) of the last `sorted_entries` call.
-    _sorted: list = field(default_factory=lambda: [None], compare=False, repr=False)
+    p: int
 
-    def sorted_entries(self, p: int) -> tuple | None:
-        """The entries as canonical signed residues (v - p when v > p // 2,
-        else v), each packed into one int64 in mixed radix: the packed
-        entries sorted, and each column's least residue and span, so that
-        a tuple t is an entry when every t_i lies in [low_i, low_i +
-        span_i) and its packing is found by `np.searchsorted`.  None when
-        the packing does not fit int64.  Built on first call and kept."""
-        got = self._sorted[0]
-        if got is None or got[0] != p:
-            ent = np.array(list(self.rows), object).reshape(len(self.rows), self.arity)
-            ent = np.where(ent > p // 2, ent - p, ent)
-            lows = [int(c.min()) for c in ent.T]
-            spans = [int(c.max()) - lo + 1 for c, lo in zip(ent.T, lows)]
-            packed = None
-            if prod(spans) < 1 << 63 and all(-(1 << 63) <= lo and lo + n <= 1 << 63 for lo, n in zip(lows, spans)):
-                packed = np.zeros(len(ent), np.int64)
-                for c, lo, n in zip(ent.T, lows, spans):
-                    packed = packed * n + (c - lo).astype(np.int64)
-                packed = np.sort(packed), lows, spans
-            got = self._sorted[0] = p, packed
-        return got[1]
+    def holds(self, keys: list) -> np.ndarray:
+        """Whether each key is an entry.  `keys` holds one array per key
+        column, int64 signed residues or Python ints.  A key is an entry
+        when its first cell is k + j mod p for a j in [0, hi - lo], k the
+        least key (lo, or d_lo + clip_offset(d_lo)), and for a clip table
+        its act is clip(d_lo + j + z_out, 0, 255) mod p."""
+        kind, *params = self.recipe
+        p, lo, hi = self.p, *params[-2:]
+        span = hi - lo
+        base = (lo + clip_offset(lo) if kind == "clip" else lo) % p
+        base = base - p if base > p // 2 else base
+        at = _offsets(keys[0], base, abs(base), span, p)
+        ok = (at >= 0) & (at <= span)
+        if kind == "clip":
+            # Over j in [0, span], a shift outside [-span - 1, 256] moves
+            # no act, and the clamp keeps the sum in int64.
+            shift = min(max(lo + params[2], -span - 1), 256)
+            act = np.clip(np.where(ok, at, 0) + shift, 0, 255).astype(np.int64)
+            ok &= _offsets(keys[1], act, 255, 0, p) == 0
+        return ok
+
+    @property
+    def rows(self) -> frozenset:
+        """Every entry, a tuple of canonical residues, enumerated on each
+        read: for the tests' oracle and perfbench's count of entries."""
+        kind, *params = self.recipe
+        p, lo, hi = self.p, *params[-2:]
+        if kind == "range":
+            return frozenset((v % p,) for v in range(lo, hi + 1))
+        off, z_out = clip_offset(lo), params[2]
+        return frozenset(((d + off) % p, min(max(d + z_out, 0), 255) % p) for d in range(lo, hi + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -778,6 +811,8 @@ class CircuitLayout:
                 raise CircuitError(f"lookup {lk.id}: unknown table {lk.table}")
             if len(lk.columns) != self.tables[lk.table].arity:
                 raise CircuitError(f"lookup {lk.id}: arity mismatch")
+            if self.tables[lk.table].p != self.field.modulus:
+                raise CircuitError(f"lookup {lk.id}: table {lk.table} is on another field")
             for c in lk.columns:
                 if c not in self.columns:
                     raise CircuitError(f"lookup {lk.id}: unknown column {c}")
@@ -819,7 +854,10 @@ class CircuitLayout:
                 {"id": g.id, "name": g.name, "selector": g.selector, "poly": g.poly.to_sexpr()}
                 for g in self.gates
             ],
-            "tables": {t.id: {"recipe": list(t.recipe), "size": len(t.rows)} for t in self.tables.values()},
+            "tables": {
+                t.id: {"recipe": list(t.recipe), "size": min(t.recipe[-1] - t.recipe[-2] + 1, t.p)}
+                for t in self.tables.values()
+            },
             "lookups": [
                 {"id": l.id, "table": l.table, "columns": list(l.columns), "selector": l.selector}
                 for l in self.lookups

@@ -147,7 +147,9 @@ def retrieval_sample_size(p_tamper, delta) -> int:
     dl = as_fraction(delta)
     if not 0 < pt < 1 or not 0 < dl < 1:
         raise EconError("tamper fraction and confidence must lie in (0, 1)")
-    n = max(1, math.ceil(math.log(float(dl) / 2) / math.log(1.0 - float(pt))))
+    # Divided as fractions, so that no quotient overflows a float, and
+    # log1p, so that a tiny p does not round 1 - p to 1.
+    n = max(1, math.ceil(Fraction(math.log(float(dl) / 2)) / Fraction(math.log1p(-float(pt)))))
     if n <= 100_000:  # exact boundary adjustment is cheap at sane sizes
         target = dl / 2
         miss = 1 - pt
@@ -161,11 +163,12 @@ def retrieval_sample_size(p_tamper, delta) -> int:
 def hoeffding_sample_size(epsilon, delta) -> int:
     """N = ceil(ln(1/delta) / (2 * epsilon^2)) for a one-sided accuracy
     deviation bound of epsilon at confidence delta."""
-    eps = float(as_fraction(epsilon))
-    dl = float(as_fraction(delta))
+    eps = as_fraction(epsilon)
+    dl = as_fraction(delta)
     if not 0 < eps <= 1 or not 0 < dl < 1:
         raise EconError("epsilon must lie in (0, 1] and delta in (0, 1)")
-    return math.ceil(math.log(1.0 / dl) / (2.0 * eps * eps))
+    # As fractions: a tiny epsilon squares to 0 in floats.
+    return math.ceil(Fraction(-math.log(dl)) / (2 * eps * eps))
 
 
 def cost_estimate(n: int, unit_cost) -> Fraction:

@@ -29,10 +29,10 @@ outlier) of 2**255 or more.
 Layout: `ZKLY`, then version and header length (`<II`), then the header,
 a JSON object: modulus (a decimal string), n_rows, n_rows_logical,
 columns, nodes, gates (each `poly` the index of its root node), lookups,
-tables as the recipes `arithmetize.lookup_table` builds them from at
-compile and at load (`["range", lo, hi]` or `["clip", a, b, z_out, d_lo,
-d_hi]`, never their entries), fixed as [column id, cells] pairs and the
-copies and bindings counts.  `nodes` holds each distinct subtree of the
+tables as their recipes, from which `arithmetize.lookup_table` makes
+them at compile and at load (`["range", lo, hi]` or `["clip", a, b,
+z_out, d_lo, d_hi]`, never their entries), fixed as [column id, cells]
+pairs and the copies and bindings counts.  `nodes` holds each distinct subtree of the
 gate polynomials once, children first: `["col", id]`, `["const", str(v)]`
 for v in [0, p), `["+", i, j, ...]` or `["*", i, j, ...]`, `["-", i, j]`
 or `["pow5", i]`, where i, j, ... index earlier nodes.  A polynomial

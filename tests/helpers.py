@@ -255,10 +255,11 @@ def row_oracle_check(layout, assignment, cap=1000, rows=None):
             v = eval_gate(layout, g, assignment, row).value
             if v:
                 out.append(Violation("gate", g.id, row, f"{g.name} evaluates to {v}"))
+    entries = {tid: layout.tables[tid].rows for tid in {lk.table for lk in layout.lookups}}
     for lk in layout.lookups:
         sel = layout.fixed[lk.selector]
         for row in rows:
-            if sel[row] and tuple(value(c, row) % p for c in lk.columns) not in layout.tables[lk.table].rows:
+            if sel[row] and tuple(value(c, row) % p for c in lk.columns) not in entries[lk.table]:
                 out.append(Violation("lookup", lk.id, row, f"tuple not in table {lk.table}"))
     on_rows = set(rows)
     for idx, cp in enumerate(layout.copies):

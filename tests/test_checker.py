@@ -20,6 +20,7 @@ from zkgrid.circuit import (
     CopyConstraint,
     GateDef,
     LookupArg,
+    LookupTable,
     add,
     cell,
     const,
@@ -27,9 +28,9 @@ from zkgrid.circuit import (
     pow5,
     sub,
 )
-from zkgrid.arithmetize import CompileConfig, assign_witness, compile, lookup_table
+from zkgrid.arithmetize import CompileConfig, CompileError, assign_witness, compile, lookup_table
 from zkgrid.commit import VisibilityMode
-from zkgrid.field import DEFAULT_MODULUS, Field
+from zkgrid.field import DEFAULT_MODULUS, MIN_MODULUS, Field
 from zkgrid.modelgen import random_input, random_model, random_parameterized_model
 
 
@@ -411,12 +412,116 @@ def test_fresh_layout_is_checked_on_its_arrays():
     assert all(f._dense is None for f in loaded.fixed.values())
 
 
+# Each recipe on each field that check_recipe accepts: ranges inside and
+# wider than p (on 257 and 65537), one across p/2 on the prime 2^63 + 29,
+# and clip domains below 0, across 0, across 0 and 255, above 255, and at
+# 2^200, and zero points past int64.
+_RECIPES = [
+    ("range", 0, 255), ("range", -128, 127), ("range", -300, 700), ("range", 0, 70000),
+    ("range", 2**62 - 500, 2**62 + 500), ("range", 2**200, 2**200 + 3),
+    ("clip", 1, 1, 7, -300, -10), ("clip", 1, 1, 0, -40, 40), ("clip", 1, 1, 250, -100, 100),
+    ("clip", 1, 3, 200, -50, 100), ("clip", 1, 1, 0, 260, 900), ("clip", 1, 1, -6, 2**200, 2**200 + 5),
+    ("clip", 1, 1, 2**70, -5, 5), ("clip", 1, 1, -2**70, -5, 5),
+]
+_TABLE_CASES = []
+for _p in (DEFAULT_MODULUS, 2**63 + 29, 2**61 - 1, 2**31 - 1, 65537, 257):
+    for _recipe in _RECIPES:
+        try:
+            _TABLE_CASES.append(lookup_table(_recipe, _p))
+        except CompileError:
+            pass
+# Keys that are canonical residues, then keys that are not or are 2^63 or
+# more; a column holding one of the latter is read as Python ints.
+_KEY_KINDS = ["entry", "plus1", "minus1", "residue", "small", "plus_p", "big_entry", "big"]
+
+
+def _field(p: int) -> Field:
+    """Field(p), or for a modulus below Field's minimum, which compile and
+    the file loaders enforce, a Field that holds it as it is: the checker
+    reads only the modulus."""
+    if p >= MIN_MODULUS:
+        return Field(p)
+    fld = object.__new__(Field)
+    fld.modulus = p
+    return fld
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_TABLE_CASES), st.data())
+def test_lookup_verdicts_equal_the_row_oracle(table, data):
+    """The checker's lookup verdicts, tested against the recipe, equal the
+    oracle's membership in the enumerated entries, on the default 254-bit
+    field, 2^63 + 29, 2^61 - 1, 2^31 - 1, 65537 and 257.  Keys are
+    entries, an entry with a cell moved by +1, -1 or +p, or by a multiple
+    of p to 2^63 or more, values of 2^63 and more, random residues and
+    small signed values, so that keys run in int64 and on Python ints."""
+    p = table.p
+    rows = table.rows
+    entries = sorted(rows)
+    kinds = _KEY_KINDS if data.draw(st.booleans()) else _KEY_KINDS[:5]
+    drawn = data.draw(st.lists(
+        st.tuples(st.sampled_from(kinds), st.integers(0, 2**70), st.integers(0, table.arity - 1), st.booleans()),
+        min_size=1, max_size=24,
+    ))
+    keys = []
+    for kind, r, j, _ in drawn:
+        key = list(entries[r % len(entries)])
+        key[j] = {
+            "entry": key[j],
+            "plus1": (key[j] + 1) % p,
+            "minus1": (key[j] - 1) % p,
+            "plus_p": key[j] + p,
+            "big_entry": key[j] + (2**63 // p + 1) * p,
+            "big": 2**63 + r,
+            "residue": r % p,
+            "small": (r % 2**20 - 2**19) % p,
+        }[kind]
+        keys.append(key)
+    cols = "kv"[: table.arity]
+    n = len(keys)
+    layout = CircuitLayout(
+        field=_field(p), columns={"q": Column("q", FIXED), **{c: Column(c, ADVICE) for c in cols}},
+        n_rows=n, n_rows_logical=n, gates=[], tables={table.id: table},
+        lookups=[LookupArg(id="lk", table=table.id, columns=tuple(cols), selector="q")],
+        copies=[], fixed={"q": [int(on) for *_, on in drawn]}, instance_map=[],
+    )
+    asg = Assignment(advice={c: [key[j] for key in keys] for j, c in enumerate(cols)}, instance=[])
+    assert check(layout, asg) == row_oracle_check(layout, asg)
+    # holds itself, on each key column's signed residues as int64 when
+    # they all fit, whichever way the checker's reading stores them.
+    signed = [[v % p - p if v % p > p // 2 else v % p for v in col] for col in zip(*keys)]
+    as_read = [np.array(col, np.int64 if max(map(abs, col)) < 2**63 else object) for col in signed]
+    want = [tuple(v % p for v in key) in rows for key in keys]
+    assert table.holds(as_read).tolist() == want
+
+
+@pytest.mark.parametrize("seed", [110, 111])
+@pytest.mark.parametrize("mode", [None, *VisibilityMode], ids=lambda m: m.value if m else "public")
+def test_no_table_entry_is_listed(seed, mode, monkeypatch):
+    """Compile, dump_layout, load_layout and check, of an honest witness
+    and of one with a clip act moved by one, never list a table's
+    entries."""
+    def listed(table):
+        raise AssertionError(f"the entries of {table.id} were listed")
+
+    monkeypatch.setattr(LookupTable, "rows", property(listed))
+    g = random_model(random.Random(seed), max_hw=32, max_c=16, max_layers=5)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    asg = assign_witness(layout, g, random_input(random.Random(1), g))
+    loaded = serialize.load_layout(serialize.dump_layout(layout))
+    witness = serialize.load_witness(serialize.dump_witness(asg))
+    assert check(loaded, witness) == []
+    lk = min((lk for lk in loaded.lookups if lk.table.startswith("clip:")), key=lambda lk: lk.id)
+    row = int(loaded.fixed[lk.selector].enabled_rows()[0])
+    witness.advice[lk.columns[1]][row] += 1
+    assert ("lookup", lk.id, row) in [(v.kind, v.id, v.row) for v in check(loaded, witness)]
+
+
 @pytest.mark.parametrize("recipe", [("range", 2**200, 2**200 + 3), ("clip", 1, 1, 0, 2**200, 2**200 + 3)])
 def test_lookup_beyond_an_int64_packing_runs_on_ints(recipe, tmp_path):
-    """A table whose entries no int64 packs (`sorted_entries` gives None),
-    written to a layout file and loaded back, is searched on Python ints:
-    an honest witness checks clean, and a key moved by 7 gives exactly one
-    lookup violation, on its row."""
+    """A table whose keys no int64 holds, written to a layout file and
+    loaded back, is tested on Python ints: an honest witness checks clean,
+    and a key moved by 7 gives exactly one lookup violation, on its row."""
     table = lookup_table(recipe, DEFAULT_MODULUS)
     entries = sorted(table.rows)
     n = len(entries)
@@ -430,7 +535,6 @@ def test_lookup_beyond_an_int64_packing_runs_on_ints(recipe, tmp_path):
     path = tmp_path / "layout.bin"
     path.write_bytes(serialize.dump_layout(layout))
     loaded = serialize.load_layout(path.read_bytes())
-    assert loaded.tables[table.id].sorted_entries(DEFAULT_MODULUS) is None
     asg = Assignment(advice={c: [e[j] for e in entries] for j, c in enumerate(cols)}, instance=[])
     assert check(loaded, asg) == []
     asg.advice["k"][2] += 7

@@ -10,6 +10,7 @@ from zkgrid.circuit import (
     Column,
     GateColumns,
     GateDef,
+    LookupArg,
     SlotColumns,
     builtin_gates,
     cell,
@@ -242,6 +243,21 @@ def test_column_eval_matches_tree_eval():
         expected = layout.fixed["q"][row] * (a * pow(b, 5, p) - c) % p
         assert eval_gate(layout, layout.gates[0], asg, row).value == expected
         assert got.get(row) == (f"G evaluates to {expected}" if expected else None)
+
+
+def test_table_on_another_field_refused():
+    """A lookup into a table made on another field is refused: a table
+    tests keys mod its own modulus."""
+    from zkgrid.arithmetize import lookup_table
+
+    layout = _mult_layout()
+    byte = lookup_table(("range", 0, 255), DEFAULT_MODULUS)
+    layout.tables[byte.id] = byte
+    layout.lookups.append(LookupArg(id="lk", table=byte.id, columns=("a",), selector="q"))
+    with pytest.raises(CircuitError, match="another field"):
+        layout.validate()
+    layout.tables[byte.id] = lookup_table(byte.recipe, F.modulus)
+    layout.validate()
 
 
 def test_debug_dump_shape():

@@ -1,6 +1,8 @@
 import json
+import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -452,6 +454,25 @@ def test_protocol_sample_size_and_cost(capsys):
     assert capsys.readouterr().out.strip() == "72"
     assert main(["protocol", "cost", "--n", "72", "--unit-cost", "0.16655"]) == 0
     assert capsys.readouterr().out.strip() == "$11.99"
+
+
+@pytest.mark.parametrize("method, value, delta", [
+    ("hoeffding", "1e-160", "0.05"),
+    ("hoeffding", "1e-300", "0.05"),
+    ("hoeffding", "0.05", "1e-320"),
+    ("retrieval", "1e-17", "0.05"),
+    ("retrieval", "1e-310", "0.05"),
+])
+def test_sample_size_past_float_range(method, value, delta, capsys):
+    """An epsilon whose square, a delta whose inverse, or a tamper
+    fraction whose 1 - p a float cannot hold still gives the size:
+    ln(1/delta) / (2 epsilon^2), or ln(2/delta) / p for a tiny p."""
+    flag = "--epsilon" if method == "hoeffding" else "--fraction"
+    assert main(["protocol", "sample-size", "--method", method, flag, value, "--delta", delta]) == 0
+    n = Fraction(int(capsys.readouterr().out))
+    x, d = Fraction(value), float(delta)
+    got, want = (2 * n * x * x, -math.log(d)) if method == "hoeffding" else (n * x, math.log(2 / d))
+    assert abs(got / Fraction(want) - 1) < 1 / n + Fraction(1, 10**9)
 
 
 def test_protocol_run_log(tmp_path, capsys):

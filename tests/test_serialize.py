@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import layout_doc, layout_file, layout_sections
 from zkgrid import serialize
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
+from zkgrid.checker import check
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
@@ -1062,11 +1063,35 @@ def test_fixed_column_pack_and_reads():
     assert gap.rows.tolist() == [0, 1, 3] and gap.nonzero_rows() == [0, 3] and list(gap) == [1, None, 0, 2]
 
 
-def test_loads_share_one_table_per_recipe():
-    """Compile and every load of its layout share one frozen table per
-    recipe."""
+def test_loads_give_equal_tables_per_recipe():
+    """Compile and every load of its layout give equal tables, in the same
+    order, one per recipe."""
     g = two_tap_fc_model()
     layout, _ = compile(g)
     first, second = (serialize.load_layout(serialize.dump_layout(layout)) for _ in range(2))
     assert first.tables and list(first.tables) == list(layout.tables)
-    assert all(first.tables[t] is second.tables[t] is layout.tables[t] for t in layout.tables)
+    assert all(first.tables[t] == second.tables[t] == layout.tables[t] for t in layout.tables)
+
+
+def test_crafted_table_recipes_build_no_entries(tmp_path):
+    """A layout file that lists two extra 2^20-entry range recipes, which
+    no lookup uses, loads and checks an honest witness in a few MB, since
+    no table entry is built; `zkgrid check` accepts the pair too."""
+    g = two_tap_fc_model()
+    layout, _ = compile(g)
+    doc = layout_doc(layout)
+    extra = [["range", lo, lo + 2**20 - 1] for lo in (1 << 30, 1 << 40)]
+    doc["header"]["tables"] += extra
+    lay, wit = tmp_path / "layout.bin", tmp_path / "witness.bin"
+    lay.write_bytes(layout_file(doc))
+    wit.write_bytes(serialize.dump_witness(assign_witness(layout, g, random_input(random.Random(3), g))))
+    tracemalloc.start()
+    try:
+        loaded = serialize.load_layout(lay.read_bytes())
+        violations = check(loaded, serialize.load_witness(wit.read_bytes()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [list(t.recipe) for t in loaded.tables.values()][-2:] == extra and violations == []
+    assert peak < 16 << 20
+    assert main(["check", str(lay), str(wit)]) == 0
