@@ -75,14 +75,18 @@ The DIV step runs in int64 when a and max|bound| * a fit it, on Python
 ints otherwise, as in the interpreter.
 
 Each DOT lane's x is a copy of a source cell, an input code or an earlier
-layer's act.  The witness fills one flat object array of the advice cells
-by the cell numbers of `WitnessPlan`, each step one scatter: the input
-codes, what the model alone fixes (weight staging, the weight digest's
-sponge states and the copies of fixed cells, worked out at compile), the
-outs, each DIV row's r, q and act and the input digest's sponge states;
-one gather over the copies then fills the rest, x lanes included.  The
-instance vector is the compiled instance map: logits, then raw input
-codes or the input digest, then the weight digest.
+layer's act.  Compile numbers only the advice cells the witness writes,
+column by column in row order (`WitnessPlan`), so each column is one
+slice of the numbers.  The witness fills one flat object array of exactly
+those cells, each step one scatter: the input codes, what the model alone
+fixes (weight staging, the weight digest's sponge states and the copies
+of fixed cells, worked out at compile), the outs, each DIV row's r, q and
+act and the input digest's sponge states; one gather over the copies then
+fills the rest, x lanes included.  A column whose every cell the model
+alone fixes is split into int_cells' form once, at compile, and shared
+read-only by every witness, which skips its copies.  The instance vector
+is the compiled instance map: logits, then raw input codes or the input
+digest, then the weight digest.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
 rows binding them to a public digest in the instance vector.  Hidden
@@ -309,8 +313,8 @@ class SitePlan:
 
 @dataclass(frozen=True)
 class SpongePlan:
-    """One committed tensor's sponge; the `*_at` fields are cell numbers,
-    as in WitnessPlan."""
+    """One committed tensor's sponge; the `*_at` fields are cell numbers
+    (WitnessPlan)."""
 
     label: str            # "input" | "weights"
     rows: np.ndarray      # per rate-sized chunk: its round-0 row, which adds it, then its later rounds' rows
@@ -324,8 +328,10 @@ class SpongePlan:
 
 @dataclass
 class WitnessPlan:
-    """The `*_at` fields are int64 arrays of cell numbers, advice index *
-    n_rows + row, the advice columns numbered in layout order."""
+    """The `*_at` fields are integer arrays of cell numbers.  Only the
+    advice cells the witness writes have a number: 0 .. n_cells - 1,
+    column by column in layout order and by row within a column, so a
+    column's cells are one slice of the witness's flat cell array."""
 
     sponge: SpongeParams | None
     n_inputs: int
@@ -333,6 +339,18 @@ class WitnessPlan:
     sponges: list
     advice_ids: list          # the advice columns, in layout order
     n_rows: int
+    # Per cell number, its advice index * n_rows + its row, increasing.
+    cell_ids: np.ndarray
+    # Per advice column: its used length, which of those rows it assigns
+    # (None: all of them) and the slice of cell numbers that holds them.
+    lengths: list
+    present: list
+    slices: list
+    # The advice columns whose every cell the model alone fixes, by
+    # advice index: their cells as int_cells splits them, worked out once
+    # and read-only, since every witness shares them.  The other columns
+    # are split per witness.
+    model_forms: dict
     input_at: np.ndarray
     pad_at: np.ndarray        # the staging cells pinned to zero
     # Every cell the weight staging computes (int8 weights, bias bytes and
@@ -344,13 +362,19 @@ class WitnessPlan:
     # cell.
     model_at: np.ndarray
     model_values: np.ndarray
-    copy_to: np.ndarray       # the copies between advice cells
+    # The copies between advice cells, but for those into a column of
+    # `model_forms`, which already holds their values.
+    copy_to: np.ndarray
     copy_from: np.ndarray
     instance_at: np.ndarray   # the bound cell of each instance value
 
+    @property
+    def n_cells(self) -> int:
+        return len(self.cell_ids)
+
     def cells(self, at) -> list[tuple]:
         """The (column id, row) of each cell number in `at`."""
-        cols, rows = np.divmod(np.asarray(at, np.int64), self.n_rows)
+        cols, rows = np.divmod(self.cell_ids[np.asarray(at, np.int64)], self.n_rows)
         return list(zip(map(self.advice_ids.__getitem__, cols.tolist()), rows.tolist()))
 
     # (column id, row) views of the cell numbers, built on each call; only
@@ -889,7 +913,9 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
                   input_cells: tuple, layer_plans: list, sponges: list, absorbed: tuple | None,
                   staged: tuple | None) -> WitnessPlan:
     """The witness plan of the finalized grid `layout`; `absorbed` and
-    `staged` are what `_stage_weights` returns, or None."""
+    `staged` are what `_stage_weights` returns, or None.  A cell is first
+    named by its advice index * n_rows + its row; the cells the witness
+    writes are then numbered in that order."""
     n_rows = layout.n_rows
     names = layout.copies.names
     advice = np.array([layout.columns[c].kind == ADVICE for c in names])
@@ -900,15 +926,13 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
         return adv[cols] * n_rows + rows
 
     nums = bld.group_nums() if bld.groups else {}
-    for k, lp in enumerate(layer_plans):
+    outs, divs = [], []
+    for lp in layer_plans:
         rows = chain_rows(lp.taps)[lp.chain]
         blocks = np.minimum(np.arange(lp.src.shape[1] // GATE_WIDTH), rows[:, None] - 1)
         last = lp.first_row + rows - 1
-        layer_plans[k] = replace(
-            lp,
-            out_at=at(nums["out"][lp.group, lp.slot][:, None], lp.first_row[:, None] + blocks).ravel(),
-            div_at=np.concatenate([at(nums[role][lp.group, lp.slot], last) for role in ("r", "q", "act")]),
-        )
+        outs.append(at(nums["out"][lp.group, lp.slot][:, None], lp.first_row[:, None] + blocks).ravel())
+        divs.append(np.concatenate([at(nums[role][lp.group, lp.slot], last) for role in ("r", "q", "act")]))
 
     flat = layout.copies.flat
     to, src = at(flat[0::4], flat[1::4]), at(flat[2::4], flat[3::4])
@@ -919,33 +943,93 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
         dense[j, layout.fixed[names[k]].rows] = layout.fixed[names[k]].values
     model = [(to[fixed], dense[col_of, flat[3::4][fixed]])]
 
-    sponge_plans = []
-    for label, message, rows, state, digest in sponges:
-        sp = SpongePlan(label, rows, at(*message), at(*state), int(at(*digest)[0]))
-        sponge_plans.append(sp)
+    sponges = [(label, rows, at(*message), at(*state), at(*digest)) for label, message, rows, state, digest in sponges]
+    for label, _, _, state, _ in sponges:
         if label == "weights":
-            model.append(_fill_sponge(sp, absorbed[2].tolist(), sponge))
+            model.append((state, _fill_sponge(absorbed[2].tolist(), sponge)))
     weight_at = None
     if staged is not None:
         weight_at = at(*staged[:2])
         model.append((weight_at, staged[2]))
+    model_values = np.concatenate([np.asarray(v, object) for _, v in model])
 
-    bound = layout.instance_map.flat   # in instance order, as compile binds it
+    # Number the cells the witness writes, in the order of their names,
+    # through an index over every advice cell; each cell the plan reads
+    # must be one of them.
+    advice_ids = [c for c, kind in zip(names, advice.tolist()) if kind]
+    input_at, model_at, copy_to = at(*input_cells), np.concatenate([c for c, _ in model]), to[~fixed]
+    input_states = [state for label, _, _, state, _ in sponges if label == "input"]
+    instance_at = at(layout.instance_map.flat[0::3], layout.instance_map.flat[1::3])
+    pad_at = np.concatenate([at(*pads) for pads in bld.io_pads] or [np.zeros(0, np.int64)])
+    written = np.zeros(len(advice_ids) * n_rows, bool)
+    written[np.concatenate([input_at, model_at, *outs, *divs, *input_states, copy_to])] = True
+    reads = [src[~fixed], instance_at, pad_at, *[c for _, _, *cells in sponges for c in cells]]
+    if not written[np.concatenate(reads)].all():
+        raise CompileError("the witness plan reads an advice cell the witness never writes")
+    ids = np.flatnonzero(written)
+    number = np.empty(len(written), np.int32)   # read only where written
+    number[ids] = np.arange(len(ids))
+    input_at, model_at, copy_to, copy_from, instance_at, pad_at = (
+        number[c] for c in (input_at, model_at, copy_to, src[~fixed], instance_at, pad_at))
+    outs, divs, input_states = ([number[c] for c in part] for part in (outs, divs, input_states))
+
+    starts = np.searchsorted(ids, np.arange(len(advice_ids) + 1) * n_rows)
+    slices = [slice(s, e) for s, e in zip(starts.tolist(), starts[1:].tolist())]
+    lengths = [int(ids[s.stop - 1]) - j * n_rows + 1 if s.stop > s.start else 0 for j, s in enumerate(slices)]
+    present = [None] * len(slices)
+    for j in np.flatnonzero(np.diff(starts) < lengths).tolist():
+        present[j] = np.zeros(lengths[j], bool)
+        present[j][ids[slices[j]] - j * n_rows] = True
+        present[j].flags.writeable = False   # every witness's column holds it
+
+    # The columns whose every cell holds what the model alone fixes once
+    # the fill's steps have run in order (the input codes, the model's
+    # cells, the layers' and the input digest's cells, then the copies),
+    # split once.  `origin` is the cell each cell's value comes from.
+    by_model = np.zeros(len(ids), bool)
+    by_model[model_at] = True
+    for cells in (*outs, *divs, *input_states):
+        by_model[cells] = False
+    origin = np.arange(len(ids))
+    origin[copy_to] = copy_from
+    full = np.flatnonzero(np.diff(starts))
+    model_col = np.ones(len(slices), bool)
+    model_col[full] = ~np.logical_or.reduceat(~by_model[origin], starts[full])
+    model_cols = np.flatnonzero(model_col).tolist()
+    values = np.empty(len(ids), object)
+    values[model_at] = model_values
+    model_forms = dict(zip(model_cols, int_cells([values[origin[slices[j]]] for j in model_cols])))
+    for cells, _, outliers in model_forms.values():
+        cells.flags.writeable = outliers.flags.writeable = False
+    # A copy into one of those columns is already in its cells, unless the
+    # instance reads its target.
+    dropped = np.repeat(model_col, np.diff(starts))
+    dropped[instance_at] = False
+    keep = ~dropped[copy_to]
+
     return WitnessPlan(
         sponge=sponge,
         n_inputs=n_inputs,
-        layer_plans=layer_plans,
-        sponges=sponge_plans,
-        advice_ids=[c for c, kind in zip(names, advice.tolist()) if kind],
+        layer_plans=[replace(lp, out_at=o, div_at=d) for lp, o, d in zip(layer_plans, outs, divs)],
+        sponges=[
+            SpongePlan(label, rows, number[message], number[state], int(number[digest][0]))
+            for label, rows, message, state, digest in sponges
+        ],
+        advice_ids=advice_ids,
         n_rows=n_rows,
-        input_at=at(*input_cells),
-        pad_at=np.concatenate([at(*pads) for pads in bld.io_pads] or [np.zeros(0, np.int64)]),
-        weight_at=weight_at,
-        model_at=np.concatenate([c for c, _ in model]),
-        model_values=np.concatenate([np.asarray(v, object) for _, v in model]),
-        copy_to=to[~fixed],
-        copy_from=src[~fixed],
-        instance_at=at(bound[0::3], bound[1::3]),
+        cell_ids=ids,
+        lengths=lengths,
+        present=present,
+        slices=slices,
+        model_forms=model_forms,
+        input_at=input_at,
+        pad_at=pad_at,
+        weight_at=None if weight_at is None else number[weight_at],
+        model_at=model_at,
+        model_values=model_values,
+        copy_to=copy_to[keep],
+        copy_from=copy_from[keep],
+        instance_at=instance_at,
     )
 
 
@@ -1313,10 +1397,12 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     """Fill the honest witness for one input.
 
     The layout must come from compile() for the same graph; the attached
-    plan drives the fill, as the module docstring says, marking each
-    cell it writes.  Each site's accumulator and activation are checked
-    against the interpreter trace.  The columns are cut from the array as
-    `circuit.AdviceColumn`s, and the instance is the bound cells' values.
+    plan drives the fill, as the module docstring says, into one flat
+    array of the cells it writes.  Each site's accumulator and activation
+    are checked against the interpreter trace.  The columns are cut from
+    the array as `circuit.AdviceColumn`s, but for those the model alone
+    fixes, which wrap the plan's cells, and the instance is the bound
+    cells' values.
     """
     plan: WitnessPlan = layout.plan
     if plan is None:
@@ -1327,38 +1413,34 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     if len(codes) != plan.n_inputs:
         raise WitnessError(f"input has {len(codes)} elements, plan expects {plan.n_inputs}")
 
-    names = plan.advice_ids
-    vals = np.empty(len(names) * layout.n_rows, object)
-    assigned = np.zeros(len(vals), bool)
-
-    def put(cells: np.ndarray, values) -> None:
-        vals[cells] = values
-        assigned[cells] = True
-
-    put(plan.input_at, codes)
-    put(plan.model_at, plan.model_values)
+    vals = np.empty(plan.n_cells, object)
+    vals[plan.input_at] = codes
+    vals[plan.model_at] = plan.model_values
     acts = {INPUT_REF: np.frombuffer(inp.data, np.uint8)}
     for lp in plan.layer_plans:
         t = trace.layers[lp.layer] if lp.layer < len(trace.layers) else None
         if t is None or t.acc.size != len(lp.chain):
             raise WitnessError(f"layer {lp.layer} of the model does not match the layout's plan")
         acts[lp.layer] = t.act.reshape(-1)
-        outs, divs = _fill_layer(lp, [acts[ref] for ref in lp.refs], t.acc.reshape(-1), acts[lp.layer],
-                                 graph.bounds[lp.layer], p)
-        put(lp.out_at, outs)
-        put(lp.div_at, divs)
+        vals[lp.out_at], vals[lp.div_at] = _fill_layer(
+            lp, [acts[ref] for ref in lp.refs], t.acc.reshape(-1), acts[lp.layer], graph.bounds[lp.layer], p)
     for sp in plan.sponges:
         if sp.label == "input":   # the weight digest's states are in the model's cells
-            put(*_fill_sponge(sp, vals[sp.message_at].tolist(), plan.sponge))
+            vals[sp.state_at] = _fill_sponge(vals[sp.message_at].tolist(), plan.sponge)
 
     # Compile makes no cell the target of two copies and no source the
     # target of another, so one gather fills every target.
     vals[plan.copy_to] = vals[plan.copy_from]
-    assigned[plan.copy_to] = assigned[plan.copy_from]
 
-    shape = (len(names), layout.n_rows)
-    columns = AdviceColumn.pack(vals.reshape(shape), assigned.reshape(shape))
-    return Assignment(advice=dict(zip(names, columns)), instance=vals[plan.instance_at].tolist())
+    names = plan.advice_ids
+    cut = [j for j in range(len(names)) if j not in plan.model_forms]
+    forms = dict(zip(cut, int_cells([vals[plan.slices[j]] for j in cut])))
+    forms.update(plan.model_forms)
+    advice = {
+        col_id: AdviceColumn(layout.n_rows, length, mask, forms[j])
+        for j, (col_id, length, mask) in enumerate(zip(names, plan.lengths, plan.present))
+    }
+    return Assignment(advice=advice, instance=vals[plan.instance_at].tolist())
 
 
 def _fill_layer(lp: LayerPlan, sources: list, accs: np.ndarray, acts: np.ndarray,
@@ -1388,10 +1470,10 @@ def _fill_layer(lp: LayerPlan, sources: list, accs: np.ndarray, acts: np.ndarray
     return outs.ravel().astype(object) % p, np.concatenate([r, d_q + lp.off, acts])
 
 
-def _fill_sponge(sp: SpongePlan, elements: list[int], params: SpongeParams) -> tuple[np.ndarray, list]:
-    """The cells `sp.state_at` and their values for `elements`: each row's
-    state out after its last round and, on a pair row, u after its first.
-    Every other sponge cell is a copy."""
+def _fill_sponge(elements: list[int], params: SpongeParams) -> list:
+    """The values of a sponge's `state_at` cells for `elements`: each
+    row's state out after its last round and, on a pair row, u after its
+    first.  Every other sponge cell is a copy."""
     row_rounds = _sponge_row_rounds(params)
     values = []
     for _, states in sponge_states(elements, params):
@@ -1401,4 +1483,4 @@ def _fill_sponge(sp: SpongePlan, elements: list[int], params: SpongeParams) -> t
             values += states[rounds[-1] + 2]
             if len(rounds) == 2:
                 values.append(states[rounds[0] + 2][0])
-    return sp.state_at, values
+    return values

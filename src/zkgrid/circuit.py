@@ -73,25 +73,41 @@ class Expr:
     col: str = ""             # cell payload
     args: tuple = ()          # operands
 
-    def degree(self) -> int:
+    def degree(self, memo: dict | None = None) -> int:
+        """The total degree.  `memo` keeps the degree of each node walked,
+        by its id, so one memo shared by a walk of trees that share
+        subtrees visits each distinct node once; it must not outlive the
+        trees."""
         if self.op == "const":
             return 0
         if self.op == "cell":
             return 1
+        memo = {} if memo is None else memo
+        got = memo.get(id(self))
+        if got is not None:
+            return got
         if self.op in ("add", "sub"):
-            return max(a.degree() for a in self.args)
-        if self.op == "mul":
-            return sum(a.degree() for a in self.args)
-        if self.op == "pow5":
-            return 5 * self.args[0].degree()
-        raise CircuitError(f"bad expr op {self.op!r}")
+            got = max(a.degree(memo) for a in self.args)
+        elif self.op == "mul":
+            got = sum(a.degree(memo) for a in self.args)
+        elif self.op == "pow5":
+            got = 5 * self.args[0].degree(memo)
+        else:
+            raise CircuitError(f"bad expr op {self.op!r}")
+        memo[id(self)] = got
+        return got
 
-    def columns(self) -> set[str]:
+    def columns(self, memo: dict | None = None) -> set[str]:
+        """The columns the tree reads.  `memo` keeps each node's set, as in
+        `degree`; a caller must not change a set it got through one."""
         if self.op == "cell":
             return {self.col}
-        out: set[str] = set()
-        for a in self.args:
-            out |= a.columns()
+        memo = {} if memo is None else memo
+        out = memo.get(id(self))
+        if out is None:
+            out = memo[id(self)] = set()
+            for a in self.args:
+                out |= a.columns(memo)
         return out
 
     def to_sexpr(self) -> str:
@@ -668,25 +684,15 @@ class AdviceColumn(Sequence):
         return self._values
 
     @classmethod
-    def pack(cls, vals: np.ndarray, assigned: np.ndarray) -> list["AdviceColumn"]:
-        """Each row of the 2-D object array `vals` as a column of its used
-        length, the same-shaped bool array `assigned` marking its assigned
-        cells; `int_cells` splits all of them in one pass."""
-        n_rows = assigned.shape[1]
-        counts = assigned.sum(axis=1)
-        lengths = np.where(counts > 0, n_rows - assigned[:, ::-1].argmax(axis=1), 0) if n_rows else counts
-        picked, ends = vals[assigned], np.cumsum(counts).tolist()
-        forms = int_cells([picked[a:b] for a, b in zip([0, *ends], ends)])
-        return [
-            cls(n_rows, length, None if n == length else mask[:length], form)
-            for mask, n, length, form in zip(assigned, counts.tolist(), lengths.tolist(), forms)
-        ]
-
-    @classmethod
     def of_list(cls, vals) -> "AdviceColumn":
-        """The column of a sequence of cells, None for an unassigned one."""
+        """The column of a sequence of cells, None for an unassigned one,
+        at its used length."""
         vals = np.array(list(vals), object)
-        return cls.pack(vals[None], np.not_equal(vals, None)[None])[0]
+        assigned = np.not_equal(vals, None)
+        n = int(np.count_nonzero(assigned))
+        length = len(vals) - int(assigned[::-1].argmax()) if n else 0
+        [form] = int_cells([vals[assigned]])
+        return cls(len(vals), length, None if n == length else assigned[:length], form)
 
     def tolist(self) -> list:
         out = np.full(self.n_rows, None, object)
@@ -800,10 +806,11 @@ class CircuitLayout:
         for col_id, col in self.columns.items():
             if col.kind == FIXED and col_id not in self.fixed:
                 raise CircuitError(f"fixed column {col_id} has no values")
+        memo: dict[int, set] = {}
         for g in self.gates:
             if not self._is_fixed(g.selector):
                 raise CircuitError(f"gate {g.id}: selector must be a fixed column")
-            for c in g.poly.columns():
+            for c in g.poly.columns(memo):
                 if c not in self.columns:
                     raise CircuitError(f"gate {g.id}: unknown column {c}")
         for lk in self.lookups:
@@ -835,8 +842,10 @@ class CircuitLayout:
             raise CircuitError(f"instance binding has negative index {idx}")
 
     def max_gate_degree(self) -> int:
-        # Selector contributes one to every gate's total degree.
-        return max((1 + g.poly.degree() for g in self.gates), default=0)
+        # Selector contributes one to every gate's total degree.  The gates
+        # share subtrees, so one memo walks each distinct node once.
+        memo: dict[int, int] = {}
+        return max((1 + g.poly.degree(memo) for g in self.gates), default=0)
 
     def resolve_column(self, col_id: str, assignment: Assignment) -> list:
         if self.columns[col_id].kind == FIXED:

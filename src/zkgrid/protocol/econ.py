@@ -147,9 +147,8 @@ def retrieval_sample_size(p_tamper, delta) -> int:
     dl = as_fraction(delta)
     if not 0 < pt < 1 or not 0 < dl < 1:
         raise EconError("tamper fraction and confidence must lie in (0, 1)")
-    # Divided as fractions, so that no quotient overflows a float, and
-    # log1p, so that a tiny p does not round 1 - p to 1.
-    n = max(1, math.ceil(Fraction(math.log(float(dl) / 2)) / Fraction(math.log1p(-float(pt)))))
+    # Divided as fractions, so that no quotient overflows a float.
+    n = max(1, math.ceil(_log(dl / 2) / _log(1 - pt)))
     if n <= 100_000:  # exact boundary adjustment is cheap at sane sizes
         target = dl / 2
         miss = 1 - pt
@@ -168,7 +167,18 @@ def hoeffding_sample_size(epsilon, delta) -> int:
     if not 0 < eps <= 1 or not 0 < dl < 1:
         raise EconError("epsilon must lie in (0, 1] and delta in (0, 1)")
     # As fractions: a tiny epsilon squares to 0 in floats.
-    return math.ceil(Fraction(-math.log(dl)) / (2 * eps * eps))
+    return math.ceil(-_log(dl) / (2 * eps * eps))
+
+
+def _log(x: Fraction) -> Fraction:
+    """ln x for a fraction x in (0, 1), to a float's precision also where x
+    or 1 - x lies below the float range."""
+    q = 1 - x
+    if q < Fraction(1, 1 << 64):
+        return -q   # ln(1 - q) = -q - q**2 / 2 - ..., the rest below a float's precision
+    if x < Fraction(1, 2):   # math.log takes ints of any size
+        return Fraction(math.log(x.numerator) - math.log(x.denominator))
+    return Fraction(math.log1p(-float(q)))
 
 
 def cost_estimate(n: int, unit_cost) -> Fraction:

@@ -1234,3 +1234,122 @@ def test_prover_columns_check_as_their_file(seed, mode):
         got = check(layout, asg, cap=10_000)
         assert got == check(layout, loaded, cap=10_000)
         assert bool(got) == (asg is not honest)
+
+
+# The golden digest table's models and modes (tests/test_golden_digests.py):
+# seeds 0-7 at the default shapes in every mode, and seeds 110 and 111 at
+# 32 x 16 x 5, public and hidden-weights.
+GOLDEN_CASES = [(seed, None, mode) for seed in range(8) for mode in MODES] + [
+    (seed, (32, 16, 5), mode) for seed in (110, 111) for mode in (None, VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS)
+]
+
+
+def _golden_model(seed, shape):
+    rng = random.Random(seed)
+    if shape is None:
+        return random_model(rng)
+    max_hw, max_c, max_layers = shape
+    return random_model(rng, max_hw=max_hw, max_c=max_c, max_layers=max_layers)
+
+
+def _naive_degree(e) -> int:
+    """The degree by plain recursion, walking a shared subtree again at
+    each of its uses."""
+    if e.op in ("const", "cell"):
+        return int(e.op == "cell")
+    ds = [_naive_degree(a) for a in e.args]
+    return {"add": max, "sub": max, "mul": sum}.get(e.op, lambda d: 5 * d[0])(ds)
+
+
+@pytest.mark.parametrize("seed, shape, mode", GOLDEN_CASES)
+def test_max_gate_degree_is_the_naive_degree(seed, shape, mode):
+    layout, stats = compile(_golden_model(seed, shape), CompileConfig(mode=mode))
+    want = max(1 + _naive_degree(g.poly) for g in layout.gates)
+    assert layout.max_gate_degree() == stats.max_gate_degree == want
+
+
+@pytest.mark.parametrize("seed, shape, mode", GOLDEN_CASES)
+def test_witness_numbers_its_assigned_cells(seed, shape, mode):
+    """The plan numbers the witness's cells 0 .. n-1, column by column in
+    row order, each once; they are exactly the honest witness's assigned
+    cells.  Each prover column has the form `AdviceColumn.of_list` gives
+    its cells, and check reads the prover's assignment as its file round
+    trip, honest and with three tampered cells (one in a column the model
+    alone fixes, when there is one)."""
+    g = _golden_model(seed, shape)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    plan, p = layout.plan, layout.field.modulus
+    rng = random.Random(seed)
+    honest = assign_witness(layout, g, random_input(rng, g))
+
+    n = plan.n_cells
+    cells = plan.cells(range(n))
+    order = [(plan.advice_ids.index(c), r) for c, r in cells]
+    assert order == sorted(set(order))
+    assigned = [(c, r) for c, col in honest.advice.items() for r, v in enumerate(col.tolist()) if v is not None]
+    assert sorted(cells) == sorted(assigned)
+    for col_id in plan.advice_ids:
+        got, want = honest.advice[col_id], AdviceColumn.of_list(honest.advice[col_id].tolist())
+        assert (got.n_rows, got.length, got.base) == (want.n_rows, want.length, want.base)
+        assert (got.present is None) == (want.present is None)
+        assert got.present is None or np.array_equal(got.present, want.present)
+        assert np.array_equal(got.cells, want.cells) and got.cells.dtype == want.cells.dtype
+        assert got.outliers.tolist() == want.outliers.tolist()
+
+    targets = rng.sample(cells, 3)
+    model_cells = [(c, r) for c, r in cells if plan.advice_ids.index(c) in plan.model_forms]
+    if model_cells:
+        targets[0] = rng.choice(model_cells)
+    assert check(layout, honest) == []
+    for asg in [honest, *(copy.deepcopy(honest) for _ in targets)]:
+        if asg is not honest:
+            col, row = targets.pop()
+            asg.advice[col][row] = (asg.advice[col][row] + 1) % p
+        loaded = serialize.load_witness(serialize.dump_witness(asg))
+        assert check(layout, asg, cap=10_000) == check(layout, loaded, cap=10_000)
+
+
+def test_model_columns_are_shared_read_only():
+    """On the benchmark's audit model, the columns the model alone fixes
+    are split once at compile and shared by every witness: tampering one
+    witness's cell there, as the benchmark does, leaves the next witness
+    of the same layout as a fresh layout's, and writing into the shared
+    cells in place raises."""
+    g = random_model(random.Random(111), max_hw=32, max_c=16, max_layers=5)
+    cfg = CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS)
+    layout, _ = compile(g, cfg)
+    plan, p = layout.plan, layout.field.modulus
+    assert len(plan.model_forms) == 83
+    rng = random.Random(3)
+    first, second = random_input(rng, g), random_input(rng, g)
+
+    asg = assign_witness(layout, g, first)
+    model_cells = [(c, r) for c, r in plan.cells(range(plan.n_cells)) if plan.advice_ids.index(c) in plan.model_forms]
+    for col, row in model_cells[::500]:
+        asg.advice[col][row] = (asg.advice[col][row] + 1) % p
+    assert check(layout, asg) != []
+
+    asg = assign_witness(layout, g, second)
+    fresh, _ = compile(g, cfg)
+    assert serialize.dump_witness(asg) == serialize.dump_witness(assign_witness(fresh, g, second))
+    assert check(layout, asg) == []
+    for col, _ in model_cells[::500]:
+        cells, _, outliers = plan.model_forms[plan.advice_ids.index(col)]
+        assert asg.advice[col].cells is cells and asg.advice[col].outliers is outliers
+        with pytest.raises(ValueError, match="read-only"):
+            asg.advice[col].cells[0] = 5
+
+
+def test_gate_degree_walks_shared_nodes_once():
+    """A gate that uses one pow5 subtree three times: the degree is the
+    naive one, and the memo holds one entry per distinct inner node."""
+    from zkgrid.circuit import GateDef, add, cell, const, mul, pow5, sub
+
+    shared = pow5(add(cell("a"), const(3)))
+    poly = sub(mul(shared, shared), add(shared, cell("b")))
+    memo = {}
+    assert poly.degree(memo) == _naive_degree(poly) == 10
+    assert len(memo) == 5   # sub, mul, the outer add, pow5 and its add
+    layout, _ = compile(_fc_model())
+    layout.gates = [GateDef("shared", "SHARED", layout.gates[0].selector, poly)]
+    assert layout.max_gate_degree() == 11

@@ -412,6 +412,21 @@ def test_hoeffding_monotone(e1, e2, d_pct):
         assert hoeffding_sample_size(ea, d) >= hoeffding_sample_size(ea, d + F(1, 100))
 
 
+def test_sample_sizes_of_fractions_past_the_float_range():
+    """Exact fractions whose float is 0 or 1 still give the closed-form
+    size: a tamper fraction or a delta of 10**-400, and one of 1 - 10**-400
+    (ln is taken of the numerator and denominator, or of 1 - x)."""
+    import math
+
+    tiny = F(1, 10**400)
+    assert retrieval_sample_size(tiny, F(1, 20)) == math.ceil(F(math.log(40)) * 10**400)
+    assert hoeffding_sample_size(F(1, 20), tiny) == math.ceil(200 * F(math.log(10**400)))
+    n = retrieval_sample_size(F(1, 20), tiny)   # small enough for the exact adjustment
+    assert F(19, 20) ** n <= tiny / 2 < F(19, 20) ** (n - 1)
+    assert retrieval_sample_size(1 - tiny, F(1, 20)) == 1
+    assert hoeffding_sample_size(F(1, 20), 1 - tiny) == 1
+
+
 def test_cost_estimates():
     c = "0.16655"
     assert format_currency(cost_estimate(600, c)) == "$99.93"
