@@ -1339,17 +1339,3 @@ def test_model_columns_are_shared_read_only():
         with pytest.raises(ValueError, match="read-only"):
             asg.advice[col].cells[0] = 5
 
-
-def test_gate_degree_walks_shared_nodes_once():
-    """A gate that uses one pow5 subtree three times: the degree is the
-    naive one, and the memo holds one entry per distinct inner node."""
-    from zkgrid.circuit import GateDef, add, cell, const, mul, pow5, sub
-
-    shared = pow5(add(cell("a"), const(3)))
-    poly = sub(mul(shared, shared), add(shared, cell("b")))
-    memo = {}
-    assert poly.degree(memo) == _naive_degree(poly) == 10
-    assert len(memo) == 5   # sub, mul, the outer add, pow5 and its add
-    layout, _ = compile(_fc_model())
-    layout.gates = [GateDef("shared", "SHARED", layout.gates[0].selector, poly)]
-    assert layout.max_gate_degree() == 11

@@ -12,8 +12,10 @@ from zkgrid.circuit import (
     GateDef,
     LookupArg,
     SlotColumns,
+    add,
     builtin_gates,
     cell,
+    const,
     int_cells,
     mul,
     pow5,
@@ -213,6 +215,19 @@ def test_degree_accounting():
     assert by_name["DOT_4"].poly.degree() == 2
     assert by_name["DIV"].poly.degree() == 2
     assert sub(mul(cell("a"), pow5(cell("b"))), cell("c")).degree() == 6
+
+
+def test_gate_degree_walks_shared_nodes_once():
+    """A gate reading one pow5 subtree three times: its degree counts
+    every use, and the memo holds one entry per distinct inner node."""
+    shared = pow5(add(cell("a"), const(3)))
+    poly = sub(mul(shared, shared), add(shared, cell("b")))
+    memo = {}
+    assert poly.degree(memo) == 10
+    assert len(memo) == 5   # sub, mul, the outer add, pow5 and its add
+    layout = _mult_layout()
+    layout.gates = [GateDef(id="shared", name="SHARED", selector="q", poly=poly)]
+    assert layout.max_gate_degree() == 11
 
 
 def test_column_eval_matches_tree_eval():
