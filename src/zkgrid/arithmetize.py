@@ -82,11 +82,17 @@ those cells, each step one scatter: the input codes, what the model alone
 fixes (weight staging, the weight digest's sponge states and the copies
 of fixed cells, worked out at compile), the outs, each DIV row's r, q and
 act and the input digest's sponge states; one gather over the copies then
-fills the rest, x lanes included.  A column whose every cell the model
-alone fixes is split into int_cells' form once, at compile, and shared
-read-only by every witness, which skips its copies.  The instance vector
-is the compiled instance map: logits, then raw input codes or the input
-digest, then the weight digest.
+fills the rest, x lanes included.  A cell holds an integer that stands
+for its residue: the small values (weights, zero points, biases, partial
+sums, staged bytes) stay signed, and only the sponge states and packed
+elements are wide.  `circuit.residue_cells` then splits the columns into
+the codec's form, the small ones with array operations only, as it does
+the fixed columns at compile.  A column whose every cell the model alone
+fixes is split once, at compile, and shared read-only by every witness,
+which skips its copies; its cell column bytes are encoded then too, and
+each witness's column carries them to the file writer.  The instance
+vector, reduced mod p, is the compiled instance map: logits, then raw
+input codes or the input digest, then the weight digest.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
 rows binding them to a public digest in the instance vector.  Hidden
@@ -135,6 +141,7 @@ import numpy as np
 
 from .circuit import (
     ADVICE,
+    CELL_LIMIT,
     FIXED,
     LOOKUP_CAP,
     MAX_CELLS,
@@ -156,9 +163,10 @@ from .circuit import (
     cell,
     clip_offset,
     const,
-    int_cells,
+    encode_cell_columns,
     mul,
     pow5,
+    residue_cells,
     sub,
 )
 from .commit import (
@@ -331,7 +339,9 @@ class WitnessPlan:
     """The `*_at` fields are integer arrays of cell numbers.  Only the
     advice cells the witness writes have a number: 0 .. n_cells - 1,
     column by column in layout order and by row within a column, so a
-    column's cells are one slice of the witness's flat cell array."""
+    column's cells are one slice of the witness's flat cell array.  The
+    values it holds stand for their residues mod p, small ones signed;
+    the columns the model alone fixes are kept split and encoded."""
 
     sponge: SpongeParams | None
     n_inputs: int
@@ -347,19 +357,21 @@ class WitnessPlan:
     present: list
     slices: list
     # The advice columns whose every cell the model alone fixes, by
-    # advice index: their cells as int_cells splits them, worked out once
-    # and read-only, since every witness shares them.  The other columns
+    # advice index: their cells as int_cells splits their residues, worked
+    # out once and read-only, since every witness shares them, and their
+    # cell column bytes (`circuit.encode_cell_columns`).  The other columns
     # are split per witness.
     model_forms: dict
+    model_bytes: dict
     input_at: np.ndarray
     pad_at: np.ndarray        # the staging cells pinned to zero
     # Every cell the weight staging computes (int8 weights, bias bytes and
     # each PACK row's pk_out), None unless weights are hidden; none of it
     # depends on the input.
     weight_at: np.ndarray | None
-    # Every cell whose value the model alone fixes, and its value: the
-    # weight staging, the weight digest's states and each copy of a fixed
-    # cell.
+    # Every cell whose value the model alone fixes, and its value (signed
+    # when small, as compile put it): the weight staging, the weight
+    # digest's states and each copy of a fixed cell.
     model_at: np.ndarray
     model_values: np.ndarray
     # The copies between advice cells, but for those into a column of
@@ -511,8 +523,8 @@ class _Builder:
         self.param_cells: dict[int, tuple[tuple, tuple]] = {}
         self.pack_cols: tuple | None = None
         self.regions: dict[str, dict[str, int]] = {}   # CircuitStats.regions
-        # v mod p for v in -128..127, indexed by v + 128: public weights.
-        self.int8_residues = np.array([v % self.p for v in range(-128, 128)], object)
+        # Each fixed column's (rows, values) as put, once _finalize joins them.
+        self.fixed_values: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self.zero_col = self.new_column("zero", FIXED)
 
     def new_column(self, col_id: str, kind: str) -> str:
@@ -548,10 +560,12 @@ class _Builder:
 
     def put_fixed(self, pieces: list) -> None:
         """Set the fixed cells `pieces` give as (column numbers, rows,
-        values) arrays, the values residues or one int for the piece.  A
-        column's cells come in increasing row order, after its earlier
-        cells; a piece of value 0 is left out."""
-        pieces = [pc for pc in pieces if not isinstance(pc[2], int) or pc[2]]
+        values) arrays, the values integers of any size that stand for
+        their residues (small signed values as int64) or one int for the
+        piece.  A column's cells come in increasing row order, after its
+        earlier cells; no value may be 0 mod p, and a piece of one int
+        that is 0 mod p is left out."""
+        pieces = [pc for pc in pieces if not isinstance(pc[2], int) or pc[2] % self.p]
         if not pieces:
             return
         cols = np.concatenate([c for c, _, _ in pieces])
@@ -560,7 +574,7 @@ class _Builder:
         order = np.argsort(cols.astype(np.uint16) if len(self.col_number) <= 1 << 16 else cols, kind="stable")
         cols = cols[order]
         rows = np.concatenate([r for _, r, _ in pieces]).astype(np.int32)[order]
-        vals = np.concatenate([np.full(len(c), v, object) if isinstance(v, int) else v for c, _, v in pieces])[order]
+        vals = np.concatenate([np.full(len(c), v) if isinstance(v, int) else v for c, _, v in pieces])[order]
         del order, pieces
         cuts = (np.flatnonzero(np.diff(cols)) + 1).tolist()
         names = list(self.col_number)
@@ -851,7 +865,8 @@ def _stage_weights(bld: _Builder, q_byte: int) -> tuple:
     Sets `bld.param_cells`.  Returns each unit's last pk_out cell and its
     value (the absorbed elements) and, as (column numbers, rows, values),
     every cell the staging computes: the staged values, then each row's
-    pk_out."""
+    pk_out.  The values are not reduced mod p: the staged ones, a bias
+    and its PACK rows' pk_out are small signed integers."""
     graph, p, n = bld.graph, bld.p, GATE_WIDTH
     q_i8 = bld.col_number[bld.io_lookup("w", bld.table(("range", -128, 127)))]
     k = pack_width(p)
@@ -888,7 +903,7 @@ def _stage_weights(bld: _Builder, q_byte: int) -> tuple:
     half = np.array([256**j for j in range(n // 2)], np.int64)
     by_row = np.zeros(live.shape, object)
     by_row[live] = (lanes[:, : n // 2] @ half).astype(object) + ((lanes[:, n // 2 :] @ half).astype(object) << 4 * n)
-    outs = ((np.cumsum(by_row * scale, axis=1) + const_term[:, None]) % p)[live]
+    outs = (np.cumsum(by_row * scale, axis=1) + const_term[:, None])[live]
     rows, scales, offs = _live(live, rows, scale % p, offs % p)
     bld.put_fixed([
         (np.full(len(rows), q_pack), rows, 1),
@@ -903,7 +918,7 @@ def _stage_weights(bld: _Builder, q_byte: int) -> tuple:
         bld.param_cells[i] = (tuple(c[v : v + n_w] for c in cells), (np.full(n_b, pk_out), rows[b]))
         v += n_w + 4 * n_b
         unit += n_c + n_b
-    values = (digits - np.repeat(shift, counts)).astype(object) % p
+    values = digits - np.repeat(shift, counts)
     computed = (np.concatenate([cells[0], np.full(len(rows), pk_out)]), np.concatenate([cells[1], rows]),
                 np.concatenate([values, outs]))
     return (np.full(len(last), pk_out), rows[last], outs[last]), computed
@@ -938,9 +953,10 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
     to, src = at(flat[0::4], flat[1::4]), at(flat[2::4], flat[3::4])
     fixed = adv[flat[2::4]] < 0
     read, col_of = np.unique(flat[2::4][fixed], return_inverse=True)
-    dense = np.zeros((len(read), n_rows), object)   # the fixed columns copies read
+    dense = np.zeros((len(read), n_rows), object)   # the fixed columns copies read, as put
     for j, k in enumerate(read.tolist()):
-        dense[j, layout.fixed[names[k]].rows] = layout.fixed[names[k]].values
+        rows, values = bld.fixed_values[names[k]]
+        dense[j, rows] = values
     model = [(to[fixed], dense[col_of, flat[3::4][fixed]])]
 
     sponges = [(label, rows, at(*message), at(*state), at(*digest)) for label, message, rows, state, digest in sponges]
@@ -998,9 +1014,14 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
     model_cols = np.flatnonzero(model_col).tolist()
     values = np.empty(len(ids), object)
     values[model_at] = model_values
-    model_forms = dict(zip(model_cols, int_cells([values[origin[slices[j]]] for j in model_cols])))
+    model_forms = dict(zip(model_cols, residue_cells([values[origin[slices[j]]] for j in model_cols], bld.p)))
     for cells, _, outliers in model_forms.values():
         cells.flags.writeable = outliers.flags.writeable = False
+    # Their cell column bytes, the same in every witness file.
+    model_bytes = dict(zip(model_cols, (code for code, _ in encode_cell_columns([
+        (model_forms[j], lengths[j], b"" if present[j] is None else np.packbits(present[j], bitorder="little").tobytes())
+        for j in model_cols
+    ], 0, CELL_LIMIT))))
     # A copy into one of those columns is already in its cells, unless the
     # instance reads its target.
     dropped = np.repeat(model_col, np.diff(starts))
@@ -1022,6 +1043,7 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
         present=present,
         slices=slices,
         model_forms=model_forms,
+        model_bytes=model_bytes,
         input_at=input_at,
         pad_at=pad_at,
         weight_at=None if weight_at is None else number[weight_at],
@@ -1172,13 +1194,13 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[Layer
     rows = trow[row_live]
     g_row = np.broadcast_to(g_c[:, None], (C, R))[row_live]
     k_row = np.minimum(taps[:, None] - r * n, n)[row_live]
-    fixed = [(nums["q_dot"][g_row, k_row - 1], rows, 1), (nums["z"][g_row], rows, z_in % p)]
-    fixed += [(nums[role][g_c], last, v % p) for role, v in (("q_div", 1), ("da", a), ("db", b), ("off", off))]
+    fixed = [(nums["q_dot"][g_row, k_row - 1], rows, 1), (nums["z"][g_row], rows, z_in)]
+    fixed += [(nums[role][g_c], last, v) for role, v in (("q_div", 1), ("da", a), ("db", b), ("off", off))]
     fixed += [(sel[:, 0], last, 1), (sel[:, 1], last, 1)]
     if i not in bld.param_cells:
-        residues = biases.astype(object) % p
-        on = slot_live & (residues != 0)[ch]
-        fixed.append((slot_nums["const"][:, 0][on], np.broadcast_to(first[:, None], (C, M))[on], residues[ch][on]))
+        # A bias of 0 mod p sets no cell; when p >= 2**63 that is a bias of 0.
+        on = slot_live & ((biases % p if p < 1 << 63 else biases) != 0)[ch]
+        fixed.append((slot_nums["const"][:, 0][on], np.broadcast_to(first[:, None], (C, M))[on], biases[ch][on]))
     if not bld.weights_advice:
         # Site-major order keeps each weight column's rows increasing.
         w_site, t = np.nonzero(weights)
@@ -1186,7 +1208,7 @@ def _lower_layer(bld: _Builder, i: int, clip: tuple, cells: dict) -> tuple[Layer
         fixed.append((
             nums["w"][g_c[w_chain], slot[w_site], t % n],
             first[w_chain] + (t // n).astype(np.int32),
-            bld.int8_residues[weights[w_site, t] + 128],
+            weights[w_site, t],
         ))
         del w_site, t, w_chain
     elif w_offs is None:
@@ -1358,8 +1380,10 @@ def _finalize(bld: _Builder, instance: np.ndarray) -> tuple[CircuitLayout, Circu
     # increasing row order.
     joined = [[np.concatenate(part) for part in zip(*pieces)] for pieces in bld.fixed.values()]
     rows, values = zip(*joined) if joined else ((), ())
+    bld.fixed_values = dict(zip(bld.fixed, joined))
     fixed = {
-        col_id: FixedColumn.from_cells(r, form, padded) for col_id, r, form in zip(bld.fixed, rows, int_cells(values))
+        col_id: FixedColumn.from_cells(r, form, padded)
+        for col_id, r, form in zip(bld.fixed, rows, residue_cells(values, bld.p))
     }
     layout = CircuitLayout(
         field=bld.cfg.field,
@@ -1400,9 +1424,10 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     plan drives the fill, as the module docstring says, into one flat
     array of the cells it writes.  Each site's accumulator and activation
     are checked against the interpreter trace.  The columns are cut from
-    the array as `circuit.AdviceColumn`s, but for those the model alone
-    fixes, which wrap the plan's cells, and the instance is the bound
-    cells' values.
+    the array and split by one `circuit.residue_cells` call into
+    `circuit.AdviceColumn`s, but for those the model alone fixes, which
+    wrap the plan's cells and carry its bytes, and the instance is the
+    bound cells' values mod p.
     """
     plan: WitnessPlan = layout.plan
     if plan is None:
@@ -1423,7 +1448,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
             raise WitnessError(f"layer {lp.layer} of the model does not match the layout's plan")
         acts[lp.layer] = t.act.reshape(-1)
         vals[lp.out_at], vals[lp.div_at] = _fill_layer(
-            lp, [acts[ref] for ref in lp.refs], t.acc.reshape(-1), acts[lp.layer], graph.bounds[lp.layer], p)
+            lp, [acts[ref] for ref in lp.refs], t.acc.reshape(-1), acts[lp.layer], graph.bounds[lp.layer])
     for sp in plan.sponges:
         if sp.label == "input":   # the weight digest's states are in the model's cells
             vals[sp.state_at] = _fill_sponge(vals[sp.message_at].tolist(), plan.sponge)
@@ -1434,17 +1459,17 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
 
     names = plan.advice_ids
     cut = [j for j in range(len(names)) if j not in plan.model_forms]
-    forms = dict(zip(cut, int_cells([vals[plan.slices[j]] for j in cut])))
+    forms = dict(zip(cut, residue_cells([vals[plan.slices[j]] for j in cut], p)))
     forms.update(plan.model_forms)
     advice = {
-        col_id: AdviceColumn(layout.n_rows, length, mask, forms[j])
+        col_id: AdviceColumn(layout.n_rows, length, mask, forms[j], encoded=plan.model_bytes.get(j))
         for j, (col_id, length, mask) in enumerate(zip(names, plan.lengths, plan.present))
     }
-    return Assignment(advice=advice, instance=vals[plan.instance_at].tolist())
+    return Assignment(advice=advice, instance=(vals[plan.instance_at] % p).tolist())
 
 
 def _fill_layer(lp: LayerPlan, sources: list, accs: np.ndarray, acts: np.ndarray,
-                bound: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+                bound: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The values of one layer's `lp.out_at` and `lp.div_at`.  `sources`
     are the flattened tensors `lp.refs` name, and `accs` and `acts` the
     layer's trace, which every site's accumulator and activation must
@@ -1467,7 +1492,7 @@ def _fill_layer(lp: LayerPlan, sources: list, accs: np.ndarray, acts: np.ndarray
     if bad.size:
         raise WitnessError(f"internal activation mismatch at layer {lp.layer} site {bad[0]}")
     r = num - d_q * lp.b
-    return outs.ravel().astype(object) % p, np.concatenate([r, d_q + lp.off, acts])
+    return outs.ravel(), np.concatenate([r, d_q + lp.off, acts])
 
 
 def _fill_sponge(elements: list[int], params: SpongeParams) -> list:

@@ -16,7 +16,11 @@ same way (`Bindings`).
 Cells are held as the cell codec of the files holds them (`int_cells`):
 an int64 array whose negative cells are offsets from a base, so that a
 residue p - x of a small negative x costs an int64, plus the few
-outliers that have no such cell.  A fixed column is a read-only
+outliers that have no such cell.  `residue_cells` forms it from values
+that stand for their residues, small signed ones with array operations
+only; compile and the prover split their columns with it.  The codec's
+encoder, `encode_cell_columns`, is here too, so compile can encode once
+the witness columns the model alone fixes.  A fixed column is a read-only
 `FixedColumn` of the int32 rows of its nonzero cells in increasing order
 and their cells; every other row reads 0.  A read of single cells goes
 through one full-height list the column builds on first read and keeps.
@@ -27,8 +31,10 @@ alike; an `Assignment` packs a list column when it is constructed.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -454,6 +460,67 @@ def _based(objs: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
     ]
 
 
+def residue_cells(columns: list, p: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
+    """int_cells of each column's values mod p, for columns of integers
+    (arrays or sequences) such as small signed values.  The columns int64
+    holds take a few array operations over all of them: np.mod when p <
+    2**63; else a column of values >= 0 is its own cells, and when p >=
+    2**64, for a column without -2**63, B = p + t + 1 for t its largest
+    negative value and a value s < 0 is the cell s - t - 1, which lies in
+    (-2**63, 0), so no value is an outlier.  A column int64 cannot hold
+    whose values all lie in [0, p) (sponge states, packed elements) is
+    split by `_based` as it is, with no % p per cell; any other column is
+    reduced on Python ints."""
+    out: list = [None] * len(columns)
+    ints = [v if isinstance(v, np.ndarray) and v.dtype == np.int64 else np.asarray(v, object) for v in columns]
+    todo = [k for k, a in enumerate(ints) if a.dtype == object]
+    wide = []
+    try:   # the columns that are not int64 yet, at once
+        joined = np.concatenate([ints[k] for k in todo]).astype(np.int64) if todo else ()
+        at = 0
+        for k in todo:
+            ints[k], at = joined[at : at + len(ints[k])], at + len(ints[k])
+    except (OverflowError, TypeError):
+        for k in todo:
+            try:
+                ints[k] = ints[k].astype(np.int64)
+            except (OverflowError, TypeError):
+                wide.append(k)
+    narrow = [k for k in range(len(columns)) if k not in wide]
+    if narrow:
+        lens = np.array([len(ints[k]) for k in narrow])
+        starts = np.cumsum(lens) - lens
+        s = np.concatenate([ints[k] for k in narrow])
+        bases = np.zeros(len(narrow), object)
+        fits = np.ones(len(narrow), bool)
+        if p < _BIG:
+            cells = np.mod(s, p)
+        else:
+            full = np.flatnonzero(lens)
+            top = np.full(len(narrow), MARK)
+            if len(full):
+                lows = np.minimum.reduceat(s, starts[full])
+                fits[full] = lows > MARK if p >= 1 << 64 else lows >= 0
+                top[full] = np.maximum.reduceat(np.where(s < 0, s, MARK), starts[full])
+            based = fits & (top > MARK)
+            bases[based] = top[based].astype(object) + (p + 1)
+            cells = np.where(s < 0, s - np.repeat(np.where(based, top + 1, 0), lens), s)
+        for k, at, n, base, ok in zip(narrow, starts.tolist(), lens.tolist(), bases.tolist(), fits.tolist()):
+            if ok:
+                out[k] = (cells[at : at + n], base, NO_OUTLIERS)
+    for k, form in zip(wide, _based([ints[k] for k in wide]) if wide else ()):
+        _, base, outliers = form
+        try:   # base <= p: every value is below p
+            if 0 < base <= p and (not len(outliers) or (min(outliers) >= 0 and max(outliers) < p)):
+                out[k] = form
+        except TypeError:   # a cell that is not an int
+            pass
+    left = [k for k, form in enumerate(out) if form is None]
+    for k, form in zip(left, int_cells([np.asarray(columns[k], object) % p for k in left])):
+        out[k] = form
+    return out
+
+
 def cell_values(cells: np.ndarray, base: int, outliers: np.ndarray) -> np.ndarray:
     """The values int_cells' (cells, base, outliers) stand for: the cells
     when there is no base and no outlier, else an object array of Python
@@ -480,6 +547,88 @@ def cell_value(cells: np.ndarray, base: int, outliers: np.ndarray, k: int):
     if c == MARK:
         return outliers[int(np.count_nonzero(cells[:k] == MARK))]
     return c + base if c < 0 and base else c
+
+
+# The cell codec's framing (the `serialize` module docstring): a cell
+# column's length and assigned cells, its outlier count, the form byte's
+# flag for a base, and the bound every value of a file lies below.
+CELL_COUNTS = struct.Struct("<II")
+CELL_COUNT = struct.Struct("<I")
+BASED_FLAG = 0x80
+CELL_LIMIT = 1 << 255
+
+
+def encode_cell_columns(columns: list, lo_limit: int, hi_limit: int) -> list[tuple[bytes, int | None]]:
+    """The cell column of each (form, length, bitmap), where form is its
+    assigned cells as `int_cells` holds them and bitmap its presence
+    bitmap (b"" when every row is assigned), at the width the `serialize`
+    module docstring gives; and, for a column holding a value outside
+    [lo_limit, hi_limit), that value (else None).  The widths of all
+    columns are found in one array pass over their cells."""
+    out = [(CELL_COUNTS.pack(length, 0) + b"\x01" + bitmap + CELL_COUNT.pack(0), None) for _, length, bitmap in columns]
+    full = [k for k, (form, _, _) in enumerate(columns) if len(form[0])]
+    if not full:
+        return out
+    lens = np.array([len(columns[k][0][0]) for k in full])
+    starts = np.cumsum(lens) - lens
+    cells = np.concatenate([columns[k][0][0] for k in full])
+    mark = cells == MARK
+    # Per column: the cells outside each width (a cell c is outside w
+    # bytes when |c| >= 2**(8w - 1), and a mark, whose magnitude int64
+    # cannot hold, outside all of them), the least and greatest cell and
+    # the zero cells.
+    marks = np.add.reduceat(mark, starts)
+    size = np.abs(cells)
+    outside = {w: (np.add.reduceat(size >= 1 << (8 * w - 1), starts) + marks).tolist() for w in (1, 2, 4)}
+    outside[8] = marks.tolist()
+    if mark.any():
+        lows = np.minimum.reduceat(np.where(mark, cells.max(), cells), starts).tolist()
+        highs = np.maximum.reduceat(np.where(mark, 0, cells), starts).tolist()
+    else:
+        lows, highs = np.minimum.reduceat(cells, starts).tolist(), np.maximum.reduceat(cells, starts).tolist()
+    zeros = np.add.reduceat(cells == 0, starts).tolist() if lo_limit > 0 else [0] * len(full)
+    bufs = {}
+    for j, (k, s, n) in enumerate(zip(full, starts.tolist(), lens.tolist())):
+        (col, base, outliers), length, bitmap = columns[k]
+        if base and base > hi_limit:
+            lo, hi = lo_limit, max(cell_values(col, base, outliers).tolist())
+        elif base:   # cells >= 0 are values below 2**63, the others below B
+            lo, hi = (0 if zeros[j] else lo_limit), base - 1
+        else:
+            lo, hi = lows[j], highs[j]
+        if len(outliers):
+            if len(outliers) == n:
+                lo, hi = lo_limit, hi_limit - 1
+            try:
+                lo, hi = min(lo, min(outliers)), max(hi, max(outliers))
+            except TypeError:   # an unassigned value
+                lo = hi = lo_limit - 1
+        if lo < lo_limit or hi >= hi_limit:
+            out[k] = b"", lo if lo < lo_limit else hi
+            continue
+        size, w = min(((32 if base else 0) + n * w + 32 * outside[w][j], w) for w in (1, 2, 4, 8))
+        head = CELL_COUNTS.pack(length, n)
+        if 32 * n < size:
+            out[k] = b"".join((head, b"\x20", bitmap, _wide_bytes(cell_values(col, base, outliers).tolist()))), None
+            continue
+        listed = []
+        if outside[w][j]:
+            half = 1 << (8 * w - 1)
+            far = (col > half - 1) | (col < 1 - half)
+            listed = cell_values(col, base, outliers)[far].tolist()
+            body = np.where(far, -half, col).astype(f"<i{w}").tobytes()
+        else:
+            if w not in bufs:
+                bufs[w] = cells.astype(f"<i{w}").tobytes()
+            body = bufs[w][s * w : (s + n) * w]
+        form = bytes((w | BASED_FLAG,)) + base.to_bytes(32, "little") if base else bytes((w,))
+        out[k] = b"".join((head, form, bitmap, body, CELL_COUNT.pack(len(listed)), _wide_bytes(listed))), None
+    return out
+
+
+def _wide_bytes(vals: list) -> bytes:
+    """vals as 32-byte little-endian unsigned integers."""
+    return b"".join(map(int.to_bytes, vals, repeat(32), repeat("little")))
 
 
 def signed_cells(forms: list, p: int) -> tuple[np.ndarray, np.ndarray, list]:
@@ -662,18 +811,33 @@ class AdviceColumn(Sequence):
     cells' values in row order as `int_cells` does.  The column reads as a
     sequence of Python ints and None (unassigned), compares equal to a
     list of the same cells, and takes `column[row] = value`, which
-    rebuilds its arrays.
+    rebuilds its arrays.  A column may carry its cell column bytes
+    (`encode_cell_columns`), as the prover's columns that the model alone
+    fixes do; they hold while the column keeps the arrays, base and length
+    it was built with, so `column[row] = value`, which rebuilds them,
+    drops the bytes.
     """
 
-    __slots__ = ("n_rows", "length", "present", "cells", "base", "outliers", "_values")
+    __slots__ = ("n_rows", "length", "present", "cells", "base", "outliers", "_values", "_encoded")
     __hash__ = None
 
-    def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple, values=None):
+    def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple, values=None,
+                 encoded: bytes | None = None):
         self.n_rows = n_rows
         self.length = length
         self.present = present
         self.cells, self.base, self.outliers = form
         self._values = values
+        self._encoded = None if encoded is None else (self.cells, self.outliers, present, self.base, length, encoded)
+
+    def encoded(self) -> bytes | None:
+        """The cell column bytes the column was built with, or None when it
+        was built without them or no longer holds the same arrays (by
+        identity), base and length."""
+        e = self._encoded
+        if e is None or e[0] is not self.cells or e[1] is not self.outliers or e[2] is not self.present:
+            return None
+        return e[5] if (e[3], e[4]) == (self.base, self.length) else None
 
     @property
     def values(self) -> np.ndarray:

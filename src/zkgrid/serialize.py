@@ -65,11 +65,15 @@ In memory a cell column is the form `circuit.int_cells` gives: int64
 cells, each its value or, below 0, its offset from the base, with a mark
 for each outlier and the outliers apart.  That is the file's own form, so
 the loader builds it with array operations only (the outliers and the
-32-byte cells take one Python int each), and the writer picks the width
-of every column of a file in one array pass over all their cells.  A
-witness holds each advice column as a `circuit.AdviceColumn` at its used
-length, the prover's and a loaded one alike, and its instance vector as
-a list; the writer reads the columns' forms as they are.
+32-byte cells take one Python int each), and the writer
+(`circuit.encode_cell_columns`) picks the width of every column of a
+file in one array pass over all their cells.  A witness holds each
+advice column as a `circuit.AdviceColumn` at its used length, the
+prover's and a loaded one alike, and its instance vector as a list.  The
+writer copies the bytes a column carries (the prover's columns that the
+model alone fixes, encoded once at compile, while the column holds the
+arrays they were encoded from), and encodes the other columns' forms as
+they are and the instance.
 
 Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
@@ -90,6 +94,10 @@ import numpy as np
 
 from .arithmetize import CompileError, check_recipe, lookup_table
 from .circuit import (
+    BASED_FLAG,
+    CELL_COUNT,
+    CELL_COUNTS,
+    CELL_LIMIT,
     NO_OUTLIERS,
     MARK,
     MAX_CELLS,
@@ -108,6 +116,7 @@ from .circuit import (
     GateDef,
     LookupArg,
     cell_values,
+    encode_cell_columns,
     int_cells,
 )
 from .field import Field
@@ -119,12 +128,8 @@ _LAYOUT_MAGIC = b"ZKLY"
 _LAYOUT_PREFIX = struct.Struct("<4sII")
 _WITNESS_MAGIC = b"ZKWT"
 _HEADER = struct.Struct("<IIII")
-_COUNT = struct.Struct("<I")     # a cell column's outlier count
-_COUNTS = struct.Struct("<II")   # a cell column's length and assigned cells
-_BASED = 0x80              # form-byte flag: a 32-byte base follows
 _LOW_BYTES = bytes(range(0x80))
 _BIG = 1 << 63             # cells at or above this are stored relative to the base
-_LIMIT = 1 << 255          # cells must lie in [0, _LIMIT)
 
 
 class FormatError(ValueError):
@@ -132,79 +137,6 @@ class FormatError(ValueError):
 
 
 # --- cell columns ------------------------------------------------------------
-
-def _encode_columns(columns: list, lo_limit: int, hi_limit: int) -> list[tuple[bytes, int | None]]:
-    """The cell column of each (form, length, bitmap), where form is its
-    assigned cells as `circuit.int_cells` holds them and bitmap its
-    presence bitmap (b"" when every row is assigned), at the width the
-    module docstring gives; and, for a column holding a value outside
-    [lo_limit, hi_limit), that value (else None).  The widths of all
-    columns are found in one array pass over their cells."""
-    out = [(_COUNTS.pack(length, 0) + b"\x01" + bitmap + _COUNT.pack(0), None) for _, length, bitmap in columns]
-    full = [k for k, (form, _, _) in enumerate(columns) if len(form[0])]
-    if not full:
-        return out
-    lens = np.array([len(columns[k][0][0]) for k in full])
-    starts = np.cumsum(lens) - lens
-    cells = np.concatenate([columns[k][0][0] for k in full])
-    mark = cells == MARK
-    # Per column: the cells outside each width (a cell c is outside w
-    # bytes when |c| >= 2**(8w - 1), and a mark, whose magnitude int64
-    # cannot hold, outside all of them), the least and greatest cell and
-    # the zero cells.
-    marks = np.add.reduceat(mark, starts)
-    size = np.abs(cells)
-    outside = {w: (np.add.reduceat(size >= 1 << (8 * w - 1), starts) + marks).tolist() for w in (1, 2, 4)}
-    outside[8] = marks.tolist()
-    if mark.any():
-        lows = np.minimum.reduceat(np.where(mark, cells.max(), cells), starts).tolist()
-        highs = np.maximum.reduceat(np.where(mark, 0, cells), starts).tolist()
-    else:
-        lows, highs = np.minimum.reduceat(cells, starts).tolist(), np.maximum.reduceat(cells, starts).tolist()
-    zeros = np.add.reduceat(cells == 0, starts).tolist() if lo_limit > 0 else [0] * len(full)
-    bufs = {}
-    for j, (k, s, n) in enumerate(zip(full, starts.tolist(), lens.tolist())):
-        (col, base, outliers), length, bitmap = columns[k]
-        if base and base > hi_limit:
-            lo, hi = lo_limit, max(cell_values(col, base, outliers).tolist())
-        elif base:   # cells >= 0 are values below 2**63, the others below B
-            lo, hi = (0 if zeros[j] else lo_limit), base - 1
-        else:
-            lo, hi = lows[j], highs[j]
-        if len(outliers):
-            if len(outliers) == n:
-                lo, hi = lo_limit, hi_limit - 1
-            try:
-                lo, hi = min(lo, min(outliers)), max(hi, max(outliers))
-            except TypeError:   # an unassigned value
-                lo = hi = lo_limit - 1
-        if lo < lo_limit or hi >= hi_limit:
-            out[k] = b"", lo if lo < lo_limit else hi
-            continue
-        size, w = min(((32 if base else 0) + n * w + 32 * outside[w][j], w) for w in (1, 2, 4, 8))
-        head = _COUNTS.pack(length, n)
-        if 32 * n < size:
-            out[k] = b"".join((head, b"\x20", bitmap, _wide(cell_values(col, base, outliers).tolist()))), None
-            continue
-        listed = []
-        if outside[w][j]:
-            half = 1 << (8 * w - 1)
-            far = (col > half - 1) | (col < 1 - half)
-            listed = cell_values(col, base, outliers)[far].tolist()
-            body = np.where(far, -half, col).astype(f"<i{w}").tobytes()
-        else:
-            if w not in bufs:
-                bufs[w] = cells.astype(f"<i{w}").tobytes()
-            body = bufs[w][s * w : (s + n) * w]
-        form = bytes((w | _BASED,)) + base.to_bytes(32, "little") if base else bytes((w,))
-        out[k] = b"".join((head, form, bitmap, body, _COUNT.pack(len(listed)), _wide(listed))), None
-    return out
-
-
-def _wide(vals: list) -> bytes:
-    """vals as 32-byte little-endian unsigned integers."""
-    return b"".join(map(int.to_bytes, vals, repeat(32), repeat("little")))
-
 
 def _decode_cells(raw: bytes, pos: int, limit: int) -> tuple:
     """The assigned cells of the column at raw[pos:], in row order, as
@@ -214,25 +146,25 @@ def _decode_cells(raw: bytes, pos: int, limit: int) -> tuple:
     are assigned, a bool array of L, None when every one is; and the
     position after it; and, for 32-byte cells, their values as an object
     array (else None)."""
-    if pos + _COUNTS.size + 1 > len(raw):
+    if pos + CELL_COUNTS.size + 1 > len(raw):
         raise FormatError("truncated cell column header")
-    n_rows, n = _COUNTS.unpack_from(raw, pos)
-    form = raw[pos + _COUNTS.size]
-    pos += _COUNTS.size + 1
+    n_rows, n = CELL_COUNTS.unpack_from(raw, pos)
+    form = raw[pos + CELL_COUNTS.size]
+    pos += CELL_COUNTS.size + 1
     if n_rows > limit:
         raise FormatError(f"column of {n_rows} cells where at most {limit} fit")
     if n > n_rows:
         raise FormatError(f"{n} assigned cells in a column of {n_rows}")
-    w, base = form & ~_BASED, 0
+    w, base = form & ~BASED_FLAG, 0
     if w not in (1, 2, 4, 8, 32):
         raise FormatError(f"bad cell width {w}")
-    if form & _BASED:
+    if form & BASED_FLAG:
         if w == 32:
             raise FormatError("32-byte cells take no base")
         if pos + 32 > len(raw):
             raise FormatError("truncated cell column header")
         base = int.from_bytes(raw[pos : pos + 32], "little")
-        if not _BIG < base <= _LIMIT:
+        if not _BIG < base <= CELL_LIMIT:
             raise FormatError(f"column base {base} outside (2**63, 2**255]")
         pos += 32
     present = None
@@ -260,10 +192,10 @@ def _decode_cells(raw: bytes, pos: int, limit: int) -> tuple:
         values = np.array(_big_ints(raw, pos, end), object)
         return int_cells([values])[0], n_rows, present, end, values
     vals = np.frombuffer(raw, f"<i{w}", n, pos)
-    if end + _COUNT.size > len(raw):
+    if end + CELL_COUNT.size > len(raw):
         raise FormatError("truncated outlier count")
-    (k,) = _COUNT.unpack_from(raw, end)
-    pos, end = end + _COUNT.size, end + _COUNT.size + 32 * k
+    (k,) = CELL_COUNT.unpack_from(raw, end)
+    pos, end = end + CELL_COUNT.size, end + CELL_COUNT.size + 32 * k
     if end > len(raw):
         raise FormatError("truncated outlier list")
     if raw[pos + 31 : end : 32].translate(None, _LOW_BYTES):
@@ -449,7 +381,7 @@ def dump_layout(layout: CircuitLayout) -> bytes:
     head = json.dumps(_layout_header(layout), sort_keys=True, separators=(",", ":")).encode("ascii")
     out = [_LAYOUT_PREFIX.pack(_LAYOUT_MAGIC, _LAYOUT_VERSION, len(head)), head]
     out.append(_encode_uints(layout.copies.flat, "copies"))
-    values = _encode_columns([((v.cells, v.base, v.outliers), len(v.rows), b"") for v in layout.fixed.values()], 1, p)
+    values = encode_cell_columns([((v.cells, v.base, v.outliers), len(v.rows), b"") for v in layout.fixed.values()], 1, p)
     for (col_id, vals), (cells, bad) in zip(layout.fixed.items(), values):
         what = f"fixed column {col_id}"
         out.append(_encode_uints(vals.rows, what))
@@ -598,16 +530,23 @@ def dump_witness(assignment: Assignment) -> bytes:
         cid = col.encode("utf-8")
         out.append(struct.pack("<H", len(cid)))
         out.append(cid)
+    # A column that carries its bytes is written as they are; the others
+    # and the instance are encoded here.
+    columns = [assignment.advice[col] for col in cols]
+    carried = [c.encoded() for c in columns]
     forms = [
         ((c.cells, c.base, c.outliers), c.length,
          b"" if c.present is None else np.packbits(c.present, bitorder="little").tobytes())
-        for c in map(assignment.advice.get, cols)
+        for c, code in zip(columns, carried) if code is None
     ]
     forms.append((int_cells([assignment.instance])[0], len(assignment.instance), b""))
-    for cells, bad in _encode_columns(forms, 0, _LIMIT):
-        if bad is not None:
-            raise FormatError(f"cell value {bad} outside [0, 2**255)")
-        out.append(cells)
+    encoded = iter(encode_cell_columns(forms, 0, CELL_LIMIT))
+    for code in [*carried, None]:   # the instance last
+        if code is None:
+            code, bad = next(encoded)
+            if bad is not None:
+                raise FormatError(f"cell value {bad} outside [0, 2**255)")
+        out.append(code)
     return b"".join(out)
 
 

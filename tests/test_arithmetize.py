@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import constrained_advice_cells, row_oracle_check, table_models, tamper_trials
-from zkgrid import arithmetize, serialize
+from zkgrid import arithmetize, circuit, serialize
 from zkgrid.arithmetize import (
     CompileConfig,
     CompileError,
@@ -1339,3 +1339,122 @@ def test_model_columns_are_shared_read_only():
         with pytest.raises(ValueError, match="read-only"):
             asg.advice[col].cells[0] = 5
 
+
+
+def _without_bytes(asg: Assignment) -> Assignment:
+    """The same columns, arrays shared, carrying no cell column bytes."""
+    return Assignment(
+        advice={c: AdviceColumn(col.n_rows, col.length, col.present, (col.cells, col.base, col.outliers))
+                for c, col in asg.advice.items()},
+        instance=list(asg.instance),
+    )
+
+
+@pytest.mark.parametrize("seed, shape, mode", GOLDEN_CASES)
+def test_carried_model_bytes_are_a_fresh_encoding(seed, shape, mode):
+    """The columns the model alone fixes carry their bytes, encoded at
+    compile, and every witness file equals the one written from the same
+    columns with no bytes carried."""
+    g = _golden_model(seed, shape)
+    layout, _ = compile(g, CompileConfig(mode=mode))
+    plan = layout.plan
+    for inp in (random_input(random.Random(seed), g), random_input(random.Random(seed + 1), g)):
+        asg = assign_witness(layout, g, inp)
+        carrying = {plan.advice_ids.index(c) for c, col in asg.advice.items() if col.encoded() is not None}
+        assert carrying == set(plan.model_forms)
+        assert serialize.dump_witness(asg) == serialize.dump_witness(_without_bytes(asg))
+
+
+def test_model_column_bytes_follow_a_tamper():
+    """On the benchmark's audit model: a model column's cell written as
+    the benchmark's tamper writes it is in the file and check reports it;
+    the next witness of the layout is byte-equal to a fresh layout's; a
+    column whose cells array is replaced is written from the new array."""
+    g = random_model(random.Random(111), max_hw=32, max_c=16, max_layers=5)
+    cfg = CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS)
+    layout, _ = compile(g, cfg)
+    plan, p = layout.plan, layout.field.modulus
+    rng = random.Random(27)
+    first, second = random_input(rng, g), random_input(rng, g)
+    model_cells = [(c, r) for c, r in plan.cells(range(plan.n_cells)) if plan.advice_ids.index(c) in plan.model_forms]
+
+    asg = assign_witness(layout, g, first)
+    col, row = rng.choice(model_cells)
+    v = (asg.advice[col][row] + 1) % p
+    asg.advice[col][row] = v
+    assert asg.advice[col].encoded() is None
+    loaded = serialize.load_witness(serialize.dump_witness(asg))
+    assert loaded.advice[col][row] == v
+    assert check(layout, loaded) != []
+
+    asg = assign_witness(layout, g, second)
+    fresh, _ = compile(g, cfg)
+    assert serialize.dump_witness(asg) == serialize.dump_witness(assign_witness(fresh, g, second))
+
+    column = asg.advice[col]
+    k = int(np.count_nonzero(column.present[:row])) if column.present is not None else row
+    cells = column.cells.copy()
+    cells[k] = 0 if cells[k] != 0 else 1
+    column.cells = cells
+    assert column.encoded() is None
+    loaded = serialize.load_witness(serialize.dump_witness(asg))
+    assert loaded.advice[col] == column and loaded.advice[col][row] != assign_witness(layout, g, second).advice[col][row]
+
+
+def test_fixed_cells_zero_mod_p_set_nothing():
+    """A fixed value that is 0 mod p sets no cell: a bias equal to p on
+    p = 65537 (lowered alone, since compile refuses an accumulator that
+    large on such a field), a zero point z_in of 0 and a piece of one int
+    that is a multiple of p."""
+    p = 65537
+    g = _fc_model(units=2, feat=2, bias=(p, 3))
+    bld = arithmetize._Builder(g, CompileConfig(field=Field(p)))
+    _, _, input_cells = bld.stage(np.array([2]), None)
+    arithmetize._lower_layer(bld, 0, ("clip", 1, 2, 0, 0, 300), {INPUT_REF: input_cells})
+    const = {c: [v.tolist() for _, v in bld.fixed[c]] for c in ("g0:s0:const", "g0:s1:const")}
+    assert const == {"g0:s0:const": [[]], "g0:s1:const": [[], [3]]}
+    zero = bld.col_number["zero"]
+    for v in (0, p, -2 * p):
+        bld.put_fixed([(np.array([zero]), np.array([0]), v)])
+    assert [len(r) for r, _ in bld.fixed["zero"]] == [0]
+
+    for z, rows in ((0, 0), (7, 1)):
+        gz = dataclasses.replace(g, input_quant=QuantParams(z, g.input_quant.scale))
+        gz = validate(dataclasses.replace(gz, layers=(dataclasses.replace(gz.layers[0], bias=(1, 3)), gz.layers[1])))
+        layout, _ = compile(gz, CompileConfig(field=Field(p)))
+        assert len(layout.fixed["g0:z"].rows) == rows
+        assert check(layout, assign_witness(layout, gz, _fc_input(gz, random.Random(z)))) == []
+        serialize.load_layout(serialize.dump_layout(layout))
+
+
+def test_small_values_stay_off_the_python_int_split(monkeypatch):
+    """The fast path stays on: with `circuit._based` raising, prove_public's
+    model compiles and witnesses, and so does audit_batch's witness, whose
+    file hands the encoder only its 56 columns the model does not fix and
+    the instance."""
+    g_pub = random_model(random.Random(110), max_hw=32, max_c=16, max_layers=5)
+    g_audit = random_model(random.Random(111), max_hw=32, max_c=16, max_layers=5)
+    audit, _ = compile(g_audit, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
+
+    def refuse(objs):
+        raise AssertionError("split on Python ints")
+
+    monkeypatch.setattr(circuit, "_based", refuse)
+    layout, _ = compile(g_pub)
+    assert check(layout, assign_witness(layout, g_pub, random_input(random.Random(1), g_pub))) == []
+    asg = assign_witness(audit, g_audit, random_input(random.Random(1), g_audit))
+    monkeypatch.undo()
+
+    handed = []
+
+    def encode(columns, lo_limit, hi_limit):
+        handed.append(columns)
+        return circuit.encode_cell_columns(columns, lo_limit, hi_limit)
+
+    monkeypatch.setattr(serialize, "encode_cell_columns", encode)
+    raw = serialize.dump_witness(asg)
+    [columns] = handed
+    assert len(asg.advice) == 139 and len(audit.plan.model_forms) == 83 and len(columns) == 57
+    own = [col for j, col in enumerate(audit.plan.advice_ids) if j not in audit.plan.model_forms]
+    assert all(form[0] is asg.advice[c].cells for (form, _, _), c in zip(columns, sorted(own)))
+    assert raw == serialize.dump_witness(_without_bytes(asg))

@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import eval_gate
+from zkgrid import circuit
 from zkgrid.circuit import (
     ADVICE,
     FIXED,
+    AdviceColumn,
     Assignment,
     CircuitError,
     CircuitLayout,
@@ -16,9 +21,11 @@ from zkgrid.circuit import (
     builtin_gates,
     cell,
     const,
+    encode_cell_columns,
     int_cells,
     mul,
     pow5,
+    residue_cells,
     signed_cells,
     sub,
 )
@@ -321,3 +328,107 @@ def test_signed_cells_match_python_residues(p):
         else:
             assert signed[s : s + len(vals)].tolist() == want
             assert bound == max(map(abs, want), default=0)
+
+
+# The fields residue_cells is tested on: both sides of 2**63 and 2**64.
+RESIDUE_FIELDS = [DEFAULT_MODULUS, (1 << 63) + 29, (1 << 61) - 1, (1 << 31) - 1, 65537]
+_EDGES = [0, 1, -1, 127, -128, (1 << 62) - 1, 1 - (1 << 62), 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63)]
+
+
+def _assert_forms_equal(got, want):
+    (cells, base, outliers), (w_cells, w_base, w_outliers) = got, want
+    assert cells.dtype == w_cells.dtype == np.int64 and cells.tolist() == w_cells.tolist()
+    assert type(base) is int and base == w_base
+    assert outliers.dtype == object and outliers.tolist() == w_outliers.tolist()
+
+
+def _check_residue_cells(columns, p):
+    got = residue_cells(columns, p)
+    want = int_cells([[int(v) % p for v in vals] for vals in columns])
+    assert len(got) == len(columns)
+    for g, w in zip(got, want):
+        _assert_forms_equal(g, w)
+
+
+@pytest.mark.parametrize("p", RESIDUE_FIELDS)
+def test_residue_cells_of_edge_columns(p):
+    """residue_cells is int_cells of the residues on empty columns, a
+    single 0, all-negative and mixed int64 columns, values at +-2**62 and
+    -2**63, and object columns that must take the Python-int path:
+    residues past int64, values of p and more, and negatives past it."""
+    i64 = [
+        [], [0], [-1], [-5, -1, -300], [3, -7, 0, 200, -128], list(range(-4, 5)),
+        [1 << 62], [-(1 << 62)], [(1 << 62) - 1, 1 - (1 << 62)], [-(1 << 63)], [-(1 << 63), -1],
+        [(1 << 63) - 1, -(1 << 63), 0], [p % (1 << 63), -(p % (1 << 63))], _EDGES,
+    ]
+    objects = [
+        [p - 1], [p - 1, 5, 1 << 63], [p, 0], [2 * p + 3, -1], [-(1 << 70)], [1 << 200, -(1 << 200), 7],
+        [(1 << 63) + 1, (1 << 64) + 1], [0, 1, 2],
+    ]
+    _check_residue_cells([np.array(v, np.int64) for v in i64], p)
+    _check_residue_cells([np.array(v, object) for v in objects], p)
+    _check_residue_cells([np.array(v, np.int64) for v in i64] + [np.array(v, object) for v in objects] + objects, p)
+    for vals in i64:
+        _check_residue_cells([np.array(vals, np.int64)], p)
+
+
+@st.composite
+def _residue_case(draw):
+    p = draw(st.sampled_from(RESIDUE_FIELDS))
+    small = st.integers(-300, 300)
+    i64 = st.integers(-(1 << 63), (1 << 63) - 1)
+    near = st.sampled_from([-(1 << 62), 1 << 62]).flatmap(lambda e: st.integers(e - 3, e + 3))
+    negative = st.integers(-(1 << 63), -1)
+    wide = st.one_of(
+        st.integers(0, p - 1), st.integers(p - 300, p + 300), st.integers(-(1 << 300), 1 << 300),
+        st.sampled_from([1 << 63, (1 << 64) - 1, 1 << 64, -(1 << 63) - 1]),
+    )
+    edge = st.sampled_from(_EDGES)
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["int64", "edges", "negative", "object", "list"]))
+        if kind == "object":
+            columns.append(np.array(draw(st.lists(st.one_of(wide, small), max_size=8)), object))
+            continue
+        elems = {"edges": edge, "negative": negative}.get(kind, st.one_of(small, edge, near, i64))
+        vals = draw(st.lists(elems, max_size=10))
+        columns.append(vals if kind == "list" else np.array(vals, np.int64))
+    return columns, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(_residue_case())
+@example(([np.array(v, np.int64) for v in ([-(1 << 63)], [-(1 << 63), -1], [1 << 62, -(1 << 62)])], DEFAULT_MODULUS))
+@example(([np.array([-128, 5, -1], np.int64), np.array([DEFAULT_MODULUS, -1], object)], (1 << 63) + 29))
+def test_residue_cells_are_int_cells_of_the_residues(case):
+    """On random int64, list and object columns over five fields, each
+    column's cells, base and outliers equal int_cells of its residues."""
+    columns, p = case
+    _check_residue_cells(columns, p)
+
+
+def test_carried_cell_bytes_hold_while_the_arrays_do():
+    """A column built with its cell column bytes gives them while it holds
+    the arrays, base and length they came from: replacing its cells or
+    outliers, or writing a cell, drops them."""
+    col = AdviceColumn.of_list([5, None, DEFAULT_MODULUS - 3, 7] + [None] * 4)
+    bitmap = np.packbits(col.present, bitorder="little").tobytes()
+    [(code, _)] = encode_cell_columns([((col.cells, col.base, col.outliers), col.length, bitmap)], 0, 1 << 255)
+    assert AdviceColumn.of_list(col.tolist()).encoded() is None
+
+    def carried():
+        return AdviceColumn(col.n_rows, col.length, col.present, (col.cells, col.base, col.outliers), encoded=code)
+
+    assert carried().encoded() == code
+    c = carried()
+    c.cells = c.cells.copy()
+    assert c.encoded() is None
+    c = carried()
+    c.outliers = c.outliers.copy()
+    assert c.encoded() is None
+    c = carried()
+    c.base += 1
+    assert c.encoded() is None
+    c = carried()
+    c[0] = 5
+    assert c.encoded() is None and c == col
