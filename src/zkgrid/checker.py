@@ -7,12 +7,13 @@ there is no succinctness and no randomization.
 
 The checker reads each column as an array of canonical signed residues,
 v - p when v > p // 2 and v otherwise: int64 when every residue fits,
-worked out from the cell codec's cells and base with a few array
-operations over all columns at once (`circuit.signed_cells`), and the
-values as Python ints otherwise (the sponge states, a non-canonical
-cell).  An advice column is read at its used length, as the prover and
-the witness loader hold it.  A fixed column keeps its reading, so a
-layout checked again reads it for free.
+worked out from the cell codec's cells and base with one array pass over
+the cells of all such columns (`circuit.signed_cells`), and the values
+as Python ints otherwise (the sponge states, a non-canonical cell).  An
+advice column is read at its used length, as the prover and the witness
+loader hold it; a loaded column of 32-byte cells is read as the values
+the loader made, never split into the codec's form.  A fixed column
+keeps its reading, so a layout checked again reads it for free.
 
 Gates are evaluated column-wise with numpy.  For each selector the
 enabled rows are listed once, and each node of a gate polynomial becomes
@@ -34,9 +35,14 @@ Lookups test each key against its table's recipe (`LookupTable.holds`),
 one test per table over the keys of all its lookups, in int64 where a
 bound allows and on Python ints otherwise; no entry is built.  Copies and
 bindings gather both sides from the columns laid end to end and compare
-them as int64, and as residues of Python ints only where a side is an
-object column.  Python touches only violating rows and the cells of
-object columns.
+them as int64 where both cells hold an int64 residue: every cell of an
+int64 column, and in a column read as Python ints each cell whose
+residue int64 holds.  The wide cells (a sponge state, an outlier, a value
+outside [0, p)) compare as Python ints, first as the values and then,
+only for the pairs whose values differ, mod p.  The instance vector is
+split into int64 and its few wide values by `circuit.narrow_split`.
+Python touches only violating rows, wide cells and the cells of object
+columns that gates read.
 """
 
 from __future__ import annotations
@@ -50,9 +56,10 @@ from .circuit import (
     Assignment,
     CircuitLayout,
     Expr,
+    MARK,
     FixedColumn,
     cell_value,
-    int_cells,
+    narrow_split,
     signed_cells,
 )
 
@@ -94,9 +101,15 @@ class _Grid:
     arbitrary value: every read of one raises CheckError before its value
     can matter.
 
-    The columns a copy or a binding reads are also laid end to end in one
-    array, `ints` for int64 columns and `objects` for the others, column k
-    from `offsets[k]` on, with `assigned` marking the assigned cells."""
+    The columns a copy or a binding reads are also laid end to end, column
+    k from `offsets[k]` on: the advice columns that hold their `int_cells`
+    form first, whose signed residues fill their stretch in one masked
+    store, then the advice columns held as values (a loaded column of
+    32-byte cells), then the fixed columns that copies or bindings read.
+    `assigned` marks the assigned cells, `ints` holds each cell's signed
+    residue but where `wide` marks it (the cell has none in int64), and
+    `objects` holds the object columns' cells, column k from
+    `object_offsets[k]` on."""
 
     def __init__(self, layout: CircuitLayout, advice: dict):
         p = self.p = layout.field.modulus
@@ -109,54 +122,70 @@ class _Grid:
         self.cells, self.bounds = [None] * size, [None] * size
         self.lengths, self.present = [n] * size, [None] * size
         fixed = [k for k, c in enumerate(self.names) if c in self.fixed]
-        adv = [k for k, c in enumerate(self.names) if c not in self.fixed]
         for k, view in zip(fixed, FixedColumn.signed([self.fixed[self.names[k]] for k in fixed], p)):
             self.cells[k], self.bounds[k], self.present[k] = view
 
-        cols = [advice[self.names[k]] for k in adv]
-        signed, starts, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in cols], p)
-        lens = np.array([len(c.cells) for c in cols], np.int64)
-        for k, col, bound in zip(adv, cols, bounds):
-            self.lengths[k], self.present[k], self.bounds[k] = col.length, col.present, bound
-        # Copies and bindings read the advice columns and a few fixed ones.
-        read = np.bincount(layout.copies.flat[0::2], minlength=size) + np.bincount(
+        cols = {k: advice[c] for k, c in enumerate(self.names) if c not in self.fixed}
+        formed = [k for k, col in cols.items() if col.formed]
+        signed, _, bounds = signed_cells([cols[k].form for k in formed], p)
+        for k, bound in zip(formed, bounds):
+            self.bounds[k] = bound
+        for k, col in cols.items():
+            self.lengths[k], self.present[k] = col.length, col.present
+        # The copies' sides as contiguous index arrays, which numpy gathers
+        # by faster than by strided int32 ones.  Copies and bindings read
+        # the advice columns and a few fixed ones.
+        self.sides = np.ascontiguousarray(layout.copies.flat.reshape(-1, 4).T, np.intp)
+        read = np.bincount(self.sides[0], minlength=size) + np.bincount(self.sides[2], minlength=size) + np.bincount(
             layout.instance_map.flat[0::3], minlength=size)
-        shared = [k for k in fixed if read[k]] + adv
+        shared = formed + [k for k in cols if not cols[k].formed] + [k for k in fixed if read[k]]
         self.lengths_arr = np.array(self.lengths, np.int64)
         self.offsets = np.zeros(size, np.int64)
         self.offsets[shared] = np.cumsum(self.lengths_arr[shared]) - self.lengths_arr[shared]
         total = int(self.lengths_arr[shared].sum())
         self.ints = np.empty(total, np.int64)
-        self.assigned = np.zeros(total, bool)
+        self.assigned = np.ones(total, bool)
+        self.wide = np.zeros(total, bool)
         self.is_object = np.array([b is None for b in self.bounds], bool)
-
-        # Each advice cell's position in `ints`: its column's offset plus
-        # its row.
-        at = np.arange(len(signed)) - np.repeat(starts, lens)
-        masked = [j for j, c in enumerate(cols) if c.present is not None]
-        if masked:
-            gaps = np.flatnonzero(np.repeat(np.array([c.present is not None for c in cols], bool), lens))
-            marks = [cols[j].present for j in masked]
-            widths = np.array(list(map(len, marks)))
-            at[gaps] = np.flatnonzero(np.concatenate(marks)) - np.repeat(np.cumsum(widths) - widths, lens[masked])
-        at += np.repeat(self.offsets[adv], lens)
-        ok = np.repeat(~self.is_object[adv], lens)
-        self.ints[at[ok]] = signed[ok]
-        self.assigned[at] = True
-        for k in shared[: len(shared) - len(adv)]:
-            s = self.offsets[k]
+        gaps = False
+        for k in shared:
+            if self.present[k] is not None:
+                s = int(self.offsets[k])
+                self.assigned[s : s + self.lengths[k]] = self.present[k]
+                gaps = gaps or k in cols
+        end = int(self.lengths_arr[formed].sum())
+        if gaps:
+            self.ints[:end][self.assigned[:end]] = signed
+        else:
+            self.ints[:end] = signed
+        offsets = self.offsets.tolist()
+        for k in shared:
+            s, length, present = offsets[k], self.lengths[k], self.present[k]
             if not self.is_object[k]:
-                self.ints[s : s + n] = self.cells[k]
-            self.assigned[s : s + n] = True if self.present[k] is None else self.present[k]
-        for k, col in zip(adv, cols):
-            o = self.offsets[k]
-            if not self.is_object[k]:
-                self.cells[k] = self.ints[o : o + col.length]
-            elif col.present is None:
+                if k in cols:
+                    self.cells[k] = self.ints[s : s + length]
+                else:
+                    self.ints[s : s + n] = self.cells[k]
+                continue
+            if k not in cols:
+                self.wide[s : s + n] = True
+                continue
+            col = cols[k]
+            if present is None:
                 self.cells[k] = col.values
             else:
-                self.cells[k] = np.zeros(col.length, object)
-                self.cells[k][col.present] = col.values
+                self.cells[k] = np.zeros(length, object)
+                self.cells[k][present] = col.values
+            if col.formed:   # its cells whose residue int64 holds compare as int64
+                res, narrow = _cell_residues(*col.form[:2], p)
+                if present is None:
+                    self.ints[s : s + length] = res
+                    self.wide[s : s + length] = ~narrow
+                else:
+                    self.ints[s : s + length][present] = res
+                    self.wide[s : s + length][present] = ~narrow
+            else:
+                self.wide[s : s + length] = True
         objs = [k for k in shared if self.is_object[k]]
         self.objects = np.concatenate([self.cells[k] for k in objs]) if objs else np.zeros(0, object)
         self.object_offsets = np.zeros(size, np.int64)
@@ -189,15 +218,18 @@ class _Grid:
             ok[ok] = present[rows[ok]]
         return None if ok.all() else int(rows[np.argmin(ok)])
 
-    def residues(self, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The assigned cell of each (column number, row) pair as its
-        residue in [0, p), an object array (0 for an unassigned one)."""
-        pos, assigned = self.at(cols, rows)
-        out = self.ints[pos].astype(object)
-        obj = self.is_object[cols] & assigned
-        out[obj] = self.objects[self.object_offsets[cols[obj]] + rows[obj]]
-        out[~assigned] = 0
-        return out % self.p
+    def raw(self, cols: np.ndarray, rows: np.ndarray, pos: np.ndarray, assigned: np.ndarray) -> np.ndarray:
+        """The value of the cell of each (column number, row) pair, at `pos`
+        in `ints` when `assigned` (as `at` gives them), as a Python int: in
+        [0, p) for a cell whose signed residue `ints` holds, as its column
+        holds it for a wide one, and any value for an unassigned one."""
+        got = self.ints[pos]
+        out = got.astype(object)
+        wide = self.wide[pos] & assigned
+        out[wide] = self.objects[self.object_offsets[cols[wide]] + rows[wide]]
+        neg = np.flatnonzero((got < 0) & ~wide)   # the residue v - p of a value v > p // 2
+        out[neg] = out[neg] + self.p
+        return out
 
     def value(self, col_id: str, row: int):
         """The cell as the assignment or the layout holds it."""
@@ -208,6 +240,23 @@ class _Grid:
         if k == len(col.rows) or col.rows[k] != row:
             return 0
         return cell_value(col.cells, col.base, col.outliers, k)
+
+
+def _cell_residues(cells: np.ndarray, base: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """For an `int_cells` form's cells whose column as a whole is read as
+    Python ints: each cell's canonical signed residue as int64, and
+    whether it has one (not for an outlier, a value outside [0, p), or a
+    residue int64 cannot hold).  A based cell's residue is c + (B - p),
+    as in `circuit.signed_cells`."""
+    half = p // 2
+    if p < _BIG:
+        return np.where(cells > half, cells - p, cells), (cells >= 0) & (cells < p)
+    narrow = cells >= 0 if half >= _BIG else (cells >= 0) & (cells <= half)
+    k = base - p
+    if not base or not MARK <= k <= 0:
+        return cells, narrow
+    shifted = (cells < 0) & (cells != MARK) & (cells >= max(MARK, half + 1 - p) - k)
+    return np.where(shifted, cells + k, cells), narrow | shifted
 
 
 def _objects(x):
@@ -292,11 +341,42 @@ def _first_error(bad: np.ndarray) -> int:
     return int(np.argmax(bad)) if bad.any() else len(bad)
 
 
-def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, cap: int) -> list[Violation]:
+def _differ(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Which pairs of the object arrays of values a and b are not equal
+    mod p: equal values are equal residues, so only the pairs whose values
+    differ (a tamper, or a value of p or more) are reduced."""
+    out = a != b
+    at = np.flatnonzero(out)
+    if len(at):
+        out[at] = a[at] % p != b[at] % p
+    return out
+
+
+def _declared(split: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical signed residue of each instance value, from its
+    `circuit.narrow_split`, as int64 (any value where it does not fit),
+    and which values it does not fit, compared as Python ints instead.
+    The values are canonical: in [0, p)."""
+    ints, at, wide = split
+    half = p // 2
+    if p < _BIG:
+        return np.where(ints > half, ints - p, ints), np.zeros(len(ints), bool)
+    loose = ints > half if half < _BIG else np.zeros(len(ints), bool)
+    for i, v in zip(at.tolist(), wide):
+        s = v - p if v > half else v
+        if -_BIG <= s < _BIG:
+            ints[i] = s
+        else:
+            loose[i] = True
+    return ints, loose
+
+
+def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, split: tuple, cap: int) -> list[Violation]:
     """The first `cap` violations in canonical (kind, id, row) order.
 
     Constraints are scanned in that order, so stopping at the cap keeps
-    the canonically-first violations.
+    the canonically-first violations.  `split` is the instance's
+    `circuit.narrow_split`.
     """
     out: list[Violation] = []
     p = layout.field.modulus
@@ -345,13 +425,14 @@ def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, cap: int) -> 
     copies = layout.copies
     flat = copies.flat
     if len(flat):
-        ca, ra, cb, rb = flat[0::4], flat[1::4], flat[2::4], flat[3::4]
+        ca, ra, cb, rb = cols.sides
         (a, a_set), (b, b_set) = cols.at(ca, ra), cols.at(cb, rb)
         first_unset = _first_error(~(a_set & b_set))
         differ = cols.ints[a] != cols.ints[b]
-        obj = np.flatnonzero(cols.is_object[ca] | cols.is_object[cb])
-        if len(obj):
-            differ[obj] = cols.residues(ca[obj], ra[obj]) != cols.residues(cb[obj], rb[obj])
+        slow = np.flatnonzero(cols.wide[a] | cols.wide[b])
+        if len(slow):
+            differ[slow] = _differ(cols.raw(ca[slow], ra[slow], a[slow], a_set[slow]),
+                                   cols.raw(cb[slow], rb[slow], b[slow], b_set[slow]), p)
         differ = np.flatnonzero(differ)
         for idx in differ[differ < first_unset][: cap - len(out)].tolist():
             cp = copies[idx]
@@ -367,11 +448,12 @@ def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, cap: int) -> 
         bound_cols, rows, idx = bound[0::3], bound[1::3], bound[2::3]
         at, bound_set = cols.at(bound_cols, rows)
         first_unset = _first_error(~bound_set)
-        declared, _, (bound,) = signed_cells(int_cells([instance]), p)
-        if bound is None or cols.is_object[bound_cols].any():
-            differ = cols.residues(bound_cols, rows) != np.array(instance, object)[idx]
-        else:
-            differ = cols.ints[at] != declared[idx]
+        declared, loose = _declared(split, p)
+        differ = cols.ints[at] != declared[idx]
+        slow = np.flatnonzero(cols.wide[at] | loose[idx])
+        if len(slow):
+            claimed = np.array([instance[i] for i in idx[slow].tolist()], object)
+            differ[slow] = _differ(cols.raw(bound_cols[slow], rows[slow], at[slow], bound_set[slow]), claimed, p)
         differ = np.flatnonzero(differ)
         for b in differ[differ < first_unset][: cap - len(out)].tolist():
             ref, inst_idx = layout.instance_map[b]
@@ -387,7 +469,9 @@ def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, cap: int) -> 
     return out
 
 
-def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> None:
+def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> tuple:
+    """Refuse an assignment that does not fit the layout; the instance's
+    `circuit.narrow_split`."""
     advice_cols = {c.id for c in layout.columns.values() if c.kind == "advice"}
     if set(assignment.advice) != advice_cols:
         missing = advice_cols - set(assignment.advice)
@@ -397,11 +481,17 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> None:
         if len(vals) != layout.n_rows:
             raise CheckError(f"column {col_id} has {len(vals)} rows, grid has {layout.n_rows}")
     instance = assignment.instance
-    if None in instance:
+    split = narrow_split(instance)
+    if split is None and None in instance:
         raise CheckError("instance vector has an unassigned value")
-    if instance and not (min(instance) >= 0 and max(instance) < layout.field.modulus):
-        bad = min(instance) if min(instance) < 0 else max(instance)
-        raise CheckError(f"instance value {bad} is not a canonical residue in [0, p)")
+    if instance:
+        if split is None:
+            lo, hi = min(instance), max(instance)
+        else:   # a wide value's int64 cell is 0, which moves neither test
+            ints, _, wide = split
+            lo, hi = min([int(ints.min()), *wide]), max([int(ints.max()), *wide])
+        if not (lo >= 0 and hi < layout.field.modulus):
+            raise CheckError(f"instance value {lo if lo < 0 else hi} is not a canonical residue in [0, p)")
     idx = layout.instance_map.flat[2::3]
     if len(idx):
         out = (idx < 0) | (idx >= len(instance))
@@ -410,6 +500,7 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> None:
             if first < 0:
                 raise CheckError(f"negative instance binding index {first}")
             raise CheckError(f"instance vector too short for binding index {first}")
+    return split
 
 
 def check(
@@ -425,8 +516,8 @@ def check(
     """
     if cap < 1:
         raise CheckError(f"violation cap must be >= 1, not {cap}")
-    _validate_dimensions(layout, assignment)
-    return _check_all(layout, _Grid(layout, assignment.advice), assignment.instance, cap)
+    split = _validate_dimensions(layout, assignment)
+    return _check_all(layout, _Grid(layout, assignment.advice), assignment.instance, split, cap)
 
 
 def check_parallel(

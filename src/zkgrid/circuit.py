@@ -26,7 +26,11 @@ and their cells; every other row reads 0.  A read of single cells goes
 through one full-height list the column builds on first read and keeps.
 A witness column is an `AdviceColumn` of its assigned cells up to its
 last assigned row, in the prover's assignment and in a loaded witness
-alike; an `Assignment` packs a list column when it is constructed.
+alike; a loaded column of 32-byte cells holds only their values until a
+caller asks for its cells.  An `Assignment` packs a list column when it
+is constructed.  `narrow_split` splits a list of ints such as an
+instance vector into int64 and its few wide values, for `int_cells` and
+the checker alike.
 """
 
 from __future__ import annotations
@@ -400,6 +404,34 @@ MARK = -_BIG
 NO_OUTLIERS = np.zeros(0, object)
 
 
+_EXACT = float(1 << 53)   # below this in magnitude an int's float is exact
+
+
+def narrow_split(values) -> tuple[np.ndarray, np.ndarray, list] | None:
+    """A sequence of ints as int64, 0 at each value int64 cannot hold,
+    with the positions of those values and the values: one float pass
+    over all of them, and a few Python operations for each value of
+    2**53 or more in magnitude.  None when a value is not an int or is
+    too large for a float."""
+    try:
+        f = np.asarray(values, np.float64)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    if np.isnan(f).any():   # None in an object array
+        return None
+    far = np.abs(f) >= _EXACT
+    ints = np.where(far, 0.0, f).astype(np.int64)
+    at, wide = [], []
+    for i in np.flatnonzero(far).tolist():
+        v = values[i]
+        if -_BIG <= v < _BIG:
+            ints[i] = v
+        else:
+            at.append(i)
+            wide.append(v)
+    return ints, np.array(at, np.int64), wide
+
+
 def int_cells(columns: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
     """Each column of integers (a sequence or an array) as the cell codec
     holds it: int64 cells, a base B and an object array of outliers.  A
@@ -408,20 +440,45 @@ def int_cells(columns: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
     column's greatest value of 2**63 or more, or 0 when it has none.
     Outliers are the values that have no such cell: one of 2**63 or more
     at or below B - 2**63, one below 0 beside B, or one below -2**63.
-    The columns that int64 cannot hold are split in one array pass over
-    all of them; a cell that is not an int (None) makes its whole column
-    outliers."""
+    A column of mostly narrow values (an instance vector with its
+    digests) is split by `narrow_split`, with Python work only on its
+    wide values; the columns of mostly wide values are split in one array
+    pass over all of them; a cell that is not an int (None) makes its
+    whole column outliers."""
     out, wide = [], []
     for vals in columns:
-        try:
+        if isinstance(vals, np.ndarray) and vals.dtype != object:
             out.append((np.asarray(vals, np.int64), 0, NO_OUTLIERS))
-        except (OverflowError, TypeError):
+            continue
+        split = narrow_split(vals)
+        form = None if split is None or 2 * len(split[2]) > len(split[0]) else _split_cells(vals, *split)
+        if form is None:
             out.append(np.asarray(vals, object))
             wide.append(len(out) - 1)
+        else:
+            out.append(form)
     if wide:
         for k, form in zip(wide, _based([out[k] for k in wide])):
             out[k] = form
     return out
+
+
+def _split_cells(values, ints: np.ndarray, at: np.ndarray, wide: list) -> tuple | None:
+    """int_cells of one column from its `narrow_split`, which it takes
+    over; None when a value lies below -2**63 (`_based` then makes the
+    whole column outliers)."""
+    if not wide:
+        return ints, 0, NO_OUTLIERS
+    if min(wide) < -_BIG:
+        return None
+    base = max(wide) + 1
+    for i, v in zip(at.tolist(), wide):
+        ints[i] = v - base if v > base - _BIG else MARK
+    beside = ints < 0
+    beside[at] = False
+    ints[beside] = MARK
+    marks = np.flatnonzero(ints == MARK).tolist()
+    return ints, base, np.array([values[i] for i in marks], object) if marks else NO_OUTLIERS
 
 
 def _based(objs: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
@@ -649,27 +706,35 @@ def signed_cells(forms: list, p: int) -> tuple[np.ndarray, np.ndarray, list]:
     if len(full):
         lows[full] = np.minimum.reduceat(cells, starts[full])
         highs[full] = np.maximum.reduceat(cells, starts[full])
-    bounds = [None if len(o) else 0 for _, _, o in forms]
+    clean = np.array([not len(o) for _, _, o in forms], bool)
+    half = p // 2
     if p > _BIG:   # a cell c >= 0 is its own residue when c <= p // 2
-        shifts = np.zeros(len(forms), np.int64)
-        for j, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist())):
-            k = forms[j][1] - p
-            if bounds[j] is None or hi > p // 2:
-                bounds[j] = None
-            elif lo >= 0:
-                bounds[j] = hi
-            elif forms[j][1] and k <= 0 and lo + k >= max(MARK, p // 2 + 1 - p):   # based: residue c + k
-                shifts[j] = k
-                bounds[j] = max(-(lo + k), hi)
-            else:
-                bounds[j] = None
-        return cells + np.where(cells < 0, np.repeat(shifts, lens), 0), starts, bounds
-    signed = np.where(cells > p // 2, cells - p, cells)
+        if half < _BIG:
+            clean &= highs <= half
+        bounds = np.where(clean & (lows >= 0), highs, -1)
+        # A based column's cell c < 0 has the residue c + k, k = B - p,
+        # when every such sum lies in [p // 2 + 1 - p, 0).
+        based = np.flatnonzero(clean & (lows < 0))
+        ks = [forms[j][1] - p if forms[j][1] else 1 for j in based.tolist()]
+        ks = np.array([k if MARK <= k <= 0 else 1 for k in ks], np.int64)
+        ok = (ks <= 0) & (lows[based] >= max(MARK, half + 1 - p) - np.minimum(ks, 0))
+        based, ks = based[ok], ks[ok]
+        bounds = [None if b < 0 else b for b in bounds.tolist()]
+        for j, lo, k, hi in zip(based.tolist(), lows[based].tolist(), ks.tolist(), highs[based].tolist()):
+            bounds[j] = max(-(lo + k), hi)
+        if len(based):
+            shifts = np.zeros(len(forms), np.int64)
+            shifts[based] = ks
+            shift = np.repeat(shifts, lens)
+            shift[cells >= 0] = 0
+            cells += shift
+        return cells, starts, bounds
+    signed = np.where(cells > half, cells - p, cells)
+    mags = np.zeros(len(forms), np.int64)
     if len(full):
-        mags = np.maximum(-np.minimum.reduceat(signed, starts[full]), np.maximum.reduceat(signed, starts[full]))
-        for j, m in zip(full.tolist(), mags.tolist()):
-            bounds[j] = m if bounds[j] is not None and lows[j] >= 0 and highs[j] < p else None
-    return signed, starts, bounds
+        mags[full] = np.maximum(-np.minimum.reduceat(signed, starts[full]), np.maximum.reduceat(signed, starts[full]))
+    bounds = np.where(clean & (lows >= 0) & (highs < p), mags, -1).tolist()
+    return signed, starts, [None if b < 0 else b for b in bounds]
 
 
 class FixedColumn(Sequence):
@@ -808,43 +873,73 @@ class AdviceColumn(Sequence):
     The first `length` rows may be assigned, those `present` marks (a bool
     array of `length`, or None when all of them are), and every later row
     is unassigned.  `cells`, `base` and `outliers` hold the assigned
-    cells' values in row order as `int_cells` does.  The column reads as a
-    sequence of Python ints and None (unassigned), compares equal to a
-    list of the same cells, and takes `column[row] = value`, which
-    rebuilds its arrays.  A column may carry its cell column bytes
-    (`encode_cell_columns`), as the prover's columns that the model alone
-    fixes do; they hold while the column keeps the arrays, base and length
-    it was built with, so `column[row] = value`, which rebuilds them,
-    drops the bytes.
+    cells' values in row order as `int_cells` does.  A column may be built
+    from its values alone, as the loader builds a column of 32-byte cells
+    (the sponge states): it then holds them as an object array of Python
+    ints, which is how the checker reads such a column, and works out its
+    `int_cells` form only when a caller reads `cells`, `base` or
+    `outliers` (a dump, a write); `formed` says whether it has.  The
+    column reads as a sequence of Python ints and None (unassigned),
+    compares equal to a list of the same cells, and takes `column[row] =
+    value`, which rebuilds its arrays.  A column may carry its cell
+    column bytes (`encode_cell_columns`), as the prover's columns that
+    the model alone fixes do; they hold while the column keeps the
+    arrays, base and length it was built with, so `column[row] = value`,
+    which rebuilds them, drops the bytes.
     """
 
-    __slots__ = ("n_rows", "length", "present", "cells", "base", "outliers", "_values", "_encoded")
+    __slots__ = ("n_rows", "length", "present", "_form", "_values", "_encoded")
     __hash__ = None
 
-    def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple, values=None,
+    def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple | None, values=None,
                  encoded: bytes | None = None):
         self.n_rows = n_rows
         self.length = length
         self.present = present
-        self.cells, self.base, self.outliers = form
+        self._form = form
         self._values = values
-        self._encoded = None if encoded is None else (self.cells, self.outliers, present, self.base, length, encoded)
+        self._encoded = None if encoded is None else (form[0], form[2], present, form[1], length, encoded)
+
+    @property
+    def formed(self) -> bool:
+        """Whether the column holds its `int_cells` form yet."""
+        return self._form is not None
+
+    @property
+    def form(self) -> tuple:
+        """(cells, base, outliers), worked out from the values on first
+        read by a column built from its values alone, and kept."""
+        if self._form is None:
+            self._form = int_cells([self._values])[0]
+        return self._form
+
+    def _replace(self, k: int, part) -> None:
+        form = list(self.form)
+        form[k] = part
+        self._form, self._values = tuple(form), None
+
+    cells = property(lambda self: self.form[0], lambda self, v: self._replace(0, v))
+    base = property(lambda self: self.form[1], lambda self, v: self._replace(1, v))
+    outliers = property(lambda self: self.form[2], lambda self, v: self._replace(2, v))
 
     def encoded(self) -> bytes | None:
         """The cell column bytes the column was built with, or None when it
         was built without them or no longer holds the same arrays (by
         identity), base and length."""
         e = self._encoded
-        if e is None or e[0] is not self.cells or e[1] is not self.outliers or e[2] is not self.present:
+        if e is None:
             return None
-        return e[5] if (e[3], e[4]) == (self.base, self.length) else None
+        cells, base, outliers = self._form
+        if e[0] is not cells or e[1] is not outliers or e[2] is not self.present:
+            return None
+        return e[5] if (e[3], e[4]) == (base, self.length) else None
 
     @property
     def values(self) -> np.ndarray:
         """The assigned cells' values in row order, as `cell_values` gives
         them (or as the caller that built the column gave them), kept."""
         if self._values is None:
-            self._values = cell_values(self.cells, self.base, self.outliers)
+            self._values = cell_values(*self._form)
         return self._values
 
     @classmethod
@@ -880,14 +975,15 @@ class AdviceColumn(Sequence):
             if not self.present[r]:
                 return None
             r = int(np.count_nonzero(self.present[:r]))
-        return cell_value(self.cells, self.base, self.outliers, r)
+        if self._form is None:
+            return self._values[r]
+        return cell_value(*self._form, r)
 
     def __setitem__(self, row: int, value) -> None:
         vals = self.tolist()
         vals[row] = value
         new = AdviceColumn.of_list(vals)
-        self.length, self.present, self.cells, self.base, self.outliers, self._values = (
-            new.length, new.present, new.cells, new.base, new.outliers, None)
+        self.length, self.present, self._form, self._values = new.length, new.present, new._form, None
 
     def __iter__(self):
         return iter(self.tolist())

@@ -61,11 +61,21 @@ order.  Each advice column in that order, then the instance vector, is
 written as a cell column whose length is one past its last assigned row
 (the instance vector's own length); the rows from L on are unassigned.
 
-In memory a cell column is the form `circuit.int_cells` gives: int64
-cells, each its value or, below 0, its offset from the base, with a mark
-for each outlier and the outliers apart.  That is the file's own form, so
-the loader builds it with array operations only (the outliers and the
-32-byte cells take one Python int each), and the writer
+In memory a cell column of w <= 8 is the form `circuit.int_cells`
+gives: int64 cells, each its value or, below 0, its offset from the
+base, with a mark for each outlier and the outliers apart.  That is the
+file's own form.  Both loaders read all the cell columns of a file in
+one pass (`_decode_columns`): a walk over the column headers checks
+every length the file claims before anything is allocated, then one
+gather per width reads the bodies, one `int.from_bytes` pass the 32-byte
+cells, and a few array operations over all columns check the bitmaps,
+the cells' signs and the outlier marks; only the outliers take Python
+work each.  Of two faults in one file, the one reported is the first
+faulty column's among those each step finds.  A column of 32-byte cells
+(the sponge states) comes out as its values, an object array of Python
+ints: the form the checker reads, so a loaded witness's 32-byte column
+works out its `int_cells` form only when a dump or a write asks for it,
+while a layout's fixed columns are split at load.  The writer
 (`circuit.encode_cell_columns`) picks the width of every column of a
 file in one array pass over all their cells.  A witness holds each
 advice column as a `circuit.AdviceColumn` at its used length, the
@@ -73,7 +83,8 @@ prover's and a loaded one alike, and its instance vector as a list.  The
 writer copies the bytes a column carries (the prover's columns that the
 model alone fixes, encoded once at compile, while the column holds the
 arrays they were encoded from), and encodes the other columns' forms as
-they are and the instance.
+they are and the instance, which `circuit.narrow_split` splits into
+int64 and its few wide values.
 
 Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
@@ -138,19 +149,22 @@ class FormatError(ValueError):
 
 # --- cell columns ------------------------------------------------------------
 
-def _decode_cells(raw: bytes, pos: int, limit: int) -> tuple:
-    """The assigned cells of the column at raw[pos:], in row order, as
-    `circuit.int_cells` holds them, (cells, base, outliers), with no
-    operation on objects per cell but for the 32-byte cells and the
-    outliers; the column's length L, at most `limit`; which of its rows
-    are assigned, a bool array of L, None when every one is; and the
-    position after it; and, for 32-byte cells, their values as an object
-    array (else None)."""
-    if pos + CELL_COUNTS.size + 1 > len(raw):
+# Where one cell column lies in a file: its length L, its assigned cells N,
+# width w and base B, where its bitmap (if N < L) and its cells start, and
+# its outlier count K (0 for w = 32), whose list follows the count.
+_Head = tuple[int, int, int, int, int, int, int]
+_COLUMN_HEAD = struct.Struct(CELL_COUNTS.format + "B")    # L, N and the form byte
+
+
+def _cell_head(raw: bytes, pos: int, limit: int) -> tuple[_Head, int]:
+    """The head of the cell column at raw[pos:], whose length L is at most
+    `limit`, and the position after the column.  Every length the column
+    claims is checked against raw; nothing is allocated for it."""
+    size = len(raw)
+    if pos + _COLUMN_HEAD.size > size:
         raise FormatError("truncated cell column header")
-    n_rows, n = CELL_COUNTS.unpack_from(raw, pos)
-    form = raw[pos + CELL_COUNTS.size]
-    pos += CELL_COUNTS.size + 1
+    n_rows, n, form = _COLUMN_HEAD.unpack_from(raw, pos)
+    pos += _COLUMN_HEAD.size
     if n_rows > limit:
         raise FormatError(f"column of {n_rows} cells where at most {limit} fit")
     if n > n_rows:
@@ -161,67 +175,153 @@ def _decode_cells(raw: bytes, pos: int, limit: int) -> tuple:
     if form & BASED_FLAG:
         if w == 32:
             raise FormatError("32-byte cells take no base")
-        if pos + 32 > len(raw):
+        if pos + 32 > size:
             raise FormatError("truncated cell column header")
         base = int.from_bytes(raw[pos : pos + 32], "little")
         if not _BIG < base <= CELL_LIMIT:
             raise FormatError(f"column base {base} outside (2**63, 2**255]")
         pos += 32
-    present = None
+    bits = pos
     if n < n_rows:
-        end = pos + (n_rows + 7) // 8
-        if end > len(raw):
+        pos += (n_rows + 7) // 8
+        if pos > size:
             raise FormatError("truncated presence bitmap")
-        bits = int.from_bytes(raw[pos:end], "little")
-        if bits >> n_rows:
-            raise FormatError("presence bit set at or past the column's length")
-        if not bits >> (n_rows - 1):
-            raise FormatError("a column's last written cell is unassigned")
-        if bits.bit_count() != n:
-            raise FormatError(f"{n} assigned cells, the presence bitmap sets {bits.bit_count()}")
-        present = np.unpackbits(np.frombuffer(raw, np.uint8, end - pos, pos), count=n_rows, bitorder="little").view(bool)
-        pos = end
-    end = pos + n * w
-    if end > len(raw):
+    body, pos = pos, pos + n * w
+    if pos > size:
         raise FormatError("truncated cell column")
-    # Any cell whose top byte has its top bit set (for w <= 8, a negative one).
-    signed = raw[pos + w - 1 : end : w].translate(None, _LOW_BYTES)
     if w == 32:
-        if signed:
-            raise FormatError("cell >= 2**255")
-        values = np.array(_big_ints(raw, pos, end), object)
-        return int_cells([values])[0], n_rows, present, end, values
-    vals = np.frombuffer(raw, f"<i{w}", n, pos)
-    if end + CELL_COUNT.size > len(raw):
+        return (n_rows, n, w, base, bits, body, 0), pos
+    if pos + CELL_COUNT.size > size:
         raise FormatError("truncated outlier count")
-    (k,) = CELL_COUNT.unpack_from(raw, end)
-    pos, end = end + CELL_COUNT.size, end + CELL_COUNT.size + 32 * k
-    if end > len(raw):
+    (k,) = CELL_COUNT.unpack_from(raw, pos)
+    pos += CELL_COUNT.size + 32 * k
+    if pos > size:
         raise FormatError("truncated outlier list")
-    if raw[pos + 31 : end : 32].translate(None, _LOW_BYTES):
-        raise FormatError("outlier >= 2**255")
-    marks = np.flatnonzero(vals == -1 << (8 * w - 1)) if signed else ()
-    if len(marks) > k:
-        raise FormatError("outlier mark with no listed outlier")
-    if len(marks) < k:
-        raise FormatError("listed outlier with no outlier mark")
-    cells = vals.astype(np.int64)
-    if signed and np.count_nonzero(vals < 0) > k and not base:
-        raise FormatError(f"cell {vals[(vals < 0) & (vals != -1 << (8 * w - 1))][0]} < 0 in a column with no base")
-    outliers = []
-    # An outlier that has a cell, below 2**63 or in the base's band, takes it.
-    for at, v in zip(marks.tolist() if k else (), _big_ints(raw, pos, end)):
-        if v < _BIG or base - _BIG < v < base:
-            cells[at] = v if v < _BIG else v - base
-        else:
-            cells[at] = MARK
-            outliers.append(v)
-    return (cells, base, np.array(outliers, object) if outliers else NO_OUTLIERS), n_rows, present, end, None
+    return (n_rows, n, w, base, bits, body, k), pos
 
 
-def _big_ints(raw: bytes, pos: int, end: int) -> list[int]:
-    """The 32-byte little-endian unsigned integers of raw[pos:end]."""
-    return list(map(int.from_bytes, map(itemgetter(0), struct.iter_unpack("32s", raw[pos:end])), repeat("little")))
+def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple[list, list, list]:
+    """The columns `_cell_head` read, as three lists: each column's
+    assigned cells in row order as `circuit.int_cells` holds them (None
+    for 32-byte cells), its 32-byte cells' values as an object array of
+    Python ints (None for the other widths), and which of its L rows are
+    assigned (a bool array of L, or None when every one is).  The bodies
+    take one gather per width, the 32-byte cells one `int.from_bytes`
+    pass, and the checks of the bitmaps, the cells' signs and the outlier
+    marks a few array operations over all columns; only the outliers take
+    Python work each.  A fault of column j is refused with FormatError,
+    its message led by label(j); of the faults found, the first column's
+    is reported."""
+    view = memoryview(raw)
+    lens, counts, widths, bases, bits, bodies, lists = zip(*heads) if heads else [()] * 7
+    forms, values, present = [None] * len(heads), [None] * len(heads), [None] * len(heads)
+    faults: list[tuple[int, str]] = []
+    by_width: dict[int, list[int]] = {}
+    for j, w in enumerate(widths):
+        by_width.setdefault(w, []).append(j)
+
+    gapped = [j for j, (n_rows, n) in enumerate(zip(lens, counts)) if n < n_rows]
+    if gapped:
+        rows = np.array([lens[j] for j in gapped], np.int64)
+        sizes = (rows + 7) // 8
+        maps = np.frombuffer(b"".join([view[bits[j] : bits[j] + m] for j, m in zip(gapped, sizes.tolist())]), np.uint8)
+        ends = np.cumsum(sizes)
+        last = maps[ends - 1].astype(np.int64)
+        past = (rows % 8 > 0) & (last >> (rows % 8) > 0)
+        unset = (last >> ((rows - 1) % 8)) & 1 == 0
+        set_bits = np.add.reduceat(np.bitwise_count(maps), ends - sizes, dtype=np.int64)
+        wanted = np.array([counts[j] for j in gapped], np.int64)
+        for i in np.flatnonzero(past | unset | (set_bits != wanted))[:1].tolist():
+            if past[i]:
+                faults.append((gapped[i], "presence bit set at or past the column's length"))
+            elif unset[i]:
+                faults.append((gapped[i], "a column's last written cell is unassigned"))
+            else:
+                faults.append((gapped[i], f"{wanted[i]} assigned cells, the presence bitmap sets {set_bits[i]}"))
+        flags = np.unpackbits(maps, bitorder="little").view(bool)
+        for j, at, n_rows in zip(gapped, (8 * (ends - sizes)).tolist(), rows.tolist()):
+            present[j] = flags[at : at + n_rows]
+
+    wide = by_width.get(32, ())
+    if wide:
+        body = b"".join([view[bodies[j] : bodies[j] + 32 * counts[j]] for j in wide])
+        if body[31::32].translate(None, _LOW_BYTES):
+            faults.append((next(j for j in wide if _top_set(raw, bodies[j], counts[j])), "cell >= 2**255"))
+        big = np.fromiter(_big_ints(body), object, len(body) // 32)
+        at = 0
+        for j in wide:
+            values[j] = big[at : at + counts[j]]
+            at += counts[j]
+
+    for w in (1, 2, 4, 8):
+        cols = by_width.get(w)
+        if not cols:
+            continue
+        ns = [counts[j] for j in cols]
+        vals = np.frombuffer(b"".join([view[bodies[j] : bodies[j] + w * n] for j, n in zip(cols, ns)]), f"<i{w}")
+        cells = vals.astype(np.int64)
+        at = 0
+        for j, n in zip(cols, ns):
+            forms[j] = cells[at : at + n], bases[j], NO_OUTLIERS
+            at += n
+        listed = [j for j in cols if lists[j]]
+        if not listed and not (len(vals) and vals.min() < 0):
+            continue
+        # Per column: its outlier marks (the most negative w-byte integer)
+        # and its other negative cells, which need a base.
+        mark = -1 << (8 * w - 1)
+        ns = np.array(ns, np.int64)
+        starts = (np.cumsum(ns) - ns)[ns > 0]
+        marks = np.zeros(len(cols), np.int64)
+        below = np.zeros(len(cols), np.int64)
+        if len(starts):
+            marks[ns > 0] = np.add.reduceat(vals == mark, starts, dtype=np.int64)
+            below[ns > 0] = np.add.reduceat(vals < 0, starts, dtype=np.int64) - marks[ns > 0]
+        top = next((j for j in listed if _top_set(raw, bodies[j] + w * counts[j] + CELL_COUNT.size, lists[j])), None)
+        if top is not None:
+            faults.append((top, "outlier >= 2**255"))
+        want = np.array([lists[j] for j in cols], np.int64)
+        unbased = np.array([not bases[j] for j in cols], bool)
+        for i in np.flatnonzero((marks != want) | ((below > 0) & unbased))[:1].tolist():
+            j = cols[i]
+            if marks[i] > want[i]:
+                faults.append((j, "outlier mark with no listed outlier"))
+            elif marks[i] < want[i]:
+                faults.append((j, "listed outlier with no outlier mark"))
+            else:
+                c = forms[j][0]
+                faults.append((j, f"cell {c[(c < 0) & (c != mark)][0]} < 0 in a column with no base"))
+        if faults:
+            continue
+        for j in listed:
+            c, base = forms[j][0], bases[j]
+            at = bodies[j] + w * counts[j] + CELL_COUNT.size
+            outliers = []
+            # An outlier that has a cell, below 2**63 or in the base's band,
+            # takes it.
+            for r, v in zip(np.flatnonzero(c == mark).tolist(), _big_ints(view[at : at + 32 * lists[j]])):
+                if v < _BIG or base - _BIG < v < base:
+                    c[r] = v if v < _BIG else v - base
+                else:
+                    c[r] = MARK
+                    outliers.append(v)
+            forms[j] = c, base, np.array(outliers, object) if outliers else NO_OUTLIERS
+
+    if faults:
+        j, what = min(faults, key=itemgetter(0))
+        raise FormatError(f"{label(j)}{what}")
+    return forms, values, present
+
+
+def _top_set(raw: bytes, pos: int, n: int) -> bool:
+    """Whether one of the n 32-byte integers at raw[pos:] is 2**255 or
+    more."""
+    return bool(raw[pos + 31 : pos + 32 * n : 32].translate(None, _LOW_BYTES))
+
+
+def _big_ints(data) -> map:
+    """The 32-byte little-endian unsigned integers of data."""
+    return map(int.from_bytes, map(itemgetter(0), struct.iter_unpack("32s", data)), repeat("little"))
 
 
 # --- layout ------------------------------------------------------------------
@@ -258,27 +358,33 @@ def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[np.ndarr
     return np.frombuffer(raw, f"<u{w}", count, pos + 1), end
 
 
-def _decode_residues(raw: bytes, pos: int, count: int, p: int, what: str) -> tuple[tuple, int]:
-    """The `count` values, each in [1, p), of the cell column at raw[pos:],
-    as `circuit.int_cells` holds them, and the position after it."""
-    try:
-        form, n_rows, present, pos, _ = _decode_cells(raw, pos, count)
-    except FormatError as e:
-        raise FormatError(f"malformed layout: {what}: {e}") from None
-    _need(n_rows == count, f"{what}: {n_rows} values, the header says {count}")
-    _need(present is None, f"{what}: unassigned value")
-    cells, base, outliers = form
-    if not len(cells):
-        return form, pos
-    if len(outliers) or base > p:
-        values = cell_values(*form)
-        ok = min(values) >= 1 and max(values) < p
-    else:   # a based cell is a value in [1, B); the others are themselves
-        ok = int(cells.max()) < p and (not (cells == 0).any() if base else int(cells.min()) >= 1)
-    if not ok:
-        _need(not (cell_values(*form) == 0).any(), f"{what}: zero cell listed")
-        _need(False, f"{what}: value not a canonical residue")
-    return form, pos
+def _fixed_forms(forms: list, values: list, p: int, ids: list[str]) -> list[tuple]:
+    """The fixed columns' values as `circuit.int_cells` holds them, from
+    `_decode_columns`, each checked to be a canonical residue in [1, p):
+    the narrow columns' cells with a few array operations over all of
+    them (a based cell is a value in [1, B), the others are themselves),
+    and the 32-byte columns' and those with outliers or a base above p on
+    Python ints.  The 32-byte columns are split by one `int_cells` call."""
+    forms = list(forms)
+    wide = [j for j, f in enumerate(forms) if f is None]
+    for j, form in zip(wide, int_cells([values[j] for j in wide])):
+        forms[j] = form
+    plain = [j for j, (c, base, o) in enumerate(forms) if len(c) and not len(o) and base <= p and values[j] is None]
+    bad = set(range(len(forms))) - set(plain)
+    if plain:
+        lens = np.array([len(forms[j][0]) for j in plain], np.int64)
+        starts = np.cumsum(lens) - lens
+        cells = np.concatenate([forms[j][0] for j in plain])
+        based = np.array([forms[j][1] > 0 for j in plain], bool)
+        ok = (np.maximum.reduceat(cells, starts) < p) & np.where(
+            based, np.add.reduceat(cells == 0, starts) == 0, np.minimum.reduceat(cells, starts) >= 1)
+        bad |= {plain[i] for i in np.flatnonzero(~ok).tolist()}
+    for j in sorted(bad):
+        vals = values[j] if values[j] is not None else cell_values(*forms[j])
+        if len(vals) and not (min(vals) >= 1 and max(vals) < p):
+            _need(not (vals == 0).any(), f"fixed column {ids[j]}: zero cell listed")
+            _need(False, f"fixed column {ids[j]}: value not a canonical residue")
+    return forms
 
 
 # The node table's operators, the Expr ops they build, and the operand
@@ -483,19 +589,29 @@ def load_layout(raw: bytes) -> CircuitLayout:
         raise FormatError(f"malformed layout: {e!r}") from e
 
     flat, pos = _decode_uints(raw, pos, 4 * n_copies, "copies")
-    fixed = {}
+    rows, heads = [], []
     for col_id, n in fixed_counts:
         what = f"fixed column {col_id}"
-        rows, pos = _decode_uints(raw, pos, n, what)
-        form, pos = _decode_residues(raw, pos, n, p, what)
-        if n > 1 and not (rows[1:] > rows[:-1]).all():
-            ordered = np.sort(rows)
-            _need((ordered[1:] != ordered[:-1]).all(), f"{what}: row listed twice")
-        # A row of 2**31 or more turns negative here; validate() refuses
-        # it with the rows that are not in increasing order in the grid.
-        fixed[col_id] = FixedColumn.from_cells(rows.astype(np.int32), form, n_rows)
+        r, pos = _decode_uints(raw, pos, n, what)
+        try:
+            head, pos = _cell_head(raw, pos, n)
+        except FormatError as e:
+            raise FormatError(f"malformed layout: {what}: {e}") from None
+        _need(head[0] == n, f"{what}: {head[0]} values, the header says {n}")
+        _need(head[1] == n, f"{what}: unassigned value")
+        rows.append(r)
+        heads.append(head)
     bound, pos = _decode_uints(raw, pos, 3 * n_bindings, "instance bindings")
     _need(pos == len(raw), f"{len(raw) - pos} trailing bytes after the layout")
+    forms, values, _ = _decode_columns(raw, heads, lambda j: f"malformed layout: fixed column {fixed_counts[j][0]}: ")
+    fixed = {}
+    for (col_id, n), r, form in zip(fixed_counts, rows, _fixed_forms(forms, values, p, [c for c, _ in fixed_counts])):
+        if n > 1 and not (r[1:] > r[:-1]).all():
+            ordered = np.sort(r)
+            _need((ordered[1:] != ordered[:-1]).all(), f"fixed column {col_id}: row listed twice")
+        # A row of 2**31 or more turns negative here; validate() refuses
+        # it with the rows that are not in increasing order in the grid.
+        fixed[col_id] = FixedColumn.from_cells(r.astype(np.int32), form, n_rows)
     top = int(bound[0::3].max(initial=0))
     if top >= len(names):
         raise CircuitError(f"instance binding references column number {top} outside the {len(names)} columns")
@@ -535,7 +651,7 @@ def dump_witness(assignment: Assignment) -> bytes:
     columns = [assignment.advice[col] for col in cols]
     carried = [c.encoded() for c in columns]
     forms = [
-        ((c.cells, c.base, c.outliers), c.length,
+        (c.form, c.length,
          b"" if c.present is None else np.packbits(c.present, bitorder="little").tobytes())
         for c, code in zip(columns, carried) if code is None
     ]
@@ -581,15 +697,20 @@ def load_witness(raw: bytes) -> Assignment:
         pos += ln
     if len(set(cols)) != n_cols:
         raise FormatError("duplicate advice column id")
-    advice = {}
-    for col in cols:
-        form, length, present, pos, values = _decode_cells(raw, pos, n_rows)
-        advice[col] = AdviceColumn(n_rows, length, present, form, values)
-    form, length, present, pos, _ = _decode_cells(raw, pos, n_inst)
-    if length != n_inst:
-        raise FormatError(f"instance vector of {length} values, header says {n_inst}")
-    if present is not None:
+    heads = []
+    for _ in cols:
+        head, pos = _cell_head(raw, pos, n_rows)
+        heads.append(head)
+    head, pos = _cell_head(raw, pos, n_inst)
+    if head[0] != n_inst:
+        raise FormatError(f"instance vector of {head[0]} values, header says {n_inst}")
+    if head[1] != n_inst:
         raise FormatError("instance values cannot be unassigned")
     if pos != len(raw):
         raise FormatError(f"{len(raw) - pos} trailing bytes after the witness")
-    return Assignment(advice=advice, instance=cell_values(*form).tolist())
+    forms, values, present = _decode_columns(raw, [*heads, head])
+    advice = {
+        col: AdviceColumn(n_rows, h[0], mask, form, vals)
+        for col, h, form, vals, mask in zip(cols, heads, forms, values, present)
+    }
+    return Assignment(advice=advice, instance=(values[-1] if forms[-1] is None else cell_values(*forms[-1])).tolist())

@@ -316,6 +316,28 @@ def test_unassigned_lookup_and_copy_cells_are_errors():
         check(layout, asg)
 
 
+@pytest.mark.parametrize("where", ["copy", "binding"])
+def test_unassigned_wide_cells_are_errors(where):
+    """A copy or a binding that reads a column of wide cells past its last
+    assigned row is an unassigned read, for the prover's lists and for a
+    loaded witness whose 32-byte columns hold only their values."""
+    p = DEFAULT_MODULUS
+    wide = {"a": [pow(7907, 40 + 9 * i, p) for i in range(2)], "b": [pow(7919, 40 + 9 * i, p) for i in range(3)]}
+    layout = CircuitLayout(
+        field=Field(), columns={c: Column(c, ADVICE) for c in wide}, n_rows=8, n_rows_logical=8, gates=[],
+        tables={}, lookups=[], fixed={},
+        copies=[CopyConstraint(("a", 0), ("b", 0)), CopyConstraint(("a", 1), ("b", 7))] if where == "copy" else [],
+        instance_map=[(("a", 0), 0), (("b", 6), 1)] if where == "binding" else [],
+    )
+    asg = Assignment(advice={c: v + [None] * (8 - len(v)) for c, v in wide.items()}, instance=[wide["a"][0], 1])
+    loaded = serialize.load_witness(serialize.dump_witness(asg))
+    assert not any(col.formed for col in loaded.advice.values())
+    message = "copy 1: unassigned cell" if where == "copy" else r"instance binding 1: unassigned cell \('b', 6\)"
+    for witness in (asg, loaded):
+        with pytest.raises(CheckError, match=message):
+            check(layout, witness)
+
+
 def test_negative_instance_index_rejected():
     rng = random.Random(3)
     g = random_model(rng, max_hw=4, max_c=2)
@@ -680,3 +702,69 @@ def test_first_bad_binding_index_is_named(order, message):
     layout = replace(layout, instance_map=[(("h", r), idx) for r, idx in enumerate(order)])
     with pytest.raises(CheckError, match=f"^{message}$"):
         check(layout, asg)
+
+
+@pytest.fixture(scope="module")
+def audit_files():
+    """perfbench's audit_batch model (seed 111, 32/16/5, hidden weights),
+    its layout file and a prover's witness builder: each tampered
+    witness file with the rows its tamper touches."""
+    g = random_model(random.Random(111), max_hw=32, max_c=16, max_layers=5)
+    layout, _ = compile(g, CompileConfig(mode=VisibilityMode.PUBLIC_INPUT_HIDDEN_WEIGHTS))
+    p = layout.field.modulus
+    [sp] = [s for s in layout.plan.sponges if s.label == "weights"]
+    [(s_col, s_row)] = layout.plan.cells(sp.state_at[5:6])
+    inputs = [random_input(random.Random(seed), g) for seed in (31, 32)]
+
+    def witness(tamper: str, k: int = 0) -> tuple[bytes, list]:
+        asg = assign_witness(layout, g, inputs[k])
+        rows = [0]
+        if tamper == "sponge cell":
+            asg.advice[s_col][s_row] = (asg.advice[s_col][s_row] + 1) % p
+            rows = [s_row]
+        elif tamper == "logit":
+            asg.instance[0] = (asg.instance[0] + 1) % p
+        elif tamper == "sponge cell + p":
+            asg.advice[s_col][s_row] += p
+            rows = [s_row]
+        return serialize.dump_witness(asg), rows
+
+    return layout, serialize.dump_layout(layout), witness
+
+
+def test_reused_loaded_layout_checks_as_a_fresh_one(audit_files):
+    """One loaded layout checks, in turn, an honest witness, a tampered
+    weight-digest sponge cell, a tampered logit, a sponge cell written as
+    v + p and an honest witness again, each as a fresh load of the same
+    layout bytes and the row oracle do: nothing the checker keeps between
+    calls (a column's reading, a lazily split form) carries over."""
+    _, raw, witness = audit_files
+    reused = serialize.load_layout(raw)
+    verdicts = []
+    for tamper, k in [("honest", 0), ("sponge cell", 1), ("logit", 0), ("sponge cell + p", 1), ("honest", 1)]:
+        wit, rows = witness(tamper, k)
+        got = check(reused, serialize.load_witness(wit))
+        assert got == check(serialize.load_layout(raw), serialize.load_witness(wit))
+        assert got == row_oracle_check(reused, serialize.load_witness(wit), rows=rows)
+        verdicts.append(bool(got))
+    assert verdicts == [False, True, True, False, False]
+
+
+def test_loaded_witness_is_checked_without_splitting_python_ints(audit_files, monkeypatch):
+    """Against a layout already loaded, loading and checking audit_batch
+    witnesses, honest and tampered, splits no column of Python ints
+    (`circuit._based`): the 32-byte columns stay values, and the instance
+    is compared as int64 but for its wide values."""
+    from zkgrid import circuit
+
+    _, raw, witness = audit_files
+    loaded = serialize.load_layout(raw)
+    files = [witness(tamper)[0] for tamper in ("honest", "sponge cell", "logit", "sponge cell + p")]
+    want = [check(loaded, serialize.load_witness(wit)) for wit in files]
+    assert [bool(v) for v in want] == [False, True, True, False]
+
+    def refuse(objs):
+        raise AssertionError("a column of Python ints was split")
+
+    monkeypatch.setattr(circuit, "_based", refuse)
+    assert [check(loaded, serialize.load_witness(wit)) for wit in files] == want

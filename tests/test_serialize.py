@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import layout_doc, layout_file, layout_sections
+from helpers import layout_doc, layout_file, layout_sections, row_oracle_check
 from zkgrid import serialize
 from zkgrid.arithmetize import CompileConfig, assign_witness, compile
 from zkgrid.checker import check
@@ -31,6 +31,7 @@ from zkgrid.circuit import (
     CircuitLayout,
     Column,
     Copies,
+    CopyConstraint,
     Expr,
     FixedColumn,
     GateDef,
@@ -736,6 +737,134 @@ def test_witness_is_read_whole_before_padding():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_claimed_32_byte_column_is_refused_before_allocation():
+    """A short file whose header claims a column of MAX_ROWS 32-byte
+    cells (32 MB) is refused before anything is sized by the claim."""
+    claim = struct.pack("<II", MAX_ROWS, MAX_ROWS) + b"\x20" + bytes(64)
+    raw = witness_bytes(MAX_ROWS, [("a", claim)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated cell column"):
+            serialize.load_witness(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+P31 = (1 << 31) - 1
+# Each kind of column the differential test draws, by the values it holds
+# and so the width and form the writer gives it.
+_KINDS = {
+    "w1": lambda p: st.integers(0, 100),
+    "w2": lambda p: st.integers(0, 1 << 15),
+    "w4": lambda p: st.integers(0, (1 << 31) - 1),
+    "w8": lambda p: st.integers(0, 1 << 62),
+    "w32": lambda p: st.integers(0, (1 << 254) - 1),
+    "residues": lambda p: st.integers(1, 300).map(lambda x: p - x),
+    "base 2**63": lambda p: st.one_of(st.integers(0, 50), st.integers(1, 300).map(lambda x: (1 << 63) + x)),
+    "base 2**255": lambda p: st.one_of(st.integers(0, 50), st.integers(1, 300).map(lambda x: (1 << 255) - x)),
+    "outliers": lambda p: st.one_of(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.sampled_from([1 << 100, 1 << 70])),
+    "non-canonical": lambda p: st.integers(0, p - 1).map(lambda v: v + p * (1 + v % 3) if p == P31 else v + p),
+}
+
+
+@st.composite
+def crafted_witnesses(draw):
+    """A layout of advice columns, product and pow5 gates, copies and
+    instance bindings over their assigned cells, and the cells: columns
+    of every width and form, with sparse presence, only the last row
+    assigned or no row at all; copies often join a cell to another
+    representative of its residue, and bindings often hold its residue.
+    Some columns are then written as 32-byte cells by hand."""
+    p = draw(st.sampled_from([P, P31]))
+    n_rows = draw(st.integers(2, 16))
+    kinds = draw(st.lists(st.sampled_from(sorted(_KINDS)), min_size=3, max_size=7))
+    advice = {}
+    for k, kind in enumerate(kinds):
+        vals = [draw(_KINDS[kind](p)) for _ in range(n_rows)]
+        shape = draw(st.sampled_from(["full", "full", "sparse", "last", "empty"]))
+        if shape == "sparse":
+            vals = [v if draw(st.booleans()) else None for v in vals]
+        elif shape == "last":
+            cut = draw(st.integers(2, n_rows))
+            vals = [None] * (cut - 1) + [vals[cut - 1]] + [None] * (n_rows - cut)
+        elif shape == "empty":
+            vals = [None] * n_rows
+        advice[f"a{k}"] = vals
+    cells = [(c, r) for c, vals in advice.items() for r, v in enumerate(vals) if v is not None]
+    copies, bindings, instance = [], [], []
+    if cells:
+        for _ in range(draw(st.integers(0, 8))):
+            (ca, ra), (cb, rb) = draw(st.sampled_from(cells)), draw(st.sampled_from(cells))
+            if (ca, ra) != (cb, rb) and draw(st.booleans()):
+                v = advice[ca][ra] % p
+                advice[cb][rb] = draw(st.sampled_from([u for u in (v, v + p, v + 2 * p) if u < 1 << 255]))
+            copies.append(CopyConstraint((ca, ra), (cb, rb)))
+        for _ in range(draw(st.integers(0, 6))):
+            c, r = draw(st.sampled_from(cells))
+            bindings.append(((c, r), len(instance)))
+            instance.append(advice[c][r] % p if draw(st.booleans()) else draw(st.integers(0, p - 1)))
+    names = sorted(advice)
+    gates, fixed = [], {}
+    for g, (x, y, z) in enumerate(zip(names, names[1:], names[2:])):
+        rows = [r for r in range(n_rows) if None not in (advice[x][r], advice[y][r], advice[z][r])]
+        fixed[f"q{g}"] = [int(r in rows) for r in range(n_rows)]
+        poly = sub(mul(cell(x), cell(y)), cell(z)) if g % 2 == 0 else add(pow5(cell(x)), cell(y), const(3))
+        gates.append(GateDef(id=f"g{g}", name="G", selector=f"q{g}", poly=poly))
+    columns = {c: Column(c, ADVICE) for c in names}
+    columns.update({q: Column(q, FIXED) for q in fixed})
+    layout = CircuitLayout(
+        field=Field(p), columns=columns, n_rows=n_rows, n_rows_logical=n_rows, gates=gates, tables={},
+        lookups=[], copies=copies, fixed=fixed, instance_map=bindings,
+    )
+    wide = draw(st.sets(st.sampled_from(names)))
+    return layout, advice, instance, wide
+
+
+def _as_32_byte_cells(raw: bytes, advice: dict, wide: set) -> bytes:
+    """The witness file with the columns named in `wide` written again as
+    32-byte cells, each at its length, with its presence bitmap."""
+    names = sorted(advice)
+    heads = column_heads(raw)
+    ends = [h["pos"] for h in heads[1:]] + [len(raw)]
+    parts, at = [], heads[0]["pos"]
+    for col, head, end in zip(names, heads, ends):
+        parts.append(raw[at : head["pos"]])
+        if col in wide:
+            vals = advice[col]
+            length = assigned_length(vals)
+            present = [v is not None for v in vals[:length]]
+            bitmap = np.packbits(present, bitorder="little").tobytes() if not all(present) else b""
+            cells = b"".join(v.to_bytes(32, "little") for v in vals[:length] if v is not None)
+            parts.append(cell_column(cells, w=32, length=length, bitmap=bitmap))
+        else:
+            parts.append(raw[head["pos"] : end])
+        at = end
+    return raw[: heads[0]["pos"]] + b"".join(parts) + raw[at:]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(crafted_witnesses())
+def test_loaded_cells_check_as_the_lists_do(case):
+    """On crafted witness files (the default field and 2**31 - 1, every
+    width and form of cell column, bitmaps, empty columns and cells that
+    are not canonical residues), the checker's verdict on the loaded
+    witness is the row oracle's and its verdict on the same cells passed
+    as lists; the writer's files load and write back byte for byte."""
+    layout, advice, instance, wide = case
+    raw = serialize.dump_witness(Assignment(advice={c: list(v) for c, v in advice.items()}, instance=list(instance)))
+    loaded = serialize.load_witness(raw)
+    assert serialize.dump_witness(loaded) == raw
+    want = row_oracle_check(layout, Assignment(advice={c: list(v) for c, v in advice.items()}, instance=list(instance)))
+    assert check(layout, loaded) == want
+    assert check(layout, Assignment(advice={c: list(v) for c, v in advice.items()}, instance=list(instance))) == want
+    crafted = serialize.load_witness(_as_32_byte_cells(raw, advice, wide))
+    assert {c: crafted.advice[c].formed for c in wide} == dict.fromkeys(wide, False)
+    assert crafted == Assignment(advice={c: list(v) for c, v in advice.items()}, instance=list(instance))
+    assert check(layout, crafted) == want
 
 
 @pytest.mark.parametrize("mode", [None, *VisibilityMode])
