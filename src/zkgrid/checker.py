@@ -7,13 +7,15 @@ there is no succinctness and no randomization.
 
 The checker reads each column as an array of canonical signed residues,
 v - p when v > p // 2 and v otherwise: int64 when every residue fits,
-worked out from the cell codec's cells and base with one array pass over
-the cells of all such columns (`circuit.signed_cells`), and the values
-as Python ints otherwise (the sponge states, a non-canonical cell).  An
-advice column is read at its used length, as the prover and the witness
-loader hold it; a loaded column of 32-byte cells is read as the values
-the loader made, never split into the codec's form.  A fixed column
-keeps its reading, so a layout checked again reads it for free.
+and the values as Python ints otherwise (the sponge states, a
+non-canonical cell).  One rule, `circuit.signed_cells`, works out the
+residues from the cell codec's forms with one array pass over the cells
+of all the advice columns, and says which cells hold theirs; the fixed
+columns and the instance vector take the same rule.  An advice column is
+read at its used length, as the prover and the witness loader hold it;
+a loaded column of 32-byte cells is all outliers, so it is read as the
+values the loader made.  A fixed column keeps its reading, so a layout
+checked again reads it for free.
 
 Gates are evaluated column-wise with numpy.  For each selector the
 enabled rows are listed once, and each node of a gate polynomial becomes
@@ -35,14 +37,13 @@ Lookups test each key against its table's recipe (`LookupTable.holds`),
 one test per table over the keys of all its lookups, in int64 where a
 bound allows and on Python ints otherwise; no entry is built.  Copies and
 bindings gather both sides from the columns laid end to end and compare
-them as int64 where both cells hold an int64 residue: every cell of an
-int64 column, and in a column read as Python ints each cell whose
-residue int64 holds.  The wide cells (a sponge state, an outlier, a value
-outside [0, p)) compare as Python ints, first as the values and then,
-only for the pairs whose values differ, mod p.  The instance vector is
-split into int64 and its few wide values by `circuit.narrow_split`.
-Python touches only violating rows, wide cells and the cells of object
-columns that gates read.
+them as int64 where both cells hold their residue.  The wide cells (an
+outlier such as a sponge state, a value outside [0, p), a residue past
+int64) compare as Python ints, first as the values and then, only for
+the pairs whose values differ, mod p.  The instance vector is split into
+int64 and its few wide values by `circuit.narrow_split`, which refuses a
+value that is not an int.  Python touches only violating rows, wide
+cells and the cells of object columns that gates read.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import numpy as np
 
 from .circuit import (
     Assignment,
+    CircuitError,
     CircuitLayout,
     Expr,
     MARK,
@@ -101,15 +103,13 @@ class _Grid:
     arbitrary value: every read of one raises CheckError before its value
     can matter.
 
-    The columns a copy or a binding reads are also laid end to end, column
-    k from `offsets[k]` on: the advice columns that hold their `int_cells`
-    form first, whose signed residues fill their stretch in one masked
-    store, then the advice columns held as values (a loaded column of
-    32-byte cells), then the fixed columns that copies or bindings read.
-    `assigned` marks the assigned cells, `ints` holds each cell's signed
-    residue but where `wide` marks it (the cell has none in int64), and
-    `objects` holds the object columns' cells, column k from
-    `object_offsets[k]` on."""
+    The columns a copy or a binding reads, every advice column and the
+    fixed columns that copies or bindings name, are also laid end to end,
+    column k from `offsets[k]` on, the advice columns first.  `assigned`
+    marks the assigned cells, `ints` holds each cell's signed residue and
+    `wide` the cells that do not hold theirs (`circuit.signed_cells`), and
+    `objects` holds the cells of the columns read as Python ints, column k
+    from `object_offsets[k]` on."""
 
     def __init__(self, layout: CircuitLayout, advice: dict):
         p = self.p = layout.field.modulus
@@ -122,70 +122,48 @@ class _Grid:
         self.cells, self.bounds = [None] * size, [None] * size
         self.lengths, self.present = [n] * size, [None] * size
         fixed = [k for k, c in enumerate(self.names) if c in self.fixed]
-        for k, view in zip(fixed, FixedColumn.signed([self.fixed[self.names[k]] for k in fixed], p)):
-            self.cells[k], self.bounds[k], self.present[k] = view
-
+        views = dict(zip(fixed, FixedColumn.signed([self.fixed[self.names[k]] for k in fixed], p)))
+        for k, (cells, bound, present, _, _) in views.items():
+            self.cells[k], self.bounds[k], self.present[k] = cells, bound, present
         cols = {k: advice[c] for k, c in enumerate(self.names) if c not in self.fixed}
-        formed = [k for k, col in cols.items() if col.formed]
-        signed, _, bounds = signed_cells([cols[k].form for k in formed], p)
-        for k, bound in zip(formed, bounds):
-            self.bounds[k] = bound
-        for k, col in cols.items():
-            self.lengths[k], self.present[k] = col.length, col.present
-        # The copies' sides as contiguous index arrays, which numpy gathers
-        # by faster than by strided int32 ones.  Copies and bindings read
-        # the advice columns and a few fixed ones.
-        self.sides = np.ascontiguousarray(layout.copies.flat.reshape(-1, 4).T, np.intp)
-        read = np.bincount(self.sides[0], minlength=size) + np.bincount(self.sides[2], minlength=size) + np.bincount(
-            layout.instance_map.flat[0::3], minlength=size)
-        shared = formed + [k for k in cols if not cols[k].formed] + [k for k in fixed if read[k]]
+        signed, _, held, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in cols.values()], p)
+        for (k, col), bound in zip(cols.items(), bounds):
+            self.lengths[k], self.present[k], self.bounds[k] = col.length, col.present, bound
+        self.sides = layout.copies.sides()
+        read = np.zeros(size, bool)
+        read[self.sides[0]] = read[self.sides[2]] = read[layout.instance_map.flat[0::3]] = True
+        shared = [*cols, *(k for k in fixed if read[k])]
         self.lengths_arr = np.array(self.lengths, np.int64)
         self.offsets = np.zeros(size, np.int64)
         self.offsets[shared] = np.cumsum(self.lengths_arr[shared]) - self.lengths_arr[shared]
+        offsets = self.offsets.tolist()
         total = int(self.lengths_arr[shared].sum())
         self.ints = np.empty(total, np.int64)
         self.assigned = np.ones(total, bool)
         self.wide = np.zeros(total, bool)
-        self.is_object = np.array([b is None for b in self.bounds], bool)
-        gaps = False
         for k in shared:
             if self.present[k] is not None:
-                s = int(self.offsets[k])
-                self.assigned[s : s + self.lengths[k]] = self.present[k]
-                gaps = gaps or k in cols
-        end = int(self.lengths_arr[formed].sum())
-        if gaps:
-            self.ints[:end][self.assigned[:end]] = signed
-        else:
-            self.ints[:end] = signed
-        offsets = self.offsets.tolist()
-        for k in shared:
-            s, length, present = offsets[k], self.lengths[k], self.present[k]
-            if not self.is_object[k]:
-                if k in cols:
-                    self.cells[k] = self.ints[s : s + length]
-                else:
-                    self.ints[s : s + n] = self.cells[k]
-                continue
-            if k not in cols:
-                self.wide[s : s + n] = True
-                continue
-            col = cols[k]
-            if present is None:
+                self.assigned[offsets[k] : offsets[k] + self.lengths[k]] = self.present[k]
+        # The advice columns' assigned cells in one masked store, the fixed
+        # columns' rows as their readings give them.
+        end = int(self.lengths_arr[list(cols)].sum())
+        at = self.assigned[:end] if any(c.present is not None for c in cols.values()) else slice(None)
+        self.ints[:end][at], self.wide[:end][at] = signed, ~held
+        for k in shared[len(cols):]:
+            _, _, _, ints, wide = views[k]
+            self.ints[offsets[k] : offsets[k] + n] = ints
+            if wide is not None:
+                self.wide[offsets[k] : offsets[k] + n] = wide
+        for k, col in cols.items():
+            s, length = offsets[k], col.length
+            if self.bounds[k] is not None:
+                self.cells[k] = self.ints[s : s + length]
+            elif col.present is None:
                 self.cells[k] = col.values
             else:
                 self.cells[k] = np.zeros(length, object)
-                self.cells[k][present] = col.values
-            if col.formed:   # its cells whose residue int64 holds compare as int64
-                res, narrow = _cell_residues(*col.form[:2], p)
-                if present is None:
-                    self.ints[s : s + length] = res
-                    self.wide[s : s + length] = ~narrow
-                else:
-                    self.ints[s : s + length][present] = res
-                    self.wide[s : s + length][present] = ~narrow
-            else:
-                self.wide[s : s + length] = True
+                self.cells[k][col.present] = col.values
+        self.is_object = np.array([b is None for b in self.bounds], bool)
         objs = [k for k in shared if self.is_object[k]]
         self.objects = np.concatenate([self.cells[k] for k in objs]) if objs else np.zeros(0, object)
         self.object_offsets = np.zeros(size, np.int64)
@@ -240,23 +218,6 @@ class _Grid:
         if k == len(col.rows) or col.rows[k] != row:
             return 0
         return cell_value(col.cells, col.base, col.outliers, k)
-
-
-def _cell_residues(cells: np.ndarray, base: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """For an `int_cells` form's cells whose column as a whole is read as
-    Python ints: each cell's canonical signed residue as int64, and
-    whether it has one (not for an outlier, a value outside [0, p), or a
-    residue int64 cannot hold).  A based cell's residue is c + (B - p),
-    as in `circuit.signed_cells`."""
-    half = p // 2
-    if p < _BIG:
-        return np.where(cells > half, cells - p, cells), (cells >= 0) & (cells < p)
-    narrow = cells >= 0 if half >= _BIG else (cells >= 0) & (cells <= half)
-    k = base - p
-    if not base or not MARK <= k <= 0:
-        return cells, narrow
-    shifted = (cells < 0) & (cells != MARK) & (cells >= max(MARK, half + 1 - p) - k)
-    return np.where(shifted, cells + k, cells), narrow | shifted
 
 
 def _objects(x):
@@ -352,31 +313,12 @@ def _differ(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _declared(split: tuple, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical signed residue of each instance value, from its
-    `circuit.narrow_split`, as int64 (any value where it does not fit),
-    and which values it does not fit, compared as Python ints instead.
-    The values are canonical: in [0, p)."""
-    ints, at, wide = split
-    half = p // 2
-    if p < _BIG:
-        return np.where(ints > half, ints - p, ints), np.zeros(len(ints), bool)
-    loose = ints > half if half < _BIG else np.zeros(len(ints), bool)
-    for i, v in zip(at.tolist(), wide):
-        s = v - p if v > half else v
-        if -_BIG <= s < _BIG:
-            ints[i] = s
-        else:
-            loose[i] = True
-    return ints, loose
-
-
-def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, split: tuple, cap: int) -> list[Violation]:
+def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, declared: tuple, cap: int) -> list[Violation]:
     """The first `cap` violations in canonical (kind, id, row) order.
 
     Constraints are scanned in that order, so stopping at the cap keeps
-    the canonically-first violations.  `split` is the instance's
-    `circuit.narrow_split`.
+    the canonically-first violations.  `declared` is the instance's form
+    as `_validate_dimensions` gives it.
     """
     out: list[Violation] = []
     p = layout.field.modulus
@@ -448,9 +390,9 @@ def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, split: tuple,
         bound_cols, rows, idx = bound[0::3], bound[1::3], bound[2::3]
         at, bound_set = cols.at(bound_cols, rows)
         first_unset = _first_error(~bound_set)
-        declared, loose = _declared(split, p)
-        differ = cols.ints[at] != declared[idx]
-        slow = np.flatnonzero(cols.wide[at] | loose[idx])
+        claims, _, held, _ = signed_cells([declared], p)
+        differ = cols.ints[at] != claims[idx]
+        slow = np.flatnonzero(cols.wide[at] | ~held[idx])
         if len(slow):
             claimed = np.array([instance[i] for i in idx[slow].tolist()], object)
             differ[slow] = _differ(cols.raw(bound_cols[slow], rows[slow], at[slow], bound_set[slow]), claimed, p)
@@ -471,7 +413,8 @@ def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, split: tuple,
 
 def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> tuple:
     """Refuse an assignment that does not fit the layout; the instance's
-    `circuit.narrow_split`."""
+    values as an `int_cells` form: its `circuit.narrow_split` with a mark
+    for each wide value, which is then an outlier."""
     advice_cols = {c.id for c in layout.columns.values() if c.kind == "advice"}
     if set(assignment.advice) != advice_cols:
         missing = advice_cols - set(assignment.advice)
@@ -481,7 +424,10 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> tuple
         if len(vals) != layout.n_rows:
             raise CheckError(f"column {col_id} has {len(vals)} rows, grid has {layout.n_rows}")
     instance = assignment.instance
-    split = narrow_split(instance)
+    try:
+        split = narrow_split(instance)
+    except CircuitError as e:
+        raise CheckError(f"instance {e}") from None
     if split is None and None in instance:
         raise CheckError("instance vector has an unassigned value")
     if instance:
@@ -500,7 +446,9 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> tuple
             if first < 0:
                 raise CheckError(f"negative instance binding index {first}")
             raise CheckError(f"instance vector too short for binding index {first}")
-    return split
+    ints, at, wide = split
+    ints[at] = MARK
+    return ints, 0, np.array(wide, object)
 
 
 def check(
@@ -516,8 +464,8 @@ def check(
     """
     if cap < 1:
         raise CheckError(f"violation cap must be >= 1, not {cap}")
-    split = _validate_dimensions(layout, assignment)
-    return _check_all(layout, _Grid(layout, assignment.advice), assignment.instance, split, cap)
+    declared = _validate_dimensions(layout, assignment)
+    return _check_all(layout, _Grid(layout, assignment.advice), assignment.instance, declared, cap)
 
 
 def check_parallel(

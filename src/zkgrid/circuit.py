@@ -24,13 +24,15 @@ the witness columns the model alone fixes.  A fixed column is a read-only
 `FixedColumn` of the int32 rows of its nonzero cells in increasing order
 and their cells; every other row reads 0.  A read of single cells goes
 through one full-height list the column builds on first read and keeps.
-A witness column is an `AdviceColumn` of its assigned cells up to its
-last assigned row, in the prover's assignment and in a loaded witness
-alike; a loaded column of 32-byte cells holds only their values until a
-caller asks for its cells.  An `Assignment` packs a list column when it
-is constructed.  `narrow_split` splits a list of ints such as an
-instance vector into int64 and its few wide values, for `int_cells` and
-the checker alike.
+A witness column is an `AdviceColumn` of the form of its assigned cells
+up to its last assigned row, in the prover's assignment and in a loaded
+witness alike; a loaded column of 32-byte cells is all outliers.  An
+`Assignment` packs a list column when it is constructed, and a value
+that is not an int is refused.  `narrow_split` splits a list of ints
+such as an instance vector into int64 and its few wide values, for
+`int_cells` and the checker alike.  `signed_cells` is the one rule by
+which a form's values become canonical signed residues mod p, in int64
+where they fit.
 """
 
 from __future__ import annotations
@@ -283,10 +285,11 @@ class Copies(Sequence):
     on demand; equality compares the resolved (column id, row) pairs.
     """
 
-    __slots__ = ("flat", "names")
+    __slots__ = ("flat", "names", "_sides")
     __hash__ = None
 
     def __init__(self, flat, names: list[str]):
+        self._sides = None
         flat = np.asarray(flat)
         if flat.dtype != np.int32:
             try:
@@ -317,6 +320,14 @@ class Copies(Sequence):
 
     def __len__(self) -> int:
         return len(self.flat) // 4
+
+    def sides(self) -> np.ndarray:
+        """`flat` as four contiguous intp rows (a_col, a_row, b_col,
+        b_row), which numpy gathers by faster than by strided int32 ones;
+        worked out on first call and kept."""
+        if self._sides is None:
+            self._sides = np.ascontiguousarray(self.flat.reshape(-1, 4).T, np.intp)
+        return self._sides
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -405,19 +416,25 @@ NO_OUTLIERS = np.zeros(0, object)
 
 
 _EXACT = float(1 << 53)   # below this in magnitude an int's float is exact
+# The types of the values a cell may hold: Python's and numpy's integers.
+_INTS = frozenset({int, bool, np.bool_, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
 def narrow_split(values) -> tuple[np.ndarray, np.ndarray, list] | None:
     """A sequence of ints as int64, 0 at each value int64 cannot hold,
-    with the positions of those values and the values: one float pass
-    over all of them, and a few Python operations for each value of
-    2**53 or more in magnitude.  None when a value is not an int or is
-    too large for a float."""
+    with the positions of those values and the values: one pass over the
+    types and one float pass over all of them, and a few Python
+    operations for each value of 2**53 or more in magnitude.  None when a
+    value is None or too large for a float; a value that is neither an
+    int nor None is refused with CircuitError."""
+    if list(map(type, values)).count(int) != len(values) and not _INTS.issuperset(map(type, values)):
+        for v in values:
+            if v is not None and type(v) not in _INTS:
+                raise CircuitError(f"value {v!r} is not an int")
+        return None
     try:
         f = np.asarray(values, np.float64)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    if np.isnan(f).any():   # None in an object array
+    except OverflowError:
         return None
     far = np.abs(f) >= _EXACT
     ints = np.where(far, 0.0, f).astype(np.int64)
@@ -443,8 +460,9 @@ def int_cells(columns: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
     A column of mostly narrow values (an instance vector with its
     digests) is split by `narrow_split`, with Python work only on its
     wide values; the columns of mostly wide values are split in one array
-    pass over all of them; a cell that is not an int (None) makes its
-    whole column outliers."""
+    pass over all of them; an unassigned cell (None) makes its whole
+    column outliers, and any other value that is not an int is refused
+    with CircuitError."""
     out, wide = [], []
     for vals in columns:
         if isinstance(vals, np.ndarray) and vals.dtype != object:
@@ -491,7 +509,7 @@ def _based(objs: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
         big = allv >= _BIG
         cells = np.full(len(allv), MARK)
         cells[~big] = allv[~big]
-    except (OverflowError, TypeError):   # a value below -2**63 or not an int
+    except (OverflowError, TypeError):   # a value below -2**63 or None
         if len(objs) > 1:
             return [f for o in objs for f in _based([o])]
         return [(np.full(len(allv), MARK), 0, allv)]
@@ -599,7 +617,10 @@ def cell_values(cells: np.ndarray, base: int, outliers: np.ndarray) -> np.ndarra
 
 
 def cell_value(cells: np.ndarray, base: int, outliers: np.ndarray, k: int):
-    """The value of int_cells' cell number k."""
+    """The value of int_cells' cell number k: the outlier k when every
+    cell is an outlier."""
+    if len(outliers) == len(cells):
+        return outliers[k]
     c = int(cells[k])
     if c == MARK:
         return outliers[int(np.count_nonzero(cells[:k] == MARK))]
@@ -613,6 +634,7 @@ CELL_COUNTS = struct.Struct("<II")
 CELL_COUNT = struct.Struct("<I")
 BASED_FLAG = 0x80
 CELL_LIMIT = 1 << 255
+_WIDTHS = np.array([1, 2, 4, 8])
 
 
 def encode_cell_columns(columns: list, lo_limit: int, hi_limit: int) -> list[tuple[bytes, int | None]]:
@@ -636,8 +658,13 @@ def encode_cell_columns(columns: list, lo_limit: int, hi_limit: int) -> list[tup
     # the zero cells.
     marks = np.add.reduceat(mark, starts)
     size = np.abs(cells)
-    outside = {w: (np.add.reduceat(size >= 1 << (8 * w - 1), starts) + marks).tolist() for w in (1, 2, 4)}
-    outside[8] = marks.tolist()
+    outside = np.stack([np.add.reduceat(size >= 1 << (8 * w - 1), starts) + marks for w in (1, 2, 4)] + [marks])
+    # Each column's cheapest width, the narrowest of equals, and its cost
+    # but the base's.
+    costs = _WIDTHS[:, None] * lens + 32 * outside
+    pick = np.argmin(costs, axis=0)
+    widths, listed_counts = _WIDTHS[pick].tolist(), outside[pick, np.arange(len(full))].tolist()
+    cheapest = costs[pick, np.arange(len(full))].tolist()
     if mark.any():
         lows = np.minimum.reduceat(np.where(mark, cells.max(), cells), starts).tolist()
         highs = np.maximum.reduceat(np.where(mark, 0, cells), starts).tolist()
@@ -663,13 +690,13 @@ def encode_cell_columns(columns: list, lo_limit: int, hi_limit: int) -> list[tup
         if lo < lo_limit or hi >= hi_limit:
             out[k] = b"", lo if lo < lo_limit else hi
             continue
-        size, w = min(((32 if base else 0) + n * w + 32 * outside[w][j], w) for w in (1, 2, 4, 8))
+        w = widths[j]
         head = CELL_COUNTS.pack(length, n)
-        if 32 * n < size:
+        if 32 * n < cheapest[j] + (32 if base else 0):
             out[k] = b"".join((head, b"\x20", bitmap, _wide_bytes(cell_values(col, base, outliers).tolist()))), None
             continue
         listed = []
-        if outside[w][j]:
+        if listed_counts[j]:
             half = 1 << (8 * w - 1)
             far = (col > half - 1) | (col < 1 - half)
             listed = cell_values(col, base, outliers)[far].tolist()
@@ -688,53 +715,94 @@ def _wide_bytes(vals: list) -> bytes:
     return b"".join(map(int.to_bytes, vals, repeat(32), repeat("little")))
 
 
-def signed_cells(forms: list, p: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _based_rules(bases: list[int], p: int) -> np.ndarray:
+    """For each base B > 2**63, the int64 row (mid, up, down) by which a
+    cell c < 0 other than MARK, which stands for v = c + B, gets the
+    canonical signed residue of v.  v > p // 2 when c > mid (p // 2 - B
+    clamped to int64, which keeps the test's outcome); the residue is
+    then r = c + up, else r = c + down, in numpy's wrapping int64 sum,
+    and c holds it exactly when r < 0 in the first case and r >= 0 in the
+    second.  With up = B - p, r is v - p when that is at least -2**63,
+    and 0 or more when v >= p or v - p is below -2**63 (the sum wraps);
+    when B - p is outside int64 no such c holds its residue, and up =
+    2**63 - 1 makes every r 0 or more.  With down = B - 2**64 for
+    B < 2**64, r is v when v < 2**63 (the sum wraps) and below 0
+    otherwise; for B >= 2**64 no such c holds its residue, and down = 0
+    keeps r = c below 0."""
+    half = p // 2
+    rows = []
+    for b in bases:
+        up = b - p
+        rows.append((min(max(half - b, MARK), _BIG - 1), up if MARK <= up < _BIG else _BIG - 1,
+                     b - (1 << 64) if b < 1 << 64 else 0))
+    return np.array(rows, np.int64).reshape(-1, 3)
+
+
+def signed_cells(forms: list, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
     """The canonical signed residue, v - p when v > p // 2 and v
     otherwise, of each value the int_cells forms (cells, base, outliers)
-    stand for: one int64 array of all of them, form after form, each
-    form's offset into it, and per form the greatest magnitude of its
-    residues, or None when it has an outlier, a value not in [0, p) or a
-    residue that does not fit int64 (its residues are then meaningless).
-    A few array operations over all the cells and none on objects: a
-    based cell's residue is c + (B - p)."""
+    stand for, where it fits int64: one int64 array of all of them, form
+    after form; each form's offset into it; which cells hold their
+    residue (not an outlier, nor a value outside [0, p), nor a residue
+    past int64; any other cell holds an arbitrary int64); and per form the
+    greatest magnitude of its residues, or None when one of its cells
+    does not hold its residue.  A cell c >= 0, or any cell of a form
+    without a base, stands for c; a based cell c < 0 (not MARK) for
+    c + B with B > 2**63, by its form's `_based_rules` row.  A based form
+    whose cells below 0 all hold c + B - p, as in a form of canonical
+    residues (B <= p, and its least cell's sum above p // 2 - p and at
+    least -2**63), is shifted with the plain cells in a few array
+    operations over all the cells; only the cells below 0 of the other
+    based forms take their row cell by cell.  None on objects, and a few
+    Python operations per based form."""
     lens = np.array([len(c) for c, _, _ in forms], np.int64)
     starts = np.cumsum(lens) - lens
     cells = np.concatenate([c for c, _, _ in forms]) if forms else np.zeros(0, np.int64)
     full = np.flatnonzero(lens)
-    lows = np.zeros(len(forms), np.int64)
-    highs = np.zeros(len(forms), np.int64)
-    if len(full):
-        lows[full] = np.minimum.reduceat(cells, starts[full])
-        highs[full] = np.maximum.reduceat(cells, starts[full])
-    clean = np.array([not len(o) for _, _, o in forms], bool)
+    # c stands for itself: it holds its residue when 0 <= c < p, which is
+    # c - p when c > p // 2 (-p mod 2**64 added as an int64).
     half = p // 2
-    if p > _BIG:   # a cell c >= 0 is its own residue when c <= p // 2
-        if half < _BIG:
-            clean &= highs <= half
-        bounds = np.where(clean & (lows >= 0), highs, -1)
-        # A based column's cell c < 0 has the residue c + k, k = B - p,
-        # when every such sum lies in [p // 2 + 1 - p, 0).
-        based = np.flatnonzero(clean & (lows < 0))
-        ks = [forms[j][1] - p if forms[j][1] else 1 for j in based.tolist()]
-        ks = np.array([k if MARK <= k <= 0 else 1 for k in ks], np.int64)
-        ok = (ks <= 0) & (lows[based] >= max(MARK, half + 1 - p) - np.minimum(ks, 0))
-        based, ks = based[ok], ks[ok]
-        bounds = [None if b < 0 else b for b in bounds.tolist()]
-        for j, lo, k, hi in zip(based.tolist(), lows[based].tolist(), ks.tolist(), highs[based].tolist()):
-            bounds[j] = max(-(lo + k), hi)
-        if len(based):
-            shifts = np.zeros(len(forms), np.int64)
-            shifts[based] = ks
-            shift = np.repeat(shifts, lens)
-            shift[cells >= 0] = 0
-            cells += shift
-        return cells, starts, bounds
-    signed = np.where(cells > half, cells - p, cells)
-    mags = np.zeros(len(forms), np.int64)
+    neg = cells < 0
+    held = ~neg & (cells < p) if p < _BIG else ~neg
+    signed = np.where(cells > half, cells + ((_BIG - p) % (1 << 64) - _BIG), cells) if half < _BIG else cells
+    based = [j for j in full.tolist() if forms[j][1]]
+    if based:
+        lows = np.minimum.reduceat(cells, starts[full])[np.searchsorted(full, based)].tolist()
+        floor = max(MARK, half + 1 - p)
+        whole, shifts, rest = [], [], []
+        for j, lo in zip(based, lows):
+            k = forms[j][1] - p
+            if k <= 0 and MARK < lo and lo + k >= floor:
+                whole.append(j)
+                shifts.append(k)
+            else:
+                rest.append(j)
+        if whole:   # every cell of such a form holds its residue
+            shift, mask = np.zeros(len(forms), np.int64), np.zeros(len(forms), bool)
+            shift[whole], mask[whole] = shifts, True
+            shift = np.repeat(shift, lens)
+            shift *= neg
+            signed = signed + shift
+            held |= np.repeat(mask, lens)
+        if rest:
+            ats = [starts[j] + np.flatnonzero(neg[starts[j] : starts[j] + lens[j]]) for j in rest]
+            at = np.concatenate(ats)
+            mid, up, down = np.repeat(_based_rules([forms[j][1] for j in rest], p).T, list(map(len, ats)), axis=1)
+            c = cells[at]
+            high = c > mid
+            r = c + np.where(high, up, down)
+            signed[at] = r
+            held[at] = ((r < 0) == high) & (c != MARK)
+    bounds = [0] * len(forms)
     if len(full):
-        mags[full] = np.maximum(-np.minimum.reduceat(signed, starts[full]), np.maximum.reduceat(signed, starts[full]))
-    bounds = np.where(clean & (lows >= 0) & (highs < p), mags, -1).tolist()
-    return signed, starts, [None if b < 0 else b for b in bounds]
+        # The greatest magnitude, as uint64: -MARK wraps to MARK, whose
+        # uint64 is 2**63.
+        at = starts[full]
+        lows, highs = np.minimum.reduceat(signed, at), np.maximum.reduceat(signed, at)
+        mags = np.maximum(np.where(lows < 0, -lows, 0).view(np.uint64), np.maximum(highs, 0).view(np.uint64))
+        for j, ok, mag in zip(full.tolist(), np.logical_and.reduceat(held, at).tolist(), mags.tolist()):
+            bounds[j] = mag if ok else None
+    return signed, starts, held, bounds
 
 
 class FixedColumn(Sequence):
@@ -786,29 +854,33 @@ class FixedColumn(Sequence):
 
     @staticmethod
     def signed(columns: list, p: int) -> list[tuple]:
-        """Each column's cells as the checker reads them: a full-height
-        array of each row's canonical signed residue (0 on rows that hold
-        no cell) with the greatest magnitude of them, as `signed_cells`
-        gives it, or, when they do not fit int64, an object array of the
-        values with bound None; and which rows are assigned, None for all
-        of them.  Worked out for the columns that do not keep them for p
-        yet, with one `signed_cells` pass, and kept."""
+        """Each column's cells as the checker reads them, full height (0
+        on rows that hold no cell): the values as gates read them, int64
+        canonical signed residues with the greatest magnitude of them, or
+        an object array of the values with bound None; which rows are
+        assigned, None for all of them; and every row's residue as int64
+        with the rows that do not hold it (`signed_cells`), None for none.
+        Worked out for the columns that do not keep them for p yet, with
+        one `signed_cells` pass, and kept."""
         todo = [col for col in columns if col._signed is None or col._signed[0] != p]
-        signed, starts, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in todo], p) if todo else ((), (), ())
-        for col, s, bound in zip(todo, starts, bounds):
-            present = None
-            if bound is None:
-                vals = cell_values(col.cells, col.base, col.outliers)
-                unset = np.equal(vals, None)
-                if unset.any():   # a packed None
-                    present = np.ones(col.n_rows, bool)
-                    present[col.rows[unset]] = False
-                    vals = np.where(unset, 0, vals)
-                full = np.zeros(col.n_rows, object)
-            else:
-                vals, full = signed[s : s + len(col.cells)], np.zeros(col.n_rows, np.int64)
-            full[col.rows] = vals
-            col._signed = p, (full, bound, present)
+        if todo:
+            signed, starts, held, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in todo], p)
+            for col, s, bound in zip(todo, starts.tolist(), bounds):
+                ints = np.zeros(col.n_rows, np.int64)
+                ints[col.rows] = signed[s : s + len(col.cells)]
+                cells, present, wide = ints, None, None
+                if bound is None:
+                    wide = np.zeros(col.n_rows, bool)
+                    wide[col.rows] = ~held[s : s + len(col.cells)]
+                    vals = cell_values(col.cells, col.base, col.outliers)
+                    unset = np.equal(vals, None)
+                    if unset.any():   # a packed None
+                        present = np.ones(col.n_rows, bool)
+                        present[col.rows[unset]] = False
+                        vals = np.where(unset, 0, vals)
+                    cells = np.zeros(col.n_rows, object)
+                    cells[col.rows] = vals
+                col._signed = p, (cells, bound, present, ints, wide)
         return [col._signed[1] for col in columns]
 
     def dense(self) -> list:
@@ -873,54 +945,27 @@ class AdviceColumn(Sequence):
     The first `length` rows may be assigned, those `present` marks (a bool
     array of `length`, or None when all of them are), and every later row
     is unassigned.  `cells`, `base` and `outliers` hold the assigned
-    cells' values in row order as `int_cells` does.  A column may be built
-    from its values alone, as the loader builds a column of 32-byte cells
-    (the sponge states): it then holds them as an object array of Python
-    ints, which is how the checker reads such a column, and works out its
-    `int_cells` form only when a caller reads `cells`, `base` or
-    `outliers` (a dump, a write); `formed` says whether it has.  The
-    column reads as a sequence of Python ints and None (unassigned),
-    compares equal to a list of the same cells, and takes `column[row] =
-    value`, which rebuilds its arrays.  A column may carry its cell
-    column bytes (`encode_cell_columns`), as the prover's columns that
-    the model alone fixes do; they hold while the column keeps the
-    arrays, base and length it was built with, so `column[row] = value`,
-    which rebuilds them, drops the bytes.
+    cells' values in row order as `int_cells` does; a loaded column of
+    32-byte cells (the sponge states) is all outliers, its values as the
+    file gave them.  The column reads as a sequence of Python ints and
+    None (unassigned), compares equal to a list of the same cells, and
+    takes `column[row] = value`, which rebuilds its arrays.  A column may
+    carry its cell column bytes (`encode_cell_columns`), as the prover's
+    columns that the model alone fixes do; they hold while the column
+    keeps the arrays, base and length it was built with, so
+    `column[row] = value`, which rebuilds them, drops the bytes.
     """
 
-    __slots__ = ("n_rows", "length", "present", "_form", "_values", "_encoded")
+    __slots__ = ("n_rows", "length", "present", "cells", "base", "outliers", "_encoded")
     __hash__ = None
 
-    def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple | None, values=None,
+    def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple,
                  encoded: bytes | None = None):
         self.n_rows = n_rows
         self.length = length
         self.present = present
-        self._form = form
-        self._values = values
+        self.cells, self.base, self.outliers = form
         self._encoded = None if encoded is None else (form[0], form[2], present, form[1], length, encoded)
-
-    @property
-    def formed(self) -> bool:
-        """Whether the column holds its `int_cells` form yet."""
-        return self._form is not None
-
-    @property
-    def form(self) -> tuple:
-        """(cells, base, outliers), worked out from the values on first
-        read by a column built from its values alone, and kept."""
-        if self._form is None:
-            self._form = int_cells([self._values])[0]
-        return self._form
-
-    def _replace(self, k: int, part) -> None:
-        form = list(self.form)
-        form[k] = part
-        self._form, self._values = tuple(form), None
-
-    cells = property(lambda self: self.form[0], lambda self, v: self._replace(0, v))
-    base = property(lambda self: self.form[1], lambda self, v: self._replace(1, v))
-    outliers = property(lambda self: self.form[2], lambda self, v: self._replace(2, v))
 
     def encoded(self) -> bytes | None:
         """The cell column bytes the column was built with, or None when it
@@ -929,18 +974,15 @@ class AdviceColumn(Sequence):
         e = self._encoded
         if e is None:
             return None
-        cells, base, outliers = self._form
-        if e[0] is not cells or e[1] is not outliers or e[2] is not self.present:
+        if e[0] is not self.cells or e[1] is not self.outliers or e[2] is not self.present:
             return None
-        return e[5] if (e[3], e[4]) == (base, self.length) else None
+        return e[5] if (e[3], e[4]) == (self.base, self.length) else None
 
     @property
     def values(self) -> np.ndarray:
         """The assigned cells' values in row order, as `cell_values` gives
-        them (or as the caller that built the column gave them), kept."""
-        if self._values is None:
-            self._values = cell_values(*self._form)
-        return self._values
+        them."""
+        return cell_values(self.cells, self.base, self.outliers)
 
     @classmethod
     def of_list(cls, vals) -> "AdviceColumn":
@@ -975,15 +1017,14 @@ class AdviceColumn(Sequence):
             if not self.present[r]:
                 return None
             r = int(np.count_nonzero(self.present[:r]))
-        if self._form is None:
-            return self._values[r]
-        return cell_value(*self._form, r)
+        return cell_value(self.cells, self.base, self.outliers, r)
 
     def __setitem__(self, row: int, value) -> None:
         vals = self.tolist()
         vals[row] = value
         new = AdviceColumn.of_list(vals)
-        self.length, self.present, self._form, self._values = new.length, new.present, new._form, None
+        self.length, self.present, self.cells, self.base, self.outliers = (
+            new.length, new.present, new.cells, new.base, new.outliers)
 
     def __iter__(self):
         return iter(self.tolist())

@@ -61,30 +61,30 @@ order.  Each advice column in that order, then the instance vector, is
 written as a cell column whose length is one past its last assigned row
 (the instance vector's own length); the rows from L on are unassigned.
 
-In memory a cell column of w <= 8 is the form `circuit.int_cells`
-gives: int64 cells, each its value or, below 0, its offset from the
-base, with a mark for each outlier and the outliers apart.  That is the
-file's own form.  Both loaders read all the cell columns of a file in
-one pass (`_decode_columns`): a walk over the column headers checks
-every length the file claims before anything is allocated, then one
-gather per width reads the bodies, one `int.from_bytes` pass the 32-byte
-cells, and a few array operations over all columns check the bitmaps,
-the cells' signs and the outlier marks; only the outliers take Python
-work each.  Of two faults in one file, the one reported is the first
-faulty column's among those each step finds.  A column of 32-byte cells
-(the sponge states) comes out as its values, an object array of Python
-ints: the form the checker reads, so a loaded witness's 32-byte column
-works out its `int_cells` form only when a dump or a write asks for it,
-while a layout's fixed columns are split at load.  The writer
-(`circuit.encode_cell_columns`) picks the width of every column of a
-file in one array pass over all their cells.  A witness holds each
-advice column as a `circuit.AdviceColumn` at its used length, the
-prover's and a loaded one alike, and its instance vector as a list.  The
-writer copies the bytes a column carries (the prover's columns that the
-model alone fixes, encoded once at compile, while the column holds the
-arrays they were encoded from), and encodes the other columns' forms as
-they are and the instance, which `circuit.narrow_split` splits into
-int64 and its few wide values.
+In memory every cell column is a form of `circuit.int_cells`: int64
+cells, each its value or, below 0, its offset from the base, with a mark
+for each outlier and the outliers apart.  For w <= 8 that is the file's
+own form; a column of 32-byte cells (the sponge states) is all outliers,
+its values as Python ints, which a dump writes back as 32-byte cells.
+Both loaders read all the cell columns of a file in one pass
+(`_decode_columns`): a walk over the column headers checks every length
+the file claims before anything is allocated, then one gather per width
+reads the bodies, one `int.from_bytes` pass the 32-byte cells, and a few
+array operations over all columns check the bitmaps, the cells' signs
+and the outlier marks; only the outliers take Python work each.  Of two
+faults in one file, the one reported is the first faulty column's among
+those each step finds.  A layout's 32-byte fixed columns are split by
+`int_cells` at load, so that the checker reads their cells as int64
+where they fit.  The writer (`circuit.encode_cell_columns`) picks the
+width of every column of a file in one array pass over all their cells.
+A witness holds each advice column as a `circuit.AdviceColumn` at its
+used length, the prover's and a loaded one alike, and its instance
+vector as a list of ints.  The writer copies the bytes a column carries
+(the prover's columns that the model alone fixes, encoded once at
+compile, while the column holds the arrays they were encoded from), and
+encodes the other columns' forms as they are and the instance, which
+`circuit.narrow_split` splits into int64 and its few wide values; an
+instance value that is not an int is refused.
 
 Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
@@ -200,12 +200,12 @@ def _cell_head(raw: bytes, pos: int, limit: int) -> tuple[_Head, int]:
     return (n_rows, n, w, base, bits, body, k), pos
 
 
-def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple[list, list, list]:
-    """The columns `_cell_head` read, as three lists: each column's
-    assigned cells in row order as `circuit.int_cells` holds them (None
-    for 32-byte cells), its 32-byte cells' values as an object array of
-    Python ints (None for the other widths), and which of its L rows are
-    assigned (a bool array of L, or None when every one is).  The bodies
+def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple[list, list]:
+    """The columns `_cell_head` read, as two lists: each column's
+    assigned cells in row order as a `circuit.int_cells` form (32-byte
+    cells as outliers alone, an object array of Python ints), and which
+    of its L rows are assigned (a bool array of L, or None when every one
+    is).  The bodies
     take one gather per width, the 32-byte cells one `int.from_bytes`
     pass, and the checks of the bitmaps, the cells' signs and the outlier
     marks a few array operations over all columns; only the outliers take
@@ -214,7 +214,7 @@ def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple
     is reported."""
     view = memoryview(raw)
     lens, counts, widths, bases, bits, bodies, lists = zip(*heads) if heads else [()] * 7
-    forms, values, present = [None] * len(heads), [None] * len(heads), [None] * len(heads)
+    forms, present = [None] * len(heads), [None] * len(heads)
     faults: list[tuple[int, str]] = []
     by_width: dict[int, list[int]] = {}
     for j, w in enumerate(widths):
@@ -248,9 +248,10 @@ def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple
         if body[31::32].translate(None, _LOW_BYTES):
             faults.append((next(j for j in wide if _top_set(raw, bodies[j], counts[j])), "cell >= 2**255"))
         big = np.fromiter(_big_ints(body), object, len(body) // 32)
+        marks = np.full(len(big), MARK)
         at = 0
         for j in wide:
-            values[j] = big[at : at + counts[j]]
+            forms[j] = marks[at : at + counts[j]], 0, big[at : at + counts[j]]
             at += counts[j]
 
     for w in (1, 2, 4, 8):
@@ -310,7 +311,7 @@ def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple
     if faults:
         j, what = min(faults, key=itemgetter(0))
         raise FormatError(f"{label(j)}{what}")
-    return forms, values, present
+    return forms, present
 
 
 def _top_set(raw: bytes, pos: int, n: int) -> bool:
@@ -358,18 +359,19 @@ def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[np.ndarr
     return np.frombuffer(raw, f"<u{w}", count, pos + 1), end
 
 
-def _fixed_forms(forms: list, values: list, p: int, ids: list[str]) -> list[tuple]:
-    """The fixed columns' values as `circuit.int_cells` holds them, from
-    `_decode_columns`, each checked to be a canonical residue in [1, p):
-    the narrow columns' cells with a few array operations over all of
+def _fixed_forms(forms: list, p: int, ids: list[str]) -> list[tuple]:
+    """The fixed columns' forms from `_decode_columns`, each value
+    checked to be a canonical residue in [1, p): the columns of outliers
+    alone (32-byte cells) are split by one `circuit.int_cells` call, so
+    that the checker reads their cells as int64 where they fit; the plain
+    columns' cells are checked with a few array operations over all of
     them (a based cell is a value in [1, B), the others are themselves),
-    and the 32-byte columns' and those with outliers or a base above p on
-    Python ints.  The 32-byte columns are split by one `int_cells` call."""
+    and the columns with outliers or a base above p on Python ints."""
     forms = list(forms)
-    wide = [j for j, f in enumerate(forms) if f is None]
-    for j, form in zip(wide, int_cells([values[j] for j in wide])):
+    wide = [j for j, (c, _, o) in enumerate(forms) if len(o) and len(o) == len(c)]
+    for j, form in zip(wide, int_cells([forms[j][2] for j in wide])):
         forms[j] = form
-    plain = [j for j, (c, base, o) in enumerate(forms) if len(c) and not len(o) and base <= p and values[j] is None]
+    plain = [j for j, (c, base, o) in enumerate(forms) if len(c) and not len(o) and base <= p]
     bad = set(range(len(forms))) - set(plain)
     if plain:
         lens = np.array([len(forms[j][0]) for j in plain], np.int64)
@@ -380,7 +382,7 @@ def _fixed_forms(forms: list, values: list, p: int, ids: list[str]) -> list[tupl
             based, np.add.reduceat(cells == 0, starts) == 0, np.minimum.reduceat(cells, starts) >= 1)
         bad |= {plain[i] for i in np.flatnonzero(~ok).tolist()}
     for j in sorted(bad):
-        vals = values[j] if values[j] is not None else cell_values(*forms[j])
+        vals = cell_values(*forms[j])
         if len(vals) and not (min(vals) >= 1 and max(vals) < p):
             _need(not (vals == 0).any(), f"fixed column {ids[j]}: zero cell listed")
             _need(False, f"fixed column {ids[j]}: value not a canonical residue")
@@ -603,9 +605,9 @@ def load_layout(raw: bytes) -> CircuitLayout:
         heads.append(head)
     bound, pos = _decode_uints(raw, pos, 3 * n_bindings, "instance bindings")
     _need(pos == len(raw), f"{len(raw) - pos} trailing bytes after the layout")
-    forms, values, _ = _decode_columns(raw, heads, lambda j: f"malformed layout: fixed column {fixed_counts[j][0]}: ")
+    forms, _ = _decode_columns(raw, heads, lambda j: f"malformed layout: fixed column {fixed_counts[j][0]}: ")
     fixed = {}
-    for (col_id, n), r, form in zip(fixed_counts, rows, _fixed_forms(forms, values, p, [c for c, _ in fixed_counts])):
+    for (col_id, n), r, form in zip(fixed_counts, rows, _fixed_forms(forms, p, [c for c, _ in fixed_counts])):
         if n > 1 and not (r[1:] > r[:-1]).all():
             ordered = np.sort(r)
             _need((ordered[1:] != ordered[:-1]).all(), f"fixed column {col_id}: row listed twice")
@@ -651,11 +653,14 @@ def dump_witness(assignment: Assignment) -> bytes:
     columns = [assignment.advice[col] for col in cols]
     carried = [c.encoded() for c in columns]
     forms = [
-        (c.form, c.length,
+        ((c.cells, c.base, c.outliers), c.length,
          b"" if c.present is None else np.packbits(c.present, bitorder="little").tobytes())
         for c, code in zip(columns, carried) if code is None
     ]
-    forms.append((int_cells([assignment.instance])[0], len(assignment.instance), b""))
+    try:
+        forms.append((int_cells([assignment.instance])[0], len(assignment.instance), b""))
+    except CircuitError as e:
+        raise FormatError(f"instance {e}") from None
     encoded = iter(encode_cell_columns(forms, 0, CELL_LIMIT))
     for code in [*carried, None]:   # the instance last
         if code is None:
@@ -708,9 +713,6 @@ def load_witness(raw: bytes) -> Assignment:
         raise FormatError("instance values cannot be unassigned")
     if pos != len(raw):
         raise FormatError(f"{len(raw) - pos} trailing bytes after the witness")
-    forms, values, present = _decode_columns(raw, [*heads, head])
-    advice = {
-        col: AdviceColumn(n_rows, h[0], mask, form, vals)
-        for col, h, form, vals, mask in zip(cols, heads, forms, values, present)
-    }
-    return Assignment(advice=advice, instance=(values[-1] if forms[-1] is None else cell_values(*forms[-1])).tolist())
+    forms, present = _decode_columns(raw, [*heads, head])
+    advice = {col: AdviceColumn(n_rows, h[0], mask, form) for col, h, form, mask in zip(cols, heads, forms, present)}
+    return Assignment(advice=advice, instance=cell_values(*forms[-1]).tolist())

@@ -172,6 +172,20 @@ def test_non_canonical_instance_value_refused(shift):
         check(layout, asg)
 
 
+@pytest.mark.parametrize("bad", [14.5, 14.0, float(1 << 60), "14"])
+def test_instance_value_that_is_not_an_int_refused(bad):
+    """An instance value that is not an int is refused, not read as the
+    int its float would give."""
+    rng = random.Random(3)
+    g = random_model(rng, max_hw=4, max_c=2)
+    layout, _ = compile(g)
+    asg = assign_witness(layout, g, random_input(rng, g))
+    assert check(layout, asg) == []
+    asg.instance[0] = bad
+    with pytest.raises(CheckError, match="instance value .* is not an int"):
+        check(layout, asg)
+
+
 def test_checker_agrees_with_row_oracle():
     """Column-wise checking and the row-by-row oracle report the same
     violations on the synthetic grid, at every shard count."""
@@ -320,7 +334,7 @@ def test_unassigned_lookup_and_copy_cells_are_errors():
 def test_unassigned_wide_cells_are_errors(where):
     """A copy or a binding that reads a column of wide cells past its last
     assigned row is an unassigned read, for the prover's lists and for a
-    loaded witness whose 32-byte columns hold only their values."""
+    loaded witness whose 32-byte columns are all outliers."""
     p = DEFAULT_MODULUS
     wide = {"a": [pow(7907, 40 + 9 * i, p) for i in range(2)], "b": [pow(7919, 40 + 9 * i, p) for i in range(3)]}
     layout = CircuitLayout(
@@ -331,7 +345,7 @@ def test_unassigned_wide_cells_are_errors(where):
     )
     asg = Assignment(advice={c: v + [None] * (8 - len(v)) for c, v in wide.items()}, instance=[wide["a"][0], 1])
     loaded = serialize.load_witness(serialize.dump_witness(asg))
-    assert not any(col.formed for col in loaded.advice.values())
+    assert all(len(col.outliers) == len(col.cells) == 2 + (c == "b") for c, col in loaded.advice.items())
     message = "copy 1: unassigned cell" if where == "copy" else r"instance binding 1: unassigned cell \('b', 6\)"
     for witness in (asg, loaded):
         with pytest.raises(CheckError, match=message):
@@ -751,10 +765,11 @@ def test_reused_loaded_layout_checks_as_a_fresh_one(audit_files):
 
 
 def test_loaded_witness_is_checked_without_splitting_python_ints(audit_files, monkeypatch):
-    """Against a layout already loaded, loading and checking audit_batch
-    witnesses, honest and tampered, splits no column of Python ints
-    (`circuit._based`): the 32-byte columns stay values, and the instance
-    is compared as int64 but for its wide values."""
+    """Against a layout already loaded, loading, checking and writing back
+    audit_batch witnesses, honest and tampered, splits no column of Python
+    ints (`circuit._based`): the 32-byte columns stay outliers, are
+    written back as they were read, and the instance is compared as int64
+    but for its wide values."""
     from zkgrid import circuit
 
     _, raw, witness = audit_files
@@ -768,3 +783,4 @@ def test_loaded_witness_is_checked_without_splitting_python_ints(audit_files, mo
 
     monkeypatch.setattr(circuit, "_based", refuse)
     assert [check(loaded, serialize.load_witness(wit)) for wit in files] == want
+    assert [serialize.dump_witness(serialize.load_witness(wit)) for wit in files] == files

@@ -19,7 +19,10 @@ from zkgrid.circuit import (
     SlotColumns,
     add,
     builtin_gates,
+    MARK,
+    NO_OUTLIERS,
     cell,
+    cell_values,
     const,
     encode_cell_columns,
     int_cells,
@@ -320,13 +323,13 @@ def test_signed_cells_match_python_residues(p):
     if p > 1 << 64:
         columns += [[p - (1 << 62), 1 << 62], [p - (1 << 63), 7], [p - 1, (1 << 63) - 1]]
     forms = int_cells(columns)
-    signed, starts, bounds = signed_cells(forms, p)
+    signed, starts, held, bounds = signed_cells(forms, p)
     for vals, s, bound in zip(columns, starts.tolist(), bounds):
         want = [v - p if v > p // 2 else v for v in vals]
         if any(not 0 <= v < p for v in vals) or any(not -(1 << 63) <= w < 1 << 63 for w in want):
             assert bound is None, vals
         else:
-            assert signed[s : s + len(vals)].tolist() == want
+            assert signed[s : s + len(vals)].tolist() == want and held[s : s + len(vals)].all()
             assert bound == max(map(abs, want), default=0)
 
 
@@ -405,6 +408,83 @@ def test_residue_cells_are_int_cells_of_the_residues(case):
     column's cells, base and outliers equal int_cells of its residues."""
     columns, p = case
     _check_residue_cells(columns, p)
+
+
+_INT64 = (-(1 << 63), (1 << 63) - 1)
+
+
+@st.composite
+def _signed_forms(draw):
+    """int_cells forms on one of the residue fields: plain forms of int64
+    cells, based forms whose B - p lies inside or outside [-2**63, 0],
+    with their cells often at the edges of the rule, forms with
+    outliers, all-outlier forms and empty ones."""
+    p = draw(st.sampled_from(RESIDUE_FIELDS))
+    half = p // 2
+    forms = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["plain", "based", "based", "outliers", "all outliers", "empty"]))
+        n = 0 if kind == "empty" else draw(st.integers(1, 8))
+        base = 0
+        if kind == "based":
+            base = max((1 << 63) + 1, draw(st.one_of(
+                st.integers(-(1 << 63), 0).map(lambda k: p + k),
+                st.integers(1, 1 << 64).map(lambda k: p + k),
+                st.integers(half - (1 << 64), half + (1 << 64)),
+                st.integers(1 << 63, 1 << 65),
+                st.integers(1 << 63, 1 << 255),
+            )))
+        edges = [0, 1, half, half + 1, p - 1, p, _INT64[1], -1, _INT64[0] + 1]
+        if base:
+            edges += [t + d for t in (p - base, half - base, _INT64[0] + p - base, 1 - base + _INT64[1]) for d in (-1, 0, 1)]
+        edges = [e for e in edges if _INT64[0] < e <= _INT64[1]]
+        cell = st.one_of(st.sampled_from(edges), st.integers(_INT64[0] + 1, _INT64[1]), st.integers(-300, 300))
+        cells = [MARK if kind == "all outliers" else draw(cell) for _ in range(n)]
+        if kind == "outliers" or (kind == "based" and draw(st.booleans())):
+            cells = [MARK if draw(st.booleans()) else c for c in cells]
+        outliers = [draw(st.integers(-(1 << 256), 1 << 256)) for c in cells if c == MARK]
+        forms.append((np.array(cells, np.int64), base, np.array(outliers, object) if outliers else NO_OUTLIERS))
+    return forms, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(_signed_forms())
+@example(([(np.array([-5, 3, MARK]), DEFAULT_MODULUS, np.array([7], object))], DEFAULT_MODULUS))
+@example(([(np.array([-(1 << 62) - 100, 5]), (1 << 63) + 1, NO_OUTLIERS)], (1 << 63) + 29))
+@example(([(np.array([MARK + 4, 7]), DEFAULT_MODULUS - 5, NO_OUTLIERS)], DEFAULT_MODULUS))
+@example(([(np.array([-1, 5]), 1 << 100, NO_OUTLIERS)], DEFAULT_MODULUS))
+def test_signed_cells_hold_exactly_the_residues_that_fit(case):
+    """signed_cells' mask holds a cell exactly when it is no outlier, its
+    value lies in [0, p) and its canonical signed residue fits int64, and
+    such a cell holds that residue; a form's bound is the greatest
+    magnitude of its residues exactly when every cell is held."""
+    forms, p = case
+    signed, starts, held, bounds = signed_cells(forms, p)
+    assert len(signed) == len(held) == sum(len(c) for c, _, _ in forms)
+    for (cells, base, outliers), s, bound in zip(forms, starts.tolist(), bounds):
+        values = cell_values(cells, base, outliers).tolist()
+        want = []
+        for c, v in zip(cells.tolist(), values):
+            r = v - p if v > p // 2 else v
+            want.append(r if c != MARK and 0 <= v < p and _INT64[0] <= r <= _INT64[1] else None)
+        got = held[s : s + len(cells)].tolist()
+        assert got == [r is not None for r in want], (cells, base, values)
+        assert [x for x, ok in zip(signed[s : s + len(cells)].tolist(), got) if ok] == [r for r in want if r is not None]
+        assert bound == (max(map(abs, want), default=0) if None not in want else None)
+
+
+def test_a_cell_that_is_not_an_int_is_refused():
+    """A column write refuses a value that is not an int as building the
+    column refuses it, rather than reading it through a float."""
+    for bad in (64.5, 64.0, float(1 << 60), "64"):
+        with pytest.raises(CircuitError, match="is not an int"):
+            Assignment(advice={"a": [1, bad, None]}, instance=[])
+        asg = Assignment(advice={"a": [1, 2, None]}, instance=[])
+        with pytest.raises(CircuitError, match="is not an int"):
+            asg.advice["a"][1] = bad
+        assert asg.advice["a"] == [1, 2, None]
+    asg.advice["a"][2] = np.int64(7)
+    assert asg.advice["a"] == [1, 2, 7]
 
 
 def test_carried_cell_bytes_hold_while_the_arrays_do():

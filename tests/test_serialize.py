@@ -223,6 +223,15 @@ def test_witness_refuses_cells_outside_255_bits(bad):
         serialize.dump_witness(Assignment(advice={"a": [None, 1 << 200, bad]}, instance=[]))
 
 
+@pytest.mark.parametrize("bad", [14.5, 14.0, float(1 << 60), float(1 << 200), "14"])
+def test_witness_refuses_an_instance_value_that_is_not_an_int(bad):
+    """An instance value that is not an int is refused, wherever it sits
+    among wide values, rather than written as the int its float reads."""
+    for instance in ([3, bad, 5], [1 << 200, bad], [bad, 1 << 254]):
+        with pytest.raises(FormatError, match="instance value .* is not an int"):
+            serialize.dump_witness(Assignment(advice={"a": [0, 1]}, instance=instance))
+
+
 def _header_and(*parts: bytes) -> bytes:
     """A witness of 20 rows whose column "a" is `parts` and nothing more."""
     return b"ZKWT" + struct.pack("<IIII", 4, 20, 1, 0) + b"\x01\x00a" + b"".join(parts)
@@ -862,7 +871,7 @@ def test_loaded_cells_check_as_the_lists_do(case):
     assert check(layout, loaded) == want
     assert check(layout, Assignment(advice={c: list(v) for c, v in advice.items()}, instance=list(instance))) == want
     crafted = serialize.load_witness(_as_32_byte_cells(raw, advice, wide))
-    assert {c: crafted.advice[c].formed for c in wide} == dict.fromkeys(wide, False)
+    assert all(len(crafted.advice[c].outliers) == len(crafted.advice[c].cells) for c in wide)
     assert crafted == Assignment(advice={c: list(v) for c, v in advice.items()}, instance=list(instance))
     assert check(layout, crafted) == want
 
