@@ -85,14 +85,15 @@ act and the input digest's sponge states; one gather over the copies then
 fills the rest, x lanes included.  A cell holds an integer that stands
 for its residue: the small values (weights, zero points, biases, partial
 sums, staged bytes) stay signed, and only the sponge states and packed
-elements are wide.  `circuit.residue_cells` then splits the columns into
-the codec's form, the small ones with array operations only, as it does
-the fixed columns at compile.  A column whose every cell the model alone
-fixes is split once, at compile, and shared read-only by every witness,
-which skips its copies; its cell column bytes are encoded then too, and
-each witness's column carries them to the file writer.  The instance
-vector, reduced mod p, is the compiled instance map: logits, then raw
-input codes or the input digest, then the weight digest.
+elements are wide.  `circuit.int_cells` then splits the columns into the
+codec's form as they are, the small ones with array operations only.  A
+column whose every cell the model alone fixes is split once, at compile,
+and shared read-only by every witness, which skips its copies; its cell
+column bytes are encoded then too, and each witness's column carries
+them to the file writer.  The fixed columns hold each value as its
+canonical signed residue, which `circuit.signed_cells` gives.  The
+instance vector, reduced mod p, is the compiled instance map: logits,
+then raw input codes or the input digest, then the weight digest.
 
 Hidden tensors get staging rows, byte or int8 range checks, and sponge
 rows binding them to a public digest in the instance vector.  Hidden
@@ -141,7 +142,6 @@ import numpy as np
 
 from .circuit import (
     ADVICE,
-    CELL_LIMIT,
     FIXED,
     LOOKUP_CAP,
     MAX_CELLS,
@@ -157,16 +157,19 @@ from .circuit import (
     GateDef,
     LookupArg,
     LookupTable,
+    NO_OUTLIERS,
     SlotColumns,
     add,
     builtin_gates,
     cell,
+    cell_values,
     clip_offset,
     const,
     encode_cell_columns,
+    int_cells,
     mul,
     pow5,
-    residue_cells,
+    signed_cells,
     sub,
 )
 from .commit import (
@@ -357,8 +360,8 @@ class WitnessPlan:
     present: list
     slices: list
     # The advice columns whose every cell the model alone fixes, by
-    # advice index: their cells as int_cells splits their residues, worked
-    # out once and read-only, since every witness shares them, and their
+    # advice index: their cells as int_cells splits them, worked out once
+    # and read-only, since every witness shares them, and their
     # cell column bytes (`circuit.encode_cell_columns`).  The other columns
     # are split per witness.
     model_forms: dict
@@ -1014,14 +1017,14 @@ def _witness_plan(bld: _Builder, layout: CircuitLayout, sponge: SpongeParams | N
     model_cols = np.flatnonzero(model_col).tolist()
     values = np.empty(len(ids), object)
     values[model_at] = model_values
-    model_forms = dict(zip(model_cols, residue_cells([values[origin[slices[j]]] for j in model_cols], bld.p)))
-    for cells, _, outliers in model_forms.values():
+    model_forms = dict(zip(model_cols, int_cells([values[origin[slices[j]]] for j in model_cols])))
+    for cells, outliers in model_forms.values():
         cells.flags.writeable = outliers.flags.writeable = False
     # Their cell column bytes, the same in every witness file.
-    model_bytes = dict(zip(model_cols, (code for code, _ in encode_cell_columns([
+    model_bytes = dict(zip(model_cols, encode_cell_columns([
         (model_forms[j], lengths[j], b"" if present[j] is None else np.packbits(present[j], bitorder="little").tobytes())
         for j in model_cols
-    ], 0, CELL_LIMIT))))
+    ])))
     # A copy into one of those columns is already in its cells, unless the
     # instance reads its target.
     dropped = np.repeat(model_col, np.diff(starts))
@@ -1358,6 +1361,20 @@ def _copy_block(*parts) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
+def _signed_forms(columns: list, p: int) -> list[tuple]:
+    """int_cells of each column's canonical signed residues: those of its
+    int64 cells from `circuit.signed_cells`, and, for a column with
+    outliers, its values reduced on Python ints and split again."""
+    forms = int_cells(columns)
+    signed, starts, _, _ = signed_cells(forms, p)
+    out = [(signed[s : s + len(c)], NO_OUTLIERS) for (c, _), s in zip(forms, starts.tolist())]
+    wide = [k for k, (_, outliers) in enumerate(forms) if len(outliers)]
+    residues = [cell_values(*forms[k]) % p for k in wide]
+    for k, form in zip(wide, int_cells([np.where(r > p // 2, r - p, r) for r in residues])):
+        out[k] = form
+    return out
+
+
 def _live(on: np.ndarray, *parts) -> tuple:
     """Each of `parts`, broadcast to the mask `on`, where `on` is set."""
     return tuple(np.broadcast_to(x, on.shape)[on] for x in parts)
@@ -1383,7 +1400,7 @@ def _finalize(bld: _Builder, instance: np.ndarray) -> tuple[CircuitLayout, Circu
     bld.fixed_values = dict(zip(bld.fixed, joined))
     fixed = {
         col_id: FixedColumn.from_cells(r, form, padded)
-        for col_id, r, form in zip(bld.fixed, rows, residue_cells(values, bld.p))
+        for col_id, r, form in zip(bld.fixed, rows, _signed_forms(values, bld.p))
     }
     layout = CircuitLayout(
         field=bld.cfg.field,
@@ -1424,7 +1441,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
     plan drives the fill, as the module docstring says, into one flat
     array of the cells it writes.  Each site's accumulator and activation
     are checked against the interpreter trace.  The columns are cut from
-    the array and split by one `circuit.residue_cells` call into
+    the array and split by one `circuit.int_cells` call into
     `circuit.AdviceColumn`s, but for those the model alone fixes, which
     wrap the plan's cells and carry its bytes, and the instance is the
     bound cells' values mod p.
@@ -1459,7 +1476,7 @@ def assign_witness(layout: CircuitLayout, graph: ModelGraph, inp: QuantTensor) -
 
     names = plan.advice_ids
     cut = [j for j in range(len(names)) if j not in plan.model_forms]
-    forms = dict(zip(cut, residue_cells([vals[plan.slices[j]] for j in cut], p)))
+    forms = dict(zip(cut, int_cells([vals[plan.slices[j]] for j in cut])))
     forms.update(plan.model_forms)
     advice = {
         col_id: AdviceColumn(layout.n_rows, length, mask, forms[j], encoded=plan.model_bytes.get(j))

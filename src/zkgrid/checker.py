@@ -6,16 +6,17 @@ compared directly.  This is exact verification of the arithmetization;
 there is no succinctness and no randomization.
 
 The checker reads each column as an array of canonical signed residues,
-v - p when v > p // 2 and v otherwise: int64 when every residue fits,
-and the values as Python ints otherwise (the sponge states, a
-non-canonical cell).  One rule, `circuit.signed_cells`, works out the
-residues from the cell codec's forms with one array pass over the cells
-of all the advice columns, and says which cells hold theirs; the fixed
-columns and the instance vector take the same rule.  An advice column is
-read at its used length, as the prover and the witness loader hold it;
-a loaded column of 32-byte cells is all outliers, so it is read as the
-values the loader made.  A fixed column keeps its reading, so a layout
-checked again reads it for free.
+r = v - p when v mod p > p // 2 and v mod p otherwise: int64 when the
+column has no outlier, and the values as Python ints otherwise (the
+sponge states, a value int64 cannot hold).  Cells hold their values as
+the prover, the caller or the file gave them, small ones signed; one
+rule, `circuit.signed_cells`, reduces every int64 cell of all the advice
+columns to its residue in one array pass, and the fixed columns and the
+instance vector take the same rule.  An advice column is read at its
+used length, as the prover and the witness loader hold it; a loaded
+column of 32-byte cells is all outliers, so it is read as the values the
+loader made.  A fixed column keeps its reading, so a layout checked
+again reads it for free.
 
 Gates are evaluated column-wise with numpy.  For each selector the
 enabled rows are listed once, and each node of a gate polynomial becomes
@@ -37,13 +38,14 @@ Lookups test each key against its table's recipe (`LookupTable.holds`),
 one test per table over the keys of all its lookups, in int64 where a
 bound allows and on Python ints otherwise; no entry is built.  Copies and
 bindings gather both sides from the columns laid end to end and compare
-them as int64 where both cells hold their residue.  The wide cells (an
-outlier such as a sponge state, a value outside [0, p), a residue past
-int64) compare as Python ints, first as the values and then, only for
-the pairs whose values differ, mod p.  The instance vector is split into
-int64 and its few wide values by `circuit.narrow_split`, which refuses a
-value that is not an int.  Python touches only violating rows, wide
-cells and the cells of object columns that gates read.
+them as int64 where both cells hold their residue.  The wide cells (the
+outliers, such as a sponge state) compare as Python ints, first as the
+values and then, only for the pairs whose values differ, mod p.  A
+violation's detail prints each cell as its residue in [0, p).  The
+instance vector is split into int64 and its few wide values by
+`circuit.narrow_split`, which refuses a value that is not an int.
+Python touches only violating rows, wide cells and the cells of object
+columns that gates read.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class _Grid:
         for k, (cells, bound, present, _, _) in views.items():
             self.cells[k], self.bounds[k], self.present[k] = cells, bound, present
         cols = {k: advice[c] for k, c in enumerate(self.names) if c not in self.fixed}
-        signed, _, held, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in cols.values()], p)
+        signed, _, held, bounds = signed_cells([(c.cells, c.outliers) for c in cols.values()], p)
         for (k, col), bound in zip(cols.items(), bounds):
             self.lengths[k], self.present[k], self.bounds[k] = col.length, col.present, bound
         self.sides = layout.copies.sides()
@@ -209,15 +211,15 @@ class _Grid:
         out[neg] = out[neg] + self.p
         return out
 
-    def value(self, col_id: str, row: int):
-        """The cell as the assignment or the layout holds it."""
+    def value(self, col_id: str, row: int) -> int:
+        """The assigned cell's residue in [0, p)."""
         col = self.fixed.get(col_id)
         if col is None:
-            return self.advice[col_id][row]
+            return self.advice[col_id][row] % self.p
         k = int(np.searchsorted(col.rows, row))
         if k == len(col.rows) or col.rows[k] != row:
             return 0
-        return cell_value(col.cells, col.base, col.outliers, k)
+        return cell_value(col.cells, col.outliers, k) % self.p
 
 
 def _objects(x):
@@ -413,7 +415,7 @@ def _check_all(layout: CircuitLayout, cols: _Grid, instance: list, declared: tup
 
 def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> tuple:
     """Refuse an assignment that does not fit the layout; the instance's
-    values as an `int_cells` form: its `circuit.narrow_split` with a mark
+    values as an `int_cells` form: its `circuit.narrow_split` with MARK
     for each wide value, which is then an outlier."""
     advice_cols = {c.id for c in layout.columns.values() if c.kind == "advice"}
     if set(assignment.advice) != advice_cols:
@@ -448,7 +450,7 @@ def _validate_dimensions(layout: CircuitLayout, assignment: Assignment) -> tuple
             raise CheckError(f"instance vector too short for binding index {first}")
     ints, at, wide = split
     ints[at] = MARK
-    return ints, 0, np.array(wide, object)
+    return ints, np.array(wide, object)
 
 
 def check(

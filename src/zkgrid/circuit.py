@@ -14,16 +14,18 @@ iterates the `Copies` sequence.  Instance bindings are held packed the
 same way (`Bindings`).
 
 Cells are held as the cell codec of the files holds them (`int_cells`):
-an int64 array whose negative cells are offsets from a base, so that a
-residue p - x of a small negative x costs an int64, plus the few
-outliers that have no such cell.  `residue_cells` forms it from values
-that stand for their residues, small signed ones with array operations
-only; compile and the prover split their columns with it.  The codec's
+an int64 array in which each cell is its own value, signed, and the
+mark MARK (-2**63) stands for the next of the column's few outliers, the
+values int64 cannot hold (and -2**63 itself), kept apart as Python ints.
+The prover hands its columns of signed values to `int_cells`, which
+splits them with array operations over all of them at once.  The codec's
 encoder, `encode_cell_columns`, is here too, so compile can encode once
 the witness columns the model alone fixes.  A fixed column is a read-only
 `FixedColumn` of the int32 rows of its nonzero cells in increasing order
-and their cells; every other row reads 0.  A read of single cells goes
-through one full-height list the column builds on first read and keeps.
+and their cells, each its canonical signed residue r in (-p/2, p/2] when
+compile or the layout loader made it; every other row reads 0.  A read
+of single cells goes through one full-height list the column builds on
+first read and keeps.
 A witness column is an `AdviceColumn` of the form of its assigned cells
 up to its last assigned row, in the prover's assignment and in a loaded
 witness alike; a loaded column of 32-byte cells is all outliers.  An
@@ -31,8 +33,8 @@ witness alike; a loaded column of 32-byte cells is all outliers.  An
 that is not an int is refused.  `narrow_split` splits a list of ints
 such as an instance vector into int64 and its few wide values, for
 `int_cells` and the checker alike.  `signed_cells` is the one rule by
-which a form's values become canonical signed residues mod p, in int64
-where they fit.
+which a form's cells become canonical signed residues mod p in int64; an
+outlier is left to the caller as a Python int.
 """
 
 from __future__ import annotations
@@ -421,12 +423,13 @@ _INTS = frozenset({int, bool, np.bool_, *(np.dtype(c).type for c in np.typecodes
 
 
 def narrow_split(values) -> tuple[np.ndarray, np.ndarray, list] | None:
-    """A sequence of ints as int64, 0 at each value int64 cannot hold,
-    with the positions of those values and the values: one pass over the
-    types and one float pass over all of them, and a few Python
-    operations for each value of 2**53 or more in magnitude.  None when a
-    value is None or too large for a float; a value that is neither an
-    int nor None is refused with CircuitError."""
+    """A sequence of ints as int64, 0 at each value that int64 holds only
+    as MARK or not at all (-2**63 and beyond), with the positions of those
+    values and the values: one pass over the types and one float pass over
+    all of them, and a few Python operations for each value of 2**53 or
+    more in magnitude.  None when a value is None or too large for a
+    float; a value that is neither an int nor None is refused with
+    CircuitError."""
     if list(map(type, values)).count(int) != len(values) and not _INTS.issuperset(map(type, values)):
         for v in values:
             if v is not None and type(v) not in _INTS:
@@ -441,7 +444,7 @@ def narrow_split(values) -> tuple[np.ndarray, np.ndarray, list] | None:
     at, wide = [], []
     for i in np.flatnonzero(far).tolist():
         v = values[i]
-        if -_BIG <= v < _BIG:
+        if MARK < v < _BIG:
             ints[i] = v
         else:
             at.append(i)
@@ -449,174 +452,97 @@ def narrow_split(values) -> tuple[np.ndarray, np.ndarray, list] | None:
     return ints, np.array(at, np.int64), wide
 
 
-def int_cells(columns: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """Each column of integers (a sequence or an array) as the cell codec
-    holds it: int64 cells, a base B and an object array of outliers.  A
-    cell c is the value c when c >= 0 or B is 0, B + c when c < 0 and
-    B > 0, and the next outlier when it is MARK.  B is one above the
-    column's greatest value of 2**63 or more, or 0 when it has none.
-    Outliers are the values that have no such cell: one of 2**63 or more
-    at or below B - 2**63, one below 0 beside B, or one below -2**63.
-    A column of mostly narrow values (an instance vector with its
-    digests) is split by `narrow_split`, with Python work only on its
-    wide values; the columns of mostly wide values are split in one array
-    pass over all of them; an unassigned cell (None) makes its whole
-    column outliers, and any other value that is not an int is refused
-    with CircuitError."""
-    out, wide = [], []
-    for vals in columns:
-        if isinstance(vals, np.ndarray) and vals.dtype != object:
-            out.append((np.asarray(vals, np.int64), 0, NO_OUTLIERS))
+def int_cells(columns: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each column of integers as the cell codec holds it: int64 cells and
+    an object array of outliers.  A cell is its own value, but MARK, which
+    stands for the next outlier; the outliers are the values int64 holds
+    only as MARK or not at all (-2**63 and beyond).  An integer array is
+    its own cells.  Object arrays, such as the prover's columns, are taken
+    to hold ints and cast to int64 in one pass over all of them; those
+    int64 cannot hold are split by `_wide_split`.  Any other sequence (a
+    caller's list, an instance vector) is checked and split by
+    `narrow_split`, with Python work only on its wide values, or by
+    `_wide_split` when most of them are wide.  An unassigned cell (None)
+    makes its whole column outliers, and a value of a sequence that is not
+    an int is refused with CircuitError."""
+    out: list = [None] * len(columns)
+    cast, wide = [], []
+    for k, vals in enumerate(columns):
+        if isinstance(vals, np.ndarray):
+            if vals.dtype == object:
+                cast.append(k)
+            else:
+                out[k] = _marked(np.asarray(vals, np.int64))
             continue
         split = narrow_split(vals)
-        form = None if split is None or 2 * len(split[2]) > len(split[0]) else _split_cells(vals, *split)
-        if form is None:
-            out.append(np.asarray(vals, object))
-            wide.append(len(out) - 1)
+        if split is None or 2 * len(split[2]) > len(split[0]):
+            wide.append(k)
         else:
-            out.append(form)
+            ints, at, outliers = split
+            ints[at] = MARK
+            out[k] = ints, np.array(outliers, object) if outliers else NO_OUTLIERS
+    if cast:
+        try:
+            joined = np.concatenate([columns[k] for k in cast]).astype(np.int64)
+        except (OverflowError, TypeError):   # a value int64 cannot hold, or None
+            joined = None
+        if joined is not None and not (joined == MARK).any():
+            ends = np.cumsum([len(columns[k]) for k in cast])[:-1]
+            for k, ints in zip(cast, np.split(joined, ends)):
+                out[k] = ints, NO_OUTLIERS
+        else:   # column by column
+            for k in cast:
+                try:
+                    out[k] = _marked(columns[k].astype(np.int64))
+                except (OverflowError, TypeError):
+                    wide.append(k)
     if wide:
-        for k, form in zip(wide, _based([out[k] for k in wide])):
+        for k, form in zip(wide, _wide_split([np.asarray(columns[k], object) for k in wide])):
             out[k] = form
     return out
 
 
-def _split_cells(values, ints: np.ndarray, at: np.ndarray, wide: list) -> tuple | None:
-    """int_cells of one column from its `narrow_split`, which it takes
-    over; None when a value lies below -2**63 (`_based` then makes the
-    whole column outliers)."""
-    if not wide:
-        return ints, 0, NO_OUTLIERS
-    if min(wide) < -_BIG:
-        return None
-    base = max(wide) + 1
-    for i, v in zip(at.tolist(), wide):
-        ints[i] = v - base if v > base - _BIG else MARK
-    beside = ints < 0
-    beside[at] = False
-    ints[beside] = MARK
-    marks = np.flatnonzero(ints == MARK).tolist()
-    return ints, base, np.array([values[i] for i in marks], object) if marks else NO_OUTLIERS
+def _marked(ints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The form of an int64 array: each cell of -2**63 is MARK, standing
+    for the outlier -2**63."""
+    n = int(np.count_nonzero(ints == MARK))
+    return ints, np.full(n, MARK, object) if n else NO_OUTLIERS
 
 
-def _based(objs: list) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """int_cells of object arrays, none of them empty, that int64 cannot
-    hold."""
-    lens = np.array(list(map(len, objs)))
-    starts = np.cumsum(lens) - lens
+def _wide_split(objs: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """int_cells of object arrays of ints or None: one array pass over all
+    of them, or, when one holds None, over each alone; a column holding
+    None is all outliers."""
     allv = np.concatenate(objs)
     try:
-        big = allv >= _BIG
-        cells = np.full(len(allv), MARK)
-        cells[~big] = allv[~big]
-    except (OverflowError, TypeError):   # a value below -2**63 or None
+        inside = (allv > MARK) & (allv < _BIG)
+    except TypeError:   # None
         if len(objs) > 1:
-            return [f for o in objs for f in _based([o])]
-        return [(np.full(len(allv), MARK), 0, allv)]
-    n_big = np.add.reduceat(big, starts)
-    has = n_big > 0
-    high = allv[big]
-    bases = np.zeros(len(objs), object)
-    if len(high):
-        bases[has] = np.maximum.reduceat(high, (np.cumsum(n_big) - n_big)[has]) + 1
-    # A big value is its offset from the base when that fits, else an
-    # outlier.
-    base = np.repeat(bases[has], n_big[has])
-    band = high > np.repeat(bases[has] - _BIG, n_big[has])
-    at = np.flatnonzero(big)[band]
-    cells[at] = high[band] - base[band]
-    # A value below 0 beside a base is an outlier too.
-    cells[(cells < 0) & ~big & np.repeat(has, lens)] = MARK
-    marked = cells == MARK
-    n_marks = np.add.reduceat(marked, starts).tolist()
-    return [
-        (cells[s : s + n], b, allv[s : s + n][marked[s : s + n]] if m else NO_OUTLIERS)
-        for s, n, b, m in zip(starts.tolist(), lens.tolist(), bases.tolist(), n_marks)
-    ]
-
-
-def residue_cells(columns: list, p: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    """int_cells of each column's values mod p, for columns of integers
-    (arrays or sequences) such as small signed values.  The columns int64
-    holds take a few array operations over all of them: np.mod when p <
-    2**63; else a column of values >= 0 is its own cells, and when p >=
-    2**64, for a column without -2**63, B = p + t + 1 for t its largest
-    negative value and a value s < 0 is the cell s - t - 1, which lies in
-    (-2**63, 0), so no value is an outlier.  A column int64 cannot hold
-    whose values all lie in [0, p) (sponge states, packed elements) is
-    split by `_based` as it is, with no % p per cell; any other column is
-    reduced on Python ints."""
-    out: list = [None] * len(columns)
-    ints = [v if isinstance(v, np.ndarray) and v.dtype == np.int64 else np.asarray(v, object) for v in columns]
-    todo = [k for k, a in enumerate(ints) if a.dtype == object]
-    wide = []
-    try:   # the columns that are not int64 yet, at once
-        joined = np.concatenate([ints[k] for k in todo]).astype(np.int64) if todo else ()
-        at = 0
-        for k in todo:
-            ints[k], at = joined[at : at + len(ints[k])], at + len(ints[k])
-    except (OverflowError, TypeError):
-        for k in todo:
-            try:
-                ints[k] = ints[k].astype(np.int64)
-            except (OverflowError, TypeError):
-                wide.append(k)
-    narrow = [k for k in range(len(columns)) if k not in wide]
-    if narrow:
-        lens = np.array([len(ints[k]) for k in narrow])
-        starts = np.cumsum(lens) - lens
-        s = np.concatenate([ints[k] for k in narrow])
-        bases = np.zeros(len(narrow), object)
-        fits = np.ones(len(narrow), bool)
-        if p < _BIG:
-            cells = np.mod(s, p)
-        else:
-            full = np.flatnonzero(lens)
-            top = np.full(len(narrow), MARK)
-            if len(full):
-                lows = np.minimum.reduceat(s, starts[full])
-                fits[full] = lows > MARK if p >= 1 << 64 else lows >= 0
-                top[full] = np.maximum.reduceat(np.where(s < 0, s, MARK), starts[full])
-            based = fits & (top > MARK)
-            bases[based] = top[based].astype(object) + (p + 1)
-            cells = np.where(s < 0, s - np.repeat(np.where(based, top + 1, 0), lens), s)
-        for k, at, n, base, ok in zip(narrow, starts.tolist(), lens.tolist(), bases.tolist(), fits.tolist()):
-            if ok:
-                out[k] = (cells[at : at + n], base, NO_OUTLIERS)
-    for k, form in zip(wide, _based([ints[k] for k in wide]) if wide else ()):
-        _, base, outliers = form
-        try:   # base <= p: every value is below p
-            if 0 < base <= p and (not len(outliers) or (min(outliers) >= 0 and max(outliers) < p)):
-                out[k] = form
-        except TypeError:   # a cell that is not an int
-            pass
-    left = [k for k, form in enumerate(out) if form is None]
-    for k, form in zip(left, int_cells([np.asarray(columns[k], object) % p for k in left])):
-        out[k] = form
+            return [form for o in objs for form in _wide_split([o])]
+        return [(np.full(len(allv), MARK), allv)]
+    cells = np.full(len(allv), MARK)
+    cells[inside] = allv[inside]
+    out, at = [], 0
+    for n in map(len, objs):
+        ins = inside[at : at + n]
+        out.append((cells[at : at + n], allv[at : at + n][~ins] if not ins.all() else NO_OUTLIERS))
+        at += n
     return out
 
 
-def cell_values(cells: np.ndarray, base: int, outliers: np.ndarray) -> np.ndarray:
-    """The values int_cells' (cells, base, outliers) stand for: the cells
-    when there is no base and no outlier, else an object array of Python
-    ints."""
+def cell_values(cells: np.ndarray, outliers: np.ndarray) -> np.ndarray:
+    """The values int_cells' (cells, outliers) stand for: the cells when
+    there is no outlier, else an object array of Python ints."""
     if len(outliers) == len(cells) and len(cells):
         return outliers
-    if not (base or len(outliers)):
+    if not len(outliers):
         return cells
-    vals = np.empty(len(cells), object)
-    marks = cells == MARK
-    if len(outliers):
-        vals[marks] = outliers
-    if base:
-        based = (cells < 0) & ~marks
-        vals[based] = cells[based].astype(object) + base
-        marks |= based
-    vals[~marks] = cells[~marks]
+    vals = cells.astype(object)
+    vals[cells == MARK] = outliers
     return vals
 
 
-def cell_value(cells: np.ndarray, base: int, outliers: np.ndarray, k: int):
+def cell_value(cells: np.ndarray, outliers: np.ndarray, k: int):
     """The value of int_cells' cell number k: the outlier k when every
     cell is an outlier."""
     if len(outliers) == len(cells):
@@ -624,182 +550,106 @@ def cell_value(cells: np.ndarray, base: int, outliers: np.ndarray, k: int):
     c = int(cells[k])
     if c == MARK:
         return outliers[int(np.count_nonzero(cells[:k] == MARK))]
-    return c + base if c < 0 and base else c
+    return c
 
 
 # The cell codec's framing (the `serialize` module docstring): a cell
-# column's length and assigned cells, its outlier count, the form byte's
-# flag for a base, and the bound every value of a file lies below.
+# column's length and assigned cells, and its outlier count.
 CELL_COUNTS = struct.Struct("<II")
 CELL_COUNT = struct.Struct("<I")
-BASED_FLAG = 0x80
-CELL_LIMIT = 1 << 255
 _WIDTHS = np.array([1, 2, 4, 8])
+_TOP = 1 << 255
+_MASK = (1 << 256) - 1     # an int & _MASK is its 256-bit two's complement
 
 
-def encode_cell_columns(columns: list, lo_limit: int, hi_limit: int) -> list[tuple[bytes, int | None]]:
+def encode_cell_columns(columns: list) -> list[bytes]:
     """The cell column of each (form, length, bitmap), where form is its
     assigned cells as `int_cells` holds them and bitmap its presence
     bitmap (b"" when every row is assigned), at the width the `serialize`
-    module docstring gives; and, for a column holding a value outside
-    [lo_limit, hi_limit), that value (else None).  The widths of all
-    columns are found in one array pass over their cells."""
-    out = [(CELL_COUNTS.pack(length, 0) + b"\x01" + bitmap + CELL_COUNT.pack(0), None) for _, length, bitmap in columns]
+    module docstring gives.  The widths of all columns are found in one
+    array pass over their cells.  CircuitError for a value outside
+    [-2**255, 2**255), the values 32 signed bytes hold."""
+    out = [CELL_COUNTS.pack(length, 0) + b"\x01" + bitmap + CELL_COUNT.pack(0) for _, length, bitmap in columns]
     full = [k for k, (form, _, _) in enumerate(columns) if len(form[0])]
     if not full:
         return out
     lens = np.array([len(columns[k][0][0]) for k in full])
     starts = np.cumsum(lens) - lens
     cells = np.concatenate([columns[k][0][0] for k in full])
-    mark = cells == MARK
-    # Per column: the cells outside each width (a cell c is outside w
+    # Per column, the cells outside each width: a cell c is outside w
     # bytes when |c| >= 2**(8w - 1), and a mark, whose magnitude int64
-    # cannot hold, outside all of them), the least and greatest cell and
-    # the zero cells.
-    marks = np.add.reduceat(mark, starts)
+    # cannot hold, outside all of them.
+    marks = np.add.reduceat(cells == MARK, starts)
     size = np.abs(cells)
     outside = np.stack([np.add.reduceat(size >= 1 << (8 * w - 1), starts) + marks for w in (1, 2, 4)] + [marks])
-    # Each column's cheapest width, the narrowest of equals, and its cost
-    # but the base's.
+    # Each column's cheapest width, the narrowest of equals, and its cost.
     costs = _WIDTHS[:, None] * lens + 32 * outside
     pick = np.argmin(costs, axis=0)
     widths, listed_counts = _WIDTHS[pick].tolist(), outside[pick, np.arange(len(full))].tolist()
     cheapest = costs[pick, np.arange(len(full))].tolist()
-    if mark.any():
-        lows = np.minimum.reduceat(np.where(mark, cells.max(), cells), starts).tolist()
-        highs = np.maximum.reduceat(np.where(mark, 0, cells), starts).tolist()
-    else:
-        lows, highs = np.minimum.reduceat(cells, starts).tolist(), np.maximum.reduceat(cells, starts).tolist()
-    zeros = np.add.reduceat(cells == 0, starts).tolist() if lo_limit > 0 else [0] * len(full)
     bufs = {}
     for j, (k, s, n) in enumerate(zip(full, starts.tolist(), lens.tolist())):
-        (col, base, outliers), length, bitmap = columns[k]
-        if base and base > hi_limit:
-            lo, hi = lo_limit, max(cell_values(col, base, outliers).tolist())
-        elif base:   # cells >= 0 are values below 2**63, the others below B
-            lo, hi = (0 if zeros[j] else lo_limit), base - 1
-        else:
-            lo, hi = lows[j], highs[j]
-        if len(outliers):
-            if len(outliers) == n:
-                lo, hi = lo_limit, hi_limit - 1
-            try:
-                lo, hi = min(lo, min(outliers)), max(hi, max(outliers))
-            except TypeError:   # an unassigned value
-                lo = hi = lo_limit - 1
-        if lo < lo_limit or hi >= hi_limit:
-            out[k] = b"", lo if lo < lo_limit else hi
-            continue
-        w = widths[j]
+        (col, outliers), length, bitmap = columns[k]
         head = CELL_COUNTS.pack(length, n)
-        if 32 * n < cheapest[j] + (32 if base else 0):
-            out[k] = b"".join((head, b"\x20", bitmap, _wide_bytes(cell_values(col, base, outliers).tolist()))), None
+        if 32 * n < cheapest[j]:
+            out[k] = b"".join((head, b"\x20", bitmap, _wide_bytes(cell_values(col, outliers).tolist())))
             continue
-        listed = []
+        w, listed = widths[j], []
         if listed_counts[j]:
             half = 1 << (8 * w - 1)
             far = (col > half - 1) | (col < 1 - half)
-            listed = cell_values(col, base, outliers)[far].tolist()
+            listed = cell_values(col, outliers)[far].tolist()
             body = np.where(far, -half, col).astype(f"<i{w}").tobytes()
         else:
             if w not in bufs:
                 bufs[w] = cells.astype(f"<i{w}").tobytes()
             body = bufs[w][s * w : (s + n) * w]
-        form = bytes((w | BASED_FLAG,)) + base.to_bytes(32, "little") if base else bytes((w,))
-        out[k] = b"".join((head, form, bitmap, body, CELL_COUNT.pack(len(listed)), _wide_bytes(listed))), None
+        out[k] = b"".join((head, bytes((w,)), bitmap, body, CELL_COUNT.pack(len(listed)), _wide_bytes(listed)))
     return out
 
 
 def _wide_bytes(vals: list) -> bytes:
-    """vals as 32-byte little-endian unsigned integers."""
-    return b"".join(map(int.to_bytes, vals, repeat(32), repeat("little")))
-
-
-def _based_rules(bases: list[int], p: int) -> np.ndarray:
-    """For each base B > 2**63, the int64 row (mid, up, down) by which a
-    cell c < 0 other than MARK, which stands for v = c + B, gets the
-    canonical signed residue of v.  v > p // 2 when c > mid (p // 2 - B
-    clamped to int64, which keeps the test's outcome); the residue is
-    then r = c + up, else r = c + down, in numpy's wrapping int64 sum,
-    and c holds it exactly when r < 0 in the first case and r >= 0 in the
-    second.  With up = B - p, r is v - p when that is at least -2**63,
-    and 0 or more when v >= p or v - p is below -2**63 (the sum wraps);
-    when B - p is outside int64 no such c holds its residue, and up =
-    2**63 - 1 makes every r 0 or more.  With down = B - 2**64 for
-    B < 2**64, r is v when v < 2**63 (the sum wraps) and below 0
-    otherwise; for B >= 2**64 no such c holds its residue, and down = 0
-    keeps r = c below 0."""
-    half = p // 2
-    rows = []
-    for b in bases:
-        up = b - p
-        rows.append((min(max(half - b, MARK), _BIG - 1), up if MARK <= up < _BIG else _BIG - 1,
-                     b - (1 << 64) if b < 1 << 64 else 0))
-    return np.array(rows, np.int64).reshape(-1, 3)
+    """vals as 32-byte little-endian signed integers; CircuitError for one
+    outside [-2**255, 2**255)."""
+    try:
+        ok = not vals or (-_TOP <= min(vals) and max(vals) < _TOP)
+    except TypeError:   # an unassigned value
+        ok = False
+    if not ok:
+        bad = next(v for v in vals if type(v) is not int or not -_TOP <= v < _TOP)
+        raise CircuitError(f"cell value {bad} outside [-2**255, 2**255)")
+    return b"".join(map(int.to_bytes, map(_MASK.__and__, vals), repeat(32), repeat("little")))
 
 
 def signed_cells(forms: list, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """The canonical signed residue, v - p when v > p // 2 and v
-    otherwise, of each value the int_cells forms (cells, base, outliers)
-    stand for, where it fits int64: one int64 array of all of them, form
-    after form; each form's offset into it; which cells hold their
-    residue (not an outlier, nor a value outside [0, p), nor a residue
-    past int64; any other cell holds an arbitrary int64); and per form the
-    greatest magnitude of its residues, or None when one of its cells
-    does not hold its residue.  A cell c >= 0, or any cell of a form
-    without a base, stands for c; a based cell c < 0 (not MARK) for
-    c + B with B > 2**63, by its form's `_based_rules` row.  A based form
-    whose cells below 0 all hold c + B - p, as in a form of canonical
-    residues (B <= p, and its least cell's sum above p // 2 - p and at
-    least -2**63), is shifted with the plain cells in a few array
-    operations over all the cells; only the cells below 0 of the other
-    based forms take their row cell by cell.  None on objects, and a few
-    Python operations per based form."""
-    lens = np.array([len(c) for c, _, _ in forms], np.int64)
+    """The canonical signed residue mod p, v - p when v mod p > p // 2 and
+    v mod p otherwise, of each cell of the int_cells forms (cells,
+    outliers), in int64: one array of all of them, form after form; each
+    form's offset into it; which cells hold their residue (every cell but
+    MARK, whose int64 is arbitrary); and per form the greatest magnitude
+    of its residues, or None when it has an outlier.  A few array
+    operations over all the cells: np.mod when p < 2**63; when p // 2 <
+    2**63 <= p a cell is at most one p from its residue, which int64's
+    wrapping sum with p (as an int64) reaches exactly; and when p >= 2**64
+    every cell is its own residue."""
+    lens = np.array([len(c) for c, _ in forms], np.int64)
     starts = np.cumsum(lens) - lens
-    cells = np.concatenate([c for c, _, _ in forms]) if forms else np.zeros(0, np.int64)
-    full = np.flatnonzero(lens)
-    # c stands for itself: it holds its residue when 0 <= c < p, which is
-    # c - p when c > p // 2 (-p mod 2**64 added as an int64).
+    cells = np.concatenate([c for c, _ in forms]) if forms else np.zeros(0, np.int64)
+    held = cells != MARK
     half = p // 2
-    neg = cells < 0
-    held = ~neg & (cells < p) if p < _BIG else ~neg
-    signed = np.where(cells > half, cells + ((_BIG - p) % (1 << 64) - _BIG), cells) if half < _BIG else cells
-    based = [j for j in full.tolist() if forms[j][1]]
-    if based:
-        lows = np.minimum.reduceat(cells, starts[full])[np.searchsorted(full, based)].tolist()
-        floor = max(MARK, half + 1 - p)
-        whole, shifts, rest = [], [], []
-        for j, lo in zip(based, lows):
-            k = forms[j][1] - p
-            if k <= 0 and MARK < lo and lo + k >= floor:
-                whole.append(j)
-                shifts.append(k)
-            else:
-                rest.append(j)
-        if whole:   # every cell of such a form holds its residue
-            shift, mask = np.zeros(len(forms), np.int64), np.zeros(len(forms), bool)
-            shift[whole], mask[whole] = shifts, True
-            shift = np.repeat(shift, lens)
-            shift *= neg
-            signed = signed + shift
-            held |= np.repeat(mask, lens)
-        if rest:
-            ats = [starts[j] + np.flatnonzero(neg[starts[j] : starts[j] + lens[j]]) for j in rest]
-            at = np.concatenate(ats)
-            mid, up, down = np.repeat(_based_rules([forms[j][1] for j in rest], p).T, list(map(len, ats)), axis=1)
-            c = cells[at]
-            high = c > mid
-            r = c + np.where(high, up, down)
-            signed[at] = r
-            held[at] = ((r < 0) == high) & (c != MARK)
+    if p < _BIG:
+        signed = np.mod(cells, p)
+        signed = np.where(signed > half, signed - p, signed)
+    elif half < _BIG:
+        wrap = np.int64(p - (1 << 64))
+        signed = np.where(cells > half, cells - wrap, np.where(cells < -half, cells + wrap, cells))
+    else:
+        signed = cells
     bounds = [0] * len(forms)
+    full = np.flatnonzero(lens)
     if len(full):
-        # The greatest magnitude, as uint64: -MARK wraps to MARK, whose
-        # uint64 is 2**63.
         at = starts[full]
-        lows, highs = np.minimum.reduceat(signed, at), np.maximum.reduceat(signed, at)
-        mags = np.maximum(np.where(lows < 0, -lows, 0).view(np.uint64), np.maximum(highs, 0).view(np.uint64))
+        mags = np.maximum(np.maximum.reduceat(signed, at), -np.minimum.reduceat(signed, at))
         for j, ok, mag in zip(full.tolist(), np.logical_and.reduceat(held, at).tolist(), mags.tolist()):
             bounds[j] = mag if ok else None
     return signed, starts, held, bounds
@@ -809,24 +659,25 @@ class FixedColumn(Sequence):
     """Read-only fixed column of `n_rows` cells held as its nonzero cells.
 
     `rows` is an int32 array of the rows that hold a nonzero cell, in
-    increasing order, and `cells`, `base` and `outliers` their values as
-    `int_cells` holds them; every other row reads 0.  `values` is the
-    values as one array, int64 when they fit it and object otherwise.  A cell is None
+    increasing order, and `cells` and `outliers` their values as
+    `int_cells` holds them; every other row reads 0.  Compile and the
+    layout loader give each value as its canonical signed residue, the
+    only value a layout file holds.  `values` is the values as one array,
+    int64 when they fit it and object otherwise.  A cell is None
     (unassigned) only when a caller packs a list holding None; the layout
     file cannot say so.  Reading a cell, iterating and `dense` read one
     full-height list, built on first use with one scatter and kept.
     """
 
-    __slots__ = ("rows", "cells", "base", "outliers", "n_rows", "_dense", "_signed", "_enabled")
+    __slots__ = ("rows", "cells", "outliers", "n_rows", "_dense", "_signed", "_enabled")
     __hash__ = None
 
     def __init__(self, rows: np.ndarray, values, n_rows: int):
         self._set(rows, *int_cells([values])[0], n_rows)
 
-    def _set(self, rows, cells, base, outliers, n_rows) -> None:
+    def _set(self, rows, cells, outliers, n_rows) -> None:
         self.rows = rows
         self.cells = cells
-        self.base = base
         self.outliers = outliers
         self.n_rows = n_rows
         self._dense = None
@@ -836,7 +687,7 @@ class FixedColumn(Sequence):
     @classmethod
     def from_cells(cls, rows: np.ndarray, form: tuple, n_rows: int) -> "FixedColumn":
         """The column of the nonzero cells `rows` whose values int_cells'
-        (cells, base, outliers) `form` holds."""
+        (cells, outliers) `form` holds."""
         col = cls.__new__(cls)
         col._set(rows, *form, n_rows)
         return col
@@ -846,11 +697,11 @@ class FixedColumn(Sequence):
         """The view of a full column: every cell that is not 0 is kept."""
         vals = np.asarray(list(vals), object)
         rows = np.flatnonzero(vals != 0)
-        return cls(rows.astype(np.int32), vals[rows], len(vals))
+        return cls(rows.astype(np.int32), vals[rows].tolist(), len(vals))
 
     @property
     def values(self) -> np.ndarray:
-        return cell_values(self.cells, self.base, self.outliers)
+        return cell_values(self.cells, self.outliers)
 
     @staticmethod
     def signed(columns: list, p: int) -> list[tuple]:
@@ -864,7 +715,7 @@ class FixedColumn(Sequence):
         one `signed_cells` pass, and kept."""
         todo = [col for col in columns if col._signed is None or col._signed[0] != p]
         if todo:
-            signed, starts, held, bounds = signed_cells([(c.cells, c.base, c.outliers) for c in todo], p)
+            signed, starts, held, bounds = signed_cells([(c.cells, c.outliers) for c in todo], p)
             for col, s, bound in zip(todo, starts.tolist(), bounds):
                 ints = np.zeros(col.n_rows, np.int64)
                 ints[col.rows] = signed[s : s + len(col.cells)]
@@ -872,7 +723,7 @@ class FixedColumn(Sequence):
                 if bound is None:
                     wide = np.zeros(col.n_rows, bool)
                     wide[col.rows] = ~held[s : s + len(col.cells)]
-                    vals = cell_values(col.cells, col.base, col.outliers)
+                    vals = cell_values(col.cells, col.outliers)
                     unset = np.equal(vals, None)
                     if unset.any():   # a packed None
                         present = np.ones(col.n_rows, bool)
@@ -944,19 +795,20 @@ class AdviceColumn(Sequence):
 
     The first `length` rows may be assigned, those `present` marks (a bool
     array of `length`, or None when all of them are), and every later row
-    is unassigned.  `cells`, `base` and `outliers` hold the assigned
-    cells' values in row order as `int_cells` does; a loaded column of
-    32-byte cells (the sponge states) is all outliers, its values as the
-    file gave them.  The column reads as a sequence of Python ints and
-    None (unassigned), compares equal to a list of the same cells, and
-    takes `column[row] = value`, which rebuilds its arrays.  A column may
-    carry its cell column bytes (`encode_cell_columns`), as the prover's
-    columns that the model alone fixes do; they hold while the column
-    keeps the arrays, base and length it was built with, so
-    `column[row] = value`, which rebuilds them, drops the bytes.
+    is unassigned.  `cells` and `outliers` hold the assigned cells' values
+    in row order as `int_cells` does: the prover's values as it gave them,
+    small ones signed, and a loaded column's as the file gives them; a
+    loaded column of 32-byte cells (the sponge states) is all outliers.
+    The column reads as a sequence of Python ints and None (unassigned),
+    compares equal to a list of the same cells, and takes
+    `column[row] = value`, which rebuilds its arrays.  A column may carry
+    its cell column bytes (`encode_cell_columns`), as the prover's columns
+    that the model alone fixes do; they hold while the column keeps the
+    arrays and length it was built with, so `column[row] = value`, which
+    rebuilds them, drops the bytes.
     """
 
-    __slots__ = ("n_rows", "length", "present", "cells", "base", "outliers", "_encoded")
+    __slots__ = ("n_rows", "length", "present", "cells", "outliers", "_encoded")
     __hash__ = None
 
     def __init__(self, n_rows: int, length: int, present: np.ndarray | None, form: tuple,
@@ -964,25 +816,25 @@ class AdviceColumn(Sequence):
         self.n_rows = n_rows
         self.length = length
         self.present = present
-        self.cells, self.base, self.outliers = form
-        self._encoded = None if encoded is None else (form[0], form[2], present, form[1], length, encoded)
+        self.cells, self.outliers = form
+        self._encoded = None if encoded is None else (*form, present, length, encoded)
 
     def encoded(self) -> bytes | None:
         """The cell column bytes the column was built with, or None when it
         was built without them or no longer holds the same arrays (by
-        identity), base and length."""
+        identity) and length."""
         e = self._encoded
         if e is None:
             return None
         if e[0] is not self.cells or e[1] is not self.outliers or e[2] is not self.present:
             return None
-        return e[5] if (e[3], e[4]) == (self.base, self.length) else None
+        return e[4] if e[3] == self.length else None
 
     @property
     def values(self) -> np.ndarray:
         """The assigned cells' values in row order, as `cell_values` gives
         them."""
-        return cell_values(self.cells, self.base, self.outliers)
+        return cell_values(self.cells, self.outliers)
 
     @classmethod
     def of_list(cls, vals) -> "AdviceColumn":
@@ -992,7 +844,7 @@ class AdviceColumn(Sequence):
         assigned = np.not_equal(vals, None)
         n = int(np.count_nonzero(assigned))
         length = len(vals) - int(assigned[::-1].argmax()) if n else 0
-        [form] = int_cells([vals[assigned]])
+        [form] = int_cells([vals[assigned].tolist()])
         return cls(len(vals), length, None if n == length else assigned[:length], form)
 
     def tolist(self) -> list:
@@ -1017,14 +869,13 @@ class AdviceColumn(Sequence):
             if not self.present[r]:
                 return None
             r = int(np.count_nonzero(self.present[:r]))
-        return cell_value(self.cells, self.base, self.outliers, r)
+        return cell_value(self.cells, self.outliers, r)
 
     def __setitem__(self, row: int, value) -> None:
         vals = self.tolist()
         vals[row] = value
         new = AdviceColumn.of_list(vals)
-        self.length, self.present, self.cells, self.base, self.outliers = (
-            new.length, new.present, new.cells, new.base, new.outliers)
+        self.length, self.present, self.cells, self.outliers = new.length, new.present, new.cells, new.outliers
 
     def __iter__(self):
         return iter(self.tolist())
@@ -1133,6 +984,11 @@ class CircuitLayout:
         check_copy_range(self.copies.flat, len(names), self.n_rows)
         bound = self.instance_map.flat
         cols, rows, idx = bound[0::3], bound[1::3], bound[2::3]
+        n_names = len(self.instance_map.names)
+        numbered = (cols < 0) | (cols >= n_names)
+        if numbered.any():
+            raise CircuitError(f"instance binding references column number {cols[np.argmax(numbered)]}"
+                               f" outside the {n_names} columns")
         bad = (cols >= len(self.columns)) | (rows < 0) | (rows >= self.n_rows) | (idx < 0)
         if bad.any():
             (col_id, row), idx = self.instance_map[int(np.argmax(bad))]

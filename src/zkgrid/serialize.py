@@ -1,30 +1,26 @@
-"""Binary on-disk formats: layouts (version 6) and witnesses (version 4).
+"""Binary on-disk formats: layouts (version 7) and witnesses (version 5).
 
 Both formats write integers little-endian and share one cell codec (a
 "cell column" of L rows): L and the number N <= L of assigned cells (two
-`<I`), a form byte whose low 7 bits are the width w in {1, 2, 4, 8, 32}
-and whose top bit says a 32-byte base B follows (else B = 0), then, only
-when N < L, a presence bitmap of ceil(L / 8) bytes whose bit r (bit
-r % 8 of byte r // 8) is set when row r is assigned, then the N assigned
-cells in row order, w bytes each.  Unassigned cells cost their bit and
-nothing else.  For w = 32 (no base) a cell is its value as a 32-byte
-unsigned integer.  For w <= 8 a cell is a signed integer d: the value d
-when d >= 0, B + d when d < 0, and the most negative w-byte integer, the
-outlier mark, stands for the next value of an outlier list that follows
-the cells: a count K (`<I`) and K 32-byte unsigned values.
+`<I`), a width byte w in {1, 2, 4, 8, 32}, then, only when N < L, a
+presence bitmap of ceil(L / 8) bytes whose bit r (bit r % 8 of byte
+r // 8) is set when row r is assigned, then the N assigned cells in row
+order, w bytes each.  Unassigned cells cost their bit and nothing else.
+Every cell is its value as a w-byte signed integer, but for w <= 8 the
+most negative w-byte integer, the outlier mark, which stands for the
+next value of an outlier list that follows the cells: a count K (`<I`)
+and K 32-byte signed values.
 
-The writer sets B one above the column's largest value >= 2**63 (none
-when there is no such value) and writes each value below 2**63 as
-itself and each other value v as v - B, so residues p - x of small
-negatives x take a few bytes without the codec knowing p; a value whose
-d is the mark or does not fit in w bytes is an outlier.  It picks the w
-that minimises N * w plus 32 bytes for each outlier and for the base
-(w = 32 takes neither), the narrowest of equals, so a few stray big
-values no longer widen their column.  Every cell in [0, 2**255) round
-trips exactly.  The loader refuses a bitmap with a bit set at or past L,
-one whose bit L - 1 is clear (L is one past the last assigned row), N
-other than the bits set, a mark count other than K and a value (cell or
-outlier) of 2**255 or more.
+The writer makes a value an outlier when it is the mark or does not fit
+in w bytes, and picks the w that minimises N * w plus 32 bytes for each
+outlier (w = 32 takes none), the narrowest of equals, so a few stray big
+values do not widen their column.  Small negative values, such as the
+prover's int8 weights and partial sums, take a few bytes each.  Every
+value in [-2**255, 2**255) round trips exactly.  The loader refuses a
+bitmap with a bit set at or past L, one whose bit L - 1 is clear (L is
+one past the last assigned row), N other than the bits set and a mark
+count other than K; a listed outlier that int64 holds other than as the
+int64 mark takes its cell, as the writer would have written it.
 
 Layout: `ZKLY`, then version and header length (`<II`), then the header,
 a JSON object: modulus (a decimal string), n_rows, n_rows_logical,
@@ -45,9 +41,9 @@ sections follow in this order:
   which the loader wraps as its int32 array;
 * each fixed column in header order: its `cells` rows, strictly
   increasing, then a cell column of their values with no unassigned
-  cell, each a nonzero canonical residue: the `rows` and the cells of its
-  `circuit.FixedColumn`, which the writer reads and the loader builds
-  with array operations only;
+  cell, each a nonzero canonical signed residue r in (-p/2, p/2]: the
+  `rows` and the cells of its `circuit.FixedColumn`, which the writer
+  reads and the loader builds with array operations only;
 * instance bindings: 3 * bindings integers `[column number, row, index]`.
 
 Copies, rows and bindings are unsigned sections: a width byte w in
@@ -62,20 +58,21 @@ written as a cell column whose length is one past its last assigned row
 (the instance vector's own length); the rows from L on are unassigned.
 
 In memory every cell column is a form of `circuit.int_cells`: int64
-cells, each its value or, below 0, its offset from the base, with a mark
-for each outlier and the outliers apart.  For w <= 8 that is the file's
-own form; a column of 32-byte cells (the sponge states) is all outliers,
-its values as Python ints, which a dump writes back as 32-byte cells.
-Both loaders read all the cell columns of a file in one pass
-(`_decode_columns`): a walk over the column headers checks every length
-the file claims before anything is allocated, then one gather per width
-reads the bodies, one `int.from_bytes` pass the 32-byte cells, and a few
-array operations over all columns check the bitmaps, the cells' signs
-and the outlier marks; only the outliers take Python work each.  Of two
-faults in one file, the one reported is the first faulty column's among
-those each step finds.  A layout's 32-byte fixed columns are split by
+cells, each its value, with MARK for each outlier and the outliers apart.
+For w <= 8 that is the file's own form; a column of 32-byte cells (the
+sponge states) is all outliers, its values as Python ints, which a dump
+writes back as 32-byte cells.  Both loaders read all the cell columns of
+a file in one pass (`_decode_columns`): a walk over the column headers
+checks every length the file claims before anything is allocated, then
+one gather per width reads the bodies, one `int.from_bytes` pass the
+32-byte cells, and a few array operations over all columns check the
+bitmaps and the outlier marks; only the outliers take Python work each.
+Of two faults in one file, the one reported is the first faulty column's
+among those each step finds.  A layout's 32-byte fixed columns are split by
 `int_cells` at load, so that the checker reads their cells as int64
-where they fit.  The writer (`circuit.encode_cell_columns`) picks the
+where they fit.  A layout's writer and loader refuse a fixed value that
+is not its nonzero canonical signed residue with one check
+(`_fixed_fault`).  The writer (`circuit.encode_cell_columns`) picks the
 width of every column of a file in one array pass over all their cells.
 A witness holds each advice column as a `circuit.AdviceColumn` at its
 used length, the prover's and a loaded one alike, and its instance
@@ -90,7 +87,7 @@ Both loaders refuse a grid taller than `circuit.MAX_ROWS` or whose
 columns of the file's kind (fixed in a layout, advice in a witness) hold
 more than `circuit.MAX_CELLS` cells, a layout whose tables would hold
 more than `circuit.MAX_CELLS` entries in all, and older versions: layout
-versions 1 to 5 (1 and 2 were JSON) and witness versions 1 to 3.
+versions 1 to 6 (1 and 2 were JSON) and witness versions 1 to 4.
 """
 
 from __future__ import annotations
@@ -103,12 +100,10 @@ from operator import itemgetter
 
 import numpy as np
 
-from .arithmetize import CompileError, check_recipe, lookup_table
+from .arithmetize import CompileError, lookup_table
 from .circuit import (
-    BASED_FLAG,
     CELL_COUNT,
     CELL_COUNTS,
-    CELL_LIMIT,
     NO_OUTLIERS,
     MARK,
     MAX_CELLS,
@@ -126,21 +121,21 @@ from .circuit import (
     FixedColumn,
     GateDef,
     LookupArg,
+    LookupTable,
     cell_values,
     encode_cell_columns,
     int_cells,
 )
 from .field import Field
 
-_LAYOUT_VERSION = 6
-_WITNESS_VERSION = 4
+_LAYOUT_VERSION = 7
+_WITNESS_VERSION = 5
 
 _LAYOUT_MAGIC = b"ZKLY"
 _LAYOUT_PREFIX = struct.Struct("<4sII")
 _WITNESS_MAGIC = b"ZKWT"
 _HEADER = struct.Struct("<IIII")
-_LOW_BYTES = bytes(range(0x80))
-_BIG = 1 << 63             # cells at or above this are stored relative to the base
+_BIG = 1 << 63             # int64 holds the values in [-2**63, 2**63)
 
 
 class FormatError(ValueError):
@@ -150,10 +145,10 @@ class FormatError(ValueError):
 # --- cell columns ------------------------------------------------------------
 
 # Where one cell column lies in a file: its length L, its assigned cells N,
-# width w and base B, where its bitmap (if N < L) and its cells start, and
-# its outlier count K (0 for w = 32), whose list follows the count.
-_Head = tuple[int, int, int, int, int, int, int]
-_COLUMN_HEAD = struct.Struct(CELL_COUNTS.format + "B")    # L, N and the form byte
+# width w, where its bitmap (if N < L) and its cells start, and its outlier
+# count K (0 for w = 32), whose list follows the count.
+_Head = tuple[int, int, int, int, int, int]
+_COLUMN_HEAD = struct.Struct(CELL_COUNTS.format + "B")    # L, N and w
 
 
 def _cell_head(raw: bytes, pos: int, limit: int) -> tuple[_Head, int]:
@@ -163,24 +158,14 @@ def _cell_head(raw: bytes, pos: int, limit: int) -> tuple[_Head, int]:
     size = len(raw)
     if pos + _COLUMN_HEAD.size > size:
         raise FormatError("truncated cell column header")
-    n_rows, n, form = _COLUMN_HEAD.unpack_from(raw, pos)
+    n_rows, n, w = _COLUMN_HEAD.unpack_from(raw, pos)
     pos += _COLUMN_HEAD.size
     if n_rows > limit:
         raise FormatError(f"column of {n_rows} cells where at most {limit} fit")
     if n > n_rows:
         raise FormatError(f"{n} assigned cells in a column of {n_rows}")
-    w, base = form & ~BASED_FLAG, 0
     if w not in (1, 2, 4, 8, 32):
         raise FormatError(f"bad cell width {w}")
-    if form & BASED_FLAG:
-        if w == 32:
-            raise FormatError("32-byte cells take no base")
-        if pos + 32 > size:
-            raise FormatError("truncated cell column header")
-        base = int.from_bytes(raw[pos : pos + 32], "little")
-        if not _BIG < base <= CELL_LIMIT:
-            raise FormatError(f"column base {base} outside (2**63, 2**255]")
-        pos += 32
     bits = pos
     if n < n_rows:
         pos += (n_rows + 7) // 8
@@ -190,14 +175,14 @@ def _cell_head(raw: bytes, pos: int, limit: int) -> tuple[_Head, int]:
     if pos > size:
         raise FormatError("truncated cell column")
     if w == 32:
-        return (n_rows, n, w, base, bits, body, 0), pos
+        return (n_rows, n, w, bits, body, 0), pos
     if pos + CELL_COUNT.size > size:
         raise FormatError("truncated outlier count")
     (k,) = CELL_COUNT.unpack_from(raw, pos)
     pos += CELL_COUNT.size + 32 * k
     if pos > size:
         raise FormatError("truncated outlier list")
-    return (n_rows, n, w, base, bits, body, k), pos
+    return (n_rows, n, w, bits, body, k), pos
 
 
 def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple[list, list]:
@@ -205,15 +190,15 @@ def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple
     assigned cells in row order as a `circuit.int_cells` form (32-byte
     cells as outliers alone, an object array of Python ints), and which
     of its L rows are assigned (a bool array of L, or None when every one
-    is).  The bodies
-    take one gather per width, the 32-byte cells one `int.from_bytes`
-    pass, and the checks of the bitmaps, the cells' signs and the outlier
+    is).  The bodies take one gather per width, the 32-byte cells one
+    `int.from_bytes` pass, and the checks of the bitmaps and the outlier
     marks a few array operations over all columns; only the outliers take
-    Python work each.  A fault of column j is refused with FormatError,
-    its message led by label(j); of the faults found, the first column's
-    is reported."""
+    Python work each.  A listed outlier that int64 holds other than as
+    MARK is stored in its cell, as the writer would have written it.  A
+    fault of column j is refused with FormatError, its message led by
+    label(j); of the faults found, the first column's is reported."""
     view = memoryview(raw)
-    lens, counts, widths, bases, bits, bodies, lists = zip(*heads) if heads else [()] * 7
+    lens, counts, widths, bits, bodies, lists = zip(*heads) if heads else [()] * 6
     forms, present = [None] * len(heads), [None] * len(heads)
     faults: list[tuple[int, str]] = []
     by_width: dict[int, list[int]] = {}
@@ -245,13 +230,11 @@ def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple
     wide = by_width.get(32, ())
     if wide:
         body = b"".join([view[bodies[j] : bodies[j] + 32 * counts[j]] for j in wide])
-        if body[31::32].translate(None, _LOW_BYTES):
-            faults.append((next(j for j in wide if _top_set(raw, bodies[j], counts[j])), "cell >= 2**255"))
-        big = np.fromiter(_big_ints(body), object, len(body) // 32)
+        big = _big_ints(body)
         marks = np.full(len(big), MARK)
         at = 0
         for j in wide:
-            forms[j] = marks[at : at + counts[j]], 0, big[at : at + counts[j]]
+            forms[j] = marks[at : at + counts[j]], big[at : at + counts[j]]
             at += counts[j]
 
     for w in (1, 2, 4, 8):
@@ -263,50 +246,35 @@ def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple
         cells = vals.astype(np.int64)
         at = 0
         for j, n in zip(cols, ns):
-            forms[j] = cells[at : at + n], bases[j], NO_OUTLIERS
+            forms[j] = cells[at : at + n], NO_OUTLIERS
             at += n
+        mark = -1 << (8 * w - 1)   # the most negative w-byte integer
         listed = [j for j in cols if lists[j]]
-        if not listed and not (len(vals) and vals.min() < 0):
+        if not listed and not (vals == mark).any():
             continue
-        # Per column: its outlier marks (the most negative w-byte integer)
-        # and its other negative cells, which need a base.
-        mark = -1 << (8 * w - 1)
+        # Per column: its outlier marks, which must match its list.
         ns = np.array(ns, np.int64)
         starts = (np.cumsum(ns) - ns)[ns > 0]
         marks = np.zeros(len(cols), np.int64)
-        below = np.zeros(len(cols), np.int64)
         if len(starts):
             marks[ns > 0] = np.add.reduceat(vals == mark, starts, dtype=np.int64)
-            below[ns > 0] = np.add.reduceat(vals < 0, starts, dtype=np.int64) - marks[ns > 0]
-        top = next((j for j in listed if _top_set(raw, bodies[j] + w * counts[j] + CELL_COUNT.size, lists[j])), None)
-        if top is not None:
-            faults.append((top, "outlier >= 2**255"))
         want = np.array([lists[j] for j in cols], np.int64)
-        unbased = np.array([not bases[j] for j in cols], bool)
-        for i in np.flatnonzero((marks != want) | ((below > 0) & unbased))[:1].tolist():
-            j = cols[i]
-            if marks[i] > want[i]:
-                faults.append((j, "outlier mark with no listed outlier"))
-            elif marks[i] < want[i]:
-                faults.append((j, "listed outlier with no outlier mark"))
-            else:
-                c = forms[j][0]
-                faults.append((j, f"cell {c[(c < 0) & (c != mark)][0]} < 0 in a column with no base"))
+        for i in np.flatnonzero(marks != want)[:1].tolist():
+            what = "outlier mark with no listed outlier" if marks[i] > want[i] else "listed outlier with no outlier mark"
+            faults.append((cols[i], what))
         if faults:
             continue
         for j in listed:
-            c, base = forms[j][0], bases[j]
+            c = forms[j][0]
             at = bodies[j] + w * counts[j] + CELL_COUNT.size
             outliers = []
-            # An outlier that has a cell, below 2**63 or in the base's band,
-            # takes it.
             for r, v in zip(np.flatnonzero(c == mark).tolist(), _big_ints(view[at : at + 32 * lists[j]])):
-                if v < _BIG or base - _BIG < v < base:
-                    c[r] = v if v < _BIG else v - base
+                if MARK < v < _BIG:
+                    c[r] = v
                 else:
                     c[r] = MARK
                     outliers.append(v)
-            forms[j] = c, base, np.array(outliers, object) if outliers else NO_OUTLIERS
+            forms[j] = c, np.array(outliers, object) if outliers else NO_OUTLIERS
 
     if faults:
         j, what = min(faults, key=itemgetter(0))
@@ -314,15 +282,15 @@ def _decode_columns(raw: bytes, heads: list[_Head], label=lambda j: "") -> tuple
     return forms, present
 
 
-def _top_set(raw: bytes, pos: int, n: int) -> bool:
-    """Whether one of the n 32-byte integers at raw[pos:] is 2**255 or
-    more."""
-    return bool(raw[pos + 31 : pos + 32 * n : 32].translate(None, _LOW_BYTES))
-
-
-def _big_ints(data) -> map:
-    """The 32-byte little-endian unsigned integers of data."""
-    return map(int.from_bytes, map(itemgetter(0), struct.iter_unpack("32s", data)), repeat("little"))
+def _big_ints(data) -> np.ndarray:
+    """The 32-byte little-endian signed integers of data, as an object
+    array: read unsigned, then the few whose top bit is set made
+    negative."""
+    out = np.fromiter(map(int.from_bytes, map(itemgetter(0), struct.iter_unpack("32s", data)), repeat("little")),
+                      object, len(data) // 32)
+    neg = np.flatnonzero(np.frombuffer(data, np.uint8)[31::32] >= 0x80)
+    out[neg] -= 1 << 256
+    return out
 
 
 # --- layout ------------------------------------------------------------------
@@ -359,34 +327,32 @@ def _decode_uints(raw: bytes, pos: int, count: int, what: str) -> tuple[np.ndarr
     return np.frombuffer(raw, f"<u{w}", count, pos + 1), end
 
 
-def _fixed_forms(forms: list, p: int, ids: list[str]) -> list[tuple]:
-    """The fixed columns' forms from `_decode_columns`, each value
-    checked to be a canonical residue in [1, p): the columns of outliers
-    alone (32-byte cells) are split by one `circuit.int_cells` call, so
-    that the checker reads their cells as int64 where they fit; the plain
-    columns' cells are checked with a few array operations over all of
-    them (a based cell is a value in [1, B), the others are themselves),
-    and the columns with outliers or a base above p on Python ints."""
-    forms = list(forms)
-    wide = [j for j, (c, _, o) in enumerate(forms) if len(o) and len(o) == len(c)]
-    for j, form in zip(wide, int_cells([forms[j][2] for j in wide])):
-        forms[j] = form
-    plain = [j for j, (c, base, o) in enumerate(forms) if len(c) and not len(o) and base <= p]
-    bad = set(range(len(forms))) - set(plain)
-    if plain:
-        lens = np.array([len(forms[j][0]) for j in plain], np.int64)
-        starts = np.cumsum(lens) - lens
-        cells = np.concatenate([forms[j][0] for j in plain])
-        based = np.array([forms[j][1] > 0 for j in plain], bool)
-        ok = (np.maximum.reduceat(cells, starts) < p) & np.where(
-            based, np.add.reduceat(cells == 0, starts) == 0, np.minimum.reduceat(cells, starts) >= 1)
-        bad |= {plain[i] for i in np.flatnonzero(~ok).tolist()}
-    for j in sorted(bad):
-        vals = cell_values(*forms[j])
-        if len(vals) and not (min(vals) >= 1 and max(vals) < p):
-            _need(not (vals == 0).any(), f"fixed column {ids[j]}: zero cell listed")
-            _need(False, f"fixed column {ids[j]}: value not a canonical residue")
-    return forms
+def _fixed_fault(forms: list, p: int) -> tuple[int, str] | None:
+    """The first of the fixed columns' forms that holds a value other than
+    a nonzero canonical signed residue r in (-p/2, p/2], and what it
+    holds, or None: the int64 cells take a few array operations over all
+    columns, the outliers Python work each."""
+    lo, hi = -((p - 1) // 2), p // 2
+    faults = []
+    full = [j for j, (c, _) in enumerate(forms) if len(c)]
+    if full:
+        lens = np.array([len(forms[j][0]) for j in full], np.int64)
+        cells = np.concatenate([forms[j][0] for j in full])
+        bad = (cells == 0) | (cells > min(hi, _BIG - 1)) | ((cells < max(lo, MARK + 1)) & (cells != MARK))
+        if bad.any():
+            first = int(np.argmax(bad))
+            j = full[int(np.searchsorted(np.cumsum(lens), first, side="right"))]
+            faults.append((j, "zero cell listed" if cells[first] == 0 else "value not a canonical residue"))
+    for j, (_, outliers) in enumerate(forms):
+        if len(outliers):
+            try:
+                if lo <= min(outliers) and max(outliers) <= hi:
+                    continue
+            except TypeError:   # an unassigned value
+                pass
+            faults.append((j, "value not a canonical residue"))
+            break
+    return min(faults, default=None)
 
 
 # The node table's operators, the Expr ops they build, and the operand
@@ -484,33 +450,34 @@ def dump_layout(layout: CircuitLayout) -> bytes:
     unknown = np.flatnonzero(bindings[0::3] >= len(names))
     if len(unknown):
         raise FormatError(f"instance binding to unknown column {layout.instance_map[int(unknown[0])][0][0]!r}")
-    if _table_ids([t.recipe for t in layout.tables.values()], p) != list(layout.tables):
+    if list(_tables([t.recipe for t in layout.tables.values()], p)) != list(layout.tables):
         raise FormatError("a table's id is not the one its recipe names")
+    forms = [(v.cells, v.outliers) for v in layout.fixed.values()]
+    fault = _fixed_fault(forms, p)
+    if fault is not None:
+        raise FormatError(f"fixed column {list(layout.fixed)[fault[0]]}: {fault[1]}")
     head = json.dumps(_layout_header(layout), sort_keys=True, separators=(",", ":")).encode("ascii")
     out = [_LAYOUT_PREFIX.pack(_LAYOUT_MAGIC, _LAYOUT_VERSION, len(head)), head]
     out.append(_encode_uints(layout.copies.flat, "copies"))
-    values = encode_cell_columns([((v.cells, v.base, v.outliers), len(v.rows), b"") for v in layout.fixed.values()], 1, p)
-    for (col_id, vals), (cells, bad) in zip(layout.fixed.items(), values):
-        what = f"fixed column {col_id}"
-        out.append(_encode_uints(vals.rows, what))
-        if bad is not None:
-            raise FormatError(f"{what} holds a value outside [1, p): not a canonical residue")
+    values = encode_cell_columns([(form, len(v.rows), b"") for form, v in zip(forms, layout.fixed.values())])
+    for (col_id, vals), cells in zip(layout.fixed.items(), values):
+        out.append(_encode_uints(vals.rows, f"fixed column {col_id}"))
         out.append(cells)
     out.append(_encode_uints(bindings, "instance bindings"))
     return b"".join(out)
 
 
-def _table_ids(recipes: list, p: int) -> list[str]:
-    """Each recipe's table id.  Refuses a recipe lookup_table refuses, one
-    listed twice, and tables of over MAX_CELLS entries in all."""
+def _tables(recipes: list, p: int) -> dict[str, LookupTable]:
+    """The table of each recipe, by its id.  Refuses a recipe lookup_table
+    refuses, one listed twice, and tables of over MAX_CELLS entries in
+    all."""
     try:
-        checked = [check_recipe(r, p) for r in recipes]
+        tables = [lookup_table(r, p) for r in recipes]
     except CompileError as e:
         raise FormatError(f"malformed layout: {e}") from None
-    ids = [tid for tid, _ in checked]
-    _need(len(set(ids)) == len(ids), "table recipe listed twice")
-    _need(sum(n for _, n in checked) <= MAX_CELLS, f"tables of over {MAX_CELLS} entries")
-    return ids
+    _need(len({t.id for t in tables}) == len(tables), "table recipe listed twice")
+    _need(sum(t.recipe[-1] - t.recipe[-2] + 1 for t in tables) <= MAX_CELLS, f"tables of over {MAX_CELLS} entries")
+    return {t.id: t for t in tables}
 
 
 def _read_header(raw: bytes) -> tuple[dict, int]:
@@ -583,8 +550,7 @@ def load_layout(raw: bytes) -> CircuitLayout:
         _need(len({f[0] for f in fixed_counts}) == len(fixed_counts), "duplicate fixed column")
         _need(len(fixed_counts) * n_rows <= MAX_CELLS, f"fixed columns of over {MAX_CELLS} cells")
         _need(_typed(recipes, list), "tables must list recipes")
-        recipes = list(map(tuple, recipes))
-        _table_ids(recipes, p)
+        tables = _tables(list(map(tuple, recipes)), p)
         _need(_typed([n_copies, n_bindings], int) and min(n_copies, n_bindings) >= 0,
               "copy and binding counts must be integers >= 0")
     except (KeyError, TypeError, AttributeError) as e:
@@ -606,24 +572,29 @@ def load_layout(raw: bytes) -> CircuitLayout:
     bound, pos = _decode_uints(raw, pos, 3 * n_bindings, "instance bindings")
     _need(pos == len(raw), f"{len(raw) - pos} trailing bytes after the layout")
     forms, _ = _decode_columns(raw, heads, lambda j: f"malformed layout: fixed column {fixed_counts[j][0]}: ")
+    # The columns of 32-byte cells, outliers alone, are split so that the
+    # checker reads their cells as int64 where they fit.
+    wide = [j for j, (c, o) in enumerate(forms) if len(o) and len(o) == len(c)]
+    for j, form in zip(wide, int_cells([forms[j][1] for j in wide])):
+        forms[j] = form
+    fault = _fixed_fault(forms, p)
+    if fault is not None:
+        raise FormatError(f"malformed layout: fixed column {fixed_counts[fault[0]][0]}: {fault[1]}")
     fixed = {}
-    for (col_id, n), r, form in zip(fixed_counts, rows, _fixed_forms(forms, p, [c for c, _ in fixed_counts])):
+    for (col_id, n), r, form in zip(fixed_counts, rows, forms):
         if n > 1 and not (r[1:] > r[:-1]).all():
             ordered = np.sort(r)
             _need((ordered[1:] != ordered[:-1]).all(), f"fixed column {col_id}: row listed twice")
         # A row of 2**31 or more turns negative here; validate() refuses
         # it with the rows that are not in increasing order in the grid.
         fixed[col_id] = FixedColumn.from_cells(r.astype(np.int32), form, n_rows)
-    top = int(bound[0::3].max(initial=0))
-    if top >= len(names):
-        raise CircuitError(f"instance binding references column number {top} outside the {len(names)} columns")
     layout = CircuitLayout(
         field=fld,
         columns=columns,
         n_rows=n_rows,
         n_rows_logical=n_logical,
         gates=gates,
-        tables={t.id: t for t in map(lookup_table, recipes, repeat(p))},
+        tables=tables,
         lookups=lookups,
         copies=Copies(flat, names),
         fixed=fixed,
@@ -653,7 +624,7 @@ def dump_witness(assignment: Assignment) -> bytes:
     columns = [assignment.advice[col] for col in cols]
     carried = [c.encoded() for c in columns]
     forms = [
-        ((c.cells, c.base, c.outliers), c.length,
+        ((c.cells, c.outliers), c.length,
          b"" if c.present is None else np.packbits(c.present, bitorder="little").tobytes())
         for c, code in zip(columns, carried) if code is None
     ]
@@ -661,13 +632,11 @@ def dump_witness(assignment: Assignment) -> bytes:
         forms.append((int_cells([assignment.instance])[0], len(assignment.instance), b""))
     except CircuitError as e:
         raise FormatError(f"instance {e}") from None
-    encoded = iter(encode_cell_columns(forms, 0, CELL_LIMIT))
-    for code in [*carried, None]:   # the instance last
-        if code is None:
-            code, bad = next(encoded)
-            if bad is not None:
-                raise FormatError(f"cell value {bad} outside [0, 2**255)")
-        out.append(code)
+    try:
+        encoded = iter(encode_cell_columns(forms))
+    except CircuitError as e:
+        raise FormatError(str(e)) from None
+    out += [next(encoded) if code is None else code for code in [*carried, None]]   # the instance last
     return b"".join(out)
 
 

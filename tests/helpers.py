@@ -239,7 +239,7 @@ def row_oracle_check(layout, assignment, cap=1000, rows=None):
     """The checker's violation list, recomputed one (constraint, row) at a
     time: gates through eval_gate, lookups by set membership
     of the cell tuple reduced mod p, copies and instance bindings compared
-    mod p.  With `rows`, gates, lookups and the copies with a cell on
+    mod p, each cell in a detail printed as its residue in [0, p).  With `rows`, gates, lookups and the copies with a cell on
     one of those rows are evaluated on those rows only: the whole list
     when every other row is known to satisfy them.
     Shares no evaluation code with zkgrid.checker."""
@@ -267,14 +267,14 @@ def row_oracle_check(layout, assignment, cap=1000, rows=None):
             continue
         va, vb = value(*cp.a), value(*cp.b)
         if va % p != vb % p:
-            out.append(Violation("copy", f"{idx:09d}", cp.a[1], f"{cp.a} = {va} but {cp.b} = {vb}"))
+            out.append(Violation("copy", f"{idx:09d}", cp.a[1], f"{cp.a} = {va % p} but {cp.b} = {vb % p}"))
     for idx, (ref, inst_idx) in enumerate(layout.instance_map):
         v, declared = value(*ref), assignment.instance[inst_idx]
         if v % p != declared % p:
             out.append(
                 Violation(
                     "instance", f"{idx:09d}", ref[1],
-                    f"cell {ref} = {v} but instance[{inst_idx}] = {declared}",
+                    f"cell {ref} = {v % p} but instance[{inst_idx}] = {declared}",
                 )
             )
     out.sort(key=Violation.sort_key)
@@ -303,7 +303,7 @@ def node_table(polys) -> tuple[list, list[int]]:
 
 
 def layout_doc(layout) -> dict:
-    """The parts of a version-6 layout file, restated from the layout
+    """The parts of a version-7 layout file, restated from the layout
     without zkgrid.serialize: the header object without its counts, then
     each section's integers.  `widths` maps a section to the width byte
     layout_file writes for it: "copies", "bindings", "rows:<column>" or
@@ -337,8 +337,8 @@ def layout_doc(layout) -> dict:
 def layout_sections(doc) -> list[bytes]:
     """The byte strings of a layout file: magic, version and header, then
     each section in file order.  Unsigned sections are written 4 bytes
-    wide and cell columns 32 bytes wide unless `widths` says otherwise,
-    with no base and no outlier; a None cell is left out of a presence
+    wide and cell columns of signed cells 32 bytes wide unless `widths`
+    says otherwise, with no outlier; a None cell is left out of a presence
     bitmap.  Header counts the document does not set are the sections'
     own."""
     widths = doc["widths"]
@@ -352,7 +352,7 @@ def layout_sections(doc) -> list[bytes]:
         present = [x for x in xs if x is not None]
         bits = sum(1 << r for r, x in enumerate(xs) if x is not None)
         bitmap = b"" if len(present) == len(xs) else bits.to_bytes((len(xs) + 7) // 8, "little")
-        body = b"".join(x.to_bytes(w, "little") for x in present)
+        body = b"".join(x.to_bytes(w, "little", signed=True) for x in present)
         outliers = b"" if w == 32 else struct.pack("<I", 0)
         return struct.pack("<II", len(xs), len(present)) + bytes((w,)) + bitmap + body + outliers
 
@@ -363,7 +363,7 @@ def layout_sections(doc) -> list[bytes]:
         **doc["header"],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    out = [b"ZKLY" + struct.pack("<II", 6, len(head)) + head, uints("copies", doc["copies"])]
+    out = [b"ZKLY" + struct.pack("<II", 7, len(head)) + head, uints("copies", doc["copies"])]
     for col, rows, vals in doc["fixed"]:
         out += [uints(f"rows:{col}", rows), cells(f"values:{col}", vals)]
     out.append(uints("bindings", doc["bindings"]))

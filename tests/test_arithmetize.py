@@ -75,7 +75,7 @@ def test_fc_k18_row_counts():
         first = rows[0]
         const = copies[first.cell("carry")]
         assert const == first.cell("const")
-        assert layout.fixed[const[0]][const[1]] == bias % p
+        assert layout.fixed[const[0]][const[1]] % p == bias % p
         for prev, cur in zip(rows, rows[1:]):
             assert copies[cur.cell("carry")] == prev.cell("out")
     assert [site.div.slot for site in plan.site_plans] == [0, 1, 2]
@@ -668,7 +668,7 @@ def test_hidden_weights_pack_chunks(fld, pack_rows):
     elements = weight_elements(g, fld.modulus)
     assert len(_pack_rows(layout)) == pack_rows
     sp = next(s for s in layout.plan.sponges if s.label == "weights")
-    assert [asg.advice[c][r] for c, r in layout.plan.cells(sp.message_at)] == elements
+    assert [asg.advice[c][r] % fld.modulus for c, r in layout.plan.cells(sp.message_at)] == elements
     assert serialize.load_layout(serialize.dump_layout(layout)) == layout
 
 
@@ -892,7 +892,7 @@ def _assert_slot_rows_match(g, mode, seed):
     for site in layout.plan.site_plans:
         out_col, row = site.div.cell("out")
         act_col, _ = site.div.cell("act")
-        assert asg.advice[out_col][row] == int(tr.layers[site.layer].acc.reshape(-1)[site.flat]) % p
+        assert asg.advice[out_col][row] % p == int(tr.layers[site.layer].acc.reshape(-1)[site.flat]) % p
         assert asg.advice[act_col][row] == int(tr.layers[site.layer].act.reshape(-1)[site.flat])
         first = site.rows[0]
         assert [(d.group, d.row) for d in site.rows] == [
@@ -1290,7 +1290,7 @@ def test_witness_numbers_its_assigned_cells(seed, shape, mode):
     assert sorted(cells) == sorted(assigned)
     for col_id in plan.advice_ids:
         got, want = honest.advice[col_id], AdviceColumn.of_list(honest.advice[col_id].tolist())
-        assert (got.n_rows, got.length, got.base) == (want.n_rows, want.length, want.base)
+        assert (got.n_rows, got.length) == (want.n_rows, want.length)
         assert (got.present is None) == (want.present is None)
         assert got.present is None or np.array_equal(got.present, want.present)
         assert np.array_equal(got.cells, want.cells) and got.cells.dtype == want.cells.dtype
@@ -1334,7 +1334,7 @@ def test_model_columns_are_shared_read_only():
     assert serialize.dump_witness(asg) == serialize.dump_witness(assign_witness(fresh, g, second))
     assert check(layout, asg) == []
     for col, _ in model_cells[::500]:
-        cells, _, outliers = plan.model_forms[plan.advice_ids.index(col)]
+        cells, outliers = plan.model_forms[plan.advice_ids.index(col)]
         assert asg.advice[col].cells is cells and asg.advice[col].outliers is outliers
         with pytest.raises(ValueError, match="read-only"):
             asg.advice[col].cells[0] = 5
@@ -1344,7 +1344,7 @@ def test_model_columns_are_shared_read_only():
 def _without_bytes(asg: Assignment) -> Assignment:
     """The same columns, arrays shared, carrying no cell column bytes."""
     return Assignment(
-        advice={c: AdviceColumn(col.n_rows, col.length, col.present, (col.cells, col.base, col.outliers))
+        advice={c: AdviceColumn(col.n_rows, col.length, col.present, (col.cells, col.outliers))
                 for c, col in asg.advice.items()},
         instance=list(asg.instance),
     )
@@ -1428,7 +1428,7 @@ def test_fixed_cells_zero_mod_p_set_nothing():
 
 
 def test_small_values_stay_off_the_python_int_split(monkeypatch):
-    """The fast path stays on: with `circuit._based` raising, prove_public's
+    """The fast path stays on: with `circuit._wide_split` raising, prove_public's
     model compiles and witnesses, and so does audit_batch's witness, whose
     file hands the encoder only its 56 columns the model does not fix and
     the instance."""
@@ -1439,7 +1439,7 @@ def test_small_values_stay_off_the_python_int_split(monkeypatch):
     def refuse(objs):
         raise AssertionError("split on Python ints")
 
-    monkeypatch.setattr(circuit, "_based", refuse)
+    monkeypatch.setattr(circuit, "_wide_split", refuse)
     layout, _ = compile(g_pub)
     assert check(layout, assign_witness(layout, g_pub, random_input(random.Random(1), g_pub))) == []
     asg = assign_witness(audit, g_audit, random_input(random.Random(1), g_audit))
@@ -1447,9 +1447,9 @@ def test_small_values_stay_off_the_python_int_split(monkeypatch):
 
     handed = []
 
-    def encode(columns, lo_limit, hi_limit):
+    def encode(columns):
         handed.append(columns)
-        return circuit.encode_cell_columns(columns, lo_limit, hi_limit)
+        return circuit.encode_cell_columns(columns)
 
     monkeypatch.setattr(serialize, "encode_cell_columns", encode)
     raw = serialize.dump_witness(asg)

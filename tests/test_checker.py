@@ -595,7 +595,7 @@ def _product_layout(cells, p=DEFAULT_MODULUS):
     return layout, Assignment(advice={"a": list(cells), "b": list(cells), "c": [v * v % p for v in cells]}, instance=[])
 
 
-@pytest.mark.parametrize("big", [1 << 62, (1 << 63) - 1, DEFAULT_MODULUS - (1 << 62)])
+@pytest.mark.parametrize("big", [1 << 62, (1 << 63) - 1, -(1 << 62), 1 - (1 << 63)])
 def test_large_cells_take_the_object_path(big):
     """A cell of 2**62 or more (or its negative) fits int64, but its
     square does not: the product runs on objects and a tampered row is
@@ -767,7 +767,7 @@ def test_reused_loaded_layout_checks_as_a_fresh_one(audit_files):
 def test_loaded_witness_is_checked_without_splitting_python_ints(audit_files, monkeypatch):
     """Against a layout already loaded, loading, checking and writing back
     audit_batch witnesses, honest and tampered, splits no column of Python
-    ints (`circuit._based`): the 32-byte columns stay outliers, are
+    ints (`circuit._wide_split`): the 32-byte columns stay outliers, are
     written back as they were read, and the instance is compared as int64
     but for its wide values."""
     from zkgrid import circuit
@@ -781,6 +781,6 @@ def test_loaded_witness_is_checked_without_splitting_python_ints(audit_files, mo
     def refuse(objs):
         raise AssertionError("a column of Python ints was split")
 
-    monkeypatch.setattr(circuit, "_based", refuse)
+    monkeypatch.setattr(circuit, "_wide_split", refuse)
     assert [check(loaded, serialize.load_witness(wit)) for wit in files] == want
     assert [serialize.dump_witness(serialize.load_witness(wit)) for wit in files] == files

@@ -10,6 +10,7 @@ from zkgrid.circuit import (
     FIXED,
     AdviceColumn,
     Assignment,
+    Bindings,
     CircuitError,
     CircuitLayout,
     Column,
@@ -22,13 +23,13 @@ from zkgrid.circuit import (
     MARK,
     NO_OUTLIERS,
     cell,
+    cell_value,
     cell_values,
     const,
     encode_cell_columns,
     int_cells,
     mul,
     pow5,
-    residue_cells,
     signed_cells,
     sub,
 )
@@ -306,171 +307,156 @@ def test_debug_dump_shape():
     assert clips and all(t["recipe"][0] == "clip" and t["size"] == t["recipe"][5] - t["recipe"][4] + 1 for t in clips)
 
 
+def _residue(v: int, p: int) -> int:
+    """v's canonical signed residue mod p, in (-p/2, p/2]."""
+    r = v % p
+    return r - p if r > p // 2 else r
+
+
 @pytest.mark.parametrize("p", [DEFAULT_MODULUS, (1 << 31) - 1, 65537])
 def test_signed_cells_match_python_residues(p):
-    """signed_cells gives every canonical value's signed residue and the
-    greatest magnitude among them, from int_cells forms with and without
-    a base, and None for a column holding a non-canonical value or an
-    outlier."""
+    """signed_cells gives every value's canonical signed residue and the
+    greatest magnitude among them, from int_cells forms of signed and
+    unsigned values, and None for a column holding an outlier."""
     import random
 
     rng = random.Random(p)
     columns = [
-        [], [0], [1, 2, 3], [p - 1], [p - 1, 1 << 30, 5], [p // 2, p // 2 + 1],
+        [], [0], [1, 2, 3], [-1, -5], [p - 1], [p - 1, 1 << 30, 5], [p // 2, p // 2 + 1], [-(p // 2), -(p // 2) - 1],
         [rng.randrange(p) for _ in range(50)], [p - rng.randrange(1 << 20) for _ in range(30)] + [1 << 29],
-        [p], [3, p + 3], [1 << 100, 1 << 101],
+        [p], [3, p + 3, -p - 3], [1 << 100, 1 << 101], [-(1 << 63)], [(1 << 63) - 1, 1 - (1 << 63)],
     ]
-    if p > 1 << 64:
-        columns += [[p - (1 << 62), 1 << 62], [p - (1 << 63), 7], [p - 1, (1 << 63) - 1]]
     forms = int_cells(columns)
     signed, starts, held, bounds = signed_cells(forms, p)
     for vals, s, bound in zip(columns, starts.tolist(), bounds):
-        want = [v - p if v > p // 2 else v for v in vals]
-        if any(not 0 <= v < p for v in vals) or any(not -(1 << 63) <= w < 1 << 63 for w in want):
+        want = [_residue(v, p) for v in vals]
+        if any(not -(1 << 63) < v < 1 << 63 for v in vals):
             assert bound is None, vals
         else:
             assert signed[s : s + len(vals)].tolist() == want and held[s : s + len(vals)].all()
             assert bound == max(map(abs, want), default=0)
 
 
-# The fields residue_cells is tested on: both sides of 2**63 and 2**64.
+# The fields signed_cells is tested on: both sides of 2**63 and 2**64.
 RESIDUE_FIELDS = [DEFAULT_MODULUS, (1 << 63) + 29, (1 << 61) - 1, (1 << 31) - 1, 65537]
 _EDGES = [0, 1, -1, 127, -128, (1 << 62) - 1, 1 - (1 << 62), 1 << 62, -(1 << 62), (1 << 63) - 1, -(1 << 63)]
-
-
-def _assert_forms_equal(got, want):
-    (cells, base, outliers), (w_cells, w_base, w_outliers) = got, want
-    assert cells.dtype == w_cells.dtype == np.int64 and cells.tolist() == w_cells.tolist()
-    assert type(base) is int and base == w_base
-    assert outliers.dtype == object and outliers.tolist() == w_outliers.tolist()
-
-
-def _check_residue_cells(columns, p):
-    got = residue_cells(columns, p)
-    want = int_cells([[int(v) % p for v in vals] for vals in columns])
-    assert len(got) == len(columns)
-    for g, w in zip(got, want):
-        _assert_forms_equal(g, w)
-
-
-@pytest.mark.parametrize("p", RESIDUE_FIELDS)
-def test_residue_cells_of_edge_columns(p):
-    """residue_cells is int_cells of the residues on empty columns, a
-    single 0, all-negative and mixed int64 columns, values at +-2**62 and
-    -2**63, and object columns that must take the Python-int path:
-    residues past int64, values of p and more, and negatives past it."""
-    i64 = [
-        [], [0], [-1], [-5, -1, -300], [3, -7, 0, 200, -128], list(range(-4, 5)),
-        [1 << 62], [-(1 << 62)], [(1 << 62) - 1, 1 - (1 << 62)], [-(1 << 63)], [-(1 << 63), -1],
-        [(1 << 63) - 1, -(1 << 63), 0], [p % (1 << 63), -(p % (1 << 63))], _EDGES,
-    ]
-    objects = [
-        [p - 1], [p - 1, 5, 1 << 63], [p, 0], [2 * p + 3, -1], [-(1 << 70)], [1 << 200, -(1 << 200), 7],
-        [(1 << 63) + 1, (1 << 64) + 1], [0, 1, 2],
-    ]
-    _check_residue_cells([np.array(v, np.int64) for v in i64], p)
-    _check_residue_cells([np.array(v, object) for v in objects], p)
-    _check_residue_cells([np.array(v, np.int64) for v in i64] + [np.array(v, object) for v in objects] + objects, p)
-    for vals in i64:
-        _check_residue_cells([np.array(vals, np.int64)], p)
-
-
-@st.composite
-def _residue_case(draw):
-    p = draw(st.sampled_from(RESIDUE_FIELDS))
-    small = st.integers(-300, 300)
-    i64 = st.integers(-(1 << 63), (1 << 63) - 1)
-    near = st.sampled_from([-(1 << 62), 1 << 62]).flatmap(lambda e: st.integers(e - 3, e + 3))
-    negative = st.integers(-(1 << 63), -1)
-    wide = st.one_of(
-        st.integers(0, p - 1), st.integers(p - 300, p + 300), st.integers(-(1 << 300), 1 << 300),
-        st.sampled_from([1 << 63, (1 << 64) - 1, 1 << 64, -(1 << 63) - 1]),
-    )
-    edge = st.sampled_from(_EDGES)
-    columns = []
-    for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["int64", "edges", "negative", "object", "list"]))
-        if kind == "object":
-            columns.append(np.array(draw(st.lists(st.one_of(wide, small), max_size=8)), object))
-            continue
-        elems = {"edges": edge, "negative": negative}.get(kind, st.one_of(small, edge, near, i64))
-        vals = draw(st.lists(elems, max_size=10))
-        columns.append(vals if kind == "list" else np.array(vals, np.int64))
-    return columns, p
-
-
-@settings(max_examples=400, deadline=None)
-@given(_residue_case())
-@example(([np.array(v, np.int64) for v in ([-(1 << 63)], [-(1 << 63), -1], [1 << 62, -(1 << 62)])], DEFAULT_MODULUS))
-@example(([np.array([-128, 5, -1], np.int64), np.array([DEFAULT_MODULUS, -1], object)], (1 << 63) + 29))
-def test_residue_cells_are_int_cells_of_the_residues(case):
-    """On random int64, list and object columns over five fields, each
-    column's cells, base and outliers equal int_cells of its residues."""
-    columns, p = case
-    _check_residue_cells(columns, p)
-
-
 _INT64 = (-(1 << 63), (1 << 63) - 1)
 
 
 @st.composite
+def _int_columns(draw):
+    """Columns as int_cells takes them: int64 arrays, lists and object
+    arrays of small values, int64 edges (-2**63 among them), values near
+    +-2**62 and wide values on both sides."""
+    small = st.integers(-300, 300)
+    i64 = st.integers(*_INT64)
+    near = st.sampled_from([-(1 << 62), 1 << 62]).flatmap(lambda e: st.integers(e - 3, e + 3))
+    wide = st.one_of(
+        st.integers(-(1 << 300), 1 << 300),
+        st.sampled_from([1 << 63, (1 << 64) - 1, 1 << 64, -(1 << 63) - 1, -(1 << 63), DEFAULT_MODULUS]),
+    )
+    edge = st.sampled_from(_EDGES)
+    columns = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["int64", "edges", "object", "list", "wide list"]))
+        if kind in ("object", "wide list"):
+            vals = draw(st.lists(st.one_of(wide, small, edge), max_size=8))
+            columns.append(np.array(vals, object) if kind == "object" else vals)
+            continue
+        vals = draw(st.lists(edge if kind == "edges" else st.one_of(small, edge, near, i64), max_size=10))
+        columns.append(vals if kind == "list" else np.array(vals, np.int64))
+    return columns
+
+
+@settings(max_examples=400, deadline=None)
+@given(_int_columns())
+@example([np.array([-(1 << 63), 5, -(1 << 63)], np.int64), [-(1 << 63)], np.array([-(1 << 63), 1 << 63], object)])
+@example([np.array([3, -4], object), np.array([-(1 << 63), 7], object), [1 << 70, -(1 << 70), 2, 3, 4]])
+def test_int_cells_split_at_int64(columns):
+    """On random int64, list and object columns, each column's form holds
+    every value inside (-2**63, 2**63) as its own int64 cell and every
+    other value as an outlier, in order, behind a MARK cell."""
+    forms = int_cells(columns)
+    assert len(forms) == len(columns)
+    for vals, (cells, outliers) in zip(columns, forms):
+        vals = [int(v) for v in vals]
+        inside = [_INT64[0] < v <= _INT64[1] for v in vals]
+        assert cells.dtype == np.int64 and outliers.dtype == object
+        assert cells.tolist() == [v if ok else MARK for v, ok in zip(vals, inside)]
+        assert outliers.tolist() == [v for v, ok in zip(vals, inside) if not ok]
+        assert {type(v) for v in outliers.tolist()} <= {int}
+        assert cell_values(cells, outliers).tolist() == vals
+        assert [cell_value(cells, outliers, k) for k in range(len(vals))] == vals
+
+
+@st.composite
 def _signed_forms(draw):
-    """int_cells forms on one of the residue fields: plain forms of int64
-    cells, based forms whose B - p lies inside or outside [-2**63, 0],
-    with their cells often at the edges of the rule, forms with
+    """int_cells forms on one of the residue fields: int64 cells, often at
+    the edges of the rule (+-p // 2, +-p, the int64 edges), forms with
     outliers, all-outlier forms and empty ones."""
     p = draw(st.sampled_from(RESIDUE_FIELDS))
     half = p // 2
+    edges = [0, 1, -1, half, half + 1, -half, -half - 1, p - 1, p, -p, 1 - p, _INT64[1], _INT64[0] + 1]
+    edges = [e for e in edges if _INT64[0] < e <= _INT64[1]]
+    cell = st.one_of(st.sampled_from(edges), st.integers(_INT64[0] + 1, _INT64[1]), st.integers(-300, 300))
     forms = []
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["plain", "based", "based", "outliers", "all outliers", "empty"]))
+        kind = draw(st.sampled_from(["plain", "plain", "outliers", "all outliers", "empty"]))
         n = 0 if kind == "empty" else draw(st.integers(1, 8))
-        base = 0
-        if kind == "based":
-            base = max((1 << 63) + 1, draw(st.one_of(
-                st.integers(-(1 << 63), 0).map(lambda k: p + k),
-                st.integers(1, 1 << 64).map(lambda k: p + k),
-                st.integers(half - (1 << 64), half + (1 << 64)),
-                st.integers(1 << 63, 1 << 65),
-                st.integers(1 << 63, 1 << 255),
-            )))
-        edges = [0, 1, half, half + 1, p - 1, p, _INT64[1], -1, _INT64[0] + 1]
-        if base:
-            edges += [t + d for t in (p - base, half - base, _INT64[0] + p - base, 1 - base + _INT64[1]) for d in (-1, 0, 1)]
-        edges = [e for e in edges if _INT64[0] < e <= _INT64[1]]
-        cell = st.one_of(st.sampled_from(edges), st.integers(_INT64[0] + 1, _INT64[1]), st.integers(-300, 300))
         cells = [MARK if kind == "all outliers" else draw(cell) for _ in range(n)]
-        if kind == "outliers" or (kind == "based" and draw(st.booleans())):
+        if kind == "outliers":
             cells = [MARK if draw(st.booleans()) else c for c in cells]
         outliers = [draw(st.integers(-(1 << 256), 1 << 256)) for c in cells if c == MARK]
-        forms.append((np.array(cells, np.int64), base, np.array(outliers, object) if outliers else NO_OUTLIERS))
+        forms.append((np.array(cells, np.int64), np.array(outliers, object) if outliers else NO_OUTLIERS))
     return forms, p
 
 
 @settings(max_examples=400, deadline=None)
 @given(_signed_forms())
-@example(([(np.array([-5, 3, MARK]), DEFAULT_MODULUS, np.array([7], object))], DEFAULT_MODULUS))
-@example(([(np.array([-(1 << 62) - 100, 5]), (1 << 63) + 1, NO_OUTLIERS)], (1 << 63) + 29))
-@example(([(np.array([MARK + 4, 7]), DEFAULT_MODULUS - 5, NO_OUTLIERS)], DEFAULT_MODULUS))
-@example(([(np.array([-1, 5]), 1 << 100, NO_OUTLIERS)], DEFAULT_MODULUS))
+@example(([(np.array([-5, 3, MARK]), np.array([7], object))], DEFAULT_MODULUS))
+@example(([(np.array([-(1 << 62) - 100, 5, (1 << 62) + 15, (1 << 63) - 1, MARK + 1]), NO_OUTLIERS)], (1 << 63) + 29))
+@example(([(np.array([(1 << 62) + 14, -(1 << 62) - 14]), NO_OUTLIERS)], (1 << 63) + 29))
 def test_signed_cells_hold_exactly_the_residues_that_fit(case):
-    """signed_cells' mask holds a cell exactly when it is no outlier, its
-    value lies in [0, p) and its canonical signed residue fits int64, and
-    such a cell holds that residue; a form's bound is the greatest
-    magnitude of its residues exactly when every cell is held."""
+    """signed_cells' mask holds every cell but MARK, and such a cell holds
+    its value's canonical signed residue; a form's bound is the greatest
+    magnitude of its residues exactly when it has no outlier."""
     forms, p = case
     signed, starts, held, bounds = signed_cells(forms, p)
-    assert len(signed) == len(held) == sum(len(c) for c, _, _ in forms)
-    for (cells, base, outliers), s, bound in zip(forms, starts.tolist(), bounds):
-        values = cell_values(cells, base, outliers).tolist()
-        want = []
-        for c, v in zip(cells.tolist(), values):
-            r = v - p if v > p // 2 else v
-            want.append(r if c != MARK and 0 <= v < p and _INT64[0] <= r <= _INT64[1] else None)
+    assert len(signed) == len(held) == sum(len(c) for c, _ in forms)
+    for (cells, outliers), s, bound in zip(forms, starts.tolist(), bounds):
+        want = [None if c == MARK else _residue(c, p) for c in cells.tolist()]
         got = held[s : s + len(cells)].tolist()
-        assert got == [r is not None for r in want], (cells, base, values)
+        assert got == [r is not None for r in want], cells
         assert [x for x, ok in zip(signed[s : s + len(cells)].tolist(), got) if ok] == [r for r in want if r is not None]
         assert bound == (max(map(abs, want), default=0) if None not in want else None)
+
+
+@pytest.mark.parametrize("build", [list, lambda vals: np.array(vals, np.int64)])
+def test_a_cell_of_minus_2_63_is_an_outlier(build):
+    """-2**63 is the MARK cell, so a column holding it keeps it as an
+    outlier, from a list or an int64 array: it reads cell by cell, with
+    tolist() and through the witness file as itself."""
+    from zkgrid import serialize
+
+    vals = [5, MARK, -7, MARK]
+    asg = Assignment(advice={"a": AdviceColumn(4, 4, None, int_cells([build(vals)])[0]), "b": vals}, instance=[])
+    for col in (asg.advice["a"], asg.advice["b"]):
+        assert [col[r] for r in range(4)] == col.tolist() == vals
+        assert col.outliers.tolist() == [MARK, MARK]
+    loaded = serialize.load_witness(serialize.dump_witness(asg))
+    assert loaded == asg and [loaded.advice["a"][r] for r in range(4)] == vals
+
+
+def test_binding_to_a_column_number_past_the_columns_refused():
+    """validate() refuses a packed binding whose column number lies outside
+    the layout's columns, as the layout loader does, rather than failing
+    to name its column."""
+    layout = _mult_layout()
+    names = list(layout.columns)
+    for number in (len(names), 5, -1):
+        layout.instance_map = Bindings(np.array([number, 0, 0]), names)
+        with pytest.raises(CircuitError, match=f"column number {number} outside the {len(names)} columns"):
+            layout.validate()
 
 
 def test_a_cell_that_is_not_an_int_is_refused():
@@ -489,15 +475,15 @@ def test_a_cell_that_is_not_an_int_is_refused():
 
 def test_carried_cell_bytes_hold_while_the_arrays_do():
     """A column built with its cell column bytes gives them while it holds
-    the arrays, base and length they came from: replacing its cells or
-    outliers, or writing a cell, drops them."""
+    the arrays and length they came from: replacing its cells or
+    outliers, changing its length or writing a cell drops them."""
     col = AdviceColumn.of_list([5, None, DEFAULT_MODULUS - 3, 7] + [None] * 4)
     bitmap = np.packbits(col.present, bitorder="little").tobytes()
-    [(code, _)] = encode_cell_columns([((col.cells, col.base, col.outliers), col.length, bitmap)], 0, 1 << 255)
+    [code] = encode_cell_columns([((col.cells, col.outliers), col.length, bitmap)])
     assert AdviceColumn.of_list(col.tolist()).encoded() is None
 
     def carried():
-        return AdviceColumn(col.n_rows, col.length, col.present, (col.cells, col.base, col.outliers), encoded=code)
+        return AdviceColumn(col.n_rows, col.length, col.present, (col.cells, col.outliers), encoded=code)
 
     assert carried().encoded() == code
     c = carried()
@@ -507,7 +493,7 @@ def test_carried_cell_bytes_hold_while_the_arrays_do():
     c.outliers = c.outliers.copy()
     assert c.encoded() is None
     c = carried()
-    c.base += 1
+    c.length += 1
     assert c.encoded() is None
     c = carried()
     c[0] = 5

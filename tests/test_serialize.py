@@ -22,6 +22,7 @@ from zkgrid.circuit import (
     ADVICE,
     FIXED,
     LOOKUP_CAP,
+    MARK,
     MAX_CELLS,
     MAX_EXPR_DEPTH,
     MAX_ROWS,
@@ -51,7 +52,7 @@ from zkgrid.serialize import FormatError
 P = DEFAULT_MODULUS
 TOP = (1 << 255) - 1
 HALVES = [1 << (8 * w - 1) for w in (1, 2, 4, 8)]
-EDGES = [0, 1, P - 1, P, TOP, *(h + k for h in HALVES for k in (-1, 0, 1))]
+EDGES = [0, 1, -1, P - 1, P, -P, TOP, -TOP - 1, *(h + k for h in HALVES for k in (-1, 0, 1))]
 # A version-1 witness: one advice column "a" of one 32-byte cell.
 V1_WITNESS = b"ZKWT" + struct.pack("<IIII", 1, 1, 1, 0) + b"\x01\x00a" + (5).to_bytes(32, "little")
 # A version-2 witness: column "a" and the instance vector, each one 1-byte cell 5.
@@ -60,20 +61,19 @@ V2_WITNESS = b"ZKWT" + struct.pack("<IIII", 2, 1, 1, 1) + b"\x01\x00a" + (b"\x01
 V3_WITNESS = b"ZKWT" + struct.pack("<IIII", 3, 1, 1, 1) + b"\x01\x00a" + (b"\x01\x00\x00\x00\x01" + bytes(32) + b"\x05") * 2
 
 
-def cell_column(cells=b"", w=1, base=None, length=None, count=None, bitmap=b"", outliers=(), k=None) -> bytes:
-    """A version-4 cell column from raw parts: `cells` are the assigned
+def cell_column(cells=b"", w=1, length=None, count=None, bitmap=b"", outliers=(), k=None) -> bytes:
+    """A version-5 cell column from raw parts: `cells` are the assigned
     cells' bytes, w bytes each.  The length and the assigned count
-    default to the number of cells, a base is written when given, and
-    for w <= 8 the outlier count `k` defaults to the number of
-    `outliers`."""
+    default to the number of cells, and for w <= 8 the outlier count `k`
+    defaults to the number of `outliers`, each written as 32 signed
+    bytes."""
     n = len(cells) // w
-    form = bytes((w | 0x80,)) + base.to_bytes(32, "little") if base is not None else bytes((w,))
     tail = b"" if w == 32 else struct.pack("<I", len(outliers) if k is None else k)
-    tail += b"".join(v.to_bytes(32, "little") for v in outliers)
-    return struct.pack("<II", n if length is None else length, n if count is None else count) + form + bitmap + cells + tail
+    tail += b"".join(v.to_bytes(32, "little", signed=True) for v in outliers)
+    return struct.pack("<II", n if length is None else length, n if count is None else count) + bytes((w,)) + bitmap + cells + tail
 
 
-def witness_bytes(n_rows, columns, instance=cell_column(b"\x05"), n_inst=None, version=4) -> bytes:
+def witness_bytes(n_rows, columns, instance=cell_column(b"\x05"), n_inst=None, version=5) -> bytes:
     """A witness file from raw parts: columns maps id -> cell column
     bytes, or lists such (id, bytes) pairs, and instance is one more cell
     column.  The instance count defaults to the instance column's
@@ -91,19 +91,18 @@ def witness_bytes(n_rows, columns, instance=cell_column(b"\x05"), n_inst=None, v
 
 def column_heads(raw: bytes) -> list[dict]:
     """Each advice column's, then the instance vector's, offset, length,
-    assigned count, width, base flag and outlier count, read by the
-    version-4 rules restated."""
+    assigned count, width and outlier count, read by the version-5 rules
+    restated."""
     _, n_rows, n_cols, n_inst = struct.unpack_from("<IIII", raw, 4)
     pos = 20
     for _ in range(n_cols):
         pos += 2 + struct.unpack_from("<H", raw, pos)[0]
     heads = []
     for _ in range(n_cols + 1):
-        length, count = struct.unpack_from("<II", raw, pos)
-        form = raw[pos + 8]
-        head = dict(pos=pos, length=length, count=count, width=form & 0x7F, based=form >= 0x80, outliers=0)
-        at = pos + 9 + 32 * head["based"] + ((length + 7) // 8 if count < length else 0) + count * head["width"]
-        if head["width"] != 32:
+        length, count, width = struct.unpack_from("<IIB", raw, pos)
+        head = dict(pos=pos, length=length, count=count, width=width, outliers=0)
+        at = pos + 9 + ((length + 7) // 8 if count < length else 0) + count * width
+        if width != 32:
             head["outliers"] = struct.unpack_from("<I", raw, at)[0]
             at += 4 + 32 * head["outliers"]
         heads.append(head)
@@ -122,19 +121,16 @@ def assigned_length(vals) -> int:
 
 
 def cheapest_width(vals) -> tuple[int, int]:
-    """The width rule, restated, and the outliers it leaves: values
-    below 2**63 as themselves, the others as negatives against one above
-    the largest of them; the width costs its cells, 32 bytes per outlier
-    and 32 for the base, 32-byte cells cost only themselves, and the
+    """The width rule, restated, and the outliers it leaves: each value
+    as itself, signed; w bytes hold the values of magnitude below
+    2**(8w - 1), the others being outliers, and cost the cells and 32
+    bytes per outlier; 32-byte cells cost only themselves, and the
     narrowest of equal costs wins."""
     present = [v for v in vals if v is not None]
-    big = [v for v in present if v >= 1 << 63]
-    base = max(big) + 1 if big else 0
-    d = [v if v < 1 << 63 else v - base for v in present]
     costs = {}
     for w, half in zip((1, 2, 4, 8), HALVES):
-        outs = sum(not -half < x < half for x in d)
-        costs[w] = (32 * bool(base) + len(present) * w + 32 * outs, outs)
+        outs = sum(not -half < v < half for v in present)
+        costs[w] = (len(present) * w + 32 * outs, outs)
     costs[32] = (32 * len(present), 0)
     w = min(costs, key=lambda w: (costs[w][0], w))
     return w, costs[w][1]
@@ -147,21 +143,22 @@ def cheapest_width(vals) -> tuple[int, int]:
     [
         ([None, 0, 127], 1, 0),
         ([None, None], 1, 0),
-        ([P - 1, P - 127, 3, None], 1, 0),  # base P: d = -1 and -127
-        ([P - 1, P - 128, 3], 2, 0),        # -128 is the w=1 outlier mark: 2 bytes a cell beat 32 for it
-        ([P - 1] * 40 + [P - 128], 1, 1),   # ... unless the column is long
-        ([P, 0], 1, 0),                     # base P + 1: d = -1
+        ([-1, -127, 3, None], 1, 0),
+        ([-1, -128, 3], 2, 0),              # -128 is the w=1 outlier mark: 2 bytes a cell beat 32 for it
+        ([-1] * 40 + [-128], 1, 1),         # ... unless the column is long
+        ([128, 0], 2, 0),
         ([1 << 15], 4, 0),
-        ([(1 << 31) - 1, P - 1], 4, 0),
-        ([1 << 31], 8, 0),
-        ([(1 << 63) - 1, TOP], 8, 0),   # base 2**255, d = -1
-        ([1 << 63, None, 0], 1, 0),
-        ([TOP, 1 << 63], 32, 0),
+        ([(1 << 31) - 1, -1], 4, 0),
+        ([-(1 << 31)], 8, 0),
+        ([(1 << 63) - 1, 1 - (1 << 63)], 8, 0),
+        ([-(1 << 63), None, 0], 1, 1),      # -2**63 is the w=8 mark: an outlier at every width
+        ([TOP, -TOP - 1], 32, 0),
         ([P - 1, 1 << 63, None], 32, 0),
-        ([200, 200, 1], 2, 0),
-        ([1] * 40 + [1 << 40], 1, 1),                 # one stray big value
-        ([1] * 40 + [1 << 200, 1 << 100, None], 1, 1),  # 2**200 is the base's, 2**100 an outlier
-        ([P - 1, 1 << 100] * 20, 1, 20),
+        ([200, -200, 1], 2, 0),
+        ([1] * 40 + [1 << 40], 1, 1),                      # one stray big value
+        ([1] * 40 + [1 << 200, -(1 << 100), None], 1, 2),  # two stray wide values
+        ([-1, 1 << 100] * 20, 1, 20),
+        ([P - 1, P - 127, 3], 1, 2),        # residues p - x are wide: the prover writes -x
     ],
 )
 def test_witness_picks_cheapest_width(vals, width, outliers):
@@ -173,19 +170,20 @@ def test_witness_picks_cheapest_width(vals, width, outliers):
     assert serialize.load_witness(raw) == asg
 
 
+# Each width's edges: the mark, the values beside it and the largest value.
+WIDTH_EDGES = [v for h in HALVES for v in (-h, 1 - h, -h - 1, h - 1, h)]
+
+
 @st.composite
 def columns(draw, n_rows):
-    """Cells up to `bits` wide or that far below `top`, edge values of
-    each width, often runs of unassigned cells, an unassigned tail or no
-    assigned cell at all; the bit choices make every width and outliers
-    common."""
+    """Cells up to `bits` wide of either sign, each width's edges and
+    mark, the ends of the 32-byte range, often runs of unassigned cells,
+    an unassigned tail or no assigned cell at all; the bit choices make
+    every width and outliers common."""
     bits = draw(st.sampled_from([7, 15, 31, 63, 255]))
-    top = draw(st.sampled_from([P, P + 1, 1 << 63, 1 << 255]))
     cell = st.one_of(
-        st.integers(0, (1 << bits) - 1).map(lambda v: min(v, TOP)),
-        st.integers(1, 1 << bits).map(lambda d: top - d).filter(lambda v: v >= 0),
-        st.sampled_from(EDGES),
-        st.sampled_from([top - h + k for h in HALVES for k in (-1, 0, 1, 2)]).filter(lambda v: 0 <= v <= TOP),
+        st.integers(-(1 << bits), (1 << bits) - 1),
+        st.sampled_from(EDGES + WIDTH_EDGES),
     )
     cells = draw(st.lists(cell, min_size=n_rows, max_size=n_rows))
     for start, run in draw(st.lists(st.tuples(st.integers(0, n_rows), st.integers(1, 12)), max_size=4)):
@@ -197,6 +195,9 @@ def columns(draw, n_rows):
 @settings(max_examples=300, deadline=None)
 @given(n_rows=st.integers(0, 40), data=st.data())
 def test_witness_round_trip(n_rows, data):
+    """Every value in [-2**255, 2**255) and None round trips through the
+    witness file at the cheapest width, and a loaded witness writes the
+    same bytes."""
     ids = data.draw(st.lists(st.text("abcxyz:", min_size=1, max_size=4), max_size=5, unique=True))
     advice = {c: data.draw(columns(n_rows)) for c in ids}
     instance = [v for v in data.draw(columns(12)) if v is not None]
@@ -213,7 +214,7 @@ def test_witness_round_trip(n_rows, data):
     assert serialize.dump_witness(loaded) == raw
 
 
-@pytest.mark.parametrize("bad", [1 << 255, (1 << 256) - 1, -1, -(1 << 70)])
+@pytest.mark.parametrize("bad", [1 << 255, (1 << 256) - 1, -(1 << 255) - 1, -(1 << 300)])
 def test_witness_refuses_cells_outside_255_bits(bad):
     with pytest.raises(FormatError, match="outside"):
         serialize.dump_witness(Assignment(advice={"a": [0, bad]}, instance=[]))
@@ -232,9 +233,22 @@ def test_witness_refuses_an_instance_value_that_is_not_an_int(bad):
             serialize.dump_witness(Assignment(advice={"a": [0, 1]}, instance=instance))
 
 
+def test_outlier_a_cell_could_hold_is_stored_in_its_cell():
+    """A listed outlier that a cell of the column's width, or an int64,
+    holds is normalised, not refused: it loads into its int64 cell, and
+    the witness writes back as the writer would have written it."""
+    raw = witness_bytes(4, {"a": cell_column(b"\x80\x05\x80\x80", outliers=[-3, 1000, -(1 << 70)])})
+    asg = serialize.load_witness(raw)
+    assert asg.advice["a"] == [-3, 5, 1000, -(1 << 70)]
+    assert asg.advice["a"].cells.tolist() == [-3, 5, 1000, MARK]
+    assert asg.advice["a"].outliers.tolist() == [-(1 << 70)]
+    assert serialize.dump_witness(asg) == serialize.dump_witness(Assignment(advice={"a": [-3, 5, 1000, -(1 << 70)]}, instance=[5]))
+    assert column_widths(serialize.dump_witness(asg))[0] == 2
+
+
 def _header_and(*parts: bytes) -> bytes:
     """A witness of 20 rows whose column "a" is `parts` and nothing more."""
-    return b"ZKWT" + struct.pack("<IIII", 4, 20, 1, 0) + b"\x01\x00a" + b"".join(parts)
+    return b"ZKWT" + struct.pack("<IIII", 5, 20, 1, 0) + b"\x01\x00a" + b"".join(parts)
 
 
 # A presence bitmap 0b101 over 3 rows: rows 0 and 2 assigned.
@@ -244,7 +258,8 @@ MALFORMED_WITNESSES = {
     "version 1": (V1_WITNESS, "version 1; run `zkgrid witness` again"),
     "version 2": (V2_WITNESS, "version 2; run `zkgrid witness` again"),
     "version 3": (V3_WITNESS, "version 3; run `zkgrid witness` again"),
-    "version 5": (witness_bytes(1, {"a": cell_column(b"\x01")}, version=5), "unsupported witness version 5"),
+    "version 4": (witness_bytes(1, {"a": cell_column(b"\x01")}, version=4), "version 4; run `zkgrid witness` again to get a version-5 file"),
+    "version 6": (witness_bytes(1, {"a": cell_column(b"\x01")}, version=6), "unsupported witness version 6"),
     "column longer than the grid": (witness_bytes(1, {"a": cell_column(b"\x01\x02")}), "column of 2 cells where at most 1 fit"),
     "more cells than rows": (witness_bytes(2, {"a": cell_column(b"\x01", length=1, count=2)}), "2 assigned cells in a column of 1"),
     "bitmap truncated": (_header_and(struct.pack("<II", 20, 1), b"\x01", b"\x00"), "truncated presence bitmap"),
@@ -255,17 +270,12 @@ MALFORMED_WITNESSES = {
     "outlier mark with no list entry": (witness_bytes(2, {"a": cell_column(b"\x05\x80")}), "outlier mark with no listed outlier"),
     "mark past the list": (witness_bytes(2, {"a": cell_column(b"\x80\x80", outliers=[7])}), "outlier mark with no listed outlier"),
     "list entry left over": (witness_bytes(1, {"a": cell_column(b"\x05", outliers=[7])}), "listed outlier with no outlier mark"),
-    "outlier >= 2**255": (witness_bytes(1, {"a": cell_column(b"\x80", outliers=[1 << 255])}), "outlier >= 2\\*\\*255"),
     "outlier list truncated": (witness_bytes(1, {"a": cell_column(b"\x80", k=2, outliers=[7])}), "truncated"),
     "instance with a hole": (witness_bytes(1, {"a": cell_column(b"\x01")}, instance=cell_column(b"\x05\x05", **HOLE)), "instance values"),
     "instance count": (witness_bytes(1, {"a": cell_column(b"\x01")}, n_inst=2), "header says 2"),
     "width 3": (witness_bytes(1, {"a": cell_column(b"\x00\x00\x00", w=3)}), "bad cell width 3"),
     "width 0x41": (witness_bytes(1, {"a": cell_column(b"\x00", w=0x41)}), "bad cell width 65"),
-    "32-byte cells with a base": (witness_bytes(1, {"a": cell_column(bytes(32), w=32, base=1 << 64)}), "32-byte cells take no base"),
-    "base 2**63": (witness_bytes(1, {"a": cell_column(b"\x01", base=1 << 63)}), "base"),
-    "base over 2**255": (witness_bytes(1, {"a": cell_column(bytes(8), w=8, base=(1 << 255) + 1)}), "base"),
-    "negative cell with no base": (witness_bytes(1, {"a": cell_column(b"\xff")}), "cell -1 < 0 in a column with no base"),
-    "32-byte cell >= 2**255": (witness_bytes(1, {"a": cell_column((1 << 255).to_bytes(32, "little"), w=32)}), ">= 2\\*\\*255"),
+    "width byte with the base flag of version 4": (witness_bytes(1, {"a": cell_column(b"\x01", w=0x81)}), "bad cell width 129"),
     "truncated": (witness_bytes(1, {"a": cell_column(b"\x01"), "b": cell_column(b"\x01")})[:-1], "truncated"),
     "trailing bytes": (witness_bytes(1, {"a": cell_column(b"\x01")}) + b"\x00", "trailing"),
     "id not UTF-8": (witness_bytes(0, {b"\xff": cell_column()}, instance=cell_column()), "UTF-8"),
@@ -283,14 +293,14 @@ def test_malformed_witness_refused(name):
 
 def test_well_formed_fixtures_load():
     """The fixtures' parts load when nothing is wrong with them: a hole,
-    an outlier, a base and a 32-byte cell."""
+    a negative cell, an outlier and a negative 32-byte cell."""
     raw = witness_bytes(4, {
         "a": cell_column(b"\x01\x02", **HOLE),
-        "b": cell_column(b"\x05\x80\xff", base=P, outliers=[1 << 100]),
-        "c": cell_column((P - 1).to_bytes(32, "little"), w=32),
+        "b": cell_column(b"\x05\x80\xff", outliers=[-(1 << 100)]),
+        "c": cell_column((1 - P).to_bytes(32, "little", signed=True), w=32),
     })
     asg = serialize.load_witness(raw)
-    assert asg.advice == {"a": [1, None, 2, None], "b": [5, 1 << 100, P - 1, None], "c": [P - 1, None, None, None]}
+    assert asg.advice == {"a": [1, None, 2, None], "b": [5, -(1 << 100), -1, None], "c": [1 - P, None, None, None]}
     assert asg.instance == [5]
     assert serialize.dump_witness(asg) == raw
 
@@ -579,7 +589,10 @@ BAD_LAYOUTS = {
     "fixed row outside grid": lambda doc: _fixed(SELECTOR, [0, doc["header"]["n_rows"]], [1, 1])(doc),
     "fixed row 2**32 - 1": _fixed(SELECTOR, [U32_MAX], [1]),
     "fixed value p": _fixed(SELECTOR, [0], [P]),
-    "fixed value 2**255": _fixed(SELECTOR, [0], [1 << 255]),
+    "fixed value p - 1": _fixed(SELECTOR, [0], [P - 1]),
+    "fixed value p // 2 + 1": _fixed(SELECTOR, [0], [P // 2 + 1]),
+    "fixed value -(p // 2) - 1": _fixed(SELECTOR, [0], [-(P // 2) - 1]),
+    "fixed value 2**255 - 1": _fixed(SELECTOR, [0], [(1 << 255) - 1]),
     "fixed zero listed": _fixed(SELECTOR, [0], [0]),
     "fixed unassigned value": _fixed(SELECTOR, [0], [None]),
     "fixed more rows than values": _fixed(SELECTOR, [0, 1], [1]),
@@ -614,10 +627,10 @@ def test_malformed_layout_exit_2(files, name):
 
 
 @pytest.mark.parametrize("raw, match", [
-    (b"ZKLY" + struct.pack("<II", 7, 2) + b"{}", "unsupported layout version 7"),
-    (b"ZKLY" + struct.pack("<II", 6, 2) + b"[]", "the header must be an object"),
-    (b"ZKLY" + struct.pack("<II", 6, 2) + b"{\xff", "not valid JSON"),
-    (b"ZKLY" + struct.pack("<II", 6, 3) + b"{}", "truncated header"),
+    (b"ZKLY" + struct.pack("<II", 8, 2) + b"{}", "unsupported layout version 8"),
+    (b"ZKLY" + struct.pack("<II", 7, 2) + b"[]", "the header must be an object"),
+    (b"ZKLY" + struct.pack("<II", 7, 2) + b"{\xff", "not valid JSON"),
+    (b"ZKLY" + struct.pack("<II", 7, 3) + b"{}", "truncated header"),
     (b"ZKLY\x04\x00", "truncated header"),
 ])
 def test_malformed_layout_prefix_refused(raw, match):
@@ -651,7 +664,7 @@ def test_v3_witness_refused_by_cli(files, capsys):
     refused with a message that says to make the witness again."""
     tmp, lay, _ = files
     assert _check(tmp, lay, V3_WITNESS) == 2
-    assert "version 3; run `zkgrid witness` again to get a version-4 file" in capsys.readouterr().err
+    assert "version 3; run `zkgrid witness` again to get a version-5 file" in capsys.readouterr().err
 
 
 def test_layout_taller_than_max_rows_exits_2(files, capsys):
@@ -773,8 +786,11 @@ _KINDS = {
     "w8": lambda p: st.integers(0, 1 << 62),
     "w32": lambda p: st.integers(0, (1 << 254) - 1),
     "residues": lambda p: st.integers(1, 300).map(lambda x: p - x),
-    "base 2**63": lambda p: st.one_of(st.integers(0, 50), st.integers(1, 300).map(lambda x: (1 << 63) + x)),
-    "base 2**255": lambda p: st.one_of(st.integers(0, 50), st.integers(1, 300).map(lambda x: (1 << 255) - x)),
+    "signed": lambda p: st.integers(-300, 300),
+    "past int64": lambda p: st.one_of(st.integers(-50, 50), st.sampled_from([1, -1]).flatmap(
+        lambda sign: st.integers(0, 300).map(lambda x: sign * ((1 << 63) + x)))),
+    "ends of 32 bytes": lambda p: st.one_of(st.integers(-50, 50), st.integers(1, 300).map(lambda x: (1 << 255) - x),
+                                            st.integers(0, 300).map(lambda x: x - (1 << 255))),
     "outliers": lambda p: st.one_of(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50), st.sampled_from([1 << 100, 1 << 70])),
     "non-canonical": lambda p: st.integers(0, p - 1).map(lambda v: v + p * (1 + v % 3) if p == P31 else v + p),
 }
@@ -847,7 +863,7 @@ def _as_32_byte_cells(raw: bytes, advice: dict, wide: set) -> bytes:
             length = assigned_length(vals)
             present = [v is not None for v in vals[:length]]
             bitmap = np.packbits(present, bitorder="little").tobytes() if not all(present) else b""
-            cells = b"".join(v.to_bytes(32, "little") for v in vals[:length] if v is not None)
+            cells = b"".join(v.to_bytes(32, "little", signed=True) for v in vals[:length] if v is not None)
             parts.append(cell_column(cells, w=32, length=length, bitmap=bitmap))
         else:
             parts.append(raw[head["pos"] : end])
@@ -920,9 +936,21 @@ def test_v5_layout_refused(files, capsys):
     compile the model again."""
     tmp, lay, wit = files
     v5 = lay[:4] + struct.pack("<I", 5) + lay[8:]
-    with pytest.raises(FormatError, match="version 5; compile the model again to get a version-6 file"):
+    with pytest.raises(FormatError, match="version 5; compile the model again to get a version-7 file"):
         serialize.load_layout(v5)
     assert _check(tmp, v5, wit) == 2
+    assert "compile the model again" in capsys.readouterr().err
+
+
+def test_v6_layout_refused(files, capsys):
+    """A version-6 layout, whose cell columns could carry a base and whose
+    fixed values were residues in [1, p), is refused with a message that
+    says to compile the model again."""
+    tmp, lay, wit = files
+    v6 = lay[:4] + struct.pack("<I", 6) + lay[8:]
+    with pytest.raises(FormatError, match="version 6; compile the model again to get a version-7 file"):
+        serialize.load_layout(v6)
+    assert _check(tmp, v6, wit) == 2
     assert "compile the model again" in capsys.readouterr().err
 
 
@@ -1088,14 +1116,16 @@ def test_dump_layout_refuses_non_canonical_fixed_cell():
 
 
 def test_fixed_values_at_the_residue_bounds_load(files):
-    """1 and p - 1, the extreme nonzero residues, load as themselves
-    (p and 0 are refused above)."""
+    """-(p // 2), -1, 1 and p // 2, the extreme nonzero canonical signed
+    residues, load as themselves (p // 2 + 1, p - 1, p and 0 are refused
+    above)."""
     _, lay, _ = files
     doc = layout_doc(serialize.load_layout(lay))
-    _fixed("g0:s0:w0", [0], [P - 1])(doc)
-    _fixed("g0:s0:w1", [0], [1])(doc)
+    ends = {"g0:s0:w0": -(P // 2), "g0:s0:w1": -1, "g0:s0:w2": 1, "g0:s0:w3": P // 2}
+    for col, v in ends.items():
+        _fixed(col, [0], [v])(doc)
     layout = serialize.load_layout(layout_file(doc))
-    assert (layout.fixed["g0:s0:w0"][0], layout.fixed["g0:s0:w1"][0]) == (P - 1, 1)
+    assert {col: layout.fixed[col][0] for col in ends} == ends
     assert serialize.load_layout(serialize.dump_layout(layout)) == layout
 
 
@@ -1119,34 +1149,36 @@ def test_benchmark_models_fit_their_byte_budgets(seed, mode, witness_budget, lay
 
 
 # Fixed values a round trip must keep exactly: the residue edges, the
-# int64 edge and values in band of no width below 32 bytes.
-FIXED_EDGES = [1, 2, 255, 256, P - 1, P - 2, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, 1 << 200]
+# int64 edges and values in band of no width below 32 bytes.
+H = P // 2
+FIXED_EDGES = [1, 2, -1, 127, 128, -128, 255, 256, H, H - 1, -H, 1 - H, (1 << 63) - 1, 1 - (1 << 63),
+               -(1 << 63), 1 << 63, (1 << 63) + 1, -(1 << 63) - 1, 1 << 200, -(1 << 200)]
 
 
 @st.composite
 def sparse_layouts(draw):
     """A layout of sparse fixed columns and flat copies, and no gates:
-    empty and one-cell columns, rows 0 and n_rows - 1, small values,
-    residues p - x, the edges above and a few outliers among small
-    values."""
+    empty and one-cell columns, rows 0 and n_rows - 1, small values of
+    either sign, the edges above and a few outliers among small values,
+    every value a canonical signed residue."""
     n_rows = draw(st.integers(1, 48))
     n_fixed, n_advice = draw(st.integers(0, 5)), draw(st.integers(1, 3))
     columns = {f"f{k}": Column(f"f{k}", FIXED) for k in range(n_fixed)}
     columns.update({f"a{k}": Column(f"a{k}", ADVICE) for k in range(n_advice)})
     small = st.integers(1, 300)
-    value = st.one_of(small, small.map(lambda x: P - x), st.sampled_from(FIXED_EDGES), st.integers(1, P - 1))
+    value = st.one_of(small, small.map(lambda x: -x), st.sampled_from(FIXED_EDGES), st.integers(-H, H).filter(bool))
     fixed = {}
     for col_id in list(columns)[:n_fixed]:
         rows = draw(st.sets(st.integers(0, n_rows - 1), max_size=n_rows))
         rows |= {r for r, keep in ((0, draw(st.booleans())), (n_rows - 1, draw(st.booleans()))) if keep}
         rows = sorted(rows)
-        kind = draw(st.sampled_from(["small", "residues", "any", "outliers"]))
+        kind = draw(st.sampled_from(["small", "negative", "any", "outliers"]))
         if kind == "outliers":   # one-byte values and a few that take an outlier slot
             vals = [draw(st.integers(1, 100)) for _ in rows]
             for k in draw(st.sets(st.integers(0, max(len(rows) - 1, 0)), max_size=2)) if rows else ():
-                vals[k] = draw(st.sampled_from([1 << 40, 1 << 63, P - 1]))
+                vals[k] = draw(st.sampled_from([1 << 40, 1 << 63, -H, -(1 << 63)]))
         else:
-            vals = [draw({"small": small, "residues": small.map(lambda x: P - x), "any": value}[kind]) for _ in rows]
+            vals = [draw({"small": small, "negative": small.map(lambda x: -x), "any": value}[kind]) for _ in rows]
         fixed[col_id] = (rows, vals)
     names = list(columns)
     n_copies = draw(st.integers(0, 12))
@@ -1173,7 +1205,7 @@ def test_sparse_fixed_columns_and_copies_round_trip(case):
     for col_id, (rows, vals) in fixed.items():
         col = loaded.fixed[col_id]
         assert col.rows.dtype == np.int32 and col.rows.tolist() == rows
-        assert col.values.dtype == (np.int64 if max(vals, default=0) < 1 << 63 else object)
+        assert col.values.dtype == (np.int64 if all(-(1 << 63) < v < 1 << 63 for v in vals) else object)
         assert col.values.tolist() == vals and {type(v) for v in col.values.tolist()} <= {int}
         dense = [0] * n_rows
         for r, v in zip(rows, vals):
