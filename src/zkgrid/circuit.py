@@ -111,19 +111,6 @@ class Expr:
         memo[id(self)] = got
         return got
 
-    def columns(self, memo: dict | None = None) -> set[str]:
-        """The columns the tree reads.  `memo` keeps each node's set, as in
-        `degree`; a caller must not change a set it got through one."""
-        if self.op == "cell":
-            return {self.col}
-        memo = {} if memo is None else memo
-        out = memo.get(id(self))
-        if out is None:
-            out = memo[id(self)] = set()
-            for a in self.args:
-                out |= a.columns(memo)
-        return out
-
     def to_sexpr(self) -> str:
         if self.op == "const":
             return str(self.value)
@@ -163,11 +150,15 @@ def pow5(a: Expr) -> Expr:
 
 
 # The deepest gate polynomial, and the most nodes a layout's gate
-# polynomials hold written out as trees, that a layout file may hold: walks
-# of a tree recurse, and shared subtrees can name a tree exponentially
-# larger than the file.  Compiled gates nest at most 6 deep.
+# polynomials may hold written out as trees: walks of a tree recurse, and
+# shared subtrees can name a tree exponentially larger.  These bounds, the
+# operand counts below and the columns a gate reads are validate()'s; the
+# layout writer and loader both call it.  Compiled gates nest at most 6 deep.
 MAX_EXPR_DEPTH = 64
 MAX_EXPR_NODES = 1 << 20
+# The operand counts of the nodes that const, cell, add, mul, sub and pow5 build.
+_MANY = range(2, 1 << 62)
+_ARITY = {"const": range(1), "cell": range(1), "add": _MANY, "mul": _MANY, "sub": range(2, 3), "pow5": range(1, 2)}
 
 
 # --- constraints ------------------------------------------------------------
@@ -958,13 +949,34 @@ class CircuitLayout:
         for col_id, col in self.columns.items():
             if col.kind == FIXED and col_id not in self.fixed:
                 raise CircuitError(f"fixed column {col_id} has no values")
-        memo: dict[int, set] = {}
+        # One walk per distinct gate node, by identity, keeps its height and
+        # size written out; an operator at MAX_EXPR_DEPTH is refused unwalked.
+        seen: dict[int, tuple[int, int]] = {}
+        columns = self.columns
+
+        def walk(e: Expr, depth: int) -> tuple[int, int]:
+            got = seen.get(id(e))
+            if got is None:
+                if len(e.args) not in _ARITY.get(e.op, ()):
+                    raise CircuitError(f"gate {g.id}: no builder makes {e.op!r} of {len(e.args)} operands")
+                if e.op == "cell" and e.col not in columns:
+                    raise CircuitError(f"gate {g.id}: unknown column {e.col}")
+                height = size = 0
+                for a in e.args if depth < MAX_EXPR_DEPTH else ():
+                    h, s = walk(a, depth + 1)
+                    height, size = h if h > height else height, size + s
+                got = seen[id(e)] = (height + 1, size + 1) if e.args else (0, 1)
+            if depth + got[0] > MAX_EXPR_DEPTH:
+                raise CircuitError(f"gate {g.id} nests over {MAX_EXPR_DEPTH} operators deep")
+            return got
+
+        total = 0
         for g in self.gates:
             if not self._is_fixed(g.selector):
                 raise CircuitError(f"gate {g.id}: selector must be a fixed column")
-            for c in g.poly.columns(memo):
-                if c not in self.columns:
-                    raise CircuitError(f"gate {g.id}: unknown column {c}")
+            total += walk(g.poly, 0)[1]
+            if total > MAX_EXPR_NODES:
+                raise CircuitError(f"gate polynomials of over {MAX_EXPR_NODES} nodes written out as trees")
         for lk in self.lookups:
             if lk.table not in self.tables:
                 raise CircuitError(f"lookup {lk.id}: unknown table {lk.table}")
@@ -978,9 +990,10 @@ class CircuitLayout:
             if not self._is_fixed(lk.selector):
                 raise CircuitError(f"lookup {lk.id}: selector must be a fixed column")
         names = self.copies.names
-        unknown = set(names) - self.columns.keys()
-        if unknown:
-            raise CircuitError(f"copy references unknown column {min(unknown)}")
+        if names != list(self.columns):
+            unknown = set(names) - self.columns.keys()
+            raise CircuitError(f"copy references unknown column {min(unknown)}" if unknown
+                               else "copies do not number the layout's columns")
         check_copy_range(self.copies.flat, len(names), self.n_rows)
         bound = self.instance_map.flat
         cols, rows, idx = bound[0::3], bound[1::3], bound[2::3]

@@ -31,10 +31,10 @@ z_out, d_lo, d_hi]`, never their entries), fixed as [column id, cells]
 pairs and the copies and bindings counts.  `nodes` holds each distinct subtree of the
 gate polynomials once, children first: `["col", id]`, `["const", str(v)]`
 for v in [0, p), `["+", i, j, ...]` or `["*", i, j, ...]`, `["-", i, j]`
-or `["pow5", i]`, where i, j, ... index earlier nodes.  A polynomial
-nests at most `circuit.MAX_EXPR_DEPTH` operators deep, and all of them
-hold at most `circuit.MAX_EXPR_NODES` nodes written out as trees.  The
-sections follow in this order:
+or `["pow5", i]`, where i, j, ... index earlier nodes.  The gate-tree
+rules (operand counts, `circuit.MAX_EXPR_DEPTH`, `circuit.MAX_EXPR_NODES`
+and known columns) are `CircuitLayout.validate()`'s, which the writer and
+the loader both call.  The sections follow in this order:
 
 * copies: 4 * copies integers `[a_col, a_row, b_col, b_row, ...]` whose
   column numbers index `columns`: the bytes of `circuit.Copies.flat`,
@@ -94,7 +94,6 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from itertools import repeat
 from operator import itemgetter
 
@@ -107,8 +106,6 @@ from .circuit import (
     NO_OUTLIERS,
     MARK,
     MAX_CELLS,
-    MAX_EXPR_DEPTH,
-    MAX_EXPR_NODES,
     MAX_ROWS,
     AdviceColumn,
     Assignment,
@@ -355,66 +352,62 @@ def _fixed_fault(forms: list, p: int) -> tuple[int, str] | None:
     return min(faults, default=None)
 
 
-# The node table's operators, the Expr ops they build, and the operand
-# counts that circuit.add, mul, sub and pow5 give them.
+# The node table's operators and the Expr ops they build.
 _OPERATORS = {"+": "add", "*": "mul", "-": "sub", "pow5": "pow5"}
 _NODE_OPS = {op: name for name, op in _OPERATORS.items()}
-_ARITY = {"+": range(2, sys.maxsize), "*": range(2, sys.maxsize), "-": range(2, 3), "pow5": range(1, 2)}
+
+
+def _canonical(text, p: int) -> bool:
+    """text spells a residue in [0, p) as `str` does: a const's spelling."""
+    return (type(text) is str and text.isascii() and text.isdigit() and len(text) <= len(str(p))
+            and str(int(text)) == text and int(text) < p)
 
 
 def _node_table(layout: CircuitLayout) -> tuple[list, list[int]]:
-    """The gates' polynomials as one node table and each gate's root
-    index, refused as load_layout would refuse them.  A node is numbered
-    by its op and its payload or operands' numbers, so equal subtrees get
-    one number however memory shares them."""
+    """A validated layout's gate polynomials as one node table and each
+    gate's root index.  Each distinct node object is numbered once, by its
+    op and its payload or operands' numbers, so equal subtrees share one."""
+    p = layout.field.modulus
     number: dict[tuple, int] = {}
+    seen: dict[int, int] = {}
 
     def visit(e: Expr) -> int:
-        if e.op == "const":
-            key = ("const", str(e.value))
-        elif e.op == "cell":
-            key = ("col", e.col)
-        else:
-            key = (_NODE_OPS.get(e.op, e.op), *map(visit, e.args))
-        return number.setdefault(key, len(number))
+        k = seen.get(id(e))
+        if k is None:
+            if e.op == "const":
+                key = ("const", str(e.value))
+                _need(_canonical(key[1], p), f"node {len(number)}: const takes one canonical residue")
+            elif e.op == "cell":
+                key = ("col", e.col)
+            else:
+                key = (_NODE_OPS[e.op], *map(visit, e.args))
+            k = seen[id(e)] = number.setdefault(key, len(number))
+        return k
 
     roots = [visit(g.poly) for g in layout.gates]
-    nodes = list(map(list, number))
-    _read_nodes(nodes, roots, layout.field.modulus)
-    return nodes, roots
+    return list(map(list, number)), roots
 
 
-def _read_nodes(nodes, roots: list, p: int) -> list[Expr]:
-    """Each node's Expr, built from its operands'.  The gates' `roots`
-    must index nodes, and their trees written out hold at most
-    MAX_EXPR_NODES nodes."""
+def _read_nodes(nodes, p: int) -> list[Expr]:
+    """Each node's Expr, built from its operands': a col of one id, a
+    const of one canonical residue, or an operator over earlier nodes.
+    validate() owns the operand counts, depth and size."""
     _need(type(nodes) is list, "nodes must be a list")
-    built, heights, sizes = [], [], []
+    built = []
     for k, node in enumerate(nodes):
-        _need(type(node) is list and len(node) >= 2 and type(node[0]) is str,
-              f"node {k} is not a list of an op and its operands")
+        _need(type(node) is list and node and type(node[0]) is str, f"node {k} is not a list of an op and its operands")
         name, *args = node
-        leaf = args[0] if len(args) == 1 else None
-        if name == "col" and type(leaf) is str:
-            e, height, size = Expr("cell", col=leaf), 0, 1
+        if name == "col" and len(args) == 1 and type(args[0]) is str:
+            e = Expr("cell", col=args[0])
         elif name == "const":
-            _need(type(leaf) is str and leaf.isascii() and leaf.isdigit() and len(leaf) <= len(str(p))
-                  and str(int(leaf)) == leaf and int(leaf) < p, f"node {k}: const takes one canonical residue")
-            e, height, size = Expr("const", value=int(leaf)), 0, 1
+            _need(len(args) == 1 and _canonical(args[0], p), f"node {k}: const takes one canonical residue")
+            e = Expr("const", value=int(args[0]))
         else:
-            _need(name in _OPERATORS and len(args) in _ARITY[name] and _typed(args, int)
-                  and min(args) >= 0 and max(args) < k,
-                  f"node {k}: neither a col of one id nor an operator of its arity over earlier nodes")
-            height = 1 + max(map(heights.__getitem__, args))
-            _need(height <= MAX_EXPR_DEPTH, f"node {k} nests over {MAX_EXPR_DEPTH} operators deep")
+            _need(name in _OPERATORS and _typed(args, int)
+                  and min(args, default=0) >= 0 and max(args, default=-1) < k,
+                  f"node {k}: neither a col of one id nor an operator over earlier nodes")
             e = Expr(_OPERATORS[name], args=tuple(map(built.__getitem__, args)))
-            size = 1 + sum(map(sizes.__getitem__, args))
         built.append(e)
-        heights.append(height)
-        sizes.append(size)
-    _need(all(type(r) is int and 0 <= r < len(built) for r in roots), "gate poly must index a node")
-    _need(sum(map(sizes.__getitem__, roots)) <= MAX_EXPR_NODES,
-          f"gate polynomials of over {MAX_EXPR_NODES} nodes written out as trees")
     return built
 
 
@@ -442,20 +435,15 @@ def _layout_header(layout: CircuitLayout) -> dict:
 
 
 def dump_layout(layout: CircuitLayout) -> bytes:
+    """A validated layout's file; the format's own rules go first, as in load_layout."""
     p = layout.field.modulus
-    names = list(layout.columns)
-    if layout.copies.names != names:
-        raise FormatError("copies do not number the layout's columns")
-    bindings = layout.instance_map.flat
-    unknown = np.flatnonzero(bindings[0::3] >= len(names))
-    if len(unknown):
-        raise FormatError(f"instance binding to unknown column {layout.instance_map[int(unknown[0])][0][0]!r}")
     if list(_tables([t.recipe for t in layout.tables.values()], p)) != list(layout.tables):
         raise FormatError("a table's id is not the one its recipe names")
     forms = [(v.cells, v.outliers) for v in layout.fixed.values()]
     fault = _fixed_fault(forms, p)
     if fault is not None:
         raise FormatError(f"fixed column {list(layout.fixed)[fault[0]]}: {fault[1]}")
+    layout.validate()
     head = json.dumps(_layout_header(layout), sort_keys=True, separators=(",", ":")).encode("ascii")
     out = [_LAYOUT_PREFIX.pack(_LAYOUT_MAGIC, _LAYOUT_VERSION, len(head)), head]
     out.append(_encode_uints(layout.copies.flat, "copies"))
@@ -463,7 +451,7 @@ def dump_layout(layout: CircuitLayout) -> bytes:
     for (col_id, vals), cells in zip(layout.fixed.items(), values):
         out.append(_encode_uints(vals.rows, f"fixed column {col_id}"))
         out.append(cells)
-    out.append(_encode_uints(bindings, "instance bindings"))
+    out.append(_encode_uints(layout.instance_map.flat, "instance bindings"))
     return b"".join(out)
 
 
@@ -530,10 +518,11 @@ def load_layout(raw: bytes) -> CircuitLayout:
         names = list(columns)
         _need(len(names) == len(doc["columns"]), "duplicate column id")
 
-        nodes = _read_nodes(doc["nodes"], [g["poly"] for g in doc["gates"]], p)
+        nodes = _read_nodes(doc["nodes"], p)
         gates = []
         for g in doc["gates"]:
             _need(_typed([g["id"], g["name"], g["selector"]], str), "gate id, name and selector must be strings")
+            _need(type(g["poly"]) is int and 0 <= g["poly"] < len(nodes), "gate poly must index a node")
             gates.append(GateDef(id=g["id"], name=g["name"], selector=g["selector"], poly=nodes[g["poly"]]))
 
         lookups = []
@@ -581,12 +570,9 @@ def load_layout(raw: bytes) -> CircuitLayout:
     if fault is not None:
         raise FormatError(f"malformed layout: fixed column {fixed_counts[fault[0]][0]}: {fault[1]}")
     fixed = {}
-    for (col_id, n), r, form in zip(fixed_counts, rows, forms):
-        if n > 1 and not (r[1:] > r[:-1]).all():
-            ordered = np.sort(r)
-            _need((ordered[1:] != ordered[:-1]).all(), f"fixed column {col_id}: row listed twice")
+    for (col_id, _), r, form in zip(fixed_counts, rows, forms):
         # A row of 2**31 or more turns negative here; validate() refuses
-        # it with the rows that are not in increasing order in the grid.
+        # it, as it refuses a row listed twice.
         fixed[col_id] = FixedColumn.from_cells(r.astype(np.int32), form, n_rows)
     layout = CircuitLayout(
         field=fld,

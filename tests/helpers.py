@@ -177,13 +177,20 @@ def constrained_advice_cells(layout):
         if ref[0] in adv:
             cells.add(ref)
     for g in layout.gates:
-        cols = [c for c in g.poly.columns() if c in adv]
+        cols = [c for c in poly_columns(g.poly) if c in adv]
         sel = layout.fixed[g.selector]
         for row in range(layout.n_rows):
             if sel[row]:
                 for c in cols:
                     cells.add((c, row))
     return sorted(cells)
+
+
+def poly_columns(e) -> set[str]:
+    """The columns a gate polynomial reads."""
+    if e.op == "cell":
+        return {e.col}
+    return set().union(*map(poly_columns, e.args))
 
 
 def tamper_trials(layout, assignment, rng: random.Random, n_trials: int) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import constrained_advice_cells, row_oracle_check, table_models, tamper_trials
+from helpers import constrained_advice_cells, poly_columns, row_oracle_check, table_models, tamper_trials
 from zkgrid import arithmetize, circuit, serialize
 from zkgrid.arithmetize import (
     CompileConfig,
@@ -704,7 +704,7 @@ def test_every_pack_row_cell_tamper_caught():
     asg = assign_witness(layout, g, _fc_input(g, rng))
     assert check(layout, asg) == []
     pack = next(gd for gd in layout.gates if gd.name == "ABSORB_PACK")
-    cols = sorted(pack.poly.columns() & set(asg.advice))
+    cols = sorted(poly_columns(pack.poly) & set(asg.advice))
     p = layout.field.modulus
     cells = [(c, r) for r in _pack_rows(layout) for c in cols]
     assert len(cells) >= 100
@@ -807,7 +807,7 @@ def _oracle_tampers(layout, asg, rng):
     advice = {c for c, col in layout.columns.items() if col.kind == "advice"}
     read = sorted(
         (c, int(layout.fixed[g.selector].enabled_rows()[0]))
-        for g in layout.gates for c in g.poly.columns()
+        for g in layout.gates for c in poly_columns(g.poly)
         if c in advice and len(layout.fixed[g.selector].enabled_rows())
     )
     flat, names = layout.copies.flat, layout.copies.names

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import row_oracle_check
+from helpers import poly_columns, row_oracle_check
 from zkgrid import serialize
 from zkgrid.bench import make_synthetic_grid
 from zkgrid.checker import KERNEL, CheckError, Violation, _eval, _Grid, check, check_parallel
@@ -418,7 +418,7 @@ def test_tampered_fixed_operands_of_compiled_layout_match_row_oracle():
     honest = assign_witness(layout, g, random_input(rng, g))
     p = layout.field.modulus
     reads = sorted({
-        (c, gate.selector) for gate in layout.gates for c in gate.poly.columns()
+        (c, gate.selector) for gate in layout.gates for c in poly_columns(gate.poly)
         if layout.columns[c].kind == FIXED and layout.fixed[gate.selector].nonzero_rows()
     })
     assert {c.split(":")[-1] for c, _ in reads} >= {"z", "da", "db", "off", "w0"}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import eval_gate
+from helpers import eval_gate, poly_columns
 from zkgrid import circuit
 from zkgrid.circuit import (
     ADVICE,
@@ -215,7 +215,7 @@ def test_slots_share_x_lanes_and_selectors():
     ]
     shared = {"x0", "x1", "z", "da", "db", "off"}
     for g, m in zip(gates, [0] * 3 + [1] * 3):
-        own = g.poly.columns() - shared
+        own = poly_columns(g.poly) - shared
         assert own and own <= {*slots[m].ws, slots[m].carry, slots[m].out, slots[m].r, slots[m].q}, g.id
 
 

@@ -138,7 +138,7 @@ def test_validate_refuses_unknown_column_name(small):
     assert bad.copies.names[-1] == "no_such_column"
     with pytest.raises(CircuitError, match="unknown column no_such_column"):
         bad.validate()
-    with pytest.raises(serialize.FormatError):
+    with pytest.raises(CircuitError, match="unknown column no_such_column"):
         serialize.dump_layout(bad)
 
 

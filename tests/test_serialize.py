@@ -6,6 +6,7 @@ code 2 from `zkgrid check`, never a traceback."""
 import json
 import random
 import struct
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -25,9 +26,11 @@ from zkgrid.circuit import (
     MARK,
     MAX_CELLS,
     MAX_EXPR_DEPTH,
+    MAX_EXPR_NODES,
     MAX_ROWS,
     AdviceColumn,
     Assignment,
+    Bindings,
     CircuitError,
     CircuitLayout,
     Column,
@@ -529,6 +532,7 @@ BAD_NODES = {
     "empty list": [[]],
     "op alone": [["col"]],
     "chain one deeper than MAX_EXPR_DEPTH": [["+", 0, 0]] + [["+", -1, 0]] * MAX_EXPR_DEPTH,
+    "chain 100,000 deep": [["+", 0, 0]] + [["+", -1, 0]] * 100_000,
     "tree of 2**64 - 1 nodes": [["col", "g0:x0"]] + [["+", -1, -1]] * (MAX_EXPR_DEPTH - 1),
 }
 
@@ -1074,17 +1078,71 @@ def test_equal_subtrees_load_as_one_object():
 
 def test_expr_depth_limit_is_inclusive():
     """A chain of MAX_EXPR_DEPTH operators dumps and loads; one operator
-    more is refused by dump_layout, and by load_layout from the reference
-    writer's file."""
+    more is refused by validate(), by dump_layout, and by load_layout
+    from the reference writer's file."""
     chain = cell("c0")
     for _ in range(MAX_EXPR_DEPTH):
         chain = add(chain, const(1))
     layout = _gates_layout([chain])
     assert serialize.load_layout(serialize.dump_layout(layout)) == layout
     deeper = _gates_layout([add(chain, const(1))])
-    for refuse in (serialize.dump_layout, lambda lay: serialize.load_layout(layout_file(layout_doc(lay)))):
-        with pytest.raises(FormatError, match=f"nests over {MAX_EXPR_DEPTH} operators deep"):
+    for refuse in (CircuitLayout.validate, serialize.dump_layout,
+                   lambda lay: serialize.load_layout(layout_file(layout_doc(lay)))):
+        with pytest.raises(CircuitError, match=f"nests over {MAX_EXPR_DEPTH} operators deep"):
             refuse(deeper)
+
+
+def test_deep_chain_refused_without_recursing():
+    """A chain 5,000 operators deep in memory is refused by validate()
+    and by dump_layout with the depth message: the walk stops at
+    MAX_EXPR_DEPTH, so neither raises RecursionError."""
+    chain = cell("c0")
+    for _ in range(5000):
+        chain = add(chain, const(1))
+    layout = _gates_layout([chain])
+    for refuse in (CircuitLayout.validate, serialize.dump_layout):
+        with pytest.raises(CircuitError, match=f"nests over {MAX_EXPR_DEPTH} operators deep"):
+            refuse(layout)
+
+
+def test_shared_subtrees_refused_by_size_at_once():
+    """63 levels of e = add(e, e) hold 64 distinct nodes but a tree of
+    2**64 - 1 nodes written out: validate() and dump_layout refuse it with
+    the size message in well under a second, each walking every distinct
+    node once."""
+    e = cell("c0")
+    for _ in range(MAX_EXPR_DEPTH - 1):
+        e = add(e, e)
+    layout = _gates_layout([e])
+    for refuse in (CircuitLayout.validate, serialize.dump_layout):
+        start = time.perf_counter()
+        with pytest.raises(CircuitError, match=f"of over {MAX_EXPR_NODES} nodes written out as trees"):
+            refuse(layout)
+        assert time.perf_counter() - start < 0.5
+
+
+def test_dump_layout_refuses_a_binding_past_its_names():
+    """A packed binding whose column number lies past the two columns is
+    refused by validate() and by dump_layout, not met with IndexError."""
+    names = ["q", "c0"]
+    layout = CircuitLayout(
+        field=Field(P), columns={"q": Column("q", FIXED), "c0": Column("c0", ADVICE)},
+        n_rows=1, n_rows_logical=1, gates=[], tables={}, lookups=[], copies=[], fixed={"q": [1]},
+        instance_map=Bindings(np.array([5, 0, 0]), names),
+    )
+    for refuse in (CircuitLayout.validate, serialize.dump_layout):
+        with pytest.raises(CircuitError, match="instance binding references column number 5 outside the 2 columns"):
+            refuse(layout)
+
+
+def test_dump_layout_refuses_copies_numbered_otherwise():
+    """Copies whose column numbers index another order of the columns
+    than the layout's are refused by validate() and by dump_layout."""
+    layout = _gates_layout([cell("c0")])
+    layout.copies = Copies(np.array([1, 0, 2, 0], np.int32), list(reversed(layout.columns)))
+    for refuse in (CircuitLayout.validate, serialize.dump_layout):
+        with pytest.raises(CircuitError, match="copies do not number the layout's columns"):
+            refuse(layout)
 
 
 @pytest.mark.parametrize("poly", [
@@ -1100,9 +1158,18 @@ def test_expr_depth_limit_is_inclusive():
 ], ids=repr)
 def test_dump_layout_refuses_what_load_refuses(poly):
     """dump_layout writes only the node forms and canonical constants
-    that load_layout reads."""
-    with pytest.raises(FormatError):
-        serialize.dump_layout(_gates_layout([add(cell("c1"), poly)]))
+    that load_layout reads: validate() refuses the polynomials the
+    builders do not make, and the writer's spelling rule the constants
+    that are not a canonical residue's decimal."""
+    layout = _gates_layout([add(cell("c1"), poly)])
+    if poly.op == "const":
+        layout.validate()
+        with pytest.raises(FormatError, match="const takes one canonical residue"):
+            serialize.dump_layout(layout)
+    else:
+        for refuse in (CircuitLayout.validate, serialize.dump_layout):
+            with pytest.raises(CircuitError, match="no builder makes"):
+                refuse(layout)
 
 
 def test_dump_layout_refuses_non_canonical_fixed_cell():
